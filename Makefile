@@ -1,6 +1,6 @@
 # Convenience wrappers around dune. `make ci` is what CI runs.
 
-.PHONY: build test profile-smoke parallel-smoke bytecode-smoke vector-smoke swpipe-smoke layout-smoke perf-smoke serve-smoke search-smoke bench golden ci clean
+.PHONY: build test smoke bench golden ci clean
 
 build:
 	dune build
@@ -8,57 +8,13 @@ build:
 test:
 	dune runtest
 
-# Run the profiler CLI end-to-end (simulate + verify + JSON/trace export)
-# on one kernel per supported architecture; fails on non-zero exit.
-profile-smoke:
-	dune build @profile-smoke
-
-# 2-domain determinism check: a parallel run of a small tensor-core GEMM
-# must be bit-identical (counters, report, trace, buffers) to 1 domain.
-parallel-smoke:
-	dune build @parallel-smoke
-
-# Cross-engine determinism check: tree, closure and bytecode engines
-# must produce bit-identical reports, traces and buffers on a small
-# tensor-core GEMM (bytecode also at 2 domains), and the lower listing
-# must include the flattened bytecode summary.
-bytecode-smoke:
-	dune build @bytecode-smoke
-
-# Lower GEMM/FMHA with the vectorize pass on and off: the plan listing
-# prints per-atomic vector widths and legality verdicts.
-vector-smoke:
-	dune build @vector-smoke
-
-# Software-pipelining smoke: lower the tensor-core GEMM at a 3-stage
-# request (the plan listing shows the rotating-buffer rewrite) and run
-# the pipelined plan across all three engines — counters, reports,
-# traces and outputs must be bit-identical to each other and the
-# outputs must match the CPU reference.
-swpipe-smoke:
-	dune build @swpipe-smoke
-
-# Walk the CuTe layout algebra and self-check every result against the
-# conformance corpus (see docs/LAYOUT.md).
-layout-smoke:
-	dune build @layout-smoke
-
-# Quick tree-vs-plan bit-identity smoke on shrunken shapes (exits
-# nonzero on any counter/output mismatch).
-perf-smoke:
-	dune build @bench/perf-smoke
-
-# Continuous-batching serving smoke: a small seeded traffic trace served
-# twice must produce identical deterministic metrics (see docs/SERVING.md).
-serve-smoke:
-	dune build @bench/serve-smoke
-
-# Schedule-space search smoke: a seeded three-tier search over tiny GEMM
-# and FMHA problems run twice (deterministic trajectory, verified
-# winners, fixed-sweep baseline beaten — see docs/TUNING.md), plus the
-# CLI `tune --search` path end-to-end.
-search-smoke:
-	dune build @bin/search-smoke @bench/search-smoke
+# Every smoke rule (the `smoke` alias in bin/dune and bench/dune): the
+# profiler, lower, vectorize, pipelining, layout and search CLI runs;
+# the 1-vs-2-domain and tree-vs-bytecode determinism checks; and the
+# sim (full and quick), serve and search benches. Each fails on a
+# non-zero exit.
+smoke:
+	dune build @smoke
 
 bench:
 	dune exec bench/main.exe

@@ -121,29 +121,12 @@ let emit_bench_profile rows =
 
 (* ----- lower-once / execute-many simulation benchmark -----
 
-   Times the tree-walking reference interpreter against the compiled
-   execution plan on fixed kernel shapes, verifies the two paths produce
-   bit-identical event counters, and writes BENCH_sim.json. *)
+   Times the tree-walking reference interpreter against the bytecode
+   plan executor on fixed kernel shapes, verifies the two produce
+   bit-identical event counters and output buffers on seeded inputs,
+   and writes BENCH_sim.json. *)
 
 module C = Gpu_sim.Counters
-
-(* Byte/sector/conflict/flop counters and the instruction mix must match
-   bitwise between the tree walk and the plan. The request counters are
-   deliberately NOT compared: the vectorized plan issues fewer, wider
-   requests than the scalar tree path by design (that delta is what the
-   v4 rows report); test/test_vectorize.ml pins them against a
-   scalar-forced lowering instead. *)
-let counters_equal (a : C.t) (b : C.t) =
-  a.C.global_load_bytes = b.C.global_load_bytes
-  && a.C.global_store_bytes = b.C.global_store_bytes
-  && a.C.global_transactions = b.C.global_transactions
-  && a.C.shared_load_bytes = b.C.shared_load_bytes
-  && a.C.shared_store_bytes = b.C.shared_store_bytes
-  && a.C.shared_bank_conflicts = b.C.shared_bank_conflicts
-  && a.C.flops = b.C.flops
-  && a.C.tensor_core_flops = b.C.tensor_core_flops
-  && a.C.instructions = b.C.instructions
-  && C.instr_mix_alist a = C.instr_mix_alist b
 
 (* Wall clock, not [Sys.time]: CPU time sums over domains, so it cannot
    see the speedup of a parallel grid run. *)
@@ -154,9 +137,9 @@ let time f =
 
 (* One simulated cell = one fused multiply-add of the workload's
    definition (m*n*k for GEMM; the paper's FMHA flop count / 2).
-   [quick] shrinks the shapes to a few-second smoke (the `perf-smoke`
-   alias): the same kernels and the same bit-identity checks, just on
-   one-to-few block grids. *)
+   [quick] shrinks the shapes to a few-second smoke (one of the `smoke`
+   alias rules): the same kernels and the same bit-identity checks,
+   just on one-to-few block grids. *)
 let sim_cases ?(quick = false) () =
   let gemm arch ~m ~n ~k =
     ( Printf.sprintf "gemm_tc_%dx%dx%d" m n k
@@ -191,32 +174,22 @@ let sim_cases ?(quick = false) () =
         fmha Graphene.Arch.SM70 ~seq:32 ~dh:32 ~chunk:32 ~swizzle_smem:false)
     ]
 
-(* The parallel-grid measurement point: 4 domains is the acceptance
-   configuration (docs/PARALLELISM.md). On hosts with fewer cores the
-   domains timeslice, so par_s reflects what the machine can actually do
-   — the numbers are measured, never extrapolated. *)
-let par_domains = 4
-
-(* The v5 multi-domain sweep: the bytecode engine at each of these
-   domain counts, against the 1-domain bytecode best-of-2. *)
+(* The multi-domain sweep: the bytecode engine at each of these domain
+   counts, against the 1-domain bytecode best-of-2. *)
 let sweep_domains = [ 1; 2; 4; 8 ]
 
-(* Everything one bench row measures. [plan_s] is the closure-walking
-   plan executor (the v4 number, now pinned to ~engine:Closure since the
-   default engine is Bytecode); [bytecode_s] is the flat bytecode
-   executor on the same plan. The sweep is the bytecode engine at each
-   of [sweep_domains]. *)
+(* Everything one bench row measures. [bytecode_s] is the best of two
+   1-domain bytecode runs on the same plan; the sweep is the bytecode
+   engine at each of [sweep_domains]. [counter_diffs] / [output_diffs]
+   name every bit-identity check that failed (empty = all held). *)
 type sim_row =
   { tree_s : float
   ; tree_mw : float
   ; lower_s : float
   ; cache_hit : bool
   ; lower_cached_s : float
-  ; plan_s : float
-  ; plan_mw : float
   ; bytecode_s : float
   ; bytecode_mw : float
-  ; par_s : float
   ; sweep : (int * float * bool) list  (** domains, wall s, bit-identical *)
   ; stages : int
         (** effective software-pipeline depth of a 3-stage lowering
@@ -226,9 +199,9 @@ type sim_row =
   ; overlap_speedup : float
         (** perf-model serialized time / pipelined time at the measured
             occupancy — the latency-hiding term's predicted win *)
-  ; identical : bool
-  ; outputs_identical : bool
-  ; plan_counters : C.t
+  ; counter_diffs : string list
+  ; output_diffs : string list
+  ; counters : C.t  (** the 1-domain bytecode run's *)
   }
 
 (* Returns the row's JSON and whether every bit-identity check held
@@ -241,28 +214,53 @@ let sim_bench_row case =
         (Gpu_sim.Trace.json_string (Printexc.to_string exn))
     , false )
   | name, arch, kernel, cells -> (
-    let args () =
-      List.map
-        (fun (p : Gpu_tensor.Tensor.t) ->
+    (* Seeded fp16 inputs in every buffer, so a wrong product shows up
+       as an output difference; every run gets a fresh copy. *)
+    let inputs =
+      List.mapi
+        (fun i (p : Gpu_tensor.Tensor.t) ->
           ( p.Gpu_tensor.Tensor.name
-          , Array.make (Shape.Layout.cosize p.Gpu_tensor.Tensor.layout) 0.0 ))
+          , Reference.Cpu_ref.random_fp16 ~seed:(i + 1)
+              (Shape.Layout.cosize p.Gpu_tensor.Tensor.layout) ))
         kernel.Graphene.Spec.params
     in
+    let args () = List.map (fun (n, a) -> (n, Array.copy a)) inputs in
     let buffers_equal a b =
       List.for_all2
         (fun (na, xa) (nb, xb) -> String.equal na nb && xa = xb)
         a b
     in
+    let counter_diffs = ref [] and output_diffs = ref [] in
+    (* One named bit-identity check between two runs, as (counters,
+       buffers): records what differed and returns whether both held. *)
+    let check what fields (ca, aa) (cb, ab) =
+      let c_ok =
+        match C.diff fields ca cb with
+        | None -> true
+        | Some d ->
+          counter_diffs := (what ^ ": " ^ d) :: !counter_diffs;
+          false
+      in
+      let o_ok = buffers_equal aa ab in
+      if not o_ok then
+        output_diffs := (what ^ ": outputs differ") :: !output_diffs;
+      c_ok && o_ok
+    in
+    let run_bytecode ?(domains = 1) plan a =
+      Gpu_sim.Interp.run_plan ~domains ~engine:Gpu_sim.Interp.Bytecode plan
+        ~args:a ()
+    in
     match
       (* Minor-heap allocation of each path, from the caller domain's
          allocation counter ([~domains:1] runs inline, so every word the
          executor allocates is counted here). *)
+      let tree_args = args () in
       let mw0 = Gc.minor_words () in
       let tree_counters, tree_s =
         time (fun () ->
-            Gpu_sim.Interp.run_tree ~arch ~domains:1 kernel ~args:(args ()) ())
+            Gpu_sim.Interp.run_tree ~arch ~domains:1 kernel ~args:tree_args ())
       in
-      let tree_minor_words = Gc.minor_words () -. mw0 in
+      let tree_mw = Gc.minor_words () -. mw0 in
       let plan, lower_s =
         time (fun () -> Lower.Pipeline.lower arch kernel)
       in
@@ -272,81 +270,42 @@ let sim_bench_row case =
       let (_, cache_hit), lower_cached_s =
         time (fun () -> Lower.Pipeline.lower_cached arch kernel)
       in
-      (* Execute the plan twice per engine on one domain (the
-         lower-once/execute-many shape); report each engine's best run.
-         [plan_s] keeps its v4 meaning — the closure-walking executor —
-         which must now be pinned explicitly because the default engine
-         is Bytecode. *)
-      let plan_args = args () in
-      let mw1 = Gc.minor_words () in
-      let plan_counters, plan_s1 =
-        time (fun () ->
-            Gpu_sim.Interp.run_plan ~domains:1 ~engine:Gpu_sim.Interp.Closure
-              plan ~args:plan_args ())
-      in
-      let plan_minor_words = Gc.minor_words () -. mw1 in
-      let _, plan_s2 =
-        time (fun () ->
-            Gpu_sim.Interp.run_plan ~domains:1 ~engine:Gpu_sim.Interp.Closure
-              plan ~args:(args ()) ())
-      in
-      let plan_s = Float.min plan_s1 plan_s2 in
+      (* Execute the plan twice on one domain (the lower-once /
+         execute-many shape) and report the best run. *)
       let bc_args = args () in
-      let mw2 = Gc.minor_words () in
-      let bc_counters, bc_s1 =
-        time (fun () ->
-            Gpu_sim.Interp.run_plan ~domains:1 ~engine:Gpu_sim.Interp.Bytecode
-              plan ~args:bc_args ())
-      in
-      let bytecode_mw = Gc.minor_words () -. mw2 in
-      let _, bc_s2 =
-        time (fun () ->
-            Gpu_sim.Interp.run_plan ~domains:1 ~engine:Gpu_sim.Interp.Bytecode
-              plan ~args:(args ()) ())
-      in
+      let mw1 = Gc.minor_words () in
+      let bc_counters, bc_s1 = time (fun () -> run_bytecode plan bc_args) in
+      let bytecode_mw = Gc.minor_words () -. mw1 in
+      let _, bc_s2 = time (fun () -> run_bytecode plan (args ())) in
       let bytecode_s = Float.min bc_s1 bc_s2 in
-      (* The v4 parallel point: the closure engine across [par_domains]
-         domains, against fresh buffers, so outputs can be compared
-         bitwise to the 1-domain run. *)
-      let par_args = args () in
-      let par_counters, par_s =
-        time (fun () ->
-            Gpu_sim.Interp.run_plan ~domains:par_domains
-              ~engine:Gpu_sim.Interp.Closure plan ~args:par_args ())
-      in
-      (* The v5 sweep: the bytecode engine at each domain count, every
-         point bit-identity-checked against the 1-domain bytecode run. *)
+      let bc = (bc_counters, bc_args) in
+      (* The oracle: the vectorized plan issues fewer, wider requests than
+         the scalar tree walk by design, so only the request counters
+         may differ (test/test_vectorize.ml pins them against a
+         scalar-forced lowering instead). *)
+      ignore
+        (check "tree vs bytecode" C.No_requests (tree_counters, tree_args) bc);
+      (* The sweep: the bytecode engine at each domain count, every point
+         checked against the 1-domain run in every field. *)
       let sweep =
         List.map
           (fun d ->
             let a = args () in
-            let c, s =
-              time (fun () ->
-                  Gpu_sim.Interp.run_plan ~domains:d
-                    ~engine:Gpu_sim.Interp.Bytecode plan ~args:a ())
-            in
-            (d, s, counters_equal bc_counters c && buffers_equal bc_args a))
+            let c, s = time (fun () -> run_bytecode ~domains:d plan a) in
+            (d, s, check (Printf.sprintf "%d domains" d) C.All bc (c, a)))
           sweep_domains
       in
-      (* The v6 swpipe measurement point: the same kernel lowered at a
+      (* The swpipe measurement point: the same kernel lowered at a
          3-stage request (the pass may refuse — [stages] reports the
-         effective depth), run once on the bytecode engine against
-         fresh buffers. The pre-existing counters and the outputs must
-         stay bit-identical to the unpipelined run; only the new
-         async-queue counters (excluded from [counters_equal]) may
-         move. The model's overlap speedup compares serialized
-         (1-stage) to pipelined time at the measured occupancy. *)
+         effective depth), run once on the bytecode engine. Only the
+         queue-depth counters may move. The model's overlap speedup
+         compares serialized (1-stage) to pipelined time at the measured
+         occupancy. *)
       let pplan, _ = Lower.Pipeline.lower_cached arch kernel ~stages:3 in
       let stages = pplan.Lower.Plan.pipelining.Lower.Plan.pl_stages in
       let p_args = args () in
-      let p_counters, _ =
-        time (fun () ->
-            Gpu_sim.Interp.run_plan ~domains:1 ~engine:Gpu_sim.Interp.Bytecode
-              pplan ~args:p_args ())
-      in
-      let pipelined_identical =
-        counters_equal bc_counters p_counters && buffers_equal bc_args p_args
-      in
+      let p_counters = run_bytecode pplan p_args in
+      ignore (check "pipelined" C.No_queue bc (p_counters, p_args));
       let async_occ = C.async_occupancy p_counters ~stages in
       let overlap_speedup =
         let machine = Gpu_sim.Machine.of_arch arch in
@@ -357,33 +316,20 @@ let sim_bench_row case =
         t { Gpu_sim.Perf_model.stages = 1; occupancy = 0.0 }
         /. t { Gpu_sim.Perf_model.stages; occupancy = async_occ }
       in
-      let identical =
-        counters_equal tree_counters plan_counters
-        && counters_equal plan_counters par_counters
-        && counters_equal plan_counters bc_counters
-        && List.for_all (fun (_, _, ok) -> ok) sweep
-        && pipelined_identical
-      in
-      let outputs_identical =
-        buffers_equal plan_args par_args && buffers_equal plan_args bc_args
-      in
       { tree_s
-      ; tree_mw = tree_minor_words
+      ; tree_mw
       ; lower_s
       ; cache_hit
       ; lower_cached_s
-      ; plan_s
-      ; plan_mw = plan_minor_words
       ; bytecode_s
       ; bytecode_mw
-      ; par_s
       ; sweep
       ; stages
       ; async_occ
       ; overlap_speedup
-      ; identical
-      ; outputs_identical
-      ; plan_counters
+      ; counter_diffs = List.rev !counter_diffs
+      ; output_diffs = List.rev !output_diffs
+      ; counters = bc_counters
       }
     with
     | exception exn ->
@@ -395,33 +341,36 @@ let sim_bench_row case =
     | r ->
       let cps s = if s > 0.0 then float_of_int cells /. s else Float.nan in
       let per_cell w = w /. float_of_int (max 1 cells) in
-      let plan_counters = r.plan_counters in
+      let counters = r.counters in
       let mw_reduction =
-        if r.plan_mw > 0.0 then r.tree_mw /. r.plan_mw else Float.nan
+        if r.bytecode_mw > 0.0 then r.tree_mw /. r.bytecode_mw else Float.nan
       in
       (* Fraction of the global byte traffic carried by vector-widened
          (v2/v4) requests — the vectorize pass's yield on this kernel. *)
       let global_bytes =
-        plan_counters.C.global_load_bytes + plan_counters.C.global_store_bytes
+        counters.C.global_load_bytes + counters.C.global_store_bytes
       in
       let vector_widened_frac =
         if global_bytes = 0 then 0.0
         else
-          float_of_int plan_counters.C.global_vec_bytes
-          /. float_of_int global_bytes
+          float_of_int counters.C.global_vec_bytes /. float_of_int global_bytes
       in
-      let ok = r.identical && r.outputs_identical in
+      let counters_identical = r.counter_diffs = [] in
+      let outputs_identical = r.output_diffs = [] in
       Format.printf
-        "%-24s %-4s tree %7.3fs  lower %6.4fs (cached %6.4fs)  closure \
-         %7.3fs  bytecode %7.3fs (%4.2fx)  speedup %5.2fx  minor w/cell \
-         %5.1f -> %4.2f -> %4.2f  vec %3.0f%%  counters %s@."
+        "%-24s %-4s tree %7.3fs  lower %6.4fs (cached %6.4fs)  bytecode \
+         %7.3fs  speedup %5.2fx  minor w/cell %5.1f -> %4.2f  vec %3.0f%%  \
+         counters %s  outputs %s@."
         name (Graphene.Arch.name arch) r.tree_s r.lower_s r.lower_cached_s
-        r.plan_s r.bytecode_s
-        (r.plan_s /. r.bytecode_s)
+        r.bytecode_s
         (r.tree_s /. r.bytecode_s)
-        (per_cell r.tree_mw) (per_cell r.plan_mw) (per_cell r.bytecode_mw)
+        (per_cell r.tree_mw) (per_cell r.bytecode_mw)
         (100.0 *. vector_widened_frac)
-        (if ok then "bit-identical" else "MISMATCH");
+        (if counters_identical then "bit-identical" else "MISMATCH")
+        (if outputs_identical then "bit-identical" else "MISMATCH");
+      List.iter
+        (fun d -> Format.printf "%26smismatch: %s@." "" d)
+        (r.counter_diffs @ r.output_diffs);
       Format.printf "%26sdomains sweep (bytecode):%s@." ""
         (String.concat ""
            (List.map
@@ -446,19 +395,13 @@ let sim_bench_row case =
       ( Printf.sprintf
           "{\"name\":%s,\"arch\":%s,\"cells\":%d,\"tree_s\":%.6f,\
            \"lower_s\":%.6f,\"lower_cached_s\":%.6f,\"lower_cache_hit\":%b,\
-           \"plan_s\":%.6f,\"par_s\":%.6f,\"par_domains\":%d,\
-           \"domains_speedup\":%.3f,\"speedup\":%.3f,\
-           \"bytecode_s\":%.6f,\"bytecode_speedup\":%.3f,\
-           \"speedup_bytecode\":%.3f,\"exec_engine\":\"bytecode\",\
-           \"domains_sweep\":[%s],\
+           \"bytecode_s\":%.6f,\"speedup_bytecode\":%.3f,\
+           \"exec_engine\":\"bytecode\",\"domains_sweep\":[%s],\
            \"stages\":%d,\"async_copy_occupancy\":%.6g,\
            \"overlap_speedup_model\":%.6g,\
-           \"cells_per_sec_tree\":%.6g,\"cells_per_sec_plan\":%.6g,\
-           \"cells_per_sec_bytecode\":%.6g,\
-           \"minor_words_tree\":%.0f,\"minor_words_plan\":%.0f,\
-           \"minor_words_bytecode\":%.0f,\
+           \"cells_per_sec_tree\":%.6g,\"cells_per_sec_bytecode\":%.6g,\
+           \"minor_words_tree\":%.0f,\"minor_words_bytecode\":%.0f,\
            \"minor_words_per_cell_tree\":%.6g,\
-           \"minor_words_per_cell_plan\":%.6g,\
            \"minor_words_per_cell_bytecode\":%.6g,\
            \"minor_words_reduction\":%.6g,\
            \"global_transactions\":%d,\"global_requests\":%d,\
@@ -469,26 +412,21 @@ let sim_bench_row case =
            \"counters_bit_identical\":%b,\"outputs_bit_identical\":%b}"
           (Gpu_sim.Trace.json_string name)
           (Gpu_sim.Trace.json_string (Graphene.Arch.name arch))
-          cells r.tree_s r.lower_s r.lower_cached_s r.cache_hit r.plan_s
-          r.par_s par_domains (r.plan_s /. r.par_s) (r.tree_s /. r.plan_s)
-          r.bytecode_s
-          (r.plan_s /. r.bytecode_s)
+          cells r.tree_s r.lower_s r.lower_cached_s r.cache_hit r.bytecode_s
           (r.tree_s /. r.bytecode_s)
           sweep_json r.stages r.async_occ r.overlap_speedup
-          (cps r.tree_s) (cps r.plan_s) (cps r.bytecode_s) r.tree_mw
-          r.plan_mw r.bytecode_mw (per_cell r.tree_mw) (per_cell r.plan_mw)
-          (per_cell r.bytecode_mw) mw_reduction
-          plan_counters.C.global_transactions plan_counters.C.global_requests
-          plan_counters.C.global_vec_requests plan_counters.C.global_vec_bytes
-          plan_counters.C.shared_requests plan_counters.C.shared_vec_requests
-          plan_counters.C.shared_vec_bytes
-          plan_counters.C.shared_bank_conflicts vector_widened_frac r.identical
-          r.outputs_identical
-      , ok ))
+          (cps r.tree_s) (cps r.bytecode_s) r.tree_mw r.bytecode_mw
+          (per_cell r.tree_mw) (per_cell r.bytecode_mw) mw_reduction
+          counters.C.global_transactions counters.C.global_requests
+          counters.C.global_vec_requests counters.C.global_vec_bytes
+          counters.C.shared_requests counters.C.shared_vec_requests
+          counters.C.shared_vec_bytes counters.C.shared_bank_conflicts
+          vector_widened_frac counters_identical outputs_identical
+      , counters_identical && outputs_identical ))
 
 let emit_sim_bench ?(quick = false) () =
   Format.printf
-    "== Simulation: tree-walking interpreter vs compiled execution plan%s ==@."
+    "== Simulation: tree-walking interpreter vs bytecode plan executor%s ==@."
     (if quick then " (quick smoke)" else "");
   let results = List.map sim_bench_row (sim_cases ~quick ()) in
   let rows = List.map fst results in
@@ -498,18 +436,16 @@ let emit_sim_bench ?(quick = false) () =
        real numbers) — just the bit-identity verdict as the exit code. *)
     if all_ok then Format.printf "perf smoke OK (%d rows)@.@." (List.length rows)
     else begin
-      Format.printf "perf smoke FAILED: tree/plan mismatch@.";
+      Format.printf "perf smoke FAILED: tree/bytecode mismatch@.";
       exit 1
     end
   end
   else begin
     let stats = Lower.Pipeline.cache_stats () in
     let oc = open_out "BENCH_sim.json" in
-    output_string oc "{\"schema\":\"graphene.sim_bench.v6\",\n";
+    output_string oc "{\"schema\":\"graphene.sim_bench.v7\",\n";
     output_string oc
-      (Printf.sprintf
-         "\"par_domains\":%d,\"default_domains\":%d,\"exec_engine\":%s,\n"
-         par_domains
+      (Printf.sprintf "\"default_domains\":%d,\"exec_engine\":%s,\n"
          (Gpu_sim.Domain_pool.default_domains ())
          (Gpu_sim.Trace.json_string
             (Gpu_sim.Interp.engine_name (Gpu_sim.Interp.default_plan_engine ()))));
@@ -528,7 +464,7 @@ let emit_sim_bench ?(quick = false) () =
    Seeded Poisson traffic through the Serve engine (docs/SERVING.md).
    Every simulated metric is deterministic per seed; [quick] runs a small
    trace twice and fails on any difference in the deterministic JSON
-   (the `serve-smoke` alias), the full mode writes BENCH_serve.json. *)
+   (a `smoke` alias rule), the full mode writes BENCH_serve.json. *)
 let emit_serve_bench ?(quick = false) () =
   Format.printf "== Serving: continuous batching on the plan cache%s ==@."
     (if quick then " (quick smoke)" else "");
@@ -572,7 +508,7 @@ let emit_serve_bench ?(quick = false) () =
    decomposition spaces. Everything but wall-clock is deterministic per
    seed; [quick] runs tiny problems twice and fails on any difference in
    the deterministic JSON, or if a winner goes unverified or loses to
-   the old fixed sweep (the `search-smoke` alias). The full mode records
+   the old fixed sweep (a `smoke` alias rule). The full mode records
    each search trajectory — tier-1 frontier statistics, proxy feedback,
    winner vs fixed-sweep baseline, per-tier wall — in BENCH_tune.json. *)
 let emit_tune_bench ?(quick = false) () =
@@ -637,10 +573,10 @@ let emit_tune_bench ?(quick = false) () =
   end
 
 let () =
-  (* `--engine tree|closure|bytecode` sets the default executor for
-     every run that does not pin one (the serve engine's shards, the
-     profile reports). The sim rows pin their engines explicitly, so
-     their closure-vs-bytecode comparison is unaffected. *)
+  (* `--engine tree|bytecode` sets the default executor for every run
+     that does not pin one (the serve engine's shards, the profile
+     reports). The sim rows pin their engines explicitly, so their
+     tree-vs-bytecode comparison is unaffected. *)
   (match
      Array.to_list Sys.argv
      |> List.fold_left
@@ -654,7 +590,7 @@ let () =
     | Some _ -> Unix.putenv "GRAPHENE_SIM_ENGINE" e
     | None ->
       Format.eprintf
-        "unknown --engine %S (expected tree, closure or bytecode)@." e;
+        "unknown --engine %S (expected tree or bytecode)@." e;
       exit 2)
   | _, None -> ());
   if Array.mem "--serve-only" Sys.argv then

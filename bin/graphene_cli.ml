@@ -328,7 +328,7 @@ let engine_conv =
     ( (fun s ->
         match Gpu_sim.Interp.engine_of_string s with
         | Some e -> Ok e
-        | None -> Error (`Msg "expected tree|closure|bytecode")),
+        | None -> Error (`Msg "expected tree|bytecode")),
       fun fmt e -> Format.pp_print_string fmt (Gpu_sim.Interp.engine_name e) )
 
 let engine_arg =
@@ -338,11 +338,10 @@ let engine_arg =
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
           "Plan execution engine: $(b,bytecode) (the flattened \
-           instruction-array executor), $(b,closure) (the compiled op-tree \
-           walker, kept as the drift oracle) or $(b,tree) (symbolic \
+           instruction-array executor) or $(b,tree) (symbolic \
            re-interpretation of the kernel, the reference semantics). \
-           Default: \\$GRAPHENE_SIM_ENGINE, else bytecode. All three \
-           produce bit-identical results; see docs/LOWERING.md.")
+           Default: \\$GRAPHENE_SIM_ENGINE, else bytecode. Both produce \
+           bit-identical results; see docs/LOWERING.md.")
 
 let simulate_cmd =
   let check_domains =
@@ -362,10 +361,10 @@ let simulate_cmd =
       & info [ "check-engines" ]
           ~doc:
             "Cross-engine determinism check: run the kernel with the tree \
-             engine (1 domain) as baseline, then with the closure and \
-             bytecode engines (bytecode also on 2 domains), and require \
-             bit-identical profiler report, Chrome trace and output \
-             buffers. Exits non-zero on any difference.")
+             engine (1 domain) as baseline, then with the bytecode engine \
+             on 1 and 2 domains, and require bit-identical profiler \
+             report, Chrome trace and output buffers. Exits non-zero on \
+             any difference.")
   in
   let run arch name domains engine check check_eng =
     let kernel, args, verify = build arch name in
@@ -417,13 +416,10 @@ let simulate_cmd =
           (if ok then "bit-identical" else "MISMATCH");
         ok
       in
-      (* no for_all: every engine should print, even after a mismatch *)
+      (* no for_all: every run should print, even after a mismatch *)
       let oks =
         List.map run_one
-          [ (Gpu_sim.Interp.Closure, 1)
-          ; (Gpu_sim.Interp.Bytecode, 1)
-          ; (Gpu_sim.Interp.Bytecode, 2)
-          ]
+          [ (Gpu_sim.Interp.Bytecode, 1); (Gpu_sim.Interp.Bytecode, 2) ]
       in
       if List.mem false oks then exit 1
     end;

@@ -257,6 +257,78 @@ let instr_mix_alist t =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.instr_mix []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
+(* Every scalar field by name, in declaration order, tagged with the
+   class [diff] may exclude: [`Request] fields follow the plan-level
+   vector width (the tree path never widens), [`Queue] fields follow
+   the pipeline depth (a swpipe rewrite moves when copies land, never
+   how many are issued, so [async_copies] is [`Core]). *)
+let scalar_fields =
+  [ ("global_load_bytes", `Core, fun t -> t.global_load_bytes)
+  ; ("global_store_bytes", `Core, fun t -> t.global_store_bytes)
+  ; ("global_transactions", `Core, fun t -> t.global_transactions)
+  ; ("shared_load_bytes", `Core, fun t -> t.shared_load_bytes)
+  ; ("shared_store_bytes", `Core, fun t -> t.shared_store_bytes)
+  ; ("shared_bank_conflicts", `Core, fun t -> t.shared_bank_conflicts)
+  ; ("flops", `Core, fun t -> t.flops)
+  ; ("tensor_core_flops", `Core, fun t -> t.tensor_core_flops)
+  ; ("instructions", `Core, fun t -> t.instructions)
+  ; ("global_requests", `Request, fun t -> t.global_requests)
+  ; ("global_vec_requests", `Request, fun t -> t.global_vec_requests)
+  ; ("global_vec_bytes", `Request, fun t -> t.global_vec_bytes)
+  ; ("global_vec_elems", `Request, fun t -> t.global_vec_elems)
+  ; ("shared_requests", `Request, fun t -> t.shared_requests)
+  ; ("shared_vec_requests", `Request, fun t -> t.shared_vec_requests)
+  ; ("shared_vec_bytes", `Request, fun t -> t.shared_vec_bytes)
+  ; ("shared_vec_elems", `Request, fun t -> t.shared_vec_elems)
+  ; ("async_copies", `Core, fun t -> t.async_copies)
+  ; ("async_commits", `Queue, fun t -> t.async_commits)
+  ; ("async_waits", `Queue, fun t -> t.async_waits)
+  ; ("async_inflight_sum", `Queue, fun t -> t.async_inflight_sum)
+  ; ("async_max_inflight", `Queue, fun t -> t.async_max_inflight)
+  ]
+
+type fields =
+  | All
+  | No_requests
+  | No_queue
+  | No_requests_or_queue
+
+let compared fields = function
+  | `Core -> true
+  | `Request -> (
+    match fields with
+    | All | No_queue -> true
+    | No_requests | No_requests_or_queue -> false)
+  | `Queue -> (
+    match fields with
+    | All | No_requests -> true
+    | No_queue | No_requests_or_queue -> false)
+
+(* The mix alists are sorted by name; the first entry where they part
+   (a different count, or a name only one side has) is the difference. *)
+let rec mix_diff a b =
+  let entry name x y =
+    Some (Printf.sprintf "instr_mix[%s]: %s vs %s" name x y)
+  in
+  match (a, b) with
+  | [], [] -> None
+  | (n, x) :: ta, (m, y) :: tb when String.equal n m ->
+    if x = y then mix_diff ta tb else entry n (string_of_int x) (string_of_int y)
+  | (n, x) :: _, (m, _) :: _ when String.compare n m < 0 ->
+    entry n (string_of_int x) "absent"
+  | (n, x) :: _, [] -> entry n (string_of_int x) "absent"
+  | _, (m, y) :: _ -> entry m "absent" (string_of_int y)
+
+let diff fields a b =
+  let rec go = function
+    | [] -> mix_diff (instr_mix_alist a) (instr_mix_alist b)
+    | (name, cls, get) :: tl ->
+      if compared fields cls && get a <> get b then
+        Some (Printf.sprintf "%s: %d vs %d" name (get a) (get b))
+      else go tl
+  in
+  go scalar_fields
+
 let pp fmt t =
   Format.fprintf fmt
     "@[<v>global: %d B loaded, %d B stored, %d sectors@,\

@@ -129,4 +129,37 @@ val global_mean_vec_width : t -> float
     (deterministic, for reports). *)
 val instr_mix_alist : t -> (string * int) list
 
+(** {1 Comparison} *)
+
+(** The field sets {!diff} compares. Every set includes the instruction
+    mix and the 10 fields no lowering choice may move (bytes, sectors,
+    bank conflicts, flops, instructions, [async_copies]).
+
+    - [All]: all 22 scalar fields — runs that must agree on everything,
+      such as one plan at two domain counts, or a scalar-forced plan
+      against the tree interpreter.
+    - [No_requests]: without the 8 request/vector-width fields
+      ([*_requests], [*_vec_requests], [*_vec_bytes], [*_vec_elems]),
+      which follow the plan-level vectorize pass — a compiled plan
+      against the tree interpreter.
+    - [No_queue]: without the 4 queue-depth fields ([async_commits],
+      [async_waits], [async_inflight_sum], [async_max_inflight]), which
+      follow the pipeline depth — a pipelined plan against its
+      unpipelined twin on the same engine.
+    - [No_requests_or_queue]: both exclusions — a pipelined plan
+      against the tree interpreter on the unpipelined source kernel
+      (schedule search's exact oracle). *)
+type fields =
+  | All
+  | No_requests
+  | No_queue
+  | No_requests_or_queue
+
+(** [diff fields a b] — the first field of [fields] (in declaration
+    order, then the instruction mix by name) where [a] and [b] differ,
+    as ["name: a vs b"] (e.g. ["shared_bank_conflicts: 0 vs 96"],
+    ["instr_mix[mma.m16n8k16]: 64 vs absent"]); [None] when they agree
+    on every compared field. *)
+val diff : fields -> t -> t -> string option
+
 val pp : Format.formatter -> t -> unit

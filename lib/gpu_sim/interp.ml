@@ -69,9 +69,12 @@ let warps_of active =
 (* ===== the tree-walking reference interpreter =====
 
    [run_tree] is the original direct interpreter: it re-resolves atomic
-   specs and re-evaluates all symbolic index arithmetic at every step.
-   It is kept as the executable reference the compiled-plan path
-   ([run_plan], below) is tested bit-identical against. *)
+   specs and re-evaluates all symbolic index arithmetic at every step,
+   and dispatches each atomic on its instruction name through
+   [Semantics.exec] (never [Semantics.classify]), so it stays
+   independent of the compiled path. It is kept as the executable
+   reference the compiled-plan executor ([run_plan], below) is tested
+   bit-identical against. *)
 
 (* First-scalar byte address of a view for one thread, or None for register
    views (registers have no shared address space to model). *)
@@ -116,7 +119,7 @@ let record_view_batch ctx env tids ~store (v : Ts.t) =
       end
     end
 
-(* ----- cp.async queue ops (shared by all three engines) -----
+(* ----- cp.async queue ops (shared by both executors) -----
 
    Commit/wait are statements, not atomic specs: they touch no counter a
    pre-pipelining kernel has (instructions, instr_mix, bytes, ...), only
@@ -144,31 +147,30 @@ let exec_wait_group ctx n =
 let is_async_name name =
   String.length name >= 8 && String.equal (String.sub name 0 8) "cp.async"
 
+(* Book [instances] issues of one atomic instruction of cost [c] —
+   shared by both executors, which differ only in where [tc] / [async]
+   come from (parsed here per call, precomputed in the plan). *)
+let book_cost ctx ~name ~tc ~async (c : Atomic.cost) ~instances =
+  let k = ctx.counters in
+  if async then k.Counters.async_copies <- k.Counters.async_copies + instances;
+  if tc then
+    k.Counters.tensor_core_flops <-
+      k.Counters.tensor_core_flops + (c.Atomic.flops * instances)
+  else k.Counters.flops <- k.Counters.flops + (c.Atomic.flops * instances);
+  k.Counters.instructions <-
+    k.Counters.instructions + (c.Atomic.instructions * instances) - instances;
+  Counters.add_instr_n k name instances;
+  match ctx.prof with
+  | Some p ->
+    Profiler.on_cost p ~instr:name ~tc ~flops:c.Atomic.flops
+      ~instructions:c.Atomic.instructions ~instances
+  | None -> ()
+
 let account_cost ctx (instr : Atomic.instr) (s : Spec.t) ~instances =
-  let c = instr.Atomic.cost s in
-  let is_tc =
-    String.length instr.Atomic.name >= 3
-    && String.equal (String.sub instr.Atomic.name 0 3) "mma"
-  in
-  if is_async_name instr.Atomic.name then
-    ctx.counters.Counters.async_copies <-
-      ctx.counters.Counters.async_copies + instances;
-  if is_tc then
-    ctx.counters.Counters.tensor_core_flops <-
-      ctx.counters.Counters.tensor_core_flops + (c.Atomic.flops * instances)
-  else
-    ctx.counters.Counters.flops <-
-      ctx.counters.Counters.flops + (c.Atomic.flops * instances);
-  ctx.counters.Counters.instructions <-
-    ctx.counters.Counters.instructions
-    + (c.Atomic.instructions * instances)
-    - instances;
-  Counters.add_instr_n ctx.counters instr.Atomic.name instances;
-  Option.iter
-    (fun p ->
-      Profiler.on_cost p ~instr:instr.Atomic.name ~tc:is_tc ~flops:c.Atomic.flops
-        ~instructions:c.Atomic.instructions ~instances)
-    ctx.prof
+  let name = instr.Atomic.name in
+  book_cost ctx ~name
+    ~tc:(String.length name >= 3 && String.equal (String.sub name 0 3) "mma")
+    ~async:(is_async_name name) (instr.Atomic.cost s) ~instances
 
 (* Execute a per-thread atomic spec for all active threads, warp by warp, so
    that address batches model warp-synchronous coalescing. *)
@@ -546,20 +548,34 @@ let run_tree ~arch ?profiler ?domains (k : Spec.kernel) ~args ?(scalars = []) ()
 
 (* ===== the compiled-plan executor =====
 
-   Runs a [Lower.Plan.t]: atomic resolution already happened (once, at
-   lowering), loop bounds / predicates / view offsets are closures over
-   one dense slot array, and all profiler attribution strings and costs
-   are precomputed. Event and profiler output is bit-identical to
-   [run_tree] — test/test_lower.ml pins that down per kernel.
+   Runs a [Lower.Plan.t] in its flattened form ([Lower.Bytecode]): a
+   dense int-tagged instruction array driven by a tight tail-recursive
+   match over the opcode word. Atomic resolution already happened (once,
+   at lowering), loop bounds / predicates / view offsets are closures
+   over one dense slot array, all profiler attribution strings and costs
+   are precomputed, and each atomic's [Semantics] dispatch tag is
+   resolved once per launch with [Semantics.classify].
 
    Active sets are per-warp 32-bit masks ([Warp_mask]) instead of thread
-   id lists, and the plan's depcheck annotations drive hoisting: a view
-   enumeration or collective member grouping whose dependence tier is
-   below [Thread] is computed once and reused while the slots it reads
-   ([v_dep_slots] / [a_members_slots]) hold the values they held when it
-   was cached — equal inputs give equal results, so stale-but-equal reuse
-   is sound. Address batches read only the first scalar offset, via the
-   allocation-free [v_addr0] closure. *)
+   id lists; a divergent branch splits them into a preallocated per-depth
+   arena ([bc_taken] / [bc_not_taken]). The plan's depcheck annotations
+   drive hoisting: a view enumeration or collective member grouping whose
+   dependence tier is below [Thread] is computed once and reused while
+   the slots it reads ([v_dep_slots] / [a_members_slots]) hold the values
+   they held when it was cached — equal inputs give equal results, so
+   stale-but-equal reuse is sound. Address batches read only the first
+   scalar offset, via the allocation-free [v_addr0] closure.
+
+   The steady state allocates nothing: profiler hooks are direct matches
+   on [ctx.prof], loops are [for] loops, and every scratch buffer lives
+   in the per-domain state. That is what makes multi-domain execution
+   profitable, since OCaml 5 minor collections stop every domain.
+
+   Observable behavior — counters (bar the request counters, which
+   follow the plan's vector widths), profiler events and their order,
+   traces, error messages, memory effects — is bit-identical to
+   [run_tree]; test/test_lower.ml and test/test_bytecode.ml pin that
+   down per kernel family. *)
 
 module WM = Warp_mask
 module Depcheck = Lower.Depcheck
@@ -618,14 +634,25 @@ type gcache =
   ; mutable gc_groups : int array array
   }
 
-(* Per-range executor state: one slot env, one full-CTA mask, reusable
-   scratch buffers, the hoisting caches (indexed by the plan's dense
-   view/atomic ids) and the per-atomic closures ([plan_env_fun] and the
-   offsets oracle), allocated once instead of once per atomic exec. *)
-type pctx =
+(* One domain's executor state, built once per domain and reused for
+   every block it runs: the slot env, one full-CTA mask, the bytecode
+   and its side pools, the divergence-mask arena, reusable scratch
+   buffers, the hoisting caches (indexed by the plan's dense view/atomic
+   ids) and the per-atomic closures ([plan_env_fun] and the offsets
+   oracle). *)
+type bctx =
   { c : ctx
   ; env : int array
   ; full : WM.t
+  ; bc_code : int array
+  ; bc_atomics : P.atomic array
+  ; bc_exprs : (int array -> int) array
+  ; bc_conds : (int array -> bool) array
+  ; bc_labels : string array
+  ; bc_fails : string array
+  ; bc_sem : Semantics.code array  (* by a_id: pre-resolved dispatch *)
+  ; bc_taken : WM.t array  (* divergence mask arena, by branch depth *)
+  ; bc_not_taken : WM.t array
   ; addrs : int array  (* address batch scratch: one slot per warp lane *)
   ; ld8 : int array  (* ldmatrix row-address scratch *)
   ; members1 : int array  (* reused singleton members for per-thread exec *)
@@ -655,379 +682,50 @@ let snap_update snap slots (env : int array) =
     Array.unsafe_set snap i (Array.unsafe_get env (Array.unsafe_get slots i))
   done
 
-let cached_offsets px (pv : P.view) =
-  let vc = px.vcaches.(pv.P.v_id) in
-  if vc.vc_valid && snap_matches vc.vc_snap pv.P.v_dep_slots px.env then
+let cached_offsets bx (pv : P.view) =
+  let vc = bx.vcaches.(pv.P.v_id) in
+  if vc.vc_valid && snap_matches vc.vc_snap pv.P.v_dep_slots bx.env then
     vc.vc_offs
   else begin
-    let offs = pv.P.v_offsets px.env in
+    let offs = pv.P.v_offsets bx.env in
     vc.vc_offs <- offs;
-    snap_update vc.vc_snap pv.P.v_dep_slots px.env;
+    snap_update vc.vc_snap pv.P.v_dep_slots bx.env;
     vc.vc_valid <- true;
     offs
   end
 
-let thread_cached_offsets px (pv : P.view) tid =
-  let tc = px.tcaches.(pv.P.v_id) in
-  if not (tc.tc_valid && snap_matches tc.tc_snap pv.P.v_dep_slots px.env)
+let thread_cached_offsets bx (pv : P.view) tid =
+  let tc = bx.tcaches.(pv.P.v_id) in
+  if not (tc.tc_valid && snap_matches tc.tc_snap pv.P.v_dep_slots bx.env)
   then begin
     Array.fill tc.tc_offs 0 (Array.length tc.tc_offs) [||];
-    snap_update tc.tc_snap pv.P.v_dep_slots px.env;
+    snap_update tc.tc_snap pv.P.v_dep_slots bx.env;
     tc.tc_valid <- true
   end;
   let cached = tc.tc_offs.(tid) in
   if Array.length cached > 0 then cached
   else begin
-    let offs = pv.P.v_offsets px.env in
+    let offs = pv.P.v_offsets bx.env in
     tc.tc_offs.(tid) <- offs;
     offs
   end
 
-(* The offsets oracle handed to [Semantics.exec]: compiled closure for the
-   atomic's own views (cached per the depcheck tier), symbolic fallback
-   for any derived view. *)
-let plan_offsets_px px (a : P.atomic) v tid =
-  px.env.(Slots.tid_slot) <- tid;
+(* The offsets oracle handed to [Semantics.exec_coded]: compiled closure
+   for the atomic's own views (cached per the depcheck tier), symbolic
+   fallback for any derived view. *)
+let plan_offsets bx (a : P.atomic) v tid =
+  bx.env.(Slots.tid_slot) <- tid;
   match find_pview a v with
   | Some pv ->
     if pv.P.v_dep.Depcheck.d_tier = Depcheck.Thread then
-      thread_cached_offsets px pv tid
-    else cached_offsets px pv
-  | None -> Ts.scalar_offsets ~env:(with_tid (px.a_envf.(a.P.a_id)) tid) v
+      thread_cached_offsets bx pv tid
+    else cached_offsets bx pv
+  | None -> Ts.scalar_offsets ~env:(with_tid (bx.a_envf.(a.P.a_id)) tid) v
 
-(* One warp's address batch for one view: first scalar byte address per
-   active lane, ascending. A thread-independent view yields one address
-   computed once and duplicated per lane — the byte totals and the
-   conflict phase structure depend on the lane count, so the duplicates
-   are semantically load-bearing, not waste. *)
-let record_plan_batch px w wmask ~store (pv : P.view) =
-  match pv.P.v_mem with
-  | Ms.Register -> ()
-  | Ms.Global | Ms.Shared ->
-    let env = px.env and addrs = px.addrs in
-    let n = ref 0 in
-    if pv.P.v_dep.Depcheck.d_tier = Depcheck.Thread then begin
-      let base = w * 32 in
-      for l = 0 to 31 do
-        if wmask land (1 lsl l) <> 0 then begin
-          env.(Slots.tid_slot) <- base + l;
-          let a = pv.P.v_addr0 env in
-          if a <> no_addr then begin
-            Array.unsafe_set addrs !n (a * pv.P.v_elt_bytes);
-            incr n
-          end
-        end
-      done
-    end
-    else begin
-      let a = pv.P.v_addr0 env in
-      if a <> no_addr then begin
-        let count = WM.popcount32 wmask in
-        let byte = a * pv.P.v_elt_bytes in
-        for i = 0 to count - 1 do
-          Array.unsafe_set addrs i byte
-        done;
-        n := count
-      end
-    end;
-    if !n > 0 then begin
-      let ctx = px.c in
-      let bytes = pv.P.v_batch_bytes in
-      (* Request accounting at the view's executed vector width. Only the
-         request/vectorized counters see the widening; the byte and
-         sector accounting below is untouched, so a widened plan differs
-         from its scalar twin in requests alone. *)
-      Counters.record_requests ctx.counters
-        ~global:(Ms.equal pv.P.v_mem Ms.Global)
-        ~elems:(bytes / pv.P.v_elt_bytes)
-        ~width:pv.P.v_vec_width ~bytes:(bytes * !n);
-      if Ms.equal pv.P.v_mem Ms.Global then begin
-        Counters.record_global_batcha ctx.counters ~store ~bytes addrs ~len:!n;
-        Option.iter
-          (fun p ->
-            Profiler.on_global_batcha p ~block:ctx.block ~store ~bytes ~warp:w
-              addrs ~len:!n)
-          ctx.prof
-      end
-      else begin
-        Counters.record_shared_batcha ctx.counters ~store ~bytes addrs ~len:!n;
-        Option.iter
-          (fun p ->
-            Profiler.on_shared_batcha p ~block:ctx.block ~store ~bytes ~warp:w
-              addrs ~len:!n)
-          ctx.prof
-      end
-    end
-
-let rec record_batches px w wmask ~store = function
-  | [] -> ()
-  | pv :: tl ->
-    record_plan_batch px w wmask ~store pv;
-    record_batches px w wmask ~store tl
-
-let account_cost_plan ctx (a : P.atomic) ~instances =
-  let c = a.P.a_cost in
-  if a.P.a_is_async then
-    ctx.counters.Counters.async_copies <-
-      ctx.counters.Counters.async_copies + instances;
-  if a.P.a_is_tc then
-    ctx.counters.Counters.tensor_core_flops <-
-      ctx.counters.Counters.tensor_core_flops + (c.Atomic.flops * instances)
-  else
-    ctx.counters.Counters.flops <-
-      ctx.counters.Counters.flops + (c.Atomic.flops * instances);
-  ctx.counters.Counters.instructions <-
-    ctx.counters.Counters.instructions
-    + (c.Atomic.instructions * instances)
-    - instances;
-  Counters.add_instr_n ctx.counters a.P.a_instr.Atomic.name instances;
-  Option.iter
-    (fun p ->
-      Profiler.on_cost p ~instr:a.P.a_instr.Atomic.name ~tc:a.P.a_is_tc
-        ~flops:c.Atomic.flops ~instructions:c.Atomic.instructions ~instances)
-    ctx.prof
-
-(* The wide-transaction fast path: a vector-widened, full-span contiguous
-   move skips the per-lane [Semantics.exec] dispatch (and its offset
-   enumeration) — every active lane's enumeration is exactly
-   [addr0, addr0 + n) on both sides, so one [exec_warp_move_contig] call
-   per warp moves the whole batch. Skipped when instruction-level tracing
-   is on: the detail trace wants one event per lane from the generic
-   path. Counter accounting ([record_batches], [account_cost_plan]) is
-   shared with the generic path, so only the data-movement engine
-   changes. *)
-let exec_plan_fastcopy px (a : P.atomic) w m =
-  let env = px.env in
-  let src = List.hd a.P.a_ins and dst = List.hd a.P.a_outs in
-  let n = src.P.v_batch_bytes / src.P.v_elt_bytes in
-  let base = w * 32 in
-  let lanes = ref 0 in
-  for l = 0 to 31 do
-    if m land (1 lsl l) <> 0 then begin
-      let tid = base + l in
-      env.(Slots.tid_slot) <- tid;
-      let i = !lanes in
-      px.fc_tids.(i) <- tid;
-      px.fc_src.(i) <- src.P.v_addr0 env;
-      px.fc_dst.(i) <- dst.P.v_addr0 env;
-      incr lanes
-    end
-  done;
-  if a.P.a_is_async then
-    Semantics.exec_warp_cp_async_contig px.c.mem a.P.a_spec ~tids:px.fc_tids
-      ~src_bases:px.fc_src ~dst_bases:px.fc_dst ~lanes:!lanes ~n
-  else
-    Semantics.exec_warp_move_contig px.c.mem a.P.a_spec ~tids:px.fc_tids
-      ~src_bases:px.fc_src ~dst_bases:px.fc_dst ~lanes:!lanes ~n
-
-let exec_plan_per_thread px (a : P.atomic) (mask : WM.t) =
-  let ctx = px.c in
-  let env = px.env in
-  let envf = px.a_envf.(a.P.a_id) in
-  let offs = px.a_offs.(a.P.a_id) in
-  let fastcopy = a.P.a_fastcopy && sem_trace ctx = None in
-  let total = ref 0 in
-  for w = 0 to Array.length mask - 1 do
-    let m = Array.unsafe_get mask w in
-    if m <> 0 then begin
-      record_batches px w m ~store:false a.P.a_ins;
-      record_batches px w m ~store:true a.P.a_outs;
-      if fastcopy then exec_plan_fastcopy px a w m
-      else begin
-        let base = w * 32 in
-        for l = 0 to 31 do
-          if m land (1 lsl l) <> 0 then begin
-            let tid = base + l in
-            env.(Slots.tid_slot) <- tid;
-            px.members1.(0) <- tid;
-            Semantics.exec ?trace:(sem_trace ctx) ~block:ctx.block
-              ~offsets:offs ctx.mem ~instr:a.P.a_instr ~spec:a.P.a_spec
-              ~env:envf ~members:px.members1
-          end
-        done
-      end;
-      let lanes = WM.popcount32 m in
-      total := !total + lanes;
-      Option.iter
-        (fun p ->
-          Profiler.exec_event p ~block:ctx.block ~warp:w ~lanes ~dur:a.P.a_dur)
-        ctx.prof
-    end
-  done;
-  account_cost_plan ctx a ~instances:!total
-
-let record_plan_ldmatrix px (a : P.atomic) ~trans x members =
-  let ctx = px.c in
-  match a.P.a_ld_rows with
-  | Some (rows, elt_bytes) ->
-    px.env.(Slots.tid_slot) <- members.(0);
-    for j = 0 to x - 1 do
-      let rj = rows.(j) in
-      for r = 0 to 7 do
-        let addr = rj.(r) px.env in
-        (* An empty row enumeration faulted as an array access on the
-           old path; keep the same exception. *)
-        if addr = no_addr then invalid_arg "index out of bounds";
-        Array.unsafe_set px.ld8 r (addr * elt_bytes)
-      done;
-      Counters.record_shared_batcha ctx.counters ~store:false ~bytes:16 px.ld8
-        ~len:8;
-      Counters.record_requests ctx.counters ~global:false ~elems:1 ~width:1
-        ~bytes:0;
-      Option.iter
-        (fun p ->
-          Profiler.on_shared_batcha p ~block:ctx.block ~store:false ~bytes:16
-            ~warp:(members.(0) / 32) px.ld8 ~len:8)
-        ctx.prof
-    done
-  | None ->
-    (* Symbolic fallback (e.g. an outer extent the compiler couldn't make
-       concrete) — identical traffic, derived the tree path's way. *)
-    record_ldmatrix ctx ~trans x a.P.a_spec (px.a_envf.(a.P.a_id)) members
-
-(* Group the active threads into collective instances: probe every active
-   thread ascending, dedup on the member array, and require every member
-   of a fresh group to be active — exactly the tree path's grouping, so
-   overlapping or divergent member sets fail identically. *)
-let compute_groups px (a : P.atomic) (mask : WM.t) =
-  let members_of =
-    match a.P.a_members with
-    | Some f -> f
-    | None ->
-      (* Plan invariant: the compile pass builds a member function for
-         every collective. Absence means the plan was corrupted. *)
-      error "collective %s has no compiled member function (plan invariant \
-             violated)"
-        a.P.a_instr.Atomic.name
-  in
-  Hashtbl.clear px.seen;
-  let groups = ref [] and n = ref 0 in
-  WM.iter
-    (fun tid ->
-      let members = members_of px.env tid in
-      if not (Hashtbl.mem px.seen members) then begin
-        Hashtbl.replace px.seen members ();
-        if not (Array.for_all (WM.mem mask) members) then
-          error "collective %s executed with divergent threads"
-            a.P.a_instr.Atomic.name;
-        groups := members :: !groups;
-        incr n
-      end)
-    mask;
-  let out = Array.make !n [||] in
-  let rec fill i = function
-    | [] -> ()
-    | g :: tl ->
-      out.(i) <- g;
-      fill (i - 1) tl
-  in
-  fill (!n - 1) !groups;
-  out
-
-let plan_groups px (a : P.atomic) (mask : WM.t) =
-  let gc = px.gcaches.(a.P.a_id) in
-  if
-    gc.gc_valid
-    && snap_matches gc.gc_snap a.P.a_members_slots px.env
-    && WM.equal gc.gc_mask mask
-  then gc.gc_groups
-  else begin
-    let groups = compute_groups px a mask in
-    gc.gc_groups <- groups;
-    snap_update gc.gc_snap a.P.a_members_slots px.env;
-    Array.blit mask 0 gc.gc_mask 0 (Array.length mask);
-    gc.gc_valid <- true;
-    groups
-  end
-
-let exec_plan_collective px (a : P.atomic) (mask : WM.t) =
-  let ctx = px.c in
-  let groups = plan_groups px a mask in
-  let offs = px.a_offs.(a.P.a_id) in
-  let envf = px.a_envf.(a.P.a_id) in
-  Array.iter
-    (fun members ->
-      (match a.P.a_ldmatrix with
-      | Some (x, trans) -> record_plan_ldmatrix px a ~trans x members
-      | None -> ());
-      Semantics.exec ?trace:(sem_trace ctx) ~block:ctx.block ~offsets:offs
-        ctx.mem ~instr:a.P.a_instr ~spec:a.P.a_spec ~env:envf ~members;
-      Option.iter
-        (fun p ->
-          Profiler.exec_event p ~block:ctx.block ~warp:(members.(0) / 32)
-            ~lanes:(Array.length members) ~dur:a.P.a_dur)
-        ctx.prof)
-    groups;
-  account_cost_plan ctx a ~instances:(Array.length groups)
-
-let rec exec_plan_op px (mask : WM.t) op =
-  let ctx = px.c in
-  match op with
-  | P.Atomic_exec a ->
-    Option.iter
-      (fun p ->
-        Profiler.begin_atomic p ~label:a.P.a_label ~kind:a.P.a_kind
-          ~instr:a.P.a_instr.Atomic.name)
-      ctx.prof;
-    if a.P.a_per_thread then exec_plan_per_thread px a mask
-    else exec_plan_collective px a mask
-  | P.Loop { l_var; l_slot; l_lo; l_hi; l_step; l_body } ->
-    let env = px.env in
-    let lo = l_lo env and hi = l_hi env and step = l_step env in
-    if step <= 0 then error "loop %s has non-positive step" l_var;
-    Option.iter (fun p -> Profiler.enter_frame p l_var) ctx.prof;
-    let v = ref lo in
-    while !v < hi do
-      env.(l_slot) <- !v;
-      List.iter (exec_plan_op px mask) l_body;
-      v := !v + step
-    done;
-    Option.iter Profiler.exit_frame ctx.prof
-  | P.Branch { b_tid_dep; b_cond; b_then; b_else } ->
-    if b_tid_dep then begin
-      let env = px.env in
-      let nw = Array.length mask in
-      let taken = Array.make nw 0 in
-      let not_taken = Array.make nw 0 in
-      for w = 0 to nw - 1 do
-        let m = Array.unsafe_get mask w in
-        if m <> 0 then begin
-          let t = ref 0 in
-          let base = w * 32 in
-          for l = 0 to 31 do
-            if m land (1 lsl l) <> 0 then begin
-              env.(Slots.tid_slot) <- base + l;
-              if b_cond env then t := !t lor (1 lsl l)
-            end
-          done;
-          taken.(w) <- !t;
-          not_taken.(w) <- m land lnot !t
-        end
-      done;
-      if not (WM.is_empty taken) then List.iter (exec_plan_op px taken) b_then;
-      if b_else <> [] && not (WM.is_empty not_taken) then
-        List.iter (exec_plan_op px not_taken) b_else
-    end
-    else if b_cond px.env then List.iter (exec_plan_op px mask) b_then
-    else List.iter (exec_plan_op px mask) b_else
-  | P.Barrier ->
-    let active = WM.popcount mask in
-    if active <> ctx.cta_size then
-      error "__syncthreads() inside divergent control flow (%d of %d threads)"
-        active ctx.cta_size;
-    Option.iter (fun p -> Profiler.on_barrier p ~block:ctx.block) ctx.prof
-  | P.Commit_group -> exec_commit_group ctx
-  | P.Wait_group n -> exec_wait_group ctx n
-  | P.Frame { f_label; f_body } ->
-    Option.iter (fun p -> Profiler.enter_frame p f_label) ctx.prof;
-    List.iter (exec_plan_op px mask) f_body;
-    Option.iter Profiler.exit_frame ctx.prof
-  | P.Fail msg -> error "%s" msg
-
-(* Build the per-range executor state: walk the plan once to size and
+(* Build one domain's executor state: walk the plan once to size and
    seat the caches, then seat the per-atomic closures (they capture the
    state record itself, hence the two-phase construction). *)
-let make_pctx ctx (plan : P.t) (env : int array) =
+let make_bctx ctx (plan : P.t) (env : int array) =
   let vcaches =
     Array.make plan.P.n_views { vc_valid = false; vc_snap = [||]; vc_offs = [||] }
   in
@@ -1064,10 +762,24 @@ let make_pctx ctx (plan : P.t) (env : int array) =
         ; gc_groups = [||]
         })
     plan.P.body;
-  let px =
+  let bc = Lower.Bytecode.get plan in
+  let bx =
     { c = ctx
     ; env
     ; full = WM.full ~cta_size:plan.P.cta_size
+    ; bc_code = bc.P.bc_code
+    ; bc_atomics = bc.P.bc_atomics
+    ; bc_exprs = bc.P.bc_exprs
+    ; bc_conds = bc.P.bc_conds
+    ; bc_labels = bc.P.bc_labels
+    ; bc_fails = bc.P.bc_fails
+    ; bc_sem =
+        Array.map
+          (fun (a : P.atomic) ->
+            Semantics.classify ~instr:a.P.a_instr ~spec:a.P.a_spec)
+          bc.P.bc_atomics
+    ; bc_taken = Array.init bc.P.bc_max_depth (fun _ -> Array.make nwords 0)
+    ; bc_not_taken = Array.init bc.P.bc_max_depth (fun _ -> Array.make nwords 0)
     ; addrs = Array.make 32 0
     ; ld8 = Array.make 8 0
     ; members1 = [| 0 |]
@@ -1082,81 +794,25 @@ let make_pctx ctx (plan : P.t) (env : int array) =
     ; a_offs = [||]
     }
   in
-  px.a_envf <- Array.make plan.P.n_atomics (fun _ -> 0);
-  px.a_offs <- Array.make plan.P.n_atomics (fun _ _ -> [||]);
+  bx.a_envf <- Array.make plan.P.n_atomics (fun _ -> 0);
+  bx.a_offs <- Array.make plan.P.n_atomics (fun _ _ -> [||]);
   P.iter_atomics
     (fun a ->
-      px.a_envf.(a.P.a_id) <- plan_env_fun a env;
-      px.a_offs.(a.P.a_id) <- plan_offsets_px px a)
+      bx.a_envf.(a.P.a_id) <- plan_env_fun a env;
+      bx.a_offs.(a.P.a_id) <- plan_offsets bx a)
     plan.P.body;
-  px
+  bx
 
-(* ===== the bytecode executor =====
-
-   Runs the flattened form of a plan (Lower.Bytecode): a dense
-   int-tagged instruction array driven by a tight tail-recursive match
-   over the opcode word. Compared to the closure walker above it
-   eliminates the steady-state allocation the boxed op tree forces:
-   [Option.iter] closures on every profiler hook (allocated even with no
-   profiler attached), [List.iter] partial applications per loop
-   iteration and branch arm, two fresh mask arrays per divergent branch
-   (replaced by a preallocated per-depth arena in [bc_taken] /
-   [bc_not_taken]), and the per-call instruction-name parse inside
-   [Semantics.exec] (replaced by dispatch tags pre-resolved once with
-   [Semantics.classify]). Allocation-freedom is what makes multi-domain
-   execution profitable: OCaml 5 minor collections stop every domain, so
-   the closure walker's allocation rate caps parallel speedup.
-
-   Observable behavior — counters, profiler events and their order,
-   traces, error messages, memory effects — is bit-identical to the
-   closure walker and to [run_tree]; test/test_bytecode.ml pins that
-   down. The closure walker stays selectable (the [Closure] engine)
-   as the drift oracle. *)
-
-type bctx =
-  { bp : pctx
-  ; bc_code : int array
-  ; bc_atomics : P.atomic array
-  ; bc_exprs : (int array -> int) array
-  ; bc_conds : (int array -> bool) array
-  ; bc_labels : string array
-  ; bc_fails : string array
-  ; bc_sem : Semantics.code array  (* by a_id: pre-resolved dispatch *)
-  ; bc_taken : WM.t array  (* divergence mask arena, by branch depth *)
-  ; bc_not_taken : WM.t array
-  }
-
-let make_bctx ctx (plan : P.t) env =
-  let bp = make_pctx ctx plan env in
-  let bc = Lower.Bytecode.get plan in
-  let nwords = WM.nwords ~cta_size:plan.P.cta_size in
-  { bp
-  ; bc_code = bc.P.bc_code
-  ; bc_atomics = bc.P.bc_atomics
-  ; bc_exprs = bc.P.bc_exprs
-  ; bc_conds = bc.P.bc_conds
-  ; bc_labels = bc.P.bc_labels
-  ; bc_fails = bc.P.bc_fails
-  ; bc_sem =
-      Array.map
-        (fun (a : P.atomic) ->
-          Semantics.classify ~instr:a.P.a_instr ~spec:a.P.a_spec)
-        bc.P.bc_atomics
-  ; bc_taken = Array.init bc.P.bc_max_depth (fun _ -> Array.make nwords 0)
-  ; bc_not_taken = Array.init bc.P.bc_max_depth (fun _ -> Array.make nwords 0)
-  }
-
-(* Allocation-free twins of the closure walker's helpers: direct matches
-   on [ctx.prof] instead of [Option.iter] closures, [for] loops instead
-   of [Array.iter]/[List.iter]. Event order, payloads and error strings
-   must stay in sync with the originals above — the bit-identity suite
-   compares the two engines event for event. *)
-
-let bc_record_batch px w wmask ~store (pv : P.view) =
+(* One warp's address batch for one view: first scalar byte address per
+   active lane, ascending. A thread-independent view yields one address
+   computed once and duplicated per lane — the byte totals and the
+   conflict phase structure depend on the lane count, so the duplicates
+   are semantically load-bearing, not waste. *)
+let bc_record_batch bx w wmask ~store (pv : P.view) =
   match pv.P.v_mem with
   | Ms.Register -> ()
   | Ms.Global | Ms.Shared ->
-    let env = px.env and addrs = px.addrs in
+    let env = bx.env and addrs = bx.addrs in
     let n = ref 0 in
     if pv.P.v_dep.Depcheck.d_tier = Depcheck.Thread then begin
       let base = w * 32 in
@@ -1183,8 +839,12 @@ let bc_record_batch px w wmask ~store (pv : P.view) =
       end
     end;
     if !n > 0 then begin
-      let ctx = px.c in
+      let ctx = bx.c in
       let bytes = pv.P.v_batch_bytes in
+      (* Request accounting at the view's executed vector width. Only the
+         request/vectorized counters see the widening; the byte and
+         sector accounting below is untouched, so a widened plan differs
+         from its scalar twin in requests alone. *)
       Counters.record_requests ctx.counters
         ~global:(Ms.equal pv.P.v_mem Ms.Global)
         ~elems:(bytes / pv.P.v_elt_bytes)
@@ -1207,59 +867,73 @@ let bc_record_batch px w wmask ~store (pv : P.view) =
       end
     end
 
-let rec bc_record_batches px w wmask ~store = function
+let rec bc_record_batches bx w wmask ~store = function
   | [] -> ()
   | pv :: tl ->
-    bc_record_batch px w wmask ~store pv;
-    bc_record_batches px w wmask ~store tl
+    bc_record_batch bx w wmask ~store pv;
+    bc_record_batches bx w wmask ~store tl
 
 let bc_account_cost ctx (a : P.atomic) ~instances =
-  let c = a.P.a_cost in
+  book_cost ctx ~name:a.P.a_instr.Atomic.name ~tc:a.P.a_is_tc
+    ~async:a.P.a_is_async a.P.a_cost ~instances
+
+(* The wide-transaction fast path: a vector-widened, full-span contiguous
+   move skips the per-lane [Semantics] dispatch (and its offset
+   enumeration) — every active lane's enumeration is exactly
+   [addr0, addr0 + n) on both sides, so one [exec_warp_move_contig] call
+   per warp moves the whole batch. Skipped when instruction-level tracing
+   is on: the detail trace wants one event per lane from the generic
+   path. Counter accounting ([bc_record_batches], [bc_account_cost]) is
+   shared with the generic path, so only the data-movement engine
+   changes. *)
+let bc_exec_fastcopy bx (a : P.atomic) w m =
+  let env = bx.env in
+  let src = List.hd a.P.a_ins and dst = List.hd a.P.a_outs in
+  let n = src.P.v_batch_bytes / src.P.v_elt_bytes in
+  let base = w * 32 in
+  let lanes = ref 0 in
+  for l = 0 to 31 do
+    if m land (1 lsl l) <> 0 then begin
+      let tid = base + l in
+      env.(Slots.tid_slot) <- tid;
+      let i = !lanes in
+      bx.fc_tids.(i) <- tid;
+      bx.fc_src.(i) <- src.P.v_addr0 env;
+      bx.fc_dst.(i) <- dst.P.v_addr0 env;
+      incr lanes
+    end
+  done;
   if a.P.a_is_async then
-    ctx.counters.Counters.async_copies <-
-      ctx.counters.Counters.async_copies + instances;
-  if a.P.a_is_tc then
-    ctx.counters.Counters.tensor_core_flops <-
-      ctx.counters.Counters.tensor_core_flops + (c.Atomic.flops * instances)
+    Semantics.exec_warp_cp_async_contig bx.c.mem a.P.a_spec ~tids:bx.fc_tids
+      ~src_bases:bx.fc_src ~dst_bases:bx.fc_dst ~lanes:!lanes ~n
   else
-    ctx.counters.Counters.flops <-
-      ctx.counters.Counters.flops + (c.Atomic.flops * instances);
-  ctx.counters.Counters.instructions <-
-    ctx.counters.Counters.instructions
-    + (c.Atomic.instructions * instances)
-    - instances;
-  Counters.add_instr_n ctx.counters a.P.a_instr.Atomic.name instances;
-  match ctx.prof with
-  | Some p ->
-    Profiler.on_cost p ~instr:a.P.a_instr.Atomic.name ~tc:a.P.a_is_tc
-      ~flops:c.Atomic.flops ~instructions:c.Atomic.instructions ~instances
-  | None -> ()
+    Semantics.exec_warp_move_contig bx.c.mem a.P.a_spec ~tids:bx.fc_tids
+      ~src_bases:bx.fc_src ~dst_bases:bx.fc_dst ~lanes:!lanes ~n
 
 let bc_exec_per_thread bx (a : P.atomic) sem (mask : WM.t) =
-  let px = bx.bp in
-  let ctx = px.c in
-  let env = px.env in
-  let envf = px.a_envf.(a.P.a_id) in
-  let offs = px.a_offs.(a.P.a_id) in
+  let ctx = bx.c in
+  let env = bx.env in
+  let envf = bx.a_envf.(a.P.a_id) in
+  let offs = bx.a_offs.(a.P.a_id) in
   let trace = sem_trace ctx in
   let fastcopy = a.P.a_fastcopy && trace = None in
   let total = ref 0 in
   for w = 0 to Array.length mask - 1 do
     let m = Array.unsafe_get mask w in
     if m <> 0 then begin
-      bc_record_batches px w m ~store:false a.P.a_ins;
-      bc_record_batches px w m ~store:true a.P.a_outs;
-      if fastcopy then exec_plan_fastcopy px a w m
+      bc_record_batches bx w m ~store:false a.P.a_ins;
+      bc_record_batches bx w m ~store:true a.P.a_outs;
+      if fastcopy then bc_exec_fastcopy bx a w m
       else begin
         let base = w * 32 in
         for l = 0 to 31 do
           if m land (1 lsl l) <> 0 then begin
             let tid = base + l in
             env.(Slots.tid_slot) <- tid;
-            px.members1.(0) <- tid;
+            bx.members1.(0) <- tid;
             Semantics.exec_coded ?trace ~block:ctx.block ~offs ctx.mem sem
               ~instr:a.P.a_instr ~spec:a.P.a_spec ~env:envf
-              ~members:px.members1
+              ~members:bx.members1
           end
         done
       end;
@@ -1273,42 +947,100 @@ let bc_exec_per_thread bx (a : P.atomic) sem (mask : WM.t) =
   done;
   bc_account_cost ctx a ~instances:!total
 
-let bc_record_ldmatrix px (a : P.atomic) ~trans x members =
-  let ctx = px.c in
+let bc_record_ldmatrix bx (a : P.atomic) ~trans x members =
+  let ctx = bx.c in
   match a.P.a_ld_rows with
   | Some (rows, elt_bytes) ->
-    px.env.(Slots.tid_slot) <- members.(0);
+    bx.env.(Slots.tid_slot) <- members.(0);
     for j = 0 to x - 1 do
       let rj = rows.(j) in
       for r = 0 to 7 do
-        let addr = rj.(r) px.env in
+        let addr = rj.(r) bx.env in
+        (* An empty row enumeration faults as an array access does on
+           the tree path; keep the same exception. *)
         if addr = no_addr then invalid_arg "index out of bounds";
-        Array.unsafe_set px.ld8 r (addr * elt_bytes)
+        Array.unsafe_set bx.ld8 r (addr * elt_bytes)
       done;
-      Counters.record_shared_batcha ctx.counters ~store:false ~bytes:16 px.ld8
+      Counters.record_shared_batcha ctx.counters ~store:false ~bytes:16 bx.ld8
         ~len:8;
       Counters.record_requests ctx.counters ~global:false ~elems:1 ~width:1
         ~bytes:0;
       match ctx.prof with
       | Some p ->
         Profiler.on_shared_batcha p ~block:ctx.block ~store:false ~bytes:16
-          ~warp:(members.(0) / 32) px.ld8 ~len:8
+          ~warp:(members.(0) / 32) bx.ld8 ~len:8
       | None -> ()
     done
   | None ->
-    record_ldmatrix ctx ~trans x a.P.a_spec (px.a_envf.(a.P.a_id)) members
+    (* Symbolic fallback (e.g. an outer extent the compiler couldn't make
+       concrete) — identical traffic, derived the tree path's way. *)
+    record_ldmatrix ctx ~trans x a.P.a_spec (bx.a_envf.(a.P.a_id)) members
+
+(* Group the active threads into collective instances: probe every active
+   thread ascending, dedup on the member array, and require every member
+   of a fresh group to be active — exactly the tree path's grouping, so
+   overlapping or divergent member sets fail identically. *)
+let compute_groups bx (a : P.atomic) (mask : WM.t) =
+  let members_of =
+    match a.P.a_members with
+    | Some f -> f
+    | None ->
+      (* Plan invariant: the compile pass builds a member function for
+         every collective. Absence means the plan was corrupted. *)
+      error "collective %s has no compiled member function (plan invariant \
+             violated)"
+        a.P.a_instr.Atomic.name
+  in
+  Hashtbl.clear bx.seen;
+  let groups = ref [] and n = ref 0 in
+  WM.iter
+    (fun tid ->
+      let members = members_of bx.env tid in
+      if not (Hashtbl.mem bx.seen members) then begin
+        Hashtbl.replace bx.seen members ();
+        if not (Array.for_all (WM.mem mask) members) then
+          error "collective %s executed with divergent threads"
+            a.P.a_instr.Atomic.name;
+        groups := members :: !groups;
+        incr n
+      end)
+    mask;
+  let out = Array.make !n [||] in
+  let rec fill i = function
+    | [] -> ()
+    | g :: tl ->
+      out.(i) <- g;
+      fill (i - 1) tl
+  in
+  fill (!n - 1) !groups;
+  out
+
+let plan_groups bx (a : P.atomic) (mask : WM.t) =
+  let gc = bx.gcaches.(a.P.a_id) in
+  if
+    gc.gc_valid
+    && snap_matches gc.gc_snap a.P.a_members_slots bx.env
+    && WM.equal gc.gc_mask mask
+  then gc.gc_groups
+  else begin
+    let groups = compute_groups bx a mask in
+    gc.gc_groups <- groups;
+    snap_update gc.gc_snap a.P.a_members_slots bx.env;
+    Array.blit mask 0 gc.gc_mask 0 (Array.length mask);
+    gc.gc_valid <- true;
+    groups
+  end
 
 let bc_exec_collective bx (a : P.atomic) sem (mask : WM.t) =
-  let px = bx.bp in
-  let ctx = px.c in
-  let groups = plan_groups px a mask in
-  let offs = px.a_offs.(a.P.a_id) in
-  let envf = px.a_envf.(a.P.a_id) in
+  let ctx = bx.c in
+  let groups = plan_groups bx a mask in
+  let offs = bx.a_offs.(a.P.a_id) in
+  let envf = bx.a_envf.(a.P.a_id) in
   let trace = sem_trace ctx in
   for g = 0 to Array.length groups - 1 do
     let members = Array.unsafe_get groups g in
     (match a.P.a_ldmatrix with
-    | Some (x, trans) -> bc_record_ldmatrix px a ~trans x members
+    | Some (x, trans) -> bc_record_ldmatrix bx a ~trans x members
     | None -> ());
     (Semantics.exec_coded ?trace ~block:ctx.block ~offs ctx.mem sem
       ~instr:a.P.a_instr ~spec:a.P.a_spec ~env:envf ~members);
@@ -1332,7 +1064,7 @@ let rec bc_exec bx (mask : WM.t) pc endpc =
     | 0 (* exec: a_id *) ->
       let a_id = Array.unsafe_get code (pc + 1) in
       let a = Array.unsafe_get bx.bc_atomics a_id in
-      let ctx = bx.bp.c in
+      let ctx = bx.c in
       (match ctx.prof with
       | Some p ->
         Profiler.begin_atomic p ~label:a.P.a_label ~kind:a.P.a_kind
@@ -1343,7 +1075,7 @@ let rec bc_exec bx (mask : WM.t) pc endpc =
       else bc_exec_collective bx a sem mask;
       bc_exec bx mask (pc + 2) endpc
     | 1 (* loop: slot lo hi step label body_len *) ->
-      let env = bx.bp.env in
+      let env = bx.env in
       let slot = code.(pc + 1) in
       let lo = bx.bc_exprs.(code.(pc + 2)) env in
       let hi = bx.bc_exprs.(code.(pc + 3)) env in
@@ -1351,7 +1083,7 @@ let rec bc_exec bx (mask : WM.t) pc endpc =
       let label = bx.bc_labels.(code.(pc + 5)) in
       let body_len = code.(pc + 6) in
       if step <= 0 then error "loop %s has non-positive step" label;
-      let ctx = bx.bp.c in
+      let ctx = bx.c in
       (match ctx.prof with
       | Some p -> Profiler.enter_frame p label
       | None -> ());
@@ -1367,12 +1099,12 @@ let rec bc_exec bx (mask : WM.t) pc endpc =
     | 2 (* uniform branch: cond then_len else_len *) ->
       let then_len = code.(pc + 2) and else_len = code.(pc + 3) in
       let tstart = pc + 4 in
-      if bx.bc_conds.(code.(pc + 1)) bx.bp.env then
+      if bx.bc_conds.(code.(pc + 1)) bx.env then
         bc_exec bx mask tstart (tstart + then_len)
       else bc_exec bx mask (tstart + then_len) (tstart + then_len + else_len);
       bc_exec bx mask (tstart + then_len + else_len) endpc
     | 3 (* divergent branch: cond depth then_len else_len *) ->
-      let env = bx.bp.env in
+      let env = bx.env in
       let cond = bx.bc_conds.(code.(pc + 1)) in
       let depth = code.(pc + 2) in
       let then_len = code.(pc + 3) and else_len = code.(pc + 4) in
@@ -1405,14 +1137,14 @@ let rec bc_exec bx (mask : WM.t) pc endpc =
       let tstart = pc + 5 in
       if not (WM.is_empty taken) then
         bc_exec bx taken tstart (tstart + then_len);
-      (* else_len = 0 iff the op tree's else body was empty: skip it
-         without consulting the mask, like the walker's [b_else <> []]. *)
+      (* else_len = 0 iff the source branch had no else arm: skip it
+         without consulting the mask, as the tree path does. *)
       if else_len > 0 && not (WM.is_empty not_taken) then
         bc_exec bx not_taken (tstart + then_len)
           (tstart + then_len + else_len);
       bc_exec bx mask (tstart + then_len + else_len) endpc
     | 4 (* barrier *) ->
-      let ctx = bx.bp.c in
+      let ctx = bx.c in
       let active = WM.popcount mask in
       if active <> ctx.cta_size then
         error
@@ -1425,7 +1157,7 @@ let rec bc_exec bx (mask : WM.t) pc endpc =
     | 5 (* frame: label body_len *) ->
       let label = bx.bc_labels.(code.(pc + 1)) in
       let body_len = code.(pc + 2) in
-      let ctx = bx.bp.c in
+      let ctx = bx.c in
       (match ctx.prof with
       | Some p -> Profiler.enter_frame p label
       | None -> ());
@@ -1434,10 +1166,10 @@ let rec bc_exec bx (mask : WM.t) pc endpc =
       bc_exec bx mask (pc + 3 + body_len) endpc
     | 6 (* fail *) -> error "%s" bx.bc_fails.(code.(pc + 1))
     | 7 (* cp.async.commit_group *) ->
-      exec_commit_group bx.bp.c;
+      exec_commit_group bx.c;
       bc_exec bx mask (pc + 1) endpc
     | 8 (* cp.async.wait_group: n *) ->
-      exec_wait_group bx.bp.c (Array.unsafe_get code (pc + 1));
+      exec_wait_group bx.c (Array.unsafe_get code (pc + 1));
       bc_exec bx mask (pc + 2) endpc
     | op -> error "corrupt bytecode: opcode %d at pc %d" op pc
   end
@@ -1446,18 +1178,13 @@ let rec bc_exec bx (mask : WM.t) pc endpc =
 
 type engine =
   | Tree
-  | Closure
   | Bytecode
 
-let engine_name = function
-  | Tree -> "tree"
-  | Closure -> "closure"
-  | Bytecode -> "bytecode"
+let engine_name = function Tree -> "tree" | Bytecode -> "bytecode"
 
 let engine_of_string s =
   match String.lowercase_ascii (String.trim s) with
   | "tree" -> Some Tree
-  | "closure" -> Some Closure
   | "bytecode" -> Some Bytecode
   | _ -> None
 
@@ -1468,9 +1195,7 @@ let default_plan_engine () =
     match engine_of_string s with
     | Some e -> e
     | None ->
-      error "invalid GRAPHENE_SIM_ENGINE %S (expected tree, closure or \
-             bytecode)"
-        s)
+      error "invalid GRAPHENE_SIM_ENGINE %S (expected tree or bytecode)" s)
 
 let run_plan ?profiler ?domains ?engine (plan : P.t) ~args ?(scalars = []) () =
   let engine =
@@ -1481,7 +1206,7 @@ let run_plan ?profiler ?domains ?engine (plan : P.t) ~args ?(scalars = []) () =
     (* The oracle: re-interpret the plan's source kernel symbolically. *)
     run_tree ~arch:plan.P.arch ?profiler ?domains plan.P.kernel ~args ~scalars
       ()
-  | (Closure | Bytecode) as engine ->
+  | Bytecode ->
     let arena = Memory.create_global () in
     List.iter (fun (name, data) -> Memory.bind_arena arena name data) args;
     let declare mem =
@@ -1506,55 +1231,34 @@ let run_plan ?profiler ?domains ?engine (plan : P.t) ~args ?(scalars = []) () =
     (* Each domain state gets its own block-local memory, its own copy of
        the scalar bindings (the slot env is mutated during execution) and
        its own hoisting caches and scratch buffers, shared by nothing. *)
-    let fresh_ctx () =
-      let mem = Memory.of_global arena in
-      declare mem;
-      { arch = plan.P.arch
-      ; mem
-      ; counters
-      ; cta_size = plan.P.cta_size
-      ; prof = None
-      ; block = 0
-      }
-    in
-    (match engine with
-    | Closure ->
-      run_grid ~domains ~auto ~grid_size ~counters ~profiler
-        ~make_state:(fun () ->
-          make_pctx (fresh_ctx ()) plan (Array.copy base_env))
-        ~set_sinks:(fun px c p ->
-          px.c.counters <- c;
-          px.c.prof <- p)
-        ~exec_block:(fun px bid ->
-          let ctx = px.c in
-          Memory.new_block ctx.mem;
-          ctx.block <- bid;
-          Option.iter Profiler.begin_block ctx.prof;
-          px.env.(Slots.bid_slot) <- bid;
-          try List.iter (exec_plan_op px px.full) plan.P.body
-          with Slots.Unbound_var v ->
-            error "unbound variable %s (missing scalar argument?)" v)
-        ()
-    | Bytecode ->
-      run_grid ~domains ~auto ~grid_size ~counters ~profiler
-        ~make_state:(fun () ->
-          make_bctx (fresh_ctx ()) plan (Array.copy base_env))
-        ~set_sinks:(fun bx c p ->
-          bx.bp.c.counters <- c;
-          bx.bp.c.prof <- p)
-        ~exec_block:(fun bx bid ->
-          let ctx = bx.bp.c in
-          Memory.new_block ctx.mem;
-          ctx.block <- bid;
-          (match ctx.prof with
-          | Some p -> Profiler.begin_block p
-          | None -> ());
-          bx.bp.env.(Slots.bid_slot) <- bid;
-          try bc_exec bx bx.bp.full 0 (Array.length bx.bc_code)
-          with Slots.Unbound_var v ->
-            error "unbound variable %s (missing scalar argument?)" v)
-        ()
-    | Tree -> assert false);
+    run_grid ~domains ~auto ~grid_size ~counters ~profiler
+      ~make_state:(fun () ->
+        let mem = Memory.of_global arena in
+        declare mem;
+        make_bctx
+          { arch = plan.P.arch
+          ; mem
+          ; counters
+          ; cta_size = plan.P.cta_size
+          ; prof = None
+          ; block = 0
+          }
+          plan (Array.copy base_env))
+      ~set_sinks:(fun bx c p ->
+        bx.c.counters <- c;
+        bx.c.prof <- p)
+      ~exec_block:(fun bx bid ->
+        let ctx = bx.c in
+        Memory.new_block ctx.mem;
+        ctx.block <- bid;
+        (match ctx.prof with
+        | Some p -> Profiler.begin_block p
+        | None -> ());
+        bx.env.(Slots.bid_slot) <- bid;
+        try bc_exec bx bx.full 0 (Array.length bx.bc_code)
+        with Slots.Unbound_var v ->
+          error "unbound variable %s (missing scalar argument?)" v)
+      ();
     counters
 
 (* Lower once (through the plan cache), execute. Callers running the same

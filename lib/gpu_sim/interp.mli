@@ -1,24 +1,24 @@
 (** SIMT interpreter: executes Graphene IR kernels on the simulated GPU.
 
-    Three execution engines produce bit-identical event counters and
-    profiler reports:
+    Two execution engines produce bit-identical event counters (bar the
+    request counters a vector-widened plan changes; see
+    {!Counters.fields}), profiler reports and output buffers:
 
     - {!run_tree} walks the kernel's decomposition directly, re-resolving
       atomic specs and re-evaluating symbolic index arithmetic at every
-      step. It is the executable reference semantics.
-    - The [Closure] engine executes a compiled {!Lower.Plan.t} op tree:
-      atomic resolution, cost lookup, and index arithmetic all happened
-      once, at lowering.
-    - The [Bytecode] engine (the default) executes the plan's flattened
-      form ({!Lower.Bytecode}): a dense int-tagged instruction array run
-      by a tight dispatch loop with preallocated scratch — no per-op
+      step. It is the executable reference semantics — the one oracle
+      every compiled plan is checked against.
+    - The [Bytecode] engine (the default) executes a compiled
+      {!Lower.Plan.t} in its flattened form ({!Lower.Bytecode}): atomic
+      resolution, cost lookup and index arithmetic all happened once, at
+      lowering, and a dense int-tagged instruction array is run by a
+      tight dispatch loop with preallocated scratch — no per-op
       allocation, which is also what makes multi-domain execution
       profitable (OCaml 5 minor collections stop every domain).
 
-    {!run_plan} selects between the engines ([?engine], falling back to
+    {!run_plan} selects between the two ([?engine], falling back to
     [GRAPHENE_SIM_ENGINE], then [Bytecode]); {!run} is the
-    lower-then-execute convenience wrapper. The closure engine is kept
-    as the drift oracle for the bytecode engine (test/test_bytecode.ml).
+    lower-then-execute convenience wrapper.
 
     All threads of a block advance in lock step; thread-dependent [If]
     conditions split the active mask (divergence); undecomposed specs
@@ -28,7 +28,7 @@
 
     {2 Parallel grids}
 
-    All engines accept [?domains]: the grid's thread blocks split into
+    Both engines accept [?domains]: the grid's thread blocks split into
     work chunks sized from the measured per-block cost
     ({!Domain_pool.cost_chunk_size}); up to [domains] OCaml domains
     (default {!Domain_pool.default_domains}, i.e. the
@@ -69,16 +69,15 @@ val run_tree :
 
 (** How {!run_plan} executes a compiled plan. [Tree] re-interprets the
     plan's source kernel through {!run_tree} (the reference semantics);
-    [Closure] walks the compiled op tree; [Bytecode] runs the flattened
-    instruction array. All three are observably identical. *)
+    [Bytecode] runs the plan's flattened instruction array. The two are
+    observably identical. *)
 type engine =
   | Tree
-  | Closure
   | Bytecode
 
 val engine_name : engine -> string
 
-(** Case-insensitive parse of ["tree" | "closure" | "bytecode"]. *)
+(** Case-insensitive parse of ["tree" | "bytecode"]. *)
 val engine_of_string : string -> engine option
 
 (** The engine used when [?engine] is not given: [GRAPHENE_SIM_ENGINE]

@@ -99,9 +99,9 @@ let single_io (s : Spec.t) =
   | _ -> invalid_arg "Semantics: arity"
 
 (* Every executor addresses views through [offs : Ts.t -> int -> int array],
-   the per-thread element offsets of a view. The default (below, in [exec])
-   derives them symbolically from [env]; a compiled execution plan passes
-   its precomputed offset closures instead. *)
+   the per-thread element offsets of a view. [exec] (below, the tree
+   interpreter's entry) derives them symbolically from [env]; the
+   compiled plan passes its precomputed offset closures to [exec_coded]. *)
 
 (* ----- per-thread instructions ----- *)
 
@@ -494,13 +494,9 @@ let exec_coded ?trace ?(block = 0) ~offs mem code ~(instr : Atomic.instr)
     else unhandled instr.Atomic.name members
   | C_generic -> unhandled instr.Atomic.name members
 
-let exec ?trace ?(block = 0) ?offsets mem ~instr ~spec ~env ~members =
+let exec ?trace ?(block = 0) mem ~instr ~spec ~env ~members =
   let name = instr.Atomic.name in
-  let offs =
-    match offsets with
-    | Some f -> f
-    | None -> fun v tid -> Ts.scalar_offsets ~env:(with_tid env tid) v
-  in
+  let offs v tid = Ts.scalar_offsets ~env:(with_tid env tid) v in
   (* Fine-grained (per-instance) instruction event, for detailed traces. *)
   Option.iter
     (fun tr ->

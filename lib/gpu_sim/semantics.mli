@@ -16,14 +16,14 @@
     receives one instruction-level event per executed instance, tagged
     with the issuing thread block [block] (default 0).
 
-    [offsets v tid], when given, supplies the element offsets of view [v]
-    for thread [tid] (a compiled execution plan passes its precomputed
-    offset closures); the default derives them symbolically from [env]
-    via [Tensor.scalar_offsets]. *)
+    View offsets are derived symbolically from [env] via
+    [Tensor.scalar_offsets], and the executor is chosen by parsing the
+    instruction name — the tree interpreter's path, kept independent of
+    {!classify} so the reference semantics share no dispatch decision
+    with the compiled executor. *)
 val exec :
   ?trace:Trace.t ->
   ?block:int ->
-  ?offsets:(Gpu_tensor.Tensor.t -> int -> int array) ->
   Memory.t ->
   instr:Graphene.Atomic.instr ->
   spec:Graphene.Spec.t ->
@@ -31,11 +31,11 @@ val exec :
   members:int array ->
   unit
 
-(** Pre-resolved dispatch for the bytecode executor. {!exec} decides
-    which executor an instruction needs by parsing its name on every
-    call; {!classify} makes that decision once per (instr, spec) and
-    {!exec_coded} dispatches on the tag — same executors, arity checks,
-    errors and trace events, minus the per-call string work. *)
+(** Pre-resolved dispatch for the compiled-plan executor. {!exec}
+    decides which executor an instruction needs by parsing its name on
+    every call; {!classify} makes that decision once per (instr, spec)
+    and {!exec_coded} dispatches on the tag — same executors, arity
+    checks, errors and trace events, minus the per-call string work. *)
 type code =
   | C_ldmatrix of int
   | C_mma_m16n8k16
@@ -54,9 +54,9 @@ type code =
 
 val classify : instr:Graphene.Atomic.instr -> spec:Graphene.Spec.t -> code
 
-(** Like {!exec} with mandatory precompiled [offs], dispatching on a
-    {!classify} tag instead of the instruction name. [instr] is only
-    consulted for trace events and error messages. *)
+(** Like {!exec} with precompiled view offsets [offs v tid],
+    dispatching on a {!classify} tag instead of the instruction name.
+    [instr] is only consulted for trace events and error messages. *)
 val exec_coded :
   ?trace:Trace.t ->
   ?block:int ->

@@ -22,8 +22,6 @@ let full ~cta_size =
   if rem <> 0 then m.(n - 1) <- (1 lsl rem) - 1;
   m
 
-let empty_like m = Array.make (Array.length m) 0
-
 (* SWAR popcount of one 32-bit word (no table, no branches). OCaml ints
    are wider than 32 bits, so the byte-summing multiply must be masked
    back to 32 bits before the shift (in C it wraps for free). *)

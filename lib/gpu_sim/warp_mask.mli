@@ -16,9 +16,6 @@ val nwords : cta_size:int -> int
 (** All threads of the CTA active (partial last word). *)
 val full : cta_size:int -> t
 
-(** A zero mask with the same word count as [m]. *)
-val empty_like : t -> t
-
 (** Branch-free SWAR popcount of one 32-bit word. *)
 val popcount32 : int -> int
 

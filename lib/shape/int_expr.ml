@@ -94,10 +94,13 @@ let rec div a b =
   | Const 0, _ -> Const 0
   | _, Const c when c > 0 && divisible a c -> div_exact a c
   (* (x + y) / c = x/c + y/c when x is a multiple of c and y stays in place;
-     sound only when both operands are provably non-negative. *)
-  | Add (x, y), Const c when c > 0 && divisible x c && nonneg y ->
+     sound only when both operands are provably non-negative (truncated
+     division: a negative multiple can flip the sum's sign). *)
+  | Add (x, y), Const c
+    when c > 0 && divisible x c && nonneg y && nonneg x ->
     add (div_exact x c) (div y (Const c))
-  | Add (x, y), Const c when c > 0 && divisible y c && nonneg x ->
+  | Add (x, y), Const c
+    when c > 0 && divisible y c && nonneg x && nonneg y ->
     add (div x (Const c)) (div_exact y c)
   | Div (x, Const c1), Const c2 when c1 > 0 && c2 > 0 ->
     Div (x, Const (c1 * c2))
@@ -109,9 +112,12 @@ let rec rem a b =
   | Const x, Const y when y <> 0 -> Const (x mod y)
   | Const 0, _ -> Const 0
   | _, Const c when c > 0 && divisible a c -> Const 0
-  | Add (x, y), Const c when c > 0 && divisible x c && nonneg y ->
+  (* Same soundness condition as the sum split in [div]. *)
+  | Add (x, y), Const c
+    when c > 0 && divisible x c && nonneg y && nonneg x ->
     rem y (Const c)
-  | Add (x, y), Const c when c > 0 && divisible y c && nonneg x ->
+  | Add (x, y), Const c
+    when c > 0 && divisible y c && nonneg x && nonneg y ->
     rem x (Const c)
   | Mod (x, Const c1), Const c2 when c1 > 0 && c2 > 0 && c1 mod c2 = 0 ->
     rem x (Const c2)

@@ -32,25 +32,9 @@ let check_str = Alcotest.(check string)
 
 (* ----- plan/tree equivalence ----- *)
 
-let check_counters_equal name (a : C.t) (b : C.t) =
-  check_int (name ^ ": global_load_bytes") a.C.global_load_bytes
-    b.C.global_load_bytes;
-  check_int (name ^ ": global_store_bytes") a.C.global_store_bytes
-    b.C.global_store_bytes;
-  check_int (name ^ ": global_transactions") a.C.global_transactions
-    b.C.global_transactions;
-  check_int (name ^ ": shared_load_bytes") a.C.shared_load_bytes
-    b.C.shared_load_bytes;
-  check_int (name ^ ": shared_store_bytes") a.C.shared_store_bytes
-    b.C.shared_store_bytes;
-  check_int (name ^ ": shared_bank_conflicts") a.C.shared_bank_conflicts
-    b.C.shared_bank_conflicts;
-  check_int (name ^ ": flops") a.C.flops b.C.flops;
-  check_int (name ^ ": tensor_core_flops") a.C.tensor_core_flops
-    b.C.tensor_core_flops;
-  check_int (name ^ ": instructions") a.C.instructions b.C.instructions;
-  Alcotest.(check (list (pair string int)))
-    (name ^ ": instr mix") (C.instr_mix_alist a) (C.instr_mix_alist b)
+let check_counters fields name a b =
+  Alcotest.(check (option string))
+    (name ^ ": counters") None (C.diff fields a b)
 
 (* Run the kernel through both paths with identical inputs; demand
    bit-identical counters, profiler reports, and output buffers. *)
@@ -81,7 +65,7 @@ let check_equiv ?(scalars = []) ?args name arch kernel =
     run_path (fun ~profiler ~args ->
         Interp.run_plan ~profiler plan ~args ~scalars ())
   in
-  check_counters_equal name c1 c2;
+  check_counters C.No_requests name c1 c2;
   check_str (name ^ ": profiler report JSON") r1 r2;
   List.iter2
     (fun (bn, x) (_, y) ->

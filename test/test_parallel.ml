@@ -6,7 +6,8 @@
      bit-identical to the 1-domain run;
    - [Counters.merge] / [Counters.merge_list] sum every field,
      including DRAM sectors, bank conflicts, and the instruction mix
-     (broadcasts stay free, conflicts stay counted);
+     (broadcasts stay free, conflicts stay counted); [Counters.diff]
+     names the first differing field of its set;
    - [Domain_pool.block_ranges] is a contiguous ascending partition;
    - [Pipeline.lower_cached] lowers a kernel structure once across
      scalar-variant launches and never re-resolves atomics on a hit. *)
@@ -28,25 +29,9 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
 
-let check_counters_equal name (a : C.t) (b : C.t) =
-  check_int (name ^ ": global_load_bytes") a.C.global_load_bytes
-    b.C.global_load_bytes;
-  check_int (name ^ ": global_store_bytes") a.C.global_store_bytes
-    b.C.global_store_bytes;
-  check_int (name ^ ": global_transactions") a.C.global_transactions
-    b.C.global_transactions;
-  check_int (name ^ ": shared_load_bytes") a.C.shared_load_bytes
-    b.C.shared_load_bytes;
-  check_int (name ^ ": shared_store_bytes") a.C.shared_store_bytes
-    b.C.shared_store_bytes;
-  check_int (name ^ ": shared_bank_conflicts") a.C.shared_bank_conflicts
-    b.C.shared_bank_conflicts;
-  check_int (name ^ ": flops") a.C.flops b.C.flops;
-  check_int (name ^ ": tensor_core_flops") a.C.tensor_core_flops
-    b.C.tensor_core_flops;
-  check_int (name ^ ": instructions") a.C.instructions b.C.instructions;
-  Alcotest.(check (list (pair string int)))
-    (name ^ ": instr mix") (C.instr_mix_alist a) (C.instr_mix_alist b)
+let check_counters fields name a b =
+  Alcotest.(check (option string))
+    (name ^ ": counters") None (C.diff fields a b)
 
 (* ----- determinism across domain counts ----- *)
 
@@ -82,8 +67,8 @@ let check_domains ?(scalars = []) ?args name arch kernel =
     Interp.run_tree ~arch ~profiler ~domains kernel ~args ~scalars ()
   in
   let args1, c1, r1, t1 = run_one plan_path ~domains:1 in
-  let compare_against_baseline tag (argsn, cn, rn, tn) =
-    check_counters_equal tag c1 cn;
+  let compare_against_baseline fields tag (argsn, cn, rn, tn) =
+    check_counters fields tag c1 cn;
     check_str (tag ^ ": profiler report JSON") r1 rn;
     check_str (tag ^ ": chrome trace") t1 tn;
     List.iter2
@@ -93,10 +78,10 @@ let check_domains ?(scalars = []) ?args name arch kernel =
   in
   List.iter
     (fun domains ->
-      compare_against_baseline
+      compare_against_baseline C.All
         (Printf.sprintf "%s: plan @ %d domains" name domains)
         (run_one plan_path ~domains);
-      compare_against_baseline
+      compare_against_baseline C.No_requests
         (Printf.sprintf "%s: tree @ %d domains" name domains)
         (run_one tree_path ~domains))
     domain_counts
@@ -209,9 +194,42 @@ let test_counters_merge () =
     [ ("ffma", 1); ("hmma", 1); ("lds", 4) ]
     (C.instr_mix_alist dst);
   (* merge_list must equal pairwise merging, in any grouping. *)
-  check_counters_equal "merge_list [a; b]" dst (C.merge_list [ a; b ]);
-  check_counters_equal "merge_list [b; a]" dst (C.merge_list [ b; a ]);
-  check_counters_equal "merge_list []" (C.create ()) (C.merge_list [])
+  check_counters C.All "merge_list [a; b]" dst (C.merge_list [ a; b ]);
+  check_counters C.All "merge_list [b; a]" dst (C.merge_list [ b; a ]);
+  check_counters C.All "merge_list []" (C.create ()) (C.merge_list [])
+
+(* [Counters.diff] names the first differing field of its set, then the
+   first differing instruction-mix entry. *)
+let test_counters_diff () =
+  let check_diff name expected fields a b =
+    Alcotest.(check (option string)) name expected (C.diff fields a b)
+  in
+  let a = C.create () and b = C.create () in
+  check_diff "fresh counters agree" None C.All a b;
+  b.C.global_vec_elems <- 4;
+  b.C.async_waits <- 1;
+  check_diff "first field by name" (Some "global_vec_elems: 0 vs 4") C.All a
+    b;
+  check_diff "No_requests skips the vector widths"
+    (Some "async_waits: 0 vs 1") C.No_requests a b;
+  check_diff "No_queue skips the queue depths"
+    (Some "global_vec_elems: 0 vs 4") C.No_queue a b;
+  check_diff "No_requests_or_queue skips both" None C.No_requests_or_queue a b;
+  b.C.async_copies <- 2;
+  check_diff "async_copies is in every set" (Some "async_copies: 0 vs 2")
+    C.No_requests_or_queue a b;
+  b.C.async_copies <- 0;
+  C.add_instr_n a "mma" 3;
+  C.add_instr_n b "mma" 2;
+  C.add_instr_n b "ldmatrix" 1;
+  check_diff "mix entry present on one side"
+    (Some "instr_mix[ldmatrix]: absent vs 1") C.No_requests_or_queue a b;
+  C.add_instr_n a "ldmatrix" 1;
+  check_diff "scalar fields before the mix" (Some "instructions: 4 vs 3")
+    C.No_requests_or_queue a b;
+  b.C.instructions <- a.C.instructions;
+  check_diff "mix count" (Some "instr_mix[mma]: 3 vs 2")
+    C.No_requests_or_queue a b
 
 (* ----- Domain_pool.block_ranges ----- *)
 
@@ -283,7 +301,7 @@ let test_plan_cache () =
       let args_tree = mk_args () in
       let c_tree = Interp.run_tree ~arch kernel ~args:args_tree ~scalars () in
       let tag = Printf.sprintf "cached run %dx%dx%d" m n k in
-      check_counters_equal tag c_run c_tree;
+      check_counters C.No_requests tag c_run c_tree;
       check_bool (tag ^ ": output bitwise") true
         (List.assoc "C" args_run = List.assoc "C" args_tree))
     [ (30, 20, 10); (25, 17, 8) ];
@@ -302,8 +320,9 @@ let () =
         ; Alcotest.test_case "fused" `Quick test_par_fused
         ] )
     ; ( "counters"
-      , [ Alcotest.test_case "merge / merge_list" `Quick test_counters_merge ]
-      )
+      , [ Alcotest.test_case "merge / merge_list" `Quick test_counters_merge
+        ; Alcotest.test_case "diff" `Quick test_counters_diff
+        ] )
     ; ( "domain_pool"
       , [ Alcotest.test_case "block_ranges" `Quick test_block_ranges ] )
     ; ( "plan_cache"

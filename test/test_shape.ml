@@ -56,7 +56,20 @@ let test_nested_div () =
   let x = E.var "x" in
   (* (x / 4) / 8 = x / 32 *)
   check_bool "div merge" true
-    (E.equal (E.div (E.div x (E.const 4)) (E.const 8)) (E.div x (E.const 32)))
+    (E.equal (E.div (E.div x (E.const 4)) (E.const 8)) (E.div x (E.const 32)));
+  (* Dropping a multiple of c from a sum is unsound under truncated
+     division when an addend can be negative: both sides must be. *)
+  let at n v = if String.equal v "x" then n else raise Not_found in
+  let bounds _ = Some { E.lo = Some 0; hi = Some 63 } in
+  check_int "simplify (34 - 61 + x) % 3 at x = 13" (-2)
+    (E.eval ~env:(at 13)
+       (E.simplify ~bounds
+          (E.Mod (E.Add (E.Sub (E.Const 34, E.Const 61), x), E.Const 3))));
+  check_int "rebuild (33 - 45 + x / 15) / 6 at x = 21" (-1)
+    (E.eval ~env:(at 21)
+       (E.div
+          (E.add (E.sub (E.const 33) (E.const 45)) (E.div x (E.const 15)))
+          (E.const 6)))
 
 let test_range_simplify () =
   let bounds v =

@@ -3,10 +3,10 @@
 
    - bit-identity oracle: for every pipelining kernel family, the
      2- and 3-stage plans produce bit-identical outputs and pre-existing
-     counters to the unpipelined plan, on all three execution engines
-     (the Tree engine re-interprets the rewritten Spec kernel), at 1 and
-     4 domains — only the async-queue occupancy counters may move, and
-     the three engines must agree with each other on those too;
+     counters to the unpipelined plan, on both execution engines (the
+     Tree engine re-interprets the rewritten Spec kernel), at 1 and 4
+     domains — only the async-queue occupancy counters may move, and
+     the two engines must agree with each other on those too;
    - hand-computed queue accounting on a toy copy loop: commit/wait
      counts and the in-flight depth samples of the 1-, 2- and 3-stage
      schedules match the closed-form prologue/steady/tail arithmetic;
@@ -76,59 +76,12 @@ let mlp () =
 
 (* ----- counter equality ----- *)
 
-(* The widening-independent set: traffic, sectors, conflicts, flops,
-   instructions and the instruction mix are defined per element batch, so
-   they are invariant across engines as well as across pipelining.
-   [async_copies] is recorded at issue (the pipeline moves *when* copies
-   land, never how many are issued), so it belongs here too. *)
-let check_base_equal name (a : C.t) (b : C.t) =
-  check_int (name ^ ": global_load_bytes") a.C.global_load_bytes
-    b.C.global_load_bytes;
-  check_int (name ^ ": global_store_bytes") a.C.global_store_bytes
-    b.C.global_store_bytes;
-  check_int (name ^ ": global_transactions") a.C.global_transactions
-    b.C.global_transactions;
-  check_int (name ^ ": shared_load_bytes") a.C.shared_load_bytes
-    b.C.shared_load_bytes;
-  check_int (name ^ ": shared_store_bytes") a.C.shared_store_bytes
-    b.C.shared_store_bytes;
-  check_int (name ^ ": shared_bank_conflicts") a.C.shared_bank_conflicts
-    b.C.shared_bank_conflicts;
-  check_int (name ^ ": flops") a.C.flops b.C.flops;
-  check_int (name ^ ": tensor_core_flops") a.C.tensor_core_flops
-    b.C.tensor_core_flops;
-  check_int (name ^ ": instructions") a.C.instructions b.C.instructions;
-  check_int (name ^ ": async_copies") a.C.async_copies b.C.async_copies;
-  Alcotest.(check (list (pair string int)))
-    (name ^ ": instr mix") (C.instr_mix_alist a) (C.instr_mix_alist b)
-
-(* The full pre-existing set, including the request counters and the
-   vectorized shares. Those depend on the plan-level vectorize pass (the
-   Tree engine re-interprets the Spec, where moves are still scalar — see
-   test_bytecode.ml), so this comparison is only meaningful between runs
-   on the SAME engine. *)
-let check_pre_equal name (a : C.t) (b : C.t) =
-  check_base_equal name a b;
-  check_int (name ^ ": global_requests") a.C.global_requests
-    b.C.global_requests;
-  check_int (name ^ ": global_vec_requests") a.C.global_vec_requests
-    b.C.global_vec_requests;
-  check_int (name ^ ": global_vec_bytes") a.C.global_vec_bytes
-    b.C.global_vec_bytes;
-  check_int (name ^ ": shared_requests") a.C.shared_requests
-    b.C.shared_requests;
-  check_int (name ^ ": shared_vec_requests") a.C.shared_vec_requests
-    b.C.shared_vec_requests;
-  check_int (name ^ ": shared_vec_bytes") a.C.shared_vec_bytes
-    b.C.shared_vec_bytes
-
-let check_async_equal name (a : C.t) (b : C.t) =
-  check_int (name ^ ": async_commits") a.C.async_commits b.C.async_commits;
-  check_int (name ^ ": async_waits") a.C.async_waits b.C.async_waits;
-  check_int (name ^ ": async_inflight_sum") a.C.async_inflight_sum
-    b.C.async_inflight_sum;
-  check_int (name ^ ": async_max_inflight") a.C.async_max_inflight
-    b.C.async_max_inflight
+(* Pipelining moves only the four queue-depth counters; the request
+   counters follow the plan-level vectorize pass, which the Tree engine
+   skips (it re-interprets the Spec, where moves are still scalar). *)
+let check_counters fields name a b =
+  Alcotest.(check (option string))
+    (name ^ ": counters") None (C.diff fields a b)
 
 let check_buffers name a b =
   List.iter2
@@ -136,7 +89,7 @@ let check_buffers name a b =
       check_bool (Printf.sprintf "%s: buffer %s bitwise" name bn) true (x = y))
     a b
 
-(* ----- bit-identity: pipelined vs unpipelined, three engines ----- *)
+(* ----- bit-identity: pipelined vs unpipelined, both engines ----- *)
 
 let mk_args kernel =
   List.mapi
@@ -145,8 +98,8 @@ let mk_args kernel =
     kernel.Spec.params
 
 (* The Tree engine re-interprets the plan's (rewritten) Spec kernel, so
-   running the pipelined plan on Tree/Closure/Bytecode exercises the
-   rotated schedule through all three semantics. The unpipelined plan
+   running the pipelined plan on Tree/Bytecode exercises the rotated
+   schedule through both semantics. The unpipelined plan
    doubles as the tree-walk baseline: a 1-stage lowering leaves the
    kernel untouched, so its Tree run IS the reference interpreter on the
    original kernel. *)
@@ -158,7 +111,7 @@ let check_identity ?(domains = 1) ~expect_pipelined name arch mk =
     let counters = Interp.run_plan ~domains ~engine plan ~args () in
     (args, counters)
   in
-  let engines = [ Interp.Tree; Interp.Closure; Interp.Bytecode ] in
+  let engines = [ Interp.Tree; Interp.Bytecode ] in
   let uplan = Pipeline.lower ~stages:1 arch kernel in
   check_int (name ^ ": unpipelined pl_stages") 1
     uplan.Plan.pipelining.Plan.pl_stages;
@@ -193,11 +146,11 @@ let check_identity ?(domains = 1) ~expect_pipelined name arch mk =
       List.iter2
         (fun (ename, (uargs, uc)) (_, (eargs, ec)) ->
           let tag = Printf.sprintf "%s @%d stages, %s" name stages ename in
-          check_pre_equal tag uc ec;
+          check_counters C.No_queue tag uc ec;
           check_buffers tag uargs eargs)
         ubase runs;
       (* Across engines the request counters differ by design (the Tree
-         engine skips the plan-level vectorize widening), but the three
+         engine skips the plan-level vectorize widening), but both
          engines must agree on the widening-independent set AND on the
          queue counters the pipeline legitimately moved. *)
       match runs with
@@ -208,8 +161,7 @@ let check_identity ?(domains = 1) ~expect_pipelined name arch mk =
               Printf.sprintf "%s @%d stages: %s vs tree engine" name stages
                 ename
             in
-            check_base_equal tag c0 c;
-            check_async_equal tag c0 c;
+            check_counters C.No_requests tag c0 c;
             check_buffers tag args0 args)
           rest
       | [] -> ())

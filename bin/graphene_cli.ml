@@ -7,7 +7,8 @@
      graphene simulate <kernel>   execute on the simulated GPU and verify
      graphene profile <kernel>    simulate with per-spec profiling: prints the
                                   report, writes JSON + Chrome-trace files
-     graphene tune [M N K]        rank GEMM tile configurations
+     graphene tune <gemm|fmha> [SIZES]
+                                  search a kernel's decomposition space
      graphene tables              regenerate the paper's tables and figures
      graphene table2              print the atomic-spec registry (Table 2) *)
 
@@ -523,21 +524,9 @@ let tune_cmd =
       value & opt int 0
       & info [ "profile" ] ~docv:"N"
           ~doc:
-            "Simulate the top $(docv) candidates at a proxy size and attach \
-             a measured per-spec profile (coalescing, bank conflicts) to \
-             each line.")
-  in
-  let search =
-    Arg.(
-      value & flag
-      & info [ "search" ]
-          ~doc:
-            "Run the three-tier schedule-space search instead of the fixed \
-             sweep: model-score the full decomposition space (tile shapes x \
-             swizzle x vectorize x pipeline depth), proxy-simulate the \
-             front-runners with measured occupancy/width feedback, and \
-             verify the winner bit-identical against the reference \
-             interpreter. See docs/TUNING.md.")
+            "Profile the top $(docv) proxy-simulated candidates (refined \
+             order) and print a measured per-spec summary (bound, \
+             coalescing, bank conflicts) for each.")
   in
   let budget =
     Arg.(
@@ -569,74 +558,69 @@ let tune_cmd =
       & info [ "o"; "output" ] ~docv:"FILE"
           ~doc:"Also write the search trajectory as JSON to $(docv).")
   in
-  let run arch kernel sizes profile_top search budget proxy_top seed out
-      domains =
+  let run arch kernel sizes profile_top budget proxy_top seed out domains =
     let machine = Gpu_sim.Machine.of_arch arch in
-    if search then begin
-      let space =
-        match kernel with
-        | "gemm" ->
-          let m, n, k =
-            match sizes with [ m; n; k ] -> (m, n, k) | _ -> (4096, 4096, 1024)
-          in
-          Tuner.Search.gemm_space arch ~m ~n ~k ()
-        | "fmha" ->
-          let seq, dh =
-            match sizes with [ s; d ] -> (s, d) | _ -> (256, 64)
-          in
-          Tuner.Search.fmha_space arch ~seq ~dh ()
-        | other ->
-          Format.eprintf "error: no search space for kernel %s (try gemm or \
-                          fmha)@." other;
-          exit 2
-      in
-      let o =
-        Tuner.Search.search ~seed ~max_candidates:budget ~proxy_top ?domains
-          machine space ()
-      in
-      Format.printf "%a@." Tuner.Search.pp_outcome o;
-      Option.iter
-        (fun f ->
-          write_file f (Tuner.Search.to_json o);
-          Format.printf "wrote %s@." f)
-        out;
-      if not o.Tuner.Search.o_verified then begin
-        Format.printf "no candidate passed verification@.";
-        exit 1
-      end
-    end
-    else begin
-      if kernel <> "gemm" then begin
-        Format.eprintf
-          "error: the fixed sweep only tunes gemm; use --search for %s@."
-          kernel;
+    let usage form =
+      Format.eprintf "error: expected tune %s %s (or no sizes for the \
+                      defaults)@." kernel form;
+      exit 2
+    in
+    let space =
+      match (kernel, sizes) with
+      | "gemm", [] -> Tuner.Search.gemm_space arch ~m:4096 ~n:4096 ~k:1024 ()
+      | "gemm", [ m; n; k ] -> Tuner.Search.gemm_space arch ~m ~n ~k ()
+      | "gemm", _ -> usage "M N K"
+      | "fmha", [] -> Tuner.Search.fmha_space arch ~seq:256 ~dh:64 ()
+      | "fmha", [ seq; dh ] -> Tuner.Search.fmha_space arch ~seq ~dh ()
+      | "fmha", _ -> usage "SEQ DH"
+      | other, _ ->
+        Format.eprintf "error: no search space for kernel %s (try gemm or \
+                        fmha)@." other;
         exit 2
-      end;
-      let m, n, k =
-        match sizes with [ m; n; k ] -> (m, n, k) | _ -> (4096, 4096, 1024)
-      in
-      let results =
-        Tuner.Autotune.tune ~profile_top ?domains machine
-          ~epilogue:Kernels.Epilogue.none ~m ~n ~k ()
-      in
-      Format.printf "top configurations for %dx%dx%d on %s:@." m n k
-        (Arch.display_name arch);
-      List.iteri
-        (fun i r ->
-          if i < 8 then
-            Format.printf "%2d. %a@." (i + 1) Tuner.Autotune.pp_result r)
-        results
+    in
+    let o =
+      Tuner.Search.search ~seed ~max_candidates:budget ~proxy_top ?domains
+        machine space ()
+    in
+    Format.printf "%a@." Tuner.Search.pp_outcome o;
+    List.iteri
+      (fun i (s : Tuner.Search.simulated) ->
+        if i < profile_top then begin
+          let cand = s.Tuner.Search.sc.Tuner.Search.cand in
+          let rep = Tuner.Search.profile machine cand in
+          let t = rep.Gpu_sim.Profiler.totals in
+          Format.printf
+            "  profiled #%d: %a -> %s-bound, %.0f%% coalesced, %d \
+             bank-conflict cycles/block, %.0f%% instructions attributed@."
+            (i + 1) Tuner.Search.pp_knobs cand.Tuner.Search.knobs
+            rep.Gpu_sim.Profiler.bound
+            (100.0 *. t.Gpu_sim.Profiler.coalescing)
+            (t.Gpu_sim.Profiler.shared_bank_conflicts
+            / max 1 rep.Gpu_sim.Profiler.grid_blocks)
+            (100.0 *. rep.Gpu_sim.Profiler.attributed_instructions)
+        end)
+      o.Tuner.Search.o_simulated;
+    Option.iter
+      (fun f ->
+        write_file f (Tuner.Search.to_json o);
+        Format.printf "wrote %s@." f)
+      out;
+    if not o.Tuner.Search.o_verified then begin
+      Format.printf "no candidate passed verification@.";
+      exit 1
     end
   in
   Cmd.v
     (Cmd.info "tune"
        ~doc:
-         "Rank kernel decompositions for a problem size: the fixed GEMM \
-          sweep by default, or the three-tier schedule-space search \
-          ($(b,--search)) over gemm and fmha spaces with exact verification \
-          of the winner.")
+         "Search the decomposition space of a gemm or fmha problem: \
+          model-score every candidate (tile shapes x swizzle x vectorize x \
+          pipeline depth), proxy-simulate the front-runners with measured \
+          occupancy/width feedback, and verify the winner bit-identical \
+          against the reference interpreter (exit 1 when none passes). See \
+          docs/TUNING.md.")
     Term.(
-      const run $ arch_arg $ kernel_pos $ mnk $ profile_top $ search $ budget
+      const run $ arch_arg $ kernel_pos $ mnk $ profile_top $ budget
       $ proxy_top $ seed $ out $ domains_arg)
 
 let serve_cmd =

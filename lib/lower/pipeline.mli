@@ -47,8 +47,8 @@ val unmatched_message : Graphene.Arch.t -> Graphene.Spec.t -> string
     kernel mentions its scalar parameters only by name (values bind per
     launch), so plans memoize under structural kernel equality — i.e.
     modulo scalar parameter values. The cache is process-wide and
-    thread-safe (the autotuner lowers candidates from several domains
-    concurrently). *)
+    thread-safe (the schedule search lowers candidates from several
+    domains concurrently). *)
 
 (** [lower_cached arch kernel] returns the memoized plan and whether it
     was a cache hit. Passing [?log] bypasses the cache entirely (the

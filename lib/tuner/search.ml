@@ -1,6 +1,6 @@
-(* Schedule-space search: from autotuner to superoptimizer.
+(* Schedule-space search: the repository's one tuner.
 
-   Where {!Autotune} sweeps scalar parameters of one fixed GEMM
+   Rather than sweeping scalar parameters of one fixed GEMM
    decomposition, this module searches the decomposition space itself —
    tile and warp-tile shapes, swizzle on/off, vectorize on/off, software
    pipeline depth — behind a kernel-agnostic candidate interface, so the
@@ -56,9 +56,9 @@ type candidate =
   ; vectorize : bool option
         (** [Some b] pins the vectorize pass; [None] = process default *)
   ; legacy : bool
-        (** member of the old fixed sweep ({!Autotune}'s configuration
-            enumeration with library-default swizzle and vectorize) —
-            the baseline the search must beat *)
+        (** member of the old fixed sweep ({!gemm_configs} with
+            library-default swizzle and vectorize) — the baseline the
+            search must beat *)
   ; build : unit -> Spec.kernel
   ; proxy : unit -> Spec.kernel
   }
@@ -116,34 +116,23 @@ type verdict =
   | Scored of scored
   | Pruned of string  (** reason slug: [build-refused] / [lower-refused] *)
 
-let score_candidate ?(keep_unlowerable = false) (machine : Gpu_sim.Machine.t)
-    (cand : candidate) =
+let score_candidate (machine : Gpu_sim.Machine.t) (cand : candidate) =
   let t0 = Unix.gettimeofday () in
   let arch = machine.Gpu_sim.Machine.arch in
   match cand.build () with
   | exception Invalid_argument _ -> Pruned "build-refused"
   | kernel -> (
-    let lowered =
-      match
-        Lower.Pipeline.lower_cached ?vectorize:cand.vectorize arch kernel
-          ~stages:cand.stages
-      with
-      | plan, _ -> Some plan
-      | exception _ -> None
-    in
-    match lowered with
-    | None when not keep_unlowerable -> Pruned "lower-refused"
-    | _ ->
-      let vec_width, eff_stages, vec_refusals, swpipe_refusals =
-        match lowered with
-        | Some plan ->
-          ( Option.value ~default:4.0
-              (Lower.Plan.global_vec_width plan.Lower.Plan.body)
-          , plan.Lower.Plan.pipelining.Lower.Plan.pl_stages
-          , Lower.Plan.refusal_histogram plan.Lower.Plan.body
-          , plan.Lower.Plan.pipelining.Lower.Plan.pl_refusals )
-        | None -> (1.0, 1, [], [])
+    match
+      Lower.Pipeline.lower_cached ?vectorize:cand.vectorize arch kernel
+        ~stages:cand.stages
+    with
+    | exception _ -> Pruned "lower-refused"
+    | plan, _ ->
+      let vec_width =
+        Option.value ~default:4.0
+          (Lower.Plan.global_vec_width plan.Lower.Plan.body)
       in
+      let eff_stages = plan.Lower.Plan.pipelining.Lower.Plan.pl_stages in
       let totals = Gpu_sim.Static_analysis.of_kernel arch kernel () in
       let estimate =
         PM.of_totals ~vec_width
@@ -164,37 +153,36 @@ let score_candidate ?(keep_unlowerable = false) (machine : Gpu_sim.Machine.t)
         ; bound
         ; vec_width
         ; eff_stages
-        ; vec_refusals
-        ; swpipe_refusals
+        ; vec_refusals = Lower.Plan.refusal_histogram plan.Lower.Plan.body
+        ; swpipe_refusals = plan.Lower.Plan.pipelining.Lower.Plan.pl_refusals
         ; score_s = Unix.gettimeofday () -. t0
         })
 
-let ndomains_for ?domains total =
-  let d =
-    match domains with
-    | Some d -> d
-    | None -> Gpu_sim.Domain_pool.default_domains ()
+(* Map [f] over [items] in parallel over contiguous groups (one pool
+   task each); ascending regroup keeps the returned list — hence
+   everything downstream — identical at every domain count. *)
+let fan_out ?domains f items =
+  let total = List.length items in
+  let chunks =
+    max 1
+      (min total
+         (Option.value domains
+            ~default:(Gpu_sim.Domain_pool.default_domains ())))
   in
-  max 1 (min d total)
-
-(* Score every candidate, in parallel over contiguous enumeration-order
-   groups (one pool task each); ascending regroup keeps the returned
-   list — hence everything downstream — identical at every domain
-   count. *)
-let tier1 ?domains ?keep_unlowerable machine cands =
-  let total = List.length cands in
-  let chunks = ndomains_for ?domains total in
-  let f c = (c, score_candidate ?keep_unlowerable machine c) in
-  if chunks <= 1 then List.map f cands
+  if chunks <= 1 then List.map f items
   else begin
-    let carr = Array.of_list cands in
+    let arr = Array.of_list items in
     Gpu_sim.Domain_pool.run_list
       (Gpu_sim.Domain_pool.global ())
       (List.map
-         (fun (lo, hi) () -> List.init (hi - lo) (fun i -> f carr.(lo + i)))
+         (fun (lo, hi) () -> List.init (hi - lo) (fun i -> f arr.(lo + i)))
          (Gpu_sim.Domain_pool.block_ranges ~total ~chunks))
     |> List.concat
   end
+
+(* Score every candidate, in enumeration order. *)
+let tier1 ?domains machine cands =
+  fan_out ?domains (fun c -> (c, score_candidate machine c)) cands
 
 (* ----- tier 2: proxy simulation with measured feedback ----- *)
 
@@ -254,6 +242,25 @@ let simulate (machine : Gpu_sim.Machine.t) (s : scored) =
       ; proxy_stages
       ; sim_s = Unix.gettimeofday () -. t0
       }
+
+(* The per-spec profile of a candidate's proxy run — what a ranking
+   cannot say about *why* a decomposition wins (bank conflicts,
+   coalescing, instruction mix). Same plan, buffers and domain count as
+   {!simulate}, so the report reproduces tier 2's measurements; a
+   refusal raises. *)
+let profile (machine : Gpu_sim.Machine.t) (cand : candidate) =
+  let arch = machine.Gpu_sim.Machine.arch in
+  let kernel = cand.proxy () in
+  let plan, _ =
+    Lower.Pipeline.lower_cached ?vectorize:cand.vectorize arch kernel
+      ~stages:cand.stages
+  in
+  let profiler = Gpu_sim.Profiler.create () in
+  let counters =
+    Gpu_sim.Interp.run_plan ~profiler ~domains:1 plan
+      ~args:(zero_args kernel) ()
+  in
+  Gpu_sim.Profiler.report profiler ~kernel ~arch ~counters ~machine ()
 
 (* ----- tier 3: the exact equivalence oracle ----- *)
 
@@ -513,18 +520,7 @@ let search ?(seed = 0) ?(max_candidates = 4096) ?(proxy_top = 8) ?domains
     (* tier 2: proxy-simulate, in parallel, ascending regroup *)
     let t0 = Unix.gettimeofday () in
     let sim_results =
-      let total = List.length proxy_set in
-      let chunks = ndomains_for ?domains total in
-      let arr = Array.of_list proxy_set in
-      let f i = (arr.(i), simulate machine arr.(i)) in
-      if chunks <= 1 then List.init total f
-      else
-        Gpu_sim.Domain_pool.run_list
-          (Gpu_sim.Domain_pool.global ())
-          (List.map
-             (fun (lo, hi) () -> List.init (hi - lo) (fun i -> f (lo + i)))
-             (Gpu_sim.Domain_pool.block_ranges ~total ~chunks))
-        |> List.concat
+      fan_out ?domains (fun s -> (s, simulate machine s)) proxy_set
     in
     let tier2_s = Unix.gettimeofday () -. t0 in
     let pruned =
@@ -571,9 +567,9 @@ let search ?(seed = 0) ?(max_candidates = 4096) ?(proxy_top = 8) ?domains
 (* ----- the GEMM space ----- *)
 
 (* All tile configurations valid for the problem (divisibility,
-   warp-count, cooperative-staging and shared-memory constraints).
-   {!Autotune.candidates} re-exports this — it is the old fixed sweep's
-   enumeration, and the [legacy] subset of {!gemm_space}. *)
+   warp-count, cooperative-staging and shared-memory constraints) — the
+   old fixed sweep's enumeration, and the [legacy] subset of
+   {!gemm_space}. *)
 let gemm_configs arch ~m ~n ~k =
   let base = Gemm.default_config arch in
   let tiles = [ 32; 64; 128; 256 ] in

@@ -1,8 +1,10 @@
 (* Tests for the three-tier schedule-space search (docs/TUNING.md):
-   determinism across domain counts, budget monotonicity, the exact
-   equivalence oracle, and the FMHA space. *)
+   the GEMM configuration enumeration, determinism across domain
+   counts, budget monotonicity, the exact equivalence oracle, the FMHA
+   space, and the per-candidate profile. *)
 
 module Arch = Graphene.Arch
+module Gemm = Kernels.Gemm
 module PM = Gpu_sim.Perf_model
 module S = Tuner.Search
 
@@ -18,6 +20,25 @@ let fmha_space () = S.fmha_space Arch.SM86 ~seq:64 ~dh:32 ()
 let run ?(seed = 42) ?(budget = 192) ?(proxy_top = 3) ?domains space =
   S.search ~seed ~max_candidates:budget ~proxy_top ?domains machine space ()
 
+(* The default 128^3 search, shared by the cases that only read it. *)
+let default_outcome = lazy (run (gemm_space ()))
+
+(* ----- the GEMM configuration enumeration ----- *)
+
+let test_candidates_valid () =
+  let cands = S.gemm_configs Arch.SM86 ~m:512 ~n:512 ~k:512 in
+  check_bool "several candidates" true (List.length cands > 5);
+  (* Every candidate must construct a validating kernel. *)
+  List.iter
+    (fun cfg ->
+      let kernel =
+        Gemm.tensor_core Arch.SM86 cfg ~epilogue:Kernels.Epilogue.none ~m:512
+          ~n:512 ~k:512 ()
+      in
+      Alcotest.(check (list string)) "well-formed" []
+        (Graphene.Validate.check Arch.SM86 kernel))
+    cands
+
 (* ----- determinism ----- *)
 
 (* The whole trajectory — frontier statistics, refusal histograms,
@@ -32,13 +53,65 @@ let test_deterministic_across_domains () =
     [ 4; 7 ]
 
 let test_deterministic_across_runs () =
-  let json () = S.to_json ~wall:false (run (gemm_space ())) in
-  check_string "same seed, same trajectory" (json ()) (json ())
+  check_string "same seed, same trajectory"
+    (S.to_json ~wall:false (Lazy.force default_outcome))
+    (S.to_json ~wall:false (run (gemm_space ())))
+
+(* ----- the ranking ----- *)
+
+(* Tier 1's ranking is sorted by estimate, ties broken by id. *)
+let test_ranking_sorted () =
+  let rec check = function
+    | (a : S.scored) :: (b :: _ as rest) ->
+      let ta = a.S.estimate.PM.time_s and tb = b.S.estimate.PM.time_s in
+      check_bool "sorted by estimate, then id" true
+        (ta < tb || (ta = tb && a.S.cand.S.id < b.S.cand.S.id));
+      check rest
+    | _ -> ()
+  in
+  let ranking = (Lazy.force default_outcome).S.o_ranking in
+  check_bool "ranking nonempty" true (ranking <> []);
+  check ranking
+
+let test_adapts_to_shape () =
+  (* A skinny problem should not pick the same giant tiles as a square
+     one: tier 1 over the old fixed sweep (the [legacy] candidates) must
+     at least match the library-default config, scored with the
+     single-buffered pipeline term tier 1 applies to an unpipelined
+     candidate. *)
+  let default = Gemm.default_config Arch.SM86 in
+  let score cfg ~m ~n ~k =
+    (PM.of_kernel machine
+       ~pipeline:{ PM.stages = 1; occupancy = 0.0 }
+       (Gemm.tensor_core Arch.SM86 cfg ~epilogue:Kernels.Epilogue.none ~m ~n
+          ~k ())
+       ())
+      .PM.time_s
+  in
+  List.iter
+    (fun (m, n, k) ->
+      let legacy =
+        List.filter
+          (fun (c : S.candidate) -> c.S.legacy)
+          ((S.gemm_space Arch.SM86 ~m ~n ~k ()).S.enumerate ())
+      in
+      let leader =
+        List.fold_left
+          (fun acc -> function
+            | _, S.Scored s -> Float.min acc s.S.estimate.PM.time_s
+            | _, S.Pruned _ -> acc)
+          infinity (S.tier1 machine legacy)
+      in
+      check_bool
+        (Printf.sprintf "beats default at %dx%dx%d" m n k)
+        true
+        (leader <= score default ~m ~n ~k +. 1e-9))
+    [ (5376, 5376, 2048); (256, 4096, 512); (4096, 256, 512) ]
 
 (* ----- the winner ----- *)
 
 let test_winner_verified_and_beats_baseline () =
-  let o = run (gemm_space ()) in
+  let o = Lazy.force default_outcome in
   check_bool "verified" true o.S.o_verified;
   (match o.S.o_winner with
   | None -> Alcotest.fail "no winner"
@@ -53,6 +126,28 @@ let test_winner_verified_and_beats_baseline () =
       o.S.o_simulated);
   check_bool "baseline simulated" true (o.S.o_baseline <> None);
   check_bool "winner beats the fixed sweep" true (S.winner_beats_baseline o)
+
+let test_winner_computes_correctly () =
+  (* The verified winner's full-size kernel, lowered as the candidate
+     asks (vectorize pin, pipeline depth), must compute the GEMM. *)
+  let m = 128 and n = 128 and k = 64 in
+  match (run (S.gemm_space Arch.SM86 ~m ~n ~k ())).S.o_winner with
+  | None -> Alcotest.fail "no winner"
+  | Some w ->
+    let cand = w.S.sc.S.cand in
+    let plan, _ =
+      Lower.Pipeline.lower_cached ?vectorize:cand.S.vectorize Arch.SM86
+        (cand.S.build ()) ~stages:cand.S.stages
+    in
+    let a = Reference.Cpu_ref.random_fp16 ~seed:1 (m * k) in
+    let b = Reference.Cpu_ref.random_fp16 ~seed:2 (k * n) in
+    let c = Array.make (m * n) 0.0 in
+    let _ =
+      Gpu_sim.Interp.run_plan plan ~args:[ ("A", a); ("B", b); ("C", c) ] ()
+    in
+    let c_ref = Array.make (m * n) 0.0 in
+    Reference.Cpu_ref.gemm ~m ~n ~k a b c_ref;
+    check_bool "winner is correct" true (Reference.Cpu_ref.allclose c c_ref)
 
 (* ----- budget monotonicity ----- *)
 
@@ -94,7 +189,7 @@ let test_budget_nested () =
 (* ----- the equivalence oracle ----- *)
 
 let test_oracle_accepts_winner () =
-  let o = run (gemm_space ()) in
+  let o = Lazy.force default_outcome in
   match o.S.o_winner with
   | None -> Alcotest.fail "no winner"
   | Some w -> check_bool "accept" true (S.verify_candidate machine w.S.sc.S.cand)
@@ -141,7 +236,7 @@ let test_fmha_deterministic () =
 (* ----- measured feedback ----- *)
 
 let test_feedback_in_range () =
-  let o = run (gemm_space ()) in
+  let o = Lazy.force default_outcome in
   List.iter
     (fun (s : S.simulated) ->
       check_bool "measured width within [1, 4]" true
@@ -150,17 +245,49 @@ let test_feedback_in_range () =
         (s.S.occupancy >= 0.0 && s.S.occupancy <= 1.0 +. 1e-9))
     o.S.o_simulated
 
+(* ----- the per-candidate profile ----- *)
+
+(* Profiling a proxy-simulated candidate replays tier 2's run under the
+   profiler: the report must reproduce the measured queue occupancy to
+   the last bit and attribute nearly every instruction to a spec. *)
+let test_profile () =
+  let o = Lazy.force default_outcome in
+  check_bool "candidates simulated" true (o.S.o_simulated <> []);
+  List.iter
+    (fun (s : S.simulated) ->
+      let rep = S.profile machine s.S.sc.S.cand in
+      let occupancy =
+        if s.S.proxy_stages <= 1 then 0.0
+        else
+          rep.Gpu_sim.Profiler.async_mean_inflight
+          /. float_of_int s.S.proxy_stages
+      in
+      check_bool "occupancy reproduces tier 2" true
+        (Float.equal occupancy s.S.occupancy);
+      check_bool "instructions attributed" true
+        (rep.Gpu_sim.Profiler.attributed_instructions >= 0.95))
+    o.S.o_simulated
+
 let () =
   Alcotest.run "search"
-    [ ( "determinism"
+    [ ( "gemm configs"
+      , [ Alcotest.test_case "candidates validate" `Slow test_candidates_valid
+        ] )
+    ; ( "determinism"
       , [ Alcotest.test_case "across domains" `Slow
             test_deterministic_across_domains
         ; Alcotest.test_case "across runs" `Quick
             test_deterministic_across_runs
         ] )
+    ; ( "ranking"
+      , [ Alcotest.test_case "ranking sorted" `Quick test_ranking_sorted
+        ; Alcotest.test_case "adapts to shape" `Quick test_adapts_to_shape
+        ] )
     ; ( "winner"
       , [ Alcotest.test_case "verified and beats baseline" `Quick
             test_winner_verified_and_beats_baseline
+        ; Alcotest.test_case "winner computes correctly" `Quick
+            test_winner_computes_correctly
         ] )
     ; ( "budget"
       , [ Alcotest.test_case "leader monotone" `Slow test_budget_monotone
@@ -180,4 +307,5 @@ let () =
       , [ Alcotest.test_case "measured values in range" `Quick
             test_feedback_in_range
         ] )
+    ; ("profile", [ Alcotest.test_case "profile" `Quick test_profile ])
     ]

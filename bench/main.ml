@@ -92,30 +92,26 @@ let profile_reports () =
         ~machine:(Gpu_sim.Machine.of_arch arch) ())
     [ Graphene.Arch.SM70; Graphene.Arch.SM86 ]
 
+module J = Gpu_sim.Json
+
+(* Writes one BENCH_*.json into the current directory. *)
+let write_file path contents =
+  let oc = open_out path in
+  output_string oc contents;
+  close_out oc
+
 (* Machine-readable companion to the printed tables: per-spec profiles of
    the GEMM kernels plus the bechamel timing rows. *)
 let emit_bench_profile rows =
   let reports = profile_reports () in
-  let buf = Buffer.create 8192 in
-  Buffer.add_string buf "{\"schema\":\"graphene.bench.v1\",\n\"profiles\":[\n";
-  List.iteri
-    (fun i rep ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf (Gpu_sim.Profiler.report_to_json rep))
-    reports;
-  Buffer.add_string buf "\n],\n\"timings_ns_per_run\":{";
-  List.iteri
-    (fun i (name, est) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\n%s:%s"
-           (Gpu_sim.Trace.json_string name)
-           (if Float.is_nan est then "null" else Printf.sprintf "%.6g" est)))
-    rows;
-  Buffer.add_string buf "\n}}\n";
-  let oc = open_out "BENCH_profile.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
+  write_file "BENCH_profile.json"
+    (J.to_string
+       (J.Obj
+          [ ("schema", J.Str "graphene.bench.v1")
+          ; ("profiles", J.Arr (List.map Gpu_sim.Profiler.report_json reports))
+          ; ( "timings_ns_per_run"
+            , J.Obj (List.map (fun (name, est) -> (name, J.Float est)) rows) )
+          ]));
   Format.printf "wrote BENCH_profile.json (%d kernel profiles, %d timings)@."
     (List.length reports) (List.length rows)
 
@@ -210,8 +206,7 @@ type sim_row =
 let sim_bench_row case =
   match case () with
   | exception exn ->
-    ( Printf.sprintf "{\"name\":\"?\",\"error\":%s}"
-        (Gpu_sim.Trace.json_string (Printexc.to_string exn))
+    ( J.Obj [ ("name", J.Str "?"); ("error", J.Str (Printexc.to_string exn)) ]
     , false )
   | name, arch, kernel, cells -> (
     (* Seeded fp16 inputs in every buffer, so a wrong product shows up
@@ -333,10 +328,11 @@ let sim_bench_row case =
       }
     with
     | exception exn ->
-      ( Printf.sprintf "{\"name\":%s,\"arch\":%s,\"error\":%s}"
-          (Gpu_sim.Trace.json_string name)
-          (Gpu_sim.Trace.json_string (Graphene.Arch.name arch))
-          (Gpu_sim.Trace.json_string (Printexc.to_string exn))
+      ( J.Obj
+          [ ("name", J.Str name)
+          ; ("arch", J.Str (Graphene.Arch.name arch))
+          ; ("error", J.Str (Printexc.to_string exn))
+          ]
       , false )
     | r ->
       let cps s = if s > 0.0 then float_of_int cells /. s else Float.nan in
@@ -382,46 +378,48 @@ let sim_bench_row case =
         "" r.stages
         (if r.stages = 1 then "" else "s")
         r.async_occ r.overlap_speedup;
-      let sweep_json =
-        String.concat ","
-          (List.map
-             (fun (d, s, sok) ->
-               Printf.sprintf
-                 "{\"domains\":%d,\"par_s\":%.6f,\"domains_speedup\":%.3f,\
-                  \"bit_identical\":%b}"
-                 d s (r.bytecode_s /. s) sok)
-             r.sweep)
+      let sweep_json (d, s, sok) =
+        J.Obj
+          [ ("domains", J.Int d)
+          ; ("par_s", J.Float s)
+          ; ("domains_speedup", J.Float (r.bytecode_s /. s))
+          ; ("bit_identical", J.Bool sok)
+          ]
       in
-      ( Printf.sprintf
-          "{\"name\":%s,\"arch\":%s,\"cells\":%d,\"tree_s\":%.6f,\
-           \"lower_s\":%.6f,\"lower_cached_s\":%.6f,\"lower_cache_hit\":%b,\
-           \"bytecode_s\":%.6f,\"speedup_bytecode\":%.3f,\
-           \"exec_engine\":\"bytecode\",\"domains_sweep\":[%s],\
-           \"stages\":%d,\"async_copy_occupancy\":%.6g,\
-           \"overlap_speedup_model\":%.6g,\
-           \"cells_per_sec_tree\":%.6g,\"cells_per_sec_bytecode\":%.6g,\
-           \"minor_words_tree\":%.0f,\"minor_words_bytecode\":%.0f,\
-           \"minor_words_per_cell_tree\":%.6g,\
-           \"minor_words_per_cell_bytecode\":%.6g,\
-           \"minor_words_reduction\":%.6g,\
-           \"global_transactions\":%d,\"global_requests\":%d,\
-           \"global_vec_requests\":%d,\"global_vec_bytes\":%d,\
-           \"shared_requests\":%d,\"shared_vec_requests\":%d,\
-           \"shared_vec_bytes\":%d,\"shared_bank_conflicts\":%d,\
-           \"vector_widened_frac\":%.6g,\
-           \"counters_bit_identical\":%b,\"outputs_bit_identical\":%b}"
-          (Gpu_sim.Trace.json_string name)
-          (Gpu_sim.Trace.json_string (Graphene.Arch.name arch))
-          cells r.tree_s r.lower_s r.lower_cached_s r.cache_hit r.bytecode_s
-          (r.tree_s /. r.bytecode_s)
-          sweep_json r.stages r.async_occ r.overlap_speedup
-          (cps r.tree_s) (cps r.bytecode_s) r.tree_mw r.bytecode_mw
-          (per_cell r.tree_mw) (per_cell r.bytecode_mw) mw_reduction
-          counters.C.global_transactions counters.C.global_requests
-          counters.C.global_vec_requests counters.C.global_vec_bytes
-          counters.C.shared_requests counters.C.shared_vec_requests
-          counters.C.shared_vec_bytes counters.C.shared_bank_conflicts
-          vector_widened_frac counters_identical outputs_identical
+      ( J.Obj
+          [ ("name", J.Str name)
+          ; ("arch", J.Str (Graphene.Arch.name arch))
+          ; ("cells", J.Int cells)
+          ; ("tree_s", J.Float r.tree_s)
+          ; ("lower_s", J.Float r.lower_s)
+          ; ("lower_cached_s", J.Float r.lower_cached_s)
+          ; ("lower_cache_hit", J.Bool r.cache_hit)
+          ; ("bytecode_s", J.Float r.bytecode_s)
+          ; ("speedup_bytecode", J.Float (r.tree_s /. r.bytecode_s))
+          ; ("exec_engine", J.Str "bytecode")
+          ; ("domains_sweep", J.Arr (List.map sweep_json r.sweep))
+          ; ("stages", J.Int r.stages)
+          ; ("async_copy_occupancy", J.Float r.async_occ)
+          ; ("overlap_speedup_model", J.Float r.overlap_speedup)
+          ; ("cells_per_sec_tree", J.Float (cps r.tree_s))
+          ; ("cells_per_sec_bytecode", J.Float (cps r.bytecode_s))
+          ; ("minor_words_tree", J.Int (int_of_float r.tree_mw))
+          ; ("minor_words_bytecode", J.Int (int_of_float r.bytecode_mw))
+          ; ("minor_words_per_cell_tree", J.Float (per_cell r.tree_mw))
+          ; ("minor_words_per_cell_bytecode", J.Float (per_cell r.bytecode_mw))
+          ; ("minor_words_reduction", J.Float mw_reduction)
+          ; ("global_transactions", J.Int counters.C.global_transactions)
+          ; ("global_requests", J.Int counters.C.global_requests)
+          ; ("global_vec_requests", J.Int counters.C.global_vec_requests)
+          ; ("global_vec_bytes", J.Int counters.C.global_vec_bytes)
+          ; ("shared_requests", J.Int counters.C.shared_requests)
+          ; ("shared_vec_requests", J.Int counters.C.shared_vec_requests)
+          ; ("shared_vec_bytes", J.Int counters.C.shared_vec_bytes)
+          ; ("shared_bank_conflicts", J.Int counters.C.shared_bank_conflicts)
+          ; ("vector_widened_frac", J.Float vector_widened_frac)
+          ; ("counters_bit_identical", J.Bool counters_identical)
+          ; ("outputs_bit_identical", J.Bool outputs_identical)
+          ]
       , counters_identical && outputs_identical ))
 
 let emit_sim_bench ?(quick = false) () =
@@ -442,20 +440,22 @@ let emit_sim_bench ?(quick = false) () =
   end
   else begin
     let stats = Lower.Pipeline.cache_stats () in
-    let oc = open_out "BENCH_sim.json" in
-    output_string oc "{\"schema\":\"graphene.sim_bench.v7\",\n";
-    output_string oc
-      (Printf.sprintf "\"default_domains\":%d,\"exec_engine\":%s,\n"
-         (Gpu_sim.Domain_pool.default_domains ())
-         (Gpu_sim.Trace.json_string
-            (Gpu_sim.Interp.engine_name (Gpu_sim.Interp.default_plan_engine ()))));
-    output_string oc "\"rows\":[\n";
-    output_string oc (String.concat ",\n" rows);
-    output_string oc "\n],\n";
-    output_string oc
-      (Printf.sprintf "\"plan_cache\":{\"hits\":%d,\"misses\":%d}}\n"
-         stats.Lower.Pipeline.hits stats.Lower.Pipeline.misses);
-    close_out oc;
+    write_file "BENCH_sim.json"
+      (J.to_string
+         (J.Obj
+            [ ("schema", J.Str "graphene.sim_bench.v7")
+            ; ("default_domains", J.Int (Gpu_sim.Domain_pool.default_domains ()))
+            ; ( "exec_engine"
+              , J.Str
+                  (Gpu_sim.Interp.engine_name
+                     (Gpu_sim.Interp.default_plan_engine ())) )
+            ; ("rows", J.Arr rows)
+            ; ( "plan_cache"
+              , J.Obj
+                  [ ("hits", J.Int stats.Lower.Pipeline.hits)
+                  ; ("misses", J.Int stats.Lower.Pipeline.misses)
+                  ] )
+            ]));
     Format.printf "wrote BENCH_sim.json (%d rows)@.@." (List.length rows)
   end
 
@@ -494,9 +494,8 @@ let emit_serve_bench ?(quick = false) () =
     end
   end
   else begin
-    let oc = open_out "BENCH_serve.json" in
-    output_string oc (Serve.Metrics.to_json result.Serve.Engine.summary);
-    close_out oc;
+    write_file "BENCH_serve.json"
+      (Serve.Metrics.to_json result.Serve.Engine.summary);
     Format.printf "wrote BENCH_serve.json (%d requests, %d buckets)@.@."
       result.Serve.Engine.summary.Serve.Metrics.requests
       (List.length result.Serve.Engine.summary.Serve.Metrics.buckets)
@@ -562,12 +561,12 @@ let emit_tune_bench ?(quick = false) () =
     end
   end
   else begin
-    let oc = open_out "BENCH_tune.json" in
-    output_string oc "{\"schema\":\"graphene.tune_bench.v1\",\n\"searches\":[\n";
-    output_string oc
-      (String.concat ",\n" (List.map Tuner.Search.to_json outcomes));
-    output_string oc "]}\n";
-    close_out oc;
+    write_file "BENCH_tune.json"
+      (J.to_string
+         (J.Obj
+            [ ("schema", J.Str "graphene.tune_bench.v1")
+            ; ("searches", J.Arr (List.map Tuner.Search.json outcomes))
+            ]));
     Format.printf "wrote BENCH_tune.json (%d searches)@.@."
       (List.length outcomes)
   end

@@ -230,8 +230,7 @@ let lower_cmd =
           ~doc:
             "Disable the vectorize pass's widening (every atomic stays \
              scalar); the legality verdicts and bank-conflict lint are \
-             still computed and printed. Equivalent to setting \
-             \\$GRAPHENE_NO_VECTORIZE.")
+             still computed and printed.")
   in
   let stages =
     Arg.(
@@ -309,7 +308,7 @@ let lower_cmd =
           the software-pipelining verdict (stages chosen, shared bytes per \
           stage, queue-depth bound, or the per-loop refusal reasons) and \
           the flattened bytecode (instruction histogram, scratch-arena \
-          size, dependence tiers). See docs/LOWERING.md.")
+          size). See docs/LOWERING.md.")
     Term.(
       const run $ arch_arg $ kernel_arg $ plan_only $ no_vectorize $ stages)
 
@@ -701,8 +700,12 @@ let serve_cmd =
       }
     in
     let result =
-      Serve.Engine.run ~config ~seed ~rate_rps:rate
-        (Serve.Traffic.generate params)
+      try
+        Serve.Engine.run ~config ~seed ~rate_rps:rate
+          (Serve.Traffic.generate params)
+      with Invalid_argument msg ->
+        Format.eprintf "error: %s@." msg;
+        exit 2
     in
     Format.printf "%a" Serve.Metrics.pp_summary result.Serve.Engine.summary;
     write_file out (Serve.Metrics.to_json result.Serve.Engine.summary);
@@ -716,8 +719,8 @@ let serve_cmd =
           batches shape-compatible requests each scheduling tick, one \
           cached lowering serves every batch of a bucket, and the admitted \
           grids fan out across the domain pool. Prints the latency/\
-          throughput/occupancy summary and writes BENCH_serve.json. See \
-          docs/SERVING.md.")
+          throughput/occupancy summary and writes BENCH_serve.json; an \
+          out-of-range setting exits 2. See docs/SERVING.md.")
     Term.(
       const run $ seed $ requests $ rate $ tick $ cell_cap $ batch_cap
       $ quick $ out $ domains_arg $ engine_arg)

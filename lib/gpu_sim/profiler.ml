@@ -136,8 +136,8 @@ let on_global_batch p ~block ~store ~bytes ~warp addresses =
       Trace.instant tr ~name ~cat:(if store then "global.store" else "global.load")
         ~pid:block ~tid:warp
         ~args:
-          [ ("bytes", Trace.Int (bytes * List.length addresses))
-          ; ("sectors", Trace.Int (Counters.sectors_of_batch ~bytes addresses))
+          [ ("bytes", Json.Int (bytes * List.length addresses))
+          ; ("sectors", Json.Int (Counters.sectors_of_batch ~bytes addresses))
           ]
         ())
     p.trace_sink
@@ -154,9 +154,9 @@ let on_shared_batch p ~block ~store ~bytes ~warp addresses =
       Trace.instant tr ~name ~cat:(if store then "shared.store" else "shared.load")
         ~pid:block ~tid:warp
         ~args:
-          [ ("bytes", Trace.Int (bytes * List.length addresses))
+          [ ("bytes", Json.Int (bytes * List.length addresses))
           ; ( "bank_conflicts"
-            , Trace.Int (Counters.conflicts_of_batch ~bytes addresses) )
+            , Json.Int (Counters.conflicts_of_batch ~bytes addresses) )
           ]
         ())
     p.trace_sink
@@ -177,9 +177,9 @@ let on_global_batcha p ~block ~store ~bytes ~warp addresses ~len =
       Trace.instant tr ~name ~cat:(if store then "global.store" else "global.load")
         ~pid:block ~tid:warp
         ~args:
-          [ ("bytes", Trace.Int (bytes * len))
+          [ ("bytes", Json.Int (bytes * len))
           ; ( "sectors"
-            , Trace.Int (Counters.sectors_of_batcha ~bytes addresses ~len) )
+            , Json.Int (Counters.sectors_of_batcha ~bytes addresses ~len) )
           ]
         ())
     p.trace_sink
@@ -196,9 +196,9 @@ let on_shared_batcha p ~block ~store ~bytes ~warp addresses ~len =
       Trace.instant tr ~name ~cat:(if store then "shared.store" else "shared.load")
         ~pid:block ~tid:warp
         ~args:
-          [ ("bytes", Trace.Int (bytes * len))
+          [ ("bytes", Json.Int (bytes * len))
           ; ( "bank_conflicts"
-            , Trace.Int (Counters.conflicts_of_batcha ~bytes addresses ~len) )
+            , Json.Int (Counters.conflicts_of_batcha ~bytes addresses ~len) )
           ]
         ())
     p.trace_sink
@@ -212,7 +212,7 @@ let exec_event p ~block ~warp ~lanes ~dur =
         | None -> ("exec", "?")
       in
       Trace.complete tr ~name ~cat:"exec" ~pid:block ~tid:warp ~dur
-        ~args:[ ("instr", Trace.Str instr); ("lanes", Trace.Int lanes) ]
+        ~args:[ ("instr", Json.Str instr); ("lanes", Json.Int lanes) ]
         ())
     p.trace_sink
 
@@ -378,87 +378,72 @@ let report p ~kernel ~arch ~counters ?machine ?(scalars = []) () =
 
 (* ----- JSON ----- *)
 
-let jstr = Trace.json_string
-let jflt f = Printf.sprintf "%.6g" f
+let row_json r =
+  Json.(
+    Obj
+      [ ("path", Str r.path)
+      ; ("kind", Str r.kind)
+      ; ("instr", Str r.instr)
+      ; ("instances", Int r.instances)
+      ; ("instructions", Int r.instructions)
+      ; ("flops", Int r.flops)
+      ; ("tc_flops", Int r.tc_flops)
+      ; ("global_load_bytes", Int r.global_load_bytes)
+      ; ("global_store_bytes", Int r.global_store_bytes)
+      ; ("global_sectors", Int r.global_sectors)
+      ; ("coalescing_efficiency", Float r.coalescing)
+      ; ("shared_load_bytes", Int r.shared_load_bytes)
+      ; ("shared_store_bytes", Int r.shared_store_bytes)
+      ; ("shared_bank_conflicts", Int r.shared_bank_conflicts)
+      ])
 
-let row_fields r =
-  [ ("path", jstr r.path)
-  ; ("kind", jstr r.kind)
-  ; ("instr", jstr r.instr)
-  ; ("instances", string_of_int r.instances)
-  ; ("instructions", string_of_int r.instructions)
-  ; ("flops", string_of_int r.flops)
-  ; ("tc_flops", string_of_int r.tc_flops)
-  ; ("global_load_bytes", string_of_int r.global_load_bytes)
-  ; ("global_store_bytes", string_of_int r.global_store_bytes)
-  ; ("global_sectors", string_of_int r.global_sectors)
-  ; ("coalescing_efficiency", jflt r.coalescing)
-  ; ("shared_load_bytes", string_of_int r.shared_load_bytes)
-  ; ("shared_store_bytes", string_of_int r.shared_store_bytes)
-  ; ("shared_bank_conflicts", string_of_int r.shared_bank_conflicts)
-  ]
+let report_json rep =
+  let us s = Json.Float (s *. 1e6) in
+  Json.(
+    Obj
+      ([ ("schema", Str "graphene.profile.v1")
+       ; ("kernel", Str rep.kernel)
+       ; ("arch", Str rep.arch)
+       ; ("grid_blocks", Int rep.grid_blocks)
+       ; ("cta_threads", Int rep.cta_threads)
+       ; ("specs", Arr (List.map row_json rep.rows))
+       ; ("totals", row_json rep.totals)
+       ; ("barriers", Int rep.barriers)
+       ; ( "attribution"
+         , Obj
+             [ ("instructions", Float rep.attributed_instructions)
+             ; ("bytes", Float rep.attributed_bytes)
+             ] )
+       ; ("instr_mix", Obj (List.map (fun (k, v) -> (k, Int v)) rep.instr_mix))
+       ; ( "copy_queue"
+         , Obj
+             [ ("async_copies", Int rep.async_copies)
+             ; ("async_commits", Int rep.async_commits)
+             ; ("async_waits", Int rep.async_waits)
+             ; ("mean_inflight_groups", Float rep.async_mean_inflight)
+             ; ("max_inflight_groups", Int rep.async_max_inflight)
+             ] )
+       ]
+      @
+      match rep.estimate with
+      | None -> []
+      | Some e ->
+        [ ( "roofline"
+          , Obj
+              [ ("bound", Str rep.bound)
+              ; ("arith_intensity_flops_per_byte", Float rep.arith_intensity)
+              ; ("time_us", us e.Perf_model.time_s)
+              ; ("exec_us", us e.Perf_model.exec_s)
+              ; ("launch_us", us e.Perf_model.launch_s)
+              ; ("compute_us", us e.Perf_model.compute_s)
+              ; ("dram_us", us e.Perf_model.dram_s)
+              ; ("smem_us", us e.Perf_model.smem_s)
+              ; ("tc_utilization", Float e.Perf_model.tc_util)
+              ; ("dram_utilization", Float e.Perf_model.dram_util)
+              ] )
+        ]))
 
-let obj b fields =
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (jstr k);
-      Buffer.add_char b ':';
-      Buffer.add_string b v)
-    fields;
-  Buffer.add_char b '}'
-
-let report_to_json rep =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"schema\":\"graphene.profile.v1\"";
-  Buffer.add_string b (Printf.sprintf ",\n\"kernel\":%s" (jstr rep.kernel));
-  Buffer.add_string b (Printf.sprintf ",\n\"arch\":%s" (jstr rep.arch));
-  Buffer.add_string b (Printf.sprintf ",\n\"grid_blocks\":%d" rep.grid_blocks);
-  Buffer.add_string b (Printf.sprintf ",\n\"cta_threads\":%d" rep.cta_threads);
-  Buffer.add_string b ",\n\"specs\":[";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string b ",";
-      Buffer.add_string b "\n";
-      obj b (row_fields r))
-    rep.rows;
-  Buffer.add_string b "],\n\"totals\":";
-  obj b (row_fields rep.totals);
-  Buffer.add_string b (Printf.sprintf ",\n\"barriers\":%d" rep.barriers);
-  Buffer.add_string b ",\n\"attribution\":";
-  obj b
-    [ ("instructions", jflt rep.attributed_instructions)
-    ; ("bytes", jflt rep.attributed_bytes)
-    ];
-  Buffer.add_string b ",\n\"instr_mix\":";
-  obj b (List.map (fun (k, v) -> (k, string_of_int v)) rep.instr_mix);
-  Buffer.add_string b ",\n\"copy_queue\":";
-  obj b
-    [ ("async_copies", string_of_int rep.async_copies)
-    ; ("async_commits", string_of_int rep.async_commits)
-    ; ("async_waits", string_of_int rep.async_waits)
-    ; ("mean_inflight_groups", jflt rep.async_mean_inflight)
-    ; ("max_inflight_groups", string_of_int rep.async_max_inflight)
-    ];
-  (match rep.estimate with
-  | None -> ()
-  | Some e ->
-    Buffer.add_string b ",\n\"roofline\":";
-    obj b
-      [ ("bound", jstr rep.bound)
-      ; ("arith_intensity_flops_per_byte", jflt rep.arith_intensity)
-      ; ("time_us", jflt (e.Perf_model.time_s *. 1e6))
-      ; ("exec_us", jflt (e.Perf_model.exec_s *. 1e6))
-      ; ("launch_us", jflt (e.Perf_model.launch_s *. 1e6))
-      ; ("compute_us", jflt (e.Perf_model.compute_s *. 1e6))
-      ; ("dram_us", jflt (e.Perf_model.dram_s *. 1e6))
-      ; ("smem_us", jflt (e.Perf_model.smem_s *. 1e6))
-      ; ("tc_utilization", jflt e.Perf_model.tc_util)
-      ; ("dram_utilization", jflt e.Perf_model.dram_util)
-      ]);
-  Buffer.add_string b "}\n";
-  Buffer.contents b
+let report_to_json rep = Json.to_string (report_json rep)
 
 (* ----- pretty-printing ----- *)
 

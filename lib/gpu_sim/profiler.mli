@@ -158,8 +158,12 @@ val report :
   unit ->
   report
 
-(** Deterministic JSON encoding (fixed key order, rows in first-issue
-    order, instruction mix sorted by name, floats printed with [%.6g]). *)
+(** The report as a JSON value (schema [graphene.profile.v1]): fixed
+    key order, rows in first-issue order, instruction mix sorted by
+    name. *)
+val report_json : report -> Json.t
+
+(** [Json.to_string (report_json r)]. *)
 val report_to_json : report -> string
 
 (** Human-readable per-spec table, totals and roofline summary. *)

@@ -452,8 +452,8 @@ let exec_coded ?trace ?(block = 0) ~offs mem code ~(instr : Atomic.instr)
       ~cat:"sem" ~pid:block
       ~tid:(members.(0) / 32)
       ~args:
-        [ ("lane0", Trace.Int members.(0))
-        ; ("lanes", Trace.Int (Array.length members))
+        [ ("lane0", Json.Int members.(0))
+        ; ("lanes", Json.Int (Array.length members))
         ]
       ()
   | None -> ());
@@ -503,8 +503,8 @@ let exec ?trace ?(block = 0) mem ~instr ~spec ~env ~members =
       Trace.instant tr ~name:("sem:" ^ name) ~cat:"sem" ~pid:block
         ~tid:(members.(0) / 32)
         ~args:
-          [ ("lane0", Trace.Int members.(0))
-          ; ("lanes", Trace.Int (Array.length members))
+          [ ("lane0", Json.Int members.(0))
+          ; ("lanes", Json.Int (Array.length members))
           ]
         ())
     trace;

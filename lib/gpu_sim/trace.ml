@@ -1,7 +1,3 @@
-type arg =
-  | Int of int
-  | Str of string
-
 type event =
   { name : string
   ; cat : string
@@ -10,7 +6,7 @@ type event =
   ; dur : int  (* meaningful for 'X' only *)
   ; pid : int
   ; tid : int
-  ; args : (string * arg) list
+  ; args : (string * Json.t) list
   }
 
 type t =
@@ -45,51 +41,18 @@ let merge_into dst src =
     (List.rev src.events);
   dst.clock <- shift + src.clock
 
-let json_string s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
-let emit_args b args =
-  Buffer.add_string b "{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (json_string k);
-      Buffer.add_char b ':';
-      match v with
-      | Int n -> Buffer.add_string b (string_of_int n)
-      | Str s -> Buffer.add_string b (json_string s))
-    args;
-  Buffer.add_string b "}"
-
-let emit_event b e =
-  Buffer.add_string b "{\"name\":";
-  Buffer.add_string b (json_string e.name);
-  Buffer.add_string b ",\"cat\":";
-  Buffer.add_string b (json_string e.cat);
-  Buffer.add_string b (Printf.sprintf ",\"ph\":\"%c\",\"ts\":%d" e.ph e.ts);
-  if e.ph = 'X' then Buffer.add_string b (Printf.sprintf ",\"dur\":%d" e.dur);
-  if e.ph = 'i' then Buffer.add_string b ",\"s\":\"t\"";
-  Buffer.add_string b (Printf.sprintf ",\"pid\":%d,\"tid\":%d" e.pid e.tid);
-  if e.args <> [] then begin
-    Buffer.add_string b ",\"args\":";
-    emit_args b e.args
-  end;
-  Buffer.add_string b "}"
+let event_json e =
+  let opt cond kv = if cond then [ kv ] else [] in
+  Json.Obj
+    ([ ("name", Json.Str e.name)
+     ; ("cat", Json.Str e.cat)
+     ; ("ph", Json.Str (String.make 1 e.ph))
+     ; ("ts", Json.Int e.ts)
+     ]
+    @ opt (e.ph = 'X') ("dur", Json.Int e.dur)
+    @ opt (e.ph = 'i') ("s", Json.Str "t")
+    @ [ ("pid", Json.Int e.pid); ("tid", Json.Int e.tid) ]
+    @ opt (e.args <> []) ("args", Json.Obj e.args))
 
 (* Metadata records naming each block (process) and warp lane (thread),
    so the trace UI shows "block 0 / warp 1" instead of bare ids. *)
@@ -111,7 +74,7 @@ let metadata_events events =
       ; dur = 0
       ; pid
       ; tid = 0
-      ; args = [ ("name", Str (Printf.sprintf "block %d" pid)) ]
+      ; args = [ ("name", Json.Str (Printf.sprintf "block %d" pid)) ]
       })
     sorted_pids
   @ List.map
@@ -123,18 +86,15 @@ let metadata_events events =
         ; dur = 0
         ; pid
         ; tid
-        ; args = [ ("name", Str (Printf.sprintf "warp %d" tid)) ]
+        ; args = [ ("name", Json.Str (Printf.sprintf "warp %d" tid)) ]
         })
       sorted_lanes
 
 let to_chrome_string t =
   let events = List.rev t.events in
-  let b = Buffer.create (256 * (t.count + 1)) in
-  Buffer.add_string b "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_string b ",\n";
-      emit_event b e)
-    (metadata_events events @ events);
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  Json.to_string
+    (Json.Obj
+       [ ("displayTimeUnit", Json.Str "ns")
+       ; ( "traceEvents"
+         , Json.Arr (List.map event_json (metadata_events events @ events)) )
+       ])

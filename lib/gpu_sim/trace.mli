@@ -11,11 +11,6 @@
 
 type t
 
-(** Argument values attached to an event (shown in the trace UI). *)
-type arg =
-  | Int of int
-  | Str of string
-
 val create : unit -> t
 
 (** Current virtual time, in simulated cycles. *)
@@ -35,7 +30,7 @@ val complete :
   pid:int ->
   tid:int ->
   dur:int ->
-  ?args:(string * arg) list ->
+  ?args:(string * Json.t) list ->
   unit ->
   unit
 
@@ -47,7 +42,7 @@ val instant :
   cat:string ->
   pid:int ->
   tid:int ->
-  ?args:(string * arg) list ->
+  ?args:(string * Json.t) list ->
   unit ->
   unit
 
@@ -60,9 +55,6 @@ val merge_into : t -> t -> unit
 
 (** The full trace as Chrome [trace_events] JSON:
     [{"displayTimeUnit":"ns","traceEvents":[...]}], including process/thread
-    name metadata records. Deterministic: events in emission order. *)
+    name metadata records, written by {!Json.to_string}. Deterministic:
+    events in emission order. *)
 val to_chrome_string : t -> string
-
-(** [json_string s] — [s] as a quoted, escaped JSON string literal
-    (shared with the profiler's report writer). *)
-val json_string : string -> string

@@ -266,25 +266,6 @@ let arena_bytes ~cta_size (bc : P.bytecode) =
   let nwords = (cta_size + 31) / 32 in
   2 * bc.P.bc_max_depth * nwords * 8
 
-(* The dependence-tier histogram of the flattened atomics' views —
-   the same numbers Plan.tier_counts reports for the tree, recomputed
-   from the flat side table so the listing describes the bytecode. *)
-let tier_counts (bc : P.bytecode) =
-  let launch = ref 0 and block = ref 0 and loop = ref 0 and thread = ref 0 in
-  let count (d : Depcheck.dep) =
-    match d.Depcheck.d_tier with
-    | Depcheck.Launch -> incr launch
-    | Depcheck.Block -> incr block
-    | Depcheck.Loop -> incr loop
-    | Depcheck.Thread -> incr thread
-  in
-  Array.iter
-    (fun (a : P.atomic) ->
-      List.iter (fun (v : P.view) -> count v.P.v_dep) a.P.a_ins;
-      List.iter (fun (v : P.view) -> count v.P.v_dep) a.P.a_outs)
-    bc.P.bc_atomics;
-  (!launch, !block, !loop, !thread)
-
 let summary ~cta_size (bc : P.bytecode) =
   let counts = histogram bc in
   let hist =
@@ -295,15 +276,13 @@ let summary ~cta_size (bc : P.bytecode) =
            else Some (Printf.sprintf "%s %d" (opcode_name op) counts.(op)))
          [ 0; 1; 2; 3; 4; 5; 6; 7; 8 ])
   in
-  let l, b, lp, th = tier_counts bc in
   Printf.sprintf
     "bytecode: %d instruction(s) in %d word(s); arena %d B (div depth %d); \
-     %s\n\
-     bytecode tiers: %d launch, %d block, %d loop, %d thread"
+     %s"
     (instruction_count bc)
     (Array.length bc.P.bc_code)
     (arena_bytes ~cta_size bc)
-    bc.P.bc_max_depth hist l b lp th
+    bc.P.bc_max_depth hist
 
 (* The per-pass render for Pipeline.lower's logging: one line per
    instruction, operands decoded. *)

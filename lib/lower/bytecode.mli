@@ -63,12 +63,8 @@ val instruction_count : Plan.bytecode -> int
     bytecode: the divergence mask arena, [2 * max_depth * warps * 8]. *)
 val arena_bytes : cta_size:int -> Plan.bytecode -> int
 
-(** View dependence tiers of the flattened atomics:
-    [(launch, block, loop, thread)]. *)
-val tier_counts : Plan.bytecode -> int * int * int * int
-
-(** One-paragraph summary: instruction count, code words, arena bytes,
-    opcode histogram, tier histogram. *)
+(** One-line summary: instruction count, code words, arena bytes,
+    opcode histogram. *)
 val summary : cta_size:int -> Plan.bytecode -> string
 
 (** Full decoded listing, one line per instruction. *)

@@ -544,11 +544,6 @@ let bytecode_pass =
 
 (* ----- driver ----- *)
 
-(* Widening defaults on; GRAPHENE_NO_VECTORIZE=1 (any value) forces every
-   lowering scalar, and the [?vectorize] parameter overrides both — the
-   bit-identity tests lower the same kernel both ways in one process. *)
-let vectorize_default () = Option.is_none (Sys.getenv_opt "GRAPHENE_NO_VECTORIZE")
-
 (* Software pipelining defaults off (1 stage); GRAPHENE_SWPIPE_STAGES=N
    turns it on process-wide, and the [?stages] parameter overrides —
    the bit-identity tests lower the same kernel at several depths in
@@ -582,10 +577,7 @@ let pipelining_of_verdict (v : Swpipe.verdict) : Plan.pipelining =
     ; pl_refusals = refusals
     }
 
-let lower ?log ?vectorize ?stages arch (k : Spec.kernel) : Plan.t =
-  let vec_enabled =
-    match vectorize with Some b -> b | None -> vectorize_default ()
-  in
+let lower ?log ?(vectorize = true) ?stages arch (k : Spec.kernel) : Plan.t =
   let stages =
     match stages with Some n -> max 1 n | None -> stages_default ()
   in
@@ -602,7 +594,7 @@ let lower ?log ?vectorize ?stages arch (k : Spec.kernel) : Plan.t =
     let resolved = Pass.apply ?log (resolve_pass arch) flat in
     let annotated = Pass.apply ?log depcheck_pass resolved in
     let cta_size = Tt.size k.Spec.cta in
-    Pass.apply ?log (vectorize_pass ~enabled:vec_enabled ~cta_size) annotated
+    Pass.apply ?log (vectorize_pass ~enabled:vectorize ~cta_size) annotated
   in
   let vectorized = front ?log k in
   let swpipe_pass =
@@ -627,7 +619,7 @@ let lower ?log ?vectorize ?stages arch (k : Spec.kernel) : Plan.t =
   in
   let plan =
     Pass.apply ?log
-      (compile_pass ~vec_enabled ~pipelining arch diagnostics)
+      (compile_pass ~vec_enabled:vectorize ~pipelining arch diagnostics)
       (k, vectorized)
   in
   Pass.apply ?log bytecode_pass plan
@@ -671,21 +663,18 @@ let cache_clear () =
   cache_misses := 0;
   Mutex.unlock cache_mutex
 
-let lower_cached ?log ?vectorize ?stages arch (k : Spec.kernel) :
+let lower_cached ?log ?(vectorize = true) ?stages arch (k : Spec.kernel) :
     Plan.t * bool =
   match log with
   | Some _ ->
     (* A logging caller wants the per-pass renders, so the pipeline must
        actually run; don't pollute the cache statistics either way. *)
-    (lower ?log ?vectorize ?stages arch k, false)
+    (lower ?log ~vectorize ?stages arch k, false)
   | None -> (
-    let vec_enabled =
-      match vectorize with Some b -> b | None -> vectorize_default ()
-    in
     let stages =
       match stages with Some n -> max 1 n | None -> stages_default ()
     in
-    let key = (arch, vec_enabled, stages, k) in
+    let key = (arch, vectorize, stages, k) in
     Mutex.lock cache_mutex;
     match Hashtbl.find_opt cache key with
     | Some plan ->
@@ -695,7 +684,7 @@ let lower_cached ?log ?vectorize ?stages arch (k : Spec.kernel) :
     | None ->
       incr cache_misses;
       Mutex.unlock cache_mutex;
-      let plan = lower ~vectorize:vec_enabled ~stages arch k in
+      let plan = lower ~vectorize ~stages arch k in
       Mutex.lock cache_mutex;
       let plan =
         match Hashtbl.find_opt cache key with

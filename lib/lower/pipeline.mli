@@ -19,16 +19,14 @@
 
 (** [lower ?log ?vectorize ?stages arch kernel] runs the full pipeline.
     When [log] is given it receives the rendered IR after every pass
-    (plus the ["input"] kernel listing), in order. [vectorize] controls
-    the widening pass; it defaults to on unless the
-    [GRAPHENE_NO_VECTORIZE] environment variable is set. A disabled
-    lowering still runs the pass for its diagnostics and bank lint, but
-    every atomic stays scalar. [stages] controls the software-pipelining
-    pass (see {!Swpipe}): it defaults to the [GRAPHENE_SWPIPE_STAGES]
-    environment variable, or 1 (off); at [stages >= 2] eligible async
-    staging loops are rewritten to rotating-buffer pipelines, and the
-    swpipe outcome is recorded in the plan's [pipelining] field either
-    way. *)
+    (plus the ["input"] kernel listing), in order. [vectorize] (default
+    [true]) controls the widening pass: a disabled lowering still runs
+    the pass for its diagnostics and bank lint, but every atomic stays
+    scalar. [stages] controls the software-pipelining pass (see
+    {!Swpipe}): it defaults to the [GRAPHENE_SWPIPE_STAGES] environment
+    variable, or 1 (off); at [stages >= 2] eligible async staging loops
+    are rewritten to rotating-buffer pipelines, and the swpipe outcome
+    is recorded in the plan's [pipelining] field either way. *)
 val lower :
   ?log:Pass.log ->
   ?vectorize:bool ->

@@ -95,8 +95,23 @@ let time f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
+(* Out-of-range settings would stall the tick loop (a zero tick or
+   batch cap never drains the queue) or poison the metrics. *)
+let check_config c =
+  let bad field want got =
+    invalid_arg
+      (Printf.sprintf "Serve.Engine.run: %s must be %s (got %s)" field want got)
+  in
+  if not (Float.is_finite c.tick_s && c.tick_s > 0.0) then
+    bad "tick_s" "finite and positive" (Printf.sprintf "%g" c.tick_s);
+  let at_least_1 field v = if v < 1 then bad field ">= 1" (string_of_int v) in
+  at_least_1 "max_tick_cells" c.max_tick_cells;
+  at_least_1 "max_batch_requests" c.max_batch_requests;
+  at_least_1 "shards" c.shards
+
 let run ?config ?seed ?rate_rps requests =
   let cfg = match config with Some c -> c | None -> default_config () in
+  check_config cfg;
   let wall0 = Unix.gettimeofday () in
   let pending =
     ref
@@ -325,8 +340,9 @@ let run ?config ?seed ?rate_rps requests =
     ; cells
     ; makespan_s = makespan
     ; busy_s
-    ; sim_requests_per_sec = float_of_int n /. makespan
-    ; sim_cells_per_sec = float_of_int cells /. makespan
+    (* The clamp makes an empty trace (zero makespan) read 0, not NaN. *)
+    ; sim_requests_per_sec = float_of_int n /. Float.max makespan 1e-12
+    ; sim_cells_per_sec = float_of_int cells /. Float.max makespan 1e-12
     ; latency =
         Metrics.dist_of (per (fun c -> c.finish_s -. c.request.Request.arrival_s))
     ; queue =

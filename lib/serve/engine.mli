@@ -65,8 +65,12 @@ type result =
     completion. [seed]/[rate_rps] are echoed into the summary (pass the
     {!Traffic.params} values when the list came from {!Traffic.generate}).
 
-    Raises whatever the underlying lowering/execution raises on a
-    malformed request (nothing in {!Traffic}'s distributions does). *)
+    Raises [Invalid_argument] naming the field when [config] is out of
+    range: [tick_s] not finite and positive, or [max_tick_cells],
+    [max_batch_requests] or [shards] below 1. Otherwise raises whatever
+    the underlying lowering/execution raises on a malformed request
+    (nothing in {!Traffic}'s distributions does). An empty request list
+    reports zero throughput. *)
 val run :
   ?config:config ->
   ?seed:int ->

@@ -71,69 +71,79 @@ let hit_rate s =
   let total = s.plan_hits + s.plan_lowers in
   if total = 0 then 0.0 else float_of_int s.plan_hits /. float_of_int total
 
-let js = Gpu_sim.Trace.json_string
-let f6 = Printf.sprintf "%.6g"
+module J = Gpu_sim.Json
 
 let dist_json d =
-  Printf.sprintf
-    "{\"p50\":%s,\"p95\":%s,\"p99\":%s,\"mean\":%s,\"max\":%s}"
-    (f6 d.p50) (f6 d.p95) (f6 d.p99) (f6 d.mean) (f6 d.max)
+  J.Obj
+    [ ("p50", J.Float d.p50)
+    ; ("p95", J.Float d.p95)
+    ; ("p99", J.Float d.p99)
+    ; ("mean", J.Float d.mean)
+    ; ("max", J.Float d.max)
+    ]
 
 let bucket_json b =
-  Printf.sprintf
-    "{\"key\":%s,\"requests\":%d,\"cells\":%d,\"batches\":%d,\
-     \"mean_batch_requests\":%s,\"occupancy\":%s,\"plan_lowers\":%d,\
-     \"plan_hits\":%d}"
-    (js b.key) b.requests b.cells b.batches (f6 b.mean_batch_requests)
-    (f6 b.occupancy) b.lowers b.hits
+  J.Obj
+    [ ("key", J.Str b.key)
+    ; ("requests", J.Int b.requests)
+    ; ("cells", J.Int b.cells)
+    ; ("batches", J.Int b.batches)
+    ; ("mean_batch_requests", J.Float b.mean_batch_requests)
+    ; ("occupancy", J.Float b.occupancy)
+    ; ("plan_lowers", J.Int b.lowers)
+    ; ("plan_hits", J.Int b.hits)
+    ]
 
 let to_json ?(wall = true) s =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\"schema\":\"graphene.serve_bench.v2\",\n";
-  (match s.seed with
-  | Some seed -> Buffer.add_string buf (Printf.sprintf "\"seed\":%d,\n" seed)
-  | None -> ());
-  Buffer.add_string buf
-    (Printf.sprintf
-       "\"config\":{\"requests\":%d,%s\"tick_s\":%s,\"max_tick_cells\":%d,\
-        \"max_batch_requests\":%d,\"shards\":%d,\"exec_engine\":%s},\n"
-       s.requests
-       (match s.rate_rps with
-       | Some r -> Printf.sprintf "\"rate_rps\":%s," (f6 r)
-       | None -> "")
-       (f6 s.tick_s) s.max_tick_cells s.max_batch_requests s.shards
-       (js s.exec_engine));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "\"sim\":{\"ticks\":%d,\"batches\":%d,\"cells\":%d,\
-        \"makespan_s\":%s,\"busy_s\":%s,\"requests_per_sec\":%s,\
-        \"cells_per_sec\":%s,\n\
-        \"latency_s\":%s,\n\"queue_s\":%s,\n\"service_s\":%s},\n"
-       s.ticks s.batches s.cells (f6 s.makespan_s) (f6 s.busy_s)
-       (f6 s.sim_requests_per_sec) (f6 s.sim_cells_per_sec)
-       (dist_json s.latency) (dist_json s.queue) (dist_json s.service));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "\"plan_cache\":{\"lowers\":%d,\"hits\":%d,\"hit_rate\":%s},\n"
-       s.plan_lowers s.plan_hits (f6 (hit_rate s)));
-  Buffer.add_string buf "\"buckets\":[\n";
-  List.iteri
-    (fun i b ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf (bucket_json b))
-    s.buckets;
-  Buffer.add_string buf "\n],\n";
-  Buffer.add_string buf
-    (Printf.sprintf "\"output_digest\":%s" (js s.output_digest));
-  if wall then
-    Buffer.add_string buf
-      (Printf.sprintf
-         ",\n\"wall\":{\"wall_s\":%s,\"requests_per_sec\":%s,\
-          \"lower_s\":%s,\"exec_s\":%s,\n\"exec_latency_s\":%s}"
-         (f6 s.wall_s) (f6 s.wall_requests_per_sec) (f6 s.wall_lower_s)
-         (f6 s.wall_exec_s) (dist_json s.wall_exec_latency));
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+  let opt key f = function Some x -> [ (key, f x) ] | None -> [] in
+  J.to_string
+    (J.Obj
+       ([ ("schema", J.Str "graphene.serve_bench.v2") ]
+       @ opt "seed" (fun n -> J.Int n) s.seed
+       @ [ ( "config"
+           , J.Obj
+               ([ ("requests", J.Int s.requests) ]
+               @ opt "rate_rps" (fun r -> J.Float r) s.rate_rps
+               @ [ ("tick_s", J.Float s.tick_s)
+                 ; ("max_tick_cells", J.Int s.max_tick_cells)
+                 ; ("max_batch_requests", J.Int s.max_batch_requests)
+                 ; ("shards", J.Int s.shards)
+                 ; ("exec_engine", J.Str s.exec_engine)
+                 ]) )
+         ; ( "sim"
+           , J.Obj
+               [ ("ticks", J.Int s.ticks)
+               ; ("batches", J.Int s.batches)
+               ; ("cells", J.Int s.cells)
+               ; ("makespan_s", J.Float s.makespan_s)
+               ; ("busy_s", J.Float s.busy_s)
+               ; ("requests_per_sec", J.Float s.sim_requests_per_sec)
+               ; ("cells_per_sec", J.Float s.sim_cells_per_sec)
+               ; ("latency_s", dist_json s.latency)
+               ; ("queue_s", dist_json s.queue)
+               ; ("service_s", dist_json s.service)
+               ] )
+         ; ( "plan_cache"
+           , J.Obj
+               [ ("lowers", J.Int s.plan_lowers)
+               ; ("hits", J.Int s.plan_hits)
+               ; ("hit_rate", J.Float (hit_rate s))
+               ] )
+         ; ("buckets", J.Arr (List.map bucket_json s.buckets))
+         ; ("output_digest", J.Str s.output_digest)
+         ]
+       @
+       if not wall then []
+       else
+         [ ( "wall"
+           , J.Obj
+               [ ("wall_s", J.Float s.wall_s)
+               ; ("requests_per_sec", J.Float s.wall_requests_per_sec)
+               ; ("lower_s", J.Float s.wall_lower_s)
+               ; ("exec_s", J.Float s.wall_exec_s)
+               ; ("exec_latency_s", dist_json s.wall_exec_latency)
+               ] )
+         ]))
 
 let pp_dist fmt d =
   Format.fprintf fmt "p50 %.1fus  p95 %.1fus  p99 %.1fus  max %.1fus"

@@ -72,9 +72,10 @@ type summary =
     no batch ran). *)
 val hit_rate : summary -> float
 
-(** [to_json ?wall summary] — the `graphene.serve_bench.v2` document.
-    [wall] (default [true]) controls whether the wall-clock field group
-    is included; [~wall:false] output is deterministic per seed. *)
+(** [to_json ?wall summary] — the `graphene.serve_bench.v2` document,
+    written by {!Gpu_sim.Json.to_string}. [wall] (default [true])
+    controls whether the wall-clock field group is included;
+    [~wall:false] output is deterministic per seed. *)
 val to_json : ?wall:bool -> summary -> string
 
 val pp_summary : Format.formatter -> summary -> unit

@@ -65,6 +65,14 @@ let ffn_proxy (c : T.config) ~m =
   Request.Ffn { m; n = c.ffn / 64; k = c.hidden / 32 }
 
 let generate p =
+  let bad field want got =
+    invalid_arg
+      (Printf.sprintf "Serve.Traffic.generate: %s must be %s (got %s)" field
+         want got)
+  in
+  if p.requests < 0 then bad "requests" ">= 0" (string_of_int p.requests);
+  if not (Float.is_finite p.rate_rps && p.rate_rps > 0.0) then
+    bad "rate_rps" "finite and positive" (Printf.sprintf "%g" p.rate_rps);
   let rng = rng_of_seed p.seed in
   let model_arr = Array.of_list models in
   let t = ref 0.0 in

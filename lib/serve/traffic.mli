@@ -43,5 +43,7 @@ val attention_proxy :
     size in [1, 32]. *)
 val ffn_proxy : Workloads.Transformer.config -> m:int -> Request.kind
 
-(** [generate params] — the request list, in arrival order, ids [0..n-1]. *)
+(** [generate params] — the request list, in arrival order, ids [0..n-1].
+    Raises [Invalid_argument] naming the field when [requests < 0] or
+    [rate_rps] is not finite and positive. *)
 val generate : params -> Request.t list

@@ -54,7 +54,8 @@ type candidate =
         (** the decomposition's knob settings, for display/telemetry *)
   ; stages : int  (** requested software-pipeline depth *)
   ; vectorize : bool option
-        (** [Some b] pins the vectorize pass; [None] = process default *)
+        (** [Some b] pins the vectorize pass; [None] = the pipeline
+            default (on) *)
   ; legacy : bool
         (** member of the old fixed sweep ({!gemm_configs} with
             library-default swizzle and vectorize) — the baseline the
@@ -734,92 +735,82 @@ let fmha_space ?(batch = 1) ?(heads = 1) arch ~seq ~dh () =
 
 (* ----- deterministic JSON + pretty-printing ----- *)
 
-let jstr = Gpu_sim.Trace.json_string
-let jf v = Printf.sprintf "%.6g" v
+module J = Gpu_sim.Json
 
-let jhist alist =
-  "{"
-  ^ String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "%s:%d" (jstr k) v) alist)
-  ^ "}"
-
-let jknobs knobs =
-  "{"
-  ^ String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "%s:%s" (jstr k) (jstr v)) knobs)
-  ^ "}"
+let hist_json alist = J.Obj (List.map (fun (k, v) -> (k, J.Int v)) alist)
+let knobs_json knobs = J.Obj (List.map (fun (k, v) -> (k, J.Str v)) knobs)
+let time_us_json (e : PM.estimate) = J.Float (e.PM.time_s *. 1e6)
 
 let scored_json (s : scored) =
-  Printf.sprintf
-    "{\"id\":%d,\"knobs\":%s,\"stages\":%d,\"time_us\":%s,\"vec_width\":%s,\
-     \"legacy\":%b}"
-    s.cand.id (jknobs s.cand.knobs) s.eff_stages
-    (jf (s.estimate.PM.time_s *. 1e6))
-    (jf s.vec_width) s.cand.legacy
+  J.Obj
+    [ ("id", J.Int s.cand.id)
+    ; ("knobs", knobs_json s.cand.knobs)
+    ; ("stages", J.Int s.eff_stages)
+    ; ("time_us", time_us_json s.estimate)
+    ; ("vec_width", J.Float s.vec_width)
+    ; ("legacy", J.Bool s.cand.legacy)
+    ]
 
 let simulated_json (s : simulated) =
-  Printf.sprintf
-    "{\"id\":%d,\"knobs\":%s,\"stages\":%d,\"model_us\":%s,\"refined_us\":%s,\
-     \"occupancy\":%s,\"measured_vec_width\":%s,\"proxy_stages\":%d,\
-     \"legacy\":%b}"
-    s.sc.cand.id (jknobs s.sc.cand.knobs) s.sc.eff_stages
-    (jf (s.sc.estimate.PM.time_s *. 1e6))
-    (jf (s.refined.PM.time_s *. 1e6))
-    (jf s.occupancy) (jf s.measured_vec) s.proxy_stages s.sc.cand.legacy
+  J.Obj
+    [ ("id", J.Int s.sc.cand.id)
+    ; ("knobs", knobs_json s.sc.cand.knobs)
+    ; ("stages", J.Int s.sc.eff_stages)
+    ; ("model_us", time_us_json s.sc.estimate)
+    ; ("refined_us", time_us_json s.refined)
+    ; ("occupancy", J.Float s.occupancy)
+    ; ("measured_vec_width", J.Float s.measured_vec)
+    ; ("proxy_stages", J.Int s.proxy_stages)
+    ; ("legacy", J.Bool s.sc.cand.legacy)
+    ]
 
 (* The search trajectory as JSON. Everything outside the ["wall"] group
    is deterministic per (space, seed, budget, proxy_top): the smoke
    aliases diff two same-seed runs with [~wall:false]. The tier-1
    ranking head is capped so the document stays readable; the counts
    above it describe the full frontier. *)
-let to_json ?(wall = true) (o : outcome) =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"space\":%s,\"arch\":%s,\"problem\":%s,\"exec_engine\":%s,\n\
-        \"seed\":%d,\"budget\":%d,\"proxy_top\":%d,\n\
-        \"enumerated\":%d,\"in_budget\":%d,\"scored\":%d,\"deduped\":%d,\
-        \"dominated\":%d,\n"
-       (jstr o.o_space)
-       (jstr (Arch.name o.o_arch))
-       (jstr o.o_problem) (jstr o.o_engine) o.o_seed o.o_budget o.o_proxy_top
-       o.o_enumerated o.o_in_budget o.o_scored o.o_deduped o.o_dominated);
-  Buffer.add_string b
-    (Printf.sprintf
-       "\"pruned\":%s,\n\"refusals\":{\"vectorize\":%s,\"swpipe\":%s},\n"
-       (jhist o.o_pruned) (jhist o.o_vec_refusals) (jhist o.o_swpipe_refusals));
-  Buffer.add_string b "\"tier1_top\":[";
-  Buffer.add_string b
-    (String.concat "," (List.map scored_json (take 16 o.o_ranking)));
-  Buffer.add_string b "],\n\"proxy_simulated\":[";
-  Buffer.add_string b
-    (String.concat "," (List.map simulated_json o.o_simulated));
-  Buffer.add_string b "],\n";
-  (match o.o_baseline with
-  | Some bl ->
-    Buffer.add_string b
-      (Printf.sprintf "\"fixed_sweep_baseline\":%s,\n" (simulated_json bl))
-  | None -> Buffer.add_string b "\"fixed_sweep_baseline\":null,\n");
-  (match o.o_winner with
-  | Some w ->
-    Buffer.add_string b
-      (Printf.sprintf "\"winner\":%s,\n\"winner_beats_fixed_sweep\":%b,\n"
-         (simulated_json w) (winner_beats_baseline o))
-  | None ->
-    Buffer.add_string b "\"winner\":null,\"winner_beats_fixed_sweep\":false,\n");
-  Buffer.add_string b
-    (Printf.sprintf "\"verify_rejected\":%d,\"verified\":%b" o.o_verify_rejected
-       o.o_verified);
-  if wall then
-    Buffer.add_string b
-      (Printf.sprintf
-         ",\n\
-          \"wall\":{\"tier1_s\":%s,\"tier2_s\":%s,\"tier3_s\":%s,\
-          \"total_s\":%s}"
-         (jf o.o_tier1_s) (jf o.o_tier2_s) (jf o.o_tier3_s)
-         (jf (o.o_tier1_s +. o.o_tier2_s +. o.o_tier3_s)));
-  Buffer.add_string b "}\n";
-  Buffer.contents b
+let json ?(wall = true) (o : outcome) =
+  let opt f = function Some x -> f x | None -> J.Null in
+  J.Obj
+    ([ ("space", J.Str o.o_space)
+     ; ("arch", J.Str (Arch.name o.o_arch))
+     ; ("problem", J.Str o.o_problem)
+     ; ("exec_engine", J.Str o.o_engine)
+     ; ("seed", J.Int o.o_seed)
+     ; ("budget", J.Int o.o_budget)
+     ; ("proxy_top", J.Int o.o_proxy_top)
+     ; ("enumerated", J.Int o.o_enumerated)
+     ; ("in_budget", J.Int o.o_in_budget)
+     ; ("scored", J.Int o.o_scored)
+     ; ("deduped", J.Int o.o_deduped)
+     ; ("dominated", J.Int o.o_dominated)
+     ; ("pruned", hist_json o.o_pruned)
+     ; ( "refusals"
+       , J.Obj
+           [ ("vectorize", hist_json o.o_vec_refusals)
+           ; ("swpipe", hist_json o.o_swpipe_refusals)
+           ] )
+     ; ("tier1_top", J.Arr (List.map scored_json (take 16 o.o_ranking)))
+     ; ("proxy_simulated", J.Arr (List.map simulated_json o.o_simulated))
+     ; ("fixed_sweep_baseline", opt simulated_json o.o_baseline)
+     ; ("winner", opt simulated_json o.o_winner)
+     ; ("winner_beats_fixed_sweep", J.Bool (winner_beats_baseline o))
+     ; ("verify_rejected", J.Int o.o_verify_rejected)
+     ; ("verified", J.Bool o.o_verified)
+     ]
+    @
+    if not wall then []
+    else
+      [ ( "wall"
+        , J.Obj
+            [ ("tier1_s", J.Float o.o_tier1_s)
+            ; ("tier2_s", J.Float o.o_tier2_s)
+            ; ("tier3_s", J.Float o.o_tier3_s)
+            ; ("total_s", J.Float (o.o_tier1_s +. o.o_tier2_s +. o.o_tier3_s))
+            ] )
+      ])
+
+let to_json ?wall o = J.to_string (json ?wall o)
 
 let pp_knobs fmt knobs =
   Format.pp_print_string fmt

@@ -1,6 +1,7 @@
 (* Tests for the kernel profiler: golden JSON report (deterministic field
-   ordering), Chrome-trace schema validity, attribution coverage, and
-   run-to-run determinism. *)
+   ordering), Chrome-trace schema validity, attribution coverage,
+   run-to-run determinism, and the JSON writer every report goes
+   through. *)
 
 module Arch = Graphene.Arch
 module Profiler = Gpu_sim.Profiler
@@ -10,121 +11,7 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
 
-(* ----- a minimal JSON parser (the repo has no JSON dependency) ----- *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Bad_json of string
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then s.[!pos] else '\000' in
-  let fail msg = raise (Bad_json (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let rec skip_ws () =
-    match peek () with
-    | ' ' | '\t' | '\n' | '\r' -> incr pos; skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    skip_ws ();
-    if peek () <> c then fail (Printf.sprintf "expected '%c'" c);
-    incr pos
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' -> incr pos
-      | '\\' ->
-        incr pos;
-        (match peek () with
-        | '"' -> Buffer.add_char buf '"'; incr pos
-        | '\\' -> Buffer.add_char buf '\\'; incr pos
-        | '/' -> Buffer.add_char buf '/'; incr pos
-        | 'n' -> Buffer.add_char buf '\n'; incr pos
-        | 't' -> Buffer.add_char buf '\t'; incr pos
-        | 'r' -> Buffer.add_char buf '\r'; incr pos
-        | 'b' -> Buffer.add_char buf '\b'; incr pos
-        | 'f' -> Buffer.add_char buf '\012'; incr pos
-        | 'u' ->
-          let code = int_of_string ("0x" ^ String.sub s (!pos + 1) 4) in
-          Buffer.add_char buf (Char.chr (code land 0xff));
-          pos := !pos + 5
-        | c -> fail (Printf.sprintf "bad escape '\\%c'" c));
-        go ()
-      | c -> Buffer.add_char buf c; incr pos; go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | '{' ->
-      incr pos;
-      skip_ws ();
-      if peek () = '}' then (incr pos; Obj [])
-      else
-        let rec members acc =
-          skip_ws ();
-          let key = parse_string () in
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          if peek () = ',' then (incr pos; members ((key, v) :: acc))
-          else (expect '}'; List.rev ((key, v) :: acc))
-        in
-        Obj (members [])
-    | '[' ->
-      incr pos;
-      skip_ws ();
-      if peek () = ']' then (incr pos; Arr [])
-      else
-        let rec elems acc =
-          let v = parse_value () in
-          skip_ws ();
-          if peek () = ',' then (incr pos; elems (v :: acc))
-          else (expect ']'; List.rev (v :: acc))
-        in
-        Arr (elems [])
-    | '"' -> Str (parse_string ())
-    | 't' -> pos := !pos + 4; Bool true
-    | 'f' -> pos := !pos + 5; Bool false
-    | 'n' -> pos := !pos + 4; Null
-    | '-' | '0' .. '9' ->
-      let start = !pos in
-      let num_char = function
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      in
-      while !pos < n && num_char s.[!pos] do incr pos done;
-      Num (float_of_string (String.sub s start (!pos - start)))
-    | _ -> fail "unexpected character"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing content";
-  v
-
-let member key = function
-  | Obj kvs -> (
-    match List.assoc_opt key kvs with
-    | Some v -> v
-    | None -> raise (Bad_json ("missing key " ^ key)))
-  | _ -> raise (Bad_json ("not an object looking up " ^ key))
-
-let str_of = function Str s -> s | _ -> raise (Bad_json "expected string")
-let num_of = function Num f -> f | _ -> raise (Bad_json "expected number")
-let arr_of = function Arr l -> l | _ -> raise (Bad_json "expected array")
+open Json_parse
 
 (* ----- the profiled kernel under test (must match bin/gen_golden.ml) ----- *)
 
@@ -170,7 +57,7 @@ let test_golden_report () =
 
 let test_report_schema () =
   let report, _ = profile_gemm () in
-  let j = parse_json (Profiler.report_to_json report) in
+  let j = parse (Profiler.report_to_json report) in
   check_str "schema" "graphene.profile.v1" (str_of (member "schema" j));
   check_str "arch" "sm86" (str_of (member "arch" j));
   let specs = arr_of (member "specs" j) in
@@ -210,7 +97,7 @@ let test_attribution_coverage () =
 let test_chrome_trace_schema () =
   let _, trace = profile_gemm () in
   check_bool "trace non-empty" true (Trace.num_events trace > 0);
-  let j = parse_json (Trace.to_chrome_string trace) in
+  let j = parse (Trace.to_chrome_string trace) in
   let events = arr_of (member "traceEvents" j) in
   check_bool "events serialized" true
     (List.length events >= Trace.num_events trace);
@@ -233,6 +120,37 @@ let test_deterministic () =
   check_str "same trace JSON" (Trace.to_chrome_string t1)
     (Trace.to_chrome_string t2)
 
+(* The one JSON writer: escaping, non-finite floats and the layout rule
+   (top-level members and elements of arrays of objects start a line). *)
+let test_json_writer () =
+  let raw = "q\" b\\ n\n t\t r\r u\001" in
+  check_str "escaping" "\"q\\\" b\\\\ n\\n t\\t r\\r u\\u0001\"\n"
+    (J.to_string (J.Str raw));
+  check_bool "escaped string reads back" true
+    (parse (J.to_string (J.Str raw)) = J.Str raw);
+  check_str "non-finite floats print as null" "[null,null,null,0.1,1e+06]\n"
+    (J.to_string
+       (J.Arr
+          [ J.Float nan; J.Float infinity; J.Float neg_infinity; J.Float 0.1
+          ; J.Float 1e6 ]));
+  check_str "layout"
+    "{\"a\":1,\n\"b\":[\n{\"c\":[1,2],\"d\":{\"e\":null,\"f\":true}},\n{}],\n\
+     \"g\":[1,{}],\n\"h\":[]}\n"
+    (J.to_string
+       (J.Obj
+          [ ("a", J.Int 1)
+          ; ( "b"
+            , J.Arr
+                [ J.Obj
+                    [ ("c", J.Arr [ J.Int 1; J.Int 2 ])
+                    ; ("d", J.Obj [ ("e", J.Null); ("f", J.Bool true) ])
+                    ]
+                ; J.Obj []
+                ] )
+          ; ("g", J.Arr [ J.Int 1; J.Obj [] ])
+          ; ("h", J.Arr [])
+          ]))
+
 let () =
   Alcotest.run "profiler"
     [ ( "report"
@@ -246,4 +164,5 @@ let () =
       , [ Alcotest.test_case "trace_events schema" `Quick
             test_chrome_trace_schema
         ] )
+    ; ("json", [ Alcotest.test_case "writer" `Quick test_json_writer ])
     ]

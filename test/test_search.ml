@@ -57,6 +57,30 @@ let test_deterministic_across_runs () =
     (S.to_json ~wall:false (Lazy.force default_outcome))
     (S.to_json ~wall:false (run (gemm_space ())))
 
+(* The trajectory document parses, mirrors the outcome, and leaves the
+   wall-clock group out of its deterministic form. *)
+let test_json () =
+  let open Json_parse in
+  let o = Lazy.force default_outcome in
+  let j = parse (S.to_json o) in
+  let int_at key v = int_of_float (num_of (member key v)) in
+  check_string "space" o.S.o_space (str_of (member "space" j));
+  check_int "scored" o.S.o_scored (int_at "scored" j);
+  check_int "ranking head capped at 16"
+    (min 16 (List.length o.S.o_ranking))
+    (List.length (arr_of (member "tier1_top" j)));
+  check_int "every proxy run listed" (List.length o.S.o_simulated)
+    (List.length (arr_of (member "proxy_simulated" j)));
+  (match o.S.o_winner with
+  | Some w ->
+    check_int "winner id" w.S.sc.S.cand.S.id (int_at "id" (member "winner" j))
+  | None -> Alcotest.fail "the default search has a winner");
+  check_bool "verified" true
+    (member "verified" j = Gpu_sim.Json.Bool o.S.o_verified);
+  check_bool "wall group by default" true (has_member "wall" j);
+  check_bool "no wall group in the deterministic form" false
+    (has_member "wall" (parse (S.to_json ~wall:false o)))
+
 (* ----- the ranking ----- *)
 
 (* Tier 1's ranking is sorted by estimate, ties broken by id. *)
@@ -278,6 +302,7 @@ let () =
             test_deterministic_across_domains
         ; Alcotest.test_case "across runs" `Quick
             test_deterministic_across_runs
+        ; Alcotest.test_case "trajectory JSON" `Quick test_json
         ] )
     ; ( "ranking"
       , [ Alcotest.test_case "ranking sorted" `Quick test_ranking_sorted

@@ -31,6 +31,11 @@ let attention ?(seq = 32) ?(dh = 16) () =
 let small_traffic ?(requests = 16) () =
   { Traffic.default with Traffic.requests; rate_rps = 50_000.0 }
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 (* ----- traffic generator ----- *)
 
 let test_traffic_determinism () =
@@ -302,17 +307,58 @@ let test_bench_determinism () =
     b.Engine.summary.Metrics.output_digest;
   (* The full document carries the wall group; the deterministic form
      must not. *)
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
-  check_bool "wall fields present by default" true
-    (contains (Metrics.to_json a.Engine.summary) "\"wall\"");
+  let open Json_parse in
+  let full = parse (Metrics.to_json a.Engine.summary) in
+  check_bool "wall fields present by default" true (has_member "wall" full);
   check_bool "wall fields omitted in deterministic form" false
-    (contains (Metrics.to_json ~wall:false a.Engine.summary) "\"wall\"");
-  check_bool "schema tag" true
-    (contains (Metrics.to_json a.Engine.summary) "graphene.serve_bench.v2")
+    (has_member "wall" (parse (Metrics.to_json ~wall:false a.Engine.summary)));
+  check_string "schema tag" "graphene.serve_bench.v2"
+    (str_of (member "schema" full));
+  check_int "one bucket entry per bucket"
+    (List.length a.Engine.summary.Metrics.buckets)
+    (List.length (arr_of (member "buckets" full)))
+
+(* An empty trace has no makespan: zero throughput, and a document that
+   still parses (NaN is not JSON). *)
+let test_empty_trace () =
+  let s =
+    (Engine.run ~config:(engine_config ~keep_buffers:false ()) [])
+      .Engine.summary
+  in
+  check_bool "zero req/s" true (s.Metrics.sim_requests_per_sec = 0.0);
+  check_bool "zero cells/s" true (s.Metrics.sim_cells_per_sec = 0.0);
+  let sim = Json_parse.(member "sim" (parse (Metrics.to_json s))) in
+  check_bool "requests_per_sec reads 0" true
+    (Json_parse.(num_of (member "requests_per_sec" sim)) = 0.0)
+
+(* Out-of-range settings are rejected up front, naming the field — a
+   zero tick or batch cap would otherwise never drain the queue. *)
+let test_rejects_bad_config () =
+  let rejects field f =
+    match f () with
+    | () -> Alcotest.failf "%s: out-of-range value accepted" field
+    | exception Invalid_argument msg ->
+      check_bool (Printf.sprintf "%S names %s" msg field) true
+        (contains msg field)
+  in
+  let p = small_traffic ~requests:4 () in
+  let traffic p () = ignore (Traffic.generate p) in
+  rejects "requests" (traffic { p with Traffic.requests = -1 });
+  List.iter
+    (fun r -> rejects "rate_rps" (traffic { p with Traffic.rate_rps = r }))
+    [ 0.0; -5.0; nan; infinity ];
+  let cfg = engine_config ~keep_buffers:false () in
+  let serve c () = ignore (Engine.run ~config:c (Traffic.generate p)) in
+  List.iter
+    (fun t -> rejects "tick_s" (serve { cfg with Engine.tick_s = t }))
+    [ 0.0; -0.001; nan; infinity ];
+  rejects "max_tick_cells" (serve { cfg with Engine.max_tick_cells = 0 });
+  List.iter
+    (fun b ->
+      rejects "max_batch_requests"
+        (serve { cfg with Engine.max_batch_requests = b }))
+    [ 0; -1 ];
+  rejects "shards" (serve { cfg with Engine.shards = 0 })
 
 let () =
   Alcotest.run "serve"
@@ -337,10 +383,13 @@ let () =
             test_engine_fifo_within_bucket
         ; Alcotest.test_case "plan-cache hit accounting" `Quick
             test_plan_cache_accounting
+        ; Alcotest.test_case "rejects out-of-range settings" `Quick
+            test_rejects_bad_config
         ] )
     ; ( "metrics"
       , [ Alcotest.test_case "percentiles" `Quick test_percentiles
         ; Alcotest.test_case "benchmark determinism" `Quick
             test_bench_determinism
+        ; Alcotest.test_case "empty trace" `Quick test_empty_trace
         ] )
     ]

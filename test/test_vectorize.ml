@@ -4,7 +4,7 @@
      symbolic and too-small views widen (or refuse) for the stated reason;
    - pass-level verdicts on lowered kernels: per-thread moves widen,
      collectives/non-moves/divergent leaves refuse, [?vectorize:false]
-     and GRAPHENE_NO_VECTORIZE force every atomic scalar;
+     forces every atomic scalar;
    - bit-identity: for every kernel family, the widened plan produces
      bit-identical outputs, byte/sector/conflict counters, instruction
      mix and profiler JSON to a scalar-forced plan (at 1 and 4 domains),
@@ -515,20 +515,6 @@ let test_static_shared_conflicts () =
        (view ~mem:Ms.Shared ~offset:(E.var "kk") "s" [ (8, 1) ])
     = None)
 
-(* ----- the environment gate (last: putenv cannot be undone) ----- *)
-
-let test_env_gate () =
-  Unix.putenv "GRAPHENE_NO_VECTORIZE" "1";
-  let plan = Pipeline.lower Arch.SM86 (gemm_tc Arch.SM86) in
-  check_bool "env var disables widening" false plan.Plan.vec_enabled;
-  let widened, _ = Plan.vec_counts plan.Plan.body in
-  check_int "env var: nothing widened" 0 widened;
-  (* The explicit parameter overrides the environment. *)
-  let plan = Pipeline.lower ~vectorize:true Arch.SM86 (gemm_tc Arch.SM86) in
-  check_bool "param overrides env" true plan.Plan.vec_enabled;
-  let widened, moves = Plan.vec_counts plan.Plan.body in
-  check_int "param overrides env: widened" moves widened
-
 let () =
   Alcotest.run "vectorize"
     [ ( "legality"
@@ -557,6 +543,4 @@ let () =
         ; Alcotest.test_case "static shared conflicts" `Quick
             test_static_shared_conflicts
         ] )
-    ; ( "env_gate"
-      , [ Alcotest.test_case "GRAPHENE_NO_VECTORIZE" `Quick test_env_gate ] )
     ]

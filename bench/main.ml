@@ -242,8 +242,7 @@ let sim_bench_row case =
       c_ok && o_ok
     in
     let run_bytecode ?(domains = 1) plan a =
-      Gpu_sim.Interp.run_plan ~domains ~engine:Gpu_sim.Interp.Bytecode plan
-        ~args:a ()
+      Gpu_sim.Interp.run_plan ~domains plan ~args:a ()
     in
     match
       (* Minor-heap allocation of each path, from the caller domain's
@@ -445,10 +444,7 @@ let emit_sim_bench ?(quick = false) () =
          (J.Obj
             [ ("schema", J.Str "graphene.sim_bench.v7")
             ; ("default_domains", J.Int (Gpu_sim.Domain_pool.default_domains ()))
-            ; ( "exec_engine"
-              , J.Str
-                  (Gpu_sim.Interp.engine_name
-                     (Gpu_sim.Interp.default_plan_engine ())) )
+            ; ("exec_engine", J.Str "bytecode")
             ; ("rows", J.Arr rows)
             ; ( "plan_cache"
               , J.Obj
@@ -572,26 +568,6 @@ let emit_tune_bench ?(quick = false) () =
   end
 
 let () =
-  (* `--engine tree|bytecode` sets the default executor for every run
-     that does not pin one (the serve engine's shards, the profile
-     reports). The sim rows pin their engines explicitly, so their
-     tree-vs-bytecode comparison is unaffected. *)
-  (match
-     Array.to_list Sys.argv
-     |> List.fold_left
-          (fun (prev_was_flag, found) a ->
-            if prev_was_flag then (false, Some a)
-            else (String.equal a "--engine", found))
-          (false, None)
-   with
-  | _, Some e ->
-    (match Gpu_sim.Interp.engine_of_string e with
-    | Some _ -> Unix.putenv "GRAPHENE_SIM_ENGINE" e
-    | None ->
-      Format.eprintf
-        "unknown --engine %S (expected tree or bytecode)@." e;
-      exit 2)
-  | _, None -> ());
   if Array.mem "--serve-only" Sys.argv then
     emit_serve_bench ~quick:(Array.mem "--quick" Sys.argv) ()
   else if Array.mem "--tune-only" Sys.argv then

@@ -216,6 +216,15 @@ let codegen_cmd =
   Cmd.v (Cmd.info "codegen" ~doc:"Print the generated CUDA C++ of a kernel.")
     Term.(const run $ arch_arg $ kernel_arg)
 
+let stages_arg =
+  Arg.(
+    value & opt int 1
+    & info [ "stages" ] ~docv:"N"
+        ~doc:
+          "Software-pipelining depth for the swpipe pass: at $(docv) >= 2, \
+           eligible async staging loops are rewritten to $(docv)-stage \
+           rotating-buffer pipelines. Default 1 (off).")
+
 let lower_cmd =
   let plan_only =
     Arg.(
@@ -231,16 +240,6 @@ let lower_cmd =
             "Disable the vectorize pass's widening (every atomic stays \
              scalar); the legality verdicts and bank-conflict lint are \
              still computed and printed.")
-  in
-  let stages =
-    Arg.(
-      value & opt int 1
-      & info [ "stages" ] ~docv:"N"
-          ~doc:
-            "Software-pipelining depth for the swpipe pass: at \
-             $(docv) >= 2, eligible async staging loops are rewritten \
-             to $(docv)-stage rotating-buffer pipelines. Equivalent to \
-             setting \\$GRAPHENE_SWPIPE_STAGES.")
   in
   let run arch name plan_only no_vectorize stages =
     let kernel, _, _ = build arch name in
@@ -310,7 +309,7 @@ let lower_cmd =
           the flattened bytecode (instruction histogram, scratch-arena \
           size). See docs/LOWERING.md.")
     Term.(
-      const run $ arch_arg $ kernel_arg $ plan_only $ no_vectorize $ stages)
+      const run $ arch_arg $ kernel_arg $ plan_only $ no_vectorize $ stages_arg)
 
 let domains_arg =
   Arg.(
@@ -319,29 +318,8 @@ let domains_arg =
     & info [ "domains" ] ~docv:"N"
         ~doc:
           "Execute the simulated grid on $(docv) OCaml domains in parallel \
-           (default: \\$GRAPHENE_SIM_DOMAINS, else the machine's recommended \
-           domain count). Results are bit-identical at every domain count; \
-           see docs/PARALLELISM.md.")
-
-let engine_conv =
-  Arg.conv
-    ( (fun s ->
-        match Gpu_sim.Interp.engine_of_string s with
-        | Some e -> Ok e
-        | None -> Error (`Msg "expected tree|bytecode")),
-      fun fmt e -> Format.pp_print_string fmt (Gpu_sim.Interp.engine_name e) )
-
-let engine_arg =
-  Arg.(
-    value
-    & opt (some engine_conv) None
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Plan execution engine: $(b,bytecode) (the flattened \
-           instruction-array executor) or $(b,tree) (symbolic \
-           re-interpretation of the kernel, the reference semantics). \
-           Default: \\$GRAPHENE_SIM_ENGINE, else bytecode. Both produce \
-           bit-identical results; see docs/LOWERING.md.")
+           (default: the machine's recommended domain count). Results are \
+           bit-identical at every domain count; see docs/PARALLELISM.md.")
 
 let simulate_cmd =
   let check_domains =
@@ -360,20 +338,24 @@ let simulate_cmd =
       value & flag
       & info [ "check-engines" ]
           ~doc:
-            "Cross-engine determinism check: run the kernel with the tree \
-             engine (1 domain) as baseline, then with the bytecode engine \
+            "Oracle check: run the plan's kernel through the tree \
+             interpreter (1 domain) as baseline, then the bytecode plan \
              on 1 and 2 domains, and require bit-identical profiler \
              report, Chrome trace and output buffers. Exits non-zero on \
              any difference.")
   in
-  let run arch name domains engine check check_eng =
+  let run arch name domains stages check check_eng =
     let kernel, args, verify = build arch name in
+    let plan, _ = Lower.Pipeline.lower_cached ~stages arch kernel in
     let copy l = List.map (fun (n, a) -> (n, Array.copy a)) l in
-    let one_run ?engine ~domains args =
+    let one_run ?(tree = false) ~domains args =
       let trace = Gpu_sim.Trace.create () in
       let profiler = Gpu_sim.Profiler.create ~trace () in
       let counters =
-        Gpu_sim.Interp.run ~arch ~profiler ~domains ?engine kernel ~args ()
+        if tree then
+          Gpu_sim.Interp.run_tree ~arch:plan.Lower.Plan.arch ~profiler ~domains
+            plan.Lower.Plan.kernel ~args ()
+        else Gpu_sim.Interp.run_plan ~profiler ~domains plan ~args ()
       in
       let report =
         Gpu_sim.Profiler.report profiler ~kernel ~arch ~counters ()
@@ -385,8 +367,8 @@ let simulate_cmd =
     | None -> ()
     | Some nd ->
       let args1 = copy args and argsn = copy args in
-      let report1, trace1 = one_run ?engine ~domains:1 args1 in
-      let reportn, tracen = one_run ?engine ~domains:nd argsn in
+      let report1, trace1 = one_run ~domains:1 args1 in
+      let reportn, tracen = one_run ~domains:nd argsn in
       let check_one what ok =
         Format.printf "  %-16s %s@." what
           (if ok then "bit-identical" else "MISMATCH");
@@ -400,32 +382,23 @@ let simulate_cmd =
       if not (ok_report && ok_trace && ok_bufs) then exit 1);
     if check_eng then begin
       let base_args = copy args in
-      let rbase, tbase =
-        one_run ~engine:Gpu_sim.Interp.Tree ~domains:1 base_args
-      in
+      let rbase, tbase = one_run ~tree:true ~domains:1 base_args in
       Format.printf "engines: tree (1 domain) baseline@.";
-      let run_one (eng, nd) =
+      let run_one nd =
         let a = copy args in
-        let r, t = one_run ~engine:eng ~domains:nd a in
+        let r, t = one_run ~domains:nd a in
         let ok =
           String.equal rbase r && String.equal tbase t && base_args = a
         in
-        Format.printf "  %-8s %d domain(s)  %s@."
-          (Gpu_sim.Interp.engine_name eng)
-          nd
+        Format.printf "  bytecode %d domain(s)  %s@." nd
           (if ok then "bit-identical" else "MISMATCH");
         ok
       in
       (* no for_all: every run should print, even after a mismatch *)
-      let oks =
-        List.map run_one
-          [ (Gpu_sim.Interp.Bytecode, 1); (Gpu_sim.Interp.Bytecode, 2) ]
-      in
+      let oks = List.map run_one [ 1; 2 ] in
       if List.mem false oks then exit 1
     end;
-    let counters =
-      Gpu_sim.Interp.run ~arch ?domains ?engine kernel ~args ()
-    in
+    let counters = Gpu_sim.Interp.run_plan ?domains plan ~args () in
     Format.printf "%a@." Gpu_sim.Counters.pp counters;
     if verify () then Format.printf "result: matches CPU reference@."
     else begin
@@ -437,7 +410,7 @@ let simulate_cmd =
     (Cmd.info "simulate"
        ~doc:"Execute a kernel on the simulated GPU and verify the result.")
     Term.(
-      const run $ arch_arg $ kernel_arg $ domains_arg $ engine_arg
+      const run $ arch_arg $ kernel_arg $ domains_arg $ stages_arg
       $ check_domains $ check_engines)
 
 let write_file path contents =
@@ -464,12 +437,13 @@ let profile_cmd =
             "Also record one trace event per executed instruction instance \
              (larger trace files).")
   in
-  let run arch name out_dir detail domains engine =
+  let run arch name out_dir detail domains stages =
     let kernel, args, verify = build arch name in
+    let plan, _ = Lower.Pipeline.lower_cached ~stages arch kernel in
     let trace = Gpu_sim.Trace.create () in
     let profiler = Gpu_sim.Profiler.create ~trace ~detail () in
     let counters =
-      Gpu_sim.Interp.run ~arch ~profiler ?domains ?engine kernel ~args ()
+      Gpu_sim.Interp.run_plan ~profiler ?domains plan ~args ()
     in
     let machine = Gpu_sim.Machine.of_arch arch in
     let report =
@@ -503,7 +477,7 @@ let profile_cmd =
           a Chrome-trace timeline. See docs/PROFILING.md.")
     Term.(
       const run $ arch_arg $ kernel_arg $ out_dir $ detail $ domains_arg
-      $ engine_arg)
+      $ stages_arg)
 
 let tune_cmd =
   let mnk =
@@ -672,14 +646,7 @@ let serve_cmd =
       & info [ "o"; "output" ] ~docv:"FILE"
           ~doc:"Where to write the graphene.serve_bench.v2 JSON report.")
   in
-  let run seed requests rate tick cell_cap batch_cap quick out domains engine =
-    (* Serve.Engine executes through [Interp.default_plan_engine]; route
-       the flag through the environment variable it reads so the whole
-       run — and the recorded [config.exec_engine] — agree. *)
-    Option.iter
-      (fun e ->
-        Unix.putenv "GRAPHENE_SIM_ENGINE" (Gpu_sim.Interp.engine_name e))
-      engine;
+  let run seed requests rate tick cell_cap batch_cap quick out domains =
     let params =
       { Serve.Traffic.default with
         Serve.Traffic.seed
@@ -723,7 +690,7 @@ let serve_cmd =
           out-of-range setting exits 2. See docs/SERVING.md.")
     Term.(
       const run $ seed $ requests $ rate $ tick $ cell_cap $ batch_cap
-      $ quick $ out $ domains_arg $ engine_arg)
+      $ quick $ out $ domains_arg)
 
 let layout_cmd =
   (* A self-checking walkthrough of the CuTe layout algebra

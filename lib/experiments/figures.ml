@@ -479,8 +479,6 @@ let ablations () =
       , { cfg with Kernels.Gemm.swizzle_a = false; swizzle_b = false } )
     ; ("staging", "cp.async", cfg)
     ; ("staging", "through registers", { cfg with Kernels.Gemm.use_cp_async = false })
-    ; ("pipelining", "single buffer", cfg)
-    ; ("pipelining", "double buffer", { cfg with Kernels.Gemm.double_buffer = true })
     ]
   in
   List.map

@@ -21,15 +21,7 @@ type t =
    execute (queued), just not all at once. *)
 let max_workers = 31
 
-let parse_domains s =
-  match int_of_string_opt (String.trim s) with
-  | Some n when n >= 1 -> Some n
-  | Some _ | None -> None
-
-let default_domains () =
-  match Option.bind (Sys.getenv_opt "GRAPHENE_SIM_DOMAINS") parse_domains with
-  | Some n -> n
-  | None -> Domain.recommended_domain_count ()
+let default_domains () = Domain.recommended_domain_count ()
 
 let create () =
   { mutex = Mutex.create ()
@@ -38,8 +30,6 @@ let create () =
   ; workers = []
   ; nworkers = 0
   }
-
-let size t = t.nworkers + 1
 
 let worker_loop t =
   let rec loop () =

@@ -9,8 +9,8 @@
 type t
 
 (** The parallelism the simulator uses when the caller does not pass
-    [?domains]: the [GRAPHENE_SIM_DOMAINS] environment variable when set
-    to a positive integer, otherwise [Domain.recommended_domain_count ()]. *)
+    [?domains]: [Domain.recommended_domain_count ()]. The pool reads no
+    environment variables. *)
 val default_domains : unit -> int
 
 (** A fresh pool with no workers; workers are spawned on demand by
@@ -21,9 +21,6 @@ val create : unit -> t
     simulator entry points share it so the total number of spawned
     domains stays bounded. *)
 val global : unit -> t
-
-(** Current capacity: workers + the submitting domain. *)
-val size : t -> int
 
 (** A task raised: carries the task's index in the submitted list, the
     exception, and its backtrace. *)
@@ -53,5 +50,6 @@ val cost_chunk_size : total:int -> domains:int -> block_ns:int -> int
 
 (** The ascending contiguous chunk list {!cost_chunk_size} induces:
     [(0,c); (c,2c); ...], last chunk partial, covering [0, total)
-    exactly (empty for [total <= 0]). Every chunk is nonempty. *)
+    exactly (empty for [total <= 0]). Every chunk is nonempty. The
+    parallel grid executor runs exactly these chunks. *)
 val cost_chunks : total:int -> domains:int -> block_ns:int -> (int * int) list

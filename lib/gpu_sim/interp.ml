@@ -350,14 +350,13 @@ let shared_alloc_size (t : Ts.t) =
    1-domain run regardless of which domain ran which chunk or when.
    See docs/PARALLELISM.md for the full argument. *)
 
-(* [auto] distinguishes defaulted parallelism (neither [?domains] nor
-   GRAPHENE_SIM_DOMAINS given) from requested parallelism: only a
-   defaulted run may fall back to sequential execution when the probe
-   says the grid is too cheap to parallelize. An explicit domain count
-   always takes the parallel path — the bit-identity suites rely on
-   actually exercising it. *)
+(* [auto] distinguishes defaulted parallelism (no [?domains]) from
+   requested parallelism: only a defaulted run may fall back to
+   sequential execution when the probe says the grid is too cheap to
+   parallelize. An explicit domain count always takes the parallel
+   path — the bit-identity suites rely on actually exercising it. *)
 let resolve_domains ?domains ~grid_size () =
-  let auto = domains = None && Sys.getenv_opt "GRAPHENE_SIM_DOMAINS" = None in
+  let auto = domains = None in
   let d =
     match domains with Some d -> d | None -> Domain_pool.default_domains ()
   in
@@ -374,12 +373,13 @@ let merge_chunk ~counters ~profiler (c, p) =
   | Some dst, Some src -> Profiler.merge_into dst src
   | _ -> ()
 
-(* The engine-agnostic parallel driver. ['st] is one domain's executor
-   state (memory + contexts), built once per domain by [make_state] and
-   re-targeted at per-chunk sinks by [set_sinks]; [exec_block st bid]
-   executes one thread block into the state's current sinks, touching no
-   other shared state. Block 0 runs first on the submitting domain,
-   timed, to learn the per-block cost that sizes the chunks. *)
+(* The parallel driver shared by [run_tree] and [run_plan]. ['st] is one
+   domain's executor state (memory + contexts), built once per domain by
+   [make_state] and re-targeted at per-chunk sinks by [set_sinks];
+   [exec_block st bid] executes one thread block into the state's current
+   sinks, touching no other shared state. Block 0 runs first on the
+   submitting domain, timed, to learn the per-block cost that sizes the
+   chunks. *)
 let run_grid (type st) ~domains ~auto ~grid_size ~counters ~profiler
     ~(make_state : unit -> st) ~(set_sinks : st -> Counters.t -> Profiler.t option -> unit)
     ~(exec_block : st -> int -> unit) () =
@@ -412,8 +412,11 @@ let run_grid (type st) ~domains ~auto ~grid_size ~counters ~profiler
       done
     end
     else begin
-      let chunk = Domain_pool.cost_chunk_size ~total:rest ~domains ~block_ns in
-      let nchunks = (rest + chunk - 1) / chunk in
+      (* Chunks cover blocks [1, grid_size): offsets into the rest. *)
+      let chunks =
+        Array.of_list (Domain_pool.cost_chunks ~total:rest ~domains ~block_ns)
+      in
+      let nchunks = Array.length chunks in
       let next = Stdlib.Atomic.make 0 in
       let abort = Stdlib.Atomic.make false in
       let results :
@@ -467,11 +470,10 @@ let run_grid (type st) ~domains ~auto ~grid_size ~counters ~profiler
               let c = Counters.create () in
               let p = Option.map Profiler.fork profiler in
               set_sinks st c p;
-              let lo = 1 + (i * chunk) in
-              let hi = min grid_size (lo + chunk) in
+              let lo, hi = chunks.(i) in
               let r =
                 match
-                  for bid = lo to hi - 1 do
+                  for bid = 1 + lo to hi do
                     exec_block st bid
                   done
                 with
@@ -1174,96 +1176,75 @@ let rec bc_exec bx (mask : WM.t) pc endpc =
     | op -> error "corrupt bytecode: opcode %d at pc %d" op pc
   end
 
-(* ===== engine selection ===== *)
+(* ===== the plan executor ===== *)
 
-type engine =
-  | Tree
-  | Bytecode
+(* Compatibility shim: the executor has one engine. The type, its name
+   and [run_plan]'s [?engine] remain only because the benchmark harness
+   (perfbench/) still names them; they go when it stops doing so. *)
+type engine = Bytecode
 
-let engine_name = function Tree -> "tree" | Bytecode -> "bytecode"
+let engine_name Bytecode = "bytecode"
+let default_plan_engine () = Bytecode
 
-let engine_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "tree" -> Some Tree
-  | "bytecode" -> Some Bytecode
-  | _ -> None
-
-let default_plan_engine () =
-  match Sys.getenv_opt "GRAPHENE_SIM_ENGINE" with
-  | None -> Bytecode
-  | Some s -> (
-    match engine_of_string s with
-    | Some e -> e
-    | None ->
-      error "invalid GRAPHENE_SIM_ENGINE %S (expected tree or bytecode)" s)
-
-let run_plan ?profiler ?domains ?engine (plan : P.t) ~args ?(scalars = []) () =
-  let engine =
-    match engine with Some e -> e | None -> default_plan_engine ()
-  in
-  match engine with
-  | Tree ->
-    (* The oracle: re-interpret the plan's source kernel symbolically. *)
-    run_tree ~arch:plan.P.arch ?profiler ?domains plan.P.kernel ~args ~scalars
-      ()
-  | Bytecode ->
-    let arena = Memory.create_global () in
-    List.iter (fun (name, data) -> Memory.bind_arena arena name data) args;
-    let declare mem =
-      List.iter
-        (fun (al : P.alloc) ->
-          match al.P.al_mem with
-          | Ms.Shared -> Memory.declare_shared mem al.P.al_buffer al.P.al_size
-          | Ms.Register -> Memory.declare_regs mem al.P.al_buffer al.P.al_size
-          | Ms.Global -> error "Alloc of a global tensor %s" al.P.al_buffer)
-        plan.P.allocs
-    in
-    let base_env = Array.make plan.P.nslots Slots.unbound in
+let run_plan ?profiler ?domains ?engine:(_ : engine option) (plan : P.t) ~args
+    ?(scalars = []) () =
+  let arena = Memory.create_global () in
+  List.iter (fun (name, data) -> Memory.bind_arena arena name data) args;
+  let declare mem =
     List.iter
-      (fun (name, v) ->
-        match List.assoc_opt name plan.P.scalar_slots with
-        | Some slot -> base_env.(slot) <- v
-        | None -> () (* extra scalar args are ignored, as in run_tree *))
-      scalars;
-    let grid_size = plan.P.grid_size in
-    let counters = Counters.create () in
-    let domains, auto = resolve_domains ?domains ~grid_size () in
-    (* Each domain state gets its own block-local memory, its own copy of
-       the scalar bindings (the slot env is mutated during execution) and
-       its own hoisting caches and scratch buffers, shared by nothing. *)
-    run_grid ~domains ~auto ~grid_size ~counters ~profiler
-      ~make_state:(fun () ->
-        let mem = Memory.of_global arena in
-        declare mem;
-        make_bctx
-          { arch = plan.P.arch
-          ; mem
-          ; counters
-          ; cta_size = plan.P.cta_size
-          ; prof = None
-          ; block = 0
-          }
-          plan (Array.copy base_env))
-      ~set_sinks:(fun bx c p ->
-        bx.c.counters <- c;
-        bx.c.prof <- p)
-      ~exec_block:(fun bx bid ->
-        let ctx = bx.c in
-        Memory.new_block ctx.mem;
-        ctx.block <- bid;
-        (match ctx.prof with
-        | Some p -> Profiler.begin_block p
-        | None -> ());
-        bx.env.(Slots.bid_slot) <- bid;
-        try bc_exec bx bx.full 0 (Array.length bx.bc_code)
-        with Slots.Unbound_var v ->
-          error "unbound variable %s (missing scalar argument?)" v)
-      ();
-    counters
+      (fun (al : P.alloc) ->
+        match al.P.al_mem with
+        | Ms.Shared -> Memory.declare_shared mem al.P.al_buffer al.P.al_size
+        | Ms.Register -> Memory.declare_regs mem al.P.al_buffer al.P.al_size
+        | Ms.Global -> error "Alloc of a global tensor %s" al.P.al_buffer)
+      plan.P.allocs
+  in
+  let base_env = Array.make plan.P.nslots Slots.unbound in
+  List.iter
+    (fun (name, v) ->
+      match List.assoc_opt name plan.P.scalar_slots with
+      | Some slot -> base_env.(slot) <- v
+      | None -> () (* extra scalar args are ignored, as in run_tree *))
+    scalars;
+  let grid_size = plan.P.grid_size in
+  let counters = Counters.create () in
+  let domains, auto = resolve_domains ?domains ~grid_size () in
+  (* Each domain state gets its own block-local memory, its own copy of
+     the scalar bindings (the slot env is mutated during execution) and
+     its own hoisting caches and scratch buffers, shared by nothing. *)
+  run_grid ~domains ~auto ~grid_size ~counters ~profiler
+    ~make_state:(fun () ->
+      let mem = Memory.of_global arena in
+      declare mem;
+      make_bctx
+        { arch = plan.P.arch
+        ; mem
+        ; counters
+        ; cta_size = plan.P.cta_size
+        ; prof = None
+        ; block = 0
+        }
+        plan (Array.copy base_env))
+    ~set_sinks:(fun bx c p ->
+      bx.c.counters <- c;
+      bx.c.prof <- p)
+    ~exec_block:(fun bx bid ->
+      let ctx = bx.c in
+      Memory.new_block ctx.mem;
+      ctx.block <- bid;
+      (match ctx.prof with
+      | Some p -> Profiler.begin_block p
+      | None -> ());
+      bx.env.(Slots.bid_slot) <- bid;
+      try bc_exec bx bx.full 0 (Array.length bx.bc_code)
+      with Slots.Unbound_var v ->
+        error "unbound variable %s (missing scalar argument?)" v)
+    ();
+  counters
 
 (* Lower once (through the plan cache), execute. Callers running the same
    kernel repeatedly with different scalar arguments hit the cache; see
    Lower.Pipeline.lower_cached. *)
-let run ~arch ?profiler ?domains ?engine (k : Spec.kernel) ~args ?scalars () =
+let run ~arch ?profiler ?domains (k : Spec.kernel) ~args ?scalars () =
   let plan, _cache_hit = Lower.Pipeline.lower_cached arch k in
-  run_plan ?profiler ?domains ?engine plan ~args ?scalars ()
+  run_plan ?profiler ?domains plan ~args ?scalars ()

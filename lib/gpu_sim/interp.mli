@@ -1,24 +1,26 @@
 (** SIMT interpreter: executes Graphene IR kernels on the simulated GPU.
 
-    Two execution engines produce bit-identical event counters (bar the
-    request counters a vector-widened plan changes; see
+    One executor plus one oracle, producing bit-identical event counters
+    (bar the request counters a vector-widened plan changes; see
     {!Counters.fields}), profiler reports and output buffers:
 
-    - {!run_tree} walks the kernel's decomposition directly, re-resolving
+    - {!run_plan} executes a compiled {!Lower.Plan.t} in its flattened
+      form ({!Lower.Bytecode}): atomic resolution, cost lookup and index
+      arithmetic all happened once, at lowering, and a dense int-tagged
+      instruction array is run by a tight dispatch loop with
+      preallocated scratch — no per-op allocation, which is also what
+      makes multi-domain execution profitable (OCaml 5 minor
+      collections stop every domain).
+    - {!run_tree} walks a kernel's decomposition directly, re-resolving
       atomic specs and re-evaluating symbolic index arithmetic at every
       step. It is the executable reference semantics — the one oracle
-      every compiled plan is checked against.
-    - The [Bytecode] engine (the default) executes a compiled
-      {!Lower.Plan.t} in its flattened form ({!Lower.Bytecode}): atomic
-      resolution, cost lookup and index arithmetic all happened once, at
-      lowering, and a dense int-tagged instruction array is run by a
-      tight dispatch loop with preallocated scratch — no per-op
-      allocation, which is also what makes multi-domain execution
-      profitable (OCaml 5 minor collections stop every domain).
+      every compiled plan is checked against. To check a plan, run it
+      on the plan's own kernel ([run_tree ~arch:plan.arch plan.kernel]):
+      that is the kernel after the software-pipelining rewrite.
 
-    {!run_plan} selects between the two ([?engine], falling back to
-    [GRAPHENE_SIM_ENGINE], then [Bytecode]); {!run} is the
-    lower-then-execute convenience wrapper.
+    {!run} is the lower-then-execute convenience wrapper. Results depend
+    only on the arguments: the interpreter reads no environment
+    variables.
 
     All threads of a block advance in lock step; thread-dependent [If]
     conditions split the active mask (divergence); undecomposed specs
@@ -28,18 +30,17 @@
 
     {2 Parallel grids}
 
-    Both engines accept [?domains]: the grid's thread blocks split into
+    Both paths accept [?domains]: the grid's thread blocks split into
     work chunks sized from the measured per-block cost
-    ({!Domain_pool.cost_chunk_size}); up to [domains] OCaml domains
-    (default {!Domain_pool.default_domains}, i.e. the
-    [GRAPHENE_SIM_DOMAINS] environment variable or the machine's
-    recommended domain count) claim chunks in ascending block order.
-    Per-chunk counters and profiler state merge back eagerly in that
-    same ascending order, so counters, profiler reports, traces and
-    output buffers are bit-identical at every domain count — see
-    docs/PARALLELISM.md. When neither [?domains] nor the environment
-    variable is given, grids the probe block measures as very cheap
-    finish sequentially (same observables, by the merge contract). *)
+    ({!Domain_pool.cost_chunks}); up to [domains] OCaml domains
+    (default {!Domain_pool.default_domains}, the machine's recommended
+    domain count) claim chunks in ascending block order. Per-chunk
+    counters and profiler state merge back eagerly in that same
+    ascending order, so counters, profiler reports, traces and output
+    buffers are bit-identical at every domain count — see
+    docs/PARALLELISM.md. When [?domains] is not given, grids the probe
+    block measures as very cheap finish sequentially (same observables,
+    by the merge contract). *)
 
 exception Exec_error of string
 
@@ -67,22 +68,16 @@ val run_tree :
   unit ->
   Counters.t
 
-(** How {!run_plan} executes a compiled plan. [Tree] re-interprets the
-    plan's source kernel through {!run_tree} (the reference semantics);
-    [Bytecode] runs the plan's flattened instruction array. The two are
-    observably identical. *)
-type engine =
-  | Tree
-  | Bytecode
+(** Compatibility shim: {!run_plan} has one engine. [engine],
+    {!engine_name}, {!default_plan_engine} and [run_plan]'s [?engine]
+    remain only because the benchmark harness (perfbench/) still names
+    them; they go when it stops doing so. *)
+type engine = Bytecode
 
+(** Always ["bytecode"]. *)
 val engine_name : engine -> string
 
-(** Case-insensitive parse of ["tree" | "bytecode"]. *)
-val engine_of_string : string -> engine option
-
-(** The engine used when [?engine] is not given: [GRAPHENE_SIM_ENGINE]
-    when set (raising {!Exec_error} on an unrecognized value), otherwise
-    [Bytecode]. *)
+(** Always [Bytecode]. *)
 val default_plan_engine : unit -> engine
 
 (** [run_plan plan ~args ~scalars] executes a compiled plan (see
@@ -90,7 +85,7 @@ val default_plan_engine : unit -> engine
     {!run_tree}; lowering-time diagnoses ([Lower.Plan.Fail] ops) raise
     {!Exec_error} only if control flow reaches them. Lower once, then
     call this for every execution (autotuning, repeated benchmark
-    runs). [engine] defaults to {!default_plan_engine}. *)
+    runs). [engine] is ignored; see {!engine}. *)
 val run_plan :
   ?profiler:Profiler.t ->
   ?domains:int ->
@@ -109,7 +104,6 @@ val run :
   arch:Graphene.Arch.t ->
   ?profiler:Profiler.t ->
   ?domains:int ->
-  ?engine:engine ->
   Graphene.Spec.kernel ->
   args:(string * float array) list ->
   ?scalars:(string * int) list ->

@@ -22,7 +22,6 @@ type config =
   ; use_ldmatrix : bool
   ; use_cp_async : bool
   ; vector_width : int
-  ; double_buffer : bool
   }
 
 let default_config = function
@@ -37,7 +36,6 @@ let default_config = function
     ; use_ldmatrix = true
     ; use_cp_async = true
     ; vector_width = 8
-    ; double_buffer = false
     }
   | Arch.SM70 ->
     { bm = 128
@@ -50,7 +48,6 @@ let default_config = function
     ; use_ldmatrix = false
     ; use_cp_async = false
     ; vector_width = 8
-    ; double_buffer = false
     }
 
 let test_config = function
@@ -65,7 +62,6 @@ let test_config = function
     ; use_ldmatrix = true
     ; use_cp_async = true
     ; vector_width = 8
-    ; double_buffer = false
     }
   | Arch.SM70 ->
     { bm = 32
@@ -78,7 +74,6 @@ let test_config = function
     ; use_ldmatrix = false
     ; use_cp_async = false
     ; vector_width = 8
-    ; double_buffer = false
     }
 
 let flop_count ~epilogue ~m ~n ~k =
@@ -224,13 +219,12 @@ let tensor_core ?name ?(batch = 1) ?(dtype = Dt.FP16) arch cfg ~epilogue ~m ~n ~
       Sw.make ~bits:(min 3 (log2i bn - 3)) ~base:3 ~shift:(log2i bn - 3)
     else Sw.none
   in
-  let mk_stage suffix =
-    ( B.alloc_shared ~swizzle:sw_a ("As" ^ suffix) (L.row_major [ bm; bk ])
-        dtype
-    , B.alloc_shared ~swizzle:sw_b ("Bs" ^ suffix) (L.row_major [ bk; bn ])
-        dtype )
+  let as_, alloc_as =
+    B.alloc_shared ~swizzle:sw_a "As" (L.row_major [ bm; bk ]) dtype
   in
-  let (as0, alloc_as0), (bs0, alloc_bs0) = mk_stage "" in
+  let bs, alloc_bs =
+    B.alloc_shared ~swizzle:sw_b "Bs" (L.row_major [ bk; bn ]) dtype
+  in
   let pipe =
     Tc_pipeline.create ~dtype arch ~cta ~bm ~bn ~wm ~wn
       ~use_ldmatrix:cfg.use_ldmatrix
@@ -242,63 +236,26 @@ let tensor_core ?name ?(batch = 1) ?(dtype = Dt.FP16) arch cfg ~epilogue ~m ~n ~
     Staging.create ~dtype ~thr ~nthreads ~vw:cfg.vector_width
       ~use_cp_async:cfg.use_cp_async ~prefix:"b_" ()
   in
-  let stage_tile kk ~into:(as_, bs) =
-    [ Staging.copy stg_a ~src:a
-        ~src_row0:(E.add (E.mul bid_z (E.const m)) (E.mul bid_m (E.const bm)))
-        ~src_col0:(E.mul kk (E.const bk)) ~dst:as_
-    ; Staging.copy stg_b ~src:b
-        ~src_row0:(E.add (E.mul bid_z (E.const k)) (E.mul kk (E.const bk)))
-        ~src_col0:(E.mul bid_n (E.const bn)) ~dst:bs
-    ]
-  in
-  let compute_from (as_, bs) =
-    Tc_pipeline.accumulate pipe ~a:as_ ~a_row0:E.zero ~a_col0:E.zero
-      ~b:(Tc_pipeline.B_k_major
-            { t = bs; row0 = E.zero; col0 = E.zero; ld = bn })
-      ~kc:bk
-  in
-  let ntiles = k / bk in
-  let staging_allocs, main_loop =
-    if not cfg.double_buffer then
-      ( [ alloc_as0; alloc_bs0 ]
-      , [ B.for_ "kk" (E.const ntiles) (fun kk ->
-              stage_tile kk ~into:(as0, bs0)
-              @ Staging.fence [ stg_a; stg_b ]
-              @ [ B.sync ]
-              @ compute_from (as0, bs0)
-              @ [ B.sync ])
-        ] )
-    else begin
-      (* Software pipelining: stage tile i+1 into the other buffer while
-         computing tile i; two tiles per loop iteration. *)
-      let (as1, alloc_as1), (bs1, alloc_bs1) = mk_stage "1" in
-      let body kk2 =
-        let even = E.mul kk2 (E.const 2) in
-        let odd = E.add even E.one in
-        let next_even = E.add even (E.const 2) in
-        (* The fences sit just before each consumer barrier, so the odd
-           tile's copies overlap the even tile's compute (and vice
-           versa) until the wait forces them to land. *)
-        [ B.if_ B.(odd <. E.const ntiles) (stage_tile odd ~into:(as1, bs1)) ]
-        @ compute_from (as0, bs0)
-        @ Staging.fence [ stg_a; stg_b ]
-        @ [ B.sync
-          ; B.if_
-              B.(next_even <. E.const ntiles)
-              (stage_tile next_even ~into:(as0, bs0))
-          ]
-        @ [ B.if_
-              B.(odd <. E.const ntiles)
-              (compute_from (as1, bs1))
-          ]
+  (* Single-buffered main loop: stage a k-tile, wait, compute, repeat.
+     Software pipelining is the swpipe lowering pass's decision
+     ([Lower.Pipeline.lower ~stages]), not the kernel's. *)
+  let main_loop =
+    B.for_ "kk" (E.const (k / bk)) (fun kk ->
+        [ Staging.copy stg_a ~src:a
+            ~src_row0:
+              (E.add (E.mul bid_z (E.const m)) (E.mul bid_m (E.const bm)))
+            ~src_col0:(E.mul kk (E.const bk)) ~dst:as_
+        ; Staging.copy stg_b ~src:b
+            ~src_row0:(E.add (E.mul bid_z (E.const k)) (E.mul kk (E.const bk)))
+            ~src_col0:(E.mul bid_n (E.const bn)) ~dst:bs
+        ]
         @ Staging.fence [ stg_a; stg_b ]
         @ [ B.sync ]
-      in
-      ( [ alloc_as0; alloc_bs0; alloc_as1; alloc_bs1 ]
-      , stage_tile E.zero ~into:(as0, bs0)
-        @ Staging.fence [ stg_a; stg_b ]
-        @ [ B.sync; B.for_ "kk2" (E.const ((ntiles + 1) / 2)) body ] )
-    end
+        @ Tc_pipeline.accumulate pipe ~a:as_ ~a_row0:E.zero ~a_col0:E.zero
+            ~b:(Tc_pipeline.B_k_major
+                  { t = bs; row0 = E.zero; col0 = E.zero; ld = bn })
+            ~kc:bk
+        @ [ B.sync ])
   in
   (* Epilogue: convert each accumulator group, optionally bias+activate,
      and store to C (paper Figure 10). *)
@@ -309,10 +266,10 @@ let tensor_core ?name ?(batch = 1) ?(dtype = Dt.FP16) arch cfg ~epilogue ~m ~n ~
       ~gcol:(fun col -> E.add (E.mul bid_n (E.const bn)) col)
   in
   let body =
-    staging_allocs @ epi_allocs
+    [ alloc_as; alloc_bs ] @ epi_allocs
     @ Tc_pipeline.allocs pipe @ Staging.allocs stg_a @ Staging.allocs stg_b
     @ Tc_pipeline.init_acc pipe
-    @ main_loop
+    @ [ main_loop ]
     @ store
   in
   let params = [ a; b; c ] @ if epilogue.Epilogue.bias then [ bias ] else [] in

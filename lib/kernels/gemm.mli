@@ -25,11 +25,6 @@ type config =
   ; use_ldmatrix : bool  (** ablation: false = per-lane shared loads *)
   ; use_cp_async : bool  (** SM86 only; false = stage through registers *)
   ; vector_width : int  (** global-load vector width in elements *)
-  ; double_buffer : bool
-        (** software pipelining: two shared-memory staging buffers,
-            staging tile [i+1] while computing tile [i] (doubles the
-            shared-memory footprint; the optimized library kernels the
-            paper matches are double-buffered) *)
   }
 
 (** Defaults per architecture (cuBLAS-style 128x128x32 CTA tile). *)

@@ -544,18 +544,6 @@ let bytecode_pass =
 
 (* ----- driver ----- *)
 
-(* Software pipelining defaults off (1 stage); GRAPHENE_SWPIPE_STAGES=N
-   turns it on process-wide, and the [?stages] parameter overrides —
-   the bit-identity tests lower the same kernel at several depths in
-   one process. *)
-let stages_default () =
-  match Sys.getenv_opt "GRAPHENE_SWPIPE_STAGES" with
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> n
-    | _ -> 1)
-  | None -> 1
-
 let pipelining_of_verdict (v : Swpipe.verdict) : Plan.pipelining =
   let note = Swpipe.verdict_to_string v in
   let refusals =
@@ -577,10 +565,9 @@ let pipelining_of_verdict (v : Swpipe.verdict) : Plan.pipelining =
     ; pl_refusals = refusals
     }
 
-let lower ?log ?(vectorize = true) ?stages arch (k : Spec.kernel) : Plan.t =
-  let stages =
-    match stages with Some n -> max 1 n | None -> stages_default ()
-  in
+let lower ?log ?(vectorize = true) ?(stages = 1) arch (k : Spec.kernel) :
+    Plan.t =
+  let stages = max 1 stages in
   (match log with
   | Some f ->
     f ~pass:"input" ~doc:"source kernel" (Spec.kernel_to_string k)
@@ -609,9 +596,9 @@ let lower ?log ?(vectorize = true) ?stages arch (k : Spec.kernel) : Plan.t =
         | _ ->
           (* Re-run the front half on the rewritten kernel (without
              re-logging it); the compile pass must receive the
-             rewritten kernel so the tree engine re-interprets the
-             pipelined form — the three-engine consistency is
-             structural, not re-proved per engine. *)
+             rewritten kernel so the plan's [kernel] is the pipelined
+             form and [run_tree] on it checks the same schedule the
+             bytecode runs. *)
           (k', front k', pl))
   in
   let k, vectorized, pipelining =
@@ -663,17 +650,15 @@ let cache_clear () =
   cache_misses := 0;
   Mutex.unlock cache_mutex
 
-let lower_cached ?log ?(vectorize = true) ?stages arch (k : Spec.kernel) :
-    Plan.t * bool =
+let lower_cached ?log ?(vectorize = true) ?(stages = 1) arch
+    (k : Spec.kernel) : Plan.t * bool =
   match log with
   | Some _ ->
     (* A logging caller wants the per-pass renders, so the pipeline must
        actually run; don't pollute the cache statistics either way. *)
-    (lower ?log ~vectorize ?stages arch k, false)
+    (lower ?log ~vectorize ~stages arch k, false)
   | None -> (
-    let stages =
-      match stages with Some n -> max 1 n | None -> stages_default ()
-    in
+    let stages = max 1 stages in
     let key = (arch, vectorize, stages, k) in
     Mutex.lock cache_mutex;
     match Hashtbl.find_opt cache key with

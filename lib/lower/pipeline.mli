@@ -23,10 +23,11 @@
     [true]) controls the widening pass: a disabled lowering still runs
     the pass for its diagnostics and bank lint, but every atomic stays
     scalar. [stages] controls the software-pipelining pass (see
-    {!Swpipe}): it defaults to the [GRAPHENE_SWPIPE_STAGES] environment
-    variable, or 1 (off); at [stages >= 2] eligible async staging loops
-    are rewritten to rotating-buffer pipelines, and the swpipe outcome
-    is recorded in the plan's [pipelining] field either way. *)
+    {!Swpipe}): it defaults to 1 (off); at [stages >= 2] eligible async
+    staging loops are rewritten to rotating-buffer pipelines, and the
+    swpipe outcome is recorded in the plan's [pipelining] field either
+    way. The plan depends only on the arguments: lowering reads no
+    environment variables. *)
 val lower :
   ?log:Pass.log ->
   ?vectorize:bool ->

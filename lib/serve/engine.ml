@@ -333,8 +333,7 @@ let run ?config ?seed ?rate_rps requests =
     ; max_tick_cells = cfg.max_tick_cells
     ; max_batch_requests = cfg.max_batch_requests
     ; shards = cfg.shards
-    ; exec_engine =
-        Gpu_sim.Interp.engine_name (Gpu_sim.Interp.default_plan_engine ())
+    ; exec_engine = "bytecode"
     ; ticks = !ticks
     ; batches = !batch_id
     ; cells

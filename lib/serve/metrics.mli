@@ -43,8 +43,8 @@ type summary =
   ; max_batch_requests : int
   ; shards : int
   ; exec_engine : string
-        (** which {!Gpu_sim.Interp.engine} the engine's shards executed
-            plans with *)
+        (** always ["bytecode"]: shards execute plans with
+            {!Gpu_sim.Interp.run_plan} *)
   ; ticks : int
   ; batches : int
   ; cells : int

@@ -353,7 +353,8 @@ type outcome =
   { o_space : string
   ; o_arch : Arch.t
   ; o_problem : string
-  ; o_engine : string  (** executor engine behind tiers 2/3 *)
+  ; o_engine : string
+        (** always ["bytecode"]: tiers 2/3 execute with [run_plan] *)
   ; o_seed : int
   ; o_budget : int
   ; o_proxy_top : int
@@ -465,14 +466,11 @@ let search ?(seed = 0) ?(max_candidates = 4096) ?(proxy_top = 8) ?domains
         | c -> c)
       scored
   in
-  let engine =
-    Gpu_sim.Interp.engine_name (Gpu_sim.Interp.default_plan_engine ())
-  in
   let base =
     { o_space = space.space_name
     ; o_arch = space.arch
     ; o_problem = space.problem
-    ; o_engine = engine
+    ; o_engine = "bytecode"
     ; o_seed = seed
     ; o_budget = max_candidates
     ; o_proxy_top = proxy_top

@@ -2,15 +2,17 @@
    plus [Interp.run_plan]'s dispatch loop):
 
    - cross-engine determinism: for every kernel family, both
-     [Interp.engine]s ([Tree], [Bytecode]) at domains ∈ {1, 4, 7} must
-     produce counters, profiler report JSON, Chrome traces, and output
-     buffers bit-identical to the tree reference;
+     [Interp.run_tree] on the plan's kernel and [Interp.run_plan] at
+     domains ∈ {1, 4, 7} must produce counters, profiler report JSON,
+     Chrome traces, and output buffers bit-identical to the 1-domain
+     tree reference;
    - the fixed-seed divergence corpus of test_divergence.ml, driven
      through the bytecode engine's preallocated mask arena;
    - the bytecode encoding itself: pinned opcode numbers (the executor
      dispatches on integer literals), instruction counts vs the op
      tree, histogram consistency, memoized install;
-   - engine selection: [engine_of_string] / [engine_name] round-trip;
+   - settings are arguments: the environment variables that once
+     steered lowering, the executor and the domain pool change nothing;
    - cost-based chunking: [Domain_pool.cost_chunk_size] bounds and
      monotonicity, [cost_chunks] covering [0, total) ascending. *)
 
@@ -43,13 +45,13 @@ let check_counters fields name a b =
 
 (* ----- cross-engine determinism ----- *)
 
-let engines = [ Interp.Tree; Interp.Bytecode ]
 let domain_counts = [ 1; 4; 7 ]
 
-(* Run the kernel through every engine at every domain count; demand
-   bit-identical counters, profiler report JSON, Chrome traces, and
-   output buffers against the 1-domain tree reference. The plan may be
-   vector-widened, so bytecode runs skip only the request counters. *)
+(* Run the plan through [run_tree] (on [plan.kernel]) and [run_plan] at
+   every domain count; demand bit-identical counters, profiler report
+   JSON, Chrome traces, and output buffers against the 1-domain tree
+   reference. The plan may be vector-widened, so bytecode runs skip only
+   the request counters. *)
 let check_engines ?(scalars = []) ?args name arch kernel =
   let base_args =
     match args with
@@ -62,30 +64,29 @@ let check_engines ?(scalars = []) ?args name arch kernel =
   in
   let machine = Gpu_sim.Machine.of_arch arch in
   let plan = Pipeline.lower arch kernel in
-  let run_one ~engine ~domains =
+  let tree ~profiler ~domains ~args =
+    Interp.run_tree ~arch:plan.Plan.arch ~profiler ~domains plan.Plan.kernel
+      ~args ~scalars ()
+  in
+  let bytecode ~profiler ~domains ~args =
+    Interp.run_plan ~profiler ~domains plan ~args ~scalars ()
+  in
+  let run_one runner ~domains =
     let args = List.map (fun (n, a) -> (n, Array.copy a)) base_args in
     let trace = Trace.create () in
     let profiler = Profiler.create ~trace () in
-    let counters =
-      Interp.run_plan ~profiler ~domains ~engine plan ~args ~scalars ()
-    in
+    let counters = runner ~profiler ~domains ~args in
     let report = Profiler.report profiler ~kernel ~arch ~counters ~machine () in
     (args, counters, Profiler.report_to_json report, Trace.to_chrome_string trace)
   in
-  let args1, c1, r1, t1 = run_one ~engine:Interp.Tree ~domains:1 in
+  let args1, c1, r1, t1 = run_one tree ~domains:1 in
   List.iter
-    (fun engine ->
+    (fun (ename, runner, fields) ->
       List.iter
         (fun domains ->
-          let tag =
-            Printf.sprintf "%s: %s @ %d domains" name
-              (Interp.engine_name engine)
-              domains
-          in
-          let argsn, cn, rn, tn = run_one ~engine ~domains in
-          check_counters
-            (if engine = Interp.Tree then C.All else C.No_requests)
-            tag c1 cn;
+          let tag = Printf.sprintf "%s: %s @ %d domains" name ename domains in
+          let argsn, cn, rn, tn = run_one runner ~domains in
+          check_counters fields tag c1 cn;
           check_str (tag ^ ": profiler report JSON") r1 rn;
           check_str (tag ^ ": chrome trace") t1 tn;
           List.iter2
@@ -95,7 +96,7 @@ let check_engines ?(scalars = []) ?args name arch kernel =
                 true (x = y))
             args1 argsn)
         domain_counts)
-    engines
+    [ ("tree", tree, C.All); ("bytecode", bytecode, C.No_requests) ]
 
 let test_eng_gemm_tc () =
   List.iter
@@ -236,7 +237,7 @@ let check_divergent_kernel name arch kernel =
     Interp.run_tree ~arch ~profiler ~domains kernel ~args ()
   in
   let bc ~profiler ~domains ~args =
-    Interp.run_plan ~profiler ~domains ~engine:Interp.Bytecode plan ~args ()
+    Interp.run_plan ~profiler ~domains plan ~args ()
   in
   let args0, c0, r0, t0 = run_one tree ~domains:1 in
   (* A generated kernel must actually exercise the mask arena. *)
@@ -342,25 +343,38 @@ let test_memoized_install () =
   Bytecode.install plan;
   check_bool "install installs" true (plan.Plan.bytecode <> None)
 
-(* ----- engine selection ----- *)
+(* ----- settings are arguments ----- *)
 
-let test_engine_names () =
-  List.iter
-    (fun e ->
-      check_bool
-        ("engine_of_string round-trips " ^ Interp.engine_name e)
-        true
-        (Interp.engine_of_string (Interp.engine_name e) = Some e);
-      check_bool "case-insensitive" true
-        (Interp.engine_of_string
-           (String.uppercase_ascii (Interp.engine_name e))
-        = Some e))
-    engines;
-  check_bool "garbage is None" true
-    (Interp.engine_of_string "jit" = None);
-  check_bool "closure is not an engine" true
-    (Interp.engine_of_string "closure" = None);
-  check_bool "empty is None" true (Interp.engine_of_string "" = None)
+(* Lowering, the executor and the domain pool once read
+   GRAPHENE_SWPIPE_STAGES, GRAPHENE_SIM_ENGINE and GRAPHENE_SIM_DOMAINS.
+   With all three set, every default must still be the argument default:
+   1 pipeline stage, the bytecode executor (which books vector requests
+   that the scalar tree walk never issues), and the machine's
+   recommended domain count. *)
+let test_settings_are_arguments () =
+  Unix.putenv "GRAPHENE_SIM_ENGINE" "tree";
+  Unix.putenv "GRAPHENE_SWPIPE_STAGES" "3";
+  Unix.putenv "GRAPHENE_SIM_DOMAINS" "1";
+  let kernel =
+    Kernels.Gemm.tensor_core Arch.SM86
+      (Kernels.Gemm.test_config Arch.SM86)
+      ~epilogue:Kernels.Epilogue.none ~m:64 ~n:64 ~k:128 ()
+  in
+  let plan = Pipeline.lower Arch.SM86 kernel in
+  check_int "lower defaults to 1 stage" 1
+    plan.Plan.pipelining.Plan.pl_stages;
+  let args =
+    List.mapi
+      (fun i (p : Ts.t) ->
+        (p.Ts.name, Ref.random_fp16 ~seed:(i + 1) (L.cosize p.Ts.layout)))
+      kernel.Spec.params
+  in
+  let counters = Interp.run_plan plan ~args () in
+  check_bool "run_plan executes bytecode (vector requests booked)" true
+    (counters.C.global_vec_requests > 0);
+  check_int "default domains is the recommended count"
+    (Domain.recommended_domain_count ())
+    (Domain_pool.default_domains ())
 
 (* ----- cost-based chunking ----- *)
 
@@ -445,8 +459,10 @@ let () =
         ; Alcotest.test_case "instruction counts" `Quick test_instruction_counts
         ; Alcotest.test_case "memoized install" `Quick test_memoized_install
         ] )
-    ; ( "engine"
-      , [ Alcotest.test_case "name round-trip" `Quick test_engine_names ] )
+    ; ( "settings"
+      , [ Alcotest.test_case "environment is ignored" `Quick
+            test_settings_are_arguments
+        ] )
     ; ( "chunking"
       , [ Alcotest.test_case "cost_chunk_size" `Quick test_cost_chunk_size
         ; Alcotest.test_case "cost_chunks" `Quick test_cost_chunks

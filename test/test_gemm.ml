@@ -269,30 +269,35 @@ let test_batched () =
       (Ref.allclose (Array.sub c (z * m * n) (m * n)) c_ref)
   done
 
-(* Double-buffered staging (software pipelining): identical results with
-   two staging buffers, for even and odd k-tile counts. *)
+(* Double-buffered staging: lowered with a 2-stage software pipeline, the
+   kernel matches the CPU reference for even and odd k-tile counts. Volta
+   stages through registers, which the pipelining pass refuses; its plan
+   stays single-buffered and must match all the same. *)
 let test_double_buffer () =
   List.iter
-    (fun (arch, m, n, k) ->
-      let cfg = { (Gemm.test_config arch) with Gemm.double_buffer = true } in
-      let kernel = Gemm.tensor_core arch cfg ~epilogue:Epi.none ~m ~n ~k () in
+    (fun (arch, m, n, k, piped) ->
+      let kernel =
+        Gemm.tensor_core arch (Gemm.test_config arch) ~epilogue:Epi.none ~m ~n
+          ~k ()
+      in
       (match Validate.check arch kernel with
       | [] -> ()
       | problems -> Alcotest.fail (String.concat "\n" problems));
+      let tag = Printf.sprintf "%s %dx%dx%d" (Arch.name arch) m n k in
+      let plan = Lower.Pipeline.lower ~stages:2 arch kernel in
+      check_int (tag ^ ": pipeline stages")
+        (if piped then 2 else 1)
+        plan.Lower.Plan.pipelining.Lower.Plan.pl_stages;
       let a = Ref.random_fp16 ~seed:16 (m * k) in
       let b = Ref.random_fp16 ~seed:17 (k * n) in
       let c = Array.make (m * n) 0.0 in
-      let _ =
-        Interp.run ~arch kernel ~args:[ ("A", a); ("B", b); ("C", c) ] ()
-      in
+      let _ = Interp.run_plan plan ~args:[ ("A", a); ("B", b); ("C", c) ] () in
       let c_ref = Array.make (m * n) 0.0 in
       Ref.gemm ~m ~n ~k a b c_ref;
-      check_bool
-        (Printf.sprintf "%s %dx%dx%d" (Arch.name arch) m n k)
-        true (Ref.allclose c c_ref))
-    [ (Arch.SM86, 64, 64, 64)    (* even number of k tiles *)
-    ; (Arch.SM86, 64, 64, 96)    (* odd number of k tiles *)
-    ; (Arch.SM70, 32, 32, 48)    (* odd, Volta *)
+      check_bool tag true (Ref.allclose c c_ref))
+    [ (Arch.SM86, 64, 64, 64, true)    (* even number of k tiles *)
+    ; (Arch.SM86, 64, 64, 96, true)    (* odd number of k tiles *)
+    ; (Arch.SM70, 32, 32, 48, false)   (* odd, Volta *)
     ]
 
 (* Paper Section 3.4: parametric shapes with predicated partial tiles. *)
@@ -340,7 +345,10 @@ let test_parametric_reusable () =
         true (Ref.allclose c c_ref))
     [ (32, 32, 8); (17, 23, 5); (1, 32, 3) ]
 
-(* Property: any valid tile configuration produces a correct kernel. *)
+(* Property: any valid tile configuration produces a correct kernel,
+   staged either in one buffer or through a 2-stage software pipeline
+   (k = 2 tiles; the swpipe pass refuses eager register staging, which then
+   runs unpipelined). *)
 let prop_random_configs =
   let gen =
     QCheck.Gen.(
@@ -351,14 +359,14 @@ let prop_random_configs =
       let* wn = oneofl [ 8; 16; 32 ] in
       let* ldm = QCheck.Gen.bool in
       let* cpa = QCheck.Gen.bool in
-      let* dbuf = QCheck.Gen.bool in
-      return (bm, bn, bk, wm, wn, ldm, cpa, dbuf))
+      let* piped = QCheck.Gen.bool in
+      return (bm, bn, bk, wm, wn, ldm, cpa, piped))
   in
   QCheck.Test.make ~count:12 ~name:"random tile configs are correct"
-    (QCheck.make gen ~print:(fun (bm, bn, bk, wm, wn, ldm, cpa, dbuf) ->
-         Printf.sprintf "bm=%d bn=%d bk=%d wm=%d wn=%d ldm=%b cpa=%b dbuf=%b"
-           bm bn bk wm wn ldm cpa dbuf))
-    (fun (bm, bn, bk, wm, wn, ldm, cpa, dbuf) ->
+    (QCheck.make gen ~print:(fun (bm, bn, bk, wm, wn, ldm, cpa, piped) ->
+         Printf.sprintf "bm=%d bn=%d bk=%d wm=%d wn=%d ldm=%b cpa=%b piped=%b"
+           bm bn bk wm wn ldm cpa piped))
+    (fun (bm, bn, bk, wm, wn, ldm, cpa, piped) ->
       QCheck.assume (bm mod wm = 0 && bn mod wn = 0);
       QCheck.assume (bm / wm * (bn / wn) <= 8);
       (* staging divisibility: each tile must split evenly over threads *)
@@ -371,7 +379,6 @@ let prop_random_configs =
       let cfg =
         { Gemm.bm; bn; bk; wm; wn; swizzle_a = true; swizzle_b = true
         ; use_ldmatrix = ldm; use_cp_async = cpa; vector_width = 8
-        ; double_buffer = dbuf
         }
       in
       let m = bm and n = bn and k = 2 * bk in
@@ -381,11 +388,12 @@ let prop_random_configs =
       let a = Ref.random_fp16 ~seed:(bm + bn) (m * k) in
       let b = Ref.random_fp16 ~seed:(bk + wn) (k * n) in
       let c = Array.make (m * n) 0.0 in
-      let _ =
-        Interp.run ~arch:Arch.SM86 kernel
-          ~args:[ ("A", a); ("B", b); ("C", c) ]
-          ()
+      let plan, _ =
+        Lower.Pipeline.lower_cached
+          ~stages:(if piped then 2 else 1)
+          Arch.SM86 kernel
       in
+      let _ = Interp.run_plan plan ~args:[ ("A", a); ("B", b); ("C", c) ] () in
       let c_ref = Array.make (m * n) 0.0 in
       Ref.gemm ~m ~n ~k a b c_ref;
       Ref.allclose c c_ref)

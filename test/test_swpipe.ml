@@ -3,10 +3,10 @@
 
    - bit-identity oracle: for every pipelining kernel family, the
      2- and 3-stage plans produce bit-identical outputs and pre-existing
-     counters to the unpipelined plan, on both execution engines (the
-     Tree engine re-interprets the rewritten Spec kernel), at 1 and 4
-     domains — only the async-queue occupancy counters may move, and
-     the two engines must agree with each other on those too;
+     counters to the unpipelined plan, both on the bytecode executor
+     and on [run_tree] over the plan's (rewritten) Spec kernel, at 1
+     and 4 domains — only the async-queue occupancy counters may move,
+     and the two paths must agree with each other on those too;
    - hand-computed queue accounting on a toy copy loop: commit/wait
      counts and the in-flight depth samples of the 1-, 2- and 3-stage
      schedules match the closed-form prologue/steady/tail arithmetic;
@@ -77,7 +77,7 @@ let mlp () =
 (* ----- counter equality ----- *)
 
 (* Pipelining moves only the four queue-depth counters; the request
-   counters follow the plan-level vectorize pass, which the Tree engine
+   counters follow the plan-level vectorize pass, which [run_tree]
    skips (it re-interprets the Spec, where moves are still scalar). *)
 let check_counters fields name a b =
   Alcotest.(check (option string))
@@ -89,7 +89,7 @@ let check_buffers name a b =
       check_bool (Printf.sprintf "%s: buffer %s bitwise" name bn) true (x = y))
     a b
 
-(* ----- bit-identity: pipelined vs unpipelined, both engines ----- *)
+(* ----- bit-identity: pipelined vs unpipelined, both paths ----- *)
 
 let mk_args kernel =
   List.mapi
@@ -97,31 +97,34 @@ let mk_args kernel =
       (p.Ts.name, Ref.random_fp16 ~seed:(i + 1) (L.cosize p.Ts.layout)))
     kernel.Spec.params
 
-(* The Tree engine re-interprets the plan's (rewritten) Spec kernel, so
-   running the pipelined plan on Tree/Bytecode exercises the rotated
-   schedule through both semantics. The unpipelined plan
-   doubles as the tree-walk baseline: a 1-stage lowering leaves the
-   kernel untouched, so its Tree run IS the reference interpreter on the
+(* [run_tree] on the plan's kernel walks the rewritten Spec, so running
+   the pipelined plan through it and through the bytecode executor
+   exercises the rotated schedule under both semantics. The unpipelined
+   plan doubles as the tree-walk baseline: a 1-stage lowering leaves the
+   kernel untouched, so its tree run IS the reference interpreter on the
    original kernel. *)
 let check_identity ?(domains = 1) ~expect_pipelined name arch mk =
   let kernel = mk () in
   let base = mk_args kernel in
-  let run plan engine =
-    let args = List.map (fun (n, a) -> (n, Array.copy a)) base in
-    let counters = Interp.run_plan ~domains ~engine plan ~args () in
-    (args, counters)
+  let engines =
+    [ ( "tree"
+      , fun (plan : Plan.t) args ->
+          Interp.run_tree ~arch:plan.Plan.arch ~domains plan.Plan.kernel ~args
+            () )
+    ; ("bytecode", fun plan args -> Interp.run_plan ~domains plan ~args ())
+    ]
   in
-  let engines = [ Interp.Tree; Interp.Bytecode ] in
+  let run plan (ename, runner) =
+    let args = List.map (fun (n, a) -> (n, Array.copy a)) base in
+    let counters = runner plan args in
+    (ename, (args, counters))
+  in
   let uplan = Pipeline.lower ~stages:1 arch kernel in
   check_int (name ^ ": unpipelined pl_stages") 1
     uplan.Plan.pipelining.Plan.pl_stages;
-  (* Per-engine unpipelined baselines: the Tree run of the 1-stage plan
+  (* Per-path unpipelined baselines: the tree run of the 1-stage plan
      IS the reference interpreter on the untouched source kernel. *)
-  let ubase =
-    List.map
-      (fun engine -> (Interp.engine_name engine, run uplan engine))
-      engines
-  in
+  let ubase = List.map (run uplan) engines in
   List.iter
     (fun stages ->
       let pplan = Pipeline.lower ~stages arch kernel in
@@ -135,12 +138,8 @@ let check_identity ?(domains = 1) ~expect_pipelined name arch mk =
         check_int
           (Printf.sprintf "%s: refused at request %d" name stages)
           1 eff;
-      let runs =
-        List.map
-          (fun engine -> (Interp.engine_name engine, run pplan engine))
-          engines
-      in
-      (* Pipelined vs unpipelined, same engine: every pre-existing
+      let runs = List.map (run pplan) engines in
+      (* Pipelined vs unpipelined, same path: every pre-existing
          counter and every output buffer must be bit-identical — only
          the four queue-depth counters may move. *)
       List.iter2
@@ -149,10 +148,10 @@ let check_identity ?(domains = 1) ~expect_pipelined name arch mk =
           check_counters C.No_queue tag uc ec;
           check_buffers tag uargs eargs)
         ubase runs;
-      (* Across engines the request counters differ by design (the Tree
-         engine skips the plan-level vectorize widening), but both
-         engines must agree on the widening-independent set AND on the
-         queue counters the pipeline legitimately moved. *)
+      (* Across paths the request counters differ by design ([run_tree]
+         skips the plan-level vectorize widening), but both paths must
+         agree on the widening-independent set AND on the queue
+         counters the pipeline legitimately moved. *)
       match runs with
       | (_, (args0, c0)) :: rest ->
         List.iter
@@ -169,6 +168,8 @@ let check_identity ?(domains = 1) ~expect_pipelined name arch mk =
 
 let pipelining_families =
   [ ("gemm-tc sm86", Arch.SM86, gemm_tc Arch.SM86)
+  ; (* an odd k-tile count (3) *)
+    ("gemm-tc k=96 sm86", Arch.SM86, gemm_tc ~k:96 Arch.SM86)
   ; ("gemm-layouts sm86", Arch.SM86, gemm_layouts)
   ; ("split-k partial sm86", Arch.SM86, split_k_partial)
   ; ("gemm-layernorm sm86", Arch.SM86, gemm_layernorm)

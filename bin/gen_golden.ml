@@ -15,6 +15,23 @@ let () =
   let oc = open_out "test/golden/gemm_tc_sm86.cu" in
   output_string oc (Codegen.Emit.cuda Graphene.Arch.SM86 tc);
   close_out oc;
+  (* The other two mma forms: bf16 m16n8k16 and Volta's m8n8k4. *)
+  let tc_bf16 =
+    Kernels.Gemm.tensor_core ~dtype:Gpu_tensor.Dtype.BF16 Graphene.Arch.SM86
+      (Kernels.Gemm.test_config Graphene.Arch.SM86)
+      ~epilogue:Kernels.Epilogue.none ~m:64 ~n:64 ~k:64 ()
+  in
+  let oc = open_out "test/golden/gemm_tc_bf16_sm86.cu" in
+  output_string oc (Codegen.Emit.cuda Graphene.Arch.SM86 tc_bf16);
+  close_out oc;
+  let tc_sm70 =
+    Kernels.Gemm.tensor_core Graphene.Arch.SM70
+      (Kernels.Gemm.test_config Graphene.Arch.SM70)
+      ~epilogue:Kernels.Epilogue.bias_relu ~m:32 ~n:32 ~k:32 ()
+  in
+  let oc = open_out "test/golden/gemm_tc_sm70.cu" in
+  output_string oc (Codegen.Emit.cuda Graphene.Arch.SM70 tc_sm70);
+  close_out oc;
   (* Golden profiler report — must mirror profile_gemm in
      test/test_profiler.ml: same kernel, zero-filled inputs. *)
   let arch = Graphene.Arch.SM86 in

@@ -161,9 +161,17 @@ let build arch name =
     in
     (kernel, [ ("X", x); ("Y", y) ], verify)
   | "fmha" ->
-    let batch = 1 and heads = 1 and seq = 32 and dh = 16 in
+    (* Volta's quad-pair mma tiles need dh and chunk 32, with unswizzled
+       staging. *)
+    let dh, chunk, swizzle_smem =
+      match arch with
+      | Graphene.Arch.SM70 -> (32, 32, false)
+      | Graphene.Arch.SM86 -> (16, 16, true)
+    in
+    let batch = 1 and heads = 1 and seq = 32 in
     let kernel =
-      Kernels.Fmha.kernel arch ~batch ~heads ~seq ~dh ~chunk:16 ~nthreads:64 ()
+      Kernels.Fmha.kernel ~swizzle_smem arch ~batch ~heads ~seq ~dh ~chunk
+        ~nthreads:64 ()
     in
     let rows = batch * heads * seq in
     let q = Ref.random_fp16 ~seed:1 (rows * dh) in

@@ -30,10 +30,6 @@ let line ctx fmt =
 
 let raw ctx s = Buffer.add_string ctx.buf s
 
-let starts_with prefix s =
-  String.length s >= String.length prefix
-  && String.equal (String.sub s 0 (String.length prefix)) prefix
-
 let ty dt = Dt.to_cuda_string dt
 
 let vec_copy_type bytes =
@@ -198,14 +194,17 @@ let emit_global_move ctx (s : Spec.t) instr =
   | V.Widened w when reg_and_global -> emit_vec_global_move ctx s ~width:w
   | _ -> emit_plain_move ctx s
 
-let emit_cp_async ctx (s : Spec.t) =
+(* The inline-asm instructions below print the registry's PTX mnemonic
+   ([instr.ptx]) followed by their operand lists. *)
+
+let emit_cp_async ctx (instr : Atomic.instr) (s : Spec.t) =
   match (s.Spec.ins, s.Spec.outs) with
   | [ src ], [ dst ] ->
     let bytes = total dst * Dt.size_bytes (Ts.dtype dst) in
     line ctx
-      "asm volatile(\"cp.async.cg.shared.global [%%0], [%%1], %d;\\n\" :: \
+      "asm volatile(\"%s [%%0], [%%1], %d;\\n\" :: \
        \"r\"((unsigned)__cvta_generic_to_shared(%s)), \"l\"(%s));"
-      bytes (ptr_ dst 0) (ptr_ src 0)
+      instr.Atomic.ptx bytes (ptr_ dst 0) (ptr_ src 0)
   | _ -> failwith "cp.async arity"
 
 let emit_cvt ctx (s : Spec.t) =
@@ -216,7 +215,7 @@ let emit_cvt ctx (s : Spec.t) =
     done
   | _ -> failwith "cvt arity"
 
-let emit_ldmatrix ctx ~trans x (s : Spec.t) =
+let emit_ldmatrix ctx (instr : Atomic.instr) ~trans x (s : Spec.t) =
   match (s.Spec.ins, s.Spec.outs) with
   | [ src ], [ dst ] ->
     (* Thread lane [l] supplies the address of stored row [l mod 8] of
@@ -251,9 +250,7 @@ let emit_ldmatrix ctx ~trans x (s : Spec.t) =
             (ptr_ dst (2 * k)))
     in
     let reg_holes = List.init x (fun k -> Printf.sprintf "%%%d" k) in
-    line ctx "asm volatile(\"ldmatrix.sync.aligned.m8n8.x%d%s.shared.b16 \
-              {%s}, [%%%d];\\n\"" x
-      (if trans then ".trans" else "")
+    line ctx "asm volatile(\"%s {%s}, [%%%d];\\n\"" instr.Atomic.ptx
       (String.concat ", " reg_holes)
       x;
     line ctx "    : %s" (String.concat ", " regs);
@@ -264,12 +261,13 @@ let emit_ldmatrix ctx ~trans x (s : Spec.t) =
 let u32_ref v k =
   Printf.sprintf "*reinterpret_cast<uint32_t*>(%s)" (ptr_ v k)
 
-let emit_mma_m16n8k16 ctx (s : Spec.t) =
+let emit_mma_m16n8k16 ctx (instr : Atomic.instr) (s : Spec.t) =
   match (s.Spec.ins, s.Spec.outs) with
   | [ a; b ], [ c ] ->
     line ctx
-      "asm volatile(\"mma.sync.aligned.m16n8k16.row.col.f32.f16.f16.f32 \
-       {%%0,%%1,%%2,%%3}, {%%4,%%5,%%6,%%7}, {%%8,%%9}, {%%0,%%1,%%2,%%3};\\n\"";
+      "asm volatile(\"%s {%%0,%%1,%%2,%%3}, {%%4,%%5,%%6,%%7}, {%%8,%%9}, \
+       {%%0,%%1,%%2,%%3};\\n\""
+      instr.Atomic.ptx;
     line ctx "    : \"+f\"(%s), \"+f\"(%s), \"+f\"(%s), \"+f\"(%s)" (ref_ c 0)
       (ref_ c 1) (ref_ c 2) (ref_ c 3);
     line ctx "    : \"r\"(%s), \"r\"(%s), \"r\"(%s), \"r\"(%s), \"r\"(%s), \
@@ -278,13 +276,13 @@ let emit_mma_m16n8k16 ctx (s : Spec.t) =
       (u32_ref b 2)
   | _ -> failwith "mma arity"
 
-let emit_mma_m8n8k4 ctx (s : Spec.t) =
+let emit_mma_m8n8k4 ctx (instr : Atomic.instr) (s : Spec.t) =
   match (s.Spec.ins, s.Spec.outs) with
   | [ a; b ], [ c ] ->
     line ctx
-      "asm volatile(\"mma.sync.aligned.m8n8k4.row.col.f32.f16.f16.f32 \
-       {%%0,%%1,%%2,%%3,%%4,%%5,%%6,%%7}, {%%8,%%9}, {%%10,%%11}, \
-       {%%0,%%1,%%2,%%3,%%4,%%5,%%6,%%7};\\n\"";
+      "asm volatile(\"%s {%%0,%%1,%%2,%%3,%%4,%%5,%%6,%%7}, {%%8,%%9}, \
+       {%%10,%%11}, {%%0,%%1,%%2,%%3,%%4,%%5,%%6,%%7};\\n\""
+      instr.Atomic.ptx;
     line ctx "    : %s"
       (String.concat ", "
          (List.init 8 (fun k -> Printf.sprintf "\"+f\"(%s)" (ref_ c k))));
@@ -386,37 +384,25 @@ let emit_init ctx v (s : Spec.t) =
 
 let emit_atomic ctx (s : Spec.t) =
   let instr = Atomic.find_exn ctx.arch s in
-  let name = instr.Atomic.name in
-  let ld_trans =
-    String.length name >= 17 && String.equal (String.sub name 11 6) ".trans"
-  in
-  if starts_with "cp.async" name then emit_cp_async ctx s
-  else if starts_with "ldmatrix.x4" name then
-    emit_ldmatrix ctx ~trans:ld_trans 4 s
-  else if starts_with "ldmatrix.x2" name then
-    emit_ldmatrix ctx ~trans:ld_trans 2 s
-  else if starts_with "ldmatrix.x1" name then
-    emit_ldmatrix ctx ~trans:ld_trans 1 s
-  else if starts_with "cvt" name then emit_cvt ctx s
-  else if starts_with "ld.global" name || starts_with "st.global" name then
-    emit_global_move ctx s instr
-  else if
-    starts_with "ld." name || starts_with "st." name
-    || String.equal "mov.rf" name
-  then emit_plain_move ctx s
-  else if starts_with "mma.m16n8k16" name then emit_mma_m16n8k16 ctx s
-  else if String.equal "mma.m8n8k4" name then emit_mma_m8n8k4 ctx s
-  else if starts_with "hfma" name || String.equal "fmaf" name then
-    emit_fma ctx s
-  else
-    match s.Spec.kind with
-    | Spec.Unary_pointwise op -> emit_unary ctx op s
-    | Spec.Binary_pointwise op -> emit_binary ctx op s
-    | Spec.Reduction { op; axes } -> emit_reduction ctx op axes s
-    | Spec.Shfl kind -> emit_shfl ctx kind s
-    | Spec.Init v -> emit_init ctx v s
-    | Spec.Move | Spec.Mat_mul | Spec.Generic _ ->
-      failwith ("Emit: unhandled atomic instruction " ^ name)
+  match (instr.Atomic.klass, s.Spec.kind) with
+  | Atomic.Cp_async, _ -> emit_cp_async ctx instr s
+  | Atomic.Ldmatrix { x; trans }, _ -> emit_ldmatrix ctx instr ~trans x s
+  | Atomic.Cvt, _ -> emit_cvt ctx s
+  | Atomic.Global_move, _ -> emit_global_move ctx s instr
+  | (Atomic.Shared_move | Atomic.Mov), _ -> emit_plain_move ctx s
+  | Atomic.Mma { m = 16; n = 8; k = 16 }, _ -> emit_mma_m16n8k16 ctx instr s
+  | Atomic.Mma { m = 8; n = 8; k = 4 }, _ -> emit_mma_m8n8k4 ctx instr s
+  | Atomic.Fma, _ -> emit_fma ctx s
+  | Atomic.Unary_pw, Spec.Unary_pointwise op -> emit_unary ctx op s
+  | Atomic.Binary_pw, Spec.Binary_pointwise op -> emit_binary ctx op s
+  | Atomic.Reduction, Spec.Reduction { op; axes } ->
+    emit_reduction ctx op axes s
+  | Atomic.Shfl, Spec.Shfl kind -> emit_shfl ctx kind s
+  | Atomic.Init, Spec.Init v -> emit_init ctx v s
+  | ( ( Atomic.Mma _ | Atomic.Async_fence | Atomic.Unary_pw | Atomic.Binary_pw
+      | Atomic.Reduction | Atomic.Shfl | Atomic.Init ),
+      _ ) ->
+    failwith ("Emit: unhandled atomic instruction " ^ instr.Atomic.name)
 
 (* ----- statements ----- *)
 
@@ -427,14 +413,6 @@ let rel_string = function
   | Spec.Ne -> "!="
   | Spec.Gt -> ">"
   | Spec.Ge -> ">="
-
-let rec pred_tid_dep = function
-  | Spec.Cmp (_, a, b) ->
-    List.exists
-      (String.equal "threadIdx.x")
-      (E.free_vars a @ E.free_vars b)
-  | Spec.And (a, b) | Spec.Or (a, b) -> pred_tid_dep a || pred_tid_dep b
-  | Spec.Not p -> pred_tid_dep p
 
 let rec pred_string = function
   | Spec.Cmp (r, a, b) ->
@@ -470,7 +448,7 @@ let rec emit_stmt ctx stmt =
     line ctx "}"
   | Spec.If { cond; then_; else_ } ->
     let saved = ctx.divergent in
-    if pred_tid_dep cond then ctx.divergent <- true;
+    if Spec.pred_mentions "threadIdx.x" cond then ctx.divergent <- true;
     line ctx "if (%s) {" (pred_string cond);
     ctx.indent <- ctx.indent + 1;
     List.iter (emit_stmt ctx) then_;
@@ -509,13 +487,6 @@ let uses_gelu body =
     (fun acc s ->
       acc || match s.Spec.kind with Spec.Unary_pointwise Op.Gelu -> true | _ -> false)
     false body
-
-let shared_alloc_size (t : Ts.t) =
-  let cosize = L.cosize t.Ts.layout in
-  (* A swizzle permutes aligned power-of-two windows; pad the allocation to
-     a whole number of windows. *)
-  let w = Shape.Swizzle.window t.Ts.swizzle in
-  (cosize + w - 1) / w * w
 
 let cuda arch (k : Spec.kernel) =
   let ctx =
@@ -565,22 +536,10 @@ let cuda arch (k : Spec.kernel) =
     (fun (t : Ts.t) ->
       if Ms.equal t.Ts.mem Ms.Shared then
         line ctx "__shared__ %s %s[%d];" (ty (Ts.dtype t)) t.Ts.buffer
-          (shared_alloc_size t))
+          (Ts.alloc_size t))
     (Spec.allocs k.Spec.body);
   List.iter (emit_stmt ctx) k.Spec.body;
   hoist_state.enabled <- false;
   ctx.indent <- 0;
   raw ctx "}\n";
-  Buffer.contents ctx.buf
-
-let stmts_to_string arch stmts =
-  let ctx =
-    { arch
-    ; buf = Buffer.create 1024
-    ; indent = 0
-    ; cta_size = 32
-    ; divergent = false
-    }
-  in
-  List.iter (emit_stmt ctx) stmts;
   Buffer.contents ctx.buf

@@ -5,14 +5,12 @@
     valid CUDA C++": control flow prints as loops/ifs, tensor manipulations
     compile to index expressions ({!Index_gen}), and undecomposed specs are
     matched against the atomic registry and print as the associated
-    instruction — inline PTX asm for tensor instructions such as [ldmatrix]
-    and [mma] (paper Figures 1c and 8). *)
+    instruction, chosen by its class — inline PTX asm, with the registry's
+    mnemonic, for tensor instructions such as [ldmatrix] and [mma] (paper
+    Figures 1c and 8). *)
 
 (** [cuda arch kernel] — the full translation unit: header comment, helper
     device functions, and the [__global__] kernel. Raises [Failure] when an
     undecomposed spec matches no atomic spec on [arch] (run
     {!Graphene.Validate.check} first for a friendlier report). *)
 val cuda : Graphene.Arch.t -> Graphene.Spec.kernel -> string
-
-(** Just the kernel body statements (for tests and documentation). *)
-val stmts_to_string : Graphene.Arch.t -> Graphene.Spec.stmt list -> string

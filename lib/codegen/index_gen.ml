@@ -33,5 +33,3 @@ let ref_string v k =
   let idx = E.to_string (element_offset v k) in
   let idx = Shape.Swizzle.to_c_expr v.Ts.swizzle idx in
   Printf.sprintf "%s[%s]" v.Ts.buffer idx
-
-let ptr_string v k = "&" ^ ref_string v k

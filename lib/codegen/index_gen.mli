@@ -12,6 +12,3 @@ val element_offset : Gpu_tensor.Tensor.t -> int -> Shape.Int_expr.t
 (** [ref_string view k] — a CUDA lvalue for that scalar, e.g.
     [A[(bid_m * 128 + i) * 1024 + k]], with the view's swizzle applied. *)
 val ref_string : Gpu_tensor.Tensor.t -> int -> string
-
-(** [ptr_string view k] — [&ref_string]. *)
-val ptr_string : Gpu_tensor.Tensor.t -> int -> string

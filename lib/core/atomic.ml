@@ -13,8 +13,25 @@ type cost =
   ; instructions : int
   }
 
+type klass =
+  | Global_move
+  | Shared_move
+  | Mov
+  | Cvt
+  | Cp_async
+  | Async_fence
+  | Ldmatrix of { x : int; trans : bool }
+  | Mma of { m : int; n : int; k : int }
+  | Fma
+  | Unary_pw
+  | Binary_pw
+  | Reduction
+  | Shfl
+  | Init
+
 type instr =
   { name : string
+  ; klass : klass
   ; ptx : string
   ; archs : Arch.t list
   ; threads : int
@@ -28,15 +45,6 @@ type instr =
 let zero_cost = { flops = 0; global_bytes = 0; shared_bytes = 0; instructions = 1 }
 
 (* ----- matching helpers ----- *)
-
-let dims_signature v =
-  try
-    Some
-      (List.map
-         (fun l ->
-           T.to_ints_exn (L.dims l) |> List.filter (fun d -> d <> 1))
-         (Ts.levels v))
-  with Invalid_argument _ | L.Layout_error _ -> None
 
 let total v = try Some (Ts.num_scalars_int v) with Invalid_argument _ -> None
 let has_total n v = total v = Some n
@@ -71,6 +79,7 @@ let all_archs = Arch.all
 
 let ld_global name ptx dt n =
   { name
+  ; klass = Global_move
   ; ptx
   ; archs = all_archs
   ; threads = 1
@@ -90,7 +99,8 @@ let st_global name ptx dt n =
 
 let ld_shared name ptx dt n =
   { (ld_global name ptx dt n) with
-    sig_ins = Printf.sprintf "[%d].%s.SH" n (Dt.to_ir_string dt)
+    klass = Shared_move
+  ; sig_ins = Printf.sprintf "[%d].%s.SH" n (Dt.to_ir_string dt)
   ; sig_outs = Printf.sprintf "[%d].%s.RF" n (Dt.to_ir_string dt)
   ; matches = simple_move ~from:Ms.Shared ~into:Ms.Register ~dt ~n
   ; cost = move_cost ~gb:0 ~sb:(Dt.size_bytes dt * n)
@@ -105,6 +115,7 @@ let st_shared name ptx dt n =
 
 let cp_async name dt n =
   { name
+  ; klass = Cp_async
   ; ptx = "cp.async.cg.shared.global"
   ; archs = [ Arch.SM86 ]
   ; threads = 1
@@ -122,6 +133,7 @@ let cp_async name dt n =
    (and appear in Table 2) without participating in spec matching. *)
 let cp_async_fence name ptx =
   { name
+  ; klass = Async_fence
   ; ptx
   ; archs = [ Arch.SM86 ]
   ; threads = 1
@@ -134,6 +146,7 @@ let cp_async_fence name ptx =
 
 let mov_rf =
   { name = "mov.rf"
+  ; klass = Mov
   ; ptx = "mov.b32"
   ; archs = all_archs
   ; threads = 1
@@ -163,6 +176,7 @@ let mov_rf =
 
 let cvt ~from_dt ~to_dt ptx =
   { name = Printf.sprintf "cvt.%s.%s" (Dt.to_ir_string to_dt) (Dt.to_ir_string from_dt)
+  ; klass = Cvt
   ; ptx
   ; archs = all_archs
   ; threads = 1
@@ -198,6 +212,7 @@ let cvt ~from_dt ~to_dt ptx =
 let ldmatrix ?(trans = false) x in_sig =
   { name =
       Printf.sprintf "ldmatrix.x%d%s" x (if trans then ".trans" else "")
+  ; klass = Ldmatrix { x; trans }
   ; ptx =
       Printf.sprintf "ldmatrix.sync.aligned.m8n8.x%d%s.shared.b16" x
         (if trans then ".trans" else "")
@@ -245,6 +260,7 @@ let ldmatrix ?(trans = false) x in_sig =
 
 let mma_m16n8k16 =
   { name = "mma.m16n8k16"
+  ; klass = Mma { m = 16; n = 8; k = 16 }
   ; ptx = "mma.sync.aligned.m16n8k16.row.col.f32.f16.f16.f32"
   ; archs = [ Arch.SM86 ]
   ; threads = 32
@@ -285,6 +301,7 @@ let mma_m16n8k16_bf16 =
 
 let mma_m8n8k4 =
   { name = "mma.m8n8k4"
+  ; klass = Mma { m = 8; n = 8; k = 4 }
   ; ptx = "mma.sync.aligned.m8n8k4.row.col.f32.f16.f16.f32"
   ; archs = [ Arch.SM70 ]
   ; threads = 8
@@ -323,6 +340,7 @@ let operand_traffic ~reads ~writes =
 
 let fma name ptx dt n flops =
   { name
+  ; klass = Fma
   ; ptx
   ; archs = all_archs
   ; threads = 1
@@ -380,6 +398,7 @@ let pointwise_cost (s : Spec.t) =
 
 let unary_pw =
   { name = "pointwise.unary"
+  ; klass = Unary_pw
   ; ptx = "<unary op / MUFU>"
   ; archs = all_archs
   ; threads = 1
@@ -395,6 +414,7 @@ let unary_pw =
 
 let binary_pw specific_name ptx dt n =
   { name = specific_name
+  ; klass = Binary_pw
   ; ptx
   ; archs = all_archs
   ; threads = 1
@@ -420,6 +440,7 @@ let binary_pw specific_name ptx dt n =
 let binary_pw_generic =
   { unary_pw with
     name = "pointwise.binary"
+  ; klass = Binary_pw
   ; ptx = "<binary op>"
   ; matches =
       (fun s ->
@@ -429,6 +450,7 @@ let binary_pw_generic =
 
 let reduction_thread =
   { name = "red.thread"
+  ; klass = Reduction
   ; ptx = "<op> (sequential)"
   ; archs = all_archs
   ; threads = 1
@@ -458,6 +480,7 @@ let reduction_thread =
 
 let shfl_sync =
   { name = "shfl.sync"
+  ; klass = Shfl
   ; ptx = "shfl.sync.{bfly,up,down,idx}.b32"
   ; archs = all_archs
   ; threads = 32
@@ -480,6 +503,7 @@ let shfl_sync =
 
 let init_rf =
   { name = "init"
+  ; klass = Init
   ; ptx = "mov / st.shared"
   ; archs = all_archs
   ; threads = 1
@@ -601,24 +625,35 @@ let find_exn arch spec =
 
 let lookup name = List.find_opt (fun i -> String.equal i.name name) registry
 
-let parse_ldmatrix name =
-  let prefix = "ldmatrix.x" in
-  let pl = String.length prefix in
-  let nl = String.length name in
-  if nl <= pl || not (String.equal (String.sub name 0 pl) prefix) then None
-  else begin
-    let i = ref pl in
-    while !i < nl && name.[!i] >= '0' && name.[!i] <= '9' do
-      incr i
-    done;
-    match int_of_string_opt (String.sub name pl (!i - pl)) with
-    | None -> None
-    | Some x ->
-      let suffix = String.sub name !i (nl - !i) in
-      if String.equal suffix "" then Some (x, false)
-      else if String.equal suffix ".trans" then Some (x, true)
-      else None
-  end
+(* ----- ldmatrix addressing ----- *)
+
+(* Coordinates of the j-th tile, counting leftmost-fastest over the outer
+   dims — the hardware's matrix order for an ldmatrix source (row block
+   fastest, as the mma A operand expects). *)
+let tile_coords outer_dims j =
+  let coords, _ =
+    List.fold_left
+      (fun (acc, rest) d -> ((rest mod d) :: acc, rest / d))
+      ([], j) outer_dims
+  in
+  List.rev coords
+
+let ldmatrix_rows ~trans x (src : Ts.t) =
+  let outer_dims =
+    if Ts.depth src > 1 then
+      List.map
+        (fun m -> E.to_int_exn (T.size m))
+        (T.modes (L.dims src.Ts.layout))
+    else []
+  in
+  Array.init x (fun j ->
+      let tile =
+        if outer_dims = [] then src
+        else Ts.select_ints src (tile_coords outer_dims j)
+      in
+      Array.init 8 (fun r ->
+          if trans then Ts.select_ints tile [ 0; r ]
+          else Ts.select_ints tile [ r; 0 ]))
 
 let pp_table fmt arch =
   let rows =

@@ -104,6 +104,28 @@ let kind_name = function
 
 let leaf_name s = if String.length s.label > 0 then s.label else kind_name s.kind
 
+(* ----- predicates ----- *)
+
+let rec pred_mentions var = function
+  | Cmp (_, a, b) ->
+    List.mem var (E.free_vars a) || List.mem var (E.free_vars b)
+  | And (a, b) | Or (a, b) -> pred_mentions var a || pred_mentions var b
+  | Not p -> pred_mentions var p
+
+let rec eval_pred env = function
+  | Cmp (r, a, b) ->
+    let x = E.eval ~env a and y = E.eval ~env b in
+    (match r with
+    | Lt -> x < y
+    | Le -> x <= y
+    | Eq -> x = y
+    | Ne -> x <> y
+    | Gt -> x > y
+    | Ge -> x >= y)
+  | And (a, b) -> eval_pred env a && eval_pred env b
+  | Or (a, b) -> eval_pred env a || eval_pred env b
+  | Not p -> not (eval_pred env p)
+
 let rel_string = function
   | Lt -> "<"
   | Le -> "<="

@@ -105,6 +105,15 @@ val kind_name : kind -> string
     see docs/IR.md, "Spec labels and profiling attribution". *)
 val leaf_name : t -> string
 
+(** {1 Predicates} *)
+
+(** [pred_mentions var p] — whether variable [var] occurs in [p]; with
+    ["threadIdx.x"], whether the branch may diverge within a warp. *)
+val pred_mentions : string -> pred -> bool
+
+(** [eval_pred env p] — [p] under the integer bindings [env]. *)
+val eval_pred : (string -> int) -> pred -> bool
+
 (** {1 Printing (paper-style IR listing)} *)
 
 val pp_pred : Format.formatter -> pred -> unit

@@ -1,3 +1,6 @@
+module Arch = Graphene.Arch
+module Atomic = Graphene.Atomic
+
 type t =
   { mutable global_load_bytes : int
   ; mutable global_store_bytes : int
@@ -87,78 +90,36 @@ let add_instr_n t name n =
       (n + Option.value ~default:0 (Hashtbl.find_opt t.instr_mix name))
   end
 
-(* Distinct 32-byte sectors across a batch, modelling coalescing. The
-   array form is the core — the plan executor batches addresses into a
-   reused scratch buffer of which the first [len] entries are live; the
-   list form (tree interpreter) is a wrapper, so the two paths share one
-   implementation and cannot drift. *)
-let sectors_of_batcha ~bytes addresses ~len =
-  let sectors = Hashtbl.create 16 in
-  for i = 0 to len - 1 do
-    let a = Array.unsafe_get addresses i in
-    let lo = a / 32 and hi = (a + bytes - 1) / 32 in
-    for s = lo to hi do
-      Hashtbl.replace sectors s ()
-    done
-  done;
-  Hashtbl.length sectors
+(* Issue of [instances] instances of one atomic instruction of cost [c]:
+   the instruction class decides which flop counter and whether the
+   issues are cp.async copies. *)
+let book_issue t (instr : Atomic.instr) (c : Atomic.cost) ~instances =
+  let flops = c.Atomic.flops * instances in
+  (match instr.Atomic.klass with
+  | Atomic.Mma _ -> t.tensor_core_flops <- t.tensor_core_flops + flops
+  | Atomic.Cp_async ->
+    t.async_copies <- t.async_copies + instances;
+    t.flops <- t.flops + flops
+  | _ -> t.flops <- t.flops + flops);
+  t.instructions <-
+    t.instructions + (c.Atomic.instructions * instances) - instances;
+  add_instr_n t instr.Atomic.name instances
 
-let sectors_of_batch ~bytes addresses =
-  let a = Array.of_list addresses in
-  sectors_of_batcha ~bytes a ~len:(Array.length a)
-
-let record_global_batcha t ~store ~bytes addresses ~len =
+(* Warp batches arrive as the first [len] entries of an address buffer —
+   the plan executor reuses one scratch buffer for every batch. *)
+let record_global_batch t ~store ~bytes addresses ~len =
   let total = bytes * len in
   if store then t.global_store_bytes <- t.global_store_bytes + total
   else t.global_load_bytes <- t.global_load_bytes + total;
   t.global_transactions <-
-    t.global_transactions + sectors_of_batcha ~bytes addresses ~len
+    t.global_transactions + Arch.global_sectors ~bytes addresses ~len
 
-let record_global_batch t ~store ~bytes addresses =
-  let a = Array.of_list addresses in
-  record_global_batcha t ~store ~bytes a ~len:(Array.length a)
-
-(* The hardware serves at most 128 bytes (32 banks x 4 bytes) per phase;
-   wide per-thread accesses split into phases of 128/bytes threads. Bank
-   conflicts are extra cycles within a phase: the maximum number of
-   distinct 4-byte words mapping to one bank. *)
-let conflicts_of_batcha ~bytes addresses ~len =
-  let per_phase = max 1 (128 / max 1 bytes) in
-  let acc = ref 0 and i = ref 0 in
-  while !i < len do
-    let stop = min len (!i + per_phase) in
-    let words_per_bank = Array.make 32 [] in
-    for j = !i to stop - 1 do
-      let a = Array.unsafe_get addresses j in
-      let lo = a / 4 and hi = (a + bytes - 1) / 4 in
-      for w = lo to hi do
-        let bank = w mod 32 in
-        if not (List.mem w words_per_bank.(bank)) then
-          words_per_bank.(bank) <- w :: words_per_bank.(bank)
-      done
-    done;
-    let degree =
-      Array.fold_left (fun acc ws -> max acc (List.length ws)) 1 words_per_bank
-    in
-    acc := !acc + (degree - 1);
-    i := stop
-  done;
-  !acc
-
-let conflicts_of_batch ~bytes addresses =
-  let a = Array.of_list addresses in
-  conflicts_of_batcha ~bytes a ~len:(Array.length a)
-
-let record_shared_batcha t ~store ~bytes addresses ~len =
+let record_shared_batch t ~store ~bytes addresses ~len =
   let total = bytes * len in
   if store then t.shared_store_bytes <- t.shared_store_bytes + total
   else t.shared_load_bytes <- t.shared_load_bytes + total;
   t.shared_bank_conflicts <-
-    t.shared_bank_conflicts + conflicts_of_batcha ~bytes addresses ~len
-
-let record_shared_batch t ~store ~bytes addresses =
-  let a = Array.of_list addresses in
-  record_shared_batcha t ~store ~bytes a ~len:(Array.length a)
+    t.shared_bank_conflicts + Arch.shared_conflicts ~bytes addresses ~len
 
 (* Memory-pipe requests issued for one warp-per-view access: [elems]
    per-thread scalar elements move as ceil(elems/width) instructions of

@@ -53,41 +53,26 @@ val add_instr : t -> string -> unit
     equivalent to calling {!add_instr} [n] times. [n <= 0] is a no-op. *)
 val add_instr_n : t -> string -> int -> unit
 
-(** Distinct 32-byte DRAM sectors touched by one warp-synchronous batch —
-    the pure computation behind {!record_global_batch}, exposed so the
-    profiler can attach sector counts to trace events. *)
-val sectors_of_batch : bytes:int -> int list -> int
+(** [book_issue t instr cost ~instances] — [instances] issues of the
+    atomic instruction [instr], each of cost [cost]: its flops (into
+    [tensor_core_flops] for an {!Graphene.Atomic.Mma}, [flops]
+    otherwise), its issued instructions, its {!instr_mix} entry, and for
+    a {!Graphene.Atomic.Cp_async} the [async_copies]. *)
+val book_issue :
+  t -> Graphene.Atomic.instr -> Graphene.Atomic.cost -> instances:int -> unit
 
-(** Extra serialized shared-memory cycles of one warp-synchronous batch —
-    the pure computation behind {!record_shared_batch}. *)
-val conflicts_of_batch : bytes:int -> int list -> int
-
-(** [record_global_batch t ~store ~bytes addresses] — one warp-synchronous
-    global access: byte addresses of every participating thread. Counts the
-    distinct 32-byte sectors touched, modelling coalescing. *)
-val record_global_batch : t -> store:bool -> bytes:int -> int list -> unit
-
-(** [record_shared_batch t ~store ~bytes addresses] — one warp-synchronous
-    shared access: byte addresses of every participating thread. Computes
-    the bank-conflict degree: the maximum number of {e distinct} 4-byte
-    words mapping to the same of 32 banks (a broadcast of the same word is
-    free); degree-1 accesses add nothing. *)
-val record_shared_batch : t -> store:bool -> bytes:int -> int list -> unit
-
-(** {1 Array batch cores}
-
-    Allocation-free forms over the first [len] entries of a (reusable)
-    address buffer. These are the actual implementations — each list
-    function above is an [Array.of_list] wrapper — so both executor
-    paths share one computation and produce identical counts. *)
-
-val sectors_of_batcha : bytes:int -> int array -> len:int -> int
-val conflicts_of_batcha : bytes:int -> int array -> len:int -> int
-
-val record_global_batcha :
+(** [record_global_batch t ~store ~bytes addresses ~len] — one
+    warp-synchronous global access: the byte addresses of the
+    participating threads are the first [len] entries of [addresses].
+    Counts the bytes and the distinct 32-byte sectors touched
+    ({!Graphene.Arch.global_sectors}). *)
+val record_global_batch :
   t -> store:bool -> bytes:int -> int array -> len:int -> unit
 
-val record_shared_batcha :
+(** [record_shared_batch t ~store ~bytes addresses ~len] — one
+    warp-synchronous shared access: counts the bytes and the extra
+    bank-conflict cycles ({!Graphene.Arch.shared_conflicts}). *)
+val record_shared_batch :
   t -> store:bool -> bytes:int -> int array -> len:int -> unit
 
 (** [record_requests t ~global ~elems ~width ~bytes] — request accounting

@@ -34,25 +34,6 @@ let with_tid env tid v = if String.equal v "threadIdx.x" then tid else env v
 
 let mentions_tid e = List.mem "threadIdx.x" (E.free_vars e)
 
-let rec pred_mentions_tid = function
-  | Spec.Cmp (_, a, b) -> mentions_tid a || mentions_tid b
-  | Spec.And (a, b) | Spec.Or (a, b) -> pred_mentions_tid a || pred_mentions_tid b
-  | Spec.Not p -> pred_mentions_tid p
-
-let rec eval_pred env = function
-  | Spec.Cmp (r, a, b) ->
-    let x = E.eval ~env a and y = E.eval ~env b in
-    (match r with
-    | Spec.Lt -> x < y
-    | Spec.Le -> x <= y
-    | Spec.Eq -> x = y
-    | Spec.Ne -> x <> y
-    | Spec.Gt -> x > y
-    | Spec.Ge -> x >= y)
-  | Spec.And (a, b) -> eval_pred env a && eval_pred env b
-  | Spec.Or (a, b) -> eval_pred env a || eval_pred env b
-  | Spec.Not p -> not (eval_pred env p)
-
 (* Group active threads by warp (ascending), modeling warp-synchronous
    issue for address batching. *)
 let warps_of active =
@@ -69,22 +50,48 @@ let warps_of active =
 (* ===== the tree-walking reference interpreter =====
 
    [run_tree] is the original direct interpreter: it re-resolves atomic
-   specs and re-evaluates all symbolic index arithmetic at every step,
-   and dispatches each atomic on its instruction name through
-   [Semantics.exec] (never [Semantics.classify]), so it stays
-   independent of the compiled path. It is kept as the executable
-   reference the compiled-plan executor ([run_plan], below) is tested
-   bit-identical against. *)
+   specs with [Atomic.find] and re-evaluates all symbolic index
+   arithmetic at every step, and batches addresses its own way, so it
+   stays independent of the lowering. It shares with the compiled path
+   only what the atomic registry owns (the instruction class, on which
+   [Semantics.exec] dispatches, and the ldmatrix row views) and the
+   accounting rules. It is kept as the executable reference the
+   compiled-plan executor ([run_plan], below) is tested bit-identical
+   against. *)
+
+(* Symbolic element offsets of a view for one thread. *)
+let tree_offsets env v tid = Ts.scalar_offsets ~env:(with_tid env tid) v
 
 (* First-scalar byte address of a view for one thread, or None for register
    views (registers have no shared address space to model). *)
-let first_byte_address ctx env tid (v : Ts.t) =
+let first_byte_address env tid (v : Ts.t) =
   match v.Ts.mem with
   | Ms.Register -> None
   | Ms.Global | Ms.Shared ->
-    let offs = Memory.offsets ctx.mem ~env:(with_tid env tid) v in
+    let offs = tree_offsets env v tid in
     if Array.length offs = 0 then None
     else Some (offs.(0) * Dt.size_bytes (Ts.dtype v))
+
+(* One warp-synchronous access batch — the byte addresses are the first
+   [len] entries of [addrs] — into the run's counters and the current
+   profiler row. Shared by both executors. *)
+let record_batch ctx ~global ~store ~bytes ~warp addrs ~len =
+  if global then begin
+    Counters.record_global_batch ctx.counters ~store ~bytes addrs ~len;
+    match ctx.prof with
+    | Some p ->
+      Profiler.on_global_batch p ~block:ctx.block ~store ~bytes ~warp addrs
+        ~len
+    | None -> ()
+  end
+  else begin
+    Counters.record_shared_batch ctx.counters ~store ~bytes addrs ~len;
+    match ctx.prof with
+    | Some p ->
+      Profiler.on_shared_batch p ~block:ctx.block ~store ~bytes ~warp addrs
+        ~len
+    | None -> ()
+  end
 
 let record_view_batch ctx env tids ~store (v : Ts.t) =
   match v.Ts.mem with
@@ -93,30 +100,18 @@ let record_view_batch ctx env tids ~store (v : Ts.t) =
     let n = try Ts.num_scalars_int v with Invalid_argument _ -> 1 in
     let bytes = n * Dt.size_bytes (Ts.dtype v) in
     let addrs =
-      List.filter_map (fun tid -> first_byte_address ctx env tid v) tids
+      Array.of_list
+        (List.filter_map (fun tid -> first_byte_address env tid v) tids)
     in
-    if addrs <> [] then begin
+    if Array.length addrs > 0 then begin
       let warp = match tids with t :: _ -> t / 32 | [] -> 0 in
+      let global = Ms.equal v.Ts.mem Ms.Global in
       (* One scalar request per scalar index per warp batch: the tree
          path never widens, so this is the width-1 baseline the plan
          executor's scalar-forced lowering must reproduce exactly. *)
-      Counters.record_requests ctx.counters
-        ~global:(Ms.equal v.Ts.mem Ms.Global)
-        ~elems:n ~width:1 ~bytes:0;
-      if Ms.equal v.Ts.mem Ms.Global then begin
-        Counters.record_global_batch ctx.counters ~store ~bytes addrs;
-        Option.iter
-          (fun p ->
-            Profiler.on_global_batch p ~block:ctx.block ~store ~bytes ~warp addrs)
-          ctx.prof
-      end
-      else begin
-        Counters.record_shared_batch ctx.counters ~store ~bytes addrs;
-        Option.iter
-          (fun p ->
-            Profiler.on_shared_batch p ~block:ctx.block ~store ~bytes ~warp addrs)
-          ctx.prof
-      end
+      Counters.record_requests ctx.counters ~global ~elems:n ~width:1 ~bytes:0;
+      record_batch ctx ~global ~store ~bytes ~warp addrs
+        ~len:(Array.length addrs)
     end
 
 (* ----- cp.async queue ops (shared by both executors) -----
@@ -144,39 +139,21 @@ let exec_wait_group ctx n =
     c.Counters.async_inflight_sum + Memory.async_inflight ctx.mem;
   Memory.async_wait ctx.mem n
 
-let is_async_name name =
-  String.length name >= 8 && String.equal (String.sub name 0 8) "cp.async"
-
-(* Book [instances] issues of one atomic instruction of cost [c] —
-   shared by both executors, which differ only in where [tc] / [async]
-   come from (parsed here per call, precomputed in the plan). *)
-let book_cost ctx ~name ~tc ~async (c : Atomic.cost) ~instances =
-  let k = ctx.counters in
-  if async then k.Counters.async_copies <- k.Counters.async_copies + instances;
-  if tc then
-    k.Counters.tensor_core_flops <-
-      k.Counters.tensor_core_flops + (c.Atomic.flops * instances)
-  else k.Counters.flops <- k.Counters.flops + (c.Atomic.flops * instances);
-  k.Counters.instructions <-
-    k.Counters.instructions + (c.Atomic.instructions * instances) - instances;
-  Counters.add_instr_n k name instances;
+(* Book [instances] issues of one atomic instruction of cost [c], into
+   the run's counters and the current profiler row — shared by both
+   executors (the tree computes [c] per call, the plan precomputes it). *)
+let book_cost ctx (instr : Atomic.instr) (c : Atomic.cost) ~instances =
+  Counters.book_issue ctx.counters instr c ~instances;
   match ctx.prof with
-  | Some p ->
-    Profiler.on_cost p ~instr:name ~tc ~flops:c.Atomic.flops
-      ~instructions:c.Atomic.instructions ~instances
+  | Some p -> Profiler.on_cost p instr c ~instances
   | None -> ()
-
-let account_cost ctx (instr : Atomic.instr) (s : Spec.t) ~instances =
-  let name = instr.Atomic.name in
-  book_cost ctx ~name
-    ~tc:(String.length name >= 3 && String.equal (String.sub name 0 3) "mma")
-    ~async:(is_async_name name) (instr.Atomic.cost s) ~instances
 
 (* Execute a per-thread atomic spec for all active threads, warp by warp, so
    that address batches model warp-synchronous coalescing. *)
 let exec_per_thread ctx (instr : Atomic.instr) (s : Spec.t) env active =
   let warps = warps_of active in
-  let dur = max 1 (instr.Atomic.cost s).Atomic.instructions in
+  let cost = instr.Atomic.cost s in
+  let dur = max 1 cost.Atomic.instructions in
   List.iter
     (fun (w, tids) ->
       (* Address accounting happens before data movement so that loads
@@ -185,8 +162,9 @@ let exec_per_thread ctx (instr : Atomic.instr) (s : Spec.t) env active =
       List.iter (record_view_batch ctx env tids ~store:true) s.Spec.outs;
       List.iter
         (fun tid ->
-          Semantics.exec ?trace:(sem_trace ctx) ~block:ctx.block ctx.mem ~instr
-            ~spec:s ~env ~members:[| tid |])
+          Semantics.exec ?trace:(sem_trace ctx) ~block:ctx.block
+            ~offs:(tree_offsets env) ctx.mem ~instr ~spec:s ~env
+            ~members:[| tid |])
         tids;
       Option.iter
         (fun p ->
@@ -194,7 +172,7 @@ let exec_per_thread ctx (instr : Atomic.instr) (s : Spec.t) env active =
             ~lanes:(List.length tids) ~dur)
         ctx.prof)
     warps;
-  account_cost ctx instr s ~instances:(List.length active)
+  book_cost ctx instr cost ~instances:(List.length active)
 
 (* ldmatrix address traffic: each lane supplies one 16-byte address covering
    a stored row (a logical column for the .trans variants); matrices are
@@ -202,35 +180,18 @@ let exec_per_thread ctx (instr : Atomic.instr) (s : Spec.t) env active =
 let record_ldmatrix ctx ~trans x (s : Spec.t) env members =
   match s.Spec.ins with
   | [ src ] ->
-    let outer_dims =
-      if Ts.depth src > 1 then
-        List.map
-          (fun m -> E.to_int_exn (Shape.Int_tuple.size m))
-          (Shape.Int_tuple.modes (L.dims src.Ts.layout))
-      else []
-    in
-    let row_addr j r =
-      let tile =
-        if outer_dims = [] then src
-        else Ts.select_ints src (Semantics.tile_coords outer_dims j)
-      in
-      let row =
-        if trans then Ts.select_ints tile [ 0; r ]
-        else Ts.select_ints tile [ r; 0 ]
-      in
-      let offs = Memory.offsets ctx.mem ~env:(with_tid env members.(0)) row in
-      offs.(0) * Dt.size_bytes (Ts.dtype src)
-    in
+    let elt = Dt.size_bytes (Ts.dtype src) in
+    let rows = Atomic.ldmatrix_rows ~trans x src in
     for j = 0 to x - 1 do
-      let addrs = List.init 8 (fun r -> row_addr j r) in
-      Counters.record_shared_batch ctx.counters ~store:false ~bytes:16 addrs;
+      let addrs =
+        Array.map
+          (fun row -> (tree_offsets env row members.(0)).(0) * elt)
+          rows.(j)
+      in
       Counters.record_requests ctx.counters ~global:false ~elems:1 ~width:1
         ~bytes:0;
-      Option.iter
-        (fun p ->
-          Profiler.on_shared_batch p ~block:ctx.block ~store:false ~bytes:16
-            ~warp:(members.(0) / 32) addrs)
-        ctx.prof
+      record_batch ctx ~global:false ~store:false ~bytes:16
+        ~warp:(members.(0) / 32) addrs ~len:8
     done
   | _ -> ()
 
@@ -255,21 +216,23 @@ let exec_collective ctx (instr : Atomic.instr) (s : Spec.t) env active =
       end)
     active;
   let groups = List.rev !groups in
-  let dur = max 1 (instr.Atomic.cost s).Atomic.instructions in
+  let cost = instr.Atomic.cost s in
+  let dur = max 1 cost.Atomic.instructions in
   List.iter
     (fun members ->
-      (match Atomic.parse_ldmatrix instr.Atomic.name with
-      | Some (x, trans) -> record_ldmatrix ctx ~trans x s env members
-      | None -> ());
-      Semantics.exec ?trace:(sem_trace ctx) ~block:ctx.block ctx.mem ~instr
-        ~spec:s ~env ~members;
+      (match instr.Atomic.klass with
+      | Atomic.Ldmatrix { x; trans } ->
+        record_ldmatrix ctx ~trans x s env members
+      | _ -> ());
+      Semantics.exec ?trace:(sem_trace ctx) ~block:ctx.block
+        ~offs:(tree_offsets env) ctx.mem ~instr ~spec:s ~env ~members;
       Option.iter
         (fun p ->
           Profiler.exec_event p ~block:ctx.block ~warp:(members.(0) / 32)
             ~lanes:(Array.length members) ~dur)
         ctx.prof)
     groups;
-  account_cost ctx instr s ~instances:(List.length groups)
+  book_cost ctx instr cost ~instances:(List.length groups)
 
 let rec exec_stmt ctx env active stmt =
   match stmt with
@@ -296,15 +259,18 @@ let rec exec_stmt ctx env active stmt =
     done;
     Option.iter Profiler.exit_frame ctx.prof
   | Spec.If { cond; then_; else_ } ->
-    if pred_mentions_tid cond then begin
+    if Spec.pred_mentions "threadIdx.x" cond then begin
       let taken, not_taken =
-        List.partition (fun tid -> eval_pred (with_tid env tid) cond) active
+        List.partition
+          (fun tid -> Spec.eval_pred (with_tid env tid) cond)
+          active
       in
       if taken <> [] then List.iter (exec_stmt ctx env taken) then_;
       if not_taken <> [] && else_ <> [] then
         List.iter (exec_stmt ctx env not_taken) else_
     end
-    else if eval_pred env cond then List.iter (exec_stmt ctx env active) then_
+    else if Spec.eval_pred env cond then
+      List.iter (exec_stmt ctx env active) then_
     else List.iter (exec_stmt ctx env active) else_
   | Spec.Spec_stmt s -> (
     match s.Spec.decomp with
@@ -327,11 +293,6 @@ let rec exec_stmt ctx env active stmt =
           ctx.prof;
         if instr.Atomic.threads = 1 then exec_per_thread ctx instr s env active
         else exec_collective ctx instr s env active))
-
-let shared_alloc_size (t : Ts.t) =
-  let cosize = L.cosize t.Ts.layout in
-  let w = Shape.Swizzle.window t.Ts.swizzle in
-  (cosize + w - 1) / w * w
 
 (* ===== parallel grid execution =====
 
@@ -515,7 +476,7 @@ let run_tree ~arch ?profiler ?domains (k : Spec.kernel) ~args ?(scalars = []) ()
       (fun (t : Ts.t) ->
         match t.Ts.mem with
         | Ms.Shared ->
-          Memory.declare_shared mem t.Ts.buffer (shared_alloc_size t)
+          Memory.declare_shared mem t.Ts.buffer (Ts.alloc_size t)
         | Ms.Register ->
           Memory.declare_regs mem t.Ts.buffer (L.cosize t.Ts.layout)
         | Ms.Global -> error "Alloc of a global tensor %s" t.Ts.buffer)
@@ -554,9 +515,9 @@ let run_tree ~arch ?profiler ?domains (k : Spec.kernel) ~args ?(scalars = []) ()
    dense int-tagged instruction array driven by a tight tail-recursive
    match over the opcode word. Atomic resolution already happened (once,
    at lowering), loop bounds / predicates / view offsets are closures
-   over one dense slot array, all profiler attribution strings and costs
-   are precomputed, and each atomic's [Semantics] dispatch tag is
-   resolved once per launch with [Semantics.classify].
+   over one dense slot array, and all profiler attribution strings and
+   costs are precomputed; [Semantics.exec] dispatches on the resolved
+   instruction's class.
 
    Active sets are per-warp 32-bit masks ([Warp_mask]) instead of thread
    id lists; a divergent branch splits them into a preallocated per-depth
@@ -652,7 +613,6 @@ type bctx =
   ; bc_conds : (int array -> bool) array
   ; bc_labels : string array
   ; bc_fails : string array
-  ; bc_sem : Semantics.code array  (* by a_id: pre-resolved dispatch *)
   ; bc_taken : WM.t array  (* divergence mask arena, by branch depth *)
   ; bc_not_taken : WM.t array
   ; addrs : int array  (* address batch scratch: one slot per warp lane *)
@@ -712,7 +672,7 @@ let thread_cached_offsets bx (pv : P.view) tid =
     offs
   end
 
-(* The offsets oracle handed to [Semantics.exec_coded]: compiled closure
+(* The offsets oracle handed to [Semantics.exec]: compiled closure
    for the atomic's own views (cached per the depcheck tier), symbolic
    fallback for any derived view. *)
 let plan_offsets bx (a : P.atomic) v tid =
@@ -775,11 +735,6 @@ let make_bctx ctx (plan : P.t) (env : int array) =
     ; bc_conds = bc.P.bc_conds
     ; bc_labels = bc.P.bc_labels
     ; bc_fails = bc.P.bc_fails
-    ; bc_sem =
-        Array.map
-          (fun (a : P.atomic) ->
-            Semantics.classify ~instr:a.P.a_instr ~spec:a.P.a_spec)
-          bc.P.bc_atomics
     ; bc_taken = Array.init bc.P.bc_max_depth (fun _ -> Array.make nwords 0)
     ; bc_not_taken = Array.init bc.P.bc_max_depth (fun _ -> Array.make nwords 0)
     ; addrs = Array.make 32 0
@@ -847,26 +802,11 @@ let bc_record_batch bx w wmask ~store (pv : P.view) =
          request/vectorized counters see the widening; the byte and
          sector accounting below is untouched, so a widened plan differs
          from its scalar twin in requests alone. *)
-      Counters.record_requests ctx.counters
-        ~global:(Ms.equal pv.P.v_mem Ms.Global)
+      let global = Ms.equal pv.P.v_mem Ms.Global in
+      Counters.record_requests ctx.counters ~global
         ~elems:(bytes / pv.P.v_elt_bytes)
         ~width:pv.P.v_vec_width ~bytes:(bytes * !n);
-      if Ms.equal pv.P.v_mem Ms.Global then begin
-        Counters.record_global_batcha ctx.counters ~store ~bytes addrs ~len:!n;
-        match ctx.prof with
-        | Some p ->
-          Profiler.on_global_batcha p ~block:ctx.block ~store ~bytes ~warp:w
-            addrs ~len:!n
-        | None -> ()
-      end
-      else begin
-        Counters.record_shared_batcha ctx.counters ~store ~bytes addrs ~len:!n;
-        match ctx.prof with
-        | Some p ->
-          Profiler.on_shared_batcha p ~block:ctx.block ~store ~bytes ~warp:w
-            addrs ~len:!n
-        | None -> ()
-      end
+      record_batch ctx ~global ~store ~bytes ~warp:w addrs ~len:!n
     end
 
 let rec bc_record_batches bx w wmask ~store = function
@@ -875,17 +815,13 @@ let rec bc_record_batches bx w wmask ~store = function
     bc_record_batch bx w wmask ~store pv;
     bc_record_batches bx w wmask ~store tl
 
-let bc_account_cost ctx (a : P.atomic) ~instances =
-  book_cost ctx ~name:a.P.a_instr.Atomic.name ~tc:a.P.a_is_tc
-    ~async:a.P.a_is_async a.P.a_cost ~instances
-
 (* The wide-transaction fast path: a vector-widened, full-span contiguous
    move skips the per-lane [Semantics] dispatch (and its offset
    enumeration) — every active lane's enumeration is exactly
    [addr0, addr0 + n) on both sides, so one [exec_warp_move_contig] call
    per warp moves the whole batch. Skipped when instruction-level tracing
    is on: the detail trace wants one event per lane from the generic
-   path. Counter accounting ([bc_record_batches], [bc_account_cost]) is
+   path. Counter accounting ([bc_record_batches], [book_cost]) is
    shared with the generic path, so only the data-movement engine
    changes. *)
 let bc_exec_fastcopy bx (a : P.atomic) w m =
@@ -905,14 +841,15 @@ let bc_exec_fastcopy bx (a : P.atomic) w m =
       incr lanes
     end
   done;
-  if a.P.a_is_async then
+  match a.P.a_instr.Atomic.klass with
+  | Atomic.Cp_async ->
     Semantics.exec_warp_cp_async_contig bx.c.mem a.P.a_spec ~tids:bx.fc_tids
       ~src_bases:bx.fc_src ~dst_bases:bx.fc_dst ~lanes:!lanes ~n
-  else
+  | _ ->
     Semantics.exec_warp_move_contig bx.c.mem a.P.a_spec ~tids:bx.fc_tids
       ~src_bases:bx.fc_src ~dst_bases:bx.fc_dst ~lanes:!lanes ~n
 
-let bc_exec_per_thread bx (a : P.atomic) sem (mask : WM.t) =
+let bc_exec_per_thread bx (a : P.atomic) (mask : WM.t) =
   let ctx = bx.c in
   let env = bx.env in
   let envf = bx.a_envf.(a.P.a_id) in
@@ -933,7 +870,7 @@ let bc_exec_per_thread bx (a : P.atomic) sem (mask : WM.t) =
             let tid = base + l in
             env.(Slots.tid_slot) <- tid;
             bx.members1.(0) <- tid;
-            Semantics.exec_coded ?trace ~block:ctx.block ~offs ctx.mem sem
+            Semantics.exec ?trace ~block:ctx.block ~offs ctx.mem
               ~instr:a.P.a_instr ~spec:a.P.a_spec ~env:envf
               ~members:bx.members1
           end
@@ -947,7 +884,7 @@ let bc_exec_per_thread bx (a : P.atomic) sem (mask : WM.t) =
       | None -> ()
     end
   done;
-  bc_account_cost ctx a ~instances:!total
+  book_cost ctx a.P.a_instr a.P.a_cost ~instances:!total
 
 let bc_record_ldmatrix bx (a : P.atomic) ~trans x members =
   let ctx = bx.c in
@@ -963,15 +900,10 @@ let bc_record_ldmatrix bx (a : P.atomic) ~trans x members =
         if addr = no_addr then invalid_arg "index out of bounds";
         Array.unsafe_set bx.ld8 r (addr * elt_bytes)
       done;
-      Counters.record_shared_batcha ctx.counters ~store:false ~bytes:16 bx.ld8
-        ~len:8;
       Counters.record_requests ctx.counters ~global:false ~elems:1 ~width:1
         ~bytes:0;
-      match ctx.prof with
-      | Some p ->
-        Profiler.on_shared_batcha p ~block:ctx.block ~store:false ~bytes:16
-          ~warp:(members.(0) / 32) bx.ld8 ~len:8
-      | None -> ()
+      record_batch ctx ~global:false ~store:false ~bytes:16
+        ~warp:(members.(0) / 32) bx.ld8 ~len:8
     done
   | None ->
     (* Symbolic fallback (e.g. an outer extent the compiler couldn't make
@@ -1033,7 +965,7 @@ let plan_groups bx (a : P.atomic) (mask : WM.t) =
     groups
   end
 
-let bc_exec_collective bx (a : P.atomic) sem (mask : WM.t) =
+let bc_exec_collective bx (a : P.atomic) (mask : WM.t) =
   let ctx = bx.c in
   let groups = plan_groups bx a mask in
   let offs = bx.a_offs.(a.P.a_id) in
@@ -1041,18 +973,18 @@ let bc_exec_collective bx (a : P.atomic) sem (mask : WM.t) =
   let trace = sem_trace ctx in
   for g = 0 to Array.length groups - 1 do
     let members = Array.unsafe_get groups g in
-    (match a.P.a_ldmatrix with
-    | Some (x, trans) -> bc_record_ldmatrix bx a ~trans x members
-    | None -> ());
-    (Semantics.exec_coded ?trace ~block:ctx.block ~offs ctx.mem sem
-      ~instr:a.P.a_instr ~spec:a.P.a_spec ~env:envf ~members);
+    (match a.P.a_instr.Atomic.klass with
+    | Atomic.Ldmatrix { x; trans } -> bc_record_ldmatrix bx a ~trans x members
+    | _ -> ());
+    Semantics.exec ?trace ~block:ctx.block ~offs ctx.mem ~instr:a.P.a_instr
+      ~spec:a.P.a_spec ~env:envf ~members;
     match ctx.prof with
     | Some p ->
       Profiler.exec_event p ~block:ctx.block ~warp:(members.(0) / 32)
         ~lanes:(Array.length members) ~dur:a.P.a_dur
     | None -> ()
   done;
-  bc_account_cost ctx a ~instances:(Array.length groups)
+  book_cost ctx a.P.a_instr a.P.a_cost ~instances:(Array.length groups)
 
 (* The dispatch loop: execute instructions in [pc, endpc) under [mask].
    The literal opcodes must match the Lower.Bytecode.op_* constants
@@ -1072,9 +1004,8 @@ let rec bc_exec bx (mask : WM.t) pc endpc =
         Profiler.begin_atomic p ~label:a.P.a_label ~kind:a.P.a_kind
           ~instr:a.P.a_instr.Atomic.name
       | None -> ());
-      let sem = Array.unsafe_get bx.bc_sem a_id in
-      if a.P.a_per_thread then bc_exec_per_thread bx a sem mask
-      else bc_exec_collective bx a sem mask;
+      if a.P.a_per_thread then bc_exec_per_thread bx a mask
+      else bc_exec_collective bx a mask;
       bc_exec bx mask (pc + 2) endpc
     | 1 (* loop: slot lo hi step label body_len *) ->
       let env = bx.env in

@@ -7,7 +7,6 @@ type t =
   ; fma_flops_per_sm_cycle : int
   ; dram_bytes_per_sec : float
   ; smem_bytes_per_sm_cycle : int
-  ; smem_bytes_per_block : int
   ; max_threads_per_sm : int
   ; registers_per_sm : int
   ; kernel_launch_overhead_s : float
@@ -27,7 +26,6 @@ let v100 =
     fma_flops_per_sm_cycle = 128
   ; dram_bytes_per_sec = 900.0e9
   ; smem_bytes_per_sm_cycle = 128
-  ; smem_bytes_per_block = 96 * 1024
   ; max_threads_per_sm = 2048
   ; registers_per_sm = 65536
   ; kernel_launch_overhead_s = 4.5e-6
@@ -47,7 +45,6 @@ let a6000 =
     fma_flops_per_sm_cycle = 256
   ; dram_bytes_per_sec = 768.0e9
   ; smem_bytes_per_sm_cycle = 128
-  ; smem_bytes_per_block = 100 * 1024
   ; max_threads_per_sm = 1536
   ; registers_per_sm = 65536
   ; kernel_launch_overhead_s = 4.0e-6

@@ -16,7 +16,6 @@ type t =
   ; fma_flops_per_sm_cycle : int  (** fp32 CUDA-core flops per SM per cycle *)
   ; dram_bytes_per_sec : float
   ; smem_bytes_per_sm_cycle : int  (** shared-memory bandwidth per SM *)
-  ; smem_bytes_per_block : int  (** usable shared memory per thread block *)
   ; max_threads_per_sm : int
   ; registers_per_sm : int  (** 32-bit registers in the SM register file *)
   ; kernel_launch_overhead_s : float

@@ -58,12 +58,7 @@ let of_global global =
   ; blk = fresh_block ()
   }
 
-let create () = of_global (create_global ())
-
-let global t = t.global
-
 let bind_arena (g : global) name data = Hashtbl.replace g name data
-let bind_global t name data = bind_arena t.global name data
 
 let find_global t name =
   match Hashtbl.find t.global name with
@@ -154,17 +149,15 @@ let buffer t ~tid (v : Ts.t) =
       if Array.length f > 0 then f else alloc_reg_file t v files tid
     else alloc_reg_file t v files tid)
 
-let offsets _t ~env v = Ts.scalar_offsets ~env v
-
 let checked buf (v : Ts.t) off =
   if off < 0 || off >= Array.length buf then
     fault "view %%%s: offset %d outside buffer %s of size %d" v.Ts.name off
       v.Ts.buffer (Array.length buf)
 
-(* The [*_offs] variants take precomputed element offsets (from a compiled
-   execution plan); the [env]-taking accessors below derive them
-   symbolically and defer to these, so both paths share the bounds checks
-   and fault messages. *)
+(* Every accessor takes the view's element offsets, derived by the
+   caller (symbolically on the tree path, by compiled closures on the
+   plan path), so both paths share the bounds checks and fault
+   messages. *)
 
 let read_offs t ~tid v offs =
   let buf = buffer t ~tid v in
@@ -234,8 +227,8 @@ let write_contig t ~tid v ~base data ~len =
 
 (* A resolved buffer handle: hoists [buffer] resolution out of
    per-element loops. The ldmatrix fragment distribute writes two
-   scalars per lane per tile through [write_k_offs], which would
-   otherwise re-hash the buffer name on every element. *)
+   scalars per lane per tile, which would otherwise re-hash the buffer
+   name on every element. *)
 type slab =
   { sl_buf : float array
   ; sl_dt : Dt.t
@@ -248,27 +241,3 @@ let write_k_slab sl (v : Ts.t) offs k x =
     fault "view %%%s: scalar index %d out of %d" v.Ts.name k (Array.length offs);
   checked sl.sl_buf v offs.(k);
   sl.sl_buf.(offs.(k)) <- Dt.round sl.sl_dt x
-
-let read_k_offs t ~tid v offs k =
-  let buf = buffer t ~tid v in
-  if k >= Array.length offs then
-    fault "view %%%s: scalar index %d out of %d" v.Ts.name k (Array.length offs);
-  checked buf v offs.(k);
-  buf.(offs.(k))
-
-let write_k_offs t ~tid v offs k x =
-  let buf = buffer t ~tid v in
-  if k >= Array.length offs then
-    fault "view %%%s: scalar index %d out of %d" v.Ts.name k (Array.length offs);
-  checked buf v offs.(k);
-  buf.(offs.(k)) <- Dt.round (Ts.dtype v) x
-
-let read t ~env ~tid v = read_offs t ~tid v (Ts.scalar_offsets ~env v)
-
-let write t ~env ~tid v data =
-  write_offs t ~tid v (Ts.scalar_offsets ~env v) data
-
-let read_k t ~env ~tid v k = read_k_offs t ~tid v (Ts.scalar_offsets ~env v) k
-
-let write_k t ~env ~tid v k x =
-  write_k_offs t ~tid v (Ts.scalar_offsets ~env v) k x

@@ -7,7 +7,7 @@
 
 (** The global-memory arena, shared by every block — and, when blocks
     execute on multiple domains, by every domain. It is written through
-    {!bind_arena}/{!bind_global} before execution starts; afterwards only
+    {!bind_arena} before execution starts; afterwards only
     its arrays' cells are mutated, by blocks writing disjoint cells (as on
     real hardware), so sharing it across domains is safe. *)
 type global
@@ -29,18 +29,7 @@ val bind_arena : global -> string -> float array -> unit
     declarations — each domain executing a block range makes its own. *)
 val of_global : global -> t
 
-(** [create ()] = [of_global (create_global ())]. *)
-val create : unit -> t
-
-(** The arena this handle reads globals from. *)
-val global : t -> global
-
 (** {1 Buffer management} *)
-
-(** [bind_global t name data] = [bind_arena (global t) name data]. *)
-val bind_global : t -> string -> float array -> unit
-
-val find_global : t -> string -> float array
 
 (** Declare a shared / register allocation (from [Alloc] statements). *)
 val declare_shared : t -> string -> int -> unit
@@ -77,30 +66,10 @@ val async_wait : t -> int -> unit
 
 (** {1 View access}
 
-    [env] must bind every free variable of the view, including
-    ["threadIdx.x"] / ["blockIdx.x"]. *)
-
-(** Element offsets of the view's scalars (innermost fastest). *)
-val offsets : t -> env:(string -> int) -> Gpu_tensor.Tensor.t -> int array
-
-(** Read all scalars of a view. [tid] selects the register file. *)
-val read : t -> env:(string -> int) -> tid:int -> Gpu_tensor.Tensor.t -> float array
-
-val write :
-  t -> env:(string -> int) -> tid:int -> Gpu_tensor.Tensor.t -> float array -> unit
-
-(** Single-scalar convenience accessors (by scalar position [k]). *)
-val read_k : t -> env:(string -> int) -> tid:int -> Gpu_tensor.Tensor.t -> int -> float
-
-val write_k :
-  t -> env:(string -> int) -> tid:int -> Gpu_tensor.Tensor.t -> int -> float -> unit
-
-(** {1 Precomputed-offset access}
-
-    Variants taking the view's element offsets directly (as produced by a
-    compiled execution plan's offset closures) instead of deriving them
-    from [env]. Bounds checks and fault messages are identical to the
-    symbolic accessors above, which are now thin wrappers over these. *)
+    Every accessor takes the view's element offsets (innermost fastest)
+    from the caller: the tree interpreter derives them symbolically with
+    [Tensor.scalar_offsets], a compiled execution plan with its offset
+    closures. [tid] selects the register file. *)
 
 val read_offs : t -> tid:int -> Gpu_tensor.Tensor.t -> int array -> float array
 
@@ -145,12 +114,6 @@ val write_offs_n :
   len:int ->
   unit
 
-val read_k_offs :
-  t -> tid:int -> Gpu_tensor.Tensor.t -> int array -> int -> float
-
-val write_k_offs :
-  t -> tid:int -> Gpu_tensor.Tensor.t -> int array -> int -> float -> unit
-
 (** A resolved buffer handle: the view's backing array and element type,
     looked up once. Hoists buffer resolution out of per-element loops
     (e.g. the ldmatrix fragment distribute, which writes two scalars per
@@ -160,8 +123,9 @@ type slab
 
 val slab : t -> tid:int -> Gpu_tensor.Tensor.t -> slab
 
-(** [write_k_slab sl v offs k x] — exactly {!write_k_offs} on the
-    resolved buffer: same checks, rounding, and fault messages. *)
+(** [write_k_slab sl v offs k x] — write scalar [k] of the view (at
+    [offs.(k)]) on the resolved buffer, rounding through the view's
+    element type; faults when [k] or its offset is out of range. *)
 val write_k_slab : slab -> Gpu_tensor.Tensor.t -> int array -> int -> float -> unit
 
 (** {2 Contiguous-span forms}

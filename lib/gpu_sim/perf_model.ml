@@ -24,7 +24,9 @@ let of_totals ?(smem_penalty = 1.0) ?(vec_width = 4.0) ?pipeline
   let by_smem =
     if t.Static_analysis.smem_bytes_per_block = 0 then by_threads
     else
-      max 1 (m.Machine.smem_bytes_per_block / t.Static_analysis.smem_bytes_per_block)
+      max 1
+        (Graphene.Arch.smem_bytes_per_block m.Machine.arch
+        / t.Static_analysis.smem_bytes_per_block)
   in
   let by_regs =
     if t.Static_analysis.regs_per_thread = 0 then by_threads

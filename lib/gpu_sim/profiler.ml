@@ -111,64 +111,19 @@ let begin_atomic p ~label ~kind ~instr =
   in
   p.current <- Some row
 
-let on_cost p ~instr ~tc ~flops ~instructions ~instances =
+let on_cost p instr cost ~instances =
   match p.current with
   | None -> ()
   | Some r ->
     r.a_instances <- r.a_instances + instances;
-    if tc then
-      r.c.Counters.tensor_core_flops <-
-        r.c.Counters.tensor_core_flops + (flops * instances)
-    else r.c.Counters.flops <- r.c.Counters.flops + (flops * instances);
-    r.c.Counters.instructions <-
-      r.c.Counters.instructions + (instructions * instances) - instances;
-    Counters.add_instr_n r.c instr instances
+    Counters.book_issue r.c instr cost ~instances
 
-let on_global_batch p ~block ~store ~bytes ~warp addresses =
+(* The batch hooks take the first [len] entries of a (reusable) address
+   buffer, as the counters do. *)
+let on_global_batch p ~block ~store ~bytes ~warp addresses ~len =
   (match p.current with
   | None -> ()
-  | Some r -> Counters.record_global_batch r.c ~store ~bytes addresses);
-  Option.iter
-    (fun tr ->
-      let name =
-        match p.current with Some r -> r.a_path | None -> "global access"
-      in
-      Trace.instant tr ~name ~cat:(if store then "global.store" else "global.load")
-        ~pid:block ~tid:warp
-        ~args:
-          [ ("bytes", Json.Int (bytes * List.length addresses))
-          ; ("sectors", Json.Int (Counters.sectors_of_batch ~bytes addresses))
-          ]
-        ())
-    p.trace_sink
-
-let on_shared_batch p ~block ~store ~bytes ~warp addresses =
-  (match p.current with
-  | None -> ()
-  | Some r -> Counters.record_shared_batch r.c ~store ~bytes addresses);
-  Option.iter
-    (fun tr ->
-      let name =
-        match p.current with Some r -> r.a_path | None -> "shared access"
-      in
-      Trace.instant tr ~name ~cat:(if store then "shared.store" else "shared.load")
-        ~pid:block ~tid:warp
-        ~args:
-          [ ("bytes", Json.Int (bytes * List.length addresses))
-          ; ( "bank_conflicts"
-            , Json.Int (Counters.conflicts_of_batch ~bytes addresses) )
-          ]
-        ())
-    p.trace_sink
-
-(* Array forms of the batch hooks: same row-counter updates and the same
-   trace instants (identical names, categories and argument values) over
-   the first [len] entries of a reusable address buffer — the plan
-   executor's allocation-free path. *)
-let on_global_batcha p ~block ~store ~bytes ~warp addresses ~len =
-  (match p.current with
-  | None -> ()
-  | Some r -> Counters.record_global_batcha r.c ~store ~bytes addresses ~len);
+  | Some r -> Counters.record_global_batch r.c ~store ~bytes addresses ~len);
   Option.iter
     (fun tr ->
       let name =
@@ -178,16 +133,15 @@ let on_global_batcha p ~block ~store ~bytes ~warp addresses ~len =
         ~pid:block ~tid:warp
         ~args:
           [ ("bytes", Json.Int (bytes * len))
-          ; ( "sectors"
-            , Json.Int (Counters.sectors_of_batcha ~bytes addresses ~len) )
+          ; ("sectors", Json.Int (Arch.global_sectors ~bytes addresses ~len))
           ]
         ())
     p.trace_sink
 
-let on_shared_batcha p ~block ~store ~bytes ~warp addresses ~len =
+let on_shared_batch p ~block ~store ~bytes ~warp addresses ~len =
   (match p.current with
   | None -> ()
-  | Some r -> Counters.record_shared_batcha r.c ~store ~bytes addresses ~len);
+  | Some r -> Counters.record_shared_batch r.c ~store ~bytes addresses ~len);
   Option.iter
     (fun tr ->
       let name =
@@ -198,7 +152,7 @@ let on_shared_batcha p ~block ~store ~bytes ~warp addresses ~len =
         ~args:
           [ ("bytes", Json.Int (bytes * len))
           ; ( "bank_conflicts"
-            , Json.Int (Counters.conflicts_of_batcha ~bytes addresses ~len) )
+            , Json.Int (Arch.shared_conflicts ~bytes addresses ~len) )
           ]
         ())
     p.trace_sink

@@ -58,24 +58,19 @@ val exit_frame : t -> unit
     to atomic instruction [instr]; subsequent events attribute to its row. *)
 val begin_atomic : t -> label:string -> kind:string -> instr:string -> unit
 
-(** Compute/issue cost of the current atomic spec, mirroring the
-    interpreter's counter accounting. *)
+(** [on_cost p instr cost ~instances] — [instances] issues of the
+    current spec's instruction, booked into its row by the same
+    {!Counters.book_issue} that books the run's totals. *)
 val on_cost :
-  t -> instr:string -> tc:bool -> flops:int -> instructions:int ->
-  instances:int -> unit
+  t -> Graphene.Atomic.instr -> Graphene.Atomic.cost -> instances:int -> unit
 
-(** One warp-synchronous global/shared access batch of the current spec.
-    [block] is the issuing thread block (trace event pid). *)
+(** One warp-synchronous global/shared access batch of the current spec:
+    the byte addresses are the first [len] entries of the buffer, as in
+    {!Counters.record_global_batch}. [block] is the issuing thread block
+    (trace event pid); the trace event carries the batch's sectors
+    ({!Graphene.Arch.global_sectors}) or bank-conflict cycles
+    ({!Graphene.Arch.shared_conflicts}). *)
 val on_global_batch :
-  t -> block:int -> store:bool -> bytes:int -> warp:int -> int list -> unit
-
-val on_shared_batch :
-  t -> block:int -> store:bool -> bytes:int -> warp:int -> int list -> unit
-
-(** Array forms over the first [len] entries of a reusable address
-    buffer — identical counter updates and trace events to the list
-    forms, without per-batch allocation (the plan executor's path). *)
-val on_global_batcha :
   t ->
   block:int ->
   store:bool ->
@@ -85,7 +80,7 @@ val on_global_batcha :
   len:int ->
   unit
 
-val on_shared_batcha :
+val on_shared_batch :
   t ->
   block:int ->
   store:bool ->

@@ -7,10 +7,6 @@ module Op = Graphene.Op
 let with_tid env tid v =
   if String.equal v "threadIdx.x" then tid else env v
 
-let starts_with prefix s =
-  String.length s >= String.length prefix
-  && String.equal (String.sub s 0 (String.length prefix)) prefix
-
 (* ----- fragment layouts ----- *)
 
 let mma_m16n8k16_a_coords lane =
@@ -99,9 +95,8 @@ let single_io (s : Spec.t) =
   | _ -> invalid_arg "Semantics: arity"
 
 (* Every executor addresses views through [offs : Ts.t -> int -> int array],
-   the per-thread element offsets of a view. [exec] (below, the tree
-   interpreter's entry) derives them symbolically from [env]; the
-   compiled plan passes its precomputed offset closures to [exec_coded]. *)
+   the per-thread element offsets of a view: the tree interpreter derives
+   them symbolically, the compiled plan passes its offset closures. *)
 
 (* ----- per-thread instructions ----- *)
 
@@ -244,22 +239,11 @@ let exec_thread_init mem v (s : Spec.t) offs tid =
 
 (* ----- collective instructions ----- *)
 
-(* Coordinates of the j-th tile, counting leftmost-fastest over the outer
-   dims — the hardware's matrix order for mma A operands (row block
-   fastest). *)
-let tile_coords outer_dims j =
-  let coords, _ =
-    List.fold_left
-      (fun (acc, rest) d -> ((rest mod d) :: acc, rest / d))
-      ([], j) outer_dims
-  in
-  List.rev coords
-
 let exec_ldmatrix mem x (s : Spec.t) offs members =
   let src, dst = single_io s in
   let lane0 = members.(0) in
   (* The source enumerates its outer tiles slowest and leftmost-fastest —
-     the same order as [tile_coords] — so the j-th 8x8 matrix is a
+     the same order as [Atomic.tile_coords] — so the j-th 8x8 matrix is a
      contiguous slice of the full offset enumeration. *)
   let src_offs = offs src lane0 in
   let tiles =
@@ -397,54 +381,19 @@ let exec_shfl mem kind (s : Spec.t) env offs members =
 
 (* ----- dispatch ----- *)
 
-(* Pre-resolved dispatch for the bytecode executor: [exec] (below) pays
-   string parsing and prefix tests on every call to decide which
-   executor an instruction needs; [classify] makes that decision once
-   per (instr, spec) — at executor-state build time — and [exec_coded]
-   dispatches on the resulting tag. Same executors, same member-arity
-   checks, same errors and trace events; only the per-call string work
-   and the trace-hook closure allocation are gone. *)
-
-type code =
-  | C_ldmatrix of int
-  | C_mma_m16n8k16
-  | C_mma_m8n8k4
-  | C_shfl of Spec.shfl_kind
-  | C_cp_async
-  | C_move
-  | C_fma
-  | C_unary of Op.unary
-  | C_binary of Op.binary
-  | C_reduction of Op.binary * int list
-  | C_init of float
-  | C_generic
-
-let classify ~(instr : Atomic.instr) ~(spec : Spec.t) =
-  let name = instr.Atomic.name in
-  match Atomic.parse_ldmatrix name with
-  | Some (x, _) -> C_ldmatrix x
-  | None ->
-    if starts_with "mma.m16n8k16" name then C_mma_m16n8k16
-    else if String.equal "mma.m8n8k4" name then C_mma_m8n8k4
-    else if starts_with "cp.async" name then C_cp_async
-    else (
-      match spec.Spec.kind with
-      | Spec.Shfl kind -> C_shfl kind
-      | Spec.Move -> C_move
-      | Spec.Mat_mul -> C_fma
-      | Spec.Unary_pointwise op -> C_unary op
-      | Spec.Binary_pointwise op -> C_binary op
-      | Spec.Reduction { op; axes } -> C_reduction (op, axes)
-      | Spec.Init v -> C_init v
-      | Spec.Generic _ -> C_generic)
-
-let unhandled name members =
+let unhandled (instr : Atomic.instr) members =
   invalid_arg
     (Printf.sprintf "Semantics.exec: unhandled instruction %s (%d members)"
-       name (Array.length members))
+       instr.Atomic.name (Array.length members))
 
-let exec_coded ?trace ?(block = 0) ~offs mem code ~(instr : Atomic.instr)
-    ~spec ~env ~members =
+(* The one member of a per-thread instance. *)
+let thread instr members =
+  if Array.length members = 1 then Array.unsafe_get members 0
+  else unhandled instr members
+
+let exec ?trace ?(block = 0) ~offs mem ~(instr : Atomic.instr)
+    ~(spec : Spec.t) ~env ~members =
+  (* Fine-grained (per-instance) instruction event, for detailed traces. *)
   (match trace with
   | Some tr ->
     Trace.instant tr
@@ -457,87 +406,29 @@ let exec_coded ?trace ?(block = 0) ~offs mem code ~(instr : Atomic.instr)
         ]
       ()
   | None -> ());
-  match code with
-  | C_ldmatrix x -> exec_ldmatrix mem x spec offs members
-  | C_mma_m16n8k16 ->
+  match (instr.Atomic.klass, spec.Spec.kind) with
+  | Atomic.Ldmatrix { x; _ }, _ -> exec_ldmatrix mem x spec offs members
+  | Atomic.Mma { m = 16; n = 8; k = 16 }, _ ->
     exec_mma mem ~m:16 ~n:8 ~k:16 ~a_coords:mma_m16n8k16_a
       ~b_coords:mma_m16n8k16_b ~c_coords:mma_m16n8k16_c spec offs members
-  | C_mma_m8n8k4 ->
+  | Atomic.Mma { m = 8; n = 8; k = 4 }, _ ->
     exec_mma mem ~m:8 ~n:8 ~k:4 ~a_coords:mma_m8n8k4_a ~b_coords:mma_m8n8k4_b
       ~c_coords:mma_m8n8k4_c spec offs members
-  | C_shfl kind -> exec_shfl mem kind spec env offs members
-  | C_cp_async ->
-    if Array.length members = 1 then
-      exec_thread_cp_async mem spec offs members.(0)
-    else unhandled instr.Atomic.name members
-  | C_move ->
-    if Array.length members = 1 then exec_thread_move mem spec offs members.(0)
-    else unhandled instr.Atomic.name members
-  | C_fma ->
-    if Array.length members = 1 then exec_thread_fma mem spec offs members.(0)
-    else unhandled instr.Atomic.name members
-  | C_unary op ->
-    if Array.length members = 1 then
-      exec_thread_unary mem op spec offs members.(0)
-    else unhandled instr.Atomic.name members
-  | C_binary op ->
-    if Array.length members = 1 then
-      exec_thread_binary mem op spec offs members.(0)
-    else unhandled instr.Atomic.name members
-  | C_reduction (op, axes) ->
-    if Array.length members = 1 then
-      exec_thread_reduction mem op axes spec offs members.(0)
-    else unhandled instr.Atomic.name members
-  | C_init v ->
-    if Array.length members = 1 then
-      exec_thread_init mem v spec offs members.(0)
-    else unhandled instr.Atomic.name members
-  | C_generic -> unhandled instr.Atomic.name members
-
-let exec ?trace ?(block = 0) mem ~instr ~spec ~env ~members =
-  let name = instr.Atomic.name in
-  let offs v tid = Ts.scalar_offsets ~env:(with_tid env tid) v in
-  (* Fine-grained (per-instance) instruction event, for detailed traces. *)
-  Option.iter
-    (fun tr ->
-      Trace.instant tr ~name:("sem:" ^ name) ~cat:"sem" ~pid:block
-        ~tid:(members.(0) / 32)
-        ~args:
-          [ ("lane0", Json.Int members.(0))
-          ; ("lanes", Json.Int (Array.length members))
-          ]
-        ())
-    trace;
-  match Atomic.parse_ldmatrix name with
-  | Some (x, _) -> exec_ldmatrix mem x spec offs members
-  | None ->
-    if starts_with "mma.m16n8k16" name then
-      exec_mma mem ~m:16 ~n:8 ~k:16 ~a_coords:mma_m16n8k16_a
-        ~b_coords:mma_m16n8k16_b ~c_coords:mma_m16n8k16_c spec offs members
-    else if String.equal "mma.m8n8k4" name then
-      exec_mma mem ~m:8 ~n:8 ~k:4 ~a_coords:mma_m8n8k4_a
-        ~b_coords:mma_m8n8k4_b ~c_coords:mma_m8n8k4_c spec offs members
-    else if starts_with "cp.async" name then (
-      match members with
-      | [| tid |] -> exec_thread_cp_async mem spec offs tid
-      | _ -> unhandled name members)
-    else (
-      match (spec.Spec.kind, members) with
-      | Spec.Shfl kind, _ -> exec_shfl mem kind spec env offs members
-      | Spec.Move, [| tid |] -> exec_thread_move mem spec offs tid
-      | Spec.Mat_mul, [| tid |] -> exec_thread_fma mem spec offs tid
-      | Spec.Unary_pointwise op, [| tid |] ->
-        exec_thread_unary mem op spec offs tid
-      | Spec.Binary_pointwise op, [| tid |] ->
-        exec_thread_binary mem op spec offs tid
-      | Spec.Reduction { op; axes }, [| tid |] ->
-        exec_thread_reduction mem op axes spec offs tid
-      | Spec.Init v, [| tid |] -> exec_thread_init mem v spec offs tid
-      | ( ( Spec.Move | Spec.Mat_mul | Spec.Unary_pointwise _
-          | Spec.Binary_pointwise _ | Spec.Reduction _ | Spec.Init _
-          | Spec.Generic _ ),
-          _ ) ->
-        invalid_arg
-          (Printf.sprintf
-             "Semantics.exec: unhandled instruction %s (%d members)" name
-             (Array.length members)))
+  | Atomic.Shfl, Spec.Shfl kind -> exec_shfl mem kind spec env offs members
+  | Atomic.Cp_async, _ ->
+    exec_thread_cp_async mem spec offs (thread instr members)
+  | (Atomic.Global_move | Atomic.Shared_move | Atomic.Mov | Atomic.Cvt), _ ->
+    exec_thread_move mem spec offs (thread instr members)
+  | Atomic.Fma, _ -> exec_thread_fma mem spec offs (thread instr members)
+  | Atomic.Unary_pw, Spec.Unary_pointwise op ->
+    exec_thread_unary mem op spec offs (thread instr members)
+  | Atomic.Binary_pw, Spec.Binary_pointwise op ->
+    exec_thread_binary mem op spec offs (thread instr members)
+  | Atomic.Reduction, Spec.Reduction { op; axes } ->
+    exec_thread_reduction mem op axes spec offs (thread instr members)
+  | Atomic.Init, Spec.Init v ->
+    exec_thread_init mem v spec offs (thread instr members)
+  | ( ( Atomic.Mma _ | Atomic.Async_fence | Atomic.Shfl | Atomic.Unary_pw
+      | Atomic.Binary_pw | Atomic.Reduction | Atomic.Init ),
+      _ ) ->
+    unhandled instr members

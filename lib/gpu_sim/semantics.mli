@@ -7,62 +7,26 @@
     simulator. Getting one of these mappings wrong makes the tensor-core
     GEMM tests fail against the CPU reference. *)
 
-(** [exec mem ~instr ~spec ~env ~members] executes one instance of an
-    atomic spec. [members] are the participating block-relative thread ids
-    in ascending order (their position is the lane index); [env] binds
-    block/loop variables (not [threadIdx.x], which is bound per member).
-    Only data movement/compute happens here; event counting is the
-    interpreter's job. [trace], when given (the profiler's detail mode),
-    receives one instruction-level event per executed instance, tagged
-    with the issuing thread block [block] (default 0).
-
-    View offsets are derived symbolically from [env] via
-    [Tensor.scalar_offsets], and the executor is chosen by parsing the
-    instruction name — the tree interpreter's path, kept independent of
-    {!classify} so the reference semantics share no dispatch decision
-    with the compiled executor. *)
+(** [exec ~offs mem ~instr ~spec ~env ~members] executes one instance
+    of an atomic spec, choosing the executor by [instr.klass] (and, for
+    the pointwise, reduction, shuffle and init classes, the operator in
+    [spec.kind]). [members] are the participating block-relative thread
+    ids in ascending order (their position is the lane index); [env]
+    binds block/loop variables (not [threadIdx.x], which is bound per
+    member). [offs v tid] gives view [v]'s element offsets for thread
+    [tid]: the tree interpreter derives them symbolically
+    ([Tensor.scalar_offsets]), the plan executor passes its compiled
+    closures. Only data movement/compute happens here; event counting
+    is the interpreter's job. [trace], when given (the profiler's detail
+    mode), receives one instruction-level event per executed instance,
+    tagged with the issuing thread block [block] (default 0). Raises
+    [Invalid_argument] for a per-thread class with more than one member
+    or a class the simulator has no semantics for. *)
 val exec :
-  ?trace:Trace.t ->
-  ?block:int ->
-  Memory.t ->
-  instr:Graphene.Atomic.instr ->
-  spec:Graphene.Spec.t ->
-  env:(string -> int) ->
-  members:int array ->
-  unit
-
-(** Pre-resolved dispatch for the compiled-plan executor. {!exec}
-    decides which executor an instruction needs by parsing its name on
-    every call; {!classify} makes that decision once per (instr, spec)
-    and {!exec_coded} dispatches on the tag — same executors, arity
-    checks, errors and trace events, minus the per-call string work. *)
-type code =
-  | C_ldmatrix of int
-  | C_mma_m16n8k16
-  | C_mma_m8n8k4
-  | C_shfl of Graphene.Spec.shfl_kind
-  | C_cp_async
-      (** deferred global→shared copy: source read at issue, destination
-          write enqueued on the block's async-copy queue *)
-  | C_move
-  | C_fma
-  | C_unary of Graphene.Op.unary
-  | C_binary of Graphene.Op.binary
-  | C_reduction of Graphene.Op.binary * int list
-  | C_init of float
-  | C_generic
-
-val classify : instr:Graphene.Atomic.instr -> spec:Graphene.Spec.t -> code
-
-(** Like {!exec} with precompiled view offsets [offs v tid],
-    dispatching on a {!classify} tag instead of the instruction name.
-    [instr] is only consulted for trace events and error messages. *)
-val exec_coded :
   ?trace:Trace.t ->
   ?block:int ->
   offs:(Gpu_tensor.Tensor.t -> int -> int array) ->
   Memory.t ->
-  code ->
   instr:Graphene.Atomic.instr ->
   spec:Graphene.Spec.t ->
   env:(string -> int) ->
@@ -119,7 +83,3 @@ val mma_m8n8k4_a_coords : int -> (int * int) array
 
 val mma_m8n8k4_b_coords : int -> (int * int) array
 val mma_m8n8k4_c_coords : int -> (int * int) array
-
-(** Coordinates of the j-th 8x8 matrix among an ldmatrix source's outer
-    tiles, leftmost-fastest (the hardware's matrix order). *)
-val tile_coords : int list -> int -> int list

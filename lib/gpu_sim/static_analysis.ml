@@ -54,23 +54,6 @@ let scale f a =
   ; instructions = f *. a.instructions
   }
 
-let is_tc name =
-  String.length name >= 3 && String.equal (String.sub name 0 3) "mma"
-
-let rec eval_pred env = function
-  | Spec.Cmp (r, a, b) ->
-    let x = E.eval ~env a and y = E.eval ~env b in
-    (match r with
-    | Spec.Lt -> x < y
-    | Spec.Le -> x <= y
-    | Spec.Eq -> x = y
-    | Spec.Ne -> x <> y
-    | Spec.Gt -> x > y
-    | Spec.Ge -> x >= y)
-  | Spec.And (a, b) -> eval_pred env a && eval_pred env b
-  | Spec.Or (a, b) -> eval_pred env a || eval_pred env b
-  | Spec.Not p -> not (eval_pred env p)
-
 let of_kernel arch (k : Spec.kernel) ?(scalars = []) () =
   let cta = Tt.size k.Spec.cta in
   let blocks = Tt.size k.Spec.grid in
@@ -106,15 +89,7 @@ let of_kernel arch (k : Spec.kernel) ?(scalars = []) () =
             let inner = go ((var, lo_v) :: bindings) fraction body in
             add acc (scale (float_of_int trips) inner)
         | Spec.If { cond; then_; else_ } ->
-          let tid_dep =
-            let rec vars = function
-              | Spec.Cmp (_, a, b) -> E.free_vars a @ E.free_vars b
-              | Spec.And (a, b) | Spec.Or (a, b) -> vars a @ vars b
-              | Spec.Not p -> vars p
-            in
-            List.mem "threadIdx.x" (vars cond)
-          in
-          if tid_dep then begin
+          if Spec.pred_mentions "threadIdx.x" cond then begin
             (* Exact participation fraction over the block's threads. *)
             let taken = ref 0 in
             for tid = 0 to cta - 1 do
@@ -122,7 +97,7 @@ let of_kernel arch (k : Spec.kernel) ?(scalars = []) () =
                 if String.equal v "threadIdx.x" then tid
                 else base_env bindings v
               in
-              if eval_pred env cond then incr taken
+              if Spec.eval_pred env cond then incr taken
             done;
             let f_then = float_of_int !taken /. float_of_int cta in
             add acc
@@ -130,7 +105,7 @@ let of_kernel arch (k : Spec.kernel) ?(scalars = []) () =
                  (scale 1.0 (go bindings (fraction *. f_then) then_))
                  (scale 1.0 (go bindings (fraction *. (1.0 -. f_then)) else_)))
           end
-          else if eval_pred (base_env bindings) cond then
+          else if Spec.eval_pred (base_env bindings) cond then
             add acc (go bindings fraction then_)
           else add acc (go bindings fraction else_)
         | Spec.Spec_stmt s -> (
@@ -143,7 +118,9 @@ let of_kernel arch (k : Spec.kernel) ?(scalars = []) () =
               fraction *. float_of_int cta
               /. float_of_int (max 1 instr.Atomic.threads)
             in
-            let tc = is_tc instr.Atomic.name in
+            let tc =
+              match instr.Atomic.klass with Atomic.Mma _ -> true | _ -> false
+            in
             add acc
               { zero with
                 tc_flops =

@@ -30,7 +30,6 @@
 
 module E = Shape.Int_expr
 module L = Shape.Layout
-module T = Shape.Int_tuple
 module Ts = Gpu_tensor.Tensor
 module Tt = Gpu_tensor.Thread_tensor
 module Ms = Gpu_tensor.Memspace
@@ -41,12 +40,6 @@ module Atomic = Graphene.Atomic
 module Validate = Graphene.Validate
 
 let mentions_tid e = List.mem "threadIdx.x" (E.free_vars e)
-
-let rec pred_mentions_tid = function
-  | Spec.Cmp (_, a, b) -> mentions_tid a || mentions_tid b
-  | Spec.And (a, b) | Spec.Or (a, b) ->
-    pred_mentions_tid a || pred_mentions_tid b
-  | Spec.Not p -> pred_mentions_tid p
 
 (* ----- the flattened intermediate form ----- *)
 
@@ -144,19 +137,20 @@ let flatten_pass =
 
 (* ----- pass 3: resolve ----- *)
 
-let starts_with prefix s =
-  String.length s >= String.length prefix
-  && String.equal (String.sub s 0 (String.length prefix)) prefix
-
-let kind_prefixes = function
-  | Spec.Move -> [ "ld."; "st."; "cp."; "mov"; "cvt"; "ldmatrix" ]
-  | Spec.Mat_mul -> [ "mma"; "fma"; "hfma" ]
-  | Spec.Unary_pointwise _ -> [ "pointwise.unary" ]
-  | Spec.Binary_pointwise _ -> [ "pointwise.binary"; "binary" ]
-  | Spec.Reduction _ -> [ "red" ]
-  | Spec.Shfl _ -> [ "shfl" ]
-  | Spec.Init _ -> [ "init"; "mov" ]
-  | Spec.Generic _ -> []
+(* The instruction classes a spec kind's near-miss listing draws from. *)
+let same_family (kind : Spec.kind) (klass : Atomic.klass) =
+  match (kind, klass) with
+  | ( Spec.Move,
+      ( Atomic.Global_move | Atomic.Shared_move | Atomic.Cp_async
+      | Atomic.Async_fence | Atomic.Mov | Atomic.Cvt | Atomic.Ldmatrix _ ) )
+  | Spec.Mat_mul, (Atomic.Mma _ | Atomic.Fma)
+  | Spec.Unary_pointwise _, Atomic.Unary_pw
+  | Spec.Binary_pointwise _, Atomic.Binary_pw
+  | Spec.Reduction _, Atomic.Reduction
+  | Spec.Shfl _, Atomic.Shfl
+  | Spec.Init _, (Atomic.Init | Atomic.Mov) ->
+    true
+  | _ -> false
 
 let rec take n = function
   | [] -> []
@@ -176,9 +170,7 @@ let unmatched_message arch (s : Spec.t) =
     List.filter
       (fun (i : Atomic.instr) ->
         List.exists (Arch.equal arch) i.Atomic.archs
-        && List.exists
-             (fun p -> starts_with p i.Atomic.name)
-             (kind_prefixes s.Spec.kind))
+        && same_family s.Spec.kind i.Atomic.klass)
       Atomic.registry
   in
   match take 6 cands with
@@ -265,7 +257,7 @@ and vectorize_stmt ~enabled ~cta_size divergent = function
     F_loop
       { r with body = vectorize_stmts ~enabled ~cta_size divergent r.body }
   | F_branch (p, then_, else_) ->
-    let dv = divergent || pred_mentions_tid p in
+    let dv = divergent || Spec.pred_mentions "threadIdx.x" p in
     F_branch
       ( p
       , vectorize_stmts ~enabled ~cta_size dv then_
@@ -292,37 +284,6 @@ let vectorize_pass ~enabled ~cta_size =
     (fun stmts -> vectorize_stmts ~enabled ~cta_size false stmts)
 
 (* ----- pass 5: compile ----- *)
-
-(* Coordinates of the j-th tile among an ldmatrix source's outer tiles,
-   leftmost-fastest (mirrors Semantics.tile_coords, which lives above
-   this library in the dependency order). *)
-let tile_coords outer_dims j =
-  let coords, _ =
-    List.fold_left
-      (fun (acc, rest) d -> ((rest mod d) :: acc, rest / d))
-      ([], j) outer_dims
-  in
-  List.rev coords
-
-let compile_ld_rows st scope ~trans x (src : Ts.t) =
-  let outer_dims =
-    if Ts.depth src > 1 then
-      List.map
-        (fun m -> E.to_int_exn (T.size m))
-        (T.modes (L.dims src.Ts.layout))
-    else []
-  in
-  Array.init x (fun j ->
-      let tile =
-        if outer_dims = [] then src
-        else Ts.select_ints src (tile_coords outer_dims j)
-      in
-      Array.init 8 (fun r ->
-          let row =
-            if trans then Ts.select_ints tile [ 0; r ]
-            else Ts.select_ints tile [ r; 0 ]
-          in
-          Expr_comp.compile_addr0 st scope row))
 
 (* Dense id supply for the executor's per-plan cache arrays. *)
 type ids =
@@ -352,11 +313,6 @@ let rec map3 f a b c =
 let compile_atomic st ids scope (s : Spec.t) (instr : Atomic.instr)
     (dleaf : Depcheck.leaf) (vleaf : Vectorize.leaf) : Plan.atomic =
   let cost = instr.Atomic.cost s in
-  let is_tc =
-    String.length instr.Atomic.name >= 3
-    && String.equal (String.sub instr.Atomic.name 0 3) "mma"
-  in
-  let is_async = starts_with "cp.async" instr.Atomic.name in
   let width =
     match vleaf.Vectorize.l_verdict with
     | Vectorize.Widened w -> w
@@ -391,14 +347,17 @@ let compile_atomic st ids scope (s : Spec.t) (instr : Atomic.instr)
     | Some d -> dep_slots st scope d
     | None -> [||]
   in
-  let a_ldmatrix = Atomic.parse_ldmatrix instr.Atomic.name in
   let a_ld_rows =
-    match (a_ldmatrix, s.Spec.ins) with
-    | Some (x, trans), [ src ] -> (
+    match (instr.Atomic.klass, s.Spec.ins) with
+    | Atomic.Ldmatrix { x; trans }, [ src ] -> (
       (* A symbolic outer extent makes the row views underivable here;
          fall back to the interpreter's symbolic path, which raises the
          same error the tree path would — and only on execution. *)
-      match compile_ld_rows st scope ~trans x src with
+      match
+        Array.map
+          (Array.map (Expr_comp.compile_addr0 st scope))
+          (Atomic.ldmatrix_rows ~trans x src)
+      with
       | rows -> Some (rows, Dt.size_bytes (Ts.dtype src))
       | exception _ -> None)
     | _ -> None
@@ -414,8 +373,6 @@ let compile_atomic st ids scope (s : Spec.t) (instr : Atomic.instr)
   ; a_spec = s
   ; a_instr = instr
   ; a_cost = cost
-  ; a_is_tc = is_tc
-  ; a_is_async = is_async
   ; a_dur = max 1 cost.Atomic.instructions
   ; a_label = s.Spec.label
   ; a_kind = Spec.kind_name s.Spec.kind
@@ -425,7 +382,6 @@ let compile_atomic st ids scope (s : Spec.t) (instr : Atomic.instr)
   ; a_members
   ; a_members_dep
   ; a_members_slots
-  ; a_ldmatrix
   ; a_ld_rows
   ; a_lookup
   ; a_vec = vleaf.Vectorize.l_verdict
@@ -455,7 +411,7 @@ and compile_op st ids scope = function
       }
   | F_branch (p, then_, else_) ->
     Plan.Branch
-      { b_tid_dep = pred_mentions_tid p
+      { b_tid_dep = Spec.pred_mentions "threadIdx.x" p
       ; b_cond = Expr_comp.compile_pred st scope p
       ; b_then = compile_ops st ids scope then_
       ; b_else = compile_ops st ids scope else_
@@ -466,13 +422,6 @@ and compile_op st ids scope = function
   | F_frame (label, body) ->
     Plan.Frame { f_label = label; f_body = compile_ops st ids scope body }
   | F_fail msg -> Plan.Fail msg
-
-(* Shared allocations are rounded up to the swizzle window (mirrors the
-   tree interpreter's allocation sizing). *)
-let shared_alloc_size (t : Ts.t) =
-  let cosize = L.cosize t.Ts.layout in
-  let w = Shape.Swizzle.window t.Ts.swizzle in
-  (cosize + w - 1) / w * w
 
 let compile_pass ~vec_enabled ~pipelining arch diagnostics =
   Pass.make ~name:"compile"
@@ -494,33 +443,22 @@ let compile_pass ~vec_enabled ~pipelining arch diagnostics =
             ; al_mem = t.Ts.mem
             ; al_size =
                 (match t.Ts.mem with
-                | Ms.Shared -> shared_alloc_size t
+                | Ms.Shared -> Ts.alloc_size t
                 | Ms.Register -> L.cosize t.Ts.layout
                 | Ms.Global -> 0)
             })
           (Spec.allocs k.Spec.body)
       in
-      let cta_size = Tt.size k.Spec.cta in
-      (* The warp schedule: lanes of each warp of the CTA, ascending.
-         Built once per plan; the executor iterates it instead of
-         rediscovering warp membership per atomic. *)
-      let warp_tids =
-        Array.init
-          ((cta_size + 31) / 32)
-          (fun w ->
-            Array.init (min 32 (cta_size - (w * 32))) (fun l -> (w * 32) + l))
-      in
       { Plan.kernel = k
       ; arch
       ; nslots = Slots.count st
       ; scalar_slots = Slots.scalar_alist st
-      ; cta_size
+      ; cta_size = Tt.size k.Spec.cta
       ; grid_size = Tt.size k.Spec.grid
       ; allocs
       ; body
       ; n_views = ids.next_view
       ; n_atomics = ids.next_atomic
-      ; warp_tids
       ; diagnostics
       ; vec_enabled
       ; pipelining

@@ -41,10 +41,6 @@ type atomic =
   ; a_spec : Spec.t
   ; a_instr : Atomic.instr  (** resolved exactly once, at lowering *)
   ; a_cost : Atomic.cost
-  ; a_is_tc : bool
-  ; a_is_async : bool
-        (** a cp.async data movement: execution defers the destination
-            write onto the block's async-copy queue *)
   ; a_dur : int
   ; a_label : string
   ; a_kind : string
@@ -57,7 +53,6 @@ type atomic =
         (** slot-dependence tier of [a_members] (collectives only) *)
   ; a_members_slots : int array
         (** slots of the member function's non-thread dynamic variables *)
-  ; a_ldmatrix : (int * bool) option  (** (x, trans) for ldmatrix traffic *)
   ; a_ld_rows : (Expr_comp.cexpr array array * int) option
         (** compiled per-matrix first-row-byte offsets + element size;
             [None] falls back to the symbolic derivation *)
@@ -153,9 +148,6 @@ type t =
   ; body : op list
   ; n_views : int  (** total view count = executor view-cache size *)
   ; n_atomics : int  (** total atomic count = executor group-cache size *)
-  ; warp_tids : int array array
-        (** precompiled warp schedule: thread ids of each warp of the CTA,
-            ascending — built once per plan, never per atomic *)
   ; diagnostics : string list  (** advisory validation findings *)
   ; vec_enabled : bool  (** whether the vectorize pass was allowed to widen *)
   ; pipelining : pipelining

@@ -36,12 +36,10 @@ type atomic =
   { a_id : int  (** dense plan-wide id, indexes the executor's group cache *)
   ; a_spec : Graphene.Spec.t
   ; a_instr : Graphene.Atomic.instr
+        (** resolved once, at lowering; the executor branches on its
+            [klass] (cp.async deferral, ldmatrix traffic, tensor-core
+            flops) *)
   ; a_cost : Graphene.Atomic.cost
-  ; a_is_tc : bool
-  ; a_is_async : bool
-        (** a cp.async data movement: execution defers the destination
-            write onto the block's async-copy queue, to land at the next
-            draining {!Wait_group} *)
   ; a_dur : int
   ; a_label : string
   ; a_kind : string
@@ -53,7 +51,6 @@ type atomic =
         (** dependence tier of [a_members] (collectives only) *)
   ; a_members_slots : int array
         (** snapshot slots for the member-function group cache *)
-  ; a_ldmatrix : (int * bool) option
   ; a_ld_rows : (Expr_comp.cexpr array array * int) option
         (** compiled first-row byte addresses per matrix + element size *)
   ; a_lookup : string -> int option
@@ -144,9 +141,6 @@ type t =
   ; body : op list
   ; n_views : int  (** total views = size of the executor's view cache *)
   ; n_atomics : int  (** total atomics = size of the executor's group cache *)
-  ; warp_tids : int array array
-        (** precompiled warp schedule: thread ids of each warp of the
-            CTA, ascending; built once per plan *)
   ; diagnostics : string list
   ; vec_enabled : bool  (** whether the vectorize pass was allowed to widen *)
   ; pipelining : pipelining  (** software-pipelining outcome *)

@@ -30,6 +30,7 @@ module Ts = Gpu_tensor.Tensor
 module Ms = Gpu_tensor.Memspace
 module Dt = Gpu_tensor.Dtype
 module Spec = Graphene.Spec
+module Arch = Graphene.Arch
 module Atomic = Graphene.Atomic
 
 type reason =
@@ -168,35 +169,9 @@ let view_cap (v : Ts.t) : (cap, reason) result =
 
    For shared views whose only free variable is threadIdx.x, every lane's
    first-scalar byte address is a lowering-time constant, so the warp's
-   bank pattern — exactly what [Counters.record_shared_batcha] will meter
-   at execution — is computable before any simulation runs. *)
-
-(* Mirrors Counters.conflicts_of_batcha, which lives above this library
-   in the dependency order (as Semantics.tile_coords is to the compile
-   pass); test/test_vectorize.ml pins the two equal on shared inputs. *)
-let conflicts_of_addrs ~bytes addrs =
-  let per_phase = max 1 (128 / max 1 bytes) in
-  let len = Array.length addrs in
-  let acc = ref 0 and i = ref 0 in
-  while !i < len do
-    let stop = min len (!i + per_phase) in
-    let words_per_bank = Array.make 32 [] in
-    for j = !i to stop - 1 do
-      let a = addrs.(j) in
-      let lo = a / 4 and hi = (a + bytes - 1) / 4 in
-      for w = lo to hi do
-        let bank = w mod 32 in
-        if not (List.mem w words_per_bank.(bank)) then
-          words_per_bank.(bank) <- w :: words_per_bank.(bank)
-      done
-    done;
-    let degree =
-      Array.fold_left (fun acc ws -> max acc (List.length ws)) 1 words_per_bank
-    in
-    acc := !acc + (degree - 1);
-    i := stop
-  done;
-  !acc
+   bank pattern — exactly what [Counters.record_shared_batch] will meter
+   at execution, with the same [Arch.shared_conflicts] — is computable
+   before any simulation runs. *)
 
 let tid = "threadIdx.x"
 
@@ -221,7 +196,7 @@ let static_shared_conflicts ~cta_size (v : Ts.t) =
               let env x = if String.equal x tid then tv else 0 in
               L.composed_nth (Ts.composed ~env v) 0 * elt)
         in
-        total := !total + conflicts_of_addrs ~bytes addrs;
+        total := !total + Arch.shared_conflicts ~bytes addrs ~len:lanes;
         t := !t + 32
       done;
       Some !total

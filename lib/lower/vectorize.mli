@@ -48,14 +48,9 @@ val view_cap : Gpu_tensor.Tensor.t -> (cap, reason) result
     variables prove nothing, products prove through either factor. *)
 val divisible : int -> Shape.Int_expr.t -> bool
 
-(** Extra serialized shared-memory cycles of one warp batch at the given
-    per-thread byte width. Mirrors [Gpu_sim.Counters.conflicts_of_batcha]
-    (which lives above this library in the dependency order);
-    test/test_vectorize.ml pins the two equal. *)
-val conflicts_of_addrs : bytes:int -> int array -> int
-
 (** [static_shared_conflicts ~cta_size v] — total extra conflict cycles
-    of one CTA-wide access batch of [v], computed at lowering time;
+    of one CTA-wide access batch of [v], computed at lowering time with
+    {!Graphene.Arch.shared_conflicts} (the rule the simulator meters);
     [None] when [v] is not shared or not statically evaluable (free
     variables beyond threadIdx.x, symbolic extents). *)
 val static_shared_conflicts :

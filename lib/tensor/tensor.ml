@@ -106,6 +106,12 @@ let scalar_offset ~env t =
       (Printf.sprintf "Tensor.scalar_offset: view holds %d scalars"
          (Array.length a))
 
+(* A swizzle permutes aligned power-of-two windows; pad the allocation to
+   a whole number of windows. *)
+let alloc_size t =
+  let w = Shape.Swizzle.window t.swizzle in
+  (L.cosize t.layout + w - 1) / w * w
+
 let rec pp_elem fmt = function
   | Scalar dt -> Dtype.pp fmt dt
   | Tile { layout; elem } ->

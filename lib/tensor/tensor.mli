@@ -106,6 +106,11 @@ val scalar_offsets : env:(string -> int) -> t -> int array
     [Invalid_argument] when the view holds more than one scalar. *)
 val scalar_offset : env:(string -> int) -> t -> int
 
+(** [alloc_size t] — scalars to allocate for the buffer of [t]: the
+    layout's cosize rounded up to whole swizzle windows. The simulator
+    and the CUDA backend both size shared allocations with it. *)
+val alloc_size : t -> int
+
 (** {1 Printing} *)
 
 (** Paper notation: [%name:[dims:strides].[...].fp16.SH]. Unit strides of

@@ -574,9 +574,7 @@ let gemm_configs arch ~m ~n ~k =
   let tiles = [ 32; 64; 128; 256 ] in
   let bks = [ 16; 32; 64 ] in
   let warp_tiles = [ 16; 32; 64 ] in
-  let smem_budget =
-    (Gpu_sim.Machine.of_arch arch).Gpu_sim.Machine.smem_bytes_per_block
-  in
+  let smem_budget = Arch.smem_bytes_per_block arch in
   List.concat_map
     (fun bm ->
       List.concat_map

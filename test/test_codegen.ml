@@ -98,6 +98,28 @@ let test_gemm_tc_golden () =
     (read_file "golden/gemm_tc_sm86.cu")
     (Codegen.Emit.cuda Arch.SM86 k)
 
+(* The other two mma forms: bf16 m16n8k16 (its own mnemonic) and Volta's
+   quad-pair m8n8k4. *)
+let test_gemm_tc_bf16_golden () =
+  let k =
+    Kernels.Gemm.tensor_core ~dtype:Gpu_tensor.Dtype.BF16 Arch.SM86
+      (Kernels.Gemm.test_config Arch.SM86)
+      ~epilogue:Kernels.Epilogue.none ~m:64 ~n:64 ~k:64 ()
+  in
+  check_str "bf16 tensor-core gemm golden"
+    (read_file "golden/gemm_tc_bf16_sm86.cu")
+    (Codegen.Emit.cuda Arch.SM86 k)
+
+let test_gemm_tc_sm70_golden () =
+  let k =
+    Kernels.Gemm.tensor_core Arch.SM70
+      (Kernels.Gemm.test_config Arch.SM70)
+      ~epilogue:Kernels.Epilogue.bias_relu ~m:32 ~n:32 ~k:32 ()
+  in
+  check_str "sm70 tensor-core gemm golden"
+    (read_file "golden/gemm_tc_sm70.cu")
+    (Codegen.Emit.cuda Arch.SM70 k)
+
 let test_fig8_stable () =
   (* Emission is deterministic. *)
   check_str "deterministic" (fig8_cuda ()) (fig8_cuda ())
@@ -238,6 +260,10 @@ let () =
         ; Alcotest.test_case "ldmatrix golden file" `Quick test_ldmatrix_golden
         ; Alcotest.test_case "tensor-core gemm golden file" `Quick
             test_gemm_tc_golden
+        ; Alcotest.test_case "bf16 tensor-core gemm golden file" `Quick
+            test_gemm_tc_bf16_golden
+        ; Alcotest.test_case "sm70 tensor-core gemm golden file" `Quick
+            test_gemm_tc_sm70_golden
         ; Alcotest.test_case "fig1 ldmatrix asm" `Quick test_fig1_ldmatrix_asm
         ] )
     ; ( "kernels"

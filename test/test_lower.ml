@@ -7,7 +7,8 @@
      never at execution time;
    - compiled view offsets match the symbolic enumeration;
    - lazy error semantics (unmatched leaves, unbound scalars);
-   - the Counters.add_instr_n and Atomic.parse_ldmatrix satellites. *)
+   - Counters.add_instr_n, the registry's instruction classes and the
+     class-driven issue accounting of Counters.book_issue. *)
 
 module E = Shape.Int_expr
 module L = Shape.Layout
@@ -286,7 +287,7 @@ let test_unbound_scalar_message () =
           false
         with Interp.Exec_error msg' -> String.equal msg msg'))
 
-(* ----- satellites: add_instr_n, parse_ldmatrix ----- *)
+(* ----- satellites: add_instr_n, instruction classes ----- *)
 
 let test_add_instr_n () =
   let a = C.create () and b = C.create () in
@@ -304,24 +305,73 @@ let test_add_instr_n () =
     (C.instr_mix_alist a);
   check_int "instructions equal" b.C.instructions a.C.instructions
 
-let test_parse_ldmatrix () =
-  let check_case name expected =
-    Alcotest.(check (option (pair int bool)))
-      name expected (Atomic.parse_ldmatrix name)
+let klass name =
+  match Atomic.lookup name with
+  | Some i -> i.Atomic.klass
+  | None -> Alcotest.failf "%s is not in the registry" name
+
+let test_instr_classes () =
+  let ldmatrix name x trans =
+    check_bool name true (klass name = Atomic.Ldmatrix { x; trans })
   in
-  check_case "ldmatrix.x1" (Some (1, false));
-  check_case "ldmatrix.x2" (Some (2, false));
-  check_case "ldmatrix.x4" (Some (4, false));
-  check_case "ldmatrix.x1.trans" (Some (1, true));
-  check_case "ldmatrix.x2.trans" (Some (2, true));
-  check_case "ldmatrix.x4.trans" (Some (4, true));
-  check_case "ldmatrix" None;
-  check_case "ldmatrix.x" None;
-  check_case "ldmatrix.xa" None;
-  check_case "ldmatrix.x4.t" None;
-  check_case "ldmatrix.x4.transpose" None;
-  check_case "mma.m16n8k16" None;
-  check_case "" None
+  ldmatrix "ldmatrix.x1" 1 false;
+  ldmatrix "ldmatrix.x2" 2 false;
+  ldmatrix "ldmatrix.x4" 4 false;
+  ldmatrix "ldmatrix.x1.trans" 1 true;
+  ldmatrix "ldmatrix.x2.trans" 2 true;
+  ldmatrix "ldmatrix.x4.trans" 4 true;
+  let mma name m n k =
+    check_bool name true (klass name = Atomic.Mma { m; n; k })
+  in
+  mma "mma.m16n8k16" 16 8 16;
+  mma "mma.m16n8k16.bf16" 16 8 16;
+  mma "mma.m8n8k4" 8 8 4;
+  List.iter
+    (fun (name, expected) -> check_bool name true (klass name = expected))
+    [ ("ld.global.v4.b32.f16x8", Atomic.Global_move)
+    ; ("st.global.f32", Atomic.Global_move)
+    ; ("ld.shared.b16", Atomic.Shared_move)
+    ; ("st.shared.bf16", Atomic.Shared_move)
+    ; ("cp.async.bf16x8", Atomic.Cp_async)
+    ; ("cp.async.wait_group", Atomic.Async_fence)
+    ; ("mov.rf", Atomic.Mov)
+    ; ("cvt.fp16.fp32", Atomic.Cvt)
+    ; ("hfma2", Atomic.Fma)
+    ; ("fmaf", Atomic.Fma)
+    ; ("pointwise.unary", Atomic.Unary_pw)
+    ; ("binary.mul.f16", Atomic.Binary_pw)
+    ; ("pointwise.binary", Atomic.Binary_pw)
+    ; ("red.thread", Atomic.Reduction)
+    ; ("shfl.sync", Atomic.Shfl)
+    ; ("init", Atomic.Init)
+    ]
+
+(* The class alone decides which flop counter an issue lands in and
+   whether it is an async copy. *)
+let test_book_issue () =
+  let cost =
+    { Atomic.flops = 8; global_bytes = 0; shared_bytes = 0; instructions = 2 }
+  in
+  let book name =
+    let c = C.create () in
+    (match Atomic.lookup name with
+    | Some i -> C.book_issue c i cost ~instances:3
+    | None -> Alcotest.failf "%s is not in the registry" name);
+    c
+  in
+  let mma = book "mma.m8n8k4" in
+  check_int "mma: tensor-core flops" 24 mma.C.tensor_core_flops;
+  check_int "mma: no CUDA-core flops" 0 mma.C.flops;
+  check_int "mma: instructions" 6 mma.C.instructions;
+  Alcotest.(check (list (pair string int)))
+    "mma: mix" [ ("mma.m8n8k4", 3) ] (C.instr_mix_alist mma);
+  let cp = book "cp.async.f16x8" in
+  check_int "cp.async: copies" 3 cp.C.async_copies;
+  check_int "cp.async: flops" 24 cp.C.flops;
+  let fma = book "fmaf" in
+  check_int "fma: CUDA-core flops" 24 fma.C.flops;
+  check_int "fma: no tensor-core flops" 0 fma.C.tensor_core_flops;
+  check_int "fma: no copies" 0 fma.C.async_copies
 
 let () =
   Alcotest.run "lower"
@@ -351,6 +401,7 @@ let () =
         ] )
     ; ( "satellites",
         [ Alcotest.test_case "add_instr_n" `Quick test_add_instr_n
-        ; Alcotest.test_case "parse_ldmatrix" `Quick test_parse_ldmatrix
+        ; Alcotest.test_case "instruction classes" `Quick test_instr_classes
+        ; Alcotest.test_case "book_issue by class" `Quick test_book_issue
         ] )
     ]

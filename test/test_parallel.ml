@@ -155,10 +155,14 @@ let test_counters_merge () =
   let a = C.create () in
   (* 32 lanes loading 4B each, stride 4: 128 contiguous bytes = 4 DRAM
      sectors. *)
-  C.record_global_batch a ~store:false ~bytes:4 (List.init 32 (fun i -> 4 * i));
+  C.record_global_batch a ~store:false ~bytes:4
+    (Array.init 32 (fun i -> 4 * i))
+    ~len:32;
   (* stride 128B: every lane hits bank 0 with a distinct word — a
      32-way conflict, 31 extra serialized cycles. *)
-  C.record_shared_batch a ~store:true ~bytes:4 (List.init 32 (fun i -> 128 * i));
+  C.record_shared_batch a ~store:true ~bytes:4
+    (Array.init 32 (fun i -> 128 * i))
+    ~len:32;
   a.C.flops <- 100;
   a.C.tensor_core_flops <- 64;
   C.add_instr a "hmma";
@@ -167,9 +171,13 @@ let test_counters_merge () =
   check_int "a: conflicts" 31 a.C.shared_bank_conflicts;
   let b = C.create () in
   (* stride 32B stores: 32 lanes over 1024 bytes = 32 sectors. *)
-  C.record_global_batch b ~store:true ~bytes:4 (List.init 32 (fun i -> 32 * i));
+  C.record_global_batch b ~store:true ~bytes:4
+    (Array.init 32 (fun i -> 32 * i))
+    ~len:32;
   (* broadcast: every lane reads the same word — free, no conflicts. *)
-  C.record_shared_batch b ~store:false ~bytes:4 (List.init 32 (fun _ -> 64));
+  C.record_shared_batch b ~store:false ~bytes:4
+    (Array.init 32 (fun _ -> 64))
+    ~len:32;
   b.C.flops <- 7;
   C.add_instr b "lds";
   C.add_instr b "ffma";

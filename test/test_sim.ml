@@ -56,55 +56,59 @@ let test_tile_coords () =
   Alcotest.(check (list (list int)))
     "colex order, m fastest"
     [ [ 0; 0 ]; [ 1; 0 ]; [ 0; 1 ]; [ 1; 1 ] ]
-    (List.init 4 (Sem.tile_coords [ 2; 2 ]))
+    (List.init 4 (Graphene.Atomic.tile_coords [ 2; 2 ]))
 
 (* ----- counters ----- *)
+
+(* A whole-array warp batch. *)
+let sectors ~bytes a = Arch.global_sectors ~bytes a ~len:(Array.length a)
+let conflicts ~bytes a = Arch.shared_conflicts ~bytes a ~len:(Array.length a)
+
+let global_batch c ~store ~bytes a =
+  Counters.record_global_batch c ~store ~bytes a ~len:(Array.length a)
+
+let shared_batch c ~store ~bytes a =
+  Counters.record_shared_batch c ~store ~bytes a ~len:(Array.length a)
 
 let test_coalescing () =
   let c = Counters.create () in
   (* 32 threads each load 4 consecutive bytes from one 128-byte line:
      4 sectors. *)
-  Counters.record_global_batch c ~store:false ~bytes:4
-    (List.init 32 (fun i -> i * 4));
+  global_batch c ~store:false ~bytes:4 (Array.init 32 (fun i -> i * 4));
   check_int "coalesced sectors" 4 c.Counters.global_transactions;
   Counters.reset c;
   (* Strided access: one sector per thread. *)
-  Counters.record_global_batch c ~store:false ~bytes:4
-    (List.init 32 (fun i -> i * 128));
+  global_batch c ~store:false ~bytes:4 (Array.init 32 (fun i -> i * 128));
   check_int "strided sectors" 32 c.Counters.global_transactions
 
 let test_bank_conflicts () =
   let c = Counters.create () in
   (* 32 threads reading consecutive 4-byte words: conflict-free. *)
-  Counters.record_shared_batch c ~store:false ~bytes:4
-    (List.init 32 (fun i -> i * 4));
+  shared_batch c ~store:false ~bytes:4 (Array.init 32 (fun i -> i * 4));
   check_int "conflict free" 0 c.Counters.shared_bank_conflicts;
   Counters.reset c;
   (* All threads hit bank 0 with distinct words: 31 extra cycles. *)
-  Counters.record_shared_batch c ~store:false ~bytes:4
-    (List.init 32 (fun i -> i * 128));
+  shared_batch c ~store:false ~bytes:4 (Array.init 32 (fun i -> i * 128));
   check_int "32-way conflict" 31 c.Counters.shared_bank_conflicts;
   Counters.reset c;
   (* Broadcast (same word) is free. *)
-  Counters.record_shared_batch c ~store:false ~bytes:4
-    (List.init 32 (fun _ -> 64));
+  shared_batch c ~store:false ~bytes:4 (Array.init 32 (fun _ -> 64));
   check_int "broadcast free" 0 c.Counters.shared_bank_conflicts
 
 let test_global_sector_edges () =
   (* A misaligned 4-byte access straddling a 32-byte boundary touches two
      sectors. *)
-  check_int "straddles boundary" 2 (Counters.sectors_of_batch ~bytes:4 [ 30 ]);
+  check_int "straddles boundary" 2 (sectors ~bytes:4 [| 30 |]);
   (* A full-warp broadcast of one address coalesces into one sector. *)
   check_int "duplicates coalesce" 1
-    (Counters.sectors_of_batch ~bytes:4 (List.init 32 (fun _ -> 0)));
+    (sectors ~bytes:4 (Array.init 32 (fun _ -> 0)));
   (* 16-byte vector loads, fully coalesced: 32 x 16 B = 16 sectors. *)
   check_int "wide coalesced" 16
-    (Counters.sectors_of_batch ~bytes:16 (List.init 32 (fun i -> i * 16)));
-  check_int "empty batch" 0 (Counters.sectors_of_batch ~bytes:4 []);
+    (sectors ~bytes:16 (Array.init 32 (fun i -> i * 16)));
+  check_int "empty batch" 0 (sectors ~bytes:4 [||]);
   (* record_global_batch books the bytes on the store side only. *)
   let c = Counters.create () in
-  Counters.record_global_batch c ~store:true ~bytes:4
-    (List.init 32 (fun i -> i * 4));
+  global_batch c ~store:true ~bytes:4 (Array.init 32 (fun i -> i * 4));
   check_int "store bytes" 128 c.Counters.global_store_bytes;
   check_int "no load bytes" 0 c.Counters.global_load_bytes;
   check_int "store sectors" 4 c.Counters.global_transactions
@@ -113,28 +117,26 @@ let test_shared_broadcast_edges () =
   (* A broadcast word alongside one distinct word in the same bank: only
      the distinct words count, so degree 2 -> 1 extra cycle. *)
   check_int "broadcast + 1 distinct" 1
-    (Counters.conflicts_of_batch ~bytes:4 (128 :: List.init 31 (fun _ -> 0)));
+    (conflicts ~bytes:4 (Array.append [| 128 |] (Array.init 31 (fun _ -> 0))));
   (* Two broadcast groups hitting two different banks are free. *)
   check_int "two broadcasts, two banks" 0
-    (Counters.conflicts_of_batch ~bytes:4
-       (List.init 32 (fun i -> if i < 16 then 0 else 4)));
+    (conflicts ~bytes:4 (Array.init 32 (fun i -> if i < 16 then 0 else 4)));
   (* All 32 lanes broadcasting one 16-byte vector: every phase reads the
      same four words -> free. *)
   check_int "wide broadcast free" 0
-    (Counters.conflicts_of_batch ~bytes:16 (List.init 32 (fun _ -> 0)));
+    (conflicts ~bytes:16 (Array.init 32 (fun _ -> 0)));
   (* 8-byte accesses split into phases of 16 lanes; consecutive vectors
      are conflict-free within each phase. *)
   check_int "8-byte phases conflict-free" 0
-    (Counters.conflicts_of_batch ~bytes:8 (List.init 32 (fun i -> i * 8)));
+    (conflicts ~bytes:8 (Array.init 32 (fun i -> i * 8)));
   (* 8-byte accesses where each 16-lane phase hits banks 0-15 twice with
      distinct words: 1 extra cycle per phase, 2 phases. *)
   check_int "8-byte 2-way per phase" 2
-    (Counters.conflicts_of_batch ~bytes:8
-       (List.init 32 (fun i -> ((i mod 8) * 8) + (i / 8 * 128))));
+    (conflicts ~bytes:8
+       (Array.init 32 (fun i -> ((i mod 8) * 8) + (i / 8 * 128))));
   (* record_shared_batch books the bytes on the store side only. *)
   let c = Counters.create () in
-  Counters.record_shared_batch c ~store:true ~bytes:4
-    (List.init 32 (fun i -> i * 128));
+  shared_batch c ~store:true ~bytes:4 (Array.init 32 (fun i -> i * 128));
   check_int "store bytes" 128 c.Counters.shared_store_bytes;
   check_int "no load bytes" 0 c.Counters.shared_load_bytes;
   check_int "store conflicts" 31 c.Counters.shared_bank_conflicts

@@ -12,8 +12,7 @@
      including the new request fields;
    - hand-computed request/sector accounting for 2-wide and 4-wide
      accesses (full warp, broadcast, partial mask);
-   - the bank-conflict lint agrees with the executor's conflict model
-     (no-drift pin of Vectorize.conflicts_of_addrs). *)
+   - the static bank-conflict lint on hand-computed views. *)
 
 module E = Shape.Int_expr
 module L = Shape.Layout
@@ -444,46 +443,29 @@ let test_record_requests () =
   check_int "reset: shared_vec_requests" 0 d.C.shared_vec_requests
 
 let test_widened_sectors () =
+  let sectors ~bytes a = Arch.global_sectors ~bytes a ~len:(Array.length a) in
   (* 2-wide fp16 (4 B/thread), full warp, unit stride: 32 x 4 B = one
      128 B stretch = 4 sectors. *)
   check_int "v2 full warp" 4
-    (C.sectors_of_batch ~bytes:4 (List.init 32 (fun l -> l * 4)));
+    (sectors ~bytes:4 (Array.init 32 (fun l -> l * 4)));
   (* 4-wide fp16 (8 B/thread), full warp: 256 B = 8 sectors. *)
   check_int "v4 full warp" 8
-    (C.sectors_of_batch ~bytes:8 (List.init 32 (fun l -> l * 8)));
+    (sectors ~bytes:8 (Array.init 32 (fun l -> l * 8)));
   (* Broadcast: every lane reads the same 8 B vector inside one sector. *)
   check_int "v4 broadcast" 1
-    (C.sectors_of_batch ~bytes:8 (List.init 32 (fun _ -> 64)));
+    (sectors ~bytes:8 (Array.init 32 (fun _ -> 64)));
   (* Partial mask: 7 live lanes cover [0, 56) = 2 sectors. *)
   check_int "v4 partial mask" 2
-    (C.sectors_of_batch ~bytes:8 (List.init 7 (fun l -> l * 8)));
+    (sectors ~bytes:8 (Array.init 7 (fun l -> l * 8)));
   (* The recording entry point books bytes * lanes and those sectors. *)
   let c = C.create () in
   C.record_global_batch c ~store:false ~bytes:8
-    (List.init 7 (fun l -> l * 8));
+    (Array.init 7 (fun l -> l * 8))
+    ~len:7;
   check_int "partial mask: load bytes" 56 c.C.global_load_bytes;
   check_int "partial mask: transactions" 2 c.C.global_transactions
 
 (* ----- bank-conflict lint ----- *)
-
-let test_conflicts_no_drift () =
-  (* Deterministic pseudo-random address batches: the lint's conflict
-     model must equal the executor's for every byte width. *)
-  let seed = ref 12345 in
-  let rand bound =
-    seed := ((!seed * 1103515245) + 12721) land 0x3FFFFFFF;
-    !seed mod bound
-  in
-  List.iter
-    (fun bytes ->
-      for len = 1 to 33 do
-        let addrs = Array.init len (fun _ -> rand 4096 * 2) in
-        check_int
-          (Printf.sprintf "bytes %d len %d" bytes len)
-          (C.conflicts_of_batcha ~bytes addrs ~len)
-          (V.conflicts_of_addrs ~bytes addrs)
-      done)
-    [ 2; 4; 8; 16 ]
 
 let test_static_shared_conflicts () =
   (* One fp32 scalar per lane at element stride 32: every lane's word
@@ -538,9 +520,7 @@ let () =
             test_widened_sectors
         ] )
     ; ( "bank_lint"
-      , [ Alcotest.test_case "no drift vs executor" `Quick
-            test_conflicts_no_drift
-        ; Alcotest.test_case "static shared conflicts" `Quick
+      , [ Alcotest.test_case "static shared conflicts" `Quick
             test_static_shared_conflicts
         ] )
     ]

@@ -442,7 +442,14 @@ let emit_sim_bench ?(quick = false) () =
     write_file "BENCH_sim.json"
       (J.to_string
          (J.Obj
-            [ ("schema", J.Str "graphene.sim_bench.v7")
+            [ ("schema", J.Str "graphene.sim_bench.v8")
+            ; ( "note"
+              , J.Str
+                  "Wall-clock fields (tree_s, lower_s, lower_cached_s, \
+                   bytecode_s, par_s and the speedups and cells_per_sec \
+                   figures derived from them) are single samples on one \
+                   host, with no noise band; perfbench measures repeated \
+                   runs. Minor words and counters are deterministic." )
             ; ("default_domains", J.Int (Gpu_sim.Domain_pool.default_domains ()))
             ; ("exec_engine", J.Str "bytecode")
             ; ("rows", J.Arr rows)

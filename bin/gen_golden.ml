@@ -55,4 +55,13 @@ let () =
   in
   let oc = open_out "test/golden/profile_gemm_tc_sm86.json" in
   output_string oc (Gpu_sim.Profiler.report_to_json report);
+  close_out oc;
+  (* Seeded simulator digests, both executors; checked by
+     test/test_bytecode.ml. *)
+  let oc = open_out "test/golden/sim_digests.txt" in
+  List.iter
+    (fun l ->
+      output_string oc l;
+      output_char oc '\n')
+    (Experiments.Sim_digest.lines ());
   close_out oc

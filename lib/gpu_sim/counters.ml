@@ -248,6 +248,8 @@ let scalar_fields =
   ; ("async_max_inflight", `Queue, fun t -> t.async_max_inflight)
   ]
 
+let to_alist t = List.map (fun (name, _, get) -> (name, get t)) scalar_fields
+
 type fields =
   | All
   | No_requests

@@ -114,6 +114,10 @@ val global_mean_vec_width : t -> float
     (deterministic, for reports). *)
 val instr_mix_alist : t -> (string * int) list
 
+(** Every scalar field (all 22, not the instruction mix) as
+    [(name, value)], in declaration order. *)
+val to_alist : t -> (string * int) list
+
 (** {1 Comparison} *)
 
 (** The field sets {!diff} compares. Every set includes the instruction

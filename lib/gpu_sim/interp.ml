@@ -53,11 +53,13 @@ let warps_of active =
    specs with [Atomic.find] and re-evaluates all symbolic index
    arithmetic at every step, and batches addresses its own way, so it
    stays independent of the lowering. It shares with the compiled path
-   only what the atomic registry owns (the instruction class, on which
-   [Semantics.exec] dispatches, and the ldmatrix row views) and the
-   accounting rules. It is kept as the executable reference the
-   compiled-plan executor ([run_plan], below) is tested bit-identical
-   against. *)
+   what the atomic registry owns (the instruction class and the
+   ldmatrix row views), the accounting rules, and the instruction
+   bodies: both executors hand [Semantics.exec] one warp-level instance
+   at a time, the tree with symbolic per-lane offsets. It is kept as the
+   executable reference the compiled-plan executor ([run_plan], below)
+   is tested bit-identical against; since the bodies are shared, the
+   seeded digests in test/golden/sim_digests.txt pin what they compute. *)
 
 (* Symbolic element offsets of a view for one thread. *)
 let tree_offsets env v tid = Ts.scalar_offsets ~env:(with_tid env tid) v
@@ -148,28 +150,33 @@ let book_cost ctx (instr : Atomic.instr) (c : Atomic.cost) ~instances =
   | Some p -> Profiler.on_cost p instr c ~instances
   | None -> ()
 
+(* The tree's operands: symbolic offsets, per thread. *)
+let tree_operands env views =
+  Array.of_list
+    (List.map
+       (fun v -> Semantics.operand v ~by_tid:(tree_offsets env v))
+       views)
+
 (* Execute a per-thread atomic spec for all active threads, warp by warp, so
    that address batches model warp-synchronous coalescing. *)
 let exec_per_thread ctx (instr : Atomic.instr) (s : Spec.t) env active =
   let warps = warps_of active in
   let cost = instr.Atomic.cost s in
   let dur = max 1 cost.Atomic.instructions in
+  let ins = tree_operands env s.Spec.ins
+  and outs = tree_operands env s.Spec.outs in
   List.iter
     (fun (w, tids) ->
       (* Address accounting happens before data movement so that loads
          observe pre-instruction state (irrelevant for addresses). *)
       List.iter (record_view_batch ctx env tids ~store:false) s.Spec.ins;
       List.iter (record_view_batch ctx env tids ~store:true) s.Spec.outs;
-      List.iter
-        (fun tid ->
-          Semantics.exec ?trace:(sem_trace ctx) ~block:ctx.block
-            ~offs:(tree_offsets env) ctx.mem ~instr ~spec:s ~env
-            ~members:[| tid |])
-        tids;
+      let tids = Array.of_list tids in
+      let lanes = Array.length tids in
+      Semantics.exec ?trace:(sem_trace ctx) ~block:ctx.block ctx.mem ~instr
+        ~spec:s ~env ~tids ~lanes ~ins ~outs;
       Option.iter
-        (fun p ->
-          Profiler.exec_event p ~block:ctx.block ~warp:w
-            ~lanes:(List.length tids) ~dur)
+        (fun p -> Profiler.exec_event p ~block:ctx.block ~warp:w ~lanes ~dur)
         ctx.prof)
     warps;
   book_cost ctx instr cost ~instances:(List.length active)
@@ -218,14 +225,16 @@ let exec_collective ctx (instr : Atomic.instr) (s : Spec.t) env active =
   let groups = List.rev !groups in
   let cost = instr.Atomic.cost s in
   let dur = max 1 cost.Atomic.instructions in
+  let ins = tree_operands env s.Spec.ins
+  and outs = tree_operands env s.Spec.outs in
   List.iter
     (fun members ->
       (match instr.Atomic.klass with
       | Atomic.Ldmatrix { x; trans } ->
         record_ldmatrix ctx ~trans x s env members
       | _ -> ());
-      Semantics.exec ?trace:(sem_trace ctx) ~block:ctx.block
-        ~offs:(tree_offsets env) ctx.mem ~instr ~spec:s ~env ~members;
+      Semantics.exec ?trace:(sem_trace ctx) ~block:ctx.block ctx.mem ~instr
+        ~spec:s ~env ~tids:members ~lanes:(Array.length members) ~ins ~outs;
       Option.iter
         (fun p ->
           Profiler.exec_event p ~block:ctx.block ~warp:(members.(0) / 32)
@@ -556,13 +565,6 @@ let plan_env_fun (a : P.atomic) (env : int array) name =
     else x
   | None -> error "unbound variable %s (missing scalar argument?)" name
 
-let find_pview (a : P.atomic) (v : Ts.t) =
-  let rec go = function
-    | [] -> None
-    | (pv : P.view) :: tl -> if pv.P.v_ts == v then Some pv else go tl
-  in
-  match go a.P.a_ins with Some pv -> Some pv | None -> go a.P.a_outs
-
 (* Cached value of one view's offset enumeration, reusable while the
    slots in [v_dep_slots] hold the snapshot values. Thread-tier views
    never land here. *)
@@ -617,16 +619,14 @@ type bctx =
   ; bc_not_taken : WM.t array
   ; addrs : int array  (* address batch scratch: one slot per warp lane *)
   ; ld8 : int array  (* ldmatrix row-address scratch *)
-  ; members1 : int array  (* reused singleton members for per-thread exec *)
-  ; fc_tids : int array  (* fastcopy scratch: active lane tids ... *)
-  ; fc_src : int array  (* ... their source base element offsets ... *)
-  ; fc_dst : int array  (* ... and destination bases, per warp *)
+  ; tids : int array  (* one warp's active tids, ascending *)
   ; vcaches : vcache array  (* by v_id *)
   ; tcaches : tcache array  (* by v_id; seated for Thread-tier views *)
   ; gcaches : gcache array  (* by a_id *)
   ; seen : (int array, unit) Hashtbl.t  (* group-dedup scratch *)
   ; mutable a_envf : (string -> int) array  (* by a_id *)
-  ; mutable a_offs : (Ts.t -> int -> int array) array  (* by a_id *)
+  ; mutable a_ins : Semantics.operand array array  (* by a_id *)
+  ; mutable a_outs : Semantics.operand array array  (* by a_id *)
   }
 
 let snap_matches snap slots (env : int array) =
@@ -656,33 +656,42 @@ let cached_offsets bx (pv : P.view) =
     offs
   end
 
-let thread_cached_offsets bx (pv : P.view) tid =
+(* A Thread-tier view's per-tid cache is checked once per call
+   ([validate_tcache]); each lane then only indexes it. *)
+let validate_tcache bx (pv : P.view) =
   let tc = bx.tcaches.(pv.P.v_id) in
   if not (tc.tc_valid && snap_matches tc.tc_snap pv.P.v_dep_slots bx.env)
   then begin
     Array.fill tc.tc_offs 0 (Array.length tc.tc_offs) [||];
     snap_update tc.tc_snap pv.P.v_dep_slots bx.env;
     tc.tc_valid <- true
-  end;
+  end
+
+let thread_offsets bx (pv : P.view) tid =
+  let tc = bx.tcaches.(pv.P.v_id) in
   let cached = tc.tc_offs.(tid) in
   if Array.length cached > 0 then cached
   else begin
+    bx.env.(Slots.tid_slot) <- tid;
     let offs = pv.P.v_offsets bx.env in
     tc.tc_offs.(tid) <- offs;
     offs
   end
 
-(* The offsets oracle handed to [Semantics.exec]: compiled closure
-   for the atomic's own views (cached per the depcheck tier), symbolic
-   fallback for any derived view. *)
-let plan_offsets bx (a : P.atomic) v tid =
-  bx.env.(Slots.tid_slot) <- tid;
-  match find_pview a v with
-  | Some pv ->
-    if pv.P.v_dep.Depcheck.d_tier = Depcheck.Thread then
-      thread_cached_offsets bx pv tid
-    else cached_offsets bx pv
-  | None -> Ts.scalar_offsets ~env:(with_tid (bx.a_envf.(a.P.a_id)) tid) v
+(* Seat one call's operands: a Thread-tier view reads the per-tid
+   cache, any other is fetched once, by the first lane that needs it —
+   its offsets cannot change while the call runs. *)
+let rec seat_operands bx views (ops : Semantics.operand array) i =
+  match views with
+  | [] -> ()
+  | (pv : P.view) :: tl ->
+    let op = ops.(i) in
+    if pv.P.v_dep.Depcheck.d_tier = Depcheck.Thread then begin
+      validate_tcache bx pv;
+      op.Semantics.addressing <- Semantics.By_thread
+    end
+    else op.Semantics.addressing <- Semantics.Uniform_pending;
+    seat_operands bx tl ops (i + 1)
 
 (* Build one domain's executor state: walk the plan once to size and
    seat the caches, then seat the per-atomic closures (they capture the
@@ -739,24 +748,34 @@ let make_bctx ctx (plan : P.t) (env : int array) =
     ; bc_not_taken = Array.init bc.P.bc_max_depth (fun _ -> Array.make nwords 0)
     ; addrs = Array.make 32 0
     ; ld8 = Array.make 8 0
-    ; members1 = [| 0 |]
-    ; fc_tids = Array.make 32 0
-    ; fc_src = Array.make 32 0
-    ; fc_dst = Array.make 32 0
+    ; tids = Array.make 32 0
     ; vcaches
     ; tcaches
     ; gcaches
     ; seen = Hashtbl.create 32
     ; a_envf = [||]
-    ; a_offs = [||]
+    ; a_ins = [||]
+    ; a_outs = [||]
     }
   in
   bx.a_envf <- Array.make plan.P.n_atomics (fun _ -> 0);
-  bx.a_offs <- Array.make plan.P.n_atomics (fun _ _ -> [||]);
+  bx.a_ins <- Array.make plan.P.n_atomics [||];
+  bx.a_outs <- Array.make plan.P.n_atomics [||];
   P.iter_atomics
     (fun a ->
       bx.a_envf.(a.P.a_id) <- plan_env_fun a env;
-      bx.a_offs.(a.P.a_id) <- plan_offsets bx a)
+      let operand (pv : P.view) =
+        let by_tid =
+          if pv.P.v_dep.Depcheck.d_tier = Depcheck.Thread then
+            thread_offsets bx pv
+          else fun _ -> cached_offsets bx pv
+        in
+        let op = Semantics.operand pv.P.v_ts ~by_tid in
+        if a.P.a_fastcopy then op.Semantics.bases <- Array.make 32 0;
+        op
+      in
+      bx.a_ins.(a.P.a_id) <- Array.of_list (List.map operand a.P.a_ins);
+      bx.a_outs.(a.P.a_id) <- Array.of_list (List.map operand a.P.a_outs))
     plan.P.body;
   bx
 
@@ -815,68 +834,60 @@ let rec bc_record_batches bx w wmask ~store = function
     bc_record_batch bx w wmask ~store pv;
     bc_record_batches bx w wmask ~store tl
 
-(* The wide-transaction fast path: a vector-widened, full-span contiguous
-   move skips the per-lane [Semantics] dispatch (and its offset
-   enumeration) — every active lane's enumeration is exactly
-   [addr0, addr0 + n) on both sides, so one [exec_warp_move_contig] call
-   per warp moves the whole batch. Skipped when instruction-level tracing
-   is on: the detail trace wants one event per lane from the generic
-   path. Counter accounting ([bc_record_batches], [book_cost]) is
-   shared with the generic path, so only the data-movement engine
-   changes. *)
-let bc_exec_fastcopy bx (a : P.atomic) w m =
-  let env = bx.env in
-  let src = List.hd a.P.a_ins and dst = List.hd a.P.a_outs in
-  let n = src.P.v_batch_bytes / src.P.v_elt_bytes in
-  let base = w * 32 in
-  let lanes = ref 0 in
-  for l = 0 to 31 do
-    if m land (1 lsl l) <> 0 then begin
-      let tid = base + l in
-      env.(Slots.tid_slot) <- tid;
-      let i = !lanes in
-      bx.fc_tids.(i) <- tid;
-      bx.fc_src.(i) <- src.P.v_addr0 env;
-      bx.fc_dst.(i) <- dst.P.v_addr0 env;
-      incr lanes
-    end
-  done;
-  match a.P.a_instr.Atomic.klass with
-  | Atomic.Cp_async ->
-    Semantics.exec_warp_cp_async_contig bx.c.mem a.P.a_spec ~tids:bx.fc_tids
-      ~src_bases:bx.fc_src ~dst_bases:bx.fc_dst ~lanes:!lanes ~n
+(* The wide-transaction fast path: a vector-widened, full-span
+   contiguous move, whose every active lane covers exactly
+   [addr0, addr0 + n) on both sides, hands its body each lane's two
+   bases instead of offset enumerations. *)
+let seat_contiguous bx (a : P.atomic) ~lanes =
+  match (a.P.a_ins, a.P.a_outs) with
+  | [ src ], [ dst ] ->
+    let si = bx.a_ins.(a.P.a_id).(0) and so = bx.a_outs.(a.P.a_id).(0) in
+    let n = src.P.v_batch_bytes / src.P.v_elt_bytes in
+    si.Semantics.addressing <- Semantics.Contiguous;
+    si.Semantics.span <- n;
+    so.Semantics.addressing <- Semantics.Contiguous;
+    so.Semantics.span <- n;
+    let env = bx.env in
+    for l = 0 to lanes - 1 do
+      env.(Slots.tid_slot) <- bx.tids.(l);
+      si.Semantics.bases.(l) <- src.P.v_addr0 env;
+      so.Semantics.bases.(l) <- dst.P.v_addr0 env
+    done
   | _ ->
-    Semantics.exec_warp_move_contig bx.c.mem a.P.a_spec ~tids:bx.fc_tids
-      ~src_bases:bx.fc_src ~dst_bases:bx.fc_dst ~lanes:!lanes ~n
+    error "fast-path move %s is not one source to one destination (plan \
+           invariant violated)"
+      a.P.a_instr.Atomic.name
 
+(* One warp at a time: book its address batches, collect its active
+   tids and hand them to the instruction's body in one call. Counter
+   accounting is the same on the fast path and off it. *)
 let bc_exec_per_thread bx (a : P.atomic) (mask : WM.t) =
   let ctx = bx.c in
-  let env = bx.env in
+  let ins = bx.a_ins.(a.P.a_id) and outs = bx.a_outs.(a.P.a_id) in
+  if not a.P.a_fastcopy then begin
+    seat_operands bx a.P.a_ins ins 0;
+    seat_operands bx a.P.a_outs outs 0
+  end;
   let envf = bx.a_envf.(a.P.a_id) in
-  let offs = bx.a_offs.(a.P.a_id) in
   let trace = sem_trace ctx in
-  let fastcopy = a.P.a_fastcopy && trace = None in
   let total = ref 0 in
   for w = 0 to Array.length mask - 1 do
     let m = Array.unsafe_get mask w in
     if m <> 0 then begin
       bc_record_batches bx w m ~store:false a.P.a_ins;
       bc_record_batches bx w m ~store:true a.P.a_outs;
-      if fastcopy then bc_exec_fastcopy bx a w m
-      else begin
-        let base = w * 32 in
-        for l = 0 to 31 do
-          if m land (1 lsl l) <> 0 then begin
-            let tid = base + l in
-            env.(Slots.tid_slot) <- tid;
-            bx.members1.(0) <- tid;
-            Semantics.exec ?trace ~block:ctx.block ~offs ctx.mem
-              ~instr:a.P.a_instr ~spec:a.P.a_spec ~env:envf
-              ~members:bx.members1
-          end
-        done
-      end;
-      let lanes = WM.popcount32 m in
+      let base = w * 32 in
+      let lanes = ref 0 in
+      for l = 0 to 31 do
+        if m land (1 lsl l) <> 0 then begin
+          bx.tids.(!lanes) <- base + l;
+          incr lanes
+        end
+      done;
+      let lanes = !lanes in
+      if a.P.a_fastcopy then seat_contiguous bx a ~lanes;
+      Semantics.exec ?trace ~block:ctx.block ctx.mem ~instr:a.P.a_instr
+        ~spec:a.P.a_spec ~env:envf ~tids:bx.tids ~lanes ~ins ~outs;
       total := !total + lanes;
       match ctx.prof with
       | Some p ->
@@ -968,7 +979,9 @@ let plan_groups bx (a : P.atomic) (mask : WM.t) =
 let bc_exec_collective bx (a : P.atomic) (mask : WM.t) =
   let ctx = bx.c in
   let groups = plan_groups bx a mask in
-  let offs = bx.a_offs.(a.P.a_id) in
+  let ins = bx.a_ins.(a.P.a_id) and outs = bx.a_outs.(a.P.a_id) in
+  seat_operands bx a.P.a_ins ins 0;
+  seat_operands bx a.P.a_outs outs 0;
   let envf = bx.a_envf.(a.P.a_id) in
   let trace = sem_trace ctx in
   for g = 0 to Array.length groups - 1 do
@@ -976,8 +989,9 @@ let bc_exec_collective bx (a : P.atomic) (mask : WM.t) =
     (match a.P.a_instr.Atomic.klass with
     | Atomic.Ldmatrix { x; trans } -> bc_record_ldmatrix bx a ~trans x members
     | _ -> ());
-    Semantics.exec ?trace ~block:ctx.block ~offs ctx.mem ~instr:a.P.a_instr
-      ~spec:a.P.a_spec ~env:envf ~members;
+    Semantics.exec ?trace ~block:ctx.block ctx.mem ~instr:a.P.a_instr
+      ~spec:a.P.a_spec ~env:envf ~tids:members ~lanes:(Array.length members)
+      ~ins ~outs;
     match ctx.prof with
     | Some p ->
       Profiler.exec_event p ~block:ctx.block ~warp:(members.(0) / 32)

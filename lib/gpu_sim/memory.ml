@@ -14,10 +14,8 @@ type global = (string, float array) Hashtbl.t
    domain's block-local state.
 
    Register files are stored per buffer as an array indexed by tid
-   (grown on demand, [[||]] = not yet allocated). The previous
-   [(buffer, tid)] tuple key allocated a tuple and hashed the string on
-   every access — [buffer] sits under every simulated load and store,
-   so the executors' per-access cost is one string hash and an index. *)
+   (grown on demand, [[||]] = not yet allocated), so a warp's files are
+   found with one string hash ([resolve]) and then one index per lane. *)
 type block =
   { shared : (string, float array) Hashtbl.t
   ; regs : (string, float array array) Hashtbl.t  (* files by tid *)
@@ -36,6 +34,7 @@ type t =
   ; shared_sizes : (string, int) Hashtbl.t
   ; reg_sizes : (string, int) Hashtbl.t
   ; mutable blk : block
+  ; mutable rounded : float array  (* [store]'s rounding scratch *)
   }
 
 exception Fault of string
@@ -56,6 +55,7 @@ let of_global global =
   ; shared_sizes = Hashtbl.create 16
   ; reg_sizes = Hashtbl.create 16
   ; blk = fresh_block ()
+  ; rounded = [||]
   }
 
 let bind_arena (g : global) name data = Hashtbl.replace g name data
@@ -98,8 +98,7 @@ let async_wait t n =
   in
   blk.async_groups <- drain blk.async_groups
 
-(* Grow-and-allocate slow paths, kept out of [buffer] so its common
-   path (every simulated memory access) stays small enough to inline. *)
+(* Grow-and-allocate slow paths of the per-lane lookup [buffer]. *)
 let alloc_shared t (v : Ts.t) =
   match Hashtbl.find_opt t.shared_sizes v.Ts.buffer with
   | Some size ->
@@ -149,95 +148,150 @@ let buffer t ~tid (v : Ts.t) =
       if Array.length f > 0 then f else alloc_reg_file t v files tid
     else alloc_reg_file t v files tid)
 
+(* ----- warp access -----
+
+   An instruction body resolves each operand's storage once per warp
+   instance ([resolve]: one table lookup) and then indexes per thread
+   ([lane_buf]). Each per-lane access below checks in a fixed order —
+   the length, then per element the bounds — and stores values rounded
+   through the view's element type, so both executors fault and round
+   identically. *)
+
+type bufs =
+  | Flat of float array  (* global or shared: one array for every lane *)
+  | Files of Ts.t * float array array  (* register files, by tid *)
+  | Deferred of Ts.t
+      (* not present yet: each lane resolves it on its own, which
+         allocates the storage on first touch or faults exactly where a
+         per-lane lookup would *)
+
+let resolve t (v : Ts.t) =
+  match v.Ts.mem with
+  | Ms.Global -> (
+    match Hashtbl.find t.global v.Ts.buffer with
+    | a -> Flat a
+    | exception Not_found -> Deferred v)
+  | Ms.Shared -> (
+    match Hashtbl.find t.blk.shared v.Ts.buffer with
+    | a -> Flat a
+    | exception Not_found -> Deferred v)
+  | Ms.Register -> (
+    match Hashtbl.find t.blk.regs v.Ts.buffer with
+    | files -> Files (v, files)
+    | exception Not_found -> Deferred v)
+
+(* A file allocated (or a table grown) through [buffer] after [resolve]
+   is only missing from a stale [files]: the empty slot or short table
+   sends the lane back to [buffer], which sees the current table. *)
+let lane_buf t b ~tid =
+  match b with
+  | Flat a -> a
+  | Files (v, files) ->
+    if tid < Array.length files then
+      let f = Array.unsafe_get files tid in
+      if Array.length f > 0 then f else buffer t ~tid v
+    else buffer t ~tid v
+  | Deferred v -> buffer t ~tid v
+
+let offset_fault (v : Ts.t) buf off =
+  fault "view %%%s: offset %d outside buffer %s of size %d" v.Ts.name off
+    v.Ts.buffer (Array.length buf)
+
 let checked buf (v : Ts.t) off =
-  if off < 0 || off >= Array.length buf then
-    fault "view %%%s: offset %d outside buffer %s of size %d" v.Ts.name off
-      v.Ts.buffer (Array.length buf)
+  if off < 0 || off >= Array.length buf then offset_fault v buf off
 
-(* Every accessor takes the view's element offsets, derived by the
-   caller (symbolically on the tree path, by compiled closures on the
-   plan path), so both paths share the bounds checks and fault
-   messages. *)
-
-let read_offs t ~tid v offs =
-  let buf = buffer t ~tid v in
-  Array.map
-    (fun off ->
-      checked buf v off;
-      buf.(off))
-    offs
-
-let read_offs_into t ~tid v offs dst =
-  let buf = buffer t ~tid v in
+let load (v : Ts.t) buf offs dst ~pos =
   for i = 0 to Array.length offs - 1 do
     let off = Array.unsafe_get offs i in
     checked buf v off;
-    Array.unsafe_set dst i (Array.unsafe_get buf off)
+    dst.(pos + i) <- Array.unsafe_get buf off
   done
 
-let read_sub_offs_into t ~tid v offs ~pos ~len dst =
-  (* Same guard (and exception) as [Array.sub offs pos len]. *)
-  if pos < 0 || len < 0 || pos > Array.length offs - len then
+let load_sub (v : Ts.t) buf offs ~from ~len dst =
+  (* Same guard (and exception) as [Array.sub offs from len]. *)
+  if from < 0 || len < 0 || from > Array.length offs - len then
     invalid_arg "Array.sub";
-  let buf = buffer t ~tid v in
   for i = 0 to len - 1 do
-    let off = Array.unsafe_get offs (pos + i) in
+    let off = Array.unsafe_get offs (from + i) in
     checked buf v off;
-    Array.unsafe_set dst i (Array.unsafe_get buf off)
+    dst.(i) <- Array.unsafe_get buf off
   done
 
-let write_offs_n t ~tid v offs data ~len =
-  let buf = buffer t ~tid v in
+let load_contig (v : Ts.t) buf ~base ~len dst ~pos =
+  for i = 0 to len - 1 do
+    let off = base + i in
+    checked buf v off;
+    dst.(pos + i) <- Array.unsafe_get buf off
+  done
+
+(* [data.(pos ..)] rounded through the view's element type, in [t]'s
+   scratch — fp32 and fp64 are rounded inline by the stores instead. *)
+let rounded t (v : Ts.t) data ~pos ~len =
+  if Array.length t.rounded < len then
+    t.rounded <- Array.make (max len (2 * Array.length t.rounded)) 0.0;
+  Dt.round_into (Ts.dtype v) data ~pos t.rounded ~len;
+  t.rounded
+
+(* Element [i] of a lane's values goes to [offs.(k + i)]. *)
+let store_from t (v : Ts.t) buf offs ~k data ~pos ~len =
+  match Ts.dtype v with
+  | Dt.FP32 ->
+    for i = 0 to len - 1 do
+      let off = offs.(k + i) in
+      checked buf v off;
+      Array.unsafe_set buf off
+        (Int32.float_of_bits (Int32.bits_of_float data.(pos + i)))
+    done
+  | Dt.FP64 ->
+    for i = 0 to len - 1 do
+      let off = offs.(k + i) in
+      checked buf v off;
+      Array.unsafe_set buf off data.(pos + i)
+    done
+  | Dt.FP16 | Dt.BF16 | Dt.I8 | Dt.I32 | Dt.U32 | Dt.Bool ->
+    let r = rounded t v data ~pos ~len in
+    for i = 0 to len - 1 do
+      let off = offs.(k + i) in
+      checked buf v off;
+      Array.unsafe_set buf off (Array.unsafe_get r i)
+    done
+
+let store t (v : Ts.t) buf offs data ~pos ~len =
   if Array.length offs <> len then
     fault "view %%%s: writing %d values into %d slots" v.Ts.name len
       (Array.length offs);
-  let dt = Ts.dtype v in
-  Array.iteri
-    (fun i off ->
+  store_from t v buf offs ~k:0 data ~pos ~len
+
+let store_scalars t (v : Ts.t) buf offs ~k data ~pos ~len =
+  let avail = Array.length offs - k in
+  if len <= avail then store_from t v buf offs ~k data ~pos ~len
+  else begin
+    (* The scalars before the first index past the enumeration land
+       first. *)
+    store_from t v buf offs ~k data ~pos ~len:(max 0 avail);
+    fault "view %%%s: scalar index %d out of %d" v.Ts.name (k + max 0 avail)
+      (Array.length offs)
+  end
+
+let store_contig t (v : Ts.t) buf ~base data ~pos ~len =
+  match Ts.dtype v with
+  | Dt.FP32 ->
+    for i = 0 to len - 1 do
+      let off = base + i in
       checked buf v off;
-      buf.(off) <- Dt.round dt data.(i))
-    offs
-
-let write_offs t ~tid v offs data =
-  write_offs_n t ~tid v offs data ~len:(Array.length data)
-
-(* Contiguous-span forms for vector-widened full-span moves: the offset
-   enumeration is provably [base, base + len), so the plan executor skips
-   materializing it. Bounds checks, faults, write rounding and the
-   ascending element order match the [*_offs] forms exactly — a widened
-   move must fault on the same element with the same message, and store
-   the same rounded values, as its scalar lowering. *)
-
-let read_contig_into t ~tid v ~base ~len dst =
-  let buf = buffer t ~tid v in
-  for i = 0 to len - 1 do
-    let off = base + i in
-    checked buf v off;
-    Array.unsafe_set dst i (Array.unsafe_get buf off)
-  done
-
-let write_contig t ~tid v ~base data ~len =
-  let buf = buffer t ~tid v in
-  let dt = Ts.dtype v in
-  for i = 0 to len - 1 do
-    let off = base + i in
-    checked buf v off;
-    buf.(off) <- Dt.round dt (Array.unsafe_get data i)
-  done
-
-(* A resolved buffer handle: hoists [buffer] resolution out of
-   per-element loops. The ldmatrix fragment distribute writes two
-   scalars per lane per tile, which would otherwise re-hash the buffer
-   name on every element. *)
-type slab =
-  { sl_buf : float array
-  ; sl_dt : Dt.t
-  }
-
-let slab t ~tid v = { sl_buf = buffer t ~tid v; sl_dt = Ts.dtype v }
-
-let write_k_slab sl (v : Ts.t) offs k x =
-  if k >= Array.length offs then
-    fault "view %%%s: scalar index %d out of %d" v.Ts.name k (Array.length offs);
-  checked sl.sl_buf v offs.(k);
-  sl.sl_buf.(offs.(k)) <- Dt.round sl.sl_dt x
+      Array.unsafe_set buf off
+        (Int32.float_of_bits (Int32.bits_of_float data.(pos + i)))
+    done
+  | Dt.FP64 ->
+    for i = 0 to len - 1 do
+      let off = base + i in
+      checked buf v off;
+      Array.unsafe_set buf off data.(pos + i)
+    done
+  | Dt.FP16 | Dt.BF16 | Dt.I8 | Dt.I32 | Dt.U32 | Dt.Bool ->
+    let r = rounded t v data ~pos ~len in
+    for i = 0 to len - 1 do
+      let off = base + i in
+      checked buf v off;
+      Array.unsafe_set buf off (Array.unsafe_get r i)
+    done

@@ -64,84 +64,111 @@ val async_inflight : t -> int
     thunks in issue order) until at most [n] remain in flight. *)
 val async_wait : t -> int -> unit
 
-(** {1 View access}
+(** {1 Warp access}
 
-    Every accessor takes the view's element offsets (innermost fastest)
-    from the caller: the tree interpreter derives them symbolically with
-    [Tensor.scalar_offsets], a compiled execution plan with its offset
-    closures. [tid] selects the register file. *)
+    An instruction body resolves each operand's storage once per warp
+    instance with {!resolve} — one table lookup — and then finds each
+    lane's array with {!lane_buf}, by indexing. The per-lane accessors
+    take the view's element offsets from the caller (the tree
+    interpreter derives them symbolically with [Tensor.scalar_offsets],
+    a compiled execution plan with its offset closures), so both
+    executors share the bounds checks, rounding and fault messages. *)
 
-val read_offs : t -> tid:int -> Gpu_tensor.Tensor.t -> int array -> float array
+(** A view's storage, resolved for one warp instance. Valid for the
+    current block only — resolve again after {!new_block}. *)
+type bufs
 
-val write_offs :
-  t -> tid:int -> Gpu_tensor.Tensor.t -> int array -> float array -> unit
+(** [resolve t v] never faults: storage that is missing (not allocated
+    yet in this block, or not bound at all) is resolved per lane by
+    {!lane_buf}, which then allocates it or faults as a lookup for that
+    lane alone would. *)
+val resolve : t -> Gpu_tensor.Tensor.t -> bufs
 
-(** {2 Allocation-free forms}
+(** [lane_buf t b ~tid] — the array thread [tid] addresses through the
+    view: the one global or shared array, or [tid]'s register file
+    (allocated on first touch). Faults when the buffer was never
+    bound or allocated. *)
+val lane_buf : t -> bufs -> tid:int -> float array
 
-    Fill/drain caller-provided scratch buffers instead of allocating.
-    Checks, rounding and fault messages are identical to {!read_offs} /
-    {!write_offs}; the instruction semantics use these on their hot paths
-    so a scratch buffer is reused across every lane of a warp. *)
+(** [offset_fault v buf off] raises the {!Fault} for offset [off] outside
+    [buf], as every accessor below does. For bodies that check their own
+    element loads. *)
+val offset_fault : Gpu_tensor.Tensor.t -> float array -> int -> 'a
 
-(** [read_offs_into t ~tid v offs dst] — gather [offs] into
-    [dst.(0 .. length offs - 1)]. [dst] must be at least as long. *)
-val read_offs_into :
-  t -> tid:int -> Gpu_tensor.Tensor.t -> int array -> float array -> unit
+(** [load v buf offs dst ~pos] — [dst.(pos + i) <- buf.(offs.(i))] for
+    every [i], each offset bounds-checked in order. *)
+val load :
+  Gpu_tensor.Tensor.t -> float array -> int array -> float array -> pos:int -> unit
 
-(** [read_sub_offs_into t ~tid v offs ~pos ~len dst] — gather the slice
-    [offs.(pos .. pos+len-1)] into [dst.(0 .. len-1)], with the same
-    range guard (and exception) as [Array.sub offs pos len]. *)
-val read_sub_offs_into :
-  t ->
-  tid:int ->
+(** [load_sub v buf offs ~from ~len dst] — gather the slice
+    [offs.(from .. from+len-1)] into [dst.(0 .. len-1)], with the same
+    range guard (and exception) as [Array.sub offs from len]. *)
+val load_sub :
   Gpu_tensor.Tensor.t ->
+  float array ->
   int array ->
+  from:int ->
+  len:int ->
+  float array ->
+  unit
+
+(** [store t v buf offs data ~pos ~len] — one lane's write of
+    [data.(pos .. pos+len-1)] to [offs]: faults unless [offs] has
+    exactly [len] entries, then stores each value rounded through the
+    view's element type, bounds-checking each offset in order. *)
+val store :
+  t ->
+  Gpu_tensor.Tensor.t ->
+  float array ->
+  int array ->
+  float array ->
   pos:int ->
   len:int ->
-  float array ->
   unit
 
-(** [write_offs_n t ~tid v offs data ~len] — scatter
-    [data.(0 .. len-1)] to [offs]; faults exactly like {!write_offs}
-    would on a [data] of length [len]. [write_offs] is the [len = length
-    data] instance. *)
-val write_offs_n :
+(** [store_scalars t v buf offs ~k data ~pos ~len] — write the values to
+    scalars [k .. k+len-1] of the view (at [offs.(k ..)]), rounding as
+    {!store} does; faults at the first scalar index past [offs], after
+    the ones before it have landed. *)
+val store_scalars :
   t ->
-  tid:int ->
   Gpu_tensor.Tensor.t ->
-  int array ->
   float array ->
+  int array ->
+  k:int ->
+  float array ->
+  pos:int ->
   len:int ->
   unit
-
-(** A resolved buffer handle: the view's backing array and element type,
-    looked up once. Hoists buffer resolution out of per-element loops
-    (e.g. the ldmatrix fragment distribute, which writes two scalars per
-    lane per tile). Valid for the current block only — resolve again
-    after {!new_block}. *)
-type slab
-
-val slab : t -> tid:int -> Gpu_tensor.Tensor.t -> slab
-
-(** [write_k_slab sl v offs k x] — write scalar [k] of the view (at
-    [offs.(k)]) on the resolved buffer, rounding through the view's
-    element type; faults when [k] or its offset is out of range. *)
-val write_k_slab : slab -> Gpu_tensor.Tensor.t -> int array -> int -> float -> unit
 
 (** {2 Contiguous-span forms}
 
     For vector-widened full-span moves, whose offset enumeration is
-    provably [base, base + len): skip materializing the offsets. Bounds
+    provably [base, base + len): no offsets are materialized. Bounds
     checks, faults, write rounding and element order are identical to
-    the [*_offs] forms on the offsets [base; base+1; ...], so a widened
+    the forms above on the offsets [base; base+1; ...], so a widened
     move faults, rounds and stores exactly as its scalar lowering. *)
 
-(** [read_contig_into t ~tid v ~base ~len dst] — gather
-    [base .. base+len-1] into [dst.(0 .. len-1)]. *)
-val read_contig_into :
-  t -> tid:int -> Gpu_tensor.Tensor.t -> base:int -> len:int -> float array -> unit
+(** [load_contig v buf ~base ~len dst ~pos] — gather
+    [base .. base+len-1] into [dst.(pos .. pos+len-1)]. *)
+val load_contig :
+  Gpu_tensor.Tensor.t ->
+  float array ->
+  base:int ->
+  len:int ->
+  float array ->
+  pos:int ->
+  unit
 
-(** [write_contig t ~tid v ~base data ~len] — scatter [data.(0 .. len-1)]
-    to [base .. base+len-1], rounding through the view's element type. *)
-val write_contig :
-  t -> tid:int -> Gpu_tensor.Tensor.t -> base:int -> float array -> len:int -> unit
+(** [store_contig t v buf ~base data ~pos ~len] — scatter
+    [data.(pos .. pos+len-1)] to [base .. base+len-1], rounding through
+    the view's element type. *)
+val store_contig :
+  t ->
+  Gpu_tensor.Tensor.t ->
+  float array ->
+  base:int ->
+  float array ->
+  pos:int ->
+  len:int ->
+  unit

@@ -5,63 +5,81 @@
     each lane addresses in an [ldmatrix] (paper Figures 1a/1b) — is encoded
     here exactly as the PTX ISA documents it, and exercised by the
     simulator. Getting one of these mappings wrong makes the tensor-core
-    GEMM tests fail against the CPU reference. *)
+    GEMM tests fail against the CPU reference.
 
-(** [exec ~offs mem ~instr ~spec ~env ~members] executes one instance
-    of an atomic spec, choosing the executor by [instr.klass] (and, for
-    the pointwise, reduction, shuffle and init classes, the operator in
-    [spec.kind]). [members] are the participating block-relative thread
-    ids in ascending order (their position is the lane index); [env]
-    binds block/loop variables (not [threadIdx.x], which is bound per
-    member). [offs v tid] gives view [v]'s element offsets for thread
-    [tid]: the tree interpreter derives them symbolically
-    ([Tensor.scalar_offsets]), the plan executor passes its compiled
-    closures. Only data movement/compute happens here; event counting
-    is the interpreter's job. [trace], when given (the profiler's detail
-    mode), receives one instruction-level event per executed instance,
-    tagged with the issuing thread block [block] (default 0). Raises
-    [Invalid_argument] for a per-thread class with more than one member
-    or a class the simulator has no semantics for. *)
+    Every instruction class has one body, and a body runs one warp-level
+    instance per call: a collective's members, or the active lanes of one
+    warp for a per-thread instruction. Both executors — the tree
+    interpreter and the compiled plan — call the same bodies. A body
+    resolves each operand's storage once per call and its offsets once
+    when they do not depend on the lane; mma gathers and scatters its
+    fragments through flat tables built once per shape. *)
+
+(** {1 Operands} *)
+
+(** How an operand's element offsets are given for one call. *)
+type addressing =
+  | By_thread  (** [by_tid tid], per lane *)
+  | Uniform_pending
+      (** the same for every lane: the first lane that needs them
+          fetches [by_tid tid], and the body keeps them (as [Uniform]) *)
+  | Uniform  (** [offsets], for every lane *)
+  | Contiguous
+      (** lane [l] covers [bases.(l) .. bases.(l) + span - 1]: the
+          vector-widened full-span moves of {!Lower.Vectorize}, which
+          only the move family and cp.async accept *)
+
+(** One view of the instruction, as the executor hands it to a body.
+    The tree interpreter passes symbolic offsets by thread; the plan
+    executor builds its operands once per domain and sets [addressing]
+    before each call from the view's dependence tier. *)
+type operand =
+  { view : Gpu_tensor.Tensor.t
+  ; by_tid : int -> int array
+  ; mutable addressing : addressing
+  ; mutable offsets : int array
+  ; mutable bases : int array
+  ; mutable span : int
+  }
+
+(** [operand v ~by_tid] — addressed [By_thread], no bases. *)
+val operand : Gpu_tensor.Tensor.t -> by_tid:(int -> int array) -> operand
+
+(** {1 Execution} *)
+
+(** [exec mem ~instr ~spec ~env ~tids ~lanes ~ins ~outs] executes one
+    warp-level instance of an atomic spec, choosing the body by
+    [instr.klass] (and, for the pointwise, reduction, shuffle and init
+    classes, the operator in [spec.kind]).
+
+    [tids.(0 .. lanes-1)] are the participating block-relative thread
+    ids in ascending order — a collective's members (their position is
+    the lane index) or one warp's active threads for a per-thread
+    class, which runs them one after the other, each doing what that
+    thread's instruction does: its reads, length and bounds checks,
+    rounding and faults, in that order. A fault in lane k leaves lanes
+    0 to k-1 landed. [ins] and [outs] are the operands of [spec.ins] and
+    [spec.outs], in order. [env] binds block/loop variables (not
+    [threadIdx.x], which is bound per lane); only a [shfl.idx] source
+    lane reads it.
+
+    Only data movement and compute happen here; event counting is the
+    interpreter's job. [trace], when given (the profiler's detail mode),
+    receives one instruction-level event per collective instance or per
+    lane of a per-thread instruction, tagged with the issuing thread
+    block [block] (default 0). Raises [Invalid_argument] for a class the
+    simulator has no semantics for. *)
 val exec :
   ?trace:Trace.t ->
   ?block:int ->
-  offs:(Gpu_tensor.Tensor.t -> int -> int array) ->
   Memory.t ->
   instr:Graphene.Atomic.instr ->
   spec:Graphene.Spec.t ->
   env:(string -> int) ->
-  members:int array ->
-  unit
-
-(** [exec_warp_move_contig mem spec ~tids ~src_bases ~dst_bases ~lanes ~n]
-    — the vector-widened fast path of a full-span contiguous per-thread
-    move (see {!Lower.Vectorize}): for each of the first [lanes] active
-    lanes, copy the [n] elements [src_bases.(l) ..] to [dst_bases.(l) ..]
-    without materializing offset enumerations. Element order, bounds
-    checks, faults and destination rounding are identical to executing
-    the scalar move per lane. *)
-val exec_warp_move_contig :
-  Memory.t ->
-  Graphene.Spec.t ->
   tids:int array ->
-  src_bases:int array ->
-  dst_bases:int array ->
   lanes:int ->
-  n:int ->
-  unit
-
-(** The deferred (cp.async) form of {!exec_warp_move_contig}: each lane's
-    source span is read at issue time into a fresh buffer and its
-    destination write enqueued on the block's async-copy queue, to land —
-    in the same lane order — when a wait_group drains the copy's group. *)
-val exec_warp_cp_async_contig :
-  Memory.t ->
-  Graphene.Spec.t ->
-  tids:int array ->
-  src_bases:int array ->
-  dst_bases:int array ->
-  lanes:int ->
-  n:int ->
+  ins:operand array ->
+  outs:operand array ->
   unit
 
 (** {1 Fragment layouts (exposed for tests)} *)

@@ -35,10 +35,15 @@ let pp fmt t = Format.pp_print_string fmt (to_ir_string t)
 
 (* fp16 rounding: round-trip through IEEE binary16. We implement the
    conversion directly (OCaml has no half type): clamp the exponent range
-   and truncate the mantissa to 10 bits with round-to-nearest-even. *)
-let round_fp16 x =
+   and truncate the mantissa to 10 bits with round-to-nearest-even.
+   [@inline] here and on [round_bf16] lets [round_into]'s loops keep
+   the element unboxed: a call that is not inlined boxes its float
+   argument and result. *)
+let[@inline] round_fp16 x =
   if Float.is_nan x then x
-  else if Float.is_integer x && Float.abs x <= 2048. then x
+  (* [Float.is_integer x], spelled out: the stdlib call is not inlined
+     and would box [x]. *)
+  else if x = Float.trunc x && x -. x = 0. && Float.abs x <= 2048. then x
   else
     let bits = Int32.bits_of_float x in
     let sign = Int32.to_int (Int32.shift_right_logical bits 31) land 1 in
@@ -70,7 +75,7 @@ let round_fp16 x =
       if sign = 1 then -.v else v
 
 (* bf16: truncate the fp32 mantissa to 7 bits, round to nearest even. *)
-let round_bf16 x =
+let[@inline] round_bf16 x =
   if Float.is_nan x then x
   else
     let bits = Int32.bits_of_float x in
@@ -94,3 +99,29 @@ let round t x =
   | I8 -> Float.of_int (Stdlib.max (-128) (Stdlib.min 127 (Float.to_int x)))
   | I32 | U32 -> Float.of_int (Float.to_int x)
   | Bool -> if x = 0.0 then 0.0 else 1.0
+
+(* One dtype match per slice instead of one per element, and no call per
+   element: the simulator's stores round whole lanes through here, since
+   a float passed to or returned from another module is always boxed. *)
+let round_into t src ~pos dst ~len =
+  if pos < 0 || len < 0 || pos > Array.length src - len || len > Array.length dst
+  then invalid_arg "Dtype.round_into";
+  match t with
+  | FP16 ->
+    for i = 0 to len - 1 do
+      Array.unsafe_set dst i (round_fp16 (Array.unsafe_get src (pos + i)))
+    done
+  | BF16 ->
+    for i = 0 to len - 1 do
+      Array.unsafe_set dst i (round_bf16 (Array.unsafe_get src (pos + i)))
+    done
+  | FP32 ->
+    for i = 0 to len - 1 do
+      Array.unsafe_set dst i
+        (Int32.float_of_bits (Int32.bits_of_float (Array.unsafe_get src (pos + i))))
+    done
+  | FP64 -> Array.blit src pos dst 0 len
+  | I8 | I32 | U32 | Bool ->
+    for i = 0 to len - 1 do
+      Array.unsafe_set dst i (round t (Array.unsafe_get src (pos + i)))
+    done

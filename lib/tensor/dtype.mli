@@ -17,3 +17,8 @@ val pp : Format.formatter -> t -> unit
 (** Round a float through the precision of [t] (fp16/bf16 rounding for the
     simulator; identity for 32/64-bit types). *)
 val round : t -> float -> float
+
+(** [round_into t src ~pos dst ~len] — [dst.(i) <- round t src.(pos + i)]
+    for [i < len], without allocating. Raises [Invalid_argument] when
+    either range is out of bounds. *)
+val round_into : t -> float array -> pos:int -> float array -> len:int -> unit

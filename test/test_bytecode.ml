@@ -1,6 +1,10 @@
 (* Tests for the bytecode plan executor (the flatten-to-bytecode pass
    plus [Interp.run_plan]'s dispatch loop):
 
+   - pinned results: both executors against the seeded digests in
+     golden/sim_digests.txt (output bits and every counter);
+   - an allocation budget: minor words per cell of the tensor-core
+     GEMMs at one domain;
    - cross-engine determinism: for every kernel family, both
      [Interp.run_tree] on the plan's kernel and [Interp.run_plan] at
      domains ∈ {1, 4, 7} must produce counters, profiler report JSON,
@@ -154,6 +158,69 @@ let test_eng_fused () =
   check_engines "gemm+layernorm" Arch.SM86
     (Kernels.Gemm_layernorm.kernel Arch.SM86 ~m:64 ~k:32 ~width:64 ~bm:64
        ~wm:32 ~wn:32 ())
+
+(* ----- pinned results -----
+
+   Both executors call the same instruction bodies, so comparing them
+   with each other cannot catch a wrong body. The committed digests pin
+   what each executor produced — output bits and every counter — when
+   they were generated ([make golden]). *)
+
+let read_lines path =
+  let ic = open_in path in
+  let rec go acc =
+    match input_line ic with
+    | l -> go (l :: acc)
+    | exception End_of_file ->
+      close_in ic;
+      List.rev acc
+  in
+  go []
+
+let test_sim_digests () =
+  let expected = read_lines "golden/sim_digests.txt" in
+  let actual = Experiments.Sim_digest.lines () in
+  check_int "one line per case and executor" (List.length expected)
+    (List.length actual);
+  List.iter2
+    (fun e a ->
+      let tag =
+        match String.split_on_char ' ' e with
+        | case :: engine :: _ -> case ^ " " ^ engine
+        | _ -> e
+      in
+      check_str tag e a)
+    expected actual
+
+(* ----- allocation budget -----
+
+   Minor-heap words per simulated cell (m * n * k) of one launch at one
+   domain, after a warm-up launch has grown the domain's scratch
+   buffers. The count is deterministic, so a float boxed again on the
+   hot path fails here without timing anything. Each ceiling is the
+   value measured when it was set, plus 25%. *)
+
+let alloc_budgets =
+  [ (Arch.SM86, 3, 64 * 64 * 128, 0.84) (* measured 0.670 *)
+  ; (Arch.SM70, 1, 32 * 32 * 128, 2.41) (* measured 1.924 *)
+  ]
+
+let test_alloc_budget () =
+  List.iter
+    (fun (arch, stages, cells, ceiling) ->
+      (* The gemm-tc preset: 64x64x128 on sm86, 32x32x128 on sm70. *)
+      let kernel, args, _ = Experiments.Presets.build arch "gemm-tc" in
+      let plan = Pipeline.lower ~stages arch kernel in
+      let launch () = ignore (Interp.run_plan ~domains:1 plan ~args ()) in
+      launch ();
+      let w0 = Gc.minor_words () in
+      launch ();
+      let per_cell = (Gc.minor_words () -. w0) /. float_of_int cells in
+      check_bool
+        (Printf.sprintf "gemm-tc %s, %d stage(s): %.3f minor words/cell <= %.2f"
+           (Arch.name arch) stages per_cell ceiling)
+        true (per_cell <= ceiling))
+    alloc_budgets
 
 (* ----- divergence corpus through the bytecode engine ----- *)
 
@@ -450,6 +517,13 @@ let () =
         ; Alcotest.test_case "reductions" `Quick test_eng_reductions
         ; Alcotest.test_case "fused" `Quick test_eng_fused
         ] )
+    ; ( "golden"
+      , [ Alcotest.test_case "sim digests, plan and tree" `Quick
+            test_sim_digests
+        ] )
+    ; ( "allocation"
+      , [ Alcotest.test_case "minor words per cell" `Quick test_alloc_budget ]
+      )
     ; ( "divergence"
       , [ Alcotest.test_case "fixed-seed corpus via bytecode" `Quick
             test_bc_divergence_corpus

@@ -141,6 +141,98 @@ let test_shared_broadcast_edges () =
   check_int "no load bytes" 0 c.Counters.shared_load_bytes;
   check_int "store conflicts" 31 c.Counters.shared_bank_conflicts
 
+(* The set-based rules [Arch] used before its booking tables, kept as
+   the reference the tables must agree with. *)
+let ref_global_sectors ~bytes addresses ~len =
+  let sectors = Hashtbl.create 16 in
+  for i = 0 to len - 1 do
+    let a = addresses.(i) in
+    let lo = a / 32 and hi = (a + bytes - 1) / 32 in
+    for s = lo to hi do
+      Hashtbl.replace sectors s ()
+    done
+  done;
+  Hashtbl.length sectors
+
+let ref_shared_conflicts ~bytes addresses ~len =
+  let per_phase = max 1 (128 / max 1 bytes) in
+  let acc = ref 0 and i = ref 0 in
+  while !i < len do
+    let stop = min len (!i + per_phase) in
+    let words_per_bank = Array.make 32 [] in
+    for j = !i to stop - 1 do
+      let a = addresses.(j) in
+      let lo = a / 4 and hi = (a + bytes - 1) / 4 in
+      for w = lo to hi do
+        let bank = w mod 32 in
+        if not (List.mem w words_per_bank.(bank)) then
+          words_per_bank.(bank) <- w :: words_per_bank.(bank)
+      done
+    done;
+    let degree =
+      Array.fold_left (fun acc ws -> max acc (List.length ws)) 1 words_per_bank
+    in
+    acc := !acc + (degree - 1);
+    i := stop
+  done;
+  !acc
+
+(* A warp batch: 0-32 lanes of one access width, spread over one
+   128-byte line up to 1 MiB, with repeated addresses and addresses
+   straddling a 32-byte sector. The buffer may be longer than [len]. *)
+let gen_batch =
+  QCheck.Gen.(
+    let* bytes = oneofl [ 1; 2; 4; 8; 16; 32; 64; 512 ] in
+    let* spread = oneofl [ 128; 4096; 65_536; 1 lsl 20 ] in
+    let* len = int_range 0 32 in
+    let* extra = int_range 0 3 in
+    let* picks = list_repeat (len + extra) (pair (int_range 0 3) nat) in
+    let addrs = Array.make (len + extra) 0 in
+    List.iteri
+      (fun i (kind, r) ->
+        addrs.(i) <-
+          (match kind with
+          | 0 when i > 0 -> addrs.(r mod i)
+          | 1 -> (32 * (1 + (r mod (spread / 32)))) - (1 + (r mod 7))
+          | _ -> r mod spread))
+      picks;
+    return (bytes, addrs, len))
+
+let print_batch (bytes, addrs, len) =
+  Printf.sprintf "bytes=%d len=%d [%s]" bytes len
+    (String.concat ";" (Array.to_list (Array.map string_of_int addrs)))
+
+let prop_booking_tables =
+  QCheck.Test.make ~count:2000 ~name:"booking tables match the set-based rules"
+    (QCheck.make gen_batch ~print:print_batch)
+    (fun (bytes, addrs, len) ->
+      Arch.global_sectors ~bytes addrs ~len
+      = ref_global_sectors ~bytes addrs ~len
+      && Arch.shared_conflicts ~bytes addrs ~len
+         = ref_shared_conflicts ~bytes addrs ~len)
+
+let outcome f = match f () with n -> Ok n | exception e -> Error e
+
+let test_booking_negative () =
+  (* A negative shared address maps to a negative bank: both
+     implementations raise the same exception, at the same batches. *)
+  List.iter
+    (fun (bytes, addrs) ->
+      let len = Array.length addrs in
+      let tag = Printf.sprintf "bytes=%d %s" bytes (print_batch (bytes, addrs, len)) in
+      check_bool (tag ^ ": conflicts") true
+        (outcome (fun () -> Arch.shared_conflicts ~bytes addrs ~len)
+        = outcome (fun () -> ref_shared_conflicts ~bytes addrs ~len));
+      check_int (tag ^ ": sectors")
+        (ref_global_sectors ~bytes addrs ~len)
+        (Arch.global_sectors ~bytes addrs ~len))
+    [ (4, [| 0; -4 |]); (4, [| -1; 8 |]); (16, [| -128; 0; 64 |])
+    ; (2, [| -2 |]); (8, Array.init 32 (fun i -> (i * 8) - 64))
+    ];
+  check_bool "raises Invalid_argument" true
+    (outcome (fun () -> Arch.shared_conflicts ~bytes:4 [| -4 |] ~len:1)
+    = Error (Invalid_argument "index out of bounds"))
+
 let test_merge_reset_instr_mix () =
   let a = Counters.create () and b = Counters.create () in
   Counters.add_instr a "mma.m16n8k16";
@@ -202,6 +294,207 @@ let test_memory_faults () =
        ignore (Gpu_sim.Interp.run ~arch:Arch.SM86 kernel ~args:[] ());
        false
      with Gpu_sim.Memory.Fault _ -> true)
+
+(* ----- warp bodies ----- *)
+
+module Mem = Gpu_sim.Memory
+module Interp = Gpu_sim.Interp
+
+(* fp16 operands whose products sum differently in another order:
+   along k, exact +-2^30 products (A, B = +-2^15) alternate with tiny
+   inexact ones (2^-28 to 2^-14, full mantissas). Where the large ones
+   cancel, the tiny ones that were added beside a large partial sum
+   keep their rounding error, which fp32 then shows. *)
+let cancelling rng ~rows ~cols ~big =
+  let sign () = if Random.State.bool rng then 1.0 else -1.0 in
+  Array.init (rows * cols) (fun e ->
+      if big e then sign () *. 32768.0
+      else
+        let mant = 1.0 +. (float_of_int (Random.State.int rng 1024) /. 1024.0) in
+        sign () *. Float.ldexp mant (if Random.State.bool rng then -14 else 0))
+
+(* One mma instance through [Semantics.exec] on register fragments
+   filled per the PTX coordinate functions, against a naive per-cell
+   loop: D[i][j] = C[i][j] + A[i][0]*B[0][j] + ... in ascending k, in
+   double precision, stored to fp32. Bit for bit. *)
+let check_mma_body ~name ~m ~k ~lanes ~a_coords ~b_coords ~c_coords seed =
+  let n = 8 in
+  let rng = Random.State.make [| seed |] in
+  let ma = cancelling rng ~rows:m ~cols:k ~big:(fun e -> e mod k mod 2 = 0)
+  and mb = cancelling rng ~rows:k ~cols:n ~big:(fun e -> e / n mod 2 = 0) in
+  let mc =
+    Array.map (fun x -> Dt.round Dt.FP32 (x *. 0x1p-14))
+      (cancelling rng ~rows:m ~cols:n ~big:(fun _ -> false))
+  in
+  let mem = Mem.of_global (Mem.create_global ()) in
+  let frag buf dt coords =
+    let per = Array.length (coords 0) in
+    let v = Ts.create buf (L.vector per) dt Ms.Register in
+    Mem.declare_regs mem buf per;
+    (v, per)
+  in
+  let a, per_a = frag "fa" Dt.FP16 a_coords
+  and b, per_b = frag "fb" Dt.FP16 b_coords
+  and c, per_c = frag "fc" Dt.FP32 c_coords in
+  let file v tid = Mem.lane_buf mem (Mem.resolve mem v) ~tid in
+  for lane = 0 to lanes - 1 do
+    Array.iteri (fun i (r, col) -> (file a lane).(i) <- ma.((r * k) + col)) (a_coords lane);
+    Array.iteri (fun i (r, col) -> (file b lane).(i) <- mb.((r * n) + col)) (b_coords lane);
+    Array.iteri (fun i (r, col) -> (file c lane).(i) <- mc.((r * n) + col)) (c_coords lane)
+  done;
+  let operand v per = Sem.operand v ~by_tid:(fun _ -> Array.init per Fun.id) in
+  let threads = Tt.cta "cta" [ lanes ] in
+  let spec =
+    match B.matmul ~threads ~a ~b ~c () with
+    | Graphene.Spec.Spec_stmt s -> s
+    | _ -> assert false
+  in
+  Sem.exec mem
+    ~instr:(Option.get (Graphene.Atomic.lookup name))
+    ~spec
+    ~env:(fun v -> failwith v)
+    ~tids:(Array.init lanes Fun.id) ~lanes
+    ~ins:[| operand a per_a; operand b per_b |]
+    ~outs:[| operand c per_c |];
+  let ok = ref true in
+  for lane = 0 to lanes - 1 do
+    Array.iteri
+      (fun i (r, col) ->
+        let acc = ref mc.((r * n) + col) in
+        for kk = 0 to k - 1 do
+          acc := !acc +. (ma.((r * k) + kk) *. mb.((kk * n) + col))
+        done;
+        let want = Int64.bits_of_float (Dt.round Dt.FP32 !acc) in
+        if Int64.bits_of_float (file c lane).(i) <> want then ok := false)
+      (c_coords lane)
+  done;
+  check_bool (Printf.sprintf "%s seed %d: bitwise naive loop" name seed) true !ok
+
+let test_mma_bodies () =
+  for seed = 1 to 20 do
+    check_mma_body ~name:"mma.m16n8k16" ~m:16 ~k:16 ~lanes:32
+      ~a_coords:Sem.mma_m16n8k16_a_coords ~b_coords:Sem.mma_m16n8k16_b_coords
+      ~c_coords:Sem.mma_m16n8k16_c_coords seed;
+    check_mma_body ~name:"mma.m8n8k4" ~m:8 ~k:4 ~lanes:8
+      ~a_coords:Sem.mma_m8n8k4_a_coords ~b_coords:Sem.mma_m8n8k4_b_coords
+      ~c_coords:Sem.mma_m8n8k4_c_coords seed
+  done
+
+(* Run [kernel] on both executors from the same arguments; return each
+   run's outcome (counters or the exception) and final buffers. *)
+let both_executors kernel args =
+  let plan = Lower.Pipeline.lower Arch.SM86 kernel in
+  let run f =
+    let args = List.map (fun (n, a) -> (n, Array.copy a)) args in
+    let r = match f args with c -> Ok c | exception e -> Error e in
+    (r, args)
+  in
+  ( run (fun args -> Interp.run_plan ~domains:1 plan ~args ())
+  , run (fun args -> Interp.run_tree ~arch:Arch.SM86 ~domains:1 kernel ~args ()) )
+
+(* A per-thread store whose lane 5 addresses past the end of its
+   buffer: both executors raise the same fault, after lanes 0-4 have
+   stored and before any later lane does. *)
+let test_move_fault_lane () =
+  let grid = Tt.grid "g" [ 1 ] in
+  let cta = Tt.cta "cta" [ 32 ] in
+  let tid = B.thread_idx in
+  let thr = Tt.select cta [ tid ] in
+  let a = Ts.create_rm "A" [ 32 ] Dt.FP32 Ms.Global in
+  let c = Ts.create_rm "C" [ 32 ] Dt.FP32 Ms.Global in
+  let r = Ts.create "r" (L.vector 1) Dt.FP32 Ms.Register in
+  (* 1000 for tid = 5 only: (tid + 27) / 32 - (tid + 26) / 32. *)
+  let is5 =
+    E.sub
+      (E.div (E.add tid (E.const 27)) (E.const 32))
+      (E.div (E.add tid (E.const 26)) (E.const 32))
+  in
+  let kernel =
+    B.kernel "lane5" ~grid ~cta ~params:[ a; c ]
+      [ Graphene.Spec.Alloc r
+      ; B.move ~threads:thr ~src:(Ts.select a [ tid ]) ~dst:r ()
+      ; B.move ~threads:thr ~src:r
+          ~dst:(Ts.select c [ E.add tid (E.mul (E.const 1000) is5) ])
+          ()
+      ]
+  in
+  let args =
+    [ ("A", Array.init 32 (fun i -> float_of_int (i + 1)))
+    ; ("C", Array.make 32 0.0)
+    ]
+  in
+  let (plan_r, plan_args), (tree_r, tree_args) = both_executors kernel args in
+  let message = function
+    | Error (Mem.Fault m) -> m
+    | Error e -> "unexpected " ^ Printexc.to_string e
+    | Ok _ -> "no fault"
+  in
+  Alcotest.(check string) "same fault" (message tree_r) (message plan_r);
+  check_bool "it is lane 5's" true
+    (String.length (message plan_r) > 0
+    && String.equal (message plan_r)
+         "view %C: offset 1005 outside buffer C of size 32");
+  let landed = Array.init 32 (fun i -> if i < 5 then float_of_int (i + 1) else 0.0) in
+  check_bool "plan: lanes 0-4 landed, no later lane" true
+    (List.assoc "C" plan_args = landed);
+  check_bool "tree: lanes 0-4 landed, no later lane" true
+    (List.assoc "C" tree_args = landed)
+
+(* A move left to the generic path — a strided, unwidened load — under
+   a thread-dependent branch that leaves both warps partial, after a
+   statement every thread runs. *)
+let test_partial_warp_move () =
+  let grid = Tt.grid "g" [ 2 ] in
+  let cta = Tt.cta "cta" [ 64 ] in
+  let tid = B.thread_idx in
+  let thr = Tt.select cta [ tid ] in
+  let a = Ts.create_rm "A" [ 2 * 64 * 3 ] Dt.FP16 Ms.Global in
+  let c = Ts.create_rm "C" [ 2 * 64 ] Dt.FP32 Ms.Global in
+  let r = Ts.create "r" (L.vector 1) Dt.FP16 Ms.Register in
+  let r32 = Ts.create "r32" (L.vector 1) Dt.FP32 Ms.Register in
+  let cell = E.add (E.mul B.block_idx (E.const 64)) tid in
+  let kernel =
+    B.kernel "partial" ~grid ~cta ~params:[ a; c ]
+      [ Graphene.Spec.Alloc r
+      ; Graphene.Spec.Alloc r32
+      ; B.init ~threads:thr 0.0 ~dst:r32 ()
+      ; B.if_
+          B.(E.rem tid (E.const 3) <. E.const 2 &&. (tid <. E.const 45))
+          [ B.move ~threads:thr ~src:(Ts.select a [ E.mul cell (E.const 3) ]) ~dst:r ()
+          ; B.move ~threads:thr ~src:r ~dst:r32 ()
+          ; B.move ~threads:thr ~src:r32 ~dst:(Ts.select c [ cell ]) ()
+          ]
+      ]
+  in
+  let plan = Lower.Pipeline.lower Arch.SM86 kernel in
+  check_bool "no move takes the contiguous fast path" true
+    (let fast = ref false in
+     Lower.Plan.iter_atomics
+       (fun at -> if at.Lower.Plan.a_fastcopy then fast := true)
+       plan.Lower.Plan.body;
+     not !fast);
+  let args =
+    [ ("A", Reference.Cpu_ref.random_fp16 ~seed:5 (2 * 64 * 3))
+    ; ("C", Array.make (2 * 64) (-1.0))
+    ]
+  in
+  let (plan_r, plan_args), (tree_r, tree_args) = both_executors kernel args in
+  (match (plan_r, tree_r) with
+  | Ok p, Ok t ->
+    Alcotest.(check (option string))
+      "counters" None
+      (Counters.diff Counters.No_requests t p)
+  | _ -> Alcotest.fail "a run raised");
+  check_bool "outputs bitwise" true (plan_args = tree_args);
+  let c = List.assoc "C" plan_args in
+  Array.iteri
+    (fun i x ->
+      let t = i mod 64 in
+      check_bool
+        (Printf.sprintf "C[%d] written iff thread %d is active" i t)
+        (t mod 3 < 2 && t < 45)
+        (x <> -1.0))
+    c
 
 (* ----- interpreter control flow ----- *)
 
@@ -538,9 +831,16 @@ let () =
             test_shared_broadcast_edges
         ; Alcotest.test_case "merge/reset instr mix" `Quick
             test_merge_reset_instr_mix
-        ] )
+        ; Alcotest.test_case "negative addresses" `Quick test_booking_negative
+        ]
+        @ List.map QCheck_alcotest.to_alcotest [ prop_booking_tables ] )
     ; ( "memory"
       , [ Alcotest.test_case "faults" `Quick test_memory_faults ] )
+    ; ( "warp bodies"
+      , [ Alcotest.test_case "mma vs naive loop" `Quick test_mma_bodies
+        ; Alcotest.test_case "fault in lane 5" `Quick test_move_fault_lane
+        ; Alcotest.test_case "partial-warp move" `Quick test_partial_warp_move
+        ] )
     ; ( "interpreter"
       , [ Alcotest.test_case "divergent if" `Quick test_divergent_if
         ; Alcotest.test_case "scalar params" `Quick test_scalar_params_interp

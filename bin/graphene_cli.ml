@@ -138,22 +138,18 @@ let lower_cmd =
             (List.map
                (fun (b, s) -> Printf.sprintf "%s(+%d)" b s)
                pl.Lower.Plan.pl_buffers))
-     else Format.printf "pipelining: %s@." pl.Lower.Plan.pl_note);
-    Format.printf "%s@."
-      (Lower.Bytecode.summary ~cta_size:plan.Lower.Plan.cta_size
-         (Lower.Bytecode.get plan))
+     else Format.printf "pipelining: %s@." pl.Lower.Plan.pl_note)
   in
   Cmd.v
     (Cmd.info "lower"
        ~doc:
          "Run the lowering pipeline (validate, flatten, resolve, depcheck, \
-          vectorize, swpipe, compile, bytecode) on a kernel, printing the \
-          IR after every pass, the compiled execution plan — with each \
-          view's dependence tier, vector width and bank-conflict lint — \
-          the software-pipelining verdict (stages chosen, shared bytes per \
-          stage, queue-depth bound, or the per-loop refusal reasons) and \
-          the flattened bytecode (instruction histogram, scratch-arena \
-          size). See docs/LOWERING.md.")
+          vectorize, swpipe, compile) on a kernel, printing the IR after \
+          every pass, the compiled execution plan — with each view's \
+          dependence tier, vector width and bank-conflict lint — its op \
+          and atomic counts, and the software-pipelining verdict (stages \
+          chosen, shared bytes per stage, queue-depth bound, or the \
+          per-loop refusal reasons). See docs/LOWERING.md.")
     Term.(
       const run $ arch_arg $ kernel_arg $ plan_only $ no_vectorize $ stages_arg)
 
@@ -185,10 +181,10 @@ let simulate_cmd =
       & info [ "check-engines" ]
           ~doc:
             "Oracle check: run the plan's kernel through the tree \
-             interpreter (1 domain) as baseline, then the bytecode plan \
-             on 1 and 2 domains, and require bit-identical profiler \
-             report, Chrome trace and output buffers. Exits non-zero on \
-             any difference.")
+             interpreter (1 domain) as baseline, then the compiled plan \
+             (printed as the bytecode engine) on 1 and 2 domains, and \
+             require bit-identical profiler report, Chrome trace and \
+             output buffers. Exits non-zero on any difference.")
   in
   let run arch name domains stages check check_eng =
     let kernel, args, verify = build arch name in

@@ -520,28 +520,28 @@ let run_tree ~arch ?profiler ?domains (k : Spec.kernel) ~args ?(scalars = []) ()
 
 (* ===== the compiled-plan executor =====
 
-   Runs a [Lower.Plan.t] in its flattened form ([Lower.Bytecode]): a
-   dense int-tagged instruction array driven by a tight tail-recursive
-   match over the opcode word. Atomic resolution already happened (once,
-   at lowering), loop bounds / predicates / view offsets are closures
-   over one dense slot array, and all profiler attribution strings and
-   costs are precomputed; [Semantics.exec] dispatches on the resolved
+   Runs a [Lower.Plan.t]'s op tree with one recursive match over
+   [Plan.op]. Atomic resolution already happened (once, at lowering),
+   loop bounds / predicates / view offsets are closures over one dense
+   slot array, and all profiler attribution strings and costs are
+   precomputed; [Semantics.exec] dispatches on the resolved
    instruction's class.
 
    Active sets are per-warp 32-bit masks ([Warp_mask]) instead of thread
-   id lists; a divergent branch splits them into a preallocated per-depth
-   arena ([bc_taken] / [bc_not_taken]). The plan's depcheck annotations
+   id lists; a divergent branch splits them into a preallocated arena
+   with one taken/not-taken pair per nesting depth
+   ([Plan.divergence_depth] sizes it). The plan's depcheck annotations
    drive hoisting: a view enumeration or collective member grouping whose
    dependence tier is below [Thread] is computed once and reused while
-   the slots it reads ([v_dep_slots] / [a_members_slots]) hold the values
+   the slots it reads ([v_dep_slots] / [members_slots]) hold the values
    they held when it was cached — equal inputs give equal results, so
    stale-but-equal reuse is sound. Address batches read only the first
    scalar offset, via the allocation-free [v_addr0] closure.
 
-   The steady state allocates nothing: profiler hooks are direct matches
-   on [ctx.prof], loops are [for] loops, and every scratch buffer lives
-   in the per-domain state. That is what makes multi-domain execution
-   profitable, since OCaml 5 minor collections stop every domain.
+   Dispatch allocates nothing: profiler hooks are direct matches on
+   [ctx.prof], loops are [while] loops, and every scratch buffer lives
+   in the per-domain state; test_bytecode's allocation budget pins the
+   minor words per simulated cell.
 
    Observable behavior — counters (bar the request counters, which
    follow the plan's vector widths), profiler events and their order,
@@ -600,29 +600,22 @@ type gcache =
   }
 
 (* One domain's executor state, built once per domain and reused for
-   every block it runs: the slot env, one full-CTA mask, the bytecode
-   and its side pools, the divergence-mask arena, reusable scratch
-   buffers, the hoisting caches (indexed by the plan's dense view/atomic
-   ids) and the per-atomic closures ([plan_env_fun] and the offsets
-   oracle). *)
-type bctx =
+   every block it runs: the slot env, one full-CTA mask, the
+   divergence-mask arena, reusable scratch buffers, the hoisting caches
+   (indexed by the plan's dense view/atomic ids) and the per-atomic
+   closures ([plan_env_fun] and the offsets oracle). *)
+type pctx =
   { c : ctx
   ; env : int array
   ; full : WM.t
-  ; bc_code : int array
-  ; bc_atomics : P.atomic array
-  ; bc_exprs : (int array -> int) array
-  ; bc_conds : (int array -> bool) array
-  ; bc_labels : string array
-  ; bc_fails : string array
-  ; bc_taken : WM.t array  (* divergence mask arena, by branch depth *)
-  ; bc_not_taken : WM.t array
+  ; taken : WM.t array  (* divergence mask arena, by branch depth *)
+  ; not_taken : WM.t array
   ; addrs : int array  (* address batch scratch: one slot per warp lane *)
   ; ld8 : int array  (* ldmatrix row-address scratch *)
   ; tids : int array  (* one warp's active tids, ascending *)
   ; vcaches : vcache array  (* by v_id *)
   ; tcaches : tcache array  (* by v_id; seated for Thread-tier views *)
-  ; gcaches : gcache array  (* by a_id *)
+  ; gcaches : gcache array  (* by a_id; seated for collectives *)
   ; seen : (int array, unit) Hashtbl.t  (* group-dedup scratch *)
   ; mutable a_envf : (string -> int) array  (* by a_id *)
   ; mutable a_ins : Semantics.operand array array  (* by a_id *)
@@ -696,7 +689,7 @@ let rec seat_operands bx views (ops : Semantics.operand array) i =
 (* Build one domain's executor state: walk the plan once to size and
    seat the caches, then seat the per-atomic closures (they capture the
    state record itself, hence the two-phase construction). *)
-let make_bctx ctx (plan : P.t) (env : int array) =
+let make_pctx ctx (plan : P.t) (env : int array) =
   let vcaches =
     Array.make plan.P.n_views { vc_valid = false; vc_snap = [||]; vc_offs = [||] }
   in
@@ -726,26 +719,23 @@ let make_bctx ctx (plan : P.t) (env : int array) =
       in
       List.iter seat a.P.a_ins;
       List.iter seat a.P.a_outs;
-      gcaches.(a.P.a_id) <-
-        { gc_valid = false
-        ; gc_snap = Array.make (Array.length a.P.a_members_slots) Slots.unbound
-        ; gc_mask = Array.make nwords 0
-        ; gc_groups = [||]
-        })
+      match a.P.a_threads with
+      | P.Per_thread -> ()
+      | P.Collective { members_slots; _ } ->
+        gcaches.(a.P.a_id) <-
+          { gc_valid = false
+          ; gc_snap = Array.make (Array.length members_slots) Slots.unbound
+          ; gc_mask = Array.make nwords 0
+          ; gc_groups = [||]
+          })
     plan.P.body;
-  let bc = Lower.Bytecode.get plan in
+  let depth = P.divergence_depth plan.P.body in
   let bx =
     { c = ctx
     ; env
     ; full = WM.full ~cta_size:plan.P.cta_size
-    ; bc_code = bc.P.bc_code
-    ; bc_atomics = bc.P.bc_atomics
-    ; bc_exprs = bc.P.bc_exprs
-    ; bc_conds = bc.P.bc_conds
-    ; bc_labels = bc.P.bc_labels
-    ; bc_fails = bc.P.bc_fails
-    ; bc_taken = Array.init bc.P.bc_max_depth (fun _ -> Array.make nwords 0)
-    ; bc_not_taken = Array.init bc.P.bc_max_depth (fun _ -> Array.make nwords 0)
+    ; taken = Array.init depth (fun _ -> Array.make nwords 0)
+    ; not_taken = Array.init depth (fun _ -> Array.make nwords 0)
     ; addrs = Array.make 32 0
     ; ld8 = Array.make 8 0
     ; tids = Array.make 32 0
@@ -784,7 +774,7 @@ let make_bctx ctx (plan : P.t) (env : int array) =
    computed once and duplicated per lane — the byte totals and the
    conflict phase structure depend on the lane count, so the duplicates
    are semantically load-bearing, not waste. *)
-let bc_record_batch bx w wmask ~store (pv : P.view) =
+let plan_record_batch bx w wmask ~store (pv : P.view) =
   match pv.P.v_mem with
   | Ms.Register -> ()
   | Ms.Global | Ms.Shared ->
@@ -828,11 +818,11 @@ let bc_record_batch bx w wmask ~store (pv : P.view) =
       record_batch ctx ~global ~store ~bytes ~warp:w addrs ~len:!n
     end
 
-let rec bc_record_batches bx w wmask ~store = function
+let rec plan_record_batches bx w wmask ~store = function
   | [] -> ()
   | pv :: tl ->
-    bc_record_batch bx w wmask ~store pv;
-    bc_record_batches bx w wmask ~store tl
+    plan_record_batch bx w wmask ~store pv;
+    plan_record_batches bx w wmask ~store tl
 
 (* The wide-transaction fast path: a vector-widened, full-span
    contiguous move, whose every active lane covers exactly
@@ -861,7 +851,7 @@ let seat_contiguous bx (a : P.atomic) ~lanes =
 (* One warp at a time: book its address batches, collect its active
    tids and hand them to the instruction's body in one call. Counter
    accounting is the same on the fast path and off it. *)
-let bc_exec_per_thread bx (a : P.atomic) (mask : WM.t) =
+let plan_exec_per_thread bx (a : P.atomic) (mask : WM.t) =
   let ctx = bx.c in
   let ins = bx.a_ins.(a.P.a_id) and outs = bx.a_outs.(a.P.a_id) in
   if not a.P.a_fastcopy then begin
@@ -874,8 +864,8 @@ let bc_exec_per_thread bx (a : P.atomic) (mask : WM.t) =
   for w = 0 to Array.length mask - 1 do
     let m = Array.unsafe_get mask w in
     if m <> 0 then begin
-      bc_record_batches bx w m ~store:false a.P.a_ins;
-      bc_record_batches bx w m ~store:true a.P.a_outs;
+      plan_record_batches bx w m ~store:false a.P.a_ins;
+      plan_record_batches bx w m ~store:true a.P.a_outs;
       let base = w * 32 in
       let lanes = ref 0 in
       for l = 0 to 31 do
@@ -897,7 +887,7 @@ let bc_exec_per_thread bx (a : P.atomic) (mask : WM.t) =
   done;
   book_cost ctx a.P.a_instr a.P.a_cost ~instances:!total
 
-let bc_record_ldmatrix bx (a : P.atomic) ~trans x members =
+let plan_record_ldmatrix bx (a : P.atomic) ~trans x members =
   let ctx = bx.c in
   match a.P.a_ld_rows with
   | Some (rows, elt_bytes) ->
@@ -925,17 +915,7 @@ let bc_record_ldmatrix bx (a : P.atomic) ~trans x members =
    thread ascending, dedup on the member array, and require every member
    of a fresh group to be active — exactly the tree path's grouping, so
    overlapping or divergent member sets fail identically. *)
-let compute_groups bx (a : P.atomic) (mask : WM.t) =
-  let members_of =
-    match a.P.a_members with
-    | Some f -> f
-    | None ->
-      (* Plan invariant: the compile pass builds a member function for
-         every collective. Absence means the plan was corrupted. *)
-      error "collective %s has no compiled member function (plan invariant \
-             violated)"
-        a.P.a_instr.Atomic.name
-  in
+let compute_groups bx (a : P.atomic) members_of (mask : WM.t) =
   Hashtbl.clear bx.seen;
   let groups = ref [] and n = ref 0 in
   WM.iter
@@ -960,25 +940,26 @@ let compute_groups bx (a : P.atomic) (mask : WM.t) =
   fill (!n - 1) !groups;
   out
 
-let plan_groups bx (a : P.atomic) (mask : WM.t) =
+let plan_groups bx (a : P.atomic) members_of members_slots (mask : WM.t) =
   let gc = bx.gcaches.(a.P.a_id) in
   if
     gc.gc_valid
-    && snap_matches gc.gc_snap a.P.a_members_slots bx.env
+    && snap_matches gc.gc_snap members_slots bx.env
     && WM.equal gc.gc_mask mask
   then gc.gc_groups
   else begin
-    let groups = compute_groups bx a mask in
+    let groups = compute_groups bx a members_of mask in
     gc.gc_groups <- groups;
-    snap_update gc.gc_snap a.P.a_members_slots bx.env;
+    snap_update gc.gc_snap members_slots bx.env;
     Array.blit mask 0 gc.gc_mask 0 (Array.length mask);
     gc.gc_valid <- true;
     groups
   end
 
-let bc_exec_collective bx (a : P.atomic) (mask : WM.t) =
+let plan_exec_collective bx (a : P.atomic) members_of members_slots
+    (mask : WM.t) =
   let ctx = bx.c in
-  let groups = plan_groups bx a mask in
+  let groups = plan_groups bx a members_of members_slots mask in
   let ins = bx.a_ins.(a.P.a_id) and outs = bx.a_outs.(a.P.a_id) in
   seat_operands bx a.P.a_ins ins 0;
   seat_operands bx a.P.a_outs outs 0;
@@ -987,7 +968,7 @@ let bc_exec_collective bx (a : P.atomic) (mask : WM.t) =
   for g = 0 to Array.length groups - 1 do
     let members = Array.unsafe_get groups g in
     (match a.P.a_instr.Atomic.klass with
-    | Atomic.Ldmatrix { x; trans } -> bc_record_ldmatrix bx a ~trans x members
+    | Atomic.Ldmatrix { x; trans } -> plan_record_ldmatrix bx a ~trans x members
     | _ -> ());
     Semantics.exec ?trace ~block:ctx.block ctx.mem ~instr:a.P.a_instr
       ~spec:a.P.a_spec ~env:envf ~tids:members ~lanes:(Array.length members)
@@ -1000,126 +981,102 @@ let bc_exec_collective bx (a : P.atomic) (mask : WM.t) =
   done;
   book_cost ctx a.P.a_instr a.P.a_cost ~instances:(Array.length groups)
 
-(* The dispatch loop: execute instructions in [pc, endpc) under [mask].
-   The literal opcodes must match the Lower.Bytecode.op_* constants
-   (test_bytecode.ml pins them); literals keep the match a direct jump.
-   Structured ops recurse into their body range, then tail-continue at
-   the instruction after it. *)
-let rec bc_exec bx (mask : WM.t) pc endpc =
-  if pc < endpc then begin
-    let code = bx.bc_code in
-    match Array.unsafe_get code pc with
-    | 0 (* exec: a_id *) ->
-      let a_id = Array.unsafe_get code (pc + 1) in
-      let a = Array.unsafe_get bx.bc_atomics a_id in
-      let ctx = bx.c in
-      (match ctx.prof with
-      | Some p ->
-        Profiler.begin_atomic p ~label:a.P.a_label ~kind:a.P.a_kind
-          ~instr:a.P.a_instr.Atomic.name
-      | None -> ());
-      if a.P.a_per_thread then bc_exec_per_thread bx a mask
-      else bc_exec_collective bx a mask;
-      bc_exec bx mask (pc + 2) endpc
-    | 1 (* loop: slot lo hi step label body_len *) ->
-      let env = bx.env in
-      let slot = code.(pc + 1) in
-      let lo = bx.bc_exprs.(code.(pc + 2)) env in
-      let hi = bx.bc_exprs.(code.(pc + 3)) env in
-      let step = bx.bc_exprs.(code.(pc + 4)) env in
-      let label = bx.bc_labels.(code.(pc + 5)) in
-      let body_len = code.(pc + 6) in
-      if step <= 0 then error "loop %s has non-positive step" label;
-      let ctx = bx.c in
-      (match ctx.prof with
-      | Some p -> Profiler.enter_frame p label
-      | None -> ());
-      let body = pc + 7 in
-      let v = ref lo in
-      while !v < hi do
-        env.(slot) <- !v;
-        bc_exec bx mask body (body + body_len);
-        v := !v + step
-      done;
-      (match ctx.prof with Some p -> Profiler.exit_frame p | None -> ());
-      bc_exec bx mask (body + body_len) endpc
-    | 2 (* uniform branch: cond then_len else_len *) ->
-      let then_len = code.(pc + 2) and else_len = code.(pc + 3) in
-      let tstart = pc + 4 in
-      if bx.bc_conds.(code.(pc + 1)) bx.env then
-        bc_exec bx mask tstart (tstart + then_len)
-      else bc_exec bx mask (tstart + then_len) (tstart + then_len + else_len);
-      bc_exec bx mask (tstart + then_len + else_len) endpc
-    | 3 (* divergent branch: cond depth then_len else_len *) ->
-      let env = bx.env in
-      let cond = bx.bc_conds.(code.(pc + 1)) in
-      let depth = code.(pc + 2) in
-      let then_len = code.(pc + 3) and else_len = code.(pc + 4) in
-      (* The per-depth arena pair: safe to reuse because everything
-         emitted inside this branch's bodies sits at depth+1 or deeper,
-         and the words are rewritten wholesale — including zeroing
-         where the incoming mask word is 0, since a previous branch at
-         this depth may have left stale bits there. *)
-      let taken = Array.unsafe_get bx.bc_taken depth in
-      let not_taken = Array.unsafe_get bx.bc_not_taken depth in
-      for w = 0 to Array.length mask - 1 do
-        let m = Array.unsafe_get mask w in
-        if m = 0 then begin
-          Array.unsafe_set taken w 0;
-          Array.unsafe_set not_taken w 0
-        end
-        else begin
-          let t = ref 0 in
-          let base = w * 32 in
-          for l = 0 to 31 do
-            if m land (1 lsl l) <> 0 then begin
-              env.(Slots.tid_slot) <- base + l;
-              if cond env then t := !t lor (1 lsl l)
-            end
-          done;
-          Array.unsafe_set taken w !t;
-          Array.unsafe_set not_taken w (m land lnot !t)
-        end
-      done;
-      let tstart = pc + 5 in
-      if not (WM.is_empty taken) then
-        bc_exec bx taken tstart (tstart + then_len);
-      (* else_len = 0 iff the source branch had no else arm: skip it
-         without consulting the mask, as the tree path does. *)
-      if else_len > 0 && not (WM.is_empty not_taken) then
-        bc_exec bx not_taken (tstart + then_len)
-          (tstart + then_len + else_len);
-      bc_exec bx mask (tstart + then_len + else_len) endpc
-    | 4 (* barrier *) ->
-      let ctx = bx.c in
-      let active = WM.popcount mask in
-      if active <> ctx.cta_size then
-        error
-          "__syncthreads() inside divergent control flow (%d of %d threads)"
-          active ctx.cta_size;
-      (match ctx.prof with
-      | Some p -> Profiler.on_barrier p ~block:ctx.block
-      | None -> ());
-      bc_exec bx mask (pc + 1) endpc
-    | 5 (* frame: label body_len *) ->
-      let label = bx.bc_labels.(code.(pc + 1)) in
-      let body_len = code.(pc + 2) in
-      let ctx = bx.c in
-      (match ctx.prof with
-      | Some p -> Profiler.enter_frame p label
-      | None -> ());
-      bc_exec bx mask (pc + 3) (pc + 3 + body_len);
-      (match ctx.prof with Some p -> Profiler.exit_frame p | None -> ());
-      bc_exec bx mask (pc + 3 + body_len) endpc
-    | 6 (* fail *) -> error "%s" bx.bc_fails.(code.(pc + 1))
-    | 7 (* cp.async.commit_group *) ->
-      exec_commit_group bx.c;
-      bc_exec bx mask (pc + 1) endpc
-    | 8 (* cp.async.wait_group: n *) ->
-      exec_wait_group bx.c (Array.unsafe_get code (pc + 1));
-      bc_exec bx mask (pc + 2) endpc
-    | op -> error "corrupt bytecode: opcode %d at pc %d" op pc
-  end
+(* The dispatch: execute [ops] in order under [mask]. [depth] is the
+   number of enclosing divergent branches, which indexes the mask arena:
+   everything inside a divergent branch's bodies runs at depth+1 or
+   deeper, so the pair at [depth] is free for reuse by the next branch
+   at this level. *)
+let rec exec_ops bx (mask : WM.t) depth = function
+  | [] -> ()
+  | op :: tl ->
+    exec_op bx mask depth op;
+    exec_ops bx mask depth tl
+
+and exec_op bx (mask : WM.t) depth = function
+  | P.Atomic_exec a -> (
+    let ctx = bx.c in
+    (match ctx.prof with
+    | Some p ->
+      Profiler.begin_atomic p ~label:a.P.a_label ~kind:a.P.a_kind
+        ~instr:a.P.a_instr.Atomic.name
+    | None -> ());
+    match a.P.a_threads with
+    | P.Per_thread -> plan_exec_per_thread bx a mask
+    | P.Collective { members; members_slots; _ } ->
+      plan_exec_collective bx a members members_slots mask)
+  | P.Loop { l_var; l_slot; l_lo; l_hi; l_step; l_body } ->
+    let env = bx.env in
+    let lo = l_lo env in
+    let hi = l_hi env in
+    let step = l_step env in
+    if step <= 0 then error "loop %s has non-positive step" l_var;
+    let ctx = bx.c in
+    (match ctx.prof with
+    | Some p -> Profiler.enter_frame p l_var
+    | None -> ());
+    let v = ref lo in
+    while !v < hi do
+      env.(l_slot) <- !v;
+      exec_ops bx mask depth l_body;
+      v := !v + step
+    done;
+    (match ctx.prof with Some p -> Profiler.exit_frame p | None -> ())
+  | P.Branch { b_tid_dep = false; b_cond; b_then; b_else } ->
+    if b_cond bx.env then exec_ops bx mask depth b_then
+    else exec_ops bx mask depth b_else
+  | P.Branch { b_tid_dep = true; b_cond; b_then; b_else } -> (
+    let env = bx.env in
+    (* The words are rewritten wholesale — including zeroing where the
+       incoming mask word is 0, since a previous branch at this depth
+       may have left stale bits there. *)
+    let taken = Array.unsafe_get bx.taken depth in
+    let not_taken = Array.unsafe_get bx.not_taken depth in
+    for w = 0 to Array.length mask - 1 do
+      let m = Array.unsafe_get mask w in
+      if m = 0 then begin
+        Array.unsafe_set taken w 0;
+        Array.unsafe_set not_taken w 0
+      end
+      else begin
+        let t = ref 0 in
+        let base = w * 32 in
+        for l = 0 to 31 do
+          if m land (1 lsl l) <> 0 then begin
+            env.(Slots.tid_slot) <- base + l;
+            if b_cond env then t := !t lor (1 lsl l)
+          end
+        done;
+        Array.unsafe_set taken w !t;
+        Array.unsafe_set not_taken w (m land lnot !t)
+      end
+    done;
+    if not (WM.is_empty taken) then exec_ops bx taken (depth + 1) b_then;
+    (* An absent else arm is skipped without consulting the mask, as the
+       tree path does. *)
+    match b_else with
+    | [] -> ()
+    | _ ->
+      if not (WM.is_empty not_taken) then
+        exec_ops bx not_taken (depth + 1) b_else)
+  | P.Barrier -> (
+    let ctx = bx.c in
+    let active = WM.popcount mask in
+    if active <> ctx.cta_size then
+      error "__syncthreads() inside divergent control flow (%d of %d threads)"
+        active ctx.cta_size;
+    match ctx.prof with
+    | Some p -> Profiler.on_barrier p ~block:ctx.block
+    | None -> ())
+  | P.Frame { f_label; f_body } ->
+    let ctx = bx.c in
+    (match ctx.prof with
+    | Some p -> Profiler.enter_frame p f_label
+    | None -> ());
+    exec_ops bx mask depth f_body;
+    (match ctx.prof with Some p -> Profiler.exit_frame p | None -> ())
+  | P.Fail msg -> error "%s" msg
+  | P.Commit_group -> exec_commit_group bx.c
+  | P.Wait_group n -> exec_wait_group bx.c n
 
 (* ===== the plan executor ===== *)
 
@@ -1161,7 +1118,7 @@ let run_plan ?profiler ?domains ?engine:(_ : engine option) (plan : P.t) ~args
     ~make_state:(fun () ->
       let mem = Memory.of_global arena in
       declare mem;
-      make_bctx
+      make_pctx
         { arch = plan.P.arch
         ; mem
         ; counters
@@ -1181,7 +1138,7 @@ let run_plan ?profiler ?domains ?engine:(_ : engine option) (plan : P.t) ~args
       | Some p -> Profiler.begin_block p
       | None -> ());
       bx.env.(Slots.bid_slot) <- bid;
-      try bc_exec bx bx.full 0 (Array.length bx.bc_code)
+      try exec_ops bx bx.full 0 plan.P.body
       with Slots.Unbound_var v ->
         error "unbound variable %s (missing scalar argument?)" v)
     ();

@@ -4,13 +4,11 @@
     (bar the request counters a vector-widened plan changes; see
     {!Counters.fields}), profiler reports and output buffers:
 
-    - {!run_plan} executes a compiled {!Lower.Plan.t} in its flattened
-      form ({!Lower.Bytecode}): atomic resolution, cost lookup and index
-      arithmetic all happened once, at lowering, and a dense int-tagged
-      instruction array is run by a tight dispatch loop with
-      preallocated scratch — no per-op allocation, which is also what
-      makes multi-domain execution profitable (OCaml 5 minor
-      collections stop every domain).
+    - {!run_plan} executes a compiled {!Lower.Plan.t}: atomic
+      resolution, cost lookup and index arithmetic all happened once,
+      at lowering, and the plan's op tree is run by a recursive match
+      with preallocated scratch (a divergence-mask arena sized by
+      {!Lower.Plan.divergence_depth}) — no per-op allocation.
     - {!run_tree} walks a kernel's decomposition directly, re-resolving
       atomic specs and re-evaluating symbolic index arithmetic at every
       step. It is the executable reference semantics — the one oracle

@@ -1,4 +1,4 @@
-(* The lowering pipeline: Spec.kernel -> Plan.t, in five named passes.
+(* The lowering pipeline: Spec.kernel -> Plan.t, in seven named passes.
 
      validate   advisory structural diagnostics (shapes, allocations)
      flatten    decomposition tree -> flat statement list (allocs and
@@ -15,13 +15,14 @@
                 eligible per-thread moves widen to v2/v4 vector atomics,
                 near-misses carry the refusal reason; fully-static
                 shared views get the bank-conflict lint
+     swpipe     async staging loops rewritten to rotating-buffer
+                pipelines at [stages >= 2] (see Swpipe); a rewritten
+                kernel runs through flatten .. vectorize again
      compile    expressions, predicates, view offsets and thread
                 arrangements compiled to closures over the slot array,
                 carrying the depcheck tiers and vector widths as plan
-                annotations
-     bytecode   the compiled op tree flattened to a dense int-tagged
-                instruction array (see Bytecode) — the form the fast
-                executor dispatches over
+                annotations; the resulting op tree is what
+                Interp.run_plan executes
 
    Atomic matching (Validate.check_atomics) is deliberately NOT part of
    the validate pass: the resolve pass subsumes it, and running it would
@@ -283,7 +284,47 @@ let vectorize_pass ~enabled ~cta_size =
          -> Format.fprintf fmt "%s: %a" i.Atomic.name Vectorize.pp_leaf v))
     (fun stmts -> vectorize_stmts ~enabled ~cta_size false stmts)
 
-(* ----- pass 5: compile ----- *)
+(* ----- pass 6: swpipe ----- *)
+
+let pipelining_of_verdict (v : Swpipe.verdict) : Plan.pipelining =
+  let note = Swpipe.verdict_to_string v in
+  let refusals =
+    List.map
+      (fun (var, r) -> (var, Swpipe.reason_to_string r))
+      v.Swpipe.refusals
+  in
+  match v.Swpipe.loops with
+  | [] -> { Plan.unpipelined with Plan.pl_note = note; pl_refusals = refusals }
+  | loops ->
+    { Plan.pl_stages =
+        List.fold_left (fun acc p -> max acc p.Swpipe.p_stages) 1 loops
+    ; pl_buffers = List.concat_map (fun p -> p.Swpipe.p_buffers) loops
+    ; pl_stage_bytes =
+        List.fold_left (fun acc p -> acc + p.Swpipe.p_stage_bytes) 0 loops
+    ; pl_queue_bound =
+        List.fold_left (fun acc p -> max acc p.Swpipe.p_queue_bound) 0 loops
+    ; pl_note = note
+    ; pl_refusals = refusals
+    }
+
+(* [front] is the statement-level front half (flatten .. vectorize),
+   rerun on a rewritten kernel without re-logging it. *)
+let swpipe_pass arch ~stages ~front =
+  Pass.make ~name:"swpipe"
+    ~doc:"software-pipeline async staging loops (rotating shared buffers)"
+    ~render:(fun (_, _, pl) -> pl.Plan.pl_note)
+    (fun (k, vectorized) ->
+      let k', verdict = Swpipe.rewrite arch ~stages k in
+      let pl = pipelining_of_verdict verdict in
+      match verdict.Swpipe.loops with
+      | [] -> (k, vectorized, pl)
+      | _ ->
+        (* The compile pass must receive the rewritten kernel, so the
+           plan's [kernel] is the pipelined form and [run_tree] on it
+           checks the same schedule [run_plan] executes. *)
+        (k', front k', pl))
+
+(* ----- pass 7: compile ----- *)
 
 (* Dense id supply for the executor's per-plan cache arrays. *)
 type ids =
@@ -336,16 +377,16 @@ let compile_atomic st ids scope (s : Spec.t) (instr : Atomic.instr)
     ; v_vec_width = width
     }
   in
-  let per_thread = instr.Atomic.threads = 1 in
-  let a_members =
-    if per_thread then None
-    else Some (Expr_comp.compile_members st scope s.Spec.threads)
-  in
-  let a_members_dep = dleaf.Depcheck.members in
-  let a_members_slots =
-    match a_members_dep with
-    | Some d -> dep_slots st scope d
-    | None -> [||]
+  (* Depcheck gives a collective, and only a collective, a members dep. *)
+  let a_threads =
+    match dleaf.Depcheck.members with
+    | None -> Plan.Per_thread
+    | Some members_dep ->
+      Plan.Collective
+        { members = Expr_comp.compile_members st scope s.Spec.threads
+        ; members_dep
+        ; members_slots = dep_slots st scope members_dep
+        }
   in
   let a_ld_rows =
     match (instr.Atomic.klass, s.Spec.ins) with
@@ -376,12 +417,9 @@ let compile_atomic st ids scope (s : Spec.t) (instr : Atomic.instr)
   ; a_dur = max 1 cost.Atomic.instructions
   ; a_label = s.Spec.label
   ; a_kind = Spec.kind_name s.Spec.kind
-  ; a_per_thread = per_thread
+  ; a_threads
   ; a_ins = map3 view s.Spec.ins dleaf.Depcheck.ins vleaf.Vectorize.l_ins
   ; a_outs = map3 view s.Spec.outs dleaf.Depcheck.outs vleaf.Vectorize.l_outs
-  ; a_members
-  ; a_members_dep
-  ; a_members_slots
   ; a_ld_rows
   ; a_lookup
   ; a_vec = vleaf.Vectorize.l_verdict
@@ -462,46 +500,9 @@ let compile_pass ~vec_enabled ~pipelining arch diagnostics =
       ; diagnostics
       ; vec_enabled
       ; pipelining
-      ; bytecode = None
       })
 
-(* ----- pass 7: flatten to bytecode ----- *)
-
-let bytecode_pass =
-  Pass.make ~name:"bytecode"
-    ~doc:"flatten the op tree to a dense int-tagged instruction array"
-    ~render:(fun (plan : Plan.t) ->
-      match plan.Plan.bytecode with
-      | Some bc ->
-        Bytecode.summary ~cta_size:plan.Plan.cta_size bc
-        ^ "\n" ^ Bytecode.listing bc
-      | None -> "(no bytecode)")
-    (fun (plan : Plan.t) ->
-      Bytecode.install plan;
-      plan)
-
 (* ----- driver ----- *)
-
-let pipelining_of_verdict (v : Swpipe.verdict) : Plan.pipelining =
-  let note = Swpipe.verdict_to_string v in
-  let refusals =
-    List.map
-      (fun (var, r) -> (var, Swpipe.reason_to_string r))
-      v.Swpipe.refusals
-  in
-  match v.Swpipe.loops with
-  | [] -> { Plan.unpipelined with Plan.pl_note = note; pl_refusals = refusals }
-  | loops ->
-    { Plan.pl_stages =
-        List.fold_left (fun acc p -> max acc p.Swpipe.p_stages) 1 loops
-    ; pl_buffers = List.concat_map (fun p -> p.Swpipe.p_buffers) loops
-    ; pl_stage_bytes =
-        List.fold_left (fun acc p -> acc + p.Swpipe.p_stage_bytes) 0 loops
-    ; pl_queue_bound =
-        List.fold_left (fun acc p -> max acc p.Swpipe.p_queue_bound) 0 loops
-    ; pl_note = note
-    ; pl_refusals = refusals
-    }
 
 let lower ?log ?(vectorize = true) ?(stages = 1) arch (k : Spec.kernel) :
     Plan.t =
@@ -522,37 +523,19 @@ let lower ?log ?(vectorize = true) ?(stages = 1) arch (k : Spec.kernel) :
     Pass.apply ?log (vectorize_pass ~enabled:vectorize ~cta_size) annotated
   in
   let vectorized = front ?log k in
-  let swpipe_pass =
-    Pass.make ~name:"swpipe"
-      ~doc:"software-pipeline async staging loops (rotating shared buffers)"
-      ~render:(fun (_, _, pl) -> pl.Plan.pl_note)
-      (fun (k, vectorized) ->
-        let k', verdict = Swpipe.rewrite arch ~stages k in
-        let pl = pipelining_of_verdict verdict in
-        match verdict.Swpipe.loops with
-        | [] -> (k, vectorized, pl)
-        | _ ->
-          (* Re-run the front half on the rewritten kernel (without
-             re-logging it); the compile pass must receive the
-             rewritten kernel so the plan's [kernel] is the pipelined
-             form and [run_tree] on it checks the same schedule the
-             bytecode runs. *)
-          (k', front k', pl))
-  in
   let k, vectorized, pipelining =
-    Pass.apply ?log swpipe_pass (k, vectorized)
-  in
-  let plan =
     Pass.apply ?log
-      (compile_pass ~vec_enabled:vectorize ~pipelining arch diagnostics)
+      (swpipe_pass arch ~stages ~front:(fun k -> front k))
       (k, vectorized)
   in
-  Pass.apply ?log bytecode_pass plan
+  Pass.apply ?log
+    (compile_pass ~vec_enabled:vectorize ~pipelining arch diagnostics)
+    (k, vectorized)
 
 (* ----- the plan cache -----
 
-   Keyed by the (arch, vectorize-enabled, kernel) triple under full
-   structural equality.
+   Keyed by (arch, vectorize, stages, kernel) under full structural
+   equality.
    [Spec.kernel] is pure data (no closures), so [Stdlib.(=)] is a sound
    key comparison and the generic [Hashtbl.hash] a consistent hash; and
    because scalar parameters appear in the kernel only by NAME (their
@@ -562,7 +545,8 @@ let lower ?log ?(vectorize = true) ?(stages = 1) arch (k : Spec.kernel) :
 
    A mutex guards the table: autotuning lowers candidates from several
    domains at once. Lowering itself runs outside the lock; if two domains
-   race on the same key, the first insert wins and both share it. *)
+   race on the same key, the first insert wins and both share it. Plans
+   are immutable, so sharing one across domains needs no further care. *)
 
 type cache_stats =
   { hits : int

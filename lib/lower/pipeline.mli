@@ -1,6 +1,6 @@
-(** The lowering pipeline: [Spec.kernel] -> {!Plan.t} in eight named
+(** The lowering pipeline: [Spec.kernel] -> {!Plan.t} in seven named
     passes (validate, flatten, resolve, depcheck, vectorize, swpipe,
-    compile, bytecode). See docs/LOWERING.md.
+    compile). See docs/LOWERING.md.
 
     The depcheck pass classifies every leaf quantity (view offset
     enumerations, collective member functions) by slot-dependence tier

@@ -36,6 +36,19 @@ type view =
             scalar) — what transaction accounting must charge *)
   }
 
+(* How an atomic's threads form instances: one per active thread, or
+   groups found by a compiled member function. A collective always has
+   one, so the executor never meets a collective it cannot group. *)
+type threads =
+  | Per_thread
+  | Collective of
+      { members : int array -> int -> int array
+            (** probing tid -> sorted member ids *)
+      ; members_dep : Depcheck.dep  (** slot-dependence tier of [members] *)
+      ; members_slots : int array
+            (** slots of the member function's non-thread dynamic variables *)
+      }
+
 type atomic =
   { a_id : int  (** dense plan-wide id, indexes the executor's group cache *)
   ; a_spec : Spec.t
@@ -44,15 +57,9 @@ type atomic =
   ; a_dur : int
   ; a_label : string
   ; a_kind : string
-  ; a_per_thread : bool
+  ; a_threads : threads
   ; a_ins : view list
   ; a_outs : view list
-  ; a_members : (int array -> int -> int array) option
-        (** collective instances: probing tid -> sorted member ids *)
-  ; a_members_dep : Depcheck.dep option
-        (** slot-dependence tier of [a_members] (collectives only) *)
-  ; a_members_slots : int array
-        (** slots of the member function's non-thread dynamic variables *)
   ; a_ld_rows : (Expr_comp.cexpr array array * int) option
         (** compiled per-matrix first-row-byte offsets + element size;
             [None] falls back to the symbolic derivation *)
@@ -96,24 +103,6 @@ type op =
 
 type alloc = { al_buffer : string; al_mem : Ms.t; al_size : int }
 
-(* The flattened form of [body]: a dense int-tagged instruction array
-   plus side tables, built by [Bytecode.of_plan] (the type lives here so
-   the plan record can hold it without a module cycle). Operands are
-   indices into the side tables; structured ops carry body lengths in
-   code words, so the executor walks ranges instead of chasing
-   pointers. See Bytecode for the exact instruction layout. *)
-type bytecode =
-  { bc_code : int array
-  ; bc_atomics : atomic array  (** indexed by [a_id] *)
-  ; bc_exprs : Expr_comp.cexpr array  (** loop bound pool *)
-  ; bc_conds : (int array -> bool) array  (** branch predicate pool *)
-  ; bc_labels : string array  (** loop var / frame label pool *)
-  ; bc_fails : string array  (** lazy failure message pool *)
-  ; bc_max_depth : int
-        (** max divergent-branch nesting: sizes the executor's
-            preallocated taken/not-taken mask arena *)
-  }
-
 (* What the swpipe pass did to this plan (pl_stages = 1 when nothing
    was pipelined; pl_note carries the per-loop verdict/refusal lines,
    pl_refusals the same refusals structurally — (loop var, reason slug)
@@ -153,10 +142,6 @@ type t =
   ; pipelining : pipelining
         (** software-pipelining outcome (see {!Swpipe}); [pl_stages = 1]
             means the plan runs single-buffered *)
-  ; mutable bytecode : bytecode option
-        (** the flattened instruction array, installed by the pipeline's
-            final bytecode stage (or on first demand via [Bytecode.get]);
-            anyone rewriting [body] must reset this to [None] *)
   }
 
 (* ----- statistics ----- *)
@@ -185,6 +170,19 @@ let rec count_atomics ops =
       | Branch { b_then; b_else; _ } ->
         count_atomics b_then + count_atomics b_else
       | Frame { f_body; _ } -> count_atomics f_body)
+    0 ops
+
+let rec divergence_depth ops =
+  List.fold_left
+    (fun acc op ->
+      max acc
+        (match op with
+        | Atomic_exec _ | Barrier | Commit_group | Wait_group _ | Fail _ -> 0
+        | Loop { l_body; _ } -> divergence_depth l_body
+        | Branch { b_tid_dep; b_then; b_else; _ } ->
+          Bool.to_int b_tid_dep
+          + max (divergence_depth b_then) (divergence_depth b_else)
+        | Frame { f_body; _ } -> divergence_depth f_body))
     0 ops
 
 let rec iter_atomics f ops =
@@ -220,12 +218,15 @@ let tier_counts ops =
 let is_move (a : atomic) =
   match a.a_spec.Spec.kind with Spec.Move -> true | _ -> false
 
+let per_thread_move (a : atomic) =
+  match a.a_threads with Per_thread -> is_move a | Collective _ -> false
+
 (* Widening statistics: (widened, per-thread move) atomic counts. *)
 let vec_counts ops =
   let widened = ref 0 and moves = ref 0 in
   iter_atomics
     (fun a ->
-      if a.a_per_thread && is_move a then begin
+      if per_thread_move a then begin
         incr moves;
         if a.a_vec_width > 1 then incr widened
       end)
@@ -255,7 +256,7 @@ let refusal_histogram ops =
   let tbl = Hashtbl.create 8 in
   iter_atomics
     (fun a ->
-      if a.a_per_thread && is_move a then
+      if per_thread_move a then
         match a.a_vec with
         | Vectorize.Widened _ -> ()
         | Vectorize.Refused r ->
@@ -276,7 +277,7 @@ let global_vec_width ops =
   let bytes = ref 0 and weighted = ref 0 in
   iter_atomics
     (fun a ->
-      if a.a_per_thread && is_move a then
+      if per_thread_move a then
         List.iter
           (fun v ->
             if Ms.equal v.v_mem Ms.Global then begin
@@ -299,8 +300,10 @@ let pp_view fmt (v : view) =
 let pp_atomic fmt (a : atomic) =
   Format.fprintf fmt "exec %s  // %s, %s, (%a) -> (%a)"
     a.a_instr.Atomic.name a.a_kind
-    (if a.a_per_thread then "per-thread"
-     else Printf.sprintf "%d-thread collective" a.a_instr.Atomic.threads)
+    (match a.a_threads with
+    | Per_thread -> "per-thread"
+    | Collective _ ->
+      Printf.sprintf "%d-thread collective" a.a_instr.Atomic.threads)
     (Format.pp_print_list
        ~pp_sep:(fun f () -> Format.fprintf f ", ")
        pp_view)
@@ -309,10 +312,10 @@ let pp_atomic fmt (a : atomic) =
        ~pp_sep:(fun f () -> Format.fprintf f ", ")
        pp_view)
     a.a_outs;
-  (match a.a_members_dep with
-  | Some d ->
+  (match a.a_threads with
+  | Collective { members_dep = d; _ } ->
     Format.fprintf fmt "  // members: %s" (Depcheck.tier_name d.Depcheck.d_tier)
-  | None -> ());
+  | Per_thread -> ());
   (match a.a_vec with
   | Vectorize.Widened w ->
     Format.fprintf fmt "  // vec v%d%s" w
@@ -320,7 +323,7 @@ let pp_atomic fmt (a : atomic) =
   | Vectorize.Refused r ->
     (* Refusal verdicts only where widening was conceivable — per-thread
        moves — so collectives and arithmetic stay uncluttered. *)
-    if a.a_per_thread && is_move a then
+    if per_thread_move a then
       Format.fprintf fmt "  // vec scalar: %s" (Vectorize.reason_name r));
   List.iter
     (fun (name, c) ->

@@ -8,7 +8,9 @@
     environment (see {!Slots}, {!Expr_comp}), and every compiled view and
     member function carries its slot-dependence tier (see {!Depcheck}) so
     the executor can hoist launch-, block- and loop-invariant values out
-    of the per-thread hot path. *)
+    of the per-thread hot path. [Interp.run_plan] executes the [body]
+    op tree directly. A plan is an immutable value, so domains share one
+    plan through the plan cache. *)
 
 type view =
   { v_id : int  (** dense plan-wide id, indexes the executor's caches *)
@@ -32,6 +34,18 @@ type view =
             scalar) — what transaction accounting must charge *)
   }
 
+(** How an atomic's threads form instances: one per active thread, or
+    groups found by a compiled member function. *)
+type threads =
+  | Per_thread
+  | Collective of
+      { members : int array -> int -> int array
+            (** probing tid -> sorted member ids of its instance *)
+      ; members_dep : Depcheck.dep  (** dependence tier of [members] *)
+      ; members_slots : int array
+            (** snapshot slots for the member-function group cache *)
+      }
+
 type atomic =
   { a_id : int  (** dense plan-wide id, indexes the executor's group cache *)
   ; a_spec : Graphene.Spec.t
@@ -43,14 +57,9 @@ type atomic =
   ; a_dur : int
   ; a_label : string
   ; a_kind : string
-  ; a_per_thread : bool
+  ; a_threads : threads
   ; a_ins : view list
   ; a_outs : view list
-  ; a_members : (int array -> int -> int array) option
-  ; a_members_dep : Depcheck.dep option
-        (** dependence tier of [a_members] (collectives only) *)
-  ; a_members_slots : int array
-        (** snapshot slots for the member-function group cache *)
   ; a_ld_rows : (Expr_comp.cexpr array array * int) option
         (** compiled first-row byte addresses per matrix + element size *)
   ; a_lookup : string -> int option
@@ -94,22 +103,6 @@ type op =
 
 type alloc = { al_buffer : string; al_mem : Gpu_tensor.Memspace.t; al_size : int }
 
-(** The flattened form of [body]: one dense int-tagged instruction array
-    plus side tables (built by {!Bytecode.of_plan}; the type lives here so
-    the plan can hold it without a module cycle). The executor dispatches
-    with a tight [match] over [bc_code] — no per-op closure chasing. *)
-type bytecode =
-  { bc_code : int array
-  ; bc_atomics : atomic array  (** indexed by [a_id] *)
-  ; bc_exprs : Expr_comp.cexpr array  (** loop bound pool *)
-  ; bc_conds : (int array -> bool) array  (** branch predicate pool *)
-  ; bc_labels : string array  (** loop var / frame label pool *)
-  ; bc_fails : string array  (** lazy failure message pool *)
-  ; bc_max_depth : int
-        (** max divergent-branch nesting: sizes the executor's
-            preallocated taken/not-taken mask arena *)
-  }
-
 (** What the swpipe pass did to this plan. [pl_stages = 1] means the
     plan runs single-buffered (pass off, refused, or nothing matched);
     [pl_note] carries the per-loop verdict/refusal lines in
@@ -144,16 +137,16 @@ type t =
   ; diagnostics : string list
   ; vec_enabled : bool  (** whether the vectorize pass was allowed to widen *)
   ; pipelining : pipelining  (** software-pipelining outcome *)
-  ; mutable bytecode : bytecode option
-        (** the flattened instruction array (see {!Bytecode}); anyone
-            rewriting [body] must reset this to [None] so stale code is
-            never executed *)
   }
 
 (** Total op count / atomic-exec count, for summaries. *)
 val count_ops : op list -> int
 
 val count_atomics : op list -> int
+
+(** Deepest nesting of thread-dependent branches: the number of
+    taken/not-taken mask pairs the executor preallocates. *)
+val divergence_depth : op list -> int
 
 (** Apply [f] to every atomic in the op tree, in program order. *)
 val iter_atomics : (atomic -> unit) -> op list -> unit

@@ -29,7 +29,7 @@
     rotation step applied to every view of the buffer.
 
     The rewrite is audited by the bit-identity oracle
-    (test/test_swpipe.ml): on the bytecode executor and on [run_tree]
+    (test/test_swpipe.ml): on the plan executor and on [run_tree]
     over the plan's rewritten kernel, outputs and every pre-existing
     counter field must match the unpipelined lowering exactly; only the
     async-queue occupancy counters may differ. *)

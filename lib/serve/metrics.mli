@@ -43,8 +43,9 @@ type summary =
   ; max_batch_requests : int
   ; shards : int
   ; exec_engine : string
-        (** always ["bytecode"]: shards execute plans with
-            {!Gpu_sim.Interp.run_plan} *)
+        (** always ["bytecode"], the historical name of
+            {!Gpu_sim.Interp.run_plan}'s executor, which shards execute
+            plans with *)
   ; ticks : int
   ; batches : int
   ; cells : int

@@ -354,7 +354,8 @@ type outcome =
   ; o_arch : Arch.t
   ; o_problem : string
   ; o_engine : string
-        (** always ["bytecode"]: tiers 2/3 execute with [run_plan] *)
+        (** always ["bytecode"], the historical name of [run_plan]'s
+            executor, which tiers 2/3 execute with *)
   ; o_seed : int
   ; o_budget : int
   ; o_proxy_top : int

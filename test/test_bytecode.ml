@@ -1,5 +1,5 @@
-(* Tests for the bytecode plan executor (the flatten-to-bytecode pass
-   plus [Interp.run_plan]'s dispatch loop):
+(* Tests for the plan executor ([Interp.run_plan]'s dispatch over the
+   compiled op tree):
 
    - pinned results: both executors against the seeded digests in
      golden/sim_digests.txt (output bits and every counter);
@@ -11,10 +11,8 @@
      Chrome traces, and output buffers bit-identical to the 1-domain
      tree reference;
    - the fixed-seed divergence corpus of test_divergence.ml, driven
-     through the bytecode engine's preallocated mask arena;
-   - the bytecode encoding itself: pinned opcode numbers (the executor
-     dispatches on integer literals), instruction counts vs the op
-     tree, histogram consistency, memoized install;
+     through the executor's preallocated mask arena down to nesting
+     depth 3;
    - settings are arguments: the environment variables that once
      steered lowering, the executor and the domain pool change nothing;
    - cost-based chunking: [Domain_pool.cost_chunk_size] bounds and
@@ -35,7 +33,6 @@ module Profiler = Gpu_sim.Profiler
 module Trace = Gpu_sim.Trace
 module Domain_pool = Gpu_sim.Domain_pool
 module Plan = Lower.Plan
-module Bytecode = Lower.Bytecode
 module Pipeline = Lower.Pipeline
 module Ref = Reference.Cpu_ref
 
@@ -54,7 +51,7 @@ let domain_counts = [ 1; 4; 7 ]
 (* Run the plan through [run_tree] (on [plan.kernel]) and [run_plan] at
    every domain count; demand bit-identical counters, profiler report
    JSON, Chrome traces, and output buffers against the 1-domain tree
-   reference. The plan may be vector-widened, so bytecode runs skip only
+   reference. The plan may be vector-widened, so plan runs skip only
    the request counters. *)
 let check_engines ?(scalars = []) ?args name arch kernel =
   let base_args =
@@ -72,7 +69,7 @@ let check_engines ?(scalars = []) ?args name arch kernel =
     Interp.run_tree ~arch:plan.Plan.arch ~profiler ~domains plan.Plan.kernel
       ~args ~scalars ()
   in
-  let bytecode ~profiler ~domains ~args =
+  let plan_run ~profiler ~domains ~args =
     Interp.run_plan ~profiler ~domains plan ~args ~scalars ()
   in
   let run_one runner ~domains =
@@ -100,7 +97,7 @@ let check_engines ?(scalars = []) ?args name arch kernel =
                 true (x = y))
             args1 argsn)
         domain_counts)
-    [ ("tree", tree, C.All); ("bytecode", bytecode, C.No_requests) ]
+    [ ("tree", tree, C.All); ("plan", plan_run, C.No_requests) ]
 
 let test_eng_gemm_tc () =
   List.iter
@@ -222,15 +219,15 @@ let test_alloc_budget () =
         true (per_cell <= ceiling))
     alloc_budgets
 
-(* ----- divergence corpus through the bytecode engine ----- *)
+(* ----- divergence corpus through the plan executor ----- *)
 
 let cta_size = 64
 let grid_blocks = 2
 
 (* Same generator shape as test_divergence.ml (fixed seed, tid-dependent
    branches and loops, per-thread stores into the block's slice), driven
-   here through the bytecode engine's preallocated divergence-mask
-   arena at 1 and 4 domains, against the tree reference. *)
+   here through the plan executor's preallocated divergence-mask arena
+   at 1 and 4 domains, against the tree reference. *)
 let gen_kernel rng idx =
   let grid = Tt.grid "g" [ grid_blocks ] in
   let cta = Tt.linear "cta" cta_size Tt.Thread in
@@ -286,9 +283,8 @@ let gen_kernel rng idx =
     ~grid ~cta ~params:[ a ]
     (block 0 None @ [ leaf () ])
 
-let check_divergent_kernel name arch kernel =
+let check_divergent_kernel name arch kernel plan =
   let machine = Gpu_sim.Machine.of_arch arch in
-  let plan = Pipeline.lower arch kernel in
   let run_one runner ~domains =
     let args = [ ("A", Array.make (grid_blocks * cta_size) 0.0) ] in
     let trace = Trace.create () in
@@ -303,17 +299,14 @@ let check_divergent_kernel name arch kernel =
   let tree ~profiler ~domains ~args =
     Interp.run_tree ~arch ~profiler ~domains kernel ~args ()
   in
-  let bc ~profiler ~domains ~args =
+  let plan_run ~profiler ~domains ~args =
     Interp.run_plan ~profiler ~domains plan ~args ()
   in
   let args0, c0, r0, t0 = run_one tree ~domains:1 in
-  (* A generated kernel must actually exercise the mask arena. *)
-  check_bool (name ^ ": bytecode has divergent branches") true
-    ((Bytecode.get plan).Plan.bc_max_depth >= 0);
   List.iter
     (fun domains ->
-      let tag = Printf.sprintf "%s: bytecode @ %d domains" name domains in
-      let argsn, cn, rn, tn = run_one bc ~domains in
+      let tag = Printf.sprintf "%s: plan @ %d domains" name domains in
+      let argsn, cn, rn, tn = run_one plan_run ~domains in
       check_counters C.No_requests tag c0 cn;
       check_str (tag ^ ": profiler report JSON") r0 rn;
       check_str (tag ^ ": chrome trace") t0 tn;
@@ -324,98 +317,28 @@ let check_divergent_kernel name arch kernel =
         args0 argsn)
     [ 1; 4 ]
 
-let test_bc_divergence_corpus () =
+let test_plan_divergence_corpus () =
   let rng = Random.State.make [| 0x9e3779b9; 42 |] in
-  let saw_divergence = ref false in
+  let saw_divergence = ref false and max_depth = ref 0 in
   for idx = 0 to 11 do
     let kernel = gen_kernel rng idx in
     let plan = Pipeline.lower Arch.SM86 kernel in
-    if (Bytecode.get plan).Plan.bc_max_depth > 0 then saw_divergence := true;
-    check_divergent_kernel kernel.Spec.name Arch.SM86 kernel
+    let depth = Plan.divergence_depth plan.Plan.body in
+    if depth > 0 then saw_divergence := true;
+    max_depth := max !max_depth depth;
+    check_divergent_kernel kernel.Spec.name Arch.SM86 kernel plan
   done;
-  check_bool "corpus contains divergent kernels" true !saw_divergence
-
-(* ----- the encoding itself ----- *)
-
-(* The executor dispatches on integer literals; renumbering the opcodes
-   without updating it would silently execute the wrong semantics. *)
-let test_opcode_numbers () =
-  check_int "op_exec" 0 Bytecode.op_exec;
-  check_int "op_loop" 1 Bytecode.op_loop;
-  check_int "op_branch" 2 Bytecode.op_branch;
-  check_int "op_branch_div" 3 Bytecode.op_branch_div;
-  check_int "op_barrier" 4 Bytecode.op_barrier;
-  check_int "op_frame" 5 Bytecode.op_frame;
-  check_int "op_fail" 6 Bytecode.op_fail;
-  List.iter
-    (fun (op, name) -> check_str name name (Bytecode.opcode_name op))
-    [ (Bytecode.op_exec, "exec")
-    ; (Bytecode.op_loop, "loop")
-    ; (Bytecode.op_branch, "branch")
-    ; (Bytecode.op_branch_div, "branch.div")
-    ; (Bytecode.op_barrier, "barrier")
-    ; (Bytecode.op_frame, "frame")
-    ; (Bytecode.op_fail, "fail")
-    ]
-
-(* Flattening preserves the op tree node-for-node: one instruction per
-   plan op, and the histogram sums to the instruction count. *)
-let test_instruction_counts () =
-  List.iter
-    (fun (name, arch, kernel) ->
-      let plan = Pipeline.lower arch kernel in
-      let bc = Bytecode.of_plan plan in
-      check_int
-        (name ^ ": one instruction per plan op")
-        (Plan.count_ops plan.Plan.body)
-        (Bytecode.instruction_count bc);
-      check_int
-        (name ^ ": histogram sums to instruction count")
-        (Bytecode.instruction_count bc)
-        (Array.fold_left ( + ) 0 (Bytecode.histogram bc));
-      check_int (name ^ ": histogram has 9 buckets") 9
-        (Array.length (Bytecode.histogram bc));
-      check_bool
-        (name ^ ": atomics pool matches EXEC count")
-        true
-        (Array.length bc.Plan.bc_atomics
-        = (Bytecode.histogram bc).(Bytecode.op_exec)))
-    [ ( "gemm-tc sm86"
-      , Arch.SM86
-      , Kernels.Gemm.tensor_core Arch.SM86
-          (Kernels.Gemm.test_config Arch.SM86)
-          ~epilogue:Kernels.Epilogue.none ~m:128 ~n:128 ~k:32 () )
-    ; ( "fmha sm86"
-      , Arch.SM86
-      , Kernels.Fmha.kernel Arch.SM86 ~batch:1 ~heads:1 ~seq:32 ~dh:16
-          ~chunk:16 ~nthreads:64 () )
-    ]
-
-(* [of_plan] is pure; [get] memoizes into the plan. *)
-let test_memoized_install () =
-  let kernel =
-    Kernels.Gemm.naive ~m:32 ~n:32 ~k:16 ~bm:16 ~bn:16 ~tm:4 ~tn:4 ()
-  in
-  let plan = Pipeline.lower Arch.SM86 kernel in
-  (* The pipeline's bytecode stage installs at lowering time. *)
-  check_bool "pipeline installs bytecode" true (plan.Plan.bytecode <> None);
-  let bc1 = Bytecode.get plan in
-  let bc2 = Bytecode.get plan in
-  check_bool "get memoizes" true (bc1 == bc2);
-  plan.Plan.bytecode <- None;
-  let fresh = Bytecode.of_plan plan in
-  check_bool "of_plan does not install" true (plan.Plan.bytecode = None);
-  check_bool "rebuild is code-identical" true
-    (fresh.Plan.bc_code = bc1.Plan.bc_code);
-  Bytecode.install plan;
-  check_bool "install installs" true (plan.Plan.bytecode <> None)
+  check_bool "corpus contains divergent kernels" true !saw_divergence;
+  (* The generator nests at most three branches; the corpus must reach
+     that depth, where the arena reuses a mask pair per level. *)
+  check_int "corpus reaches divergent nesting depth 3" 3 !max_depth
 
 (* ----- settings are arguments ----- *)
 
 (* Lowering, the executor and the domain pool once read
    GRAPHENE_SWPIPE_STAGES, GRAPHENE_SIM_ENGINE and GRAPHENE_SIM_DOMAINS.
    With all three set, every default must still be the argument default:
-   1 pipeline stage, the bytecode executor (which books vector requests
+   1 pipeline stage, the plan executor (which books vector requests
    that the scalar tree walk never issues), and the machine's
    recommended domain count. *)
 let test_settings_are_arguments () =
@@ -437,7 +360,7 @@ let test_settings_are_arguments () =
       kernel.Spec.params
   in
   let counters = Interp.run_plan plan ~args () in
-  check_bool "run_plan executes bytecode (vector requests booked)" true
+  check_bool "run_plan executes the plan (vector requests booked)" true
     (counters.C.global_vec_requests > 0);
   check_int "default domains is the recommended count"
     (Domain.recommended_domain_count ())
@@ -526,12 +449,7 @@ let () =
       )
     ; ( "divergence"
       , [ Alcotest.test_case "fixed-seed corpus via bytecode" `Quick
-            test_bc_divergence_corpus
-        ] )
-    ; ( "encoding"
-      , [ Alcotest.test_case "opcode numbers pinned" `Quick test_opcode_numbers
-        ; Alcotest.test_case "instruction counts" `Quick test_instruction_counts
-        ; Alcotest.test_case "memoized install" `Quick test_memoized_install
+            test_plan_divergence_corpus
         ] )
     ; ( "settings"
       , [ Alcotest.test_case "environment is ignored" `Quick

@@ -5,13 +5,9 @@
      branches and loops (with loop-dependent store indices) must run
      bit-identically — counters, instruction mix, profiler report JSON,
      Chrome trace, output buffers — through [Interp.run_plan] at 1 and
-     4 domains and through the tree-walking reference;
-   - the plan invariant that every collective atomic carries a compiled
-     member function: a plan doctored to violate it must raise
-     [Interp.Exec_error], never fall through silently. *)
+     4 domains and through the tree-walking reference. *)
 
 module E = Shape.Int_expr
-module L = Shape.Layout
 module Ts = Gpu_tensor.Tensor
 module Tt = Gpu_tensor.Thread_tensor
 module Dt = Gpu_tensor.Dtype
@@ -23,7 +19,6 @@ module C = Gpu_sim.Counters
 module Interp = Gpu_sim.Interp
 module Profiler = Gpu_sim.Profiler
 module Trace = Gpu_sim.Trace
-module Plan = Lower.Plan
 module Pipeline = Lower.Pipeline
 
 let check_bool = Alcotest.(check bool)
@@ -148,85 +143,10 @@ let test_divergence_corpus () =
     check_kernel kernel.Spec.name Arch.SM86 kernel
   done
 
-(* ----- collective plan invariant ----- *)
-
-(* A collective atomic whose compiled member function has been stripped
-   must raise a plan-invariant Exec_error — the executor has no symbolic
-   fallback for members, and silently skipping the group would corrupt
-   counters and buffers. *)
-let test_collective_without_members_raises () =
-  let grid = Tt.grid "g" [ 1 ] in
-  let cta = Tt.linear "cta" 32 Tt.Thread in
-  let tid = B.thread_idx in
-  let thr = Tt.select cta [ tid ] in
-  let warp = Tt.select (Tt.tile cta [ L.tile_spec 32 ]) [ E.zero ] in
-  let inp = Ts.create_rm "In" [ 32 ] Dt.FP32 Ms.Global in
-  let out = Ts.create_rm "Out" [ 32 ] Dt.FP32 Ms.Global in
-  let v, al_v = B.alloc_regs "v" (L.vector 1) Dt.FP32 in
-  let kernel =
-    B.kernel "bcast" ~grid ~cta ~params:[ inp; out ]
-      [ al_v
-      ; B.move ~threads:thr ~src:(Ts.select inp [ tid ]) ~dst:v ()
-      ; B.shfl ~threads:warp (Spec.Idx (E.const 5)) ~src:v ~dst:v ()
-      ; B.move ~threads:thr ~src:v ~dst:(Ts.select out [ tid ]) ()
-      ]
-  in
-  let plan = Pipeline.lower Arch.SM86 kernel in
-  let stripped = ref 0 in
-  let rec strip_ops ops = List.map strip_op ops
-  and strip_op = function
-    | Plan.Atomic_exec a when a.Plan.a_members <> None ->
-      incr stripped;
-      Plan.Atomic_exec { a with Plan.a_members = None }
-    | Plan.Atomic_exec a -> Plan.Atomic_exec a
-    | Plan.Loop { l_var; l_slot; l_lo; l_hi; l_step; l_body } ->
-      Plan.Loop { l_var; l_slot; l_lo; l_hi; l_step; l_body = strip_ops l_body }
-    | Plan.Branch { b_tid_dep; b_cond; b_then; b_else } ->
-      Plan.Branch
-        { b_tid_dep
-        ; b_cond
-        ; b_then = strip_ops b_then
-        ; b_else = strip_ops b_else
-        }
-    | Plan.Barrier -> Plan.Barrier
-    | Plan.Commit_group -> Plan.Commit_group
-    | Plan.Wait_group n -> Plan.Wait_group n
-    | Plan.Frame { f_label; f_body } ->
-      Plan.Frame { f_label; f_body = strip_ops f_body }
-    | Plan.Fail m -> Plan.Fail m
-  in
-  let broken = { plan with Plan.body = strip_ops plan.Plan.body } in
-  (* The record copy carries the original body's installed bytecode;
-     drop it so every engine flattens (and so executes) the doctored
-     body. *)
-  broken.Plan.bytecode <- None;
-  check_bool "stripped a collective" true (!stripped > 0);
-  let args () =
-    [ ("In", Array.init 32 float_of_int); ("Out", Array.make 32 0.0) ]
-  in
-  (* Sanity: the intact plan runs. *)
-  ignore (Interp.run_plan plan ~args:(args ()) ());
-  check_bool "stripped collective raises plan-invariant Exec_error" true
-    (try
-       ignore (Interp.run_plan broken ~args:(args ()) ());
-       false
-     with Interp.Exec_error msg ->
-       let has sub =
-         let n = String.length sub in
-         let rec go i =
-           i + n <= String.length msg
-           && (String.equal (String.sub msg i n) sub || go (i + 1))
-         in
-         go 0
-       in
-       has "no compiled member function" && has "plan invariant")
-
 let () =
   Alcotest.run "divergence"
     [ ( "divergence"
       , [ Alcotest.test_case "randomized tid-dependent branch corpus" `Quick
             test_divergence_corpus
-        ; Alcotest.test_case "collective without members raises" `Quick
-            test_collective_without_members_raises
         ] )
     ]

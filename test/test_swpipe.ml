@@ -3,7 +3,7 @@
 
    - bit-identity oracle: for every pipelining kernel family, the
      2- and 3-stage plans produce bit-identical outputs and pre-existing
-     counters to the unpipelined plan, both on the bytecode executor
+     counters to the unpipelined plan, both on the plan executor
      and on [run_tree] over the plan's (rewritten) Spec kernel, at 1
      and 4 domains — only the async-queue occupancy counters may move,
      and the two paths must agree with each other on those too;
@@ -98,7 +98,7 @@ let mk_args kernel =
     kernel.Spec.params
 
 (* [run_tree] on the plan's kernel walks the rewritten Spec, so running
-   the pipelined plan through it and through the bytecode executor
+   the pipelined plan through it and through the plan executor
    exercises the rotated schedule under both semantics. The unpipelined
    plan doubles as the tree-walk baseline: a 1-stage lowering leaves the
    kernel untouched, so its tree run IS the reference interpreter on the

@@ -13,6 +13,10 @@
    - the fixed-seed divergence corpus of test_divergence.ml, driven
      through the executor's preallocated mask arena down to nesting
      depth 3;
+   - the arena's size, [Plan.divergence_depth], on hand-built op trees;
+   - the [Lower.Bytecode] shim the benchmark harness reads: the
+     instruction count is the plan's op count, pinned at the values the
+     flattened form had;
    - settings are arguments: the environment variables that once
      steered lowering, the executor and the domain pool change nothing;
    - cost-based chunking: [Domain_pool.cost_chunk_size] bounds and
@@ -33,6 +37,7 @@ module Profiler = Gpu_sim.Profiler
 module Trace = Gpu_sim.Trace
 module Domain_pool = Gpu_sim.Domain_pool
 module Plan = Lower.Plan
+module Bytecode = Lower.Bytecode
 module Pipeline = Lower.Pipeline
 module Ref = Reference.Cpu_ref
 
@@ -333,6 +338,94 @@ let test_plan_divergence_corpus () =
      that depth, where the arena reuses a mask pair per level. *)
   check_int "corpus reaches divergent nesting depth 3" 3 !max_depth
 
+(* [Plan.divergence_depth] sizes the executor's mask arena: it counts
+   thread-dependent branches only, takes the deeper arm and the deepest
+   sibling, and sees through loops and frames. *)
+let test_divergence_depth () =
+  let branch tid_dep b_then b_else =
+    Plan.Branch
+      { b_tid_dep = tid_dep; b_cond = (fun _ -> true); b_then; b_else }
+  in
+  let loop l_body =
+    Plan.Loop
+      { l_var = "k"
+      ; l_slot = 0
+      ; l_lo = (fun _ -> 0)
+      ; l_hi = (fun _ -> 1)
+      ; l_step = (fun _ -> 1)
+      ; l_body
+      }
+  in
+  let frame f_body = Plan.Frame { f_label = "f"; f_body } in
+  List.iter
+    (fun (name, expected, ops) ->
+      check_int name expected (Plan.divergence_depth ops))
+    [ ("empty", 0, [])
+    ; ( "straight line"
+      , 0
+      , [ Plan.Barrier; Plan.Commit_group; Plan.Wait_group 0; Plan.Fail "x" ]
+      )
+    ; ("uniform branch", 0, [ branch false [ branch false [] [] ] [] ])
+    ; ("one divergent branch", 1, [ branch true [] [] ])
+    ; ("uniform inside divergent", 1, [ branch true [ branch false [] [] ] [] ])
+    ; ("deeper else arm", 2, [ branch true [] [ branch true [] [] ] ])
+    ; ( "deepest sibling"
+      , 2
+      , [ branch true [] []; branch true [ branch true [] [] ] []; Plan.Barrier ]
+      )
+    ; ( "through loops and frames"
+      , 3
+      , [ frame
+            [ loop
+                [ branch true
+                    [ frame
+                        [ branch false
+                            [ loop [ branch true [ branch true [] [] ] [] ] ]
+                            []
+                        ]
+                    ]
+                    []
+                ]
+            ]
+        ]
+      )
+    ]
+
+(* ----- the benchmark harness's instruction count ----- *)
+
+(* perfbench reports [lower.bytecode_instrs] through [Lower.Bytecode]:
+   the plan itself and its op count, which equals the instruction count
+   of the flattened form plans once had (one instruction per op), so the
+   reported figure carries over. *)
+let test_instruction_count_shim () =
+  List.iter
+    (fun (name, arch, kernel, expected) ->
+      let plan = Pipeline.lower arch kernel in
+      check_bool (name ^ ": get is the plan") true (Bytecode.get plan == plan);
+      check_int (name ^ ": instruction count is the op count")
+        (Plan.count_ops plan.Plan.body)
+        (Bytecode.instruction_count plan);
+      check_int (name ^ ": pinned instruction count") expected
+        (Bytecode.instruction_count plan))
+    [ ( "gemm-tc sm86"
+      , Arch.SM86
+      , Kernels.Gemm.tensor_core Arch.SM86
+          (Kernels.Gemm.test_config Arch.SM86)
+          ~epilogue:Kernels.Epilogue.none ~m:128 ~n:128 ~k:32 ()
+      , 23 )
+    ; ( "gemm-tc sm70"
+      , Arch.SM70
+      , Kernels.Gemm.tensor_core Arch.SM70
+          (Kernels.Gemm.test_config Arch.SM70)
+          ~epilogue:Kernels.Epilogue.none ~m:128 ~n:128 ~k:32 ()
+      , 24 )
+    ; ( "fmha sm86"
+      , Arch.SM86
+      , Kernels.Fmha.kernel Arch.SM86 ~batch:1 ~heads:1 ~seq:32 ~dh:16
+          ~chunk:16 ~nthreads:64 ()
+      , 68 )
+    ]
+
 (* ----- settings are arguments ----- *)
 
 (* Lowering, the executor and the domain pool once read
@@ -450,6 +543,11 @@ let () =
     ; ( "divergence"
       , [ Alcotest.test_case "fixed-seed corpus via bytecode" `Quick
             test_plan_divergence_corpus
+        ; Alcotest.test_case "mask arena depth" `Quick test_divergence_depth
+        ] )
+    ; ( "benchmark shim"
+      , [ Alcotest.test_case "instruction count is the op count" `Quick
+            test_instruction_count_shim
         ] )
     ; ( "settings"
       , [ Alcotest.test_case "environment is ignored" `Quick

@@ -5,9 +5,14 @@
      branches and loops (with loop-dependent store indices) must run
      bit-identically — counters, instruction mix, profiler report JSON,
      Chrome trace, output buffers — through [Interp.run_plan] at 1 and
-     4 domains and through the tree-walking reference. *)
+     4 domains and through the tree-walking reference;
+   - collective atomics: a warp shuffle lowers to the plan's one
+     [Collective] atomic, groups each warp through its compiled member
+     function, and raises on both engines when a branch splits a
+     warp. *)
 
 module E = Shape.Int_expr
+module L = Shape.Layout
 module Ts = Gpu_tensor.Tensor
 module Tt = Gpu_tensor.Thread_tensor
 module Dt = Gpu_tensor.Dtype
@@ -19,6 +24,7 @@ module C = Gpu_sim.Counters
 module Interp = Gpu_sim.Interp
 module Profiler = Gpu_sim.Profiler
 module Trace = Gpu_sim.Trace
+module Plan = Lower.Plan
 module Pipeline = Lower.Pipeline
 
 let check_bool = Alcotest.(check bool)
@@ -143,10 +149,103 @@ let test_divergence_corpus () =
     check_kernel kernel.Spec.name Arch.SM86 kernel
   done
 
+(* ----- collective atomics ----- *)
+
+(* Two warps; each broadcasts its lane 5 with shfl.idx. [guard], when
+   given, wraps the shuffle in a thread-dependent branch. *)
+let shfl_kernel ?guard () =
+  let grid = Tt.grid "g" [ 1 ] in
+  let cta = Tt.linear "cta" 64 Tt.Thread in
+  let tid = B.thread_idx in
+  let thr = Tt.select cta [ tid ] in
+  let warp =
+    Tt.select (Tt.tile cta [ L.tile_spec 32 ]) [ E.div tid (E.const 32) ]
+  in
+  let inp = Ts.create_rm "In" [ 64 ] Dt.FP32 Ms.Global in
+  let out = Ts.create_rm "Out" [ 64 ] Dt.FP32 Ms.Global in
+  let v, al_v = B.alloc_regs "v" (L.vector 1) Dt.FP32 in
+  let shfl = B.shfl ~threads:warp (Spec.Idx (E.const 5)) ~src:v ~dst:v () in
+  B.kernel "bcast2" ~grid ~cta ~params:[ inp; out ]
+    [ al_v
+    ; B.move ~threads:thr ~src:(Ts.select inp [ tid ]) ~dst:v ()
+    ; (match guard with
+      | None -> shfl
+      | Some bound -> B.if_ (B.( <. ) tid (E.const bound)) [ shfl ])
+    ; B.move ~threads:thr ~src:v ~dst:(Ts.select out [ tid ]) ()
+    ]
+
+let shfl_args () =
+  [ ("In", Array.init 64 float_of_int); ("Out", Array.make 64 0.0) ]
+
+let test_collective_groups_warps () =
+  let kernel = shfl_kernel () in
+  let plan = Pipeline.lower Arch.SM86 kernel in
+  let collectives = ref [] and per_thread = ref 0 in
+  Plan.iter_atomics
+    (fun a ->
+      match a.Plan.a_threads with
+      | Plan.Per_thread -> incr per_thread
+      | Plan.Collective _ ->
+        collectives := a.Plan.a_instr.Graphene.Atomic.name :: !collectives)
+    plan.Plan.body;
+  Alcotest.(check (list string))
+    "the shuffle is the one collective atomic" [ "shfl.sync" ] !collectives;
+  Alcotest.(check int)
+    "every other atomic is per-thread"
+    (Plan.count_atomics plan.Plan.body - 1)
+    !per_thread;
+  let expected = Array.init 64 (fun i -> float_of_int ((i / 32 * 32) + 5)) in
+  let tree_args = shfl_args () and plan_args = shfl_args () in
+  let c_tree = Interp.run_tree ~arch:Arch.SM86 kernel ~args:tree_args () in
+  let c_plan = Interp.run_plan plan ~args:plan_args () in
+  check_bool "tree: each warp broadcasts its lane 5" true
+    (List.assoc "Out" tree_args = expected);
+  check_bool "plan: each warp broadcasts its lane 5" true
+    (List.assoc "Out" plan_args = expected);
+  check_counters C.No_requests "plan vs tree" c_tree c_plan
+
+(* A branch that keeps lanes 0..15 splits every warp: the shuffle's
+   instance is not fully active, and both engines refuse it with the
+   same message. The plan is still a valid value — the error is the
+   executor's, at run time. *)
+let test_divergent_collective_raises () =
+  let kernel = shfl_kernel ~guard:16 () in
+  let plan = Pipeline.lower Arch.SM86 kernel in
+  let error run =
+    try
+      ignore (run (shfl_args ()));
+      None
+    with Interp.Exec_error msg -> Some msg
+  in
+  let tree_err =
+    error (fun args -> Interp.run_tree ~arch:Arch.SM86 kernel ~args ())
+  in
+  let plan_err = error (fun args -> Interp.run_plan plan ~args ()) in
+  Alcotest.(check (option string))
+    "tree raises the divergent-collective error"
+    (Some "collective shfl.sync executed with divergent threads") tree_err;
+  Alcotest.(check (option string)) "plan raises the tree's error" tree_err
+    plan_err;
+  (* A guard that keeps whole warps (lanes 0..31) is not divergent for
+     the shuffle: the first warp broadcasts, the second keeps its
+     input. *)
+  let kernel = shfl_kernel ~guard:32 () in
+  let args = shfl_args () in
+  ignore (Interp.run_plan (Pipeline.lower Arch.SM86 kernel) ~args ());
+  check_bool "warp-aligned guard runs" true
+    (List.assoc "Out" args
+    = Array.init 64 (fun i -> if i < 32 then 5.0 else float_of_int i))
+
 let () =
   Alcotest.run "divergence"
     [ ( "divergence"
       , [ Alcotest.test_case "randomized tid-dependent branch corpus" `Quick
             test_divergence_corpus
+        ] )
+    ; ( "collective"
+      , [ Alcotest.test_case "shuffle groups each warp" `Quick
+            test_collective_groups_warps
+        ; Alcotest.test_case "divergent shuffle raises" `Quick
+            test_divergent_collective_raises
         ] )
     ]

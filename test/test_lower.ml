@@ -7,6 +7,8 @@
      never at execution time;
    - compiled view offsets match the symbolic enumeration;
    - lazy error semantics (unmatched leaves, unbound scalars);
+   - the seven passes run in order (validate, flatten, resolve,
+     depcheck, vectorize, swpipe, compile);
    - Counters.add_instr_n, the registry's instruction classes and the
      class-driven issue accounting of Counters.book_issue. *)
 
@@ -287,6 +289,31 @@ let test_unbound_scalar_message () =
           false
         with Interp.Exec_error msg' -> String.equal msg msg'))
 
+(* The log sees the input listing, then each of the seven passes once,
+   in order — with and without software pipelining (the swpipe pass
+   re-runs the front passes on its rewrite without logging them). *)
+let test_pass_order () =
+  let kernel =
+    Kernels.Gemm.tensor_core Arch.SM86
+      (Kernels.Gemm.test_config Arch.SM86)
+      ~epilogue:Kernels.Epilogue.none ~m:64 ~n:64 ~k:128 ()
+  in
+  List.iter
+    (fun stages ->
+      let seen = ref [] in
+      let log ~pass ~doc:_ _ = seen := pass :: !seen in
+      let plan = Pipeline.lower ~log ~stages Arch.SM86 kernel in
+      Alcotest.(check (list string))
+        (Printf.sprintf "passes at stages %d" stages)
+        [ "input"; "validate"; "flatten"; "resolve"; "depcheck"; "vectorize"
+        ; "swpipe"; "compile"
+        ]
+        (List.rev !seen);
+      check_int
+        (Printf.sprintf "stages %d: swpipe outcome" stages)
+        stages plan.Plan.pipelining.Plan.pl_stages)
+    [ 1; 3 ]
+
 (* ----- satellites: add_instr_n, instruction classes ----- *)
 
 let test_add_instr_n () =
@@ -398,6 +425,7 @@ let () =
             test_unmatched_leaf_is_lazy
         ; Alcotest.test_case "unbound scalar message" `Quick
             test_unbound_scalar_message
+        ; Alcotest.test_case "seven passes in order" `Quick test_pass_order
         ] )
     ; ( "satellites",
         [ Alcotest.test_case "add_instr_n" `Quick test_add_instr_n

@@ -56,12 +56,18 @@ let () =
   let oc = open_out "test/golden/profile_gemm_tc_sm86.json" in
   output_string oc (Gpu_sim.Profiler.report_to_json report);
   close_out oc;
+  let write_lines path lines =
+    let oc = open_out path in
+    List.iter
+      (fun l ->
+        output_string oc l;
+        output_char oc '\n')
+      lines;
+    close_out oc
+  in
   (* Seeded simulator digests, both executors; checked by
      test/test_bytecode.ml. *)
-  let oc = open_out "test/golden/sim_digests.txt" in
-  List.iter
-    (fun l ->
-      output_string oc l;
-      output_char oc '\n')
-    (Experiments.Sim_digest.lines ());
-  close_out oc
+  write_lines "test/golden/sim_digests.txt" (Experiments.Sim_digest.lines ());
+  (* Generated-CUDA digests of the kernel corpus; checked by
+     test/test_codegen.ml. *)
+  write_lines "test/golden/cuda_digests.txt" (Experiments.Cuda_digest.lines ())

@@ -120,6 +120,22 @@ let test_gemm_tc_sm70_golden () =
     (read_file "golden/gemm_tc_sm70.cu")
     (Codegen.Emit.cuda Arch.SM70 k)
 
+(* One digest per kernel of the corpus in [Experiments.Cuda_digest]:
+   every builder's emitted CUDA is pinned, line by line. *)
+let test_cuda_digests () =
+  let expected =
+    String.split_on_char '\n' (read_file "golden/cuda_digests.txt")
+    |> List.filter (fun l -> l <> "")
+  in
+  let actual = Experiments.Cuda_digest.lines () in
+  Alcotest.(check int) "one line per kernel" (List.length expected)
+    (List.length actual);
+  List.iter2
+    (fun e a ->
+      let label = List.hd (String.split_on_char ' ' e) in
+      check_str label e a)
+    expected actual
+
 let test_fig8_stable () =
   (* Emission is deterministic. *)
   check_str "deterministic" (fig8_cuda ()) (fig8_cuda ())
@@ -264,6 +280,8 @@ let () =
             test_gemm_tc_bf16_golden
         ; Alcotest.test_case "sm70 tensor-core gemm golden file" `Quick
             test_gemm_tc_sm70_golden
+        ; Alcotest.test_case "cuda digests of the kernel corpus" `Quick
+            test_cuda_digests
         ; Alcotest.test_case "fig1 ldmatrix asm" `Quick test_fig1_ldmatrix_asm
         ] )
     ; ( "kernels"

@@ -1,37 +1,12 @@
+let write file contents =
+  let oc = open_out ("test/golden/" ^ file) in
+  output_string oc contents;
+  close_out oc
+
 let () =
-  let fig8 = Kernels.Gemm.naive ~m:1024 ~n:1024 ~k:1024 ~bm:128 ~bn:128 ~tm:8 ~tn:8 () in
-  let oc = open_out "test/golden/fig8_sm86.cu" in
-  output_string oc (Codegen.Emit.cuda Graphene.Arch.SM86 fig8);
-  close_out oc;
-  let ld = Kernels.Ldmatrix_demo.kernel () in
-  let oc = open_out "test/golden/ldmatrix_sm86.cu" in
-  output_string oc (Codegen.Emit.cuda Graphene.Arch.SM86 ld);
-  close_out oc;
-  let tc =
-    Kernels.Gemm.tensor_core Graphene.Arch.SM86
-      (Kernels.Gemm.test_config Graphene.Arch.SM86)
-      ~epilogue:Kernels.Epilogue.bias_relu ~m:64 ~n:64 ~k:32 ()
-  in
-  let oc = open_out "test/golden/gemm_tc_sm86.cu" in
-  output_string oc (Codegen.Emit.cuda Graphene.Arch.SM86 tc);
-  close_out oc;
-  (* The other two mma forms: bf16 m16n8k16 and Volta's m8n8k4. *)
-  let tc_bf16 =
-    Kernels.Gemm.tensor_core ~dtype:Gpu_tensor.Dtype.BF16 Graphene.Arch.SM86
-      (Kernels.Gemm.test_config Graphene.Arch.SM86)
-      ~epilogue:Kernels.Epilogue.none ~m:64 ~n:64 ~k:64 ()
-  in
-  let oc = open_out "test/golden/gemm_tc_bf16_sm86.cu" in
-  output_string oc (Codegen.Emit.cuda Graphene.Arch.SM86 tc_bf16);
-  close_out oc;
-  let tc_sm70 =
-    Kernels.Gemm.tensor_core Graphene.Arch.SM70
-      (Kernels.Gemm.test_config Graphene.Arch.SM70)
-      ~epilogue:Kernels.Epilogue.bias_relu ~m:32 ~n:32 ~k:32 ()
-  in
-  let oc = open_out "test/golden/gemm_tc_sm70.cu" in
-  output_string oc (Codegen.Emit.cuda Graphene.Arch.SM70 tc_sm70);
-  close_out oc;
+  List.iter
+    (fun (file, arch, build) -> write file (Codegen.Emit.cuda arch (build ())))
+    Experiments.Cuda_digest.listings;
   (* Golden profiler report — must mirror profile_gemm in
      test/test_profiler.ml: same kernel, zero-filled inputs. *)
   let arch = Graphene.Arch.SM86 in
@@ -53,21 +28,11 @@ let () =
     Gpu_sim.Profiler.report profiler ~kernel ~arch ~counters
       ~machine:(Gpu_sim.Machine.of_arch arch) ()
   in
-  let oc = open_out "test/golden/profile_gemm_tc_sm86.json" in
-  output_string oc (Gpu_sim.Profiler.report_to_json report);
-  close_out oc;
-  let write_lines path lines =
-    let oc = open_out path in
-    List.iter
-      (fun l ->
-        output_string oc l;
-        output_char oc '\n')
-      lines;
-    close_out oc
-  in
+  write "profile_gemm_tc_sm86.json" (Gpu_sim.Profiler.report_to_json report);
+  let lines l = String.concat "" (List.map (fun s -> s ^ "\n") l) in
   (* Seeded simulator digests, both executors; checked by
      test/test_bytecode.ml. *)
-  write_lines "test/golden/sim_digests.txt" (Experiments.Sim_digest.lines ());
+  write "sim_digests.txt" (lines (Experiments.Sim_digest.lines ()));
   (* Generated-CUDA digests of the kernel corpus; checked by
      test/test_codegen.ml. *)
-  write_lines "test/golden/cuda_digests.txt" (Experiments.Cuda_digest.lines ())
+  write "cuda_digests.txt" (lines (Experiments.Cuda_digest.lines ()))

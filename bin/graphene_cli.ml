@@ -41,6 +41,22 @@ let kernel_arg =
 
 let build = Experiments.Presets.build
 
+(* A preset the architecture cannot run is refused before it is emitted
+   or lowered: the validation problems go to stderr and the command exits
+   2 (exit 1 means a result mismatch). *)
+let build_valid arch name =
+  let ((kernel, _, _) as built) = build arch name in
+  (match Graphene.Validate.check arch kernel with
+  | [] -> ()
+  | problems ->
+    prerr_endline (String.concat "\n" problems);
+    exit 2);
+  built
+
+let refusal_doc =
+  " A kernel that does not validate on the architecture is refused with \
+   its problems on stderr and exit 2."
+
 let ir_cmd =
   let run arch name =
     let kernel, _, _ = build arch name in
@@ -51,15 +67,12 @@ let ir_cmd =
 
 let codegen_cmd =
   let run arch name =
-    let kernel, _, _ = build arch name in
-    (match Graphene.Validate.check arch kernel with
-    | [] -> ()
-    | problems ->
-      prerr_endline (String.concat "\n" problems);
-      exit 1);
+    let kernel, _, _ = build_valid arch name in
     print_string (Codegen.Emit.cuda arch kernel)
   in
-  Cmd.v (Cmd.info "codegen" ~doc:"Print the generated CUDA C++ of a kernel.")
+  Cmd.v
+    (Cmd.info "codegen"
+       ~doc:("Print the generated CUDA C++ of a kernel." ^ refusal_doc))
     Term.(const run $ arch_arg $ kernel_arg)
 
 let stages_arg =
@@ -187,7 +200,7 @@ let simulate_cmd =
              output buffers. Exits non-zero on any difference.")
   in
   let run arch name domains stages check check_eng =
-    let kernel, args, verify = build arch name in
+    let kernel, args, verify = build_valid arch name in
     let plan, _ = Lower.Pipeline.lower_cached ~stages arch kernel in
     let copy l = List.map (fun (n, a) -> (n, Array.copy a)) l in
     let one_run ?(tree = false) ~domains args =
@@ -250,7 +263,9 @@ let simulate_cmd =
   in
   Cmd.v
     (Cmd.info "simulate"
-       ~doc:"Execute a kernel on the simulated GPU and verify the result.")
+       ~doc:
+         ("Execute a kernel on the simulated GPU and verify the result (exit \
+           1 on a mismatch against the CPU reference)." ^ refusal_doc))
     Term.(
       const run $ arch_arg $ kernel_arg $ domains_arg $ stages_arg
       $ check_domains $ check_engines)
@@ -280,7 +295,7 @@ let profile_cmd =
              (larger trace files).")
   in
   let run arch name out_dir detail domains stages =
-    let kernel, args, verify = build arch name in
+    let kernel, args, verify = build_valid arch name in
     let plan, _ = Lower.Pipeline.lower_cached ~stages arch kernel in
     let trace = Gpu_sim.Trace.create () in
     let profiler = Gpu_sim.Profiler.create ~trace ~detail () in
@@ -313,10 +328,11 @@ let profile_cmd =
   Cmd.v
     (Cmd.info "profile"
        ~doc:
-         "Execute a kernel on the simulated GPU with per-spec profiling:   \
-          print the attribution report (instruction mix, bytes, coalescing, \
-          bank conflicts, roofline placement) and write a JSON report plus \
-          a Chrome-trace timeline. See docs/PROFILING.md.")
+         ("Execute a kernel on the simulated GPU with per-spec profiling:   \
+           print the attribution report (instruction mix, bytes, \
+           coalescing, bank conflicts, roofline placement) and write a JSON \
+           report plus a Chrome-trace timeline (exit 1 on a mismatch against \
+           the CPU reference). See docs/PROFILING.md." ^ refusal_doc))
     Term.(
       const run $ arch_arg $ kernel_arg $ out_dir $ detail $ domains_arg
       $ stages_arg)

@@ -474,9 +474,7 @@ let ablations () =
     [ ("ldmatrix", "ldmatrix.x4/.x2.trans", cfg)
     ; ("ldmatrix", "per-lane ld.shared", { cfg with Kernels.Gemm.use_ldmatrix = false })
     ; ("smem layout", "swizzled", cfg)
-    ; ( "smem layout"
-      , "linear"
-      , { cfg with Kernels.Gemm.swizzle_a = false; swizzle_b = false } )
+    ; ("smem layout", "linear", { cfg with Kernels.Gemm.swizzle = false })
     ; ("staging", "cp.async", cfg)
     ; ("staging", "through registers", { cfg with Kernels.Gemm.use_cp_async = false })
     ]

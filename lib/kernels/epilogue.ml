@@ -6,10 +6,7 @@ let none = { bias = false; act = None }
 let bias = { bias = true; act = None }
 let relu = { bias = false; act = Some Op.Relu }
 let bias_relu = { bias = true; act = Some Op.Relu }
-let gelu = { bias = false; act = Some Op.Gelu }
 let bias_gelu = { bias = true; act = Some Op.Gelu }
-let bias_tanh = { bias = true; act = Some Op.Tanh }
-let bias_sigmoid = { bias = true; act = Some Op.Sigmoid }
 
 let name t =
   match (t.bias, t.act) with

@@ -7,10 +7,7 @@ val none : t
 val bias : t
 val relu : t
 val bias_relu : t
-val gelu : t
 val bias_gelu : t
-val bias_tanh : t
-val bias_sigmoid : t
 
 (** Display name as used in the paper's plots, e.g. ["bias+relu"]. *)
 val name : t -> string

@@ -7,17 +7,12 @@ module Dt = Gpu_tensor.Dtype
 module Ms = Gpu_tensor.Memspace
 module B = Graphene.Builder
 module Op = Graphene.Op
-module Arch = Graphene.Arch
 
 let row_block = 16
 
 let flop_count ~batch ~heads ~seq ~dh =
   (* two GEMMs + softmax (~5 flops/score) *)
   batch * heads * ((2 * seq * seq * dh * 2) + (5 * seq * seq))
-
-let log2i n =
-  let rec go acc v = if v <= 1 then acc else go (acc + 1) (v / 2) in
-  go 0 n
 
 let next_pow2 n =
   let rec go p = if p >= n then p else go (2 * p) in
@@ -69,28 +64,26 @@ let kernel ?(name = "fmha") ?(swizzle_smem = true) ?(causal = false) arch
     E.add (E.mul bh (E.const seq)) (E.mul rb (E.const row_block))
   in
   let kv_row0 = E.mul bh (E.const seq) in
-  let use_cp_async = match arch with Arch.SM86 -> true | Arch.SM70 -> false in
-  let use_ldmatrix = match arch with Arch.SM86 -> true | Arch.SM70 -> false in
+  let { Gemm.use_ldmatrix; use_cp_async; _ } = Gemm.default_config arch in
   (* Shared memory: the Q strip, a K/V staging chunk, and the score
      matrix; the latter padded to a power-of-two leading dimension and
      swizzled when requested. *)
-  let sw_kv =
-    if swizzle_smem then Sw.make ~bits:2 ~base:3 ~shift:(log2i dh - 2)
+  let swizzle width =
+    if swizzle_smem then Tc_pipeline.staging_swizzle ~bits:2 width
     else Sw.none
   in
   let ss_ld = if swizzle_smem then next_pow2 seq else seq in
-  let sw_ss =
-    if swizzle_smem then Sw.make ~bits:2 ~base:3 ~shift:(log2i ss_ld - 2)
-    else Sw.none
-  in
   let qs, al_qs =
-    B.alloc_shared ~swizzle:sw_kv "Qs" (L.row_major [ row_block; dh ]) Dt.FP16
+    B.alloc_shared ~swizzle:(swizzle dh) "Qs" (L.row_major [ row_block; dh ])
+      Dt.FP16
   in
   let kv, al_kv =
-    B.alloc_shared ~swizzle:sw_kv "KVs" (L.row_major [ chunk; dh ]) Dt.FP16
+    B.alloc_shared ~swizzle:(swizzle dh) "KVs" (L.row_major [ chunk; dh ])
+      Dt.FP16
   in
   let ss, al_ss =
-    B.alloc_shared ~swizzle:sw_ss "Ss" (L.row_major [ row_block; ss_ld ])
+    B.alloc_shared ~swizzle:(swizzle ss_ld) "Ss"
+      (L.row_major [ row_block; ss_ld ])
       Dt.FP16
   in
   let pipe_s =
@@ -101,8 +94,8 @@ let kernel ?(name = "fmha") ?(swizzle_smem = true) ?(causal = false) arch
     Tc_pipeline.create ~prefix:"o_" arch ~cta ~bm:row_block ~bn:dh
       ~wm:row_block ~wn:(dh / warps) ~use_ldmatrix
   in
-  let stg = Staging.create ~thr ~nthreads ~vw:8 ~use_cp_async ~prefix:"kv_" () in
-  let out_w = match arch with Arch.SM86 -> 2 | Arch.SM70 -> 4 in
+  let stg = Staging.create ~thr ~nthreads ~use_cp_async ~prefix:"kv_" () in
+  let out_w = Tc_pipeline.group_width pipe_s in
   let s32, al_s32 = B.alloc_regs "s32" (L.vector out_w) Dt.FP32 in
   let s16, al_s16 = B.alloc_regs "s16" (L.vector out_w) Dt.FP16 in
   let scale_rf, al_sc = B.alloc_regs "scale" (L.vector 1) Dt.FP32 in
@@ -110,28 +103,32 @@ let kernel ?(name = "fmha") ?(swizzle_smem = true) ?(causal = false) arch
   (* ----- phase 1: S = Q K^T / sqrt(dh), chunk by chunk ----- *)
   let s_phase =
     B.for_ "cb" (E.const (seq / chunk)) (fun cb ->
-        [ Staging.copy stg ~src:k
-            ~src_row0:(E.add kv_row0 (E.mul cb (E.const chunk)))
-            ~src_col0:E.zero ~dst:kv
-        ]
-        @ Staging.fence [ stg ]
-        @ [ B.sync ]
-        @ Tc_pipeline.init_acc pipe_s
-        @ Tc_pipeline.accumulate pipe_s ~a:qs ~a_row0:E.zero ~a_col0:E.zero
-            ~b:
-              (Tc_pipeline.B_n_major
-                 { t = kv; row0 = E.zero; col0 = E.zero; ld = dh })
-            ~kc:dh
-        @ Tc_pipeline.foreach_out pipe_s (fun ~row ~col ~width ~acc ->
-              let scol = E.add (E.mul cb (E.const chunk)) col in
-              [ B.binary ~label:"scale scores" ~threads:thr Op.Mul ~lhs:acc
-                  ~rhs:scale_rf ~dst:s32 ()
-              ; B.move ~label:"cvt f32->f16" ~threads:thr ~src:s32 ~dst:s16 ()
-              ; B.move ~label:"store scores (SH)" ~threads:thr ~src:s16
-                  ~dst:(Ts.select ss_groups [ row; E.div scol (E.const width) ])
-                  ()
-              ])
-        @ [ B.sync ])
+        Staging.step [ stg ]
+          ~copies:
+            [ Staging.copy stg ~src:k
+                ~src_row0:(E.add kv_row0 (E.mul cb (E.const chunk)))
+                ~src_col0:E.zero ~dst:kv
+            ]
+          (Tc_pipeline.init_acc pipe_s
+          @ Tc_pipeline.accumulate pipe_s
+              ~a:
+                (Tc_pipeline.A_m_major
+                   { t = qs; row0 = E.zero; col0 = E.zero; ld = dh })
+              ~b:
+                (Tc_pipeline.B_n_major
+                   { t = kv; row0 = E.zero; col0 = E.zero; ld = dh })
+              ~kc:dh
+          @ Tc_pipeline.foreach_out pipe_s (fun ~row ~col ~width ~acc ->
+                let scol = E.add (E.mul cb (E.const chunk)) col in
+                [ B.binary ~label:"scale scores" ~threads:thr Op.Mul ~lhs:acc
+                    ~rhs:scale_rf ~dst:s32 ()
+                ; B.move ~label:"cvt f32->f16" ~threads:thr ~src:s32 ~dst:s16
+                    ()
+                ; B.move ~label:"store scores (SH)" ~threads:thr ~src:s16
+                    ~dst:
+                      (Ts.select ss_groups [ row; E.div scol (E.const width) ])
+                    ()
+                ])))
   in
   (* ----- phase 2: in-place softmax over the score rows ----- *)
   let tpr = nthreads / row_block in
@@ -203,19 +200,24 @@ let kernel ?(name = "fmha") ?(swizzle_smem = true) ?(causal = false) arch
   let o_phase =
     Tc_pipeline.init_acc pipe_o
     @ [ B.for_ "cb" (E.const (seq / chunk)) (fun cb ->
-            [ Staging.copy stg ~src:v
-                ~src_row0:(E.add kv_row0 (E.mul cb (E.const chunk)))
-                ~src_col0:E.zero ~dst:kv
-            ]
-            @ Staging.fence [ stg ]
-            @ [ B.sync ]
-            @ Tc_pipeline.accumulate pipe_o ~a:ss ~a_row0:E.zero
-                ~a_col0:(E.mul cb (E.const chunk))
-                ~b:
-                  (Tc_pipeline.B_k_major
-                     { t = kv; row0 = E.zero; col0 = E.zero; ld = dh })
-                ~kc:chunk
-            @ [ B.sync ])
+            Staging.step [ stg ]
+              ~copies:
+                [ Staging.copy stg ~src:v
+                    ~src_row0:(E.add kv_row0 (E.mul cb (E.const chunk)))
+                    ~src_col0:E.zero ~dst:kv
+                ]
+              (Tc_pipeline.accumulate pipe_o
+                 ~a:
+                   (Tc_pipeline.A_m_major
+                      { t = ss
+                      ; row0 = E.zero
+                      ; col0 = E.mul cb (E.const chunk)
+                      ; ld = ss_ld
+                      })
+                 ~b:
+                   (Tc_pipeline.B_k_major
+                      { t = kv; row0 = E.zero; col0 = E.zero; ld = dh })
+                 ~kc:chunk))
       ]
     @ Tc_pipeline.foreach_out pipe_o (fun ~row ~col ~width ~acc ->
           [ B.move ~label:"cvt f32->f16" ~threads:thr ~src:acc ~dst:o16 ()

@@ -1,6 +1,5 @@
 module E = Shape.Int_expr
 module L = Shape.Layout
-module T = Shape.Int_tuple
 module Sw = Shape.Swizzle
 module Ts = Gpu_tensor.Tensor
 module Tt = Gpu_tensor.Thread_tensor
@@ -17,11 +16,9 @@ type config =
   ; bk : int
   ; wm : int
   ; wn : int
-  ; swizzle_a : bool
-  ; swizzle_b : bool
+  ; swizzle : bool
   ; use_ldmatrix : bool
   ; use_cp_async : bool
-  ; vector_width : int
   }
 
 let default_config = function
@@ -31,11 +28,9 @@ let default_config = function
     ; bk = 32
     ; wm = 64
     ; wn = 32
-    ; swizzle_a = true
-    ; swizzle_b = true
+    ; swizzle = true
     ; use_ldmatrix = true
     ; use_cp_async = true
-    ; vector_width = 8
     }
   | Arch.SM70 ->
     { bm = 128
@@ -43,11 +38,9 @@ let default_config = function
     ; bk = 32
     ; wm = 64
     ; wn = 64
-    ; swizzle_a = true
-    ; swizzle_b = true
+    ; swizzle = true
     ; use_ldmatrix = false
     ; use_cp_async = false
-    ; vector_width = 8
     }
 
 let test_config = function
@@ -57,11 +50,9 @@ let test_config = function
     ; bk = 32
     ; wm = 32
     ; wn = 32
-    ; swizzle_a = true
-    ; swizzle_b = true
+    ; swizzle = true
     ; use_ldmatrix = true
     ; use_cp_async = true
-    ; vector_width = 8
     }
   | Arch.SM70 ->
     { bm = 32
@@ -69,21 +60,10 @@ let test_config = function
     ; bk = 16
     ; wm = 32
     ; wn = 16
-    ; swizzle_a = false
-    ; swizzle_b = false
+    ; swizzle = false
     ; use_ldmatrix = false
     ; use_cp_async = false
-    ; vector_width = 8
     }
-
-let flop_count ~epilogue ~m ~n ~k =
-  (2 * m * n * k) + (Epilogue.flops_per_element epilogue * m * n)
-
-let log2i n =
-  let rec go acc v = if v <= 1 then acc else go (acc + 1) (v / 2) in
-  if n <= 0 || n land (n - 1) <> 0 then
-    invalid_arg (Printf.sprintf "log2i: %d is not a power of two" n)
-  else go 0 n
 
 let require cond fmt =
   Format.kasprintf (fun s -> if not cond then invalid_arg ("Gemm: " ^ s)) fmt
@@ -144,11 +124,106 @@ let naive ?(name = "gemm_naive") ~m ~n ~k ~bm ~bn ~tm ~tn () =
 
 (* ----- the optimized tensor-core decomposition ----- *)
 
+(* The shared A/B staging tiles of a block program, as fragment-loader
+   operands, and the stagings that fill them. *)
+type tiles =
+  { bk : int
+  ; a_op : Tc_pipeline.a_operand
+  ; b_op : Tc_pipeline.b_operand
+  ; stg_a : Staging.t
+  ; stg_b : Staging.t
+  ; allocs : Spec.stmt list
+  }
+
+type block = { cta : Tt.t; thr : Tt.t; pipe : Tc_pipeline.t; tiles : tiles }
+
+let block ?(dtype = Dt.FP16) ?(ta = false) ?(tb = false) arch cfg =
+  let { bm; bn; bk; wm; wn; _ } = cfg in
+  let nthreads = bm / wm * (bn / wn) * 32 in
+  let cta = Tt.linear "cta" nthreads Tt.Thread in
+  let thr = Tt.select cta [ B.thread_idx ] in
+  (* A transposed operand keeps its storage orientation in shared memory,
+     unswizzled; the fragment loaders absorb the transpose (ldmatrix vs
+     ldmatrix.trans). *)
+  let tile name ~transposed ~bits ~width dims =
+    let swizzle =
+      if cfg.swizzle && not transposed then
+        Tc_pipeline.staging_swizzle ~bits width
+      else Sw.none
+    in
+    B.alloc_shared ~swizzle name (L.row_major dims) dtype
+  in
+  let as_, al_as =
+    tile "As" ~transposed:ta ~bits:2 ~width:bk
+      (if ta then [ bk; bm ] else [ bm; bk ])
+  in
+  let bs, al_bs =
+    tile "Bs" ~transposed:tb ~bits:3 ~width:bn
+      (if tb then [ bn; bk ] else [ bk; bn ])
+  in
+  let pipe =
+    Tc_pipeline.create ~dtype arch ~cta ~bm ~bn ~wm ~wn
+      ~use_ldmatrix:cfg.use_ldmatrix
+  in
+  let staging prefix =
+    Staging.create ~dtype ~thr ~nthreads ~use_cp_async:cfg.use_cp_async
+      ~prefix ()
+  in
+  let z = E.zero in
+  { cta
+  ; thr
+  ; pipe
+  ; tiles =
+      { bk
+      ; a_op =
+          (if ta then A_k_major { t = as_; row0 = z; col0 = z; ld = bm }
+           else A_m_major { t = as_; row0 = z; col0 = z; ld = bk })
+      ; b_op =
+          (if tb then B_n_major { t = bs; row0 = z; col0 = z; ld = bk }
+           else B_k_major { t = bs; row0 = z; col0 = z; ld = bn })
+      ; stg_a = staging "a_"
+      ; stg_b = staging "b_"
+      ; allocs = [ al_as; al_bs ]
+      }
+  }
+
+(* Single-buffered: stage a k-tile, wait, compute, repeat. Software
+   pipelining is the swpipe lowering pass's decision
+   ([Lower.Pipeline.lower ~stages]), not the kernel's. *)
+let k_loop ?(a_k0 = E.zero) ?(b_k0 = E.zero) blk ~a ~b ~m0 ~n0 ~k =
+  let { bk; a_op; b_op; stg_a; stg_b; _ } = blk.tiles in
+  B.for_ "kk" (E.const (k / bk)) (fun kk ->
+      let ka = E.add a_k0 (E.mul kk (E.const bk))
+      and kb = E.add b_k0 (E.mul kk (E.const bk)) in
+      (* Each tile is staged in its operand's storage orientation. *)
+      let copy_a =
+        match a_op with
+        | A_m_major { t; _ } ->
+          Staging.copy stg_a ~src:a ~src_row0:m0 ~src_col0:ka ~dst:t
+        | A_k_major { t; _ } ->
+          Staging.copy stg_a ~src:a ~src_row0:ka ~src_col0:m0 ~dst:t
+      and copy_b =
+        match b_op with
+        | B_k_major { t; _ } ->
+          Staging.copy stg_b ~src:b ~src_row0:kb ~src_col0:n0 ~dst:t
+        | B_n_major { t; _ } ->
+          Staging.copy stg_b ~src:b ~src_row0:n0 ~src_col0:kb ~dst:t
+      in
+      Staging.step [ stg_a; stg_b ] ~copies:[ copy_a; copy_b ]
+        (Tc_pipeline.accumulate blk.pipe ~a:a_op ~b:b_op ~kc:bk))
+
+let block_body blk ~allocs main =
+  blk.tiles.allocs @ allocs @ Tc_pipeline.allocs blk.pipe
+  @ Staging.allocs blk.tiles.stg_a
+  @ Staging.allocs blk.tiles.stg_b
+  @ Tc_pipeline.init_acc blk.pipe
+  @ main
+
 (* The common tensor-core epilogue: convert each accumulator group,
    optionally add bias and activate, and store to C. [grow]/[gcol] map
    block-local output coordinates to global ones. *)
-let epilogue_stores ~arch ~thr ~pipe ~epilogue ~c ~bias ~grow ~gcol =
-  let out_w = match arch with Arch.SM86 -> 2 | Arch.SM70 -> 4 in
+let epilogue_stores ~thr ~pipe ~epilogue ~c ~bias ~grow ~gcol =
+  let out_w = Tc_pipeline.group_width pipe in
   let c_groups = B.vec_tile c out_w in
   let bias_groups = B.vec_tile bias out_w in
   let c_out, al_co = B.alloc_regs "c_out" (L.vector out_w) (Ts.dtype c) in
@@ -176,104 +251,62 @@ let epilogue_stores ~arch ~thr ~pipe ~epilogue ~c ~bias ~grow ~gcol =
   in
   (allocs, stores)
 
-let tensor_core ?name ?(batch = 1) ?(dtype = Dt.FP16) arch cfg ~epilogue ~m ~n ~k () =
-  let { bm; bn; bk; wm; wn; _ } = cfg in
+let tensor_core ?name ?(batch = 1) ?(dtype = Dt.FP16) ?(ta = false)
+    ?(tb = false) arch cfg ~epilogue ~m ~n ~k () =
+  let { bm; bn; bk; _ } = cfg in
   require (m mod bm = 0 && n mod bn = 0 && k mod bk = 0)
     "%dx%dx%d not divisible by %dx%dx%d tiles" m n k bm bn bk;
-  let warps_m = bm / wm and warps_n = bn / wn in
-  let nthreads = warps_m * warps_n * 32 in
   let name =
     match name with
     | Some s -> s
     | None -> Printf.sprintf "gemm_tc_%s" (Arch.name arch)
   in
-  (* Batched problems concatenate the instances along the rows; a third
-     grid mode selects the instance. *)
   require (dtype = Dt.FP16 || (dtype = Dt.BF16 && arch = Arch.SM86))
     "bf16 tensor cores need SM80+";
-  let a = Ts.create_rm "A" [ batch * m; k ] dtype Ms.Global in
-  let b = Ts.create_rm "B" [ batch * k; n ] dtype Ms.Global in
+  require (batch = 1 || not (ta || tb))
+    "a batched GEMM needs untransposed operands";
+  (* Batched problems concatenate the instances along the rows; a third
+     grid mode selects the instance. A transposed A is stored [k x m], a
+     transposed B [n x k]. *)
+  let a =
+    Ts.create_rm "A" (if ta then [ k; m ] else [ batch * m; k ]) dtype Ms.Global
+  in
+  let b =
+    Ts.create_rm "B" (if tb then [ n; k ] else [ batch * k; n ]) dtype Ms.Global
+  in
   let c = Ts.create_rm "C" [ batch * m; n ] dtype Ms.Global in
   let bias = Ts.create_rm "bias" [ n ] dtype Ms.Global in
   let grid =
     if batch = 1 then Tt.grid "grid" [ m / bm; n / bn ]
     else Tt.grid "grid" [ m / bm; n / bn; batch ]
   in
-  let cta = Tt.linear "cta" nthreads Tt.Thread in
   let bid_m, bid_n, bid_z =
     match B.block_coords grid with
     | [ x; y ] -> (x, y, E.zero)
     | [ x; y; z ] -> (x, y, z)
     | _ -> assert false
   in
-  let thr = Tt.select cta [ B.thread_idx ] in
-  (* Shared-memory staging tiles, optionally swizzled conflict-free. *)
-  let sw_a =
-    if cfg.swizzle_a && log2i bk >= 4 then
-      Sw.make ~bits:(min 2 (log2i bk - 2)) ~base:3 ~shift:(log2i bk - 2)
-    else Sw.none
-  in
-  let sw_b =
-    (* Narrow tiles leave fewer index bits to XOR with. *)
-    if cfg.swizzle_b && log2i bn >= 4 then
-      Sw.make ~bits:(min 3 (log2i bn - 3)) ~base:3 ~shift:(log2i bn - 3)
-    else Sw.none
-  in
-  let as_, alloc_as =
-    B.alloc_shared ~swizzle:sw_a "As" (L.row_major [ bm; bk ]) dtype
-  in
-  let bs, alloc_bs =
-    B.alloc_shared ~swizzle:sw_b "Bs" (L.row_major [ bk; bn ]) dtype
-  in
-  let pipe =
-    Tc_pipeline.create ~dtype arch ~cta ~bm ~bn ~wm ~wn
-      ~use_ldmatrix:cfg.use_ldmatrix
-  in
-  let stg_a =
-    Staging.create ~dtype ~thr ~nthreads ~vw:cfg.vector_width
-      ~use_cp_async:cfg.use_cp_async ~prefix:"a_" ()
-  and stg_b =
-    Staging.create ~dtype ~thr ~nthreads ~vw:cfg.vector_width
-      ~use_cp_async:cfg.use_cp_async ~prefix:"b_" ()
-  in
-  (* Single-buffered main loop: stage a k-tile, wait, compute, repeat.
-     Software pipelining is the swpipe lowering pass's decision
-     ([Lower.Pipeline.lower ~stages]), not the kernel's. *)
-  let main_loop =
-    B.for_ "kk" (E.const (k / bk)) (fun kk ->
-        [ Staging.copy stg_a ~src:a
-            ~src_row0:
-              (E.add (E.mul bid_z (E.const m)) (E.mul bid_m (E.const bm)))
-            ~src_col0:(E.mul kk (E.const bk)) ~dst:as_
-        ; Staging.copy stg_b ~src:b
-            ~src_row0:(E.add (E.mul bid_z (E.const k)) (E.mul kk (E.const bk)))
-            ~src_col0:(E.mul bid_n (E.const bn)) ~dst:bs
-        ]
-        @ Staging.fence [ stg_a; stg_b ]
-        @ [ B.sync ]
-        @ Tc_pipeline.accumulate pipe ~a:as_ ~a_row0:E.zero ~a_col0:E.zero
-            ~b:(Tc_pipeline.B_k_major
-                  { t = bs; row0 = E.zero; col0 = E.zero; ld = bn })
-            ~kc:bk
-        @ [ B.sync ])
-  in
+  let blk = block ~dtype ~ta ~tb arch cfg in
   (* Epilogue: convert each accumulator group, optionally bias+activate,
      and store to C (paper Figure 10). *)
-  let epi_allocs, store =
-    epilogue_stores ~arch ~thr ~pipe ~epilogue ~c ~bias
+  let epi_allocs, stores =
+    epilogue_stores ~thr:blk.thr ~pipe:blk.pipe ~epilogue ~c ~bias
       ~grow:(fun row ->
         E.add (E.mul bid_z (E.const m)) (E.add (E.mul bid_m (E.const bm)) row))
       ~gcol:(fun col -> E.add (E.mul bid_n (E.const bn)) col)
   in
   let body =
-    [ alloc_as; alloc_bs ] @ epi_allocs
-    @ Tc_pipeline.allocs pipe @ Staging.allocs stg_a @ Staging.allocs stg_b
-    @ Tc_pipeline.init_acc pipe
-    @ [ main_loop ]
-    @ store
+    block_body blk ~allocs:epi_allocs
+      [ k_loop blk ~a ~b
+          ~m0:(E.add (E.mul bid_z (E.const m)) (E.mul bid_m (E.const bm)))
+          ~n0:(E.mul bid_n (E.const bn))
+          ~b_k0:(E.mul bid_z (E.const k))
+          ~k
+      ]
+    @ stores
   in
   let params = [ a; b; c ] @ if epilogue.Epilogue.bias then [ bias ] else [] in
-  B.kernel name ~grid ~cta ~params body
+  B.kernel name ~grid ~cta:blk.cta ~params body
 
 (* ----- Section 3.4: parametric shapes and partial tiles ----- *)
 
@@ -331,83 +364,41 @@ let naive_parametric ?(name = "gemm_naive_param") ~launch_m ~launch_n ~bm ~bn
 (* ----- split-K: a two-kernel decomposition ----- *)
 
 let split_k ?(name = "gemm_splitk") arch cfg ~epilogue ~splits ~m ~n ~k () =
-  let { bm; bn; bk; wm; wn; _ } = cfg in
+  let { bm; bn; bk; _ } = cfg in
   require (k mod (splits * bk) = 0) "k must divide by splits * bk";
   require (m mod bm = 0 && n mod bn = 0) "m, n must divide by block tiles";
   let kslice = k / splits in
-  let warps_m = bm / wm and warps_n = bn / wn in
-  let nthreads = warps_m * warps_n * 32 in
   let a = Ts.create_rm "A" [ m; k ] Dt.FP16 Ms.Global in
   let b = Ts.create_rm "B" [ k; n ] Dt.FP16 Ms.Global in
   let cp = Ts.create_rm "Cp" [ splits * m; n ] Dt.FP32 Ms.Global in
   (* --- kernel 1: partial GEMMs over K slices --- *)
   let grid = Tt.grid "grid" [ m / bm; n / bn; splits ] in
-  let cta = Tt.linear "cta" nthreads Tt.Thread in
   let bid_m, bid_n, bid_s =
     match B.block_coords grid with
     | [ x; y; z ] -> (x, y, z)
     | _ -> assert false
   in
-  let thr = Tt.select cta [ B.thread_idx ] in
-  let sw_a =
-    if cfg.swizzle_a && log2i bk >= 4 then
-      Sw.make ~bits:(min 2 (log2i bk - 2)) ~base:3 ~shift:(log2i bk - 2)
-    else Sw.none
-  in
-  let sw_b =
-    if cfg.swizzle_b && log2i bn >= 4 then
-      Sw.make ~bits:(min 3 (log2i bn - 3)) ~base:3 ~shift:(log2i bn - 3)
-    else Sw.none
-  in
-  let as_, al_as = B.alloc_shared ~swizzle:sw_a "As" (L.row_major [ bm; bk ]) Dt.FP16 in
-  let bs, al_bs = B.alloc_shared ~swizzle:sw_b "Bs" (L.row_major [ bk; bn ]) Dt.FP16 in
-  let pipe =
-    Tc_pipeline.create arch ~cta ~bm ~bn ~wm ~wn ~use_ldmatrix:cfg.use_ldmatrix
-  in
-  let stg_a =
-    Staging.create ~thr ~nthreads ~vw:cfg.vector_width
-      ~use_cp_async:cfg.use_cp_async ~prefix:"a_" ()
-  and stg_b =
-    Staging.create ~thr ~nthreads ~vw:cfg.vector_width
-      ~use_cp_async:cfg.use_cp_async ~prefix:"b_" ()
-  in
+  let blk = block arch cfg in
   let k0 = E.mul bid_s (E.const kslice) in
-  let main_loop =
-    B.for_ "kk" (E.const (kslice / bk)) (fun kk ->
-        [ Staging.copy stg_a ~src:a ~src_row0:(E.mul bid_m (E.const bm))
-            ~src_col0:(E.add k0 (E.mul kk (E.const bk))) ~dst:as_
-        ; Staging.copy stg_b ~src:b
-            ~src_row0:(E.add k0 (E.mul kk (E.const bk)))
-            ~src_col0:(E.mul bid_n (E.const bn)) ~dst:bs
-        ]
-        @ Staging.fence [ stg_a; stg_b ]
-        @ [ B.sync ]
-        @ Tc_pipeline.accumulate pipe ~a:as_ ~a_row0:E.zero ~a_col0:E.zero
-            ~b:(Tc_pipeline.B_k_major
-                  { t = bs; row0 = E.zero; col0 = E.zero; ld = bn })
-            ~kc:bk
-        @ [ B.sync ])
-  in
-  let out_w = match arch with Arch.SM86 -> 2 | Arch.SM70 -> 4 in
-  let cp_groups = B.vec_tile cp out_w in
+  let cp_groups = B.vec_tile cp (Tc_pipeline.group_width blk.pipe) in
   let store_partials =
-    Tc_pipeline.foreach_out pipe (fun ~row ~col ~width ~acc ->
+    Tc_pipeline.foreach_out blk.pipe (fun ~row ~col ~width ~acc ->
         let grow =
           E.add (E.mul bid_s (E.const m))
             (E.add (E.mul bid_m (E.const bm)) row)
         in
         let gcol = E.add (E.mul bid_n (E.const bn)) col in
-        [ B.move ~label:"store fp32 partial" ~threads:thr ~src:acc
+        [ B.move ~label:"store fp32 partial" ~threads:blk.thr ~src:acc
             ~dst:(Ts.select cp_groups [ grow; E.div gcol (E.const width) ])
             ()
         ])
   in
   let partial_kernel =
-    B.kernel (name ^ "_partial") ~grid ~cta ~params:[ a; b; cp ]
-      ([ al_as; al_bs ]
-      @ Tc_pipeline.allocs pipe @ Staging.allocs stg_a @ Staging.allocs stg_b
-      @ Tc_pipeline.init_acc pipe
-      @ [ main_loop ]
+    B.kernel (name ^ "_partial") ~grid ~cta:blk.cta ~params:[ a; b; cp ]
+      (block_body blk ~allocs:[]
+         [ k_loop ~a_k0:k0 ~b_k0:k0 blk ~a ~b ~m0:(E.mul bid_m (E.const bm))
+             ~n0:(E.mul bid_n (E.const bn)) ~k:kslice
+         ]
       @ store_partials)
   in
   (* --- kernel 2: reduce the partials and apply the epilogue --- *)
@@ -468,97 +459,3 @@ let split_k ?(name = "gemm_splitk") arch cfg ~epilogue ~splits ~m ~n ~k () =
       reduce_body
   in
   (partial_kernel, reduce_kernel)
-
-(* ----- arbitrary operand layouts (NN / NT / TN / TT) ----- *)
-
-let tensor_core_layouts ?(name = "gemm_tc_layouts") ?(ta = false)
-    ?(tb = false) arch cfg ~epilogue ~m ~n ~k () =
-  let { bm; bn; bk; wm; wn; _ } = cfg in
-  require (m mod bm = 0 && n mod bn = 0 && k mod bk = 0)
-    "%dx%dx%d not divisible by %dx%dx%d tiles" m n k bm bn bk;
-  let warps_m = bm / wm and warps_n = bn / wn in
-  let nthreads = warps_m * warps_n * 32 in
-  (* Operands in their storage layouts: A is [m,k] or, transposed, [k,m];
-     B is [k,n] or, transposed, [n,k]. *)
-  let a =
-    Ts.create_rm "A" (if ta then [ k; m ] else [ m; k ]) Dt.FP16 Ms.Global
-  in
-  let b =
-    Ts.create_rm "B" (if tb then [ n; k ] else [ k; n ]) Dt.FP16 Ms.Global
-  in
-  let c = Ts.create_rm "C" [ m; n ] Dt.FP16 Ms.Global in
-  let bias = Ts.create_rm "bias" [ n ] Dt.FP16 Ms.Global in
-  let grid = Tt.grid "grid" [ m / bm; n / bn ] in
-  let cta = Tt.linear "cta" nthreads Tt.Thread in
-  let bid_m, bid_n =
-    match B.block_coords grid with
-    | [ x; y ] -> (x, y)
-    | _ -> assert false
-  in
-  let thr = Tt.select cta [ B.thread_idx ] in
-  (* Shared staging keeps each operand's storage orientation; the fragment
-     loaders absorb the transpose (ldmatrix vs ldmatrix.trans). *)
-  let as_dims = if ta then [ bk; bm ] else [ bm; bk ] in
-  let bs_dims = if tb then [ bn; bk ] else [ bk; bn ] in
-  let as_, al_as = B.alloc_shared "As" (L.row_major as_dims) Dt.FP16 in
-  let bs, al_bs = B.alloc_shared "Bs" (L.row_major bs_dims) Dt.FP16 in
-  let pipe =
-    Tc_pipeline.create arch ~cta ~bm ~bn ~wm ~wn
-      ~use_ldmatrix:cfg.use_ldmatrix
-  in
-  let stg_a =
-    Staging.create ~thr ~nthreads ~vw:cfg.vector_width
-      ~use_cp_async:cfg.use_cp_async ~prefix:"a_" ()
-  and stg_b =
-    Staging.create ~thr ~nthreads ~vw:cfg.vector_width
-      ~use_cp_async:cfg.use_cp_async ~prefix:"b_" ()
-  in
-  let stage kk =
-    [ (if ta then
-         Staging.copy stg_a ~src:a ~src_row0:(E.mul kk (E.const bk))
-           ~src_col0:(E.mul bid_m (E.const bm)) ~dst:as_
-       else
-         Staging.copy stg_a ~src:a ~src_row0:(E.mul bid_m (E.const bm))
-           ~src_col0:(E.mul kk (E.const bk)) ~dst:as_)
-    ; (if tb then
-         Staging.copy stg_b ~src:b ~src_row0:(E.mul bid_n (E.const bn))
-           ~src_col0:(E.mul kk (E.const bk)) ~dst:bs
-       else
-         Staging.copy stg_b ~src:b ~src_row0:(E.mul kk (E.const bk))
-           ~src_col0:(E.mul bid_n (E.const bn)) ~dst:bs)
-    ]
-  in
-  let a_op =
-    if ta then
-      Tc_pipeline.A_k_major { t = as_; row0 = E.zero; col0 = E.zero; ld = bm }
-    else
-      Tc_pipeline.A_m_major { t = as_; row0 = E.zero; col0 = E.zero; ld = bk }
-  in
-  let b_op =
-    if tb then
-      Tc_pipeline.B_n_major { t = bs; row0 = E.zero; col0 = E.zero; ld = bk }
-    else
-      Tc_pipeline.B_k_major { t = bs; row0 = E.zero; col0 = E.zero; ld = bn }
-  in
-  let main_loop =
-    B.for_ "kk" (E.const (k / bk)) (fun kk ->
-        stage kk
-        @ Staging.fence [ stg_a; stg_b ]
-        @ [ B.sync ]
-        @ Tc_pipeline.accumulate_op pipe ~a:a_op ~b:b_op ~kc:bk
-        @ [ B.sync ])
-  in
-  let epi_allocs, stores =
-    epilogue_stores ~arch ~thr ~pipe ~epilogue ~c ~bias
-      ~grow:(fun row -> E.add (E.mul bid_m (E.const bm)) row)
-      ~gcol:(fun col -> E.add (E.mul bid_n (E.const bn)) col)
-  in
-  let body =
-    [ al_as; al_bs ] @ epi_allocs
-    @ Tc_pipeline.allocs pipe @ Staging.allocs stg_a @ Staging.allocs stg_b
-    @ Tc_pipeline.init_acc pipe
-    @ [ main_loop ]
-    @ stores
-  in
-  let params = [ a; b; c ] @ if epilogue.Epilogue.bias then [ bias ] else [] in
-  B.kernel name ~grid ~cta ~params body

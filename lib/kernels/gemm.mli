@@ -10,7 +10,13 @@
       staged through swizzled shared memory, fragments loaded with
       [ldmatrix] (SM86) or per-lane moves (SM70), computed on tensor cores
       ([mma.m16n8k16] / quad-pair [mma.m8n8k4]), with an optional fused
-      pointwise epilogue (Figure 10). *)
+      pointwise epilogue (Figure 10).
+
+    The tensor-core kernels — {!tensor_core} in every operand layout,
+    {!split_k}'s partial kernel and the fused LSTM cell ({!Lstm}) — share
+    one {!block} program: the shared A/B staging tiles, the fragment and
+    staging registers, and the {!k_loop} that stages and accumulates one
+    A and one B tile per k-tile. *)
 
 (** Tile configuration of the optimized kernel. All divisibility
     constraints are checked at construction time. *)
@@ -20,14 +26,15 @@ type config =
   ; bk : int  (** K tile staged in shared memory (32) *)
   ; wm : int  (** warp tile M *)
   ; wn : int  (** warp tile N *)
-  ; swizzle_a : bool  (** bank-conflict-free A staging *)
-  ; swizzle_b : bool
+  ; swizzle : bool
+        (** conflict-free A/B staging ({!Tc_pipeline.staging_swizzle}) *)
   ; use_ldmatrix : bool  (** ablation: false = per-lane shared loads *)
   ; use_cp_async : bool  (** SM86 only; false = stage through registers *)
-  ; vector_width : int  (** global-load vector width in elements *)
   }
 
-(** Defaults per architecture (cuBLAS-style 128x128x32 CTA tile). *)
+(** Defaults per architecture (cuBLAS-style 128x128x32 CTA tile). Its
+    [use_ldmatrix]/[use_cp_async] are the architecture's choice for every
+    tensor-core kernel, fused ones included. *)
 val default_config : Graphene.Arch.t -> config
 
 (** A small configuration suitable for simulator tests. *)
@@ -38,25 +45,65 @@ val naive :
   m:int -> n:int -> k:int -> bm:int -> bn:int -> tm:int -> tn:int -> unit ->
   Graphene.Spec.kernel
 
+(** The shared A/B staging tiles of a {!block}, with the stagings that
+    fill them. *)
+type tiles
+
+(** The tensor-core block program of a [cfg] tile: its [cta] of
+    [(bm/wm) * (bn/wn) * 32] threads, the calling thread [thr], the
+    fragment pipeline [pipe], and the shared A/B staging [tiles]. [ta]
+    ([tb]) stages A (B) from transposed storage, [k x m] ([n x k]): the
+    tile keeps that orientation, unswizzled, and the fragment loaders
+    absorb the transpose. Untransposed tiles are swizzled when
+    [cfg.swizzle]. *)
+type block =
+  { cta : Gpu_tensor.Thread_tensor.t
+  ; thr : Gpu_tensor.Thread_tensor.t
+  ; pipe : Tc_pipeline.t
+  ; tiles : tiles
+  }
+
+val block :
+  ?dtype:Gpu_tensor.Dtype.t -> ?ta:bool -> ?tb:bool -> Graphene.Arch.t ->
+  config -> block
+
+(** [k_loop blk ~a ~b ~m0 ~n0 ~k] — the single-buffered k-loop over
+    [k / bk] tiles: each iteration stages the A tile at rows [m0], k
+    columns [a_k0 + kk*bk] and the B tile at k rows [b_k0 + kk*bk],
+    columns [n0] ({!Staging.step}), then accumulates them into the
+    block's accumulators. Coordinates are logical (m, k) / (k, n); a
+    transposed operand's are swapped to address its storage. *)
+val k_loop :
+  ?a_k0:Shape.Int_expr.t -> ?b_k0:Shape.Int_expr.t -> block ->
+  a:Gpu_tensor.Tensor.t -> b:Gpu_tensor.Tensor.t ->
+  m0:Shape.Int_expr.t -> n0:Shape.Int_expr.t -> k:int -> Graphene.Spec.stmt
+
+(** [block_body blk ~allocs main] — the block's shared-tile allocations,
+    then the kernel's own [allocs], the register allocations, zeroed
+    accumulators, and [main]. *)
+val block_body :
+  block -> allocs:Graphene.Spec.stmt list -> Graphene.Spec.stmt list ->
+  Graphene.Spec.stmt list
+
 (** [tensor_core arch cfg ~epilogue ~m ~n ~k ()] — raises
     [Invalid_argument] when sizes do not divide per [cfg]. The kernel's
     parameters are [A], [B], [C] (and [bias] when the epilogue uses it).
-    [batch > 1] makes it a batched GEMM: instances are concatenated along
-    the rows of every operand and a third grid mode selects the instance
-    (one launch for the whole batch). *)
+    [ta] means A is stored transposed ([k x m]), [tb] that B is ([n x
+    k]): the four operand layouts NN / TN / NT / TT. [batch > 1] makes it
+    a batched GEMM (untransposed operands only): instances are
+    concatenated along the rows of every operand and a third grid mode
+    selects the instance (one launch for the whole batch). *)
 val tensor_core :
   ?name:string ->
   ?batch:int ->
   ?dtype:Gpu_tensor.Dtype.t ->
+  ?ta:bool ->
+  ?tb:bool ->
   Graphene.Arch.t ->
   config ->
   epilogue:Epilogue.t ->
   m:int -> n:int -> k:int -> unit ->
   Graphene.Spec.kernel
-
-(** Flop count of the computation (for perf reporting): [2mnk] plus
-    epilogue. *)
-val flop_count : epilogue:Epilogue.t -> m:int -> n:int -> k:int -> int
 
 (** The shared tensor-core epilogue used by the GEMM-family kernels:
     convert each accumulator group, optionally add bias and apply the
@@ -64,7 +111,6 @@ val flop_count : epilogue:Epilogue.t -> m:int -> n:int -> k:int -> int
     [grow]/[gcol]. Returns the register [Alloc]s and the store
     statements. *)
 val epilogue_stores :
-  arch:Graphene.Arch.t ->
   thr:Gpu_tensor.Thread_tensor.t ->
   pipe:Tc_pipeline.t ->
   epilogue:Epilogue.t ->
@@ -108,21 +154,3 @@ val split_k :
   k:int ->
   unit ->
   Graphene.Spec.kernel * Graphene.Spec.kernel
-
-(** [tensor_core_layouts ~ta ~tb ...] — the four GEMM operand layouts:
-    [ta] means A is stored transposed ([k x m]), [tb] means B is stored
-    transposed ([n x k]). Staging keeps each operand's storage orientation;
-    the transposes are absorbed by the fragment loaders (plain vs [.trans]
-    [ldmatrix] on SM86, swapped index roles on SM70). *)
-val tensor_core_layouts :
-  ?name:string ->
-  ?ta:bool ->
-  ?tb:bool ->
-  Graphene.Arch.t ->
-  config ->
-  epilogue:Epilogue.t ->
-  m:int ->
-  n:int ->
-  k:int ->
-  unit ->
-  Graphene.Spec.kernel

@@ -6,7 +6,6 @@ module Dt = Gpu_tensor.Dtype
 module Ms = Gpu_tensor.Memspace
 module B = Graphene.Builder
 module Op = Graphene.Op
-module Arch = Graphene.Arch
 
 let kernel ?(name = "gemm_layernorm_fused") ?(eps = 1e-5) arch ~m ~k ~width
     ~bm ~wm ~wn () =
@@ -32,32 +31,34 @@ let kernel ?(name = "gemm_layernorm_fused") ?(eps = 1e-5) arch ~m ~k ~width
   let warp =
     Tt.select (Tt.tile cta [ L.tile_spec 32 ]) [ E.div tid (E.const 32) ]
   in
-  let use_cp_async = arch = Arch.SM86 in
-  let use_ldmatrix = arch = Arch.SM86 in
+  let { Gemm.use_ldmatrix; use_cp_async; _ } = Gemm.default_config arch in
   let xs, al_xs = B.alloc_shared "Xs" (L.row_major [ bm; bk ]) Dt.FP16 in
   let ws, al_ws = B.alloc_shared "Ws" (L.row_major [ bk; width ]) Dt.FP16 in
   (* The projection result lives in shared memory in fp32 until it has been
      normalized — the fusion avoids any global round trip. *)
   let rows_s, al_rs = B.alloc_shared "Rows" (L.row_major [ bm; width ]) Dt.FP32 in
   let pipe = Tc_pipeline.create arch ~cta ~bm ~bn:width ~wm ~wn ~use_ldmatrix in
-  let stg = Staging.create ~thr ~nthreads ~vw:8 ~use_cp_async ~prefix:"g_" () in
+  let stg = Staging.create ~thr ~nthreads ~use_cp_async ~prefix:"g_" () in
   let main_loop =
     B.for_ "kk" (E.const (k / bk)) (fun kk ->
-        [ Staging.copy stg ~src:x ~src_row0:(E.mul bid (E.const bm))
-            ~src_col0:(E.mul kk (E.const bk)) ~dst:xs
-        ; Staging.copy stg ~src:w ~src_row0:(E.mul kk (E.const bk))
-            ~src_col0:E.zero ~dst:ws
-        ]
-        @ Staging.fence [ stg ]
-        @ [ B.sync ]
-        @ Tc_pipeline.accumulate pipe ~a:xs ~a_row0:E.zero ~a_col0:E.zero
-            ~b:(Tc_pipeline.B_k_major
+        Staging.step [ stg ]
+          ~copies:
+            [ Staging.copy stg ~src:x ~src_row0:(E.mul bid (E.const bm))
+                ~src_col0:(E.mul kk (E.const bk)) ~dst:xs
+            ; Staging.copy stg ~src:w ~src_row0:(E.mul kk (E.const bk))
+                ~src_col0:E.zero ~dst:ws
+            ]
+          (Tc_pipeline.accumulate pipe
+             ~a:
+               (Tc_pipeline.A_m_major
+                  { t = xs; row0 = E.zero; col0 = E.zero; ld = bk })
+             ~b:
+               (Tc_pipeline.B_k_major
                   { t = ws; row0 = E.zero; col0 = E.zero; ld = width })
-            ~kc:bk
-        @ [ B.sync ])
+             ~kc:bk))
   in
   (* Projection epilogue: acc + bias + residual -> fp32 shared rows. *)
-  let out_w = match arch with Arch.SM86 -> 2 | Arch.SM70 -> 4 in
+  let out_w = Tc_pipeline.group_width pipe in
   let bias_groups = B.vec_tile bias out_w in
   let r_groups = B.vec_tile r out_w in
   let rows_groups = B.vec_tile rows_s out_w in

@@ -7,8 +7,6 @@ module Ms = Gpu_tensor.Memspace
 module B = Graphene.Builder
 module Op = Graphene.Op
 
-let flop_count ~rows ~cols = rows * cols * 8
-
 let kernel ?(name = "layernorm") ?(eps = 1e-5) ~rows ~cols ~nthreads () =
   if cols mod nthreads <> 0 then
     invalid_arg "Layernorm: cols must be divisible by nthreads";

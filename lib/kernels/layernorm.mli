@@ -20,6 +20,3 @@ val kernel :
   nthreads:int ->
   unit ->
   Graphene.Spec.kernel
-
-(** Flops per element for perf reporting (two passes + normalize). *)
-val flop_count : rows:int -> cols:int -> int

@@ -1,27 +1,16 @@
 module E = Shape.Int_expr
-module L = Shape.Layout
-module Sw = Shape.Swizzle
 module Ts = Gpu_tensor.Tensor
 module Tt = Gpu_tensor.Thread_tensor
 module Dt = Gpu_tensor.Dtype
 module Ms = Gpu_tensor.Memspace
 module B = Graphene.Builder
 module Op = Graphene.Op
-module Arch = Graphene.Arch
-
-let flop_count ~m ~n ~k = (2 * 2 * m * n * k) + (m * n * 3)
-
-let log2i n =
-  let rec go acc v = if v <= 1 then acc else go (acc + 1) (v / 2) in
-  go 0 n
 
 let kernel ?(name = "lstm_cell_fused") ?(act = Op.Relu) arch
     (cfg : Gemm.config) ~m ~n ~k () =
-  let { Gemm.bm; bn; bk; wm; wn; _ } = cfg in
+  let { Gemm.bm; bn; bk; _ } = cfg in
   if m mod bm <> 0 || n mod bn <> 0 || k mod bk <> 0 then
     invalid_arg "Lstm: sizes must divide by tile config";
-  let warps_m = bm / wm and warps_n = bn / wn in
-  let nthreads = warps_m * warps_n * 32 in
   let x1 = Ts.create_rm "X1" [ m; k ] Dt.FP16 Ms.Global in
   let x2 = Ts.create_rm "X2" [ m; k ] Dt.FP16 Ms.Global in
   let w1 = Ts.create_rm "W1" [ k; n ] Dt.FP16 Ms.Global in
@@ -29,71 +18,35 @@ let kernel ?(name = "lstm_cell_fused") ?(act = Op.Relu) arch
   let bias = Ts.create_rm "bias" [ n ] Dt.FP16 Ms.Global in
   let z = Ts.create_rm "Z" [ m; n ] Dt.FP16 Ms.Global in
   let grid = Tt.grid "grid" [ m / bm; n / bn ] in
-  let cta = Tt.linear "cta" nthreads Tt.Thread in
   let bid_m, bid_n =
     match B.block_coords grid with
     | [ a; b ] -> (a, b)
     | _ -> assert false
   in
-  let thr = Tt.select cta [ B.thread_idx ] in
-  let sw_a =
-    if cfg.Gemm.swizzle_a && log2i bk >= 4 then
-      Sw.make ~bits:(min 2 (log2i bk - 2)) ~base:3 ~shift:(log2i bk - 2)
-    else Sw.none
-  in
-  let sw_b =
-    if cfg.Gemm.swizzle_b && log2i bn >= 4 then
-      Sw.make ~bits:(min 3 (log2i bn - 3)) ~base:3 ~shift:(log2i bn - 3)
-    else Sw.none
-  in
-  let as_, al_as = B.alloc_shared ~swizzle:sw_a "As" (L.row_major [ bm; bk ]) Dt.FP16 in
-  let bs, al_bs = B.alloc_shared ~swizzle:sw_b "Bs" (L.row_major [ bk; bn ]) Dt.FP16 in
-  let pipe =
-    Tc_pipeline.create arch ~cta ~bm ~bn ~wm ~wn
-      ~use_ldmatrix:cfg.Gemm.use_ldmatrix
-  in
-  let stg_a =
-    Staging.create ~thr ~nthreads ~vw:cfg.Gemm.vector_width
-      ~use_cp_async:cfg.Gemm.use_cp_async ~prefix:"a_" ()
-  and stg_b =
-    Staging.create ~thr ~nthreads ~vw:cfg.Gemm.vector_width
-      ~use_cp_async:cfg.Gemm.use_cp_async ~prefix:"b_" ()
-  in
+  let blk = Gemm.block arch cfg in
   (* One K sweep accumulating [x @ w] into the shared accumulators; called
      for both GEMMs — the whole point of the fusion. *)
   let sweep x w =
-    B.for_ "kk" (E.const (k / bk)) (fun kk ->
-        [ Staging.copy stg_a ~src:x ~src_row0:(E.mul bid_m (E.const bm))
-            ~src_col0:(E.mul kk (E.const bk)) ~dst:as_
-        ; Staging.copy stg_b ~src:w ~src_row0:(E.mul kk (E.const bk))
-            ~src_col0:(E.mul bid_n (E.const bn)) ~dst:bs
-        ]
-        @ Staging.fence [ stg_a; stg_b ]
-        @ [ B.sync ]
-        @ Tc_pipeline.accumulate pipe ~a:as_ ~a_row0:E.zero ~a_col0:E.zero
-            ~b:(Tc_pipeline.B_k_major
-                  { t = bs; row0 = E.zero; col0 = E.zero; ld = bn })
-            ~kc:bk
-        @ [ B.sync ])
+    Gemm.k_loop blk ~a:x ~b:w ~m0:(E.mul bid_m (E.const bm))
+      ~n0:(E.mul bid_n (E.const bn)) ~k
   in
   let epi_allocs, store =
-    Gemm.epilogue_stores ~arch ~thr ~pipe
+    Gemm.epilogue_stores ~thr:blk.Gemm.thr ~pipe:blk.Gemm.pipe
       ~epilogue:{ Epilogue.bias = true; act = Some act }
       ~c:z ~bias
       ~grow:(fun row -> E.add (E.mul bid_m (E.const bm)) row)
       ~gcol:(fun col -> E.add (E.mul bid_n (E.const bn)) col)
   in
   let body =
-    [ al_as; al_bs ] @ epi_allocs
-    @ Tc_pipeline.allocs pipe @ Staging.allocs stg_a @ Staging.allocs stg_b
-    @ Tc_pipeline.init_acc pipe
-    @ [ B.comment "first GEMM: X1 @ W1"; sweep x1 w1
+    Gemm.block_body blk ~allocs:epi_allocs
+      [ B.comment "first GEMM: X1 @ W1"; sweep x1 w1
       ; B.comment "second GEMM accumulates on top: + X2 @ W2"; sweep x2 w2
       ]
     @ store
   in
   let fused =
-    B.generic "fused_lstm_cell" ~threads:cta
+    B.generic "fused_lstm_cell" ~threads:blk.Gemm.cta
       ~ins:[ x1; w1; x2; w2; bias ] ~outs:[ z ] body
   in
-  B.kernel name ~grid ~cta ~params:[ x1; w1; x2; w2; bias; z ] [ fused ]
+  B.kernel name ~grid ~cta:blk.Gemm.cta ~params:[ x1; w1; x2; w2; bias; z ]
+    [ fused ]

@@ -19,5 +19,3 @@ val kernel :
   k:int ->
   unit ->
   Graphene.Spec.kernel
-
-val flop_count : m:int -> n:int -> k:int -> int

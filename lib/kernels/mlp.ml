@@ -6,11 +6,8 @@ module Dt = Gpu_tensor.Dtype
 module Ms = Gpu_tensor.Memspace
 module B = Graphene.Builder
 module Op = Graphene.Op
-module Arch = Graphene.Arch
 
 let smem_bytes ~width ~bm = 2 * ((2 * bm * width) + (width * width))
-
-let flop_count ~m ~width ~layers = layers * ((2 * m * width * width) + (2 * m * width))
 
 let kernel ?(name = "mlp_fused") ?(act = Op.Relu) arch ~m ~width ~layers ~bm
     ~wm ~wn () =
@@ -25,8 +22,7 @@ let kernel ?(name = "mlp_fused") ?(act = Op.Relu) arch ~m ~width ~layers ~bm
   let cta = Tt.linear "cta" nthreads Tt.Thread in
   let bid = B.block_idx in
   let thr = Tt.select cta [ B.thread_idx ] in
-  let use_cp_async = match arch with Arch.SM86 -> true | Arch.SM70 -> false in
-  let use_ldmatrix = match arch with Arch.SM86 -> true | Arch.SM70 -> false in
+  let { Gemm.use_ldmatrix; use_cp_async; _ } = Gemm.default_config arch in
   (* Ping-pong activation buffers and the staged weight tile. *)
   let act_a, al_aa = B.alloc_shared "act_a" (L.row_major [ bm; width ]) Dt.FP16 in
   let act_b, al_ab = B.alloc_shared "act_b" (L.row_major [ bm; width ]) Dt.FP16 in
@@ -34,10 +30,8 @@ let kernel ?(name = "mlp_fused") ?(act = Op.Relu) arch ~m ~width ~layers ~bm
   let pipe =
     Tc_pipeline.create arch ~cta ~bm ~bn:width ~wm ~wn ~use_ldmatrix
   in
-  let stg =
-    Staging.create ~thr ~nthreads ~vw:8 ~use_cp_async ~prefix:"x_" ()
-  in
-  let out_w = match arch with Arch.SM86 -> 2 | Arch.SM70 -> 4 in
+  let stg = Staging.create ~thr ~nthreads ~use_cp_async ~prefix:"x_" () in
+  let out_w = Tc_pipeline.group_width pipe in
   let c_out, al_co = B.alloc_regs "c_out" (L.vector out_w) Dt.FP16 in
   let bias_rf, al_bi = B.alloc_regs "bias_rf" (L.vector out_w) Dt.FP16 in
   let bias_groups = B.vec_tile biases out_w in
@@ -49,18 +43,20 @@ let kernel ?(name = "mlp_fused") ?(act = Op.Relu) arch ~m ~width ~layers ~bm
         (fun t -> B.vec_tile t out_w)
         act_out
     in
-    [ Staging.copy stg ~src:w ~src_row0:(E.const (l * width)) ~src_col0:E.zero
-        ~dst:ws
-    ]
-    @ Staging.fence [ stg ]
-    @ [ B.sync ]
-    @ Tc_pipeline.init_acc pipe
-    @ Tc_pipeline.accumulate pipe ~a:act_in ~a_row0:E.zero ~a_col0:E.zero
-        ~b:
-          (Tc_pipeline.B_k_major
-             { t = ws; row0 = E.zero; col0 = E.zero; ld = width })
-        ~kc:width
-    @ [ B.sync ]
+    Staging.step [ stg ]
+      ~copies:
+        [ Staging.copy stg ~src:w ~src_row0:(E.const (l * width))
+            ~src_col0:E.zero ~dst:ws
+        ]
+      (Tc_pipeline.init_acc pipe
+      @ Tc_pipeline.accumulate pipe
+          ~a:
+            (Tc_pipeline.A_m_major
+               { t = act_in; row0 = E.zero; col0 = E.zero; ld = width })
+          ~b:
+            (Tc_pipeline.B_k_major
+               { t = ws; row0 = E.zero; col0 = E.zero; ld = width })
+          ~kc:width)
     @ Tc_pipeline.foreach_out pipe (fun ~row ~col ~width:gw ~acc ->
           [ B.move ~label:"cvt f32->f16" ~threads:thr ~src:acc ~dst:c_out ()
           ; B.move ~label:"load bias" ~threads:thr

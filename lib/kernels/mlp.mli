@@ -27,5 +27,3 @@ val kernel :
     staged weight tile — the feasibility constraint of the fusion
     ("problem sizes permitting", paper Section 6). *)
 val smem_bytes : width:int -> bm:int -> int
-
-val flop_count : m:int -> width:int -> layers:int -> int

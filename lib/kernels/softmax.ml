@@ -7,8 +7,6 @@ module Ms = Gpu_tensor.Memspace
 module B = Graphene.Builder
 module Op = Graphene.Op
 
-let flop_count ~rows ~cols = rows * cols * 5
-
 (* Large negative fp32 constant standing in for -inf (printable in CUDA). *)
 let neg_huge = -3.0e38
 

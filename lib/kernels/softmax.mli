@@ -14,5 +14,3 @@ val kernel :
   nthreads:int ->
   unit ->
   Graphene.Spec.kernel
-
-val flop_count : rows:int -> cols:int -> int

@@ -5,22 +5,22 @@ module Ts = Gpu_tensor.Tensor
 module Dt = Gpu_tensor.Dtype
 module B = Graphene.Builder
 
+let vector_width = 8
+
 type t =
   { thr : Gpu_tensor.Thread_tensor.t
   ; nthreads : int
-  ; vw : int
   ; use_cp_async : bool
   ; stage_rf : Ts.t
   ; alloc_stmts : Graphene.Spec.stmt list
   }
 
-let create ?(dtype = Dt.FP16) ~thr ~nthreads ~vw ~use_cp_async ~prefix () =
+let create ?(dtype = Dt.FP16) ~thr ~nthreads ~use_cp_async ~prefix () =
   let stage_rf, al =
-    B.alloc_regs (prefix ^ "stg") (L.vector vw) dtype
+    B.alloc_regs (prefix ^ "stg") (L.vector vector_width) dtype
   in
   { thr
   ; nthreads
-  ; vw
   ; use_cp_async
   ; stage_rf
   ; alloc_stmts = (if use_cp_async then [] else [ al ])
@@ -38,6 +38,9 @@ let fence stgs =
     [ B.commit_group; B.wait_group 0 ]
   else []
 
+let step stgs ~copies compute =
+  copies @ fence stgs @ [ B.sync ] @ compute @ [ B.sync ]
+
 let copy t ~src ~src_row0 ~src_col0 ~dst =
   let dims = T.to_ints_exn (L.dims dst.Ts.layout) in
   let rows, cols =
@@ -45,16 +48,16 @@ let copy t ~src ~src_row0 ~src_col0 ~dst =
     | [ r; c ] -> (r, c)
     | _ -> invalid_arg "Staging.copy: destination must be rank 2"
   in
-  let vecs_per_row = cols / t.vw in
+  let vecs_per_row = cols / vector_width in
   let total_vecs = rows * vecs_per_row in
-  if vecs_per_row * t.vw <> cols
+  if vecs_per_row * vector_width <> cols
      || (total_vecs mod t.nthreads <> 0 && t.nthreads mod total_vecs <> 0)
   then
     invalid_arg
       (Printf.sprintf "Staging.copy: %dx%d tile not divisible (%d threads)"
          rows cols t.nthreads);
-  let src_t = B.vec_tile src t.vw in
-  let dst_t = B.vec_tile dst t.vw in
+  let src_t = B.vec_tile src vector_width in
+  let dst_t = B.vec_tile dst vector_width in
   let one_vector vi =
     (* The linear vector id decomposes through the (vectors-per-row, rows)
        raster: columns fastest, one coordinate per tiled mode. *)
@@ -65,7 +68,7 @@ let copy t ~src ~src_row0 ~src_col0 ~dst =
     in
     let src_view =
       Ts.select src_t
-        [ E.add src_row0 r; E.add (E.div src_col0 (E.const t.vw)) g ]
+        [ E.add src_row0 r; E.add (E.div src_col0 (E.const vector_width)) g ]
     in
     let dst_view = Ts.select dst_t [ r; g ] in
     if t.use_cp_async then

@@ -15,13 +15,15 @@
 
 type t
 
-(** [create ~thr ~nthreads ~vw ~use_cp_async ~prefix] — [vw] is the vector
-    width in elements. *)
+(** Elements per staged vector (8 fp16 = 16 bytes, one [cp.async]). *)
+val vector_width : int
+
+(** [create ~thr ~nthreads ~use_cp_async ~prefix] — [nthreads] threads
+    of [thr] stage each tile cooperatively. *)
 val create :
   ?dtype:Gpu_tensor.Dtype.t ->
   thr:Gpu_tensor.Thread_tensor.t ->
   nthreads:int ->
-  vw:int ->
   use_cp_async:bool ->
   prefix:string ->
   unit ->
@@ -37,17 +39,27 @@ val allocs : t -> Graphene.Spec.stmt list
     cp.async.wait_group 0]) that forces every cp.async copy issued by the
     stagings in [stgs] to complete, or [] when none of them uses
     cp.async. Insert between the last {!copy} and the publishing
-    [B.sync]; the software-pipelining pass (see docs/LOWERING.md, "The
-    pipelining pass") recognizes exactly this shape and deepens it to a
-    rotating multi-stage schedule. *)
+    [B.sync]; {!step} does so for a staged loop body. *)
 val fence : t list -> Graphene.Spec.stmt list
+
+(** [step stgs ~copies compute] — one staged step: [copies] (the
+    {!copy}s of the stagings [stgs]), their {!fence}, a barrier that
+    publishes the tiles, [compute], and a barrier before the next step
+    overwrites them. This is the one builder of the loop-body shape the
+    software-pipelining pass (see docs/LOWERING.md, "The pipelining
+    pass") recognizes and deepens to a rotating multi-stage schedule. *)
+val step :
+  t list ->
+  copies:Graphene.Spec.stmt list ->
+  Graphene.Spec.stmt list ->
+  Graphene.Spec.stmt list
 
 (** [copy t ~src ~src_row0 ~src_col0 ~dst] — stage [dst]'s full extent
     ([rows x cols], from its layout) from [src] starting at the given
-    coordinates. [dst] must be rank 2 with [cols] divisible by [vw] and
-    the total vector count dividing (or divided by) [nthreads];
-    violations raise [Invalid_argument] naming the tile shape and thread
-    count. *)
+    coordinates. [dst] must be rank 2 with [cols] divisible by
+    {!vector_width} and the total vector count dividing (or divided by)
+    [nthreads]; violations raise [Invalid_argument] naming the tile shape
+    and thread count. *)
 val copy :
   t ->
   src:Gpu_tensor.Tensor.t ->

@@ -1,6 +1,7 @@
 module E = Shape.Int_expr
 module L = Shape.Layout
 module T = Shape.Int_tuple
+module Sw = Shape.Swizzle
 module Ts = Gpu_tensor.Tensor
 module Tt = Gpu_tensor.Thread_tensor
 module Dt = Gpu_tensor.Dtype
@@ -41,11 +42,19 @@ type t =
 
 let require cond msg = if not cond then invalid_arg ("Tc_pipeline: " ^ msg)
 
-(* Leading dimension (row stride) of a row-major shared tensor. *)
-let row_stride (ts : Ts.t) =
-  match T.flatten (L.strides ts.Ts.layout) with
-  | s :: _ -> E.to_int_exn s
-  | [] -> invalid_arg "Tc_pipeline.row_stride"
+let log2 n =
+  let rec go acc v = if v <= 1 then acc else go (acc + 1) (v / 2) in
+  go 0 n
+
+(* The conflict-free staging swizzle of a row-major fp16 tile [width]
+   (a power of two) elements wide: Swizzle<b, 3, log2 width - bits>,
+   b = min bits (log2 width - bits), XORs row-index bits into the tile's
+   16-byte-chunk bits, so the rows one ldmatrix or staging wavefront
+   touches fall in distinct banks. Rows under 16 elements stay linear. *)
+let staging_swizzle ~bits width =
+  let l = log2 width in
+  if l >= 4 then Sw.make ~bits:(min bits (l - bits)) ~base:3 ~shift:(l - bits)
+  else Sw.none
 
 let rf_window buf width offset_expr =
   Ts.reinterpret buf ~layout:(L.vector width)
@@ -141,7 +150,7 @@ let create ?(prefix = "") ?(dtype = Dt.FP16) arch ~cta ~bm ~bn ~wm ~wn ~use_ldma
 
 let allocs t = t.alloc_stmts
 let init_acc t = [ B.init ~threads:t.thr 0.0 ~dst:t.acc () ]
-let mma_k t = match t.arch with Arch.SM86 -> 16 | Arch.SM70 -> 4
+let group_width t = match t.arch with Arch.SM86 -> 2 | Arch.SM70 -> 4
 
 (* ----- SM86 fragment loading ----- *)
 
@@ -386,18 +395,14 @@ let accumulate_sm70 t ~a ~b ~kc =
         ])
   ]
 
-let accumulate_op t ~a ~b ~kc =
+let accumulate t ~a ~b ~kc =
   match t.arch with
   | Arch.SM86 -> accumulate_sm86 t ~a ~b ~kc
   | Arch.SM70 -> accumulate_sm70 t ~a ~b ~kc
 
-let accumulate t ~a ~a_row0 ~a_col0 ~b ~kc =
-  accumulate_op t
-    ~a:(A_m_major { t = a; row0 = a_row0; col0 = a_col0; ld = row_stride a })
-    ~b ~kc
-
 let foreach_out t f =
   let g = frag_g t and t4 = frag_t4 t in
+  let width = group_width t in
   match t.arch with
   | Arch.SM86 ->
     [ B.for_ ~unroll:true "nt" (E.const t.nt_count) (fun nt ->
@@ -413,14 +418,14 @@ let foreach_out t f =
                              (E.add g (E.mul p (E.const 8))))
                       in
                       let acc =
-                        rf_window t.acc 2
+                        rf_window t.acc width
                           (E.add
                              (E.add
                                 (E.mul mt (E.const (t.nt_count * 4)))
                                 (E.mul nt (E.const 4)))
                              (E.mul p (E.const 2)))
                       in
-                      f ~row ~col ~width:2 ~acc)
+                      f ~row ~col ~width ~acc)
                 ])
           ])
     ]
@@ -440,14 +445,14 @@ let foreach_out t f =
                                 (E.add (E.mul t.q_lo (E.const 2)) i)))
                       in
                       let acc =
-                        rf_window t.acc 4
+                        rf_window t.acc width
                           (E.add
                              (E.add
                                 (E.mul mt (E.const (t.nt_count * 8)))
                                 (E.mul nt (E.const 8)))
                              (E.mul i (E.const 4)))
                       in
-                      f ~row ~col ~width:4 ~acc)
+                      f ~row ~col ~width ~acc)
                 ])
           ])
     ]

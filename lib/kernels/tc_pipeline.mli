@@ -3,9 +3,11 @@
     Encapsulates the per-architecture fragment staging and mma issue
     pattern: on SM86, [ldmatrix]/[ldmatrix.trans] loads and
     [mma.m16n8k16]; on SM70, per-lane shared-memory moves and quad-pair
-    [mma.m8n8k4]. Fused kernels (GEMM, MLP, LSTM, FMHA) compose this
-    pipeline with their own staging and epilogues, which is precisely the
-    paper's story: one decomposition vocabulary shared by every kernel. *)
+    [mma.m8n8k4]. The GEMM family shares one block program on it
+    ({!Gemm.block}); MLP, GEMM-LayerNorm and FMHA compose it with their
+    own staging and epilogues — the paper's story: one decomposition
+    vocabulary shared by every kernel, down to the staging swizzle and
+    the accumulator group width. *)
 
 type t
 
@@ -62,32 +64,29 @@ val allocs : t -> Graphene.Spec.stmt list
 (** Zero the fp32 accumulators. *)
 val init_acc : t -> Graphene.Spec.stmt list
 
-(** The mma granularity in K (16 on SM86, 4 on SM70). *)
-val mma_k : t -> int
+(** The width of an accumulator group {!foreach_out} visits (2 on SM86,
+    4 on SM70): the vector width of every epilogue register and store. *)
+val group_width : t -> int
 
-(** [accumulate t ~a ~a_row0 ~a_col0 ~b ~kc] — accumulate
-    [A\[a_row0 + 0..bm, a_col0 + 0..kc\] @ B] into the block accumulators.
-    [a] is a shared-memory tensor holding the A rows (row-major, any
-    leading dimension); [kc] must divide by {!mma_k}. *)
+(** [staging_swizzle ~bits width] — the conflict-free swizzle of a
+    row-major fp16 shared tile [width] (a power of two) elements wide:
+    up to [bits] row-index bits XORed into the 16-byte-chunk bits, so the
+    rows an ldmatrix or a staging wavefront touches fall in distinct
+    banks; the identity for rows under 16 elements. The GEMM family uses
+    2 bits for its A tile and 3 for its B tile, FMHA 2 for every tile. *)
+val staging_swizzle : bits:int -> int -> Shape.Swizzle.t
+
+(** [accumulate t ~a ~b ~kc] — accumulate the [bm x kc] A region [a]
+    times the [kc x bn] B region [b] into the block accumulators. An
+    [A_k_major] A (TN/TT layouts) loads its fragments with
+    [ldmatrix.trans] (per-lane moves on SM70). [kc] must divide by the
+    mma's K (16 on SM86, 4 on SM70). *)
 val accumulate :
-  t ->
-  a:Gpu_tensor.Tensor.t ->
-  a_row0:Shape.Int_expr.t ->
-  a_col0:Shape.Int_expr.t ->
-  b:b_operand ->
-  kc:int ->
-  Graphene.Spec.stmt list
-
-(** Generalization of {!accumulate} with an explicit A orientation:
-    [A_k_major] sources the A fragments from transposed storage via
-    [ldmatrix.trans] (per-lane moves on SM70), covering the TN/TT GEMM
-    layouts. *)
-val accumulate_op :
   t -> a:a_operand -> b:b_operand -> kc:int -> Graphene.Spec.stmt list
 
 (** [foreach_out t f] — visit every contiguous accumulator group owned by
     the calling thread: [f ~row ~col ~width ~acc] receives block-local
-    output coordinates, the group width (2 on SM86, 4 on SM70), and an fp32
+    output coordinates, the {!group_width}, and an fp32
     register view of the group; it returns the statements of the epilogue
     (convert / bias / activate / store). *)
 val foreach_out :

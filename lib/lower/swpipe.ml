@@ -1,9 +1,9 @@
 (* Software pipelining: rewrite the canonical single-buffered staging
    loop into an N-stage rotating-buffer pipeline.
 
-   The matched shape is exactly what Kernels.Staging emits on a cp.async
-   architecture (stage moves, then the commit/wait fence, then the
-   barrier, then compute, then the trailing barrier). The rewrite keeps
+   The matched shape is exactly what Kernels.Staging.step emits on a
+   cp.async architecture (stage moves, then the commit/wait fence, then
+   the barrier, then compute, then the trailing barrier). The rewrite keeps
    the loop variable's name, so the stage statements rebind under the
    prologue loop unchanged; the steady-state prefetch substitutes
    [kk -> kk + N-1] through the already-rotated statements.

@@ -599,7 +599,7 @@ let gemm_configs arch ~m ~n ~k =
                         &&
                         let nthreads = warps * 32 in
                         (* cooperative staging must divide evenly *)
-                        let vecs t = t / 8 in
+                        let vecs t = t / Kernels.Staging.vector_width in
                         (vecs (bm * bk) mod nthreads = 0
                         || nthreads mod vecs (bm * bk) = 0)
                         && (vecs (bk * bn) mod nthreads = 0
@@ -634,10 +634,7 @@ let gemm_space ?(epilogue = Kernels.Epilogue.none) arch ~m ~n ~k () =
                 List.map
                   (fun stages ->
                     incr next;
-                    let cfg =
-                      if swizzle then cfg
-                      else { cfg with Gemm.swizzle_a = false; swizzle_b = false }
-                    in
+                    let cfg = { cfg with Gemm.swizzle } in
                     let build ~m ~n ~k =
                       Gemm.tensor_core arch cfg ~epilogue ~m ~n ~k ()
                     in

@@ -79,46 +79,11 @@ let read_file path =
 
 (* Golden files: the exact generated CUDA is locked in (regenerate with
    bin/gen_golden.exe after an intentional change). *)
-let test_fig8_golden () =
-  check_str "fig8 golden" (read_file "golden/fig8_sm86.cu") (fig8_cuda ())
-
-let test_ldmatrix_golden () =
-  let k = Kernels.Ldmatrix_demo.kernel () in
-  check_str "ldmatrix golden"
-    (read_file "golden/ldmatrix_sm86.cu")
-    (Codegen.Emit.cuda Arch.SM86 k)
-
-let test_gemm_tc_golden () =
-  let k =
-    Kernels.Gemm.tensor_core Arch.SM86
-      (Kernels.Gemm.test_config Arch.SM86)
-      ~epilogue:Kernels.Epilogue.bias_relu ~m:64 ~n:64 ~k:32 ()
+let test_listing file () =
+  let _, arch, build =
+    List.find (fun (f, _, _) -> f = file) Experiments.Cuda_digest.listings
   in
-  check_str "tensor-core gemm golden"
-    (read_file "golden/gemm_tc_sm86.cu")
-    (Codegen.Emit.cuda Arch.SM86 k)
-
-(* The other two mma forms: bf16 m16n8k16 (its own mnemonic) and Volta's
-   quad-pair m8n8k4. *)
-let test_gemm_tc_bf16_golden () =
-  let k =
-    Kernels.Gemm.tensor_core ~dtype:Gpu_tensor.Dtype.BF16 Arch.SM86
-      (Kernels.Gemm.test_config Arch.SM86)
-      ~epilogue:Kernels.Epilogue.none ~m:64 ~n:64 ~k:64 ()
-  in
-  check_str "bf16 tensor-core gemm golden"
-    (read_file "golden/gemm_tc_bf16_sm86.cu")
-    (Codegen.Emit.cuda Arch.SM86 k)
-
-let test_gemm_tc_sm70_golden () =
-  let k =
-    Kernels.Gemm.tensor_core Arch.SM70
-      (Kernels.Gemm.test_config Arch.SM70)
-      ~epilogue:Kernels.Epilogue.bias_relu ~m:32 ~n:32 ~k:32 ()
-  in
-  check_str "sm70 tensor-core gemm golden"
-    (read_file "golden/gemm_tc_sm70.cu")
-    (Codegen.Emit.cuda Arch.SM70 k)
+  check_str file (read_file ("golden/" ^ file)) (Codegen.Emit.cuda arch (build ()))
 
 (* One digest per kernel of the corpus in [Experiments.Cuda_digest]:
    every builder's emitted CUDA is pinned, line by line. *)
@@ -131,9 +96,7 @@ let test_cuda_digests () =
   Alcotest.(check int) "one line per kernel" (List.length expected)
     (List.length actual);
   List.iter2
-    (fun e a ->
-      let label = List.hd (String.split_on_char ' ' e) in
-      check_str label e a)
+    (fun e a -> check_str (List.hd (String.split_on_char ' ' e)) e a)
     expected actual
 
 let test_fig8_stable () =
@@ -272,14 +235,16 @@ let () =
     ; ( "figures"
       , [ Alcotest.test_case "fig8 naive gemm" `Quick test_fig8_structure
         ; Alcotest.test_case "fig8 deterministic" `Quick test_fig8_stable
-        ; Alcotest.test_case "fig8 golden file" `Quick test_fig8_golden
-        ; Alcotest.test_case "ldmatrix golden file" `Quick test_ldmatrix_golden
+        ; Alcotest.test_case "fig8 golden file" `Quick
+            (test_listing "fig8_sm86.cu")
+        ; Alcotest.test_case "ldmatrix golden file" `Quick
+            (test_listing "ldmatrix_sm86.cu")
         ; Alcotest.test_case "tensor-core gemm golden file" `Quick
-            test_gemm_tc_golden
+            (test_listing "gemm_tc_sm86.cu")
         ; Alcotest.test_case "bf16 tensor-core gemm golden file" `Quick
-            test_gemm_tc_bf16_golden
+            (test_listing "gemm_tc_bf16_sm86.cu")
         ; Alcotest.test_case "sm70 tensor-core gemm golden file" `Quick
-            test_gemm_tc_sm70_golden
+            (test_listing "gemm_tc_sm70.cu")
         ; Alcotest.test_case "cuda digests of the kernel corpus" `Quick
             test_cuda_digests
         ; Alcotest.test_case "fig1 ldmatrix asm" `Quick test_fig1_ldmatrix_asm

@@ -134,7 +134,7 @@ let test_swizzle_ablation () =
   let m = 64 and n = 64 and k = 32 in
   let arch = Arch.SM86 in
   let cfg = Gemm.test_config arch in
-  let cfg_linear = { cfg with Gemm.swizzle_a = false; swizzle_b = false } in
+  let cfg_linear = { cfg with Gemm.swizzle = false } in
   let run cfg =
     let kernel = Gemm.tensor_core arch cfg ~epilogue:Epi.none ~m ~n ~k () in
     let a = Ref.random_fp16 ~seed:9 (m * k) in
@@ -154,13 +154,11 @@ let test_swizzle_ablation () =
   check_int "swizzled is conflict-free" 0
     counters1.Gpu_sim.Counters.shared_bank_conflicts
 
-(* Operand layouts: all four storage combinations compute the same GEMM. *)
-let test_layouts () =
-  let m = 64 and n = 64 and k = 32 in
-  let arch = Arch.SM86 in
-  let cfg = Gemm.test_config arch in
-  let a = Ref.random_fp16 ~seed:22 (m * k) in
-  let b = Ref.random_fp16 ~seed:23 (k * n) in
+(* Operand layouts: all four storage combinations compute the same GEMM.
+   Returns each orientation's simulated shared-memory bank conflicts. *)
+let run_layouts arch cfg ~m ~n ~k ~seed =
+  let a = Ref.random_fp16 ~seed (m * k) in
+  let b = Ref.random_fp16 ~seed:(seed + 1) (k * n) in
   let transpose ~rows ~cols x =
     Array.init (rows * cols) (fun i ->
         let r = i / rows and c = i mod rows in
@@ -168,10 +166,10 @@ let test_layouts () =
   in
   let c_ref = Array.make (m * n) 0.0 in
   Ref.gemm ~m ~n ~k a b c_ref;
-  List.iter
+  List.map
     (fun (ta, tb) ->
       let kernel =
-        Gemm.tensor_core_layouts ~ta ~tb arch cfg ~epilogue:Epi.none ~m ~n ~k ()
+        Gemm.tensor_core ~ta ~tb arch cfg ~epilogue:Epi.none ~m ~n ~k ()
       in
       (match Validate.check arch kernel with
       | [] -> ()
@@ -179,44 +177,36 @@ let test_layouts () =
       let a_arg = if ta then transpose ~rows:m ~cols:k a else a in
       let b_arg = if tb then transpose ~rows:k ~cols:n b else b in
       let c = Array.make (m * n) 0.0 in
-      let _ =
+      let counters =
         Interp.run ~arch kernel
           ~args:[ ("A", a_arg); ("B", b_arg); ("C", c) ]
           ()
       in
       check_bool
-        (Printf.sprintf "ta=%b tb=%b" ta tb)
-        true (Ref.allclose c c_ref))
+        (Printf.sprintf "%s ta=%b tb=%b" (Arch.name arch) ta tb)
+        true (Ref.allclose c c_ref);
+      ((ta, tb), counters.Gpu_sim.Counters.shared_bank_conflicts))
     [ (false, false); (true, false); (false, true); (true, true) ]
 
-let test_layouts_sm70 () =
-  let m = 32 and n = 32 and k = 16 in
-  let arch = Arch.SM70 in
+(* The untransposed operand of every layout stages swizzled, so no layout
+   conflicts more than its linear staging, and NN is conflict-free. *)
+let test_layouts () =
+  let arch = Arch.SM86 in
   let cfg = Gemm.test_config arch in
-  let a = Ref.random_fp16 ~seed:24 (m * k) in
-  let b = Ref.random_fp16 ~seed:25 (k * n) in
-  let transpose ~rows ~cols x =
-    Array.init (rows * cols) (fun i ->
-        let r = i / rows and c = i mod rows in
-        x.((c * cols) + r))
-  in
-  let c_ref = Array.make (m * n) 0.0 in
-  Ref.gemm ~m ~n ~k a b c_ref;
-  let kernel =
-    Gemm.tensor_core_layouts ~ta:true ~tb:true arch cfg ~epilogue:Epi.none ~m
-      ~n ~k ()
-  in
-  let c = Array.make (m * n) 0.0 in
-  let _ =
-    Interp.run ~arch kernel
-      ~args:
-        [ ("A", transpose ~rows:m ~cols:k a)
-        ; ("B", transpose ~rows:k ~cols:n b)
-        ; ("C", c)
-        ]
-      ()
-  in
-  check_bool "tt on volta" true (Ref.allclose c c_ref)
+  let run cfg = run_layouts arch cfg ~m:64 ~n:64 ~k:32 ~seed:22 in
+  let swizzled = run cfg and linear = run { cfg with Gemm.swizzle = false } in
+  List.iter2
+    (fun ((ta, tb), sw) (_, lin) ->
+      check_bool
+        (Printf.sprintf "ta=%b tb=%b: %d conflicts swizzled <= %d linear" ta
+           tb sw lin)
+        true (sw <= lin))
+    swizzled linear;
+  check_int "nn swizzled is conflict-free" 0 (List.assoc (false, false) swizzled)
+
+let test_layouts_sm70 () =
+  let arch = Arch.SM70 in
+  ignore (run_layouts arch (Gemm.test_config arch) ~m:32 ~n:32 ~k:16 ~seed:24)
 
 (* BF16 tensor-core path (SM86): same pipeline, bf16 operands, fp32
    accumulation via mma.m16n8k16.bf16. *)
@@ -377,8 +367,8 @@ let prop_random_configs =
       QCheck.assume
         (vecs (bk * bn) mod nthreads = 0 || nthreads mod vecs (bk * bn) = 0);
       let cfg =
-        { Gemm.bm; bn; bk; wm; wn; swizzle_a = true; swizzle_b = true
-        ; use_ldmatrix = ldm; use_cp_async = cpa; vector_width = 8
+        { Gemm.bm; bn; bk; wm; wn; swizzle = true; use_ldmatrix = ldm
+        ; use_cp_async = cpa
         }
       in
       let m = bm and n = bn and k = 2 * bk in
@@ -417,7 +407,7 @@ let () =
         ] )
     ; ( "operand layouts"
       , [ Alcotest.test_case "nn/tn/nt/tt sm86" `Quick test_layouts
-        ; Alcotest.test_case "tt sm70" `Quick test_layouts_sm70
+        ; Alcotest.test_case "nn/tn/nt/tt sm70" `Quick test_layouts_sm70
         ] )
     ; ( "bf16"
       , [ Alcotest.test_case "bf16 tensor cores" `Quick test_bf16 ] )

@@ -51,8 +51,8 @@ let gemm_tc ?(k = 128) arch () =
     ~epilogue:Kernels.Epilogue.none ~m:64 ~n:64 ~k ()
 
 let gemm_layouts () =
-  Kernels.Gemm.tensor_core_layouts ~ta:true ~tb:true Arch.SM86 cfg86
-    ~epilogue:Kernels.Epilogue.none ~m:64 ~n:64 ~k:128 ()
+  Kernels.Gemm.tensor_core ~name:"gemm_tc_layouts" ~ta:true ~tb:true
+    Arch.SM86 cfg86 ~epilogue:Kernels.Epilogue.none ~m:64 ~n:64 ~k:128 ()
 
 let split_k_partial () =
   fst
@@ -213,7 +213,7 @@ let toy_copy ?(cols = 32) ?(double_fence = false) ~trip () =
   let thr = Tt.select cta [ tid ] in
   let ss, al_ss = B.alloc_shared "Ss" (L.row_major [ rows; cols ]) Dt.FP16 in
   let stg =
-    Staging.create ~thr ~nthreads ~vw:8 ~use_cp_async:true ~prefix:"t_" ()
+    Staging.create ~thr ~nthreads ~use_cp_async:true ~prefix:"t_" ()
   in
   let v, al_v = B.alloc_regs "v" (L.vector 8) Dt.FP16 in
   (* Thread [tid] owns vector group [tid] of the tile each pass; wide

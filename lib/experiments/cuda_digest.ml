@@ -24,24 +24,18 @@ let listings =
 
 (* Every [count]-th candidate of a search space, from a seeded offset. *)
 let sample ~seed ~count (sp : Tuner.Search.space) =
-  let cands = Array.of_list (sp.enumerate ()) in
-  let stride = max 1 (Array.length cands / count) in
+  let cands = sp.enumerate () in
+  let stride = max 1 (List.length cands / count) in
   let first = Random.State.int (Random.State.make [| seed |]) stride in
-  List.filter_map
-    (fun i ->
-      let j = first + (i * stride) in
-      if j >= Array.length cands then None
-      else
-        let c = cands.(j) in
-        let knobs = List.map (fun (k, v) -> k ^ "=" ^ v) c.knobs in
-        Some
-          ( Printf.sprintf "search/%s/%s/%s/#%d/%s" sp.space_name
-              (Arch.name sp.arch) sp.problem c.id (String.concat "," knobs)
-          , sp.arch
-          , c.build ))
-    (List.init count Fun.id)
+  let picked j = j >= first && (j - first) mod stride = 0 in
+  List.filteri (fun j _ -> picked j && j - first < count * stride) cands
+  |> List.map (fun (c : Tuner.Search.candidate) ->
+         let knobs = List.map (fun (k, v) -> k ^ "=" ^ v) c.knobs in
+         ( Printf.sprintf "search/%s/%s/%s/#%d/%s" sp.space_name
+             (Arch.name sp.arch) sp.problem c.id (String.concat "," knobs)
+         , sp.arch
+         , c.build ))
 
-(* (label, arch, build) *)
 let corpus () =
   let per_arch arch =
     let a = Arch.name arch in

@@ -257,7 +257,11 @@ let test_batched () =
       (Printf.sprintf "instance %d" z)
       true
       (Ref.allclose (Array.sub c (z * m * n) (m * n)) c_ref)
-  done
+  done;
+  Alcotest.check_raises "batched operands stay untransposed"
+    (Invalid_argument "Gemm: a batched GEMM needs untransposed operands")
+    (fun () ->
+      ignore (Gemm.tensor_core ~batch ~ta:true arch cfg ~epilogue:Epi.none ~m ~n ~k ()))
 
 (* Double-buffered staging: lowered with a 2-stage software pipeline, the
    kernel matches the CPU reference for even and odd k-tile counts. Volta

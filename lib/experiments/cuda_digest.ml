@@ -1,6 +1,6 @@
 (* The generated-CUDA goldens: five kernels' full listings, and one digest
-   line per kernel of a corpus that covers every kernel builder, so any
-   change to what a builder emits shows up as a named diff. *)
+   line per kernel of a corpus that covers every kernel-building function,
+   so any change to what one of them emits shows up as a named diff. *)
 
 module Arch = Graphene.Arch
 module Gemm = Kernels.Gemm

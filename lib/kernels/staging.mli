@@ -45,7 +45,7 @@ val fence : t list -> Graphene.Spec.stmt list
 (** [step stgs ~copies compute] — one staged step: [copies] (the
     {!copy}s of the stagings [stgs]), their {!fence}, a barrier that
     publishes the tiles, [compute], and a barrier before the next step
-    overwrites them. This is the one builder of the loop-body shape the
+    overwrites them. This is the one constructor of the loop-body shape the
     software-pipelining pass (see docs/LOWERING.md, "The pipelining
     pass") recognizes and deepens to a rotating multi-stage schedule. *)
 val step :

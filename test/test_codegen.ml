@@ -86,7 +86,7 @@ let test_listing file () =
   check_str file (read_file ("golden/" ^ file)) (Codegen.Emit.cuda arch (build ()))
 
 (* One digest per kernel of the corpus in [Experiments.Cuda_digest]:
-   every builder's emitted CUDA is pinned, line by line. *)
+   every kernel-building function's emitted CUDA is pinned, line by line. *)
 let test_cuda_digests () =
   let expected =
     String.split_on_char '\n' (read_file "golden/cuda_digests.txt")

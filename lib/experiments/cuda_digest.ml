@@ -95,8 +95,10 @@ let corpus () =
                 ~m:128 ~n:128 ~k:64 () )
         ; ("split_k/partial", fun () -> fst (split_k ()))
         ; ("split_k/reduce", fun () -> snd (split_k ()))
-        ; ("lstm/test", fun () -> Kernels.Lstm.kernel arch test ~m:128 ~n:128 ~k:64 ())
-        ; ("lstm/default", fun () -> Kernels.Lstm.kernel arch d ~m:256 ~n:256 ~k:128 ())
+        ; ( "lstm/test"
+          , fun () -> Kernels.Lstm.kernel arch test ~m:128 ~n:128 ~k:64 () )
+        ; ( "lstm/default"
+          , fun () -> Kernels.Lstm.kernel arch d ~m:256 ~n:256 ~k:128 () )
         ; ( "mlp"
           , fun () ->
               Kernels.Mlp.kernel arch ~m:128 ~width:64 ~layers:3 ~bm:64 ~wm:32

@@ -45,8 +45,7 @@ val naive :
   m:int -> n:int -> k:int -> bm:int -> bn:int -> tm:int -> tn:int -> unit ->
   Graphene.Spec.kernel
 
-(** The shared A/B staging tiles of a {!block}, with the stagings that
-    fill them. *)
+(** A {!block}'s shared A/B staging tiles and the stagings filling them. *)
 type tiles
 
 (** The tensor-core block program of a [cfg] tile: its [cta] of

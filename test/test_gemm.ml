@@ -261,7 +261,9 @@ let test_batched () =
   Alcotest.check_raises "batched operands stay untransposed"
     (Invalid_argument "Gemm: a batched GEMM needs untransposed operands")
     (fun () ->
-      ignore (Gemm.tensor_core ~batch ~ta:true arch cfg ~epilogue:Epi.none ~m ~n ~k ()))
+      ignore
+        (Gemm.tensor_core ~batch ~ta:true arch cfg ~epilogue:Epi.none ~m ~n
+           ~k ()))
 
 (* Double-buffered staging: lowered with a 2-stage software pipeline, the
    kernel matches the CPU reference for even and odd k-tile counts. Volta

@@ -35,4 +35,9 @@ let () =
   write "sim_digests.txt" (lines (Experiments.Sim_digest.lines ()));
   (* Generated-CUDA digests of the kernel corpus; checked by
      test/test_codegen.ml. *)
-  write "cuda_digests.txt" (lines (Experiments.Cuda_digest.lines ()))
+  write "cuda_digests.txt" (lines (Experiments.Cuda_digest.lines ()));
+  (* Deterministic search trajectories; checked by test/test_search.ml. *)
+  List.iter
+    (fun (c : Experiments.Search_golden.case) ->
+      write c.file (Tuner.Search.to_json ~wall:false (c.search ())))
+    Experiments.Search_golden.cases

@@ -12,16 +12,26 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
-let machine = Gpu_sim.Machine.a6000
+module G = Experiments.Search_golden
 
-let gemm_space () = S.gemm_space Arch.SM86 ~m:128 ~n:128 ~k:128 ()
-let fmha_space () = S.fmha_space Arch.SM86 ~seq:64 ~dh:32 ()
-
-let run ?(seed = 42) ?(budget = 192) ?(proxy_top = 3) ?domains space =
-  S.search ~seed ~max_candidates:budget ~proxy_top ?domains machine space ()
+let machine = G.machine
+let gemm_space = G.gemm_space
+let fmha_space = G.fmha_space
+let run = G.run
 
 (* The default 128^3 search, shared by the cases that only read it. *)
-let default_outcome = lazy (run (gemm_space ()))
+let default_outcome = lazy (G.gemm.G.search ())
+
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+(* A pinned trajectory must match its golden file byte for byte
+   (regenerate with bin/gen_golden.exe after an intentional change). *)
+let check_golden (c : G.case) o =
+  check_string c.G.file (read_file ("golden/" ^ c.G.file)) (S.to_json ~wall:false o)
 
 (* ----- the GEMM configuration enumeration ----- *)
 
@@ -56,6 +66,8 @@ let test_deterministic_across_runs () =
   check_string "same seed, same trajectory"
     (S.to_json ~wall:false (Lazy.force default_outcome))
     (S.to_json ~wall:false (run (gemm_space ())))
+
+let test_gemm_golden () = check_golden G.gemm (Lazy.force default_outcome)
 
 (* The trajectory document parses, mirrors the outcome, and leaves the
    wall-clock group out of its deterministic form. *)
@@ -242,7 +254,8 @@ let test_oracle_rejects_mismatched_plan () =
 (* ----- the FMHA space ----- *)
 
 let test_fmha_space () =
-  let o = run ~budget:4096 (fmha_space ()) in
+  let o = G.fmha.G.search () in
+  check_golden G.fmha o;
   check_bool "candidates scored" true (o.S.o_scored > 0);
   check_bool "verified" true o.S.o_verified;
   check_bool "beats the fixed sweep" true (S.winner_beats_baseline o);
@@ -303,6 +316,7 @@ let () =
         ; Alcotest.test_case "across runs" `Quick
             test_deterministic_across_runs
         ; Alcotest.test_case "trajectory JSON" `Quick test_json
+        ; Alcotest.test_case "gemm trajectory golden" `Quick test_gemm_golden
         ] )
     ; ( "ranking"
       , [ Alcotest.test_case "ranking sorted" `Quick test_ranking_sorted

@@ -22,15 +22,21 @@ let neg_huge = -3.0e38
 
 (* The structural constraints [kernel] enforces, as one predicate — the
    schedule search enumerates (chunk, nthreads) points against it
-   rather than re-deriving the divisibility rules. *)
-let supports ~seq ~dh ~chunk ~nthreads =
+   rather than re-deriving the divisibility rules. The last two are the
+   fragment pipelines' mma rule: S = Q K^T accumulates over dh into
+   per-warp chunk columns, O = P V over the chunk into per-warp dh
+   columns. *)
+let supports arch ~seq ~dh ~chunk ~nthreads =
   let warps = nthreads / 32 in
   warps >= 1
+  && nthreads mod 32 = 0
   && seq mod chunk = 0
   && chunk mod (8 * warps) = 0
   && dh mod 16 = 0
   && dh mod (8 * warps) = 0
   && seq mod (nthreads / row_block) = 0
+  && Tc_pipeline.fits arch ~wm:row_block ~wn:(chunk / warps) ~kc:dh
+  && Tc_pipeline.fits arch ~wm:row_block ~wn:(dh / warps) ~kc:chunk
 
 let kernel ?(name = "fmha") ?(swizzle_smem = true) ?(causal = false) arch
     ~batch ~heads ~seq ~dh ~chunk ~nthreads () =

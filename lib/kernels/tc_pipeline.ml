@@ -42,6 +42,23 @@ type t =
 
 let require cond msg = if not cond then invalid_arg ("Tc_pipeline: " ^ msg)
 
+(* The warp-level mma footprint (m, n, k): m16n8k16 on SM86; on SM70
+   the quad pairs of m8n8k4 cover 16x16 of a warp tile, 4 deep. A warp
+   tile is whole footprints and a k step whole k's. *)
+let mma_footprint = function
+  | Arch.SM86 -> (16, 8, 16)
+  | Arch.SM70 -> (16, 16, 4)
+
+let warp_tile_fits arch ~wm ~wn =
+  let fm, fn, _ = mma_footprint arch in
+  wm mod fm = 0 && wn mod fn = 0
+
+let k_step_fits arch ~kc =
+  let _, _, fk = mma_footprint arch in
+  kc mod fk = 0
+
+let fits arch ~wm ~wn ~kc = warp_tile_fits arch ~wm ~wn && k_step_fits arch ~kc
+
 let log2 n =
   let rec go acc v = if v <= 1 then acc else go (acc + 1) (v / 2) in
   go 0 n
@@ -80,7 +97,7 @@ let create ?(prefix = "") ?(dtype = Dt.FP16) arch ~cta ~bm ~bn ~wm ~wn ~use_ldma
   let n = Printf.sprintf "%s%s" prefix in
   match arch with
   | Arch.SM86 ->
-    require (wm mod 16 = 0 && wn mod 8 = 0) "warp tile not divisible by mma";
+    require (warp_tile_fits arch ~wm ~wn) "warp tile not divisible by mma";
     let mt_count = wm / 16 and nt_count = wn / 8 in
     let acc, al_acc =
       B.alloc_regs (n "acc") (L.vector (mt_count * nt_count * 4)) Dt.FP32
@@ -111,7 +128,7 @@ let create ?(prefix = "") ?(dtype = Dt.FP16) arch ~cta ~bm ~bn ~wm ~wn ~use_ldma
   | Arch.SM70 ->
     require (not use_ldmatrix) "ldmatrix is not available on SM70";
     require (Dt.equal dtype Dt.FP16) "SM70 tensor cores are fp16 only";
-    require (wm mod 16 = 0 && wn mod 16 = 0)
+    require (warp_tile_fits arch ~wm ~wn)
       "warp tile not divisible by quad-pair footprint";
     let mt_count = wm / 16 and nt_count = wn / 16 in
     let acc, al_acc =
@@ -232,14 +249,19 @@ let b_shift b ~drow ~dcol =
   | B_n_major r -> B_n_major { r with row0 = E.add r.row0 dcol
                              ; col0 = E.add r.col0 drow }
 
+(* The number of mma k steps in a [kc]-deep accumulation. *)
+let k_steps t ~kc =
+  let _, _, fk = mma_footprint t.arch in
+  require (k_step_fits t.arch ~kc) (Printf.sprintf "kc must divide by %d" fk);
+  kc / fk
+
 (* mma fragment coordinates as index expressions of the lane. *)
 let frag_g t = E.div t.lane (E.const 4)
 let frag_t4 t = E.rem t.lane (E.const 4)
 
 let accumulate_sm86 t ~a ~b ~kc =
   let g = frag_g t and t4 = frag_t4 t in
-  let ksteps = kc / 16 in
-  require (ksteps * 16 = kc) "kc must divide by 16";
+  let ksteps = k_steps t ~kc in
   let load_a ks =
     B.for_ ~unroll:true "mt" (E.const t.mt_count) (fun mt ->
         let drow =
@@ -320,8 +342,7 @@ let accumulate_sm86 t ~a ~b ~kc =
   ]
 
 let accumulate_sm70 t ~a ~b ~kc =
-  let ksteps = kc / 4 in
-  require (ksteps * 4 = kc) "kc must divide by 4";
+  let ksteps = k_steps t ~kc in
   (* Fragments are loaded once per k-step and reused across the mma double
      loop (A across all nt, B across all mt) — the register amortization
      that makes Volta kernels compute- rather than smem-bound. *)

@@ -43,8 +43,9 @@ type b_operand =
 
 (** [create arch ~cta ~bm ~bn ~wm ~wn ~use_ldmatrix] — the block computes a
     [bm x bn] output, tiled over warps as [wm x wn]. Requires [Tt.size cta
-    = (bm/wm) * (bn/wn) * 32]. [prefix] namespaces the register allocations
-    so that a kernel can host several pipelines. *)
+    = (bm/wm) * (bn/wn) * 32] and a warp tile that {!fits}. [prefix]
+    namespaces the register allocations so that a kernel can host several
+    pipelines. *)
 val create :
   ?prefix:string ->
   ?dtype:Gpu_tensor.Dtype.t ->
@@ -56,6 +57,13 @@ val create :
   wn:int ->
   use_ldmatrix:bool ->
   t
+
+(** [fits arch ~wm ~wn ~kc] — does a [wm x wn] warp tile accumulating
+    [kc]-deep steps fit the architecture's mma: whole m16n8k16 tiles on
+    SM86; on SM70 whole 16x16 quad-pair footprints of m8n8k4, [kc] a
+    multiple of 4? {!create} refuses a warp tile, and {!accumulate} a
+    [kc], exactly where this rule does. *)
+val fits : Graphene.Arch.t -> wm:int -> wn:int -> kc:int -> bool
 
 (** Register allocations ([Alloc] statements), to place in the kernel
     preamble. *)
@@ -80,7 +88,7 @@ val staging_swizzle : bits:int -> int -> Shape.Swizzle.t
     times the [kc x bn] B region [b] into the block accumulators. An
     [A_k_major] A (TN/TT layouts) loads its fragments with
     [ldmatrix.trans] (per-lane moves on SM70). [kc] must divide by the
-    mma's K (16 on SM86, 4 on SM70). *)
+    mma's K (16 on SM86, 4 on SM70; see {!fits}). *)
 val accumulate :
   t -> a:a_operand -> b:b_operand -> kc:int -> Graphene.Spec.stmt list
 

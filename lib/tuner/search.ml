@@ -589,10 +589,7 @@ let gemm_configs arch ~m ~n ~k =
                       let ok =
                         m mod bm = 0 && n mod bn = 0 && k mod bk = 0
                         && bm mod wm = 0 && bn mod wn = 0
-                        && wm mod 16 = 0
-                        && (match arch with
-                           | Arch.SM86 -> wn mod 8 = 0
-                           | Arch.SM70 -> wn mod 16 = 0)
+                        && Kernels.Tc_pipeline.fits arch ~wm ~wn ~kc:bk
                         &&
                         let warps = bm / wm * (bn / wn) in
                         warps >= 1 && warps <= 8
@@ -686,7 +683,7 @@ let fmha_space ?(batch = 1) ?(heads = 1) arch ~seq ~dh () =
       (fun chunk ->
         List.concat_map
           (fun nthreads ->
-            if not (Fmha.supports ~seq ~dh ~chunk ~nthreads) then []
+            if not (Fmha.supports arch ~seq ~dh ~chunk ~nthreads) then []
             else
               List.concat_map
                 (fun swizzle ->

@@ -200,6 +200,44 @@ let test_fmha_swizzle_ablation () =
     (c1.Gpu_sim.Counters.shared_bank_conflicts
     <= c2.Gpu_sim.Counters.shared_bank_conflicts)
 
+(* [Fmha.supports arch] holds exactly where [Fmha.kernel arch] builds, on
+   a grid wide enough to reach every refusal: the tensor-core rule on
+   sm70 (16-wide quad-pair warp tiles) and on sm86 (chunk 8 is half an
+   m16n8k16 k step), as well as FMHA's own divisibility rules. *)
+let test_fmha_supports () =
+  List.iter
+    (fun arch ->
+      List.iter
+        (fun seq ->
+          List.iter
+            (fun dh ->
+              List.iter
+                (fun chunk ->
+                  List.iter
+                    (fun nthreads ->
+                      List.iter
+                        (fun swizzle_smem ->
+                          let builds =
+                            match
+                              Kernels.Fmha.kernel ~swizzle_smem arch ~batch:1
+                                ~heads:1 ~seq ~dh ~chunk ~nthreads ()
+                            with
+                            | _ -> true
+                            | exception Invalid_argument _ -> false
+                          in
+                          check_bool
+                            (Printf.sprintf "%s seq %d dh %d chunk %d nthreads %d"
+                               (Arch.name arch) seq dh chunk nthreads)
+                            builds
+                            (Kernels.Fmha.supports arch ~seq ~dh ~chunk
+                               ~nthreads))
+                        [ true; false ])
+                    [ 32; 64; 128; 256 ])
+                [ 8; 16; 32; 64 ])
+            [ 16; 32; 64; 128 ])
+        [ 8; 16; 32; 64; 128; 256 ])
+    [ Arch.SM70; Arch.SM86 ]
+
 (* ----- custom fusion beyond the paper: GEMM + bias + residual + LN ----- *)
 
 let gemm_ln_ref ~m ~k ~width x w bias r gamma beta =
@@ -302,6 +340,8 @@ let () =
         ; Alcotest.test_case "causal masking" `Quick test_fmha_causal
         ; Alcotest.test_case "swizzle ablation" `Quick
             test_fmha_swizzle_ablation
+        ; Alcotest.test_case "supports iff the kernel builds" `Quick
+            test_fmha_supports
         ] )
     ; ( "split-k"
       , [ Alcotest.test_case "two-kernel decomposition" `Quick test_split_k ] )

@@ -360,15 +360,13 @@ let compile_atomic st ids scope (s : Spec.t) (instr : Atomic.instr)
     | Vectorize.Refused _ -> 1
   in
   let view (v : Ts.t) (d : Depcheck.dep) (vd : Vectorize.verdict) =
-    let elt = Dt.size_bytes (Ts.dtype v) in
-    let n = try Ts.num_scalars_int v with Invalid_argument _ -> 1 in
     let id = ids.next_view in
     ids.next_view <- id + 1;
     { Plan.v_id = id
     ; v_ts = v
     ; v_mem = v.Ts.mem
-    ; v_elt_bytes = elt
-    ; v_batch_bytes = n * elt
+    ; v_elt_bytes = Dt.size_bytes (Ts.dtype v)
+    ; v_batch_bytes = Plan.batch_bytes v
     ; v_offsets = Expr_comp.compile_view st scope v
     ; v_addr0 = Expr_comp.compile_addr0 st scope v
     ; v_dep = d
@@ -504,9 +502,11 @@ let compile_pass ~vec_enabled ~pipelining arch diagnostics =
 
 (* ----- driver ----- *)
 
-let lower ?log ?(vectorize = true) ?(stages = 1) arch (k : Spec.kernel) :
-    Plan.t =
-  let stages = max 1 stages in
+(* Passes 1-6, validate through swpipe: everything [lower] and [analyze]
+   share. Returns the kernel to compile (the swpipe-rewritten one when
+   the pass pipelined), the validate diagnostics, the vectorized
+   statements and the swpipe outcome. *)
+let front_half ?log ~vectorize ~stages arch (k : Spec.kernel) =
   (match log with
   | Some f ->
     f ~pass:"input" ~doc:"source kernel" (Spec.kernel_to_string k)
@@ -525,12 +525,45 @@ let lower ?log ?(vectorize = true) ?(stages = 1) arch (k : Spec.kernel) :
   let vectorized = front ?log k in
   let k, vectorized, pipelining =
     Pass.apply ?log
-      (swpipe_pass arch ~stages ~front:(fun k -> front k))
+      (swpipe_pass arch ~stages:(max 1 stages) ~front:(fun k -> front k))
       (k, vectorized)
+  in
+  (k, diagnostics, vectorized, pipelining)
+
+let lower ?log ?(vectorize = true) ?(stages = 1) arch (k : Spec.kernel) :
+    Plan.t =
+  let k, diagnostics, vectorized, pipelining =
+    front_half ?log ~vectorize ~stages arch k
   in
   Pass.apply ?log
     (compile_pass ~vec_enabled:vectorize ~pipelining arch diagnostics)
     (k, vectorized)
+
+type analysis =
+  { pipelining : Plan.pipelining
+  ; widening : Plan.widening
+  }
+
+let rec iter_leaves f stmts = List.iter (iter_leaf f) stmts
+
+and iter_leaf f = function
+  | F_leaf l -> f l
+  | F_loop { body; _ } | F_frame (_, body) -> iter_leaves f body
+  | F_branch (_, then_, else_) ->
+    iter_leaves f then_;
+    iter_leaves f else_
+  | F_barrier | F_commit_group | F_wait_group _ | F_fail _ -> ()
+
+let analyze ?(vectorize = true) ?(stages = 1) arch (k : Spec.kernel) =
+  let _, _, vectorized, pipelining = front_half ~vectorize ~stages arch k in
+  { pipelining
+  ; widening =
+      Plan.widening (fun visit ->
+          iter_leaves
+            (fun (s, instr, _, (v : Vectorize.leaf)) ->
+              visit instr s v.Vectorize.l_verdict)
+            vectorized)
+  }
 
 (* ----- the plan cache -----
 

@@ -36,6 +36,26 @@ val lower :
   Graphene.Spec.kernel ->
   Plan.t
 
+(** The verdicts of passes 1-6 that a schedule search scores from. *)
+type analysis =
+  { pipelining : Plan.pipelining
+        (** the swpipe outcome, as {!lower}'s plan records it *)
+  ; widening : Plan.widening
+        (** the vectorize pass's verdicts over the per-thread moves, as
+            {!Plan.global_vec_width} and {!Plan.refusal_histogram} read
+            them off {!lower}'s plan *)
+  }
+
+(** [analyze ?vectorize ?stages arch kernel] runs the passes {!lower}
+    runs before compile (validate through swpipe, the same function) and
+    returns their verdicts, equal to those of [lower]'s plan with the
+    same arguments. It compiles no closures and touches no cache, so it
+    costs a fraction of a lowering (about 0.3 of plain {!lower} on the
+    search's GEMM candidates); it raises where [lower] would. *)
+val analyze :
+  ?vectorize:bool -> ?stages:int -> Graphene.Arch.t -> Graphene.Spec.kernel ->
+  analysis
+
 (** The unmatched-leaf diagnostic: the tree interpreter's message plus
     up to six same-family registry candidates (exposed for tests). *)
 val unmatched_message : Graphene.Arch.t -> Graphene.Spec.t -> string
@@ -46,8 +66,9 @@ val unmatched_message : Graphene.Arch.t -> Graphene.Spec.t -> string
     kernel mentions its scalar parameters only by name (values bind per
     launch), so plans memoize under structural kernel equality — i.e.
     modulo scalar parameter values. The cache is process-wide and
-    thread-safe (the schedule search lowers candidates from several
-    domains concurrently). *)
+    thread-safe (the schedule search lowers its tier-2 proxies from
+    several domains concurrently; its tier 1 calls {!analyze} and never
+    reaches the cache). *)
 
 (** [lower_cached arch kernel] returns the memoized plan and whether it
     was a cache hit. Passing [?log] bypasses the cache entirely (the

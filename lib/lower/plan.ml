@@ -246,48 +246,64 @@ let bank_warning_counts ops =
     ops;
   (!atomics, !cycles)
 
-(* Histogram of the vectorize pass's refusal reasons over the plan's
-   per-thread moves — (reason slug, count), sorted by slug. Only moves
-   where widening was conceivable are counted (matching [pp_atomic]'s
-   verdict display), so the histogram is exactly the scalar residue a
-   schedule search should attribute when a candidate ranks on narrow
-   traffic. *)
-let refusal_histogram ops =
-  let tbl = Hashtbl.create 8 in
-  iter_atomics
-    (fun a ->
-      if per_thread_move a then
-        match a.a_vec with
-        | Vectorize.Widened _ -> ()
-        | Vectorize.Refused r ->
-          let name = Vectorize.reason_name r in
-          Hashtbl.replace tbl name
-            (1 + Option.value ~default:0 (Hashtbl.find_opt tbl name)))
-    ops;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+let batch_bytes (v : Ts.t) =
+  let n = try Ts.num_scalars_int v with Invalid_argument _ -> 1 in
+  n * Gpu_tensor.Dtype.size_bytes (Ts.dtype v)
 
-(* Bytes-weighted mean vector width over the global-memory views of
-   per-thread moves — the static stand-in for "achieved global access
-   width" the perf model consumes. [None] when the plan has no global
-   move traffic. The weighting is structural (per atomic, not per
-   execution), which matches how the roofline consumes it: a coarse
-   plan-level width, not a trace. *)
-let global_vec_width ops =
-  let bytes = ref 0 and weighted = ref 0 in
-  iter_atomics
-    (fun a ->
-      if per_thread_move a then
+(* The widening statistics, one owner for the plan summaries below and
+   for the lowering's analysis, which reads the same verdicts before the
+   compile pass. Only per-thread moves count, where widening was
+   conceivable (matching [pp_atomic]'s verdict display):
+
+   - the refusal histogram, (reason slug, count) sorted by slug, is
+     exactly the scalar residue a schedule search should attribute when
+     a candidate ranks on narrow traffic;
+   - the bytes-weighted mean vector width over their global views is the
+     static stand-in for "achieved global access width" the perf model
+     consumes, [None] without global move traffic. The weighting is
+     structural (per atomic, not per execution), which matches how the
+     roofline consumes it: a coarse plan-level width, not a trace. *)
+type widening =
+  { global_vec_width : float option
+  ; vec_refusals : (string * int) list
+  }
+
+let widening iter =
+  let tbl = Hashtbl.create 8 and bytes = ref 0 and weighted = ref 0 in
+  iter (fun (instr : Atomic.instr) (s : Spec.t) verdict ->
+      if instr.Atomic.threads = 1 && s.Spec.kind = Spec.Move then begin
+        let width =
+          match verdict with
+          | Vectorize.Widened w -> w
+          | Vectorize.Refused r ->
+            let name = Vectorize.reason_name r in
+            Hashtbl.replace tbl name
+              (1 + Option.value ~default:0 (Hashtbl.find_opt tbl name));
+            1
+        in
         List.iter
-          (fun v ->
-            if Ms.equal v.v_mem Ms.Global then begin
-              bytes := !bytes + v.v_batch_bytes;
-              weighted := !weighted + (v.v_batch_bytes * v.v_vec_width)
+          (fun (v : Ts.t) ->
+            if Ms.equal v.Ts.mem Ms.Global then begin
+              let b = batch_bytes v in
+              bytes := !bytes + b;
+              weighted := !weighted + (b * width)
             end)
-          (a.a_ins @ a.a_outs))
-    ops;
-  if !bytes = 0 then None
-  else Some (float_of_int !weighted /. float_of_int !bytes)
+          (s.Spec.ins @ s.Spec.outs)
+      end);
+  { global_vec_width =
+      (if !bytes = 0 then None
+       else Some (float_of_int !weighted /. float_of_int !bytes))
+  ; vec_refusals =
+      Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  }
+
+let plan_widening ops =
+  widening (fun visit ->
+      iter_atomics (fun a -> visit a.a_instr a.a_spec a.a_vec) ops)
+
+let refusal_histogram ops = (plan_widening ops).vec_refusals
+let global_vec_width ops = (plan_widening ops).global_vec_width
 
 (* ----- pretty-printing ----- *)
 

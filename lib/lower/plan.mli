@@ -161,14 +161,37 @@ val vec_counts : op list -> int * int
     static bank-conflict lint. *)
 val bank_warning_counts : op list -> int * int
 
-(** Histogram of the vectorize pass's refusal reasons over per-thread
-    moves — [(reason slug, count)], sorted by slug. Prune/refusal
-    telemetry for schedule search. *)
+(** Bytes one thread moves through a view per access batch: its scalar
+    count times the element size (one scalar when the extents are
+    symbolic). *)
+val batch_bytes : Gpu_tensor.Tensor.t -> int
+
+(** What the vectorize pass decided over a kernel's per-thread moves. *)
+type widening =
+  { global_vec_width : float option
+        (** bytes-weighted mean vector width over their global views
+            (structural, per atomic); [None] without global move
+            traffic. Feeds {!Gpu_sim.Perf_model}'s [vec_width]. *)
+  ; vec_refusals : (string * int) list
+        (** histogram of the refusal reasons, [(reason slug, count)]
+            sorted by slug: prune/refusal telemetry for schedule search *)
+  }
+
+(** [widening iter] — the one definition of the widening statistics:
+    [iter visit] calls [visit instr spec verdict] once per atomic leaf
+    with its vectorize verdict, and only per-thread moves count. The two
+    functions below apply it to a plan, and
+    {!Pipeline.analyze} to the vectorize pass's output before any
+    compilation. *)
+val widening :
+  ((Graphene.Atomic.instr -> Graphene.Spec.t -> Vectorize.verdict -> unit) ->
+  unit) ->
+  widening
+
+(** [(widening ...).vec_refusals] of the plan's atomics. *)
 val refusal_histogram : op list -> (string * int) list
 
-(** Bytes-weighted mean vector width over the global views of per-thread
-    moves (structural, per atomic); [None] without global move traffic.
-    Feeds {!Gpu_sim.Perf_model}'s [vec_width]. *)
+(** [(widening ...).global_vec_width] of the plan's atomics. *)
 val global_vec_width : op list -> float option
 
 val pp : Format.formatter -> t -> unit

@@ -9,9 +9,10 @@
    The search runs in three escalating tiers:
 
    1. model scoring of the full frontier: build each candidate's kernel
-      IR, lower it through the plan cache (lowering refusals reject the
-      candidate before any simulation; the vectorize and swpipe passes'
-      verdicts feed the score), and rank by the perf model's
+      IR, run the lowering's analysis half on it ({!Lower.Pipeline.analyze}:
+      validate through swpipe, no compiled plan, no plan cache — lowering
+      refusals reject the candidate before any simulation; the vectorize
+      and swpipe verdicts feed the score), and rank by the perf model's
       latency-hiding estimate at the assumed steady-state occupancy;
    2. proxy simulation of the top-K front-runners: execute each on a
       shrunken proxy problem and feed the *measured* async-copy queue
@@ -72,9 +73,11 @@ type space =
   }
 
 (* Build closures are called from tier 1 (possibly on a pool worker) and
-   again from tiers 2/3; memoizing keeps each kernel IR built once. The
-   plain ref is safe under domain parallelism — the payload is immutable
-   and the build pure, so the worst a race costs is a duplicate build. *)
+   again from tiers 2/3; memoizing keeps each kernel IR built once, and
+   the candidates that differ only in lowering knobs (vectorize, stages)
+   share one memo. The plain ref is safe under domain parallelism — the
+   payload is immutable and the build pure, so the worst a race costs is
+   a duplicate build. *)
 let memo f =
   let cell = ref None in
   fun () ->
@@ -104,19 +107,24 @@ type scored =
         (** optimistic bound: full v4 width, perfect overlap — no
             measurement can push the candidate below this, so anything
             whose bound trails the tier-1 leader is dominated *)
-  ; vec_width : float  (** structural width of the lowered plan *)
-  ; eff_stages : int  (** the plan's effective pipeline depth *)
+  ; vec_width : float
+        (** structural global width ({!Lower.Plan.widening}), 4.0 when
+            the kernel moves nothing through global memory *)
+  ; eff_stages : int  (** the effective pipeline depth swpipe granted *)
   ; vec_refusals : (string * int) list
-        (** {!Lower.Plan.refusal_histogram} of the lowered plan *)
+        (** the vectorize refusal histogram ({!Lower.Plan.widening}) *)
   ; swpipe_refusals : (string * string) list
-        (** the plan's [(loop, reason slug)] pipelining refusals *)
-  ; score_s : float  (** wall time to build + lower + score (telemetry) *)
+        (** swpipe's [(loop, reason slug)] pipelining refusals *)
+  ; score_s : float  (** wall time to build + analyze + score (telemetry) *)
   }
 
 type verdict =
   | Scored of scored
   | Pruned of string  (** reason slug: [build-refused] / [lower-refused] *)
 
+(* Tier 1 reads only what the lowering decided — the vectorize and
+   swpipe verdicts — so it runs the analysis half of the pipeline and
+   compiles no plan: only the tier-2 proxies are lowered (and cached). *)
 let score_candidate (machine : Gpu_sim.Machine.t) (cand : candidate) =
   let t0 = Unix.gettimeofday () in
   let arch = machine.Gpu_sim.Machine.arch in
@@ -124,16 +132,15 @@ let score_candidate (machine : Gpu_sim.Machine.t) (cand : candidate) =
   | exception Invalid_argument _ -> Pruned "build-refused"
   | kernel -> (
     match
-      Lower.Pipeline.lower_cached ?vectorize:cand.vectorize arch kernel
+      Lower.Pipeline.analyze ?vectorize:cand.vectorize arch kernel
         ~stages:cand.stages
     with
     | exception _ -> Pruned "lower-refused"
-    | plan, _ ->
+    | { Lower.Pipeline.pipelining; widening } ->
       let vec_width =
-        Option.value ~default:4.0
-          (Lower.Plan.global_vec_width plan.Lower.Plan.body)
+        Option.value ~default:4.0 widening.Lower.Plan.global_vec_width
       in
-      let eff_stages = plan.Lower.Plan.pipelining.Lower.Plan.pl_stages in
+      let eff_stages = pipelining.Lower.Plan.pl_stages in
       let totals = Gpu_sim.Static_analysis.of_kernel arch kernel () in
       let estimate =
         PM.of_totals ~vec_width
@@ -154,8 +161,8 @@ let score_candidate (machine : Gpu_sim.Machine.t) (cand : candidate) =
         ; bound
         ; vec_width
         ; eff_stages
-        ; vec_refusals = Lower.Plan.refusal_histogram plan.Lower.Plan.body
-        ; swpipe_refusals = plan.Lower.Plan.pipelining.Lower.Plan.pl_refusals
+        ; vec_refusals = widening.Lower.Plan.vec_refusals
+        ; swpipe_refusals = pipelining.Lower.Plan.pl_refusals
         ; score_s = Unix.gettimeofday () -. t0
         })
 
@@ -626,18 +633,22 @@ let gemm_space ?(epilogue = Kernels.Epilogue.none) arch ~m ~n ~k () =
       (fun cfg ->
         List.concat_map
           (fun swizzle ->
+            (* The vectorize and stages knobs act at lowering, so the
+               candidates of one (config, swizzle) share its kernels. *)
+            let cfg = { cfg with Gemm.swizzle } in
+            let build ~m ~n ~k =
+              Gemm.tensor_core arch cfg ~epilogue ~m ~n ~k ()
+            in
+            let pm = cfg.Gemm.bm * min 2 (m / cfg.Gemm.bm) in
+            let pn = cfg.Gemm.bn * min 2 (n / cfg.Gemm.bn) in
+            let pk = cfg.Gemm.bk * min 4 (k / cfg.Gemm.bk) in
+            let full = memo (fun () -> build ~m ~n ~k) in
+            let proxy = memo (fun () -> build ~m:pm ~n:pn ~k:pk) in
             List.concat_map
               (fun vec ->
                 List.map
                   (fun stages ->
                     incr next;
-                    let cfg = { cfg with Gemm.swizzle } in
-                    let build ~m ~n ~k =
-                      Gemm.tensor_core arch cfg ~epilogue ~m ~n ~k ()
-                    in
-                    let pm = cfg.Gemm.bm * min 2 (m / cfg.Gemm.bm) in
-                    let pn = cfg.Gemm.bn * min 2 (n / cfg.Gemm.bn) in
-                    let pk = cfg.Gemm.bk * min 4 (k / cfg.Gemm.bk) in
                     { id = !next
                     ; knobs =
                         [ ("bm", string_of_int cfg.Gemm.bm)
@@ -652,8 +663,8 @@ let gemm_space ?(epilogue = Kernels.Epilogue.none) arch ~m ~n ~k () =
                     ; stages
                     ; vectorize = Some vec
                     ; legacy = swizzle && vec
-                    ; build = memo (fun () -> build ~m ~n ~k)
-                    ; proxy = memo (fun () -> build ~m:pm ~n:pn ~k:pk)
+                    ; build = full
+                    ; proxy
                     })
                   stages_space)
               [ true; false ])
@@ -687,16 +698,20 @@ let fmha_space ?(batch = 1) ?(heads = 1) arch ~seq ~dh () =
             else
               List.concat_map
                 (fun swizzle ->
+                  let build ~batch ~heads ~seq =
+                    Fmha.kernel ~swizzle_smem:swizzle arch ~batch ~heads ~seq
+                      ~dh ~chunk ~nthreads ()
+                  in
+                  let pseq = min seq (2 * chunk) in
+                  let full = memo (fun () -> build ~batch ~heads ~seq) in
+                  let proxy =
+                    memo (fun () -> build ~batch:1 ~heads:1 ~seq:pseq)
+                  in
                   List.concat_map
                     (fun vec ->
                       List.map
                         (fun stages ->
                           incr next;
-                          let build ~batch ~heads ~seq =
-                            Fmha.kernel ~swizzle_smem:swizzle arch ~batch
-                              ~heads ~seq ~dh ~chunk ~nthreads ()
-                          in
-                          let pseq = min seq (2 * chunk) in
                           { id = !next
                           ; knobs =
                               [ ("chunk", string_of_int chunk)
@@ -708,9 +723,8 @@ let fmha_space ?(batch = 1) ?(heads = 1) arch ~seq ~dh () =
                           ; stages
                           ; vectorize = Some vec
                           ; legacy = swizzle && vec && stages = 1
-                          ; build = memo (fun () -> build ~batch ~heads ~seq)
-                          ; proxy =
-                              memo (fun () -> build ~batch:1 ~heads:1 ~seq:pseq)
+                          ; build = full
+                          ; proxy
                           })
                         stages_space)
                     [ true; false ])

@@ -49,6 +49,114 @@ let test_candidates_valid () =
         (Graphene.Validate.check Arch.SM86 kernel))
     cands
 
+(* Candidates that differ only in lowering knobs (vectorize, stages)
+   share their kernels: each distinct kernel is built once per space. *)
+let test_kernels_shared () =
+  let lowering_free (c : S.candidate) =
+    List.filter
+      (fun (k, _) -> not (List.mem k [ "vectorize"; "stages" ]))
+      c.S.knobs
+  in
+  List.iter
+    (fun (space : S.space) ->
+      let cands = space.S.enumerate () in
+      let c0 = List.hd cands in
+      let siblings =
+        List.filter (fun c -> lowering_free c = lowering_free c0) cands
+      in
+      check_int (space.S.space_name ^ ": vectorize x stages siblings") 6
+        (List.length siblings);
+      List.iter
+        (fun (c : S.candidate) ->
+          check_bool "same build kernel" true (c.S.build () == c0.S.build ());
+          check_bool "same proxy kernel" true (c.S.proxy () == c0.S.proxy ()))
+        siblings)
+    [ gemm_space (); fmha_space () ]
+
+(* ----- tier 1 scores from the lowering's verdicts ----- *)
+
+(* [Pipeline.analyze] runs the passes [lower] runs before compile, so its
+   verdicts must be those of the plan [lower] builds — for every
+   candidate of a space, on both architectures — and it must raise where
+   [lower] does. *)
+let test_analysis_matches_lower () =
+  let outcome f = match f () with v -> Ok v | exception e -> Error e in
+  List.iter
+    (fun (space : S.space) ->
+      List.iter
+        (fun (c : S.candidate) ->
+          match c.S.build () with
+          | exception Invalid_argument _ -> ()
+          | kernel -> (
+            let label =
+              Printf.sprintf "%s/%s #%d" space.S.space_name
+                (Arch.name space.S.arch) c.S.id
+            in
+            let lowered =
+              outcome (fun () ->
+                  Lower.Pipeline.lower ?vectorize:c.S.vectorize
+                    ~stages:c.S.stages space.S.arch kernel)
+            and analyzed =
+              outcome (fun () ->
+                  Lower.Pipeline.analyze ?vectorize:c.S.vectorize
+                    ~stages:c.S.stages space.S.arch kernel)
+            in
+            match (lowered, analyzed) with
+            | Error _, Error _ -> ()
+            | Ok plan, Ok a ->
+              let body = plan.Lower.Plan.body in
+              check_bool (label ^ " pipelining") true
+                (plan.Lower.Plan.pipelining = a.Lower.Pipeline.pipelining);
+              check_bool (label ^ " global width") true
+                (Lower.Plan.global_vec_width body
+                = a.Lower.Pipeline.widening.Lower.Plan.global_vec_width);
+              check_bool (label ^ " refusals") true
+                (Lower.Plan.refusal_histogram body
+                = a.Lower.Pipeline.widening.Lower.Plan.vec_refusals)
+            | Ok _, Error _ | Error _, Ok _ ->
+              Alcotest.failf "%s: lower and analyze disagree on refusing" label))
+        (space.S.enumerate ()))
+    (List.concat_map
+       (fun arch ->
+         [ S.gemm_space arch ~m:128 ~n:128 ~k:128 ()
+         ; S.fmha_space arch ~seq:64 ~dh:32 ()
+         ])
+       [ Arch.SM86; Arch.SM70 ])
+
+(* Tier 1 compiles no plan, so it neither reads nor fills the plan
+   cache. *)
+let test_tier1_skips_cache () =
+  let cands =
+    S.select_budget ~seed:42 ~max_candidates:64 ((gemm_space ()).S.enumerate ())
+  in
+  let before = Lower.Pipeline.cache_stats () in
+  let scored =
+    List.filter
+      (function _, S.Scored _ -> true | _, S.Pruned _ -> false)
+      (S.tier1 machine cands)
+  in
+  check_bool "candidates scored" true (scored <> []);
+  check_bool "cache statistics unchanged" true
+    (Lower.Pipeline.cache_stats () = before)
+
+(* A whole search lowers through the cache only in tiers 2 and 3: each
+   tier-2 proxy misses once, and the oracle's lowering of the same proxy
+   hits. *)
+let test_search_cache_traffic () =
+  Lower.Pipeline.cache_clear ();
+  let o = run ~budget:64 (gemm_space ()) in
+  let st = Lower.Pipeline.cache_stats () in
+  let proxies =
+    List.length o.S.o_simulated
+    + Option.value ~default:0 (List.assoc_opt "sim-failed" o.S.o_pruned)
+  in
+  check_int "one miss per tier-2 proxy" proxies st.Lower.Pipeline.misses;
+  check_bool "at most proxy_top misses" true
+    (st.Lower.Pipeline.misses <= o.S.o_proxy_top);
+  check_int "one hit per oracle run"
+    (o.S.o_verify_rejected + if o.S.o_verified then 1 else 0)
+    st.Lower.Pipeline.hits
+
 (* ----- determinism ----- *)
 
 (* The whole trajectory — frontier statistics, refusal histograms,
@@ -309,6 +417,16 @@ let () =
   Alcotest.run "search"
     [ ( "gemm configs"
       , [ Alcotest.test_case "candidates validate" `Slow test_candidates_valid
+        ; Alcotest.test_case "kernels shared across lowering knobs" `Quick
+            test_kernels_shared
+        ] )
+    ; ( "tier 1"
+      , [ Alcotest.test_case "analysis verdicts equal lower's" `Quick
+            test_analysis_matches_lower
+        ; Alcotest.test_case "tier 1 skips the plan cache" `Quick
+            test_tier1_skips_cache
+        ; Alcotest.test_case "search misses only on proxies" `Quick
+            test_search_cache_traffic
         ] )
     ; ( "determinism"
       , [ Alcotest.test_case "across domains" `Slow

@@ -576,8 +576,8 @@ let analyze ?(vectorize = true) ?(stages = 1) arch (k : Spec.kernel) =
    of the same kernel structure with different scalar values share one
    plan — the cache is keyed "modulo scalar parameter values" for free.
 
-   A mutex guards the table: autotuning lowers candidates from several
-   domains at once. Lowering itself runs outside the lock; if two domains
+   A mutex guards the table: the schedule search lowers its tier-2
+   proxies from several domains at once. Lowering itself runs outside the lock; if two domains
    race on the same key, the first insert wins and both share it. Plans
    are immutable, so sharing one across domains needs no further care. *)
 

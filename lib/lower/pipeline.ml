@@ -577,9 +577,10 @@ let analyze ?(vectorize = true) ?(stages = 1) arch (k : Spec.kernel) =
    plan — the cache is keyed "modulo scalar parameter values" for free.
 
    A mutex guards the table: the schedule search lowers its tier-2
-   proxies from several domains at once. Lowering itself runs outside the lock; if two domains
-   race on the same key, the first insert wins and both share it. Plans
-   are immutable, so sharing one across domains needs no further care. *)
+   proxies from several domains at once. Lowering itself runs outside
+   the lock; if two domains race on the same key, the first insert wins
+   and both share it. Plans are immutable, so sharing one across domains
+   needs no further care. *)
 
 type cache_stats =
   { hits : int

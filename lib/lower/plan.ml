@@ -215,11 +215,12 @@ let tier_counts ops =
     ops;
   (!launch, !block, !loop, !thread)
 
-let is_move (a : atomic) =
-  match a.a_spec.Spec.kind with Spec.Move -> true | _ -> false
+(* The atomics widening was conceivable for: moves one thread issues
+   alone (a one-thread instruction is exactly a [Per_thread] atomic). *)
+let is_per_thread_move (instr : Atomic.instr) (s : Spec.t) =
+  instr.Atomic.threads = 1 && s.Spec.kind = Spec.Move
 
-let per_thread_move (a : atomic) =
-  match a.a_threads with Per_thread -> is_move a | Collective _ -> false
+let per_thread_move (a : atomic) = is_per_thread_move a.a_instr a.a_spec
 
 (* Widening statistics: (widened, per-thread move) atomic counts. *)
 let vec_counts ops =
@@ -252,8 +253,8 @@ let batch_bytes (v : Ts.t) =
 
 (* The widening statistics, one owner for the plan summaries below and
    for the lowering's analysis, which reads the same verdicts before the
-   compile pass. Only per-thread moves count, where widening was
-   conceivable (matching [pp_atomic]'s verdict display):
+   compile pass. Only per-thread moves count (matching [pp_atomic]'s
+   verdict display):
 
    - the refusal histogram, (reason slug, count) sorted by slug, is
      exactly the scalar residue a schedule search should attribute when
@@ -271,7 +272,7 @@ type widening =
 let widening iter =
   let tbl = Hashtbl.create 8 and bytes = ref 0 and weighted = ref 0 in
   iter (fun (instr : Atomic.instr) (s : Spec.t) verdict ->
-      if instr.Atomic.threads = 1 && s.Spec.kind = Spec.Move then begin
+      if is_per_thread_move instr s then begin
         let width =
           match verdict with
           | Vectorize.Widened w -> w

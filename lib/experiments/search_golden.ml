@@ -15,7 +15,9 @@ type case =
   }
 
 let gemm =
-  { file = "search_gemm_sm86_128.json"; search = (fun () -> run (gemm_space ())) }
+  { file = "search_gemm_sm86_128.json"
+  ; search = (fun () -> run (gemm_space ()))
+  }
 
 let fmha =
   { file = "search_fmha_sm86_s64d32.json"

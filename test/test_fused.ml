@@ -205,38 +205,41 @@ let test_fmha_swizzle_ablation () =
    sm70 (16-wide quad-pair warp tiles) and on sm86 (chunk 8 is half an
    m16n8k16 k step), as well as FMHA's own divisibility rules. *)
 let test_fmha_supports () =
+  let grid =
+    List.concat_map
+      (fun arch ->
+        List.concat_map
+          (fun seq ->
+            List.concat_map
+              (fun dh ->
+                List.concat_map
+                  (fun chunk ->
+                    List.map
+                      (fun nthreads -> (arch, seq, dh, chunk, nthreads))
+                      [ 32; 64; 128; 256 ])
+                  [ 8; 16; 32; 64 ])
+              [ 16; 32; 64; 128 ])
+          [ 8; 16; 32; 64; 128; 256 ])
+      [ Arch.SM70; Arch.SM86 ]
+  in
   List.iter
-    (fun arch ->
-      List.iter
-        (fun seq ->
-          List.iter
-            (fun dh ->
-              List.iter
-                (fun chunk ->
-                  List.iter
-                    (fun nthreads ->
-                      List.iter
-                        (fun swizzle_smem ->
-                          let builds =
-                            match
-                              Kernels.Fmha.kernel ~swizzle_smem arch ~batch:1
-                                ~heads:1 ~seq ~dh ~chunk ~nthreads ()
-                            with
-                            | _ -> true
-                            | exception Invalid_argument _ -> false
-                          in
-                          check_bool
-                            (Printf.sprintf "%s seq %d dh %d chunk %d nthreads %d"
-                               (Arch.name arch) seq dh chunk nthreads)
-                            builds
-                            (Kernels.Fmha.supports arch ~seq ~dh ~chunk
-                               ~nthreads))
-                        [ true; false ])
-                    [ 32; 64; 128; 256 ])
-                [ 8; 16; 32; 64 ])
-            [ 16; 32; 64; 128 ])
-        [ 8; 16; 32; 64; 128; 256 ])
-    [ Arch.SM70; Arch.SM86 ]
+    (fun (arch, seq, dh, chunk, nthreads) ->
+      let builds swizzle_smem =
+        match
+          Kernels.Fmha.kernel ~swizzle_smem arch ~batch:1 ~heads:1 ~seq ~dh
+            ~chunk ~nthreads ()
+        with
+        | _ -> true
+        | exception Invalid_argument _ -> false
+      in
+      let supported = Kernels.Fmha.supports arch ~seq ~dh ~chunk ~nthreads in
+      let label =
+        Printf.sprintf "%s seq %d dh %d chunk %d nthreads %d" (Arch.name arch)
+          seq dh chunk nthreads
+      in
+      check_bool (label ^ " swizzled") (builds true) supported;
+      check_bool (label ^ " unswizzled") (builds false) supported)
+    grid
 
 (* ----- custom fusion beyond the paper: GEMM + bias + residual + LN ----- *)
 

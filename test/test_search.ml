@@ -31,7 +31,9 @@ let read_file path =
 (* A pinned trajectory must match its golden file byte for byte
    (regenerate with bin/gen_golden.exe after an intentional change). *)
 let check_golden (c : G.case) o =
-  check_string c.G.file (read_file ("golden/" ^ c.G.file)) (S.to_json ~wall:false o)
+  check_string c.G.file
+    (read_file ("golden/" ^ c.G.file))
+    (S.to_json ~wall:false o)
 
 (* ----- the GEMM configuration enumeration ----- *)
 
@@ -114,7 +116,8 @@ let test_analysis_matches_lower () =
                 (Lower.Plan.refusal_histogram body
                 = a.Lower.Pipeline.widening.Lower.Plan.vec_refusals)
             | Ok _, Error _ | Error _, Ok _ ->
-              Alcotest.failf "%s: lower and analyze disagree on refusing" label))
+              Alcotest.failf "%s: lower and analyze disagree on refusing"
+                label))
         (space.S.enumerate ()))
     (List.concat_map
        (fun arch ->

@@ -12,9 +12,9 @@
 (** Do the structural divisibility constraints of {!kernel} hold for
     this (seq, dh, chunk, nthreads) point on [arch]? They include the
     tensor-core rule ({!Tc_pipeline.fits}) of both fragment pipelines,
-    which is why the answer depends on the architecture. On
-    power-of-two CTA widths, [kernel arch] raises [Invalid_argument]
-    exactly when this is [false]; the schedule search
+    which is why the answer depends on the architecture. For CTAs of
+    32 to 512 threads in powers of two, [kernel arch] raises
+    [Invalid_argument] exactly when this is [false]; the schedule search
     ({!Tuner.Search.fmha_space}) enumerates against it. *)
 val supports :
   Graphene.Arch.t -> seq:int -> dh:int -> chunk:int -> nthreads:int -> bool

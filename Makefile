@@ -11,8 +11,7 @@ test:
 # Every smoke rule (the `smoke` alias in bin/dune and bench/dune): the
 # profiler, lower, vectorize, pipelining, layout and search CLI runs;
 # the 1-vs-2-domain and tree-vs-plan determinism checks; and the
-# sim (full and quick), serve and search benches. Each fails on a
-# non-zero exit.
+# sim, serve and search benches. Each fails on a non-zero exit.
 smoke:
 	dune build @smoke
 

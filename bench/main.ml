@@ -134,11 +134,8 @@ let time f =
   (r, Unix.gettimeofday () -. t0)
 
 (* One simulated cell = one fused multiply-add of the workload's
-   definition (m*n*k for GEMM; the paper's FMHA flop count / 2).
-   [quick] shrinks the shapes to a few-second smoke (one of the `smoke`
-   alias rules): the same kernels and the same bit-identity checks,
-   just on one-to-few block grids. *)
-let sim_cases ?(quick = false) () =
+   definition (m*n*k for GEMM; the paper's FMHA flop count / 2). *)
+let sim_cases () =
   let gemm arch ~m ~n ~k =
     ( Printf.sprintf "gemm_tc_%dx%dx%d" m n k
     , arch
@@ -155,22 +152,15 @@ let sim_cases ?(quick = false) () =
         ~nthreads:64 ()
     , Kernels.Fmha.flop_count ~batch ~heads ~seq ~dh / 2 )
   in
-  if quick then
-    [ (fun () -> gemm Graphene.Arch.SM86 ~m:64 ~n:64 ~k:64)
-    ; (fun () -> gemm Graphene.Arch.SM70 ~m:64 ~n:64 ~k:64)
-    ; (fun () ->
-        fmha Graphene.Arch.SM70 ~seq:32 ~dh:32 ~chunk:32 ~swizzle_smem:false)
-    ]
-  else
-    [ (* the acceptance row: compiled plans must be >= 2x the tree path *)
-      (fun () -> gemm Graphene.Arch.SM86 ~m:256 ~n:256 ~k:256)
-    ; (fun () -> gemm Graphene.Arch.SM70 ~m:128 ~n:128 ~k:128)
-    ; (fun () ->
-        fmha Graphene.Arch.SM86 ~seq:64 ~dh:32 ~chunk:16 ~swizzle_smem:true)
-    ; (fun () ->
-        (* Volta: per-lane fragment staging, quad-pair mma, no swizzle. *)
-        fmha Graphene.Arch.SM70 ~seq:32 ~dh:32 ~chunk:32 ~swizzle_smem:false)
-    ]
+  [ (* the acceptance row: compiled plans must be >= 2x the tree path *)
+    (fun () -> gemm Graphene.Arch.SM86 ~m:256 ~n:256 ~k:256)
+  ; (fun () -> gemm Graphene.Arch.SM70 ~m:128 ~n:128 ~k:128)
+  ; (fun () ->
+      fmha Graphene.Arch.SM86 ~seq:64 ~dh:32 ~chunk:16 ~swizzle_smem:true)
+  ; (fun () ->
+      (* Volta: per-lane fragment staging, quad-pair mma, no swizzle. *)
+      fmha Graphene.Arch.SM70 ~seq:32 ~dh:32 ~chunk:32 ~swizzle_smem:false)
+  ]
 
 (* The multi-domain sweep: the plan executor at each of these domain
    counts, against its 1-domain best-of-2. *)
@@ -203,8 +193,8 @@ type sim_row =
   }
 
 (* Returns the row's JSON and whether every bit-identity check held
-   (rows that fail to build or run count as not identical, so the
-   `--quick` smoke exits nonzero on them too). *)
+   (rows that fail to build or run count as not identical, so
+   `--sim-only` exits nonzero on them too). *)
 let sim_bench_row case =
   match case () with
   | exception exn ->
@@ -277,8 +267,8 @@ let sim_bench_row case =
       let bc = (bc_counters, bc_args) in
       (* The oracle: the vectorized plan issues fewer, wider requests than
          the scalar tree walk by design, so only the request counters
-         may differ (test/test_vectorize.ml pins them against a
-         scalar-forced lowering instead). *)
+         may differ (the equivalence matrix of test/corpus.ml pins them
+         against a scalar-forced lowering instead). *)
       ignore
         (check "tree vs bytecode" C.No_requests (tree_counters, tree_args) bc);
       (* The sweep: the plan executor at each domain count, every point
@@ -424,46 +414,37 @@ let sim_bench_row case =
       , counters_identical && outputs_identical ))
 
 (* Returns whether every row held its bit-identity checks. *)
-let emit_sim_bench ?(quick = false) () =
+let emit_sim_bench () =
   Format.printf
-    "== Simulation: tree-walking interpreter vs bytecode plan executor%s ==@."
-    (if quick then " (quick smoke)" else "");
-  let results = List.map sim_bench_row (sim_cases ~quick ()) in
+    "== Simulation: tree-walking interpreter vs bytecode plan executor ==@.";
+  let results = List.map sim_bench_row (sim_cases ()) in
   let rows = List.map fst results in
   let all_ok = List.for_all snd results in
-  if quick then begin
-    (* The perf smoke: no BENCH_sim.json (quick shapes would clobber the
-       real numbers) — just the bit-identity verdict. *)
-    if all_ok then Format.printf "perf smoke OK (%d rows)@.@." (List.length rows)
-    else Format.printf "perf smoke FAILED: tree/bytecode mismatch@."
-  end
-  else begin
-    let stats = Lower.Pipeline.cache_stats () in
-    write_file "BENCH_sim.json"
-      (J.to_string
-         (J.Obj
-            [ ("schema", J.Str "graphene.sim_bench.v8")
-            ; ( "note"
-              , J.Str
-                  "Wall-clock fields (tree_s, lower_s, lower_cached_s, \
-                   bytecode_s, par_s and the speedups and cells_per_sec \
-                   figures derived from them) are single samples on one \
-                   host, with no noise band; perfbench measures repeated \
-                   runs. Minor words and counters are deterministic." )
-            ; ("default_domains", J.Int (Gpu_sim.Domain_pool.default_domains ()))
-            ; ("exec_engine", J.Str "bytecode")
-            ; ("rows", J.Arr rows)
-            ; ( "plan_cache"
-              , J.Obj
-                  [ ("hits", J.Int stats.Lower.Pipeline.hits)
-                  ; ("misses", J.Int stats.Lower.Pipeline.misses)
-                  ] )
-            ]));
-    Format.printf "wrote BENCH_sim.json (%d rows)@.@." (List.length rows);
-    if not all_ok then
-      Format.printf "sim bench FAILED: a row broke bit-identity (see its \
-                     counter_diffs / output_diffs)@."
-  end;
+  let stats = Lower.Pipeline.cache_stats () in
+  write_file "BENCH_sim.json"
+    (J.to_string
+       (J.Obj
+          [ ("schema", J.Str "graphene.sim_bench.v8")
+          ; ( "note"
+            , J.Str
+                "Wall-clock fields (tree_s, lower_s, lower_cached_s, \
+                 bytecode_s, par_s and the speedups and cells_per_sec \
+                 figures derived from them) are single samples on one \
+                 host, with no noise band; perfbench measures repeated \
+                 runs. Minor words and counters are deterministic." )
+          ; ("default_domains", J.Int (Gpu_sim.Domain_pool.default_domains ()))
+          ; ("exec_engine", J.Str "bytecode")
+          ; ("rows", J.Arr rows)
+          ; ( "plan_cache"
+            , J.Obj
+                [ ("hits", J.Int stats.Lower.Pipeline.hits)
+                ; ("misses", J.Int stats.Lower.Pipeline.misses)
+                ] )
+          ]));
+  Format.printf "wrote BENCH_sim.json (%d rows)@.@." (List.length rows);
+  if not all_ok then
+    Format.printf "sim bench FAILED: a row broke bit-identity (see its \
+                   counter_diffs / output_diffs)@.";
   all_ok
 
 (* ----- continuous-batching serving benchmark -----
@@ -584,8 +565,7 @@ let () =
   else if Array.mem "--tune-only" Sys.argv then
     emit_tune_bench ~quick:(Array.mem "--quick" Sys.argv) ()
   else if Array.mem "--sim-only" Sys.argv then begin
-    if not (emit_sim_bench ~quick:(Array.mem "--quick" Sys.argv) ()) then
-      exit 1
+    if not (emit_sim_bench ()) then exit 1
   end
   else begin
     Format.printf

@@ -345,7 +345,8 @@ let tune_cmd =
       & info [] ~docv:"SIZES"
           ~doc:
             "Problem sizes: M N K for gemm (defaults 4096 4096 1024), \
-             SEQ DH for fmha (defaults 256 64).")
+             SEQ DH for fmha (defaults 256 64). A wrong count or a size \
+             below 1 exits 2.")
   in
   let kernel_pos =
     Arg.(value & pos 0 string "gemm" & info [] ~docv:"KERNEL")
@@ -396,6 +397,11 @@ let tune_cmd =
                       defaults)@." kernel form;
       exit 2
     in
+    if List.exists (fun s -> s <= 0) sizes then begin
+      Format.eprintf "error: tune %s sizes must be positive (got %s)@." kernel
+        (String.concat " " (List.map string_of_int sizes));
+      exit 2
+    end;
     let space =
       match (kernel, sizes) with
       | "gemm", [] -> Tuner.Search.gemm_space arch ~m:4096 ~n:4096 ~k:1024 ()

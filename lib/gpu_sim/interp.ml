@@ -546,8 +546,8 @@ let run_tree ~arch ?profiler ?domains (k : Spec.kernel) ~args ?(scalars = []) ()
    Observable behavior — counters (bar the request counters, which
    follow the plan's vector widths), profiler events and their order,
    traces, error messages, memory effects — is bit-identical to
-   [run_tree]; test/test_lower.ml and test/test_bytecode.ml pin that
-   down per kernel family. *)
+   [run_tree]; the equivalence matrix of test/corpus.ml pins that down
+   per kernel family. *)
 
 module WM = Warp_mask
 module Depcheck = Lower.Depcheck

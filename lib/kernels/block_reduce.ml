@@ -6,8 +6,10 @@ module Spec = Graphene.Spec
 
 let rec masks width = if width <= 1 then [] else (width / 2) :: masks (width / 2)
 
+let valid_width width = width land (width - 1) = 0 && width <= 32
+
 let warp_reduce ~warp ~op ~value ~tmp ~width =
-  if width land (width - 1) <> 0 || width > 32 then
+  if not (valid_width width) then
     invalid_arg "Block_reduce.warp_reduce: width must be a power of two <= 32";
   List.concat_map
     (fun mask ->
@@ -37,7 +39,7 @@ let block_reduce ~cta ~warp ~thr ~op ~value ~tmp ~partials ~identity =
       ]
 
 let warp_scan_inclusive ~warp ~op ~value ~tmp ~width =
-  if width land (width - 1) <> 0 || width > 32 then
+  if not (valid_width width) then
     invalid_arg "Block_reduce.warp_scan_inclusive: width must be a power of two <= 32";
   let lane = E.rem B.thread_idx (E.const 32) in
   let thr = Tt.select warp [ lane ] in

@@ -6,8 +6,13 @@
     buffer — exactly the spec-level building blocks the paper's Layernorm
     and FMHA kernels are made of (Table 1: Reduction, Shfl). *)
 
+(** The lane widths {!warp_reduce} and {!warp_scan_inclusive} accept (a
+    power of two, at most 32); both raise [Invalid_argument] on any
+    other. {!Fmha.supports} calls it on FMHA's threads per score row. *)
+val valid_width : int -> bool
+
 (** [warp_reduce ~warp ~op ~value ~tmp ~width] — butterfly-reduce the [1]
-    register view [value] across [width] lanes (power of two, <= 32), using
+    register view [value] across [width] lanes ({!valid_width}), using
     [tmp] as the exchange buffer. Afterwards every lane of each
     [width]-group holds the group's reduction. *)
 val warp_reduce :

@@ -22,13 +22,16 @@ let neg_huge = -3.0e38
 
 (* The structural constraints [kernel] enforces, as one predicate — the
    schedule search enumerates (chunk, nthreads) points against it
-   rather than re-deriving the divisibility rules. The last two are the
-   fragment pipelines' mma rule: S = Q K^T accumulates over dh into
-   per-warp chunk columns, O = P V over the chunk into per-warp dh
-   columns. *)
+   rather than re-deriving the divisibility rules. The rules of the
+   building blocks come from their owners: the fragment pipelines' mma
+   rule (S = Q K^T accumulates over dh into per-warp chunk columns,
+   O = P V over the chunk into per-warp dh columns), the cooperative
+   staging of the Q strip and the K/V chunk, and the softmax's warp
+   reduction across the threads of a score row. *)
 let supports arch ~seq ~dh ~chunk ~nthreads =
   let warps = nthreads / 32 in
-  warps >= 1
+  seq > 0 && dh > 0 && chunk > 0
+  && warps >= 1
   && nthreads mod 32 = 0
   && seq mod chunk = 0
   && chunk mod (8 * warps) = 0
@@ -37,9 +40,16 @@ let supports arch ~seq ~dh ~chunk ~nthreads =
   && seq mod (nthreads / row_block) = 0
   && Tc_pipeline.fits arch ~wm:row_block ~wn:(chunk / warps) ~kc:dh
   && Tc_pipeline.fits arch ~wm:row_block ~wn:(dh / warps) ~kc:chunk
+  && Staging.fits ~rows:row_block ~cols:dh ~nthreads
+  && Staging.fits ~rows:chunk ~cols:dh ~nthreads
+  && Block_reduce.valid_width (nthreads / row_block)
 
 let kernel ?(name = "fmha") ?(swizzle_smem = true) ?(causal = false) arch
     ~batch ~heads ~seq ~dh ~chunk ~nthreads () =
+  if batch <= 0 || heads <= 0 || seq <= 0 || dh <= 0 || chunk <= 0 then
+    invalid_arg "Fmha: sizes must be positive";
+  if nthreads < 32 || nthreads mod 32 <> 0 then
+    invalid_arg "Fmha: nthreads must be a positive multiple of 32";
   let warps = nthreads / 32 in
   if seq mod chunk <> 0 then invalid_arg "Fmha: seq must divide by chunk";
   if chunk mod (8 * warps) <> 0 then

@@ -9,13 +9,16 @@
     layouts"), the detail the paper credits for its edge over the TensorRT
     kernels. *)
 
-(** Do the structural divisibility constraints of {!kernel} hold for
-    this (seq, dh, chunk, nthreads) point on [arch]? They include the
-    tensor-core rule ({!Tc_pipeline.fits}) of both fragment pipelines,
-    which is why the answer depends on the architecture. For CTAs of
-    32 to 512 threads in powers of two, [kernel arch] raises
-    [Invalid_argument] exactly when this is [false]; the schedule search
-    ({!Tuner.Search.fmha_space}) enumerates against it. *)
+(** Do the structural constraints of {!kernel} hold for this (seq, dh,
+    chunk, nthreads) point on [arch]? Sizes must be positive, and the
+    rules of the building blocks are their owners': the tensor-core rule
+    ({!Tc_pipeline.fits}) of both fragment pipelines, which is why the
+    answer depends on the architecture, the cooperative staging of the
+    Q strip and the K/V chunk ({!Staging.fits}) and the softmax's warp
+    reduction over [nthreads / 16] lanes ({!Block_reduce.valid_width}).
+    [kernel arch] raises [Invalid_argument] exactly when this is
+    [false]; the schedule search ({!Tuner.Search.fmha_space}) enumerates
+    against it. *)
 val supports :
   Graphene.Arch.t -> seq:int -> dh:int -> chunk:int -> nthreads:int -> bool
 
@@ -23,7 +26,8 @@ val supports :
     Q/K/V/O parameters are [(batch*heads*seq) x dh] row-major, heads
     concatenated. Each block processes 16 query rows; [chunk] K/V rows are
     staged per iteration ([seq mod chunk = 0], [chunk mod (8 *
-    nthreads/32) = 0]). *)
+    nthreads/32) = 0]). Raises [Invalid_argument] on a non-positive size
+    and wherever {!supports} is false. *)
 val kernel :
   ?name:string ->
   ?swizzle_smem:bool ->

@@ -254,6 +254,8 @@ let epilogue_stores ~thr ~pipe ~epilogue ~c ~bias ~grow ~gcol =
 let tensor_core ?name ?(batch = 1) ?(dtype = Dt.FP16) ?(ta = false)
     ?(tb = false) arch cfg ~epilogue ~m ~n ~k () =
   let { bm; bn; bk; _ } = cfg in
+  require (m > 0 && n > 0 && k > 0 && batch > 0)
+    "non-positive size %dx%dx%d (batch %d)" m n k batch;
   require (m mod bm = 0 && n mod bn = 0 && k mod bk = 0)
     "%dx%dx%d not divisible by %dx%dx%d tiles" m n k bm bn bk;
   let name =

@@ -85,8 +85,9 @@ val block_body :
   Graphene.Spec.stmt list
 
 (** [tensor_core arch cfg ~epilogue ~m ~n ~k ()] — raises
-    [Invalid_argument] when sizes do not divide per [cfg]. The kernel's
-    parameters are [A], [B], [C] (and [bias] when the epilogue uses it).
+    [Invalid_argument] when a size is not positive or does not divide per
+    [cfg]. The kernel's parameters are [A], [B], [C] (and [bias] when the
+    epilogue uses it).
     [ta] means A is stored transposed ([k x m]), [tb] that B is ([n x
     k]): the four operand layouts NN / TN / NT / TT. [batch > 1] makes it
     a batched GEMM (untransposed operands only): instances are

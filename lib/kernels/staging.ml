@@ -41,6 +41,11 @@ let fence stgs =
 let step stgs ~copies compute =
   copies @ fence stgs @ [ B.sync ] @ compute @ [ B.sync ]
 
+let fits ~rows ~cols ~nthreads =
+  let total_vecs = rows * (cols / vector_width) in
+  cols mod vector_width = 0
+  && (total_vecs mod nthreads = 0 || nthreads mod total_vecs = 0)
+
 let copy t ~src ~src_row0 ~src_col0 ~dst =
   let dims = T.to_ints_exn (L.dims dst.Ts.layout) in
   let rows, cols =
@@ -50,9 +55,7 @@ let copy t ~src ~src_row0 ~src_col0 ~dst =
   in
   let vecs_per_row = cols / vector_width in
   let total_vecs = rows * vecs_per_row in
-  if vecs_per_row * vector_width <> cols
-     || (total_vecs mod t.nthreads <> 0 && t.nthreads mod total_vecs <> 0)
-  then
+  if not (fits ~rows ~cols ~nthreads:t.nthreads) then
     invalid_arg
       (Printf.sprintf "Staging.copy: %dx%d tile not divisible (%d threads)"
          rows cols t.nthreads);

@@ -54,12 +54,19 @@ val step :
   Graphene.Spec.stmt list ->
   Graphene.Spec.stmt list
 
+(** [fits ~rows ~cols ~nthreads] — can [nthreads] threads stage a
+    [rows x cols] tile cooperatively? [cols] must divide by
+    {!vector_width} and the tile's vector count must divide, or be
+    divided by, [nthreads]. {!copy} refuses exactly the tiles this
+    rejects; the schedule search and {!Fmha.supports} call it rather
+    than restating the rule. *)
+val fits : rows:int -> cols:int -> nthreads:int -> bool
+
 (** [copy t ~src ~src_row0 ~src_col0 ~dst] — stage [dst]'s full extent
     ([rows x cols], from its layout) from [src] starting at the given
-    coordinates. [dst] must be rank 2 with [cols] divisible by
-    {!vector_width} and the total vector count dividing (or divided by)
-    [nthreads]; violations raise [Invalid_argument] naming the tile shape
-    and thread count. *)
+    coordinates. [dst] must be rank 2 and {!fits} its [nthreads];
+    violations raise [Invalid_argument] naming the tile shape and thread
+    count. *)
 val copy :
   t ->
   src:Gpu_tensor.Tensor.t ->

@@ -28,11 +28,11 @@
     must succeed with the slot origins as mode 1 — its stride is the
     rotation step applied to every view of the buffer.
 
-    The rewrite is audited by the bit-identity oracle
-    (test/test_swpipe.ml): on the plan executor and on [run_tree]
-    over the plan's rewritten kernel, outputs and every pre-existing
-    counter field must match the unpipelined lowering exactly; only the
-    async-queue occupancy counters may differ. *)
+    The rewrite is audited by the equivalence matrix (test/corpus.ml):
+    on the plan executor and on [run_tree] over the plan's rewritten
+    kernel, outputs and every pre-existing counter field must match the
+    unpipelined lowering exactly; only the async-queue occupancy
+    counters may differ. *)
 
 (** Why a loop (or the whole kernel) was left unpipelined. Mirrors
     {!Vectorize.reason}: every refusal names the legality rule that

@@ -602,12 +602,8 @@ let gemm_configs arch ~m ~n ~k =
                         warps >= 1 && warps <= 8
                         &&
                         let nthreads = warps * 32 in
-                        (* cooperative staging must divide evenly *)
-                        let vecs t = t / Kernels.Staging.vector_width in
-                        (vecs (bm * bk) mod nthreads = 0
-                        || nthreads mod vecs (bm * bk) = 0)
-                        && (vecs (bk * bn) mod nthreads = 0
-                           || nthreads mod vecs (bk * bn) = 0)
+                        Kernels.Staging.fits ~rows:bm ~cols:bk ~nthreads
+                        && Kernels.Staging.fits ~rows:bk ~cols:bn ~nthreads
                         && (bm * bk) + (bk * bn) <= smem_budget / 2
                       in
                       if ok then Some { base with Gemm.bm; bn; bk; wm; wn }

@@ -2,10 +2,11 @@
    flow in the warp-mask plan executor:
 
    - a corpus of generated kernels nesting tid-dependent [if]/[if-else]
-     branches and loops (with loop-dependent store indices) must run
-     bit-identically — counters, instruction mix, profiler report JSON,
-     Chrome trace, output buffers — through [Interp.run_plan] at 1 and
-     4 domains and through the tree-walking reference;
+     branches and loops (with loop-dependent store indices) must pass
+     the equivalence matrix of corpus.ml — counters, instruction mix,
+     profiler report JSON, Chrome trace and output buffers of both
+     executors at every domain count — and reach divergent nesting
+     depth 3;
    - collective atomics: a warp shuffle lowers to the plan's one
      [Collective] atomic, groups each warp through its compiled member
      function, and raises on both engines when a branch splits a
@@ -22,17 +23,10 @@ module Arch = Graphene.Arch
 module Spec = Graphene.Spec
 module C = Gpu_sim.Counters
 module Interp = Gpu_sim.Interp
-module Profiler = Gpu_sim.Profiler
-module Trace = Gpu_sim.Trace
 module Plan = Lower.Plan
 module Pipeline = Lower.Pipeline
 
 let check_bool = Alcotest.(check bool)
-let check_str = Alcotest.(check string)
-
-let check_counters fields name a b =
-  Alcotest.(check (option string))
-    (name ^ ": counters") None (C.diff fields a b)
 
 (* ----- generated divergence corpus ----- *)
 
@@ -103,51 +97,24 @@ let gen_kernel rng idx =
     ~grid ~cta ~params:[ a ]
     (block 0 None @ [ leaf () ])
 
-let par_domains = 4
-
-(* Tree at 1 domain is the baseline; the plan path must match it
-   bit-for-bit at 1 and [par_domains] domains. *)
-let check_kernel name arch kernel =
-  let machine = Gpu_sim.Machine.of_arch arch in
-  let plan = Pipeline.lower arch kernel in
-  let run_one runner ~domains =
-    let args = [ ("A", Array.make (grid_blocks * cta_size) 0.0) ] in
-    let trace = Trace.create () in
-    let profiler = Profiler.create ~trace () in
-    let counters = runner ~profiler ~domains ~args in
-    let report = Profiler.report profiler ~kernel ~arch ~counters ~machine () in
-    ( args
-    , counters
-    , Profiler.report_to_json report
-    , Trace.to_chrome_string trace )
-  in
-  let tree ~profiler ~domains ~args =
-    Interp.run_tree ~arch ~profiler ~domains kernel ~args ()
-  in
-  let planp ~profiler ~domains ~args =
-    Interp.run_plan ~profiler ~domains plan ~args ()
-  in
-  let args0, c0, r0, t0 = run_one tree ~domains:1 in
-  List.iter
-    (fun domains ->
-      let tag = Printf.sprintf "%s: plan @ %d domains" name domains in
-      let argsn, cn, rn, tn = run_one planp ~domains in
-      check_counters C.No_requests tag c0 cn;
-      check_str (tag ^ ": profiler report JSON") r0 rn;
-      check_str (tag ^ ": chrome trace") t0 tn;
-      List.iter2
-        (fun (bn, x) (_, y) ->
-          check_bool (Printf.sprintf "%s: buffer %s bitwise" tag bn) true
-            (x = y))
-        args0 argsn)
-    [ 1; par_domains ]
-
+(* Each generated kernel runs through the equivalence matrix
+   (corpus.ml), without its static-analysis totals: the analysis prices
+   a nested thread-dependent branch as if its guard were independent of
+   the enclosing ones. The corpus must diverge, and reach the
+   generator's nesting depth of three branches, where the plan
+   executor's mask arena reuses a pair per level. *)
 let test_divergence_corpus () =
   let rng = Random.State.make [| 0x9e3779b9; 42 |] in
+  let max_depth = ref 0 in
   for idx = 0 to 11 do
     let kernel = gen_kernel rng idx in
-    check_kernel kernel.Spec.name Arch.SM86 kernel
-  done
+    let plan = Pipeline.lower Arch.SM86 kernel in
+    max_depth := max !max_depth (Plan.divergence_depth plan.Plan.body);
+    Corpus.matrix ~static:false
+      (Corpus.family kernel.Spec.name Arch.SM86 (fun () -> kernel))
+  done;
+  check_bool "corpus contains divergent kernels" true (!max_depth > 0);
+  Alcotest.(check int) "corpus reaches divergent nesting depth 3" 3 !max_depth
 
 (* ----- collective atomics ----- *)
 
@@ -202,7 +169,7 @@ let test_collective_groups_warps () =
     (List.assoc "Out" tree_args = expected);
   check_bool "plan: each warp broadcasts its lane 5" true
     (List.assoc "Out" plan_args = expected);
-  check_counters C.No_requests "plan vs tree" c_tree c_plan
+  Corpus.check_counters C.No_requests "plan vs tree" c_tree c_plan
 
 (* A branch that keeps lanes 0..15 splits every warp: the shuffle's
    instance is not fully active, and both engines refuse it with the

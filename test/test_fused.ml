@@ -200,46 +200,55 @@ let test_fmha_swizzle_ablation () =
     (c1.Gpu_sim.Counters.shared_bank_conflicts
     <= c2.Gpu_sim.Counters.shared_bank_conflicts)
 
-(* [Fmha.supports arch] holds exactly where [Fmha.kernel arch] builds, on
-   a grid wide enough to reach every refusal: the tensor-core rule on
-   sm70 (16-wide quad-pair warp tiles) and on sm86 (chunk 8 is half an
-   m16n8k16 k step), as well as FMHA's own divisibility rules. *)
+(* [Fmha.supports arch] holds exactly where [Fmha.kernel arch] builds,
+   on three grids, both archs and both swizzle settings. The first
+   reaches the tensor-core rule on sm70 (16-wide quad-pair warp tiles)
+   and on sm86 (chunk 8 is half an m16n8k16 k step), FMHA's own
+   divisibility rules and zero sizes; the second, CTAs whose width is
+   not a power of two (cooperative staging, the softmax's warp
+   reduction) or not whole warps; the third, CTAs of 512 and 1024
+   threads. *)
 let test_fmha_supports () =
-  let grid =
-    List.concat_map
-      (fun arch ->
-        List.concat_map
-          (fun seq ->
-            List.concat_map
-              (fun dh ->
-                List.concat_map
-                  (fun chunk ->
-                    List.map
-                      (fun nthreads -> (arch, seq, dh, chunk, nthreads))
-                      [ 32; 64; 128; 256 ])
-                  [ 8; 16; 32; 64 ])
-              [ 16; 32; 64; 128 ])
-          [ 8; 16; 32; 64; 128; 256 ])
-      [ Arch.SM70; Arch.SM86 ]
+  let check_grid seqs dhs chunks nthreadss =
+    List.iter
+      (fun (arch, seq, dh, chunk, nthreads) ->
+        let builds swizzle_smem =
+          match
+            Kernels.Fmha.kernel ~swizzle_smem arch ~batch:1 ~heads:1 ~seq ~dh
+              ~chunk ~nthreads ()
+          with
+          | _ -> true
+          | exception Invalid_argument _ -> false
+        in
+        let supported = Kernels.Fmha.supports arch ~seq ~dh ~chunk ~nthreads in
+        let label =
+          Printf.sprintf "%s seq %d dh %d chunk %d nthreads %d"
+            (Arch.name arch) seq dh chunk nthreads
+        in
+        check_bool (label ^ " swizzled") (builds true) supported;
+        check_bool (label ^ " unswizzled") (builds false) supported)
+      (List.concat_map
+         (fun arch ->
+           List.concat_map
+             (fun seq ->
+               List.concat_map
+                 (fun dh ->
+                   List.concat_map
+                     (fun chunk ->
+                       List.map
+                         (fun nthreads -> (arch, seq, dh, chunk, nthreads))
+                         nthreadss)
+                     chunks)
+                 dhs)
+             seqs)
+         [ Arch.SM70; Arch.SM86 ])
   in
-  List.iter
-    (fun (arch, seq, dh, chunk, nthreads) ->
-      let builds swizzle_smem =
-        match
-          Kernels.Fmha.kernel ~swizzle_smem arch ~batch:1 ~heads:1 ~seq ~dh
-            ~chunk ~nthreads ()
-        with
-        | _ -> true
-        | exception Invalid_argument _ -> false
-      in
-      let supported = Kernels.Fmha.supports arch ~seq ~dh ~chunk ~nthreads in
-      let label =
-        Printf.sprintf "%s seq %d dh %d chunk %d nthreads %d" (Arch.name arch)
-          seq dh chunk nthreads
-      in
-      check_bool (label ^ " swizzled") (builds true) supported;
-      check_bool (label ^ " unswizzled") (builds false) supported)
-    grid
+  check_grid [ 0; 8; 16; 32; 64; 128; 256 ] [ 0; 16; 32; 64; 128 ]
+    [ 8; 16; 32; 64 ] [ 32; 64; 128; 256 ];
+  check_grid [ 48; 96; 144; 240; 480 ] [ 48; 96; 144; 240 ]
+    [ 24; 48; 96; 120 ] [ 48; 96; 160; 192; 224 ];
+  check_grid [ 256; 512; 1024 ] [ 128; 256; 512 ] [ 128; 256; 512 ]
+    [ 512; 1024 ]
 
 (* ----- custom fusion beyond the paper: GEMM + bias + residual + LN ----- *)
 

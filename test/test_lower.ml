@@ -1,8 +1,7 @@
-(* Tests for the lowering pipeline and the compiled-plan executor:
+(* Tests for the lowering pipeline and the compiled-plan executor (plan
+   against tree equivalence over every kernel family is the matrix of
+   corpus.ml, run by test_equivalence):
 
-   - plan/tree equivalence: for every kernel family, [Interp.run_plan]
-     must produce bit-identical counters, instruction mixes, profiler
-     report JSON, and output buffers to [Interp.run_tree];
    - Atomic.find is called exactly once per leaf spec per lowering and
      never at execution time;
    - compiled view offsets match the symbolic enumeration;
@@ -24,121 +23,11 @@ module Spec = Graphene.Spec
 module Atomic = Graphene.Atomic
 module C = Gpu_sim.Counters
 module Interp = Gpu_sim.Interp
-module Profiler = Gpu_sim.Profiler
 module Pipeline = Lower.Pipeline
 module Plan = Lower.Plan
-module Ref = Reference.Cpu_ref
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-let check_str = Alcotest.(check string)
-
-(* ----- plan/tree equivalence ----- *)
-
-let check_counters fields name a b =
-  Alcotest.(check (option string))
-    (name ^ ": counters") None (C.diff fields a b)
-
-(* Run the kernel through both paths with identical inputs; demand
-   bit-identical counters, profiler reports, and output buffers. *)
-let check_equiv ?(scalars = []) ?args name arch kernel =
-  let base_args =
-    match args with
-    | Some a -> a
-    | None ->
-      List.mapi
-        (fun i (p : Ts.t) ->
-          (p.Ts.name, Ref.random_fp16 ~seed:(i + 1) (L.cosize p.Ts.layout)))
-        kernel.Spec.params
-  in
-  let machine = Gpu_sim.Machine.of_arch arch in
-  let run_path runner =
-    let args = List.map (fun (n, a) -> (n, Array.copy a)) base_args in
-    let profiler = Profiler.create () in
-    let counters = runner ~profiler ~args in
-    let report = Profiler.report profiler ~kernel ~arch ~counters ~machine () in
-    (args, counters, Profiler.report_to_json report)
-  in
-  let args1, c1, r1 =
-    run_path (fun ~profiler ~args ->
-        Interp.run_tree ~arch ~profiler kernel ~args ~scalars ())
-  in
-  let plan = Pipeline.lower arch kernel in
-  let args2, c2, r2 =
-    run_path (fun ~profiler ~args ->
-        Interp.run_plan ~profiler plan ~args ~scalars ())
-  in
-  check_counters C.No_requests name c1 c2;
-  check_str (name ^ ": profiler report JSON") r1 r2;
-  List.iter2
-    (fun (bn, x) (_, y) ->
-      check_bool (Printf.sprintf "%s: buffer %s bitwise" name bn) true (x = y))
-    args1 args2
-
-let test_equiv_gemm_tc () =
-  List.iter
-    (fun arch ->
-      let cfg = Kernels.Gemm.test_config arch in
-      let m, n = if arch = Arch.SM70 then (32, 32) else (64, 64) in
-      check_equiv
-        (Printf.sprintf "gemm-tc %s" (Arch.name arch))
-        arch
-        (Kernels.Gemm.tensor_core arch cfg ~epilogue:Kernels.Epilogue.none ~m
-           ~n ~k:32 ()))
-    [ Arch.SM86; Arch.SM70 ]
-
-let test_equiv_gemm_naive () =
-  check_equiv "gemm-naive" Arch.SM86
-    (Kernels.Gemm.naive ~m:32 ~n:32 ~k:16 ~bm:16 ~bn:16 ~tm:4 ~tn:4 ())
-
-let test_equiv_gemm_parametric () =
-  (* Scalar parameters exercise the slot-environment path; ragged sizes
-     exercise predicated partial tiles (divergent branches). *)
-  let m = 30 and n = 20 and k = 10 in
-  let kernel =
-    Kernels.Gemm.naive_parametric ~launch_m:m ~launch_n:n ~bm:16 ~bn:16 ~tm:4
-      ~tn:4 ()
-  in
-  let args =
-    [ ("A", Ref.random_fp16 ~seed:14 (m * k))
-    ; ("B", Ref.random_fp16 ~seed:15 (k * n))
-    ; ("C", Array.make (m * n) 0.0)
-    ]
-  in
-  check_equiv "gemm-parametric" Arch.SM86 kernel ~args
-    ~scalars:[ ("M", m); ("N", n); ("K", k) ]
-
-let test_equiv_fmha () =
-  check_equiv "fmha sm86" Arch.SM86
-    (Kernels.Fmha.kernel Arch.SM86 ~batch:1 ~heads:1 ~seq:32 ~dh:16 ~chunk:16
-       ~nthreads:64 ());
-  check_equiv "fmha sm70" Arch.SM70
-    (Kernels.Fmha.kernel ~swizzle_smem:false Arch.SM70 ~batch:1 ~heads:1
-       ~seq:32 ~dh:32 ~chunk:32 ~nthreads:64 ())
-
-let test_equiv_lstm () =
-  check_equiv "lstm" Arch.SM86
-    (Kernels.Lstm.kernel Arch.SM86
-       (Kernels.Gemm.test_config Arch.SM86)
-       ~m:64 ~n:64 ~k:64 ())
-
-let test_equiv_mlp () =
-  check_equiv "mlp" Arch.SM86
-    (Kernels.Mlp.kernel Arch.SM86 ~m:64 ~width:64 ~layers:2 ~bm:64 ~wm:32
-       ~wn:32 ())
-
-let test_equiv_layernorm () =
-  check_equiv "layernorm" Arch.SM86
-    (Kernels.Layernorm.kernel ~rows:2 ~cols:256 ~nthreads:64 ())
-
-let test_equiv_softmax () =
-  check_equiv "softmax" Arch.SM86
-    (Kernels.Softmax.kernel ~rows:2 ~cols:128 ~nthreads:64 ())
-
-let test_equiv_gemm_layernorm () =
-  check_equiv "gemm+layernorm" Arch.SM86
-    (Kernels.Gemm_layernorm.kernel Arch.SM86 ~m:64 ~k:32 ~width:64 ~bm:64
-       ~wm:32 ~wn:32 ())
 
 (* ----- Atomic.find call counting ----- *)
 
@@ -402,21 +291,7 @@ let test_book_issue () =
 
 let () =
   Alcotest.run "lower"
-    [ ( "plan/tree equivalence",
-        [ Alcotest.test_case "gemm tensor-core (both arches)" `Quick
-            test_equiv_gemm_tc
-        ; Alcotest.test_case "gemm naive" `Quick test_equiv_gemm_naive
-        ; Alcotest.test_case "gemm parametric (scalars)" `Quick
-            test_equiv_gemm_parametric
-        ; Alcotest.test_case "fmha (both arches)" `Quick test_equiv_fmha
-        ; Alcotest.test_case "lstm" `Quick test_equiv_lstm
-        ; Alcotest.test_case "mlp" `Quick test_equiv_mlp
-        ; Alcotest.test_case "layernorm" `Quick test_equiv_layernorm
-        ; Alcotest.test_case "softmax" `Quick test_equiv_softmax
-        ; Alcotest.test_case "fused gemm+layernorm" `Quick
-            test_equiv_gemm_layernorm
-        ] )
-    ; ( "pipeline",
+    [ ( "pipeline",
         [ Alcotest.test_case "find called once per leaf" `Quick
             test_find_called_once_per_leaf
         ; Alcotest.test_case "compiled offsets match symbolic" `Quick

@@ -1,9 +1,7 @@
-(* Tests for parallel grid execution and the plan cache:
+(* Tests for parallel grid execution and the plan cache (determinism
+   across domain counts, for every kernel family, is the matrix of
+   corpus.ml, run by test_equivalence):
 
-   - determinism: for every kernel family, [Interp.run_plan] and
-     [Interp.run_tree] at domains ∈ {2, 4, 7} must produce counters,
-     profiler report JSON, Chrome traces, and output buffers
-     bit-identical to the 1-domain run;
    - [Counters.merge] / [Counters.merge_list] sum every field,
      including DRAM sectors, bank conflicts, and the instruction mix
      (broadcasts stay free, conflicts stay counted); [Counters.diff]
@@ -12,142 +10,16 @@
    - [Pipeline.lower_cached] lowers a kernel structure once across
      scalar-variant launches and never re-resolves atomics on a hit. *)
 
-module L = Shape.Layout
-module Ts = Gpu_tensor.Tensor
 module Arch = Graphene.Arch
-module Spec = Graphene.Spec
 module Atomic = Graphene.Atomic
 module C = Gpu_sim.Counters
 module Interp = Gpu_sim.Interp
-module Profiler = Gpu_sim.Profiler
-module Trace = Gpu_sim.Trace
 module Domain_pool = Gpu_sim.Domain_pool
 module Pipeline = Lower.Pipeline
 module Ref = Reference.Cpu_ref
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-let check_str = Alcotest.(check string)
-
-let check_counters fields name a b =
-  Alcotest.(check (option string))
-    (name ^ ": counters") None (C.diff fields a b)
-
-(* ----- determinism across domain counts ----- *)
-
-let domain_counts = [ 2; 4; 7 ]
-
-(* Run the kernel at every domain count through both executor paths;
-   demand bit-identical counters, profiler report JSON, Chrome traces,
-   and output buffers against the 1-domain baseline. *)
-let check_domains ?(scalars = []) ?args name arch kernel =
-  let base_args =
-    match args with
-    | Some a -> a
-    | None ->
-      List.mapi
-        (fun i (p : Ts.t) ->
-          (p.Ts.name, Ref.random_fp16 ~seed:(i + 1) (L.cosize p.Ts.layout)))
-        kernel.Spec.params
-  in
-  let machine = Gpu_sim.Machine.of_arch arch in
-  let plan = Pipeline.lower arch kernel in
-  let run_one runner ~domains =
-    let args = List.map (fun (n, a) -> (n, Array.copy a)) base_args in
-    let trace = Trace.create () in
-    let profiler = Profiler.create ~trace () in
-    let counters = runner ~profiler ~domains ~args in
-    let report = Profiler.report profiler ~kernel ~arch ~counters ~machine () in
-    (args, counters, Profiler.report_to_json report, Trace.to_chrome_string trace)
-  in
-  let plan_path ~profiler ~domains ~args =
-    Interp.run_plan ~profiler ~domains plan ~args ~scalars ()
-  in
-  let tree_path ~profiler ~domains ~args =
-    Interp.run_tree ~arch ~profiler ~domains kernel ~args ~scalars ()
-  in
-  let args1, c1, r1, t1 = run_one plan_path ~domains:1 in
-  let compare_against_baseline fields tag (argsn, cn, rn, tn) =
-    check_counters fields tag c1 cn;
-    check_str (tag ^ ": profiler report JSON") r1 rn;
-    check_str (tag ^ ": chrome trace") t1 tn;
-    List.iter2
-      (fun (bn, x) (_, y) ->
-        check_bool (Printf.sprintf "%s: buffer %s bitwise" tag bn) true (x = y))
-      args1 argsn
-  in
-  List.iter
-    (fun domains ->
-      compare_against_baseline C.All
-        (Printf.sprintf "%s: plan @ %d domains" name domains)
-        (run_one plan_path ~domains);
-      compare_against_baseline C.No_requests
-        (Printf.sprintf "%s: tree @ %d domains" name domains)
-        (run_one tree_path ~domains))
-    domain_counts
-
-let test_par_gemm_tc () =
-  (* m, n span several thread blocks (test_config tiles: 64x64 on SM86,
-     32x32 on SM70), so 2 and 4 domains genuinely split the grid. *)
-  List.iter
-    (fun arch ->
-      let cfg = Kernels.Gemm.test_config arch in
-      let m, n = if arch = Arch.SM70 then (64, 64) else (128, 128) in
-      check_domains
-        (Printf.sprintf "gemm-tc %s" (Arch.name arch))
-        arch
-        (Kernels.Gemm.tensor_core arch cfg ~epilogue:Kernels.Epilogue.none ~m
-           ~n ~k:32 ()))
-    [ Arch.SM86; Arch.SM70 ]
-
-let test_par_gemm_naive () =
-  check_domains "gemm-naive" Arch.SM86
-    (Kernels.Gemm.naive ~m:32 ~n:32 ~k:16 ~bm:16 ~bn:16 ~tm:4 ~tn:4 ())
-
-let test_par_gemm_parametric () =
-  (* Ragged sizes: partial tiles diverge, and the per-domain slot
-     environments must not leak block ids across ranges. *)
-  let m = 30 and n = 20 and k = 10 in
-  let kernel =
-    Kernels.Gemm.naive_parametric ~launch_m:m ~launch_n:n ~bm:16 ~bn:16 ~tm:4
-      ~tn:4 ()
-  in
-  let args =
-    [ ("A", Ref.random_fp16 ~seed:14 (m * k))
-    ; ("B", Ref.random_fp16 ~seed:15 (k * n))
-    ; ("C", Array.make (m * n) 0.0)
-    ]
-  in
-  check_domains "gemm-parametric" Arch.SM86 kernel ~args
-    ~scalars:[ ("M", m); ("N", n); ("K", k) ]
-
-let test_par_fmha () =
-  check_domains "fmha sm86" Arch.SM86
-    (Kernels.Fmha.kernel Arch.SM86 ~batch:1 ~heads:1 ~seq:32 ~dh:16 ~chunk:16
-       ~nthreads:64 ());
-  check_domains "fmha sm70" Arch.SM70
-    (Kernels.Fmha.kernel ~swizzle_smem:false Arch.SM70 ~batch:1 ~heads:1
-       ~seq:32 ~dh:32 ~chunk:32 ~nthreads:64 ())
-
-let test_par_reductions () =
-  (* 8 row-blocks: with 7 domains the range split is maximally ragged
-     (one domain gets two blocks, six get one). *)
-  check_domains "layernorm" Arch.SM86
-    (Kernels.Layernorm.kernel ~rows:8 ~cols:256 ~nthreads:64 ());
-  check_domains "softmax" Arch.SM86
-    (Kernels.Softmax.kernel ~rows:8 ~cols:128 ~nthreads:64 ())
-
-let test_par_fused () =
-  check_domains "lstm" Arch.SM86
-    (Kernels.Lstm.kernel Arch.SM86
-       (Kernels.Gemm.test_config Arch.SM86)
-       ~m:64 ~n:64 ~k:64 ());
-  check_domains "mlp" Arch.SM86
-    (Kernels.Mlp.kernel Arch.SM86 ~m:64 ~width:64 ~layers:2 ~bm:64 ~wm:32
-       ~wn:32 ());
-  check_domains "gemm+layernorm" Arch.SM86
-    (Kernels.Gemm_layernorm.kernel Arch.SM86 ~m:64 ~k:32 ~width:64 ~bm:64
-       ~wm:32 ~wn:32 ())
 
 (* ----- Counters.merge / merge_list ----- *)
 
@@ -202,9 +74,9 @@ let test_counters_merge () =
     [ ("ffma", 1); ("hmma", 1); ("lds", 4) ]
     (C.instr_mix_alist dst);
   (* merge_list must equal pairwise merging, in any grouping. *)
-  check_counters C.All "merge_list [a; b]" dst (C.merge_list [ a; b ]);
-  check_counters C.All "merge_list [b; a]" dst (C.merge_list [ b; a ]);
-  check_counters C.All "merge_list []" (C.create ()) (C.merge_list [])
+  Corpus.check_counters C.All "merge_list [a; b]" dst (C.merge_list [ a; b ]);
+  Corpus.check_counters C.All "merge_list [b; a]" dst (C.merge_list [ b; a ]);
+  Corpus.check_counters C.All "merge_list []" (C.create ()) (C.merge_list [])
 
 (* [Counters.diff] names the first differing field of its set, then the
    first differing instruction-mix entry. *)
@@ -309,7 +181,7 @@ let test_plan_cache () =
       let args_tree = mk_args () in
       let c_tree = Interp.run_tree ~arch kernel ~args:args_tree ~scalars () in
       let tag = Printf.sprintf "cached run %dx%dx%d" m n k in
-      check_counters C.No_requests tag c_run c_tree;
+      Corpus.check_counters C.No_requests tag c_run c_tree;
       check_bool (tag ^ ": output bitwise") true
         (List.assoc "C" args_run = List.assoc "C" args_tree))
     [ (30, 20, 10); (25, 17, 8) ];
@@ -319,15 +191,7 @@ let test_plan_cache () =
 
 let () =
   Alcotest.run "parallel"
-    [ ( "determinism"
-      , [ Alcotest.test_case "gemm-tc sm86+sm70" `Quick test_par_gemm_tc
-        ; Alcotest.test_case "gemm naive" `Quick test_par_gemm_naive
-        ; Alcotest.test_case "gemm parametric" `Quick test_par_gemm_parametric
-        ; Alcotest.test_case "fmha" `Quick test_par_fmha
-        ; Alcotest.test_case "reductions" `Quick test_par_reductions
-        ; Alcotest.test_case "fused" `Quick test_par_fused
-        ] )
-    ; ( "counters"
+    [ ( "counters"
       , [ Alcotest.test_case "merge / merge_list" `Quick test_counters_merge
         ; Alcotest.test_case "diff" `Quick test_counters_diff
         ] )

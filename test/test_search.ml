@@ -296,6 +296,18 @@ let test_winner_computes_correctly () =
     Reference.Cpu_ref.gemm ~m ~n ~k a b c_ref;
     check_bool "winner is correct" true (Reference.Cpu_ref.allclose c c_ref)
 
+(* A problem with a zero size has nothing to tune: [Gemm.tensor_core]
+   refuses every candidate, so the search prunes them all as
+   build-refused and verifies no winner. *)
+let test_empty_problem () =
+  let o = run (S.gemm_space Arch.SM86 ~m:0 ~n:128 ~k:128 ()) in
+  check_bool "candidates enumerated" true (o.S.o_enumerated > 0);
+  check_int "nothing scored" 0 o.S.o_scored;
+  check_bool "pruned as build-refused" true
+    (List.mem_assoc "build-refused" o.S.o_pruned);
+  check_bool "no winner" true (Option.is_none o.S.o_winner);
+  check_bool "not verified" false o.S.o_verified
+
 (* ----- budget monotonicity ----- *)
 
 (* Priorities are per-id, so the sample at budget B is a subset of the
@@ -448,6 +460,8 @@ let () =
             test_winner_verified_and_beats_baseline
         ; Alcotest.test_case "winner computes correctly" `Quick
             test_winner_computes_correctly
+        ; Alcotest.test_case "none for an empty problem" `Quick
+            test_empty_problem
         ] )
     ; ( "budget"
       , [ Alcotest.test_case "leader monotone" `Slow test_budget_monotone

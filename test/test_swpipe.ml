@@ -1,12 +1,8 @@
 (* Tests for the software-pipelining pass and the deferred async-copy
-   queue:
+   queue (the bit-identity of 2- and 3-stage plans with the unpipelined
+   one, on both executors, is the matrix of corpus.ml, run by
+   test_equivalence):
 
-   - bit-identity oracle: for every pipelining kernel family, the
-     2- and 3-stage plans produce bit-identical outputs and pre-existing
-     counters to the unpipelined plan, both on the plan executor
-     and on [run_tree] over the plan's (rewritten) Spec kernel, at 1
-     and 4 domains — only the async-queue occupancy counters may move,
-     and the two paths must agree with each other on those too;
    - hand-computed queue accounting on a toy copy loop: commit/wait
      counts and the in-flight depth samples of the 1-, 2- and 3-stage
      schedules match the closed-form prologue/steady/tail arithmetic;
@@ -26,7 +22,6 @@ module B = Graphene.Builder
 module Dt = Gpu_tensor.Dtype
 module Ms = Gpu_tensor.Memspace
 module Arch = Graphene.Arch
-module Spec = Graphene.Spec
 module C = Gpu_sim.Counters
 module Interp = Gpu_sim.Interp
 module PM = Gpu_sim.Perf_model
@@ -34,166 +29,18 @@ module Pipeline = Lower.Pipeline
 module Plan = Lower.Plan
 module Sw = Lower.Swpipe
 module Staging = Kernels.Staging
-module Ref = Reference.Cpu_ref
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
 
-(* ----- kernel families ----- *)
-
-let cfg86 = Kernels.Gemm.test_config Arch.SM86
+(* ----- kernels ----- *)
 
 (* k = 4 tiles of bk=32: deep enough to pipeline at 2 and 3 stages. *)
-let gemm_tc ?(k = 128) arch () =
-  Kernels.Gemm.tensor_core arch
-    (Kernels.Gemm.test_config arch)
-    ~epilogue:Kernels.Epilogue.none ~m:64 ~n:64 ~k ()
-
-let gemm_layouts () =
-  Kernels.Gemm.tensor_core ~name:"gemm_tc_layouts" ~ta:true ~tb:true
-    Arch.SM86 cfg86 ~epilogue:Kernels.Epilogue.none ~m:64 ~n:64 ~k:128 ()
-
-let split_k_partial () =
-  fst
-    (Kernels.Gemm.split_k Arch.SM86 cfg86 ~epilogue:Kernels.Epilogue.none
-       ~splits:2 ~m:64 ~n:64 ~k:128 ())
-
-let gemm_layernorm () =
-  Kernels.Gemm_layernorm.kernel Arch.SM86 ~m:64 ~k:64 ~width:64 ~bm:64
-    ~wm:32 ~wn:32 ()
-
-let fmha () =
-  Kernels.Fmha.kernel Arch.SM86 ~batch:1 ~heads:1 ~seq:32 ~dh:16 ~chunk:16
-    ~nthreads:64 ()
-
-let lstm () =
-  Kernels.Lstm.kernel Arch.SM86 cfg86 ~m:64 ~n:64 ~k:64 ()
-
-let mlp () =
-  Kernels.Mlp.kernel Arch.SM86 ~m:64 ~width:64 ~layers:2 ~bm:64 ~wm:32
-    ~wn:32 ()
-
-(* ----- counter equality ----- *)
-
-(* Pipelining moves only the four queue-depth counters; the request
-   counters follow the plan-level vectorize pass, which [run_tree]
-   skips (it re-interprets the Spec, where moves are still scalar). *)
-let check_counters fields name a b =
-  Alcotest.(check (option string))
-    (name ^ ": counters") None (C.diff fields a b)
-
-let check_buffers name a b =
-  List.iter2
-    (fun (bn, x) (_, y) ->
-      check_bool (Printf.sprintf "%s: buffer %s bitwise" name bn) true (x = y))
-    a b
-
-(* ----- bit-identity: pipelined vs unpipelined, both paths ----- *)
-
-let mk_args kernel =
-  List.mapi
-    (fun i (p : Ts.t) ->
-      (p.Ts.name, Ref.random_fp16 ~seed:(i + 1) (L.cosize p.Ts.layout)))
-    kernel.Spec.params
-
-(* [run_tree] on the plan's kernel walks the rewritten Spec, so running
-   the pipelined plan through it and through the plan executor
-   exercises the rotated schedule under both semantics. The unpipelined
-   plan doubles as the tree-walk baseline: a 1-stage lowering leaves the
-   kernel untouched, so its tree run IS the reference interpreter on the
-   original kernel. *)
-let check_identity ?(domains = 1) ~expect_pipelined name arch mk =
-  let kernel = mk () in
-  let base = mk_args kernel in
-  let engines =
-    [ ( "tree"
-      , fun (plan : Plan.t) args ->
-          Interp.run_tree ~arch:plan.Plan.arch ~domains plan.Plan.kernel ~args
-            () )
-    ; ("bytecode", fun plan args -> Interp.run_plan ~domains plan ~args ())
-    ]
-  in
-  let run plan (ename, runner) =
-    let args = List.map (fun (n, a) -> (n, Array.copy a)) base in
-    let counters = runner plan args in
-    (ename, (args, counters))
-  in
-  let uplan = Pipeline.lower ~stages:1 arch kernel in
-  check_int (name ^ ": unpipelined pl_stages") 1
-    uplan.Plan.pipelining.Plan.pl_stages;
-  (* Per-path unpipelined baselines: the tree run of the 1-stage plan
-     IS the reference interpreter on the untouched source kernel. *)
-  let ubase = List.map (run uplan) engines in
-  List.iter
-    (fun stages ->
-      let pplan = Pipeline.lower ~stages arch kernel in
-      let eff = pplan.Plan.pipelining.Plan.pl_stages in
-      if expect_pipelined then
-        check_bool
-          (Printf.sprintf "%s: pipelined at request %d (got %d)" name stages
-             eff)
-          true (eff >= 2)
-      else
-        check_int
-          (Printf.sprintf "%s: refused at request %d" name stages)
-          1 eff;
-      let runs = List.map (run pplan) engines in
-      (* Pipelined vs unpipelined, same path: every pre-existing
-         counter and every output buffer must be bit-identical — only
-         the four queue-depth counters may move. *)
-      List.iter2
-        (fun (ename, (uargs, uc)) (_, (eargs, ec)) ->
-          let tag = Printf.sprintf "%s @%d stages, %s" name stages ename in
-          check_counters C.No_queue tag uc ec;
-          check_buffers tag uargs eargs)
-        ubase runs;
-      (* Across paths the request counters differ by design ([run_tree]
-         skips the plan-level vectorize widening), but both paths must
-         agree on the widening-independent set AND on the queue
-         counters the pipeline legitimately moved. *)
-      match runs with
-      | (_, (args0, c0)) :: rest ->
-        List.iter
-          (fun (ename, (args, c)) ->
-            let tag =
-              Printf.sprintf "%s @%d stages: %s vs tree engine" name stages
-                ename
-            in
-            check_counters C.No_requests tag c0 c;
-            check_buffers tag args0 args)
-          rest
-      | [] -> ())
-    [ 2; 3 ]
-
-let pipelining_families =
-  [ ("gemm-tc sm86", Arch.SM86, gemm_tc Arch.SM86)
-  ; (* an odd k-tile count (3) *)
-    ("gemm-tc k=96 sm86", Arch.SM86, gemm_tc ~k:96 Arch.SM86)
-  ; ("gemm-layouts sm86", Arch.SM86, gemm_layouts)
-  ; ("split-k partial sm86", Arch.SM86, split_k_partial)
-  ; ("gemm-layernorm sm86", Arch.SM86, gemm_layernorm)
-  ]
-
-let refusing_families =
-  [ ("fmha sm86", Arch.SM86, fmha)
-  ; ("lstm sm86", Arch.SM86, lstm)
-  ; ("mlp sm86", Arch.SM86, mlp)
-  ; ("gemm-tc sm70", Arch.SM70, gemm_tc Arch.SM70)
-  ]
-
-let run_families ~domains =
-  List.iter
-    (fun (name, arch, mk) ->
-      check_identity ~domains ~expect_pipelined:true name arch mk)
-    pipelining_families;
-  List.iter
-    (fun (name, arch, mk) ->
-      check_identity ~domains ~expect_pipelined:false name arch mk)
-    refusing_families
-
-let test_identity_1domain () = run_families ~domains:1
-let test_identity_4domains () = run_families ~domains:4
+let gemm_tc ?(k = 128) arch () = Corpus.gemm_tc ~m:64 ~n:64 ~k arch ()
+let fmha = (Corpus.find "fmha sm86").Corpus.build
+let lstm = (Corpus.find "lstm").Corpus.build
+let mlp = (Corpus.find "mlp").Corpus.build
 
 (* ----- toy copy loop: hand-computed queue accounting ----- *)
 
@@ -265,7 +112,7 @@ let toy_copy ?(cols = 32) ?(double_fence = false) ~trip () =
    Unpipelined (1 stage): t commits, t waits, every sample = 1. *)
 let check_toy ~trip ~stages =
   let kernel = toy_copy ~trip () in
-  let base = mk_args kernel in
+  let base = Corpus.seeded_inputs kernel in
   let plan = Pipeline.lower ~stages Arch.SM86 kernel in
   let args = List.map (fun (n, a) -> (n, Array.copy a)) base in
   let c = Interp.run_plan plan ~args () in
@@ -410,7 +257,7 @@ let test_measured_occupancy_speedup () =
   let plan = Pipeline.lower ~stages:3 Arch.SM86 kernel in
   let stages = plan.Plan.pipelining.Plan.pl_stages in
   check_int "gemm-tc lowered at 3 stages" 3 stages;
-  let c = Interp.run_plan plan ~args:(mk_args kernel) () in
+  let c = Interp.run_plan plan ~args:(Corpus.seeded_inputs kernel) () in
   let occ = C.async_occupancy c ~stages in
   check_bool
     (Printf.sprintf "measured occupancy %.3f is substantial" occ)
@@ -424,13 +271,7 @@ let test_measured_occupancy_speedup () =
 
 let () =
   Alcotest.run "swpipe"
-    [ ( "identity"
-      , [ Alcotest.test_case "all families, 1 domain" `Quick
-            test_identity_1domain
-        ; Alcotest.test_case "all families, 4 domains" `Quick
-            test_identity_4domains
-        ] )
-    ; ( "queue"
+    [ ( "queue"
       , [ Alcotest.test_case "toy-loop accounting" `Quick
             test_toy_queue_accounting
         ] )

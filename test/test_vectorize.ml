@@ -5,11 +5,10 @@
    - pass-level verdicts on lowered kernels: per-thread moves widen,
      collectives/non-moves/divergent leaves refuse, [?vectorize:false]
      forces every atomic scalar;
-   - bit-identity: for every kernel family, the widened plan produces
-     bit-identical outputs, byte/sector/conflict counters, instruction
-     mix and profiler JSON to a scalar-forced plan (at 1 and 4 domains),
-     and the scalar-forced plan matches the tree walk in ALL counters
-     including the new request fields;
+   - the widened global traffic of GEMM and FMHA, and a verdict digest
+     per corpus family (corpus.ml; the widened plan's bit-identity with
+     the scalar-forced plan and the tree walk is its matrix, run by
+     test_equivalence);
    - hand-computed request/sector accounting for 2-wide and 4-wide
      accesses (full warp, broadcast, partial mask);
    - the static bank-conflict lint on hand-computed views. *)
@@ -18,19 +17,15 @@ module E = Shape.Int_expr
 module L = Shape.Layout
 module Sw = Shape.Swizzle
 module Ts = Gpu_tensor.Tensor
-module Tt = Gpu_tensor.Thread_tensor
-module B = Graphene.Builder
 module Dt = Gpu_tensor.Dtype
 module Ms = Gpu_tensor.Memspace
 module Arch = Graphene.Arch
 module Spec = Graphene.Spec
 module C = Gpu_sim.Counters
 module Interp = Gpu_sim.Interp
-module Profiler = Gpu_sim.Profiler
 module Pipeline = Lower.Pipeline
 module Plan = Lower.Plan
 module V = Lower.Vectorize
-module Ref = Reference.Cpu_ref
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -97,11 +92,7 @@ let test_view_cap () =
 
 (* ----- verdicts on lowered kernels ----- *)
 
-let gemm_tc arch =
-  let cfg = Kernels.Gemm.test_config arch in
-  let m, n = if arch = Arch.SM70 then (32, 32) else (64, 64) in
-  Kernels.Gemm.tensor_core arch cfg ~epilogue:Kernels.Epilogue.none ~m ~n
-    ~k:32 ()
+let gemm_tc () = (Corpus.find "gemm-tc sm86").Corpus.build ()
 
 let verdict_counts plan =
   let widened = ref 0 and refusals = Hashtbl.create 8 in
@@ -117,7 +108,7 @@ let verdict_counts plan =
   (!widened, fun r -> Option.value ~default:0 (Hashtbl.find_opt refusals r))
 
 let test_gemm_verdicts () =
-  let plan = Pipeline.lower ~vectorize:true Arch.SM86 (gemm_tc Arch.SM86) in
+  let plan = Pipeline.lower ~vectorize:true Arch.SM86 (gemm_tc ()) in
   check_bool "vec enabled" true plan.Plan.vec_enabled;
   let widened, moves = Plan.vec_counts plan.Plan.body in
   check_int "all per-thread moves widened" moves widened;
@@ -134,38 +125,20 @@ let test_gemm_verdicts () =
   | None -> Alcotest.fail "expected global move traffic"
   | Some w -> check_bool "mean global width > 2" true (w > 2.0)
 
-(* One block of 32 threads, each owning 8 contiguous fp16 elements: an
-   unpredicated round trip through registers, then the same moves again
-   under a tid-dependent branch. The unpredicated pair must widen to v4;
-   the predicated pair must refuse with the mask hazard, because a
-   partially-active warp cannot be proven to issue full vectors. *)
-let divergent_copy_kernel () =
-  let grid = Tt.grid "g" [ 1 ] in
-  let cta = Tt.linear "cta" 32 Tt.Thread in
-  let tid = B.thread_idx in
-  let thr = Tt.select cta [ tid ] in
-  let a = Ts.create_rm "A" [ 32 * 8 ] Dt.FP16 Ms.Global in
-  let o = Ts.create_rm "O" [ 32 * 8 ] Dt.FP16 Ms.Global in
-  let regs, alloc = B.alloc_regs "r" (L.row_major [ 8 ]) Dt.FP16 in
-  let per t = Ts.select (Ts.tile t [ L.tile_spec 8 ]) [ tid ] in
-  let round_trip =
-    [ B.move ~threads:thr ~src:(per a) ~dst:regs ()
-    ; B.move ~threads:thr ~src:regs ~dst:(per o) ()
-    ]
-  in
-  B.kernel "divergent_copy" ~grid ~cta ~params:[ a; o ]
-    ((alloc :: round_trip)
-    @ [ B.if_ (B.( <. ) tid (E.const 16)) round_trip ])
-
+(* The corpus's divergent copy: an unpredicated pair of per-thread moves
+   must widen, the same pair under a tid-dependent branch must refuse
+   with the mask hazard. *)
 let test_divergent_refusal () =
-  let plan = Pipeline.lower ~vectorize:true Arch.SM86 (divergent_copy_kernel ()) in
+  let plan =
+    Pipeline.lower ~vectorize:true Arch.SM86 (Corpus.divergent_copy ())
+  in
   let widened, refused = verdict_counts plan in
   check_int "unpredicated moves widen" 2 widened;
   check_int "predicated moves refuse as divergent-mask" 2
     (refused "divergent-mask")
 
 let test_disabled_lowering () =
-  let plan = Pipeline.lower ~vectorize:false Arch.SM86 (gemm_tc Arch.SM86) in
+  let plan = Pipeline.lower ~vectorize:false Arch.SM86 (gemm_tc ()) in
   check_bool "vec disabled" false plan.Plan.vec_enabled;
   let widened, moves = Plan.vec_counts plan.Plan.body in
   check_int "nothing widened" 0 widened;
@@ -178,163 +151,14 @@ let test_disabled_lowering () =
       check_bool ("no fastcopy: " ^ a.Plan.a_label) false a.Plan.a_fastcopy)
     plan.Plan.body
 
-(* ----- bit-identity: widened vs scalar-forced vs tree ----- *)
-
-let check_counters fields name a b =
-  Alcotest.(check (option string))
-    (name ^ ": counters") None (C.diff fields a b)
-
-(* Run the kernel through the tree walk, the scalar-forced plan and the
-   widened plan with identical inputs. The widened plan must be
-   bit-identical to the scalar plan in outputs, v3 counters, instruction
-   mix and profiler JSON — only the request counters may (and, when
-   anything widened memory traffic, must) differ. The scalar-forced plan
-   must match the tree walk in EVERY field, requests included. *)
-let check_identity ?args ?(scalars = []) ?(domains = 1) name arch kernel =
-  let base_args =
-    match args with
-    | Some a -> a
-    | None ->
-      List.mapi
-        (fun i (p : Ts.t) ->
-          (p.Ts.name, Ref.random_fp16 ~seed:(i + 1) (L.cosize p.Ts.layout)))
-        kernel.Spec.params
-  in
-  let machine = Gpu_sim.Machine.of_arch arch in
-  let run_path runner =
-    let args = List.map (fun (n, a) -> (n, Array.copy a)) base_args in
-    let profiler = Profiler.create () in
-    let counters = runner ~profiler ~args in
-    let report = Profiler.report profiler ~kernel ~arch ~counters ~machine () in
-    (args, counters, Profiler.report_to_json report)
-  in
-  let targs, tc, tj =
-    run_path (fun ~profiler ~args ->
-        Interp.run_tree ~arch ~profiler ~domains kernel ~args ~scalars ())
-  in
-  let splan = Pipeline.lower ~vectorize:false arch kernel in
-  let sargs, sc, sj =
-    run_path (fun ~profiler ~args ->
-        Interp.run_plan ~profiler ~domains splan ~args ~scalars ())
-  in
-  let vplan = Pipeline.lower ~vectorize:true arch kernel in
-  let vargs, vc, vj =
-    run_path (fun ~profiler ~args ->
-        Interp.run_plan ~profiler ~domains vplan ~args ~scalars ())
-  in
-  let buffers tag a b =
-    List.iter2
-      (fun (bn, x) (_, y) ->
-        check_bool (Printf.sprintf "%s: %s buffer %s bitwise" name tag bn) true
-          (x = y))
-      a b
-  in
-  check_counters C.All (name ^ ": scalar plan vs tree") tc sc;
-  check_str (name ^ ": scalar plan report JSON") tj sj;
-  buffers "scalar" targs sargs;
-  check_counters C.No_requests (name ^ ": widened vs scalar plan") sc vc;
-  check_str (name ^ ": widened plan report JSON") sj vj;
-  buffers "widened" sargs vargs;
-  (* Widening can only reduce the request count, never the traffic. *)
-  check_bool (name ^ ": fewer or equal global requests") true
-    (vc.C.global_requests <= sc.C.global_requests);
-  check_bool (name ^ ": fewer or equal shared requests") true
-    (vc.C.shared_requests <= sc.C.shared_requests);
-  check_int (name ^ ": scalar plan has no vectorized requests") 0
-    (sc.C.global_vec_requests + sc.C.shared_vec_requests);
-  let widened, _ = Plan.vec_counts vplan.Plan.body in
-  if widened = 0 then
-    check_counters C.All (name ^ ": nothing widened") sc vc
-
-let families =
-  [ ("gemm-tc sm86", Arch.SM86, (fun () -> gemm_tc Arch.SM86), None, [])
-  ; ("gemm-tc sm70", Arch.SM70, (fun () -> gemm_tc Arch.SM70), None, [])
-  ; ("divergent-copy", Arch.SM86, divergent_copy_kernel, None, [])
-  ; ( "gemm-naive"
-    , Arch.SM86
-    , (fun () ->
-        Kernels.Gemm.naive ~m:32 ~n:32 ~k:16 ~bm:16 ~bn:16 ~tm:4 ~tn:4 ())
-    , None
-    , [] )
-  ; ( "gemm-parametric"
-    , Arch.SM86
-    , (fun () ->
-        Kernels.Gemm.naive_parametric ~launch_m:30 ~launch_n:20 ~bm:16 ~bn:16
-          ~tm:4 ~tn:4 ())
-      (* Symbolic param layouts cannot be sized statically: the buffers
-         are sized from the scalar bindings by hand. *)
-    , Some
-        (fun () ->
-          [ ("A", Ref.random_fp16 ~seed:14 (30 * 10))
-          ; ("B", Ref.random_fp16 ~seed:15 (10 * 20))
-          ; ("C", Array.make (30 * 20) 0.0)
-          ])
-    , [ ("M", 30); ("N", 20); ("K", 10) ] )
-  ; ( "fmha sm86"
-    , Arch.SM86
-    , (fun () ->
-        Kernels.Fmha.kernel Arch.SM86 ~batch:1 ~heads:1 ~seq:32 ~dh:16
-          ~chunk:16 ~nthreads:64 ())
-    , None
-    , [] )
-  ; ( "fmha sm70"
-    , Arch.SM70
-    , (fun () ->
-        Kernels.Fmha.kernel ~swizzle_smem:false Arch.SM70 ~batch:1 ~heads:1
-          ~seq:32 ~dh:32 ~chunk:32 ~nthreads:64 ())
-    , None
-    , [] )
-  ; ( "lstm"
-    , Arch.SM86
-    , (fun () ->
-        Kernels.Lstm.kernel Arch.SM86
-          (Kernels.Gemm.test_config Arch.SM86)
-          ~m:64 ~n:64 ~k:64 ())
-    , None
-    , [] )
-  ; ( "mlp"
-    , Arch.SM86
-    , (fun () ->
-        Kernels.Mlp.kernel Arch.SM86 ~m:64 ~width:64 ~layers:2 ~bm:64 ~wm:32
-          ~wn:32 ())
-    , None
-    , [] )
-  ; ( "layernorm"
-    , Arch.SM86
-    , (fun () -> Kernels.Layernorm.kernel ~rows:2 ~cols:256 ~nthreads:64 ())
-    , None
-    , [] )
-  ; ( "softmax"
-    , Arch.SM86
-    , (fun () -> Kernels.Softmax.kernel ~rows:2 ~cols:128 ~nthreads:64 ())
-    , None
-    , [] )
-  ; ( "gemm+layernorm"
-    , Arch.SM86
-    , (fun () ->
-        Kernels.Gemm_layernorm.kernel Arch.SM86 ~m:64 ~k:32 ~width:64 ~bm:64
-          ~wm:32 ~wn:32 ())
-    , None
-    , [] )
-  ]
-
-let run_families ~domains =
-  List.iter
-    (fun (name, arch, mk, args, scalars) ->
-      let args = Option.map (fun f -> f ()) args in
-      check_identity ?args ~scalars ~domains name arch (mk ()))
-    families
-
-let test_identity_1domain () = run_families ~domains:1
-let test_identity_4domains () = run_families ~domains:4
-
 let test_widened_fraction_nonzero () =
   (* The acceptance rows: GEMM and FMHA must widen a nonzero fraction of
      their global ld/st traffic. *)
   List.iter
-    (fun (name, arch, mk) ->
-      let kernel = mk () in
-      let plan = Pipeline.lower ~vectorize:true arch kernel in
+    (fun name ->
+      let f = Corpus.find name in
+      let kernel = f.Corpus.build () in
+      let plan = Pipeline.lower ~vectorize:true f.Corpus.arch kernel in
       let args =
         List.map
           (fun (p : Ts.t) ->
@@ -346,13 +170,7 @@ let test_widened_fraction_nonzero () =
         (c.C.global_vec_requests > 0);
       check_bool (name ^ ": widened global bytes") true
         (c.C.global_vec_bytes > 0))
-    [ ("gemm-tc sm86", Arch.SM86, fun () -> gemm_tc Arch.SM86)
-    ; ( "fmha sm86"
-      , Arch.SM86
-      , fun () ->
-          Kernels.Fmha.kernel Arch.SM86 ~batch:1 ~heads:1 ~seq:32 ~dh:16
-            ~chunk:16 ~nthreads:64 () )
-    ]
+    [ "gemm-tc sm86"; "fmha sm86" ]
 
 (* ----- verdict pinning -----
 
@@ -383,10 +201,13 @@ let verdict_fingerprint plan =
     plan.Plan.body;
   Buffer.contents b
 
+(* One pin per corpus family, in corpus order. *)
 let pinned_verdicts =
   [ ("gemm-tc sm86", "11cee5f5804cb97d2823e40b3ada7f0f", 8)
   ; ("gemm-tc sm70", "4a1ca6ca39d1a23a15db41a651ed466d", 10)
-  ; ("divergent-copy", "e82c1ce22e64f87ef2ccb88ee234bbe5", 4)
+  ; ("gemm-tc k=96 sm86", "11cee5f5804cb97d2823e40b3ada7f0f", 8)
+  ; ("gemm-layouts sm86", "46d9aea5c4b28c7c663f08744e969c16", 8)
+  ; ("split-k partial sm86", "541b87cd88f2f3ea7c12da7a58b9c992", 7)
   ; ("gemm-naive", "30fb9b8e7f79f51502ee141f4c2f82c9", 1)
   ; ("gemm-parametric", "30fb9b8e7f79f51502ee141f4c2f82c9", 1)
   ; ("fmha sm86", "d55702d194f25e05a871e8806e0b5da6", 35)
@@ -396,19 +217,22 @@ let pinned_verdicts =
   ; ("layernorm", "bb289be36af0d16a3acb0c63fbe62738", 48)
   ; ("softmax", "14a3421dd02ea66a6aaeeab6a1e3a5d2", 37)
   ; ("gemm+layernorm", "81ac08d6ead477574f7f4c5f99e0512c", 34)
+  ; ("divergent-copy", "e82c1ce22e64f87ef2ccb88ee234bbe5", 4)
   ]
 
 let test_verdict_pin () =
   List.iter2
-    (fun (name, arch, mk, _, _) (pname, digest, atomics) ->
-      check_str "pin rows match families" name pname;
-      let plan = Pipeline.lower ~vectorize:true arch (mk ()) in
+    (fun (f : Corpus.family) (pname, digest, atomics) ->
+      check_str "pin rows match families" f.Corpus.name pname;
+      let plan =
+        Pipeline.lower ~vectorize:true f.Corpus.arch (f.Corpus.build ())
+      in
       let fp = verdict_fingerprint plan in
-      check_int (name ^ ": atomic count") atomics
+      check_int (pname ^ ": atomic count") atomics
         (List.length (String.split_on_char '\n' fp) - 1);
-      check_str (name ^ ": verdict digest") digest
+      check_str (pname ^ ": verdict digest") digest
         (Digest.to_hex (Digest.string fp)))
-    families pinned_verdicts
+    Corpus.families pinned_verdicts
 
 (* ----- hand-computed request and sector accounting ----- *)
 
@@ -506,11 +330,7 @@ let () =
         ; Alcotest.test_case "disabled lowering" `Quick test_disabled_lowering
         ] )
     ; ( "bit_identity"
-      , [ Alcotest.test_case "all families, 1 domain" `Quick
-            test_identity_1domain
-        ; Alcotest.test_case "all families, 4 domains" `Quick
-            test_identity_4domains
-        ; Alcotest.test_case "widened fraction nonzero" `Quick
+      , [ Alcotest.test_case "widened fraction nonzero" `Quick
             test_widened_fraction_nonzero
         ; Alcotest.test_case "verdict pinning" `Quick test_verdict_pin
         ] )

@@ -97,24 +97,33 @@ let gen_kernel rng idx =
     ~grid ~cta ~params:[ a ]
     (block 0 None @ [ leaf () ])
 
+(* The fixed-seed corpus: 12 kernels drawn in order from one generator
+   state. *)
+let corpus =
+  let rng = Random.State.make [| 0x9e3779b9; 42 |] in
+  List.init 12 (gen_kernel rng)
+
+(* The corpus must diverge, and reach the generator's nesting depth of
+   three branches, where the plan executor's mask arena reuses a pair
+   per level. *)
+let test_corpus_depth () =
+  let max_depth =
+    List.fold_left
+      (fun depth kernel ->
+        let plan = Pipeline.lower Arch.SM86 kernel in
+        max depth (Plan.divergence_depth plan.Plan.body))
+      0 corpus
+  in
+  check_bool "corpus contains divergent kernels" true (max_depth > 0);
+  Alcotest.(check int) "corpus reaches divergent nesting depth 3" 3 max_depth
+
 (* Each generated kernel runs through the equivalence matrix
    (corpus.ml), without its static-analysis totals: the analysis prices
    a nested thread-dependent branch as if its guard were independent of
-   the enclosing ones. The corpus must diverge, and reach the
-   generator's nesting depth of three branches, where the plan
-   executor's mask arena reuses a pair per level. *)
-let test_divergence_corpus () =
-  let rng = Random.State.make [| 0x9e3779b9; 42 |] in
-  let max_depth = ref 0 in
-  for idx = 0 to 11 do
-    let kernel = gen_kernel rng idx in
-    let plan = Pipeline.lower Arch.SM86 kernel in
-    max_depth := max !max_depth (Plan.divergence_depth plan.Plan.body);
-    Corpus.matrix ~static:false
-      (Corpus.family kernel.Spec.name Arch.SM86 (fun () -> kernel))
-  done;
-  check_bool "corpus contains divergent kernels" true (!max_depth > 0);
-  Alcotest.(check int) "corpus reaches divergent nesting depth 3" 3 !max_depth
+   the enclosing ones. *)
+let test_matrix kernel () =
+  Corpus.matrix ~static:false
+    (Corpus.family kernel.Spec.name Arch.SM86 (fun () -> kernel))
 
 (* ----- collective atomics ----- *)
 
@@ -207,8 +216,13 @@ let () =
   Alcotest.run "divergence"
     [ ( "divergence"
       , [ Alcotest.test_case "randomized tid-dependent branch corpus" `Quick
-            test_divergence_corpus
+            test_corpus_depth
         ] )
+    ; ( "matrix"
+      , List.map
+          (fun (kernel : Spec.kernel) ->
+            Alcotest.test_case kernel.Spec.name `Quick (test_matrix kernel))
+          corpus )
     ; ( "collective"
       , [ Alcotest.test_case "shuffle groups each warp" `Quick
             test_collective_groups_warps

@@ -9,9 +9,10 @@ test:
 	dune runtest
 
 # Every smoke rule (the `smoke` alias in bin/dune and bench/dune): the
-# profiler, lower, vectorize, pipelining, layout and search CLI runs;
-# the 1-vs-2-domain and tree-vs-plan determinism checks; and the
-# sim, serve and search benches. Each fails on a non-zero exit.
+# profiler, simulate, lower, vectorize, pipelining, layout, search and
+# serve CLI runs, and the sim bench with its bit-identity checks. Each
+# fails on a non-zero exit. Determinism and executor identity are the
+# test suite's (`make test`).
 smoke:
 	dune build @smoke
 

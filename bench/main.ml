@@ -1,96 +1,8 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (printed below, with the paper's reported values alongside)
-   and micro-benchmarks the cost of each regeneration with Bechamel — one
-   Test.make per table/figure. *)
-
-open Bechamel
-open Toolkit
-
-let figure_tests =
-  [ Test.make ~name:"table2_atomic_specs"
-      (Staged.stage (fun () -> List.length Graphene.Atomic.registry))
-  ; Test.make ~name:"fig1_ldmatrix"
-      (Staged.stage (fun () ->
-           Codegen.Emit.cuda Graphene.Arch.SM86
-             (Kernels.Ldmatrix_demo.kernel ())))
-  ; Test.make ~name:"fig8_codegen"
-      (Staged.stage (fun () ->
-           Codegen.Emit.cuda Graphene.Arch.SM86
-             (Kernels.Gemm.naive ~m:1024 ~n:1024 ~k:1024 ~bm:128 ~bn:128
-                ~tm:8 ~tn:8 ())))
-  ; Test.make ~name:"fig9_gemm"
-      (Staged.stage (fun () -> Experiments.Figures.fig9 ()))
-  ; Test.make ~name:"fig10_epilogues"
-      (Staged.stage (fun () -> Experiments.Figures.fig10 ()))
-  ; Test.make ~name:"fig11_mlp"
-      (Staged.stage (fun () -> Experiments.Figures.fig11 ~m:1024 ~width:128 ()))
-  ; Test.make ~name:"fig12_lstm"
-      (Staged.stage (fun () -> Experiments.Figures.fig12 ()))
-  ; Test.make ~name:"fig13_layernorm"
-      (Staged.stage (fun () ->
-           Experiments.Figures.fig13 ~rows:1024 ~hiddens:[ 1024 ] ()))
-  ; Test.make ~name:"fig14_fmha"
-      (Staged.stage (fun () -> Experiments.Figures.fig14 ()))
-  ; Test.make ~name:"fig15_transformers"
-      (Staged.stage (fun () -> Experiments.Figures.fig15 ()))
-  ; Test.make ~name:"ablations_simulated"
-      (Staged.stage (fun () -> Experiments.Figures.ablations ()))
-  ]
-
-let run_bechamel () =
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.25) ~kde:None () in
-  let test = Test.make_grouped ~name:"figures" ~fmt:"%s %s" figure_tests in
-  let raw = Benchmark.all cfg instances test in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Format.printf "== Bechamel: time to regenerate each table/figure ==@.";
-  let rows =
-    Hashtbl.fold
-      (fun name ols_result acc ->
-        let est =
-          match Analyze.OLS.estimates ols_result with
-          | Some [ e ] -> e
-          | Some _ | None -> Float.nan
-        in
-        (name, est) :: acc)
-      results []
-    |> List.sort compare
-  in
-  List.iter
-    (fun (name, est) ->
-      Format.printf "%-40s %14.1f ns/run@." name est)
-    rows;
-  Format.printf "@.";
-  rows
-
-(* Simulated per-spec profiles of the tensor-core GEMM on both
-   architectures (zero-filled inputs: traffic is data-independent). *)
-let profile_reports () =
-  List.map
-    (fun arch ->
-      let cfg = Kernels.Gemm.test_config arch in
-      let m, n = if arch = Graphene.Arch.SM70 then (32, 32) else (64, 64) in
-      let k = 32 in
-      let kernel =
-        Kernels.Gemm.tensor_core arch cfg ~epilogue:Kernels.Epilogue.none ~m
-          ~n ~k ()
-      in
-      let args =
-        List.map
-          (fun (p : Gpu_tensor.Tensor.t) ->
-            ( p.Gpu_tensor.Tensor.name
-            , Array.make (Shape.Layout.cosize p.Gpu_tensor.Tensor.layout) 0.0
-            ))
-          kernel.Graphene.Spec.params
-      in
-      let profiler = Gpu_sim.Profiler.create () in
-      let counters = Gpu_sim.Interp.run ~arch ~profiler kernel ~args () in
-      Gpu_sim.Profiler.report profiler ~kernel ~arch ~counters
-        ~machine:(Gpu_sim.Machine.of_arch arch) ())
-    [ Graphene.Arch.SM70; Graphene.Arch.SM86 ]
+(* Benchmark harness: prints every table and figure of the paper's
+   evaluation (with the paper's reported values alongside) and writes the
+   sim, serve and search benchmarks' BENCH_*.json files to the current
+   directory. `--sim-only`, `--serve-only` and `--tune-only` run one
+   section. *)
 
 module J = Gpu_sim.Json
 
@@ -99,21 +11,6 @@ let write_file path contents =
   let oc = open_out path in
   output_string oc contents;
   close_out oc
-
-(* Machine-readable companion to the printed tables: per-spec profiles of
-   the GEMM kernels plus the bechamel timing rows. *)
-let emit_bench_profile rows =
-  let reports = profile_reports () in
-  write_file "BENCH_profile.json"
-    (J.to_string
-       (J.Obj
-          [ ("schema", J.Str "graphene.bench.v1")
-          ; ("profiles", J.Arr (List.map Gpu_sim.Profiler.report_json reports))
-          ; ( "timings_ns_per_run"
-            , J.Obj (List.map (fun (name, est) -> (name, J.Float est)) rows) )
-          ]));
-  Format.printf "wrote BENCH_profile.json (%d kernel profiles, %d timings)@."
-    (List.length reports) (List.length rows)
 
 (* ----- lower-once / execute-many simulation benchmark -----
 
@@ -449,156 +346,104 @@ let emit_sim_bench () =
 
 (* ----- continuous-batching serving benchmark -----
 
-   Seeded Poisson traffic through the Serve engine (docs/SERVING.md).
-   Every simulated metric is deterministic per seed; [quick] runs a small
-   trace twice and fails on any difference in the deterministic JSON
-   (a `smoke` alias rule), the full mode writes BENCH_serve.json. *)
-let emit_serve_bench ?(quick = false) () =
-  Format.printf "== Serving: continuous batching on the plan cache%s ==@."
-    (if quick then " (quick smoke)" else "");
-  let params =
-    if quick then { Serve.Traffic.default with Serve.Traffic.requests = 24 }
-    else Serve.Traffic.default
-  in
-  let run () =
+   Seeded Poisson traffic through the Serve engine (docs/SERVING.md),
+   written to BENCH_serve.json. Every simulated metric is deterministic
+   per seed (test_serve pins that). *)
+let emit_serve_bench () =
+  Format.printf "== Serving: continuous batching on the plan cache ==@.";
+  let params = Serve.Traffic.default in
+  let result =
     Serve.Engine.run ~seed:params.Serve.Traffic.seed
       ~rate_rps:params.Serve.Traffic.rate_rps
       (Serve.Traffic.generate params)
   in
-  let result = run () in
-  Format.printf "%a" Serve.Metrics.pp_summary result.Serve.Engine.summary;
-  if quick then begin
-    (* Same seed, fresh engine: every simulated metric — including the
-       digest over all output buffers and counters — must reproduce. *)
-    let again = run () in
-    let det r =
-      Serve.Metrics.to_json ~wall:false r.Serve.Engine.summary
-    in
-    if String.equal (det result) (det again) then
-      Format.printf "serve smoke OK (deterministic across runs)@.@."
-    else begin
-      Format.printf "serve smoke FAILED: same seed, different metrics@.";
-      exit 1
-    end
-  end
-  else begin
-    write_file "BENCH_serve.json"
-      (Serve.Metrics.to_json result.Serve.Engine.summary);
-    Format.printf "wrote BENCH_serve.json (%d requests, %d buckets)@.@."
-      result.Serve.Engine.summary.Serve.Metrics.requests
-      (List.length result.Serve.Engine.summary.Serve.Metrics.buckets)
-  end
+  let summary = result.Serve.Engine.summary in
+  Format.printf "%a" Serve.Metrics.pp_summary summary;
+  write_file "BENCH_serve.json" (Serve.Metrics.to_json summary);
+  Format.printf "wrote BENCH_serve.json (%d requests, %d buckets)@.@."
+    summary.Serve.Metrics.requests
+    (List.length summary.Serve.Metrics.buckets)
 
 (* ----- schedule-space search benchmark -----
 
    The three-tier superoptimizer (docs/TUNING.md) over the GEMM and FMHA
-   decomposition spaces. Everything but wall-clock is deterministic per
-   seed; [quick] runs tiny problems twice and fails on any difference in
-   the deterministic JSON, or if a winner goes unverified or loses to
-   the old fixed sweep (a `smoke` alias rule). The full mode records
-   each search trajectory — tier-1 frontier statistics, proxy feedback,
-   winner vs fixed-sweep baseline, per-tier wall — in BENCH_tune.json. *)
-let emit_tune_bench ?(quick = false) () =
-  Format.printf "== Schedule-space search: three-tier superoptimizer%s ==@."
-    (if quick then " (quick smoke)" else "");
+   decomposition spaces. Each search trajectory — tier-1 frontier
+   statistics, proxy feedback, winner vs fixed-sweep baseline, per-tier
+   wall — goes to BENCH_tune.json; the section fails if a winner goes
+   unverified or loses to the fixed sweep. *)
+let emit_tune_bench () =
+  Format.printf "== Schedule-space search: three-tier superoptimizer ==@.";
   let machine = Gpu_sim.Machine.a6000 in
   let arch = machine.Gpu_sim.Machine.arch in
-  let spaces =
-    if quick then
-      [ (Tuner.Search.gemm_space arch ~m:128 ~n:128 ~k:128 (), 256, 4)
-      ; (Tuner.Search.fmha_space arch ~seq:64 ~dh:32 (), 256, 3)
-      ]
-    else
-      [ (Tuner.Search.gemm_space arch ~m:4096 ~n:4096 ~k:1024 (), 4096, 8)
-      ; (Tuner.Search.fmha_space arch ~seq:256 ~dh:64 (), 4096, 8)
+  let outcomes =
+    List.map
+      (fun space ->
+        Tuner.Search.search ~seed:42 ~max_candidates:4096 ~proxy_top:8 machine
+          space ())
+      [ Tuner.Search.gemm_space arch ~m:4096 ~n:4096 ~k:1024 ()
+      ; Tuner.Search.fmha_space arch ~seq:256 ~dh:64 ()
       ]
   in
-  let run (space, budget, proxy_top) =
-    Tuner.Search.search ~seed:42 ~max_candidates:budget ~proxy_top machine
-      space ()
-  in
-  let outcomes = List.map run spaces in
   List.iter
     (fun o -> Format.printf "%a@.@." Tuner.Search.pp_outcome o)
     outcomes;
-  List.iter
+  write_file "BENCH_tune.json"
+    (J.to_string
+       (J.Obj
+          [ ("schema", J.Str "graphene.tune_bench.v1")
+          ; ("searches", J.Arr (List.map Tuner.Search.json outcomes))
+          ]));
+  Format.printf "wrote BENCH_tune.json (%d searches)@.@." (List.length outcomes);
+  List.for_all
     (fun o ->
-      if not o.Tuner.Search.o_verified then begin
-        Format.printf "tune bench FAILED: %s winner not verified@."
-          o.Tuner.Search.o_space;
-        exit 1
-      end;
-      if not (Tuner.Search.winner_beats_baseline o) then begin
-        Format.printf
-          "tune bench FAILED: %s winner loses to the fixed-sweep baseline@."
-          o.Tuner.Search.o_space;
-        exit 1
-      end)
-    outcomes;
-  if quick then begin
-    (* Same seed, fresh search: the whole trajectory — frontier counts,
-       refusal histograms, ranking, refined estimates, winner — must
-       reproduce byte-identically. *)
-    let again = List.map run spaces in
-    let det o = Tuner.Search.to_json ~wall:false o in
-    if List.for_all2 (fun a b -> String.equal (det a) (det b)) outcomes again
-    then Format.printf "search smoke OK (deterministic across runs)@.@."
-    else begin
-      Format.printf "search smoke FAILED: same seed, different trajectory@.";
-      exit 1
-    end
-  end
-  else begin
-    write_file "BENCH_tune.json"
-      (J.to_string
-         (J.Obj
-            [ ("schema", J.Str "graphene.tune_bench.v1")
-            ; ("searches", J.Arr (List.map Tuner.Search.json outcomes))
-            ]));
-    Format.printf "wrote BENCH_tune.json (%d searches)@.@."
-      (List.length outcomes)
-  end
+      let fail why =
+        Format.printf "tune bench FAILED: %s winner %s@." o.Tuner.Search.o_space
+          why;
+        false
+      in
+      if not o.Tuner.Search.o_verified then fail "not verified"
+      else if not (Tuner.Search.winner_beats_baseline o) then
+        fail "loses to the fixed-sweep baseline"
+      else true)
+    outcomes
 
+let sections =
+  [ ("--sim-only", "BENCH_sim.json", emit_sim_bench)
+  ; ("--serve-only", "BENCH_serve.json", fun () -> emit_serve_bench (); true)
+  ; ("--tune-only", "BENCH_tune.json", emit_tune_bench)
+  ]
+
+(* No argument prints the figures and runs every section; a section flag
+   runs that section alone. Each selected section runs even after
+   another failed, and the run exits 1 at the end if any raised, a sim
+   row broke bit-identity or a search winner failed its checks. *)
 let () =
-  if Array.mem "--serve-only" Sys.argv then
-    emit_serve_bench ~quick:(Array.mem "--quick" Sys.argv) ()
-  else if Array.mem "--tune-only" Sys.argv then
-    emit_tune_bench ~quick:(Array.mem "--quick" Sys.argv) ()
-  else if Array.mem "--sim-only" Sys.argv then begin
-    if not (emit_sim_bench ()) then exit 1
-  end
-  else begin
+  let flags = List.map (fun (flag, _, _) -> flag) sections in
+  let args = List.tl (Array.to_list Sys.argv) in
+  if List.exists (fun a -> not (List.mem a flags)) args then begin
+    prerr_endline ("usage: main.exe [" ^ String.concat " | " flags ^ "]");
+    exit 2
+  end;
+  let selected = List.filter (fun (flag, _, _) -> List.mem flag args) sections in
+  if selected = [] then begin
     Format.printf
       "Graphene reproduction benchmark harness — regenerating the paper's \
        evaluation@.(ASPLOS 2023: Graphene: An IR for Optimized Tensor \
        Computations on GPUs)@.@.";
-    Experiments.Figures.print_all Format.std_formatter;
-    (* Only the Bechamel timings may fail quietly (they are host-timing
-       extras); every other section still runs after a failure, and the
-       run exits 1 at the end if any section raised or a sim row broke
-       bit-identity. *)
-    let rows =
-      try run_bechamel ()
-      with exn ->
-        Format.printf "bechamel micro-benchmark skipped: %s@."
-          (Printexc.to_string exn);
-        []
-    in
-    let failed = ref [] in
-    let section name ok =
-      match ok () with
-      | true -> ()
-      | false -> failed := name :: !failed
-      | exception exn ->
-        Format.printf "%s FAILED: %s@." name (Printexc.to_string exn);
-        failed := name :: !failed
-    in
-    section "BENCH_profile.json" (fun () -> emit_bench_profile rows; true);
-    section "BENCH_sim.json" (fun () -> emit_sim_bench ());
-    section "BENCH_serve.json" (fun () -> emit_serve_bench (); true);
-    section "BENCH_tune.json" (fun () -> emit_tune_bench (); true);
-    if !failed <> [] then begin
-      Format.printf "bench FAILED: %s@." (String.concat ", " (List.rev !failed));
-      exit 1
-    end
+    Experiments.Figures.print_all Format.std_formatter
+  end;
+  let failed =
+    List.filter_map
+      (fun (_, name, run) ->
+        match run () with
+        | true -> None
+        | false -> Some name
+        | exception exn ->
+          Format.printf "%s FAILED: %s@." name (Printexc.to_string exn);
+          Some name)
+      (if selected = [] then sections else selected)
+  in
+  if failed <> [] then begin
+    Format.printf "bench FAILED: %s@." (String.concat ", " failed);
+    exit 1
   end

@@ -176,99 +176,29 @@ let domains_arg =
            (default: the machine's recommended domain count). Results are \
            bit-identical at every domain count; see docs/PARALLELISM.md.")
 
+(* The correctness signal of [simulate] and [profile]: the outputs
+   against the CPU reference, exit 1 on a mismatch. *)
+let check_reference verify =
+  if verify () then Format.printf "result: matches CPU reference@."
+  else begin
+    Format.printf "result: MISMATCH against CPU reference@.";
+    exit 1
+  end
+
 let simulate_cmd =
-  let check_domains =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "check-domains" ] ~docv:"N"
-          ~doc:
-            "Determinism check: run the kernel once on 1 domain and once on \
-             $(docv) domains and require bit-identical counters, profiler \
-             report, Chrome trace and output buffers. Exits non-zero on any \
-             difference.")
-  in
-  let check_engines =
-    Arg.(
-      value & flag
-      & info [ "check-engines" ]
-          ~doc:
-            "Oracle check: run the plan's kernel through the tree \
-             interpreter (1 domain) as baseline, then the compiled plan \
-             (printed as the bytecode engine) on 1 and 2 domains, and \
-             require bit-identical profiler report, Chrome trace and \
-             output buffers. Exits non-zero on any difference.")
-  in
-  let run arch name domains stages check check_eng =
+  let run arch name domains stages =
     let kernel, args, verify = build_valid arch name in
     let plan, _ = Lower.Pipeline.lower_cached ~stages arch kernel in
-    let copy l = List.map (fun (n, a) -> (n, Array.copy a)) l in
-    let one_run ?(tree = false) ~domains args =
-      let trace = Gpu_sim.Trace.create () in
-      let profiler = Gpu_sim.Profiler.create ~trace () in
-      let counters =
-        if tree then
-          Gpu_sim.Interp.run_tree ~arch:plan.Lower.Plan.arch ~profiler ~domains
-            plan.Lower.Plan.kernel ~args ()
-        else Gpu_sim.Interp.run_plan ~profiler ~domains plan ~args ()
-      in
-      let report =
-        Gpu_sim.Profiler.report profiler ~kernel ~arch ~counters ()
-      in
-      ( Gpu_sim.Profiler.report_to_json report
-      , Gpu_sim.Trace.to_chrome_string trace )
-    in
-    (match check with
-    | None -> ()
-    | Some nd ->
-      let args1 = copy args and argsn = copy args in
-      let report1, trace1 = one_run ~domains:1 args1 in
-      let reportn, tracen = one_run ~domains:nd argsn in
-      let check_one what ok =
-        Format.printf "  %-16s %s@." what
-          (if ok then "bit-identical" else "MISMATCH");
-        ok
-      in
-      Format.printf "determinism: 1 domain vs %d domains@." nd;
-      (* no && here: every check should print, even after a mismatch *)
-      let ok_report = check_one "profiler report" (String.equal report1 reportn) in
-      let ok_trace = check_one "chrome trace" (String.equal trace1 tracen) in
-      let ok_bufs = check_one "output buffers" (args1 = argsn) in
-      if not (ok_report && ok_trace && ok_bufs) then exit 1);
-    if check_eng then begin
-      let base_args = copy args in
-      let rbase, tbase = one_run ~tree:true ~domains:1 base_args in
-      Format.printf "engines: tree (1 domain) baseline@.";
-      let run_one nd =
-        let a = copy args in
-        let r, t = one_run ~domains:nd a in
-        let ok =
-          String.equal rbase r && String.equal tbase t && base_args = a
-        in
-        Format.printf "  bytecode %d domain(s)  %s@." nd
-          (if ok then "bit-identical" else "MISMATCH");
-        ok
-      in
-      (* no for_all: every run should print, even after a mismatch *)
-      let oks = List.map run_one [ 1; 2 ] in
-      if List.mem false oks then exit 1
-    end;
     let counters = Gpu_sim.Interp.run_plan ?domains plan ~args () in
     Format.printf "%a@." Gpu_sim.Counters.pp counters;
-    if verify () then Format.printf "result: matches CPU reference@."
-    else begin
-      Format.printf "result: MISMATCH against CPU reference@.";
-      exit 1
-    end
+    check_reference verify
   in
   Cmd.v
     (Cmd.info "simulate"
        ~doc:
          ("Execute a kernel on the simulated GPU and verify the result (exit \
            1 on a mismatch against the CPU reference)." ^ refusal_doc))
-    Term.(
-      const run $ arch_arg $ kernel_arg $ domains_arg $ stages_arg
-      $ check_domains $ check_engines)
+    Term.(const run $ arch_arg $ kernel_arg $ domains_arg $ stages_arg)
 
 let write_file path contents =
   try
@@ -319,11 +249,7 @@ let profile_cmd =
                    chrome://tracing or ui.perfetto.dev)@."
       json_path trace_path
       (Gpu_sim.Trace.num_events trace);
-    if verify () then Format.printf "result: matches CPU reference@."
-    else begin
-      Format.printf "result: MISMATCH against CPU reference@.";
-      exit 1
-    end
+    check_reference verify
   in
   Cmd.v
     (Cmd.info "profile"
@@ -367,7 +293,7 @@ let tune_cmd =
           ~doc:
             "Maximum candidates the search scores; larger spaces are \
              subsampled by a seeded priority (nested: a bigger budget only \
-             ever adds candidates).")
+             ever adds candidates). A budget below 1 exits 2.")
   in
   let proxy_top =
     Arg.(
@@ -392,16 +318,17 @@ let tune_cmd =
   in
   let run arch kernel sizes profile_top budget proxy_top seed out domains =
     let machine = Gpu_sim.Machine.of_arch arch in
-    let usage form =
-      Format.eprintf "error: expected tune %s %s (or no sizes for the \
-                      defaults)@." kernel form;
-      exit 2
+    (* Malformed input exits 2; exit 1 is kept for "nothing verified". *)
+    let refuse fmt =
+      Format.kasprintf (fun msg -> Format.eprintf "error: %s@." msg; exit 2) fmt
     in
-    if List.exists (fun s -> s <= 0) sizes then begin
-      Format.eprintf "error: tune %s sizes must be positive (got %s)@." kernel
+    let usage form =
+      refuse "expected tune %s %s (or no sizes for the defaults)" kernel form
+    in
+    if List.exists (fun s -> s <= 0) sizes then
+      refuse "tune %s sizes must be positive (got %s)" kernel
         (String.concat " " (List.map string_of_int sizes));
-      exit 2
-    end;
+    if budget < 1 then refuse "tune --budget must be positive (got %d)" budget;
     let space =
       match (kernel, sizes) with
       | "gemm", [] -> Tuner.Search.gemm_space arch ~m:4096 ~n:4096 ~k:1024 ()
@@ -411,9 +338,7 @@ let tune_cmd =
       | "fmha", [ seq; dh ] -> Tuner.Search.fmha_space arch ~seq ~dh ()
       | "fmha", _ -> usage "SEQ DH"
       | other, _ ->
-        Format.eprintf "error: no search space for kernel %s (try gemm or \
-                        fmha)@." other;
-        exit 2
+        refuse "no search space for kernel %s (try gemm or fmha)" other
     in
     let o =
       Tuner.Search.search ~seed ~max_candidates:budget ~proxy_top ?domains
@@ -498,23 +423,17 @@ let serve_cmd =
       value & opt (some int) None
       & info [ "batch-cap" ] ~docv:"N" ~doc:"Maximum requests per batch.")
   in
-  let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ]
-          ~doc:"Small preset (32 requests) finishing in a couple of seconds.")
-  in
   let out =
     Arg.(
       value & opt string "BENCH_serve.json"
       & info [ "o"; "output" ] ~docv:"FILE"
           ~doc:"Where to write the graphene.serve_bench.v2 JSON report.")
   in
-  let run seed requests rate tick cell_cap batch_cap quick out domains =
+  let run seed requests rate tick cell_cap batch_cap out domains =
     let params =
       { Serve.Traffic.default with
         Serve.Traffic.seed
-      ; requests = (if quick then min requests 32 else requests)
+      ; requests
       ; rate_rps = rate
       }
     in
@@ -553,8 +472,8 @@ let serve_cmd =
           throughput/occupancy summary and writes BENCH_serve.json; an \
           out-of-range setting exits 2. See docs/SERVING.md.")
     Term.(
-      const run $ seed $ requests $ rate $ tick $ cell_cap $ batch_cap
-      $ quick $ out $ domains_arg)
+      const run $ seed $ requests $ rate $ tick $ cell_cap $ batch_cap $ out
+      $ domains_arg)
 
 let layout_cmd =
   (* A self-checking walkthrough of the CuTe layout algebra

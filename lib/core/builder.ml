@@ -41,9 +41,6 @@ let for_ ?(unroll = false) var n body =
   Spec.For
     { var; lo = E.zero; hi = n; step = E.one; unroll; body = body (E.var var) }
 
-let for_step ?(unroll = false) var ~lo ~hi ~step body =
-  Spec.For { var; lo; hi; step; unroll; body = body (E.var var) }
-
 let if_ cond then_ = Spec.If { cond; then_; else_ = [] }
 let if_else cond then_ else_ = Spec.If { cond; then_; else_ }
 let sync = Spec.Sync

@@ -89,16 +89,6 @@ val generic :
     steps; the body receives the loop variable as an expression. *)
 val for_ : ?unroll:bool -> string -> E.t -> (E.t -> stmt list) -> stmt
 
-(** [for_step v ~lo ~hi ~step body]. *)
-val for_step :
-  ?unroll:bool ->
-  string ->
-  lo:E.t ->
-  hi:E.t ->
-  step:E.t ->
-  (E.t -> stmt list) ->
-  stmt
-
 val if_ : Spec.pred -> stmt list -> stmt
 val if_else : Spec.pred -> stmt list -> stmt list -> stmt
 val sync : stmt

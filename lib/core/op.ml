@@ -90,6 +90,3 @@ let cuda_binary op a b =
   | Div -> Printf.sprintf "(%s / %s)" a b
   | Max -> Printf.sprintf "fmaxf(%s, %s)" a b
   | Min -> Printf.sprintf "fminf(%s, %s)" a b
-
-let pp_unary fmt op = Format.pp_print_string fmt (unary_name op)
-let pp_binary fmt op = Format.pp_print_string fmt (binary_name op)

@@ -29,5 +29,3 @@ val cuda_unary : unary -> string -> string
 val cuda_binary : binary -> string -> string -> string
 val unary_name : unary -> string
 val binary_name : binary -> string
-val pp_unary : Format.formatter -> unary -> unit
-val pp_binary : Format.formatter -> binary -> unit

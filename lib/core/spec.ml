@@ -102,8 +102,6 @@ let kind_name = function
   | Init v -> Printf.sprintf "Init<%g>" v
   | Generic name -> Printf.sprintf "Spec<%s>" name
 
-let leaf_name s = if String.length s.label > 0 then s.label else kind_name s.kind
-
 (* ----- predicates ----- *)
 
 let rec pred_mentions var = function

@@ -100,11 +100,6 @@ val allocs : stmt list -> Gpu_tensor.Tensor.t list
 (** Name of the kind, e.g. ["Move"], ["MatMul"], ["BinaryPW<add>"]. *)
 val kind_name : kind -> string
 
-(** Display name of a spec: its [label] when non-empty, otherwise
-    {!kind_name}. This is the name the profiler attributes events to —
-    see docs/IR.md, "Spec labels and profiling attribution". *)
-val leaf_name : t -> string
-
 (** {1 Predicates} *)
 
 (** [pred_mentions var p] — whether variable [var] occurs in [p]; with

@@ -16,11 +16,6 @@ type t =
   ; mutable nworkers : int
   }
 
-(* Hard cap on spawned workers: OCaml supports ~128 concurrent domains
-   and oversubscribing cores buys nothing; chunk counts beyond this still
-   execute (queued), just not all at once. *)
-let max_workers = 31
-
 let default_domains () = Domain.recommended_domain_count ()
 
 let create () =
@@ -46,9 +41,12 @@ let worker_loop t =
   loop ()
 
 (* Grow the worker set so a batch of [n] tasks can run [n]-wide (the
-   caller is the +1). Must be called with [t.mutex] held. *)
+   caller is the +1), but never past one domain per core: tasks beyond
+   that wait in the queue, and an idle worker would still join every
+   stop-the-world minor collection for the rest of the process. Must be
+   called with [t.mutex] held. *)
 let ensure_workers_locked t n =
-  let want = min (n - 1) max_workers in
+  let want = min (n - 1) (default_domains () - 1) in
   while t.nworkers < want do
     t.workers <- Domain.spawn (fun () -> worker_loop t) :: t.workers;
     t.nworkers <- t.nworkers + 1
@@ -69,8 +67,6 @@ let global () =
   in
   Mutex.unlock pool_mutex;
   p
-
-exception Task_error of int * exn * Printexc.raw_backtrace
 
 let run_list t thunks =
   match thunks with
@@ -121,12 +117,13 @@ let run_list t thunks =
       Condition.wait batch_done t.mutex
     done;
     Mutex.unlock t.mutex;
+    (* [Array.map] visits in index order, so the lowest-index failure is
+       the one re-raised — as itself, exactly as a 1-task batch raises. *)
     Array.to_list
-      (Array.mapi
-         (fun i r ->
-           match r with
+      (Array.map
+         (function
            | Some (Ok v) -> v
-           | Some (Error (e, bt)) -> raise (Task_error (i, e, bt))
+           | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
            | None -> assert false)
          results)
 

@@ -13,23 +13,18 @@ type t
     environment variables. *)
 val default_domains : unit -> int
 
-(** A fresh pool with no workers; workers are spawned on demand by
-    {!run_list}, up to an internal cap (31). *)
-val create : unit -> t
-
-(** The process-wide pool (created lazily, grown on demand). All
-    simulator entry points share it so the total number of spawned
-    domains stays bounded. *)
+(** The process-wide pool (created lazily with no workers). All
+    simulator entry points share it. {!run_list} spawns workers on
+    demand, never more than [default_domains () - 1] (the submitting
+    domain is the +1), so a batch wider than the host runs its excess
+    tasks from the queue rather than on idle extra domains. *)
 val global : unit -> t
-
-(** A task raised: carries the task's index in the submitted list, the
-    exception, and its backtrace. *)
-exception Task_error of int * exn * Printexc.raw_backtrace
 
 (** [run_list pool thunks] executes every thunk (on the pool's workers
     and the calling domain), waits for all of them, and returns their
     results in submission order. If any thunk raised, re-raises the
-    lowest-indexed failure as {!Task_error} — after every task has
+    lowest-indexed failure — the task's own exception, with its
+    backtrace, as a one-thunk batch does — after every task has
     finished, so no task is abandoned mid-flight. *)
 val run_list : t -> (unit -> 'a) list -> 'a list
 

@@ -8,8 +8,9 @@
 
     {v <scope>/<scope>/.../<leaf> # <instruction> v}
 
-    where [<leaf>] is the issuing spec's label (or its kind name when
-    unlabeled; see {!Graphene.Spec.leaf_name}). The aggregated report is the
+    where [<leaf>] is the issuing spec's label, or its
+    {!Graphene.Spec.kind_name} when the label is empty (see docs/IR.md,
+    "Spec labels and profiling attribution"). The aggregated report is the
     simulator's stand-in for an Nsight-Compute "source counters" page: per
     spec instruction mix, bytes, DRAM sectors, coalescing efficiency, bank
     conflicts — plus a kernel-level roofline placement from {!Perf_model}.

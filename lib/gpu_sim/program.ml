@@ -29,7 +29,3 @@ let run ~arch t ~args ?(scalars = []) () =
 
 let validate arch t =
   List.concat_map (Graphene.Validate.check arch) t.kernels
-
-let estimate machine t ?scalars () =
-  Perf_model.sequence
-    (List.map (fun k -> Perf_model.of_kernel machine k ?scalars ()) t.kernels)

@@ -3,9 +3,9 @@
     an unfused kernel chain used as a baseline).
 
     Execution allocates the intermediates, runs the kernels in order
-    against the same buffer bindings, and merges their counters; the time
-    estimate is the launch-by-launch sum, exactly how the paper costs
-    "cumulative library invocations". *)
+    against the same buffer bindings, and merges their counters. (A
+    sequence's time estimate is {!Perf_model.sequence} of the per-launch
+    estimates, the paper's "cumulative library invocations".) *)
 
 type t =
   { kernels : Graphene.Spec.kernel list
@@ -29,7 +29,3 @@ val run :
 
 (** Every kernel must be well-formed on the architecture. *)
 val validate : Graphene.Arch.t -> t -> string list
-
-(** Sum of the per-launch estimates. *)
-val estimate :
-  Machine.t -> t -> ?scalars:(string * int) list -> unit -> Perf_model.estimate

@@ -11,11 +11,6 @@ let gemm ~m ~n ~k ?(beta = 0.0) a b c =
     done
   done
 
-let gemm_fp16_inputs ~m ~n ~k ?(beta = 0.0) a b c =
-  let r = Dt.round Dt.FP16 in
-  let a' = Array.map r a and b' = Array.map r b in
-  gemm ~m ~n ~k ~beta a' b' c
-
 let bias_add ~rows ~cols x bias =
   for i = 0 to rows - 1 do
     for j = 0 to cols - 1 do
@@ -115,11 +110,6 @@ let attention_causal ~seq ~dh q k v out =
   softmax_rows ~rows:seq ~cols:seq scores;
   gemm ~m:seq ~n:dh ~k:seq scores v out
 
-let max_abs_diff a b =
-  let d = ref 0.0 in
-  Array.iteri (fun i x -> d := Float.max !d (Float.abs (x -. b.(i)))) a;
-  !d
-
 let allclose ?(rtol = 2e-2) ?(atol = 1e-2) a b =
   Array.length a = Array.length b
   &&
@@ -135,8 +125,3 @@ let allclose ?(rtol = 2e-2) ?(atol = 1e-2) a b =
 let random_fp16 ~seed n =
   let st = Random.State.make [| seed |] in
   Array.init n (fun _ -> Dt.round Dt.FP16 ((Random.State.float st 2.0) -. 1.0))
-
-let random_fp32 ~seed n =
-  let st = Random.State.make [| seed |] in
-  Array.init n (fun _ ->
-      Dt.round Dt.FP32 ((Random.State.float st 2.0) -. 1.0))

@@ -10,12 +10,6 @@ val gemm :
   m:int -> n:int -> k:int -> ?beta:float -> float array -> float array ->
   float array -> unit
 
-(** Like {!gemm} but inputs are first rounded through fp16 (matching what a
-    tensor-core kernel consumes). *)
-val gemm_fp16_inputs :
-  m:int -> n:int -> k:int -> ?beta:float -> float array -> float array ->
-  float array -> unit
-
 (** [bias_add ~rows ~cols x bias] adds [bias] (length [cols]) to each row. *)
 val bias_add : rows:int -> cols:int -> float array -> float array -> unit
 
@@ -50,13 +44,8 @@ val attention_causal :
 
 (** {1 Comparison and data generation} *)
 
-val max_abs_diff : float array -> float array -> float
-
 (** [allclose ?rtol ?atol a b] with defaults suited to fp16 data. *)
 val allclose : ?rtol:float -> ?atol:float -> float array -> float array -> bool
 
 (** Deterministic uniform data in [-1, 1), rounded to fp16. *)
 val random_fp16 : seed:int -> int -> float array
-
-(** Deterministic uniform data in [-1, 1) (fp32-representable). *)
-val random_fp32 : seed:int -> int -> float array

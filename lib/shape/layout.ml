@@ -500,7 +500,6 @@ let compose_swizzle ?(offset = 0) sw base =
 
 let composed_nth c x = Swizzle.apply c.c_swizzle (c.c_offset + nth_index c.c_base x)
 let composed_indices c = Array.init (size_int c.c_base) (composed_nth c)
-let composed_size c = size_int c.c_base
 let composed_low_window c = Swizzle.low_window c.c_swizzle
 let composed_coalesce c = { c with c_base = coalesce c.c_base }
 

@@ -219,8 +219,6 @@ val composed_nth : composed -> int -> int
 (** The image of the composed layout over [0 .. size - 1]. *)
 val composed_indices : composed -> int array
 
-val composed_size : composed -> int
-
 (** The swizzle's untouched low-bit window ([max_int] for the identity):
     a width-[w] vector access is swizzle-legal iff [w <=] this. *)
 val composed_low_window : composed -> int

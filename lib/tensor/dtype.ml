@@ -26,10 +26,6 @@ let to_cuda_string = function
   | U32 -> "uint32_t"
   | Bool -> "bool"
 
-let is_float = function
-  | FP16 | BF16 | FP32 | FP64 -> true
-  | I8 | I32 | U32 | Bool -> false
-
 let equal (a : t) b = a = b
 let pp fmt t = Format.pp_print_string fmt (to_ir_string t)
 

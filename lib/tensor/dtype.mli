@@ -10,7 +10,6 @@ val to_ir_string : t -> string
 (** CUDA C++ type name, e.g. ["half"], ["float"]. *)
 val to_cuda_string : t -> string
 
-val is_float : t -> bool
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 

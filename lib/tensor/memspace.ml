@@ -5,10 +5,5 @@ let to_ir_string = function
   | Shared -> "SH"
   | Register -> "RF"
 
-let to_cuda_qualifier = function
-  | Global -> ""
-  | Shared -> "__shared__"
-  | Register -> ""
-
 let equal (a : t) b = a = b
 let pp fmt t = Format.pp_print_string fmt (to_ir_string t)

@@ -8,8 +8,5 @@ type t =
 (** Graphene IR label: ["GL"], ["SH"], ["RF"]. *)
 val to_ir_string : t -> string
 
-(** CUDA C++ declaration qualifier for an allocation in this space. *)
-val to_cuda_qualifier : t -> string
-
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -72,7 +72,6 @@ let select t coords =
 let select_ints t coords = select t (List.map E.const coords)
 let reshape t dims = { t with layout = L.reshape t.layout dims }
 let rename t name = { t with name }
-let with_swizzle t swizzle = { t with swizzle }
 
 let subst bindings t =
   let rec subst_elem = function

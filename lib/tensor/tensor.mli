@@ -83,8 +83,6 @@ val reshape : t -> Shape.Int_tuple.t -> t
     names). *)
 val rename : t -> string -> t
 
-val with_swizzle : t -> Shape.Swizzle.t -> t
-
 (** [subst bindings t] instantiates parameters in the view. *)
 val subst : (string * Shape.Int_expr.t) list -> t -> t
 

@@ -248,9 +248,9 @@ let check_static f kernel r =
       | Some why -> Alcotest.(check bool) (tag ^ " differ: " ^ why) false agree)
     (static_fields totals r.c)
 
-(* Runs go in ascending domain order: once a run grows the domain pool,
-   its idle workers slow every later run of the process. [static:false]
-   skips the static-analysis totals. *)
+(* [static:false] skips the static-analysis totals. The 4- and 7-domain
+   runs take [run_grid]'s chunked, merged path at any core count; the
+   pool runs their chunks on at most one domain per core. *)
 let matrix ?(static = true) f =
   let kernel = f.build () in
   let arch = f.arch and scalars = f.scalars in

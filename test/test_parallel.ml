@@ -6,7 +6,9 @@
      including DRAM sectors, bank conflicts, and the instruction mix
      (broadcasts stay free, conflicts stay counted); [Counters.diff]
      names the first differing field of its set;
-   - [Domain_pool.block_ranges] is a contiguous ascending partition;
+   - [Domain_pool.block_ranges] is a contiguous ascending partition, and
+     [Domain_pool.run_list] re-raises the lowest failing task's own
+     exception;
    - [Pipeline.lower_cached] lowers a kernel structure once across
      scalar-variant launches and never re-resolves atomics on a hit. *)
 
@@ -142,6 +144,38 @@ let test_block_ranges () =
       check_int "covers total" total last)
     [ (1, 1); (7, 2); (64, 7); (100, 16) ]
 
+(* ----- Domain_pool.run_list failures ----- *)
+
+exception Task_a
+exception Task_b
+
+(* A failing batch re-raises its lowest-index task's own exception, as a
+   one-task batch does, after every task has run: callers such as
+   [Search.fan_out] and [Serve.Engine.run] see the same exception at
+   every domain count. *)
+let test_run_list_raises () =
+  let pool = Domain_pool.global () in
+  let ran = Stdlib.Atomic.make 0 in
+  let task r () =
+    Stdlib.Atomic.incr ran;
+    match r with Some e -> raise e | None -> 0
+  in
+  let outcome thunks =
+    Stdlib.Atomic.set ran 0;
+    match Domain_pool.run_list pool thunks with
+    | _ -> "no exception"
+    | exception Task_a -> "Task_a"
+    | exception e -> Printexc.to_string e
+  in
+  Alcotest.(check string) "one task" "Task_a" (outcome [ task (Some Task_a) ]);
+  Alcotest.(check string)
+    "[ok; raise A; raise B]" "Task_a"
+    (outcome [ task None; task (Some Task_a); task (Some Task_b) ]);
+  check_int "every task ran" 3 (Stdlib.Atomic.get ran);
+  Alcotest.(check (list int))
+    "the pool still runs batches" [ 0; 0 ]
+    (Domain_pool.run_list pool [ task None; task None ])
+
 (* ----- plan cache ----- *)
 
 let test_plan_cache () =
@@ -196,7 +230,10 @@ let () =
         ; Alcotest.test_case "diff" `Quick test_counters_diff
         ] )
     ; ( "domain_pool"
-      , [ Alcotest.test_case "block_ranges" `Quick test_block_ranges ] )
+      , [ Alcotest.test_case "block_ranges" `Quick test_block_ranges
+        ; Alcotest.test_case "run_list re-raises the task's exception" `Quick
+            test_run_list_raises
+        ] )
     ; ( "plan_cache"
       , [ Alcotest.test_case "lower once, launch many" `Quick test_plan_cache ]
       )

@@ -156,8 +156,8 @@ let lower_cmd =
   Cmd.v
     (Cmd.info "lower"
        ~doc:
-         "Run the lowering pipeline (validate, flatten, resolve, depcheck, \
-          vectorize, swpipe, compile) on a kernel, printing the IR after \
+         "Run the lowering pipeline (validate, swpipe, flatten, resolve, \
+          depcheck, vectorize, compile) on a kernel, printing the IR after \
           every pass, the compiled execution plan — with each view's \
           dependence tier, vector width and bank-conflict lint — its op \
           and atomic counts, and the software-pipelining verdict (stages \

@@ -134,37 +134,3 @@ let run_list t thunks =
 let block_ranges ~total ~chunks =
   let chunks = max 1 (min chunks total) in
   List.init chunks (fun i -> (i * total / chunks, (i + 1) * total / chunks))
-
-(* Cost-sized work chunks: instead of one uniform range per domain,
-   split [total] blocks into chunks whose size comes from the measured
-   per-block cost, so domains can steal at chunk granularity without
-   drowning in scheduling overhead.
-
-   Two pressures, take the binding one:
-   - amortization: a chunk should cost ~[chunk_target_ns] so the
-     per-chunk overhead (claim, fresh counters, profiler fork, eager
-     merge) stays in the noise — expensive blocks get small chunks
-     (fine-grained stealing), cheap blocks get big ones;
-   - balance: even when blocks are very cheap, keep at least ~4 chunks
-     per domain so a straggler domain can shed load.
-
-   The result is clamped to [1, max 1 total]. Monotone: a larger
-   [block_ns] never yields a larger chunk. *)
-let chunk_target_ns = 2_000_000
-
-let cost_chunk_size ~total ~domains ~block_ns =
-  let by_cost = chunk_target_ns / max 1 block_ns in
-  let by_balance = total / (4 * max 1 domains) in
-  let c = min (max 1 by_cost) (max 1 by_balance) in
-  max 1 (min c (max 1 total))
-
-(* The ascending contiguous chunk list [cost_chunk_size] induces:
-   [(0,c); (c,2c); ...), last chunk partial. Deterministic in its
-   arguments, covers [0, total) exactly, every chunk nonempty. *)
-let cost_chunks ~total ~domains ~block_ns =
-  if total <= 0 then []
-  else begin
-    let c = cost_chunk_size ~total ~domains ~block_ns in
-    let n = (total + c - 1) / c in
-    List.init n (fun i -> (i * c, min total ((i + 1) * c)))
-  end

@@ -1,7 +1,10 @@
 (** A small self-contained pool of OCaml 5 domains (no domainslib) used to
-    execute independent thread blocks — and independent autotuning
-    candidates — in parallel. See docs/PARALLELISM.md.
+    execute independent thread blocks, autotuning candidates and serving
+    shards in parallel. See docs/PARALLELISM.md.
 
+    Every caller splits its work the same way: {!block_ranges} cuts it
+    into one contiguous ascending range per domain, {!run_list} runs one
+    task per range, and the caller merges the results in range order.
     Workers share one task queue; the domain submitting a batch always
     participates in executing it, so nested or concurrent batches make
     progress without deadlock. *)
@@ -34,17 +37,3 @@ val run_list : t -> (unit -> 'a) list -> 'a list
     same split (the deterministic-merge contract relies on this). At most
     [total] (and at least one) ranges are returned. *)
 val block_ranges : total:int -> chunks:int -> (int * int) list
-
-(** [cost_chunk_size ~total ~domains ~block_ns] — the work-chunk size
-    (in blocks) the parallel executor schedules at, derived from the
-    measured per-block cost [block_ns]: chunks aim at a fixed wall-time
-    target (~2 ms) so per-chunk overhead amortizes, bounded below by
-    ~4 chunks per domain for balance. Always in [1, max 1 total];
-    monotone nonincreasing in [block_ns] and in [domains]. *)
-val cost_chunk_size : total:int -> domains:int -> block_ns:int -> int
-
-(** The ascending contiguous chunk list {!cost_chunk_size} induces:
-    [(0,c); (c,2c); ...], last chunk partial, covering [0, total)
-    exactly (empty for [total <= 0]). Every chunk is nonempty. The
-    parallel grid executor runs exactly these chunks. *)
-val cost_chunks : total:int -> domains:int -> block_ns:int -> (int * int) list

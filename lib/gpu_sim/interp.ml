@@ -13,17 +13,12 @@ exception Exec_error of string
 
 let error fmt = Format.kasprintf (fun s -> raise (Exec_error s)) fmt
 
-(* [counters] and [prof] are mutable so a long-lived per-domain executor
-   state can be re-targeted at a fresh sink per work chunk (see
-   [run_grid]): the expensive parts of the state — memory arenas,
-   hoisting caches, scratch — persist across chunks, only the
-   observable sinks swap. *)
 type ctx =
   { arch : Graphene.Arch.t
   ; mem : Memory.t
-  ; mutable counters : Counters.t
+  ; counters : Counters.t
   ; cta_size : int
-  ; mutable prof : Profiler.t option
+  ; prof : Profiler.t option
   ; mutable block : int  (* blockIdx.x of the block currently executing *)
   }
 
@@ -307,173 +302,52 @@ let rec exec_stmt ctx env active stmt =
 
    Thread blocks are independent: each owns its shared memory, register
    files and barrier scope, and distinct blocks write disjoint global
-   cells (the same contract real hardware gives a kernel). So the grid
-   splits into contiguous ascending block *chunks*, sized from the
-   measured per-block cost (Domain_pool.cost_chunk_size); domains claim
-   chunks ascending off a shared atomic (chunk-granularity stealing with
-   ascending affinity), each executing against the shared global arena
-   with private block-local memory, a fresh per-chunk counter set and a
-   forked profiler. Finished chunks merge into the main sinks *eagerly*,
-   in ascending chunk order, while later chunks are still executing —
-   merge order is deterministic, so every observable — counters, profiler
-   reports, Chrome traces, output buffers — stays bit-identical to the
-   1-domain run regardless of which domain ran which chunk or when.
-   See docs/PARALLELISM.md for the full argument. *)
+   cells (the same contract real hardware gives a kernel). So a launch
+   on [domains] domains cuts the grid into that many contiguous
+   ascending block ranges ([Domain_pool.block_ranges], the split the
+   schedule search and the serving engine use), one pool task each.
+   Each range builds its own executor state against the shared global
+   arena, with private block-local memory, a fresh counter set and a
+   forked profiler; once the batch has joined, the ranges merge into the
+   caller's sinks in ascending order. The merge order is fixed, so every
+   observable — counters, profiler reports, Chrome traces, output
+   buffers — is bit-identical to the 1-domain run. See
+   docs/PARALLELISM.md for the full argument. *)
 
-(* [auto] distinguishes defaulted parallelism (no [?domains]) from
-   requested parallelism: only a defaulted run may fall back to
-   sequential execution when the probe says the grid is too cheap to
-   parallelize. An explicit domain count always takes the parallel
-   path — the bit-identity suites rely on actually exercising it. *)
 let resolve_domains ?domains ~grid_size () =
-  let auto = domains = None in
   let d =
     match domains with Some d -> d | None -> Domain_pool.default_domains ()
   in
-  (max 1 (min d grid_size), auto)
+  max 1 (min d grid_size)
 
-(* Below this estimated remaining-work wall time, a defaulted run
-   finishes sequentially: pool dispatch, per-domain executor state and
-   chunk bookkeeping would cost more than they save. *)
-let sequential_cutoff_ns = 400_000
-
-let merge_chunk ~counters ~profiler (c, p) =
-  Counters.merge counters c;
-  match (profiler, p) with
-  | Some dst, Some src -> Profiler.merge_into dst src
-  | _ -> ()
-
-(* The parallel driver shared by [run_tree] and [run_plan]. ['st] is one
-   domain's executor state (memory + contexts), built once per domain by
-   [make_state] and re-targeted at per-chunk sinks by [set_sinks];
-   [exec_block st bid] executes one thread block into the state's current
-   sinks, touching no other shared state. Block 0 runs first on the
-   submitting domain, timed, to learn the per-block cost that sizes the
-   chunks. *)
-let run_grid (type st) ~domains ~auto ~grid_size ~counters ~profiler
-    ~(make_state : unit -> st) ~(set_sinks : st -> Counters.t -> Profiler.t option -> unit)
-    ~(exec_block : st -> int -> unit) () =
-  if domains <= 1 || grid_size <= 1 then begin
-    let st = make_state () in
-    set_sinks st counters profiler;
-    for bid = 0 to grid_size - 1 do
+(* The driver shared by [run_tree] and [run_plan]. [make_state c p]
+   builds one range's executor state recording into the sinks [c] and
+   [p]; [exec_block st bid] executes one thread block into them. A range
+   stops at its first failing block and [run_list] re-raises the lowest
+   failing range's exception, so a launch raises its lowest failing
+   block's fault at every domain count. *)
+let run_grid ~domains ~grid_size ~counters ~profiler ~make_state ~exec_block =
+  let run_range counters profiler (lo, hi) =
+    let st = make_state counters profiler in
+    for bid = lo to hi - 1 do
       exec_block st bid
     done
-  end
-  else begin
-    (* Probe block 0 into a fork merged immediately, so the observable
-       stream stays ascending whatever happens next. *)
-    let st0 = make_state () in
-    let c0 = Counters.create () in
-    let p0 = Option.map Profiler.fork profiler in
-    set_sinks st0 c0 p0;
-    let t0 = Unix.gettimeofday () in
-    exec_block st0 0;
-    let block_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
-    merge_chunk ~counters ~profiler (c0, p0);
-    let rest = grid_size - 1 in
-    if auto && rest * block_ns < sequential_cutoff_ns then begin
-      (* Too cheap to parallelize: finish on the probe's state, recording
-         straight into the main sinks (equivalent to merging per-block
-         forks, by the merge contract — just without the forks). *)
-      set_sinks st0 counters profiler;
-      for bid = 1 to grid_size - 1 do
-        exec_block st0 bid
-      done
-    end
-    else begin
-      (* Chunks cover blocks [1, grid_size): offsets into the rest. *)
-      let chunks =
-        Array.of_list (Domain_pool.cost_chunks ~total:rest ~domains ~block_ns)
-      in
-      let nchunks = Array.length chunks in
-      let next = Stdlib.Atomic.make 0 in
-      let abort = Stdlib.Atomic.make false in
-      let results :
-          ( (Counters.t * Profiler.t option, exn * Printexc.raw_backtrace)
-            Stdlib.result
-            option
-          )
-            array =
-        Array.make nchunks None
-      in
-      (* Merge frontier: chunks [0, !merged) have been folded into the
-         main sinks. Advancing stops at a failed chunk — nothing at or
-         past the lowest failure is ever merged, exactly like a
-         sequential run that raised there. *)
-      let merged = ref 0 in
-      let merge_mutex = Mutex.create () in
-      let publish i r =
-        Mutex.lock merge_mutex;
-        results.(i) <- Some r;
-        let continue = ref true in
-        while !continue && !merged < nchunks do
-          match results.(!merged) with
-          | Some (Ok cp) ->
-            merge_chunk ~counters ~profiler cp;
-            incr merged
-          | Some (Error _) | None -> continue := false
-        done;
-        Mutex.unlock merge_mutex
-      in
-      (* Each pool task is one domain's claim loop; executor state is
-         built lazily on first claim (the submitting domain reuses the
-         probe's). Claims are ascending, so every chunk below the lowest
-         failing one is claimed before it and runs to completion. *)
-      let worker st_init () =
-        let st = ref st_init in
-        let continue = ref true in
-        while !continue do
-          if Stdlib.Atomic.get abort then continue := false
-          else begin
-            let i = Stdlib.Atomic.fetch_and_add next 1 in
-            if i >= nchunks then continue := false
-            else begin
-              let st =
-                match !st with
-                | Some s -> s
-                | None ->
-                  let s = make_state () in
-                  st := Some s;
-                  s
-              in
-              let c = Counters.create () in
-              let p = Option.map Profiler.fork profiler in
-              set_sinks st c p;
-              let lo, hi = chunks.(i) in
-              let r =
-                match
-                  for bid = 1 + lo to hi do
-                    exec_block st bid
-                  done
-                with
-                | () -> Ok (c, p)
-                | exception e ->
-                  Stdlib.Atomic.set abort true;
-                  Error (e, Printexc.get_raw_backtrace ())
-              in
-              publish i r
-            end
-          end
-        done
-      in
-      let ndom = min domains nchunks in
-      (* Task 0 runs on the submitting domain (Domain_pool.run_list),
-         which built st0 — so the probe's state is reused there. *)
-      ignore
-        (Domain_pool.run_list (Domain_pool.global ())
-           (List.init ndom (fun i -> worker (if i = 0 then Some st0 else None))));
-      if !merged < nchunks then begin
-        match results.(!merged) with
-        | Some (Error (e, bt)) ->
-          (* The lowest failing chunk — the failure a sequential run
-             would hit first. Re-raised as itself so callers see
-             Exec_error / Fault exactly as in a 1-domain run. *)
-          Printexc.raise_with_backtrace e bt
-        | Some (Ok _) | None -> assert false
-      end
-    end
-  end
+  in
+  if domains <= 1 then run_range counters profiler (0, grid_size)
+  else
+    Domain_pool.run_list (Domain_pool.global ())
+      (List.map
+         (fun range () ->
+           let c = Counters.create () in
+           let p = Option.map Profiler.fork profiler in
+           run_range c p range;
+           (c, p))
+         (Domain_pool.block_ranges ~total:grid_size ~chunks:domains))
+    |> List.iter (fun (c, p) ->
+           Counters.merge counters c;
+           match (profiler, p) with
+           | Some dst, Some src -> Profiler.merge_into dst src
+           | _ -> ())
 
 let run_tree ~arch ?profiler ?domains (k : Spec.kernel) ~args ?(scalars = []) ()
     =
@@ -500,22 +374,18 @@ let run_tree ~arch ?profiler ?domains (k : Spec.kernel) ~args ?(scalars = []) ()
   in
   let all_threads = List.init cta_size Fun.id in
   let counters = Counters.create () in
-  let domains, auto = resolve_domains ?domains ~grid_size () in
-  run_grid ~domains ~auto ~grid_size ~counters ~profiler
-    ~make_state:(fun () ->
+  let domains = resolve_domains ?domains ~grid_size () in
+  run_grid ~domains ~grid_size ~counters ~profiler
+    ~make_state:(fun counters prof ->
       let mem = Memory.of_global arena in
       declare mem;
-      { arch; mem; counters; cta_size; prof = None; block = 0 })
-    ~set_sinks:(fun ctx c p ->
-      ctx.counters <- c;
-      ctx.prof <- p)
+      { arch; mem; counters; cta_size; prof; block = 0 })
     ~exec_block:(fun ctx bid ->
       Memory.new_block ctx.mem;
       ctx.block <- bid;
       Option.iter Profiler.begin_block ctx.prof;
       let env v = if String.equal v "blockIdx.x" then bid else base_env v in
-      List.iter (exec_stmt ctx env all_threads) k.Spec.body)
-    ();
+      List.iter (exec_stmt ctx env all_threads) k.Spec.body);
   counters
 
 (* ===== the compiled-plan executor =====
@@ -540,7 +410,7 @@ let run_tree ~arch ?profiler ?domains (k : Spec.kernel) ~args ?(scalars = []) ()
 
    Dispatch allocates nothing: profiler hooks are direct matches on
    [ctx.prof], loops are [while] loops, and every scratch buffer lives
-   in the per-domain state; test_bytecode's allocation budget pins the
+   in the per-range state; test_bytecode's allocation budget pins the
    minor words per simulated cell.
 
    Observable behavior — counters (bar the request counters, which
@@ -599,8 +469,8 @@ type gcache =
   ; mutable gc_groups : int array array
   }
 
-(* One domain's executor state, built once per domain and reused for
-   every block it runs: the slot env, one full-CTA mask, the
+(* One block range's executor state, built once per range and reused
+   for every block it runs: the slot env, one full-CTA mask, the
    divergence-mask arena, reusable scratch buffers, the hoisting caches
    (indexed by the plan's dense view/atomic ids) and the per-atomic
    closures ([plan_env_fun] and the offsets oracle). *)
@@ -686,7 +556,7 @@ let rec seat_operands bx views (ops : Semantics.operand array) i =
     else op.Semantics.addressing <- Semantics.Uniform_pending;
     seat_operands bx tl ops (i + 1)
 
-(* Build one domain's executor state: walk the plan once to size and
+(* Build one range's executor state: walk the plan once to size and
    seat the caches, then seat the per-atomic closures (they capture the
    state record itself, hence the two-phase construction). *)
 let make_pctx ctx (plan : P.t) (env : int array) =
@@ -1110,12 +980,12 @@ let run_plan ?profiler ?domains ?engine:(_ : engine option) (plan : P.t) ~args
     scalars;
   let grid_size = plan.P.grid_size in
   let counters = Counters.create () in
-  let domains, auto = resolve_domains ?domains ~grid_size () in
-  (* Each domain state gets its own block-local memory, its own copy of
+  let domains = resolve_domains ?domains ~grid_size () in
+  (* Each range's state gets its own block-local memory, its own copy of
      the scalar bindings (the slot env is mutated during execution) and
      its own hoisting caches and scratch buffers, shared by nothing. *)
-  run_grid ~domains ~auto ~grid_size ~counters ~profiler
-    ~make_state:(fun () ->
+  run_grid ~domains ~grid_size ~counters ~profiler
+    ~make_state:(fun counters prof ->
       let mem = Memory.of_global arena in
       declare mem;
       make_pctx
@@ -1123,13 +993,10 @@ let run_plan ?profiler ?domains ?engine:(_ : engine option) (plan : P.t) ~args
         ; mem
         ; counters
         ; cta_size = plan.P.cta_size
-        ; prof = None
+        ; prof
         ; block = 0
         }
         plan (Array.copy base_env))
-    ~set_sinks:(fun bx c p ->
-      bx.c.counters <- c;
-      bx.c.prof <- p)
     ~exec_block:(fun bx bid ->
       let ctx = bx.c in
       Memory.new_block ctx.mem;
@@ -1140,8 +1007,7 @@ let run_plan ?profiler ?domains ?engine:(_ : engine option) (plan : P.t) ~args
       bx.env.(Slots.bid_slot) <- bid;
       try exec_ops bx bx.full 0 plan.P.body
       with Slots.Unbound_var v ->
-        error "unbound variable %s (missing scalar argument?)" v)
-    ();
+        error "unbound variable %s (missing scalar argument?)" v);
   counters
 
 (* Lower once (through the plan cache), execute. Callers running the same

@@ -28,17 +28,19 @@
 
     {2 Parallel grids}
 
-    Both paths accept [?domains]: the grid's thread blocks split into
-    work chunks sized from the measured per-block cost
-    ({!Domain_pool.cost_chunks}); up to [domains] OCaml domains
-    (default {!Domain_pool.default_domains}, the machine's recommended
-    domain count) claim chunks in ascending block order. Per-chunk
-    counters and profiler state merge back eagerly in that same
-    ascending order, so counters, profiler reports, traces and output
-    buffers are bit-identical at every domain count — see
-    docs/PARALLELISM.md. When [?domains] is not given, grids the probe
-    block measures as very cheap finish sequentially (same observables,
-    by the merge contract). *)
+    Both paths accept [?domains] (default
+    {!Domain_pool.default_domains}, the machine's recommended domain
+    count; never more than the grid has blocks). At one domain, or on a
+    one-block grid, the blocks run in order straight into the caller's
+    sinks. Otherwise the grid splits into one contiguous ascending block
+    range per domain ({!Domain_pool.block_ranges}), each range runs as
+    one {!Domain_pool.run_list} task into its own counters and forked
+    profiler, and the ranges merge back in ascending order after the
+    batch joins. Counters, profiler reports, traces and output buffers
+    are therefore bit-identical at every domain count — see
+    docs/PARALLELISM.md. A fault re-raises the lowest failing block's
+    exception at every domain count; ranges above the failing one still
+    run to completion first. *)
 
 exception Exec_error of string
 

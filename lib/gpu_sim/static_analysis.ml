@@ -70,8 +70,10 @@ let of_kernel arch (k : Spec.kernel) ?(scalars = []) () =
         else if String.equal v "threadIdx.x" then 0
         else failwith (Printf.sprintf "Static_analysis: unbound %s" v))
   in
-  (* [fraction] is the proportion of the block's threads currently active. *)
-  let rec go bindings fraction stmts =
+  (* [active] lists the block's threads currently active and [n] counts
+     them: a thread-dependent branch splits the list exactly as the
+     executors split their active set, so nested guards compose. *)
+  let rec go bindings active n stmts =
     List.fold_left
       (fun acc stmt ->
         match stmt with
@@ -86,37 +88,37 @@ let of_kernel arch (k : Spec.kernel) ?(scalars = []) () =
           let trips = max 0 ((hi_v - lo_v + st_v - 1) / st_v) in
           if trips = 0 then acc
           else
-            let inner = go ((var, lo_v) :: bindings) fraction body in
+            let inner = go ((var, lo_v) :: bindings) active n body in
             add acc (scale (float_of_int trips) inner)
         | Spec.If { cond; then_; else_ } ->
           if Spec.pred_mentions "threadIdx.x" cond then begin
-            (* Exact participation fraction over the block's threads. *)
-            let taken = ref 0 in
-            for tid = 0 to cta - 1 do
-              let env v =
-                if String.equal v "threadIdx.x" then tid
-                else base_env bindings v
-              in
-              if Spec.eval_pred env cond then incr taken
-            done;
-            let f_then = float_of_int !taken /. float_of_int cta in
+            let taken, not_taken =
+              List.partition
+                (fun tid ->
+                  Spec.eval_pred
+                    (fun v ->
+                      if String.equal v "threadIdx.x" then tid
+                      else base_env bindings v)
+                    cond)
+                active
+            in
+            let n_taken = List.length taken in
             add acc
               (add
-                 (scale 1.0 (go bindings (fraction *. f_then) then_))
-                 (scale 1.0 (go bindings (fraction *. (1.0 -. f_then)) else_)))
+                 (go bindings taken n_taken then_)
+                 (go bindings not_taken (n - n_taken) else_))
           end
           else if Spec.eval_pred (base_env bindings) cond then
-            add acc (go bindings fraction then_)
-          else add acc (go bindings fraction else_)
+            add acc (go bindings active n then_)
+          else add acc (go bindings active n else_)
         | Spec.Spec_stmt s -> (
           match s.Spec.decomp with
-          | Some body -> add acc (go bindings fraction body)
+          | Some body -> add acc (go bindings active n body)
           | None ->
             let instr = Atomic.find_exn arch s in
             let c = instr.Atomic.cost s in
             let instances =
-              fraction *. float_of_int cta
-              /. float_of_int (max 1 instr.Atomic.threads)
+              float_of_int n /. float_of_int (max 1 instr.Atomic.threads)
             in
             let tc =
               match instr.Atomic.klass with Atomic.Mma _ -> true | _ -> false
@@ -133,7 +135,7 @@ let of_kernel arch (k : Spec.kernel) ?(scalars = []) () =
               }))
       zero stmts
   in
-  let per_block = go [] 1.0 k.Spec.body in
+  let per_block = go [] (List.init cta Fun.id) cta k.Spec.body in
   let smem =
     List.fold_left
       (fun acc (t : Ts.t) ->

@@ -1,6 +1,9 @@
 (* The lowering pipeline: Spec.kernel -> Plan.t, in seven named passes.
 
      validate   advisory structural diagnostics (shapes, allocations)
+     swpipe     async staging loops rewritten to rotating-buffer
+                pipelines at [stages >= 2] (see Swpipe); a spec-to-spec
+                rewrite, so every later pass sees the pipelined kernel
      flatten    decomposition tree -> flat statement list (allocs and
                 comments dropped, labeled decompositions become frames,
                 thread-dependent loop bounds become lazy failures)
@@ -15,9 +18,6 @@
                 eligible per-thread moves widen to v2/v4 vector atomics,
                 near-misses carry the refusal reason; fully-static
                 shared views get the bank-conflict lint
-     swpipe     async staging loops rewritten to rotating-buffer
-                pipelines at [stages >= 2] (see Swpipe); a rewritten
-                kernel runs through flatten .. vectorize again
      compile    expressions, predicates, view offsets and thread
                 arrangements compiled to closures over the slot array,
                 carrying the depcheck tiers and vector widths as plan
@@ -106,7 +106,42 @@ let validate_pass =
     (fun (k : Spec.kernel) ->
       (k, Validate.check_shapes k @ Validate.check_allocs k))
 
-(* ----- pass 2: flatten ----- *)
+(* ----- pass 2: swpipe ----- *)
+
+let pipelining_of_verdict (v : Swpipe.verdict) : Plan.pipelining =
+  let note = Swpipe.verdict_to_string v in
+  let refusals =
+    List.map
+      (fun (var, r) -> (var, Swpipe.reason_to_string r))
+      v.Swpipe.refusals
+  in
+  match v.Swpipe.loops with
+  | [] -> { Plan.unpipelined with Plan.pl_note = note; pl_refusals = refusals }
+  | loops ->
+    { Plan.pl_stages =
+        List.fold_left (fun acc p -> max acc p.Swpipe.p_stages) 1 loops
+    ; pl_buffers = List.concat_map (fun p -> p.Swpipe.p_buffers) loops
+    ; pl_stage_bytes =
+        List.fold_left (fun acc p -> acc + p.Swpipe.p_stage_bytes) 0 loops
+    ; pl_queue_bound =
+        List.fold_left (fun acc p -> max acc p.Swpipe.p_queue_bound) 0 loops
+    ; pl_note = note
+    ; pl_refusals = refusals
+    }
+
+(* A spec-level rewrite: every later pass, and the plan's [kernel], sees
+   the pipelined form, so [run_tree] on the plan's kernel checks the
+   same schedule [run_plan] executes. An unpipelined verdict returns the
+   kernel itself. *)
+let swpipe_pass arch ~stages =
+  Pass.make ~name:"swpipe"
+    ~doc:"software-pipeline async staging loops (rotating shared buffers)"
+    ~render:(fun (_, pl) -> pl.Plan.pl_note)
+    (fun k ->
+      let k, verdict = Swpipe.rewrite arch ~stages k in
+      (k, pipelining_of_verdict verdict))
+
+(* ----- pass 3: flatten ----- *)
 
 let rec flatten_stmts stmts = List.concat_map flatten_stmt stmts
 
@@ -136,7 +171,7 @@ let flatten_pass =
     ~render:(render_fstmts Spec.pp)
     (fun (k : Spec.kernel) -> flatten_stmts k.Spec.body)
 
-(* ----- pass 3: resolve ----- *)
+(* ----- pass 4: resolve ----- *)
 
 (* The instruction classes a spec kind's near-miss listing draws from. *)
 let same_family (kind : Spec.kind) (klass : Atomic.klass) =
@@ -200,7 +235,7 @@ let resolve_pass arch =
              | None -> F_fail (unmatched_message arch s)))
         stmts)
 
-(* ----- pass 4: depcheck ----- *)
+(* ----- pass 5: depcheck ----- *)
 
 (* Annotate every resolved leaf with the slot-dependence footprint of its
    views and (for collectives) its member function. The recursion carries
@@ -240,7 +275,7 @@ let depcheck_pass =
            | None -> ()))
     (fun stmts -> List.map (depcheck_stmt []) stmts)
 
-(* ----- pass 5: vectorize ----- *)
+(* ----- pass 6: vectorize ----- *)
 
 (* Annotate every leaf with its widening verdict and bank lint. The
    recursion tracks whether the leaf sits under a thread-dependent branch
@@ -283,46 +318,6 @@ let vectorize_pass ~enabled ~cta_size =
            , (v : Vectorize.leaf) )
          -> Format.fprintf fmt "%s: %a" i.Atomic.name Vectorize.pp_leaf v))
     (fun stmts -> vectorize_stmts ~enabled ~cta_size false stmts)
-
-(* ----- pass 6: swpipe ----- *)
-
-let pipelining_of_verdict (v : Swpipe.verdict) : Plan.pipelining =
-  let note = Swpipe.verdict_to_string v in
-  let refusals =
-    List.map
-      (fun (var, r) -> (var, Swpipe.reason_to_string r))
-      v.Swpipe.refusals
-  in
-  match v.Swpipe.loops with
-  | [] -> { Plan.unpipelined with Plan.pl_note = note; pl_refusals = refusals }
-  | loops ->
-    { Plan.pl_stages =
-        List.fold_left (fun acc p -> max acc p.Swpipe.p_stages) 1 loops
-    ; pl_buffers = List.concat_map (fun p -> p.Swpipe.p_buffers) loops
-    ; pl_stage_bytes =
-        List.fold_left (fun acc p -> acc + p.Swpipe.p_stage_bytes) 0 loops
-    ; pl_queue_bound =
-        List.fold_left (fun acc p -> max acc p.Swpipe.p_queue_bound) 0 loops
-    ; pl_note = note
-    ; pl_refusals = refusals
-    }
-
-(* [front] is the statement-level front half (flatten .. vectorize),
-   rerun on a rewritten kernel without re-logging it. *)
-let swpipe_pass arch ~stages ~front =
-  Pass.make ~name:"swpipe"
-    ~doc:"software-pipeline async staging loops (rotating shared buffers)"
-    ~render:(fun (_, _, pl) -> pl.Plan.pl_note)
-    (fun (k, vectorized) ->
-      let k', verdict = Swpipe.rewrite arch ~stages k in
-      let pl = pipelining_of_verdict verdict in
-      match verdict.Swpipe.loops with
-      | [] -> (k, vectorized, pl)
-      | _ ->
-        (* The compile pass must receive the rewritten kernel, so the
-           plan's [kernel] is the pipelined form and [run_tree] on it
-           checks the same schedule [run_plan] executes. *)
-        (k', front k', pl))
 
 (* ----- pass 7: compile ----- *)
 
@@ -502,31 +497,25 @@ let compile_pass ~vec_enabled ~pipelining arch diagnostics =
 
 (* ----- driver ----- *)
 
-(* Passes 1-6, validate through swpipe: everything [lower] and [analyze]
-   share. Returns the kernel to compile (the swpipe-rewritten one when
-   the pass pipelined), the validate diagnostics, the vectorized
-   statements and the swpipe outcome. *)
+(* Passes 1-6, validate through vectorize: everything [lower] and
+   [analyze] share. Returns the kernel to compile (the swpipe-rewritten
+   one when the pass pipelined), the validate diagnostics, the
+   vectorized statements and the swpipe outcome. *)
 let front_half ?log ~vectorize ~stages arch (k : Spec.kernel) =
   (match log with
   | Some f ->
     f ~pass:"input" ~doc:"source kernel" (Spec.kernel_to_string k)
   | None -> ());
   let k, diagnostics = Pass.apply ?log validate_pass k in
-  (* The statement-level front half, reusable on the swpipe-rewritten
-     kernel (the rewrite happens at the spec level, so the rewritten
-     loops flow through resolve/depcheck/vectorize like any others). *)
-  let front ?log k =
-    let flat = Pass.apply ?log flatten_pass k in
-    let resolved = Pass.apply ?log (resolve_pass arch) flat in
-    let annotated = Pass.apply ?log depcheck_pass resolved in
-    let cta_size = Tt.size k.Spec.cta in
-    Pass.apply ?log (vectorize_pass ~enabled:vectorize ~cta_size) annotated
+  let k, pipelining =
+    Pass.apply ?log (swpipe_pass arch ~stages:(max 1 stages)) k
   in
-  let vectorized = front ?log k in
-  let k, vectorized, pipelining =
-    Pass.apply ?log
-      (swpipe_pass arch ~stages:(max 1 stages) ~front:(fun k -> front k))
-      (k, vectorized)
+  let flat = Pass.apply ?log flatten_pass k in
+  let resolved = Pass.apply ?log (resolve_pass arch) flat in
+  let annotated = Pass.apply ?log depcheck_pass resolved in
+  let cta_size = Tt.size k.Spec.cta in
+  let vectorized =
+    Pass.apply ?log (vectorize_pass ~enabled:vectorize ~cta_size) annotated
   in
   (k, diagnostics, vectorized, pipelining)
 
@@ -606,33 +595,27 @@ let cache_clear () =
   cache_misses := 0;
   Mutex.unlock cache_mutex
 
-let lower_cached ?log ?(vectorize = true) ?(stages = 1) arch
-    (k : Spec.kernel) : Plan.t * bool =
-  match log with
-  | Some _ ->
-    (* A logging caller wants the per-pass renders, so the pipeline must
-       actually run; don't pollute the cache statistics either way. *)
-    (lower ?log ~vectorize ~stages arch k, false)
-  | None -> (
-    let stages = max 1 stages in
-    let key = (arch, vectorize, stages, k) in
+let lower_cached ?(vectorize = true) ?(stages = 1) arch (k : Spec.kernel) :
+    Plan.t * bool =
+  let stages = max 1 stages in
+  let key = (arch, vectorize, stages, k) in
+  Mutex.lock cache_mutex;
+  match Hashtbl.find_opt cache key with
+  | Some plan ->
+    incr cache_hits;
+    Mutex.unlock cache_mutex;
+    (plan, true)
+  | None ->
+    incr cache_misses;
+    Mutex.unlock cache_mutex;
+    let plan = lower ~vectorize ~stages arch k in
     Mutex.lock cache_mutex;
-    match Hashtbl.find_opt cache key with
-    | Some plan ->
-      incr cache_hits;
-      Mutex.unlock cache_mutex;
-      (plan, true)
-    | None ->
-      incr cache_misses;
-      Mutex.unlock cache_mutex;
-      let plan = lower ~vectorize ~stages arch k in
-      Mutex.lock cache_mutex;
-      let plan =
-        match Hashtbl.find_opt cache key with
-        | Some first -> first (* lost a race; share the first insert *)
-        | None ->
-          Hashtbl.add cache key plan;
-          plan
-      in
-      Mutex.unlock cache_mutex;
-      (plan, false))
+    let plan =
+      match Hashtbl.find_opt cache key with
+      | Some first -> first (* lost a race; share the first insert *)
+      | None ->
+        Hashtbl.add cache key plan;
+        plan
+    in
+    Mutex.unlock cache_mutex;
+    (plan, false)

@@ -1,5 +1,5 @@
 (** The lowering pipeline: [Spec.kernel] -> {!Plan.t} in seven named
-    passes (validate, flatten, resolve, depcheck, vectorize, swpipe,
+    passes (validate, swpipe, flatten, resolve, depcheck, vectorize,
     compile). See docs/LOWERING.md.
 
     The depcheck pass classifies every leaf quantity (view offset
@@ -47,7 +47,7 @@ type analysis =
   }
 
 (** [analyze ?vectorize ?stages arch kernel] runs the passes {!lower}
-    runs before compile (validate through swpipe, the same function) and
+    runs before compile (validate through vectorize, the same function) and
     returns their verdicts, equal to those of [lower]'s plan with the
     same arguments. It compiles no closures and touches no cache, so it
     costs a fraction of a lowering (about 0.3 of plain {!lower} on the
@@ -71,12 +71,10 @@ val unmatched_message : Graphene.Arch.t -> Graphene.Spec.t -> string
     reaches the cache). *)
 
 (** [lower_cached arch kernel] returns the memoized plan and whether it
-    was a cache hit. Passing [?log] bypasses the cache entirely (the
-    caller wants the per-pass renders) and does not touch the
-    statistics. [vectorize] and [stages] default as in {!lower} and are
-    part of the cache key. *)
+    was a cache hit. [vectorize] and [stages] default as in {!lower} and
+    are part of the cache key. For the per-pass renders, call {!lower}
+    with [?log]. *)
 val lower_cached :
-  ?log:Pass.log ->
   ?vectorize:bool ->
   ?stages:int ->
   Graphene.Arch.t ->

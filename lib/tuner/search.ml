@@ -10,7 +10,7 @@
 
    1. model scoring of the full frontier: build each candidate's kernel
       IR, run the lowering's analysis half on it ({!Lower.Pipeline.analyze}:
-      validate through swpipe, no compiled plan, no plan cache — lowering
+      validate through vectorize, no compiled plan, no plan cache — lowering
       refusals reject the candidate before any simulation; the vectorize
       and swpipe verdicts feed the score), and rank by the perf model's
       latency-hiding estimate at the assumed steady-state occupancy;

@@ -8,7 +8,7 @@
    Every run records counters, a profiler report and a Chrome trace.
 
    - plan: the default lowering, at 1, 2, 4 and 7 domains and once with
-     [?domains] omitted (the auto path with its sequential cutoff).
+     [?domains] omitted (the default domain count).
      Plan@1 equals R in everything but the request counters, which
      follow the plan's vector widths; every plan run equals plan@1 in
      every field.
@@ -248,10 +248,10 @@ let check_static f kernel r =
       | Some why -> Alcotest.(check bool) (tag ^ " differ: " ^ why) false agree)
     (static_fields totals r.c)
 
-(* [static:false] skips the static-analysis totals. The 4- and 7-domain
-   runs take [run_grid]'s chunked, merged path at any core count; the
-   pool runs their chunks on at most one domain per core. *)
-let matrix ?(static = true) f =
+(* The 2-, 4- and 7-domain runs take [run_grid]'s split, merged path at
+   any core count; the pool runs their block ranges on at most one
+   domain per core. *)
+let matrix f =
   let kernel = f.build () in
   let arch = f.arch and scalars = f.scalars in
   let base = inputs f kernel in
@@ -281,7 +281,7 @@ let matrix ?(static = true) f =
   in
   let at name d = Printf.sprintf "%s @%d" name d in
   let r = tree "tree @1" (Some 1) in
-  if static then check_static f kernel r;
+  check_static f kernel r;
   let plan = Pipeline.lower arch kernel in
   Alcotest.(check int) (f.name ^ ": default plan unpipelined") 1
     plan.Plan.pipelining.Plan.pl_stages;

@@ -12,9 +12,7 @@
      instruction count is the plan's op count, pinned at the values the
      flattened form had;
    - settings are arguments: the environment variables that once
-     steered lowering, the executor and the domain pool change nothing;
-   - cost-based chunking: [Domain_pool.cost_chunk_size] bounds and
-     monotonicity, [cost_chunks] covering [0, total) ascending. *)
+     steered lowering, the executor and the domain pool change nothing. *)
 
 module Arch = Graphene.Arch
 module C = Gpu_sim.Counters
@@ -208,70 +206,6 @@ let test_settings_are_arguments () =
     (Domain.recommended_domain_count ())
     (Domain_pool.default_domains ())
 
-(* ----- cost-based chunking ----- *)
-
-let test_cost_chunk_size () =
-  let grid =
-    [ (0, 1, 0); (1, 1, 1); (64, 1, 1_000); (64, 4, 1_000)
-    ; (64, 4, 2_000_000); (1024, 8, 50_000); (1024, 8, 10_000_000)
-    ; (7, 31, 123_456); (100_000, 2, 1)
-    ]
-  in
-  List.iter
-    (fun (total, domains, block_ns) ->
-      let c = Domain_pool.cost_chunk_size ~total ~domains ~block_ns in
-      let tag = Printf.sprintf "total=%d domains=%d ns=%d" total domains block_ns in
-      check_bool (tag ^ ": >= 1") true (c >= 1);
-      check_bool (tag ^ ": <= max 1 total") true (c <= max 1 total);
-      (* monotone nonincreasing in block_ns *)
-      check_bool (tag ^ ": costlier blocks never widen chunks") true
-        (Domain_pool.cost_chunk_size ~total ~domains ~block_ns:(block_ns * 10)
-        <= c);
-      (* monotone nonincreasing in domains *)
-      check_bool (tag ^ ": more domains never widen chunks") true
-        (Domain_pool.cost_chunk_size ~total ~domains:(domains + 1) ~block_ns
-        <= c))
-    grid;
-  (* Expensive blocks schedule one at a time; free blocks still balance
-     (>= ~4 chunks per domain). *)
-  check_int "2ms blocks -> singleton chunks" 1
-    (Domain_pool.cost_chunk_size ~total:64 ~domains:2 ~block_ns:2_000_000);
-  check_bool "zero-cost blocks still split for balance" true
-    (Domain_pool.cost_chunk_size ~total:1024 ~domains:4 ~block_ns:0
-    <= 1024 / (4 * 4))
-
-let test_cost_chunks () =
-  check_bool "total=0 is empty" true
-    (Domain_pool.cost_chunks ~total:0 ~domains:4 ~block_ns:100 = []);
-  check_bool "total<0 is empty" true
-    (Domain_pool.cost_chunks ~total:(-3) ~domains:4 ~block_ns:100 = []);
-  List.iter
-    (fun (total, domains, block_ns) ->
-      let tag = Printf.sprintf "total=%d domains=%d ns=%d" total domains block_ns in
-      let chunks = Domain_pool.cost_chunks ~total ~domains ~block_ns in
-      let size = Domain_pool.cost_chunk_size ~total ~domains ~block_ns in
-      let last =
-        List.fold_left
-          (fun prev (lo, hi) ->
-            check_int (tag ^ ": contiguous") prev lo;
-            check_bool (tag ^ ": non-empty") true (hi > lo);
-            check_bool (tag ^ ": chunk-sized") true (hi - lo <= size);
-            hi)
-          0 chunks
-      in
-      check_int (tag ^ ": covers total") total last;
-      (* every chunk except the last is exactly [size] *)
-      let rec full = function
-        | [] | [ _ ] -> ()
-        | (lo, hi) :: rest ->
-          check_int (tag ^ ": full chunk") size (hi - lo);
-          full rest
-      in
-      full chunks)
-    [ (1, 1, 0); (7, 2, 1_000); (64, 4, 100_000); (100, 16, 2_000_000)
-    ; (1024, 8, 12_345)
-    ]
-
 let () =
   Alcotest.run "bytecode"
     [ ( "golden"
@@ -291,9 +225,5 @@ let () =
     ; ( "settings"
       , [ Alcotest.test_case "environment is ignored" `Quick
             test_settings_are_arguments
-        ] )
-    ; ( "chunking"
-      , [ Alcotest.test_case "cost_chunk_size" `Quick test_cost_chunk_size
-        ; Alcotest.test_case "cost_chunks" `Quick test_cost_chunks
         ] )
     ]

@@ -5,8 +5,8 @@
      branches and loops (with loop-dependent store indices) must pass
      the equivalence matrix of corpus.ml — counters, instruction mix,
      profiler report JSON, Chrome trace and output buffers of both
-     executors at every domain count — and reach divergent nesting
-     depth 3;
+     executors at every domain count, and the static-analysis totals —
+     and reach divergent nesting depth 3;
    - collective atomics: a warp shuffle lowers to the plan's one
      [Collective] atomic, groups each warp through its compiled member
      function, and raises on both engines when a branch splits a
@@ -118,12 +118,11 @@ let test_corpus_depth () =
   Alcotest.(check int) "corpus reaches divergent nesting depth 3" 3 max_depth
 
 (* Each generated kernel runs through the equivalence matrix
-   (corpus.ml), without its static-analysis totals: the analysis prices
-   a nested thread-dependent branch as if its guard were independent of
-   the enclosing ones. *)
+   (corpus.ml), static-analysis totals included: the analysis splits
+   the active threads at every thread-dependent branch as the executors
+   do, so nested guards are priced exactly. *)
 let test_matrix kernel () =
-  Corpus.matrix ~static:false
-    (Corpus.family kernel.Spec.name Arch.SM86 (fun () -> kernel))
+  Corpus.matrix (Corpus.family kernel.Spec.name Arch.SM86 (fun () -> kernel))
 
 (* ----- collective atomics ----- *)
 

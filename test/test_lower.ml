@@ -29,6 +29,14 @@ module Plan = Lower.Plan
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s
+    && (String.equal (String.sub s i n) sub || go (i + 1))
+  in
+  go 0
+
 (* ----- Atomic.find call counting ----- *)
 
 let count_leaves kernel =
@@ -147,15 +155,8 @@ let test_unmatched_leaf_is_lazy () =
        ignore (Interp.run_plan plan_live ~args:[ ("A", Array.make 32 0.0) ] ());
        false
      with Interp.Exec_error msg ->
-       let has sub =
-         let n = String.length sub in
-         let rec go i =
-           i + n <= String.length msg
-           && (String.equal (String.sub msg i n) sub || go (i + 1))
-         in
-         go 0
-       in
-       has "no atomic spec matches" && has "near-miss candidates")
+       contains msg "no atomic spec matches"
+       && contains msg "near-miss candidates")
 
 let test_unbound_scalar_message () =
   let kernel =
@@ -179,8 +180,9 @@ let test_unbound_scalar_message () =
         with Interp.Exec_error msg' -> String.equal msg msg'))
 
 (* The log sees the input listing, then each of the seven passes once,
-   in order — with and without software pipelining (the swpipe pass
-   re-runs the front passes on its rewrite without logging them). *)
+   in order — with and without software pipelining. swpipe rewrites the
+   kernel before flatten, so at 3 stages the flatten render is already
+   the pipelined loop, waiting with two groups in flight. *)
 let test_pass_order () =
   let kernel =
     Kernels.Gemm.tensor_core Arch.SM86
@@ -190,17 +192,21 @@ let test_pass_order () =
   List.iter
     (fun stages ->
       let seen = ref [] in
-      let log ~pass ~doc:_ _ = seen := pass :: !seen in
+      let log ~pass ~doc:_ render = seen := (pass, render) :: !seen in
       let plan = Pipeline.lower ~log ~stages Arch.SM86 kernel in
       Alcotest.(check (list string))
         (Printf.sprintf "passes at stages %d" stages)
-        [ "input"; "validate"; "flatten"; "resolve"; "depcheck"; "vectorize"
-        ; "swpipe"; "compile"
+        [ "input"; "validate"; "swpipe"; "flatten"; "resolve"; "depcheck"
+        ; "vectorize"; "compile"
         ]
-        (List.rev !seen);
+        (List.rev_map fst !seen);
       check_int
         (Printf.sprintf "stages %d: swpipe outcome" stages)
-        stages plan.Plan.pipelining.Plan.pl_stages)
+        stages plan.Plan.pipelining.Plan.pl_stages;
+      check_bool
+        (Printf.sprintf "stages %d: flatten renders the pipelined loop" stages)
+        (stages = 3)
+        (contains (List.assoc "flatten" !seen) "cp.async.wait_group(2)"))
     [ 1; 3 ]
 
 (* ----- satellites: add_instr_n, instruction classes ----- *)

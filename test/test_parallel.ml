@@ -9,9 +9,19 @@
    - [Domain_pool.block_ranges] is a contiguous ascending partition, and
      [Domain_pool.run_list] re-raises the lowest failing task's own
      exception;
+   - a grid whose blocks fault raises the lowest failing block's fault
+     on both executors at every domain count, also when several block
+     ranges fail;
    - [Pipeline.lower_cached] lowers a kernel structure once across
      scalar-variant launches and never re-resolves atomics on a hit. *)
 
+module E = Shape.Int_expr
+module L = Shape.Layout
+module Ts = Gpu_tensor.Tensor
+module Tt = Gpu_tensor.Thread_tensor
+module Dt = Gpu_tensor.Dtype
+module Ms = Gpu_tensor.Memspace
+module B = Graphene.Builder
 module Arch = Graphene.Arch
 module Atomic = Graphene.Atomic
 module C = Gpu_sim.Counters
@@ -176,6 +186,60 @@ let test_run_list_raises () =
     "the pool still runs batches" [ 0; 0 ]
     (Domain_pool.run_list pool [ task None; task None ])
 
+(* ----- faulting grids ----- *)
+
+(* 8 blocks of 32 threads each store their 32 cells of C; blocks 1 and
+   3 store 1000 and 2000 cells past theirs, out of bounds. Lane 0 faults
+   first in each, at offsets 1032 and 2096. At 4 and 7 domains the two
+   blocks sit in different block ranges, so two ranges fail; every
+   domain count must raise block 1's fault, the one a sequential run
+   hits first. *)
+let test_lowest_block_fault () =
+  let grid = Tt.grid "g" [ 8 ] in
+  let cta = Tt.cta "cta" [ 32 ] in
+  let tid = B.thread_idx and bid = B.block_idx in
+  let thr = Tt.select cta [ tid ] in
+  let c = Ts.create_rm "C" [ 256 ] Dt.FP32 Ms.Global in
+  let r = Ts.create "r" (L.vector 1) Dt.FP32 Ms.Register in
+  (* 1 when [bid] is [b], else 0, for bid in [0, 8). *)
+  let is b =
+    E.sub
+      (E.div (E.add bid (E.const (8 - b))) (E.const 8))
+      (E.div (E.add bid (E.const (7 - b))) (E.const 8))
+  in
+  let offset =
+    E.add
+      (E.add (E.mul bid (E.const 32)) tid)
+      (E.add (E.mul (E.const 1000) (is 1)) (E.mul (E.const 2000) (is 3)))
+  in
+  let kernel =
+    B.kernel "fault_blocks" ~grid ~cta ~params:[ c ]
+      [ Graphene.Spec.Alloc r
+      ; B.init ~threads:thr 1.0 ~dst:r ()
+      ; B.move ~threads:thr ~src:r ~dst:(Ts.select c [ offset ]) ()
+      ]
+  in
+  let plan = Pipeline.lower Arch.SM86 kernel in
+  let fault run =
+    match run [ ("C", Array.make 256 0.0) ] with
+    | _ -> "no fault"
+    | exception Gpu_sim.Memory.Fault m -> m
+    | exception e -> "unexpected " ^ Printexc.to_string e
+  in
+  List.iter
+    (fun domains ->
+      List.iter
+        (fun (name, run) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s @%d: block 1's fault" name domains)
+            "view %C: offset 1032 outside buffer C of size 256" (fault run))
+        [ ( "tree"
+          , fun args ->
+              Interp.run_tree ~arch:Arch.SM86 ~domains kernel ~args () )
+        ; ("plan", fun args -> Interp.run_plan ~domains plan ~args ())
+        ])
+    [ 1; 2; 4; 7 ]
+
 (* ----- plan cache ----- *)
 
 let test_plan_cache () =
@@ -233,6 +297,10 @@ let () =
       , [ Alcotest.test_case "block_ranges" `Quick test_block_ranges
         ; Alcotest.test_case "run_list re-raises the task's exception" `Quick
             test_run_list_raises
+        ] )
+    ; ( "faults"
+      , [ Alcotest.test_case "lowest failing block at every domain count"
+            `Quick test_lowest_block_fault
         ] )
     ; ( "plan_cache"
       , [ Alcotest.test_case "lower once, launch many" `Quick test_plan_cache ]

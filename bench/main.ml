@@ -153,6 +153,10 @@ let sim_bench_row case =
       let (_, cache_hit), lower_cached_s =
         time (fun () -> Lower.Pipeline.lower_cached arch kernel)
       in
+      (* The tree walk leaves a large major heap behind, and collecting
+         it stalls the timings below, 2-domain runs most; compact it
+         first. *)
+      Gc.compact ();
       (* Execute the plan twice on one domain (the lower-once /
          execute-many shape) and report the best run. *)
       let bc_args = args () in

@@ -127,6 +127,54 @@ let run_list t thunks =
            | None -> assert false)
          results)
 
+(* [width] claim loops share one index counter. A finished result is
+   stored in its slot under [frontier], and whichever domain stores the
+   result the fold is waiting for folds it and every later one already
+   stored, so [fold] runs in index order under the lock and a result
+   waits only for the indices before it. An error (from [work] or
+   [fold]) stays in its slot and no new index is claimed; every index
+   already claimed runs to completion, and those are all the indices
+   below the failing one, so the fold stops at the lowest failing
+   index and after the join that slot holds its error. *)
+let run_ordered t ~width ~n work ~fold =
+  let slots = Array.make n None in
+  let next = Atomic.make 0 in
+  let frontier = Mutex.create () in
+  let folded = ref 0 in
+  let rec drain () =
+    if !folded < n then
+      match slots.(!folded) with
+      | Some (Ok v) -> (
+        match fold !folded v with
+        | () ->
+          slots.(!folded) <- None;
+          incr folded;
+          drain ()
+        | exception e ->
+          slots.(!folded) <- Some (Error (e, Printexc.get_raw_backtrace ()));
+          Atomic.set next n)
+      | Some (Error _) | None -> ()
+  in
+  let rec claim () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n then begin
+      let r =
+        try Ok (work i) with e -> Error (e, Printexc.get_raw_backtrace ())
+      in
+      Mutex.lock frontier;
+      slots.(i) <- Some r;
+      if Result.is_error r then Atomic.set next n;
+      drain ();
+      Mutex.unlock frontier;
+      claim ()
+    end
+  in
+  ignore (run_list t (List.init (max 1 (min width n)) (fun _ -> claim)));
+  if !folded < n then
+    match slots.(!folded) with
+    | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
+    | Some (Ok _) | None -> assert false
+
 (* Contiguous, ascending, balanced block ranges: chunk i of c covers
    [i*total/c, (i+1)*total/c). Pure function of (total, chunks), so any
    run at the same chunk count splits identically — the foundation of the

@@ -17,6 +17,27 @@ let default_config () =
   ; keep_buffers = false
   }
 
+type scheduled =
+  { request : Request.t
+  ; plan : Lower.Plan.t
+  ; admit_s : float
+  ; start_s : float
+  ; finish_s : float
+  ; service_s : float
+  ; plan_hit : bool
+  ; batch_id : int
+  ; batch_bucket : string
+  ; batch_requests : int
+  }
+
+type schedule =
+  { scheduled : scheduled list
+  ; ticks : int
+  ; batches : int
+  ; buckets : Metrics.bucket_stats list
+  ; wall_lower_s : float
+  }
+
 type completed =
   { request : Request.t
   ; admit_s : float
@@ -42,7 +63,7 @@ type result =
    A 64-bit fingerprint over every request's counters and buffers, so
    determinism checks can compare one string instead of megabytes of
    arrays. splitmix64-style mixing; fold order is the (deterministic)
-   completion order. *)
+   schedule order. *)
 
 let mix h v =
   let z = Int64.add (Int64.mul h 0x100000001B3L) v in
@@ -80,7 +101,7 @@ let mix_counters h (c : C.t) =
     (fun h (name, n) -> mix_int (mix_string h name) n)
     h (C.instr_mix_alist c)
 
-(* ----- the serving loop ----- *)
+(* ----- the scheduler: simulated time, no execution ----- *)
 
 type bucket_acc =
   { mutable b_requests : int
@@ -100,7 +121,7 @@ let time f =
 let check_config c =
   let bad field want got =
     invalid_arg
-      (Printf.sprintf "Serve.Engine.run: %s must be %s (got %s)" field want got)
+      (Printf.sprintf "Serve.Engine: %s must be %s (got %s)" field want got)
   in
   if not (Float.is_finite c.tick_s && c.tick_s > 0.0) then
     bad "tick_s" "finite and positive" (Printf.sprintf "%g" c.tick_s);
@@ -109,10 +130,9 @@ let check_config c =
   at_least_1 "max_batch_requests" c.max_batch_requests;
   at_least_1 "shards" c.shards
 
-let run ?config ?seed ?rate_rps requests =
+let schedule ?config requests =
   let cfg = match config with Some c -> c | None -> default_config () in
   check_config cfg;
-  let wall0 = Unix.gettimeofday () in
   let pending =
     ref
       (List.stable_sort
@@ -125,7 +145,7 @@ let run ?config ?seed ?rate_rps requests =
   let device_free = ref 0.0 in
   let ticks = ref 0 in
   let batch_id = ref 0 in
-  let completed_rev = ref [] in
+  let scheduled_rev = ref [] in
   let lowered : (string, unit) Hashtbl.t = Hashtbl.create 16 in
   let bucket_order = ref [] in
   let buckets : (string, bucket_acc) Hashtbl.t = Hashtbl.create 16 in
@@ -155,8 +175,7 @@ let run ?config ?seed ?rate_rps requests =
       e
   in
   let wall_lower = ref 0.0 in
-  let digest = ref 0x9E3779B97F4A7C15L in
-  let run_batch ~admit_s (batch : Admission.batch) =
+  let schedule_batch ~admit_s (batch : Admission.batch) =
     let id = !batch_id in
     incr batch_id;
     let r0 = List.hd batch.Admission.requests in
@@ -186,26 +205,7 @@ let run ?config ?seed ?rate_rps requests =
     let start_s = Float.max admit_s !device_free in
     let finish_s = start_s +. launch_s +. exec_sum in
     device_free := finish_s;
-    (* Real execution: shard the batch's requests over the domain pool;
-       each request's grid runs inline on its shard (bit-identical to a
-       solo [Interp.run ~domains:1]). *)
-    let reqs = Array.of_list batch.Admission.requests in
-    let shard_results =
-      Pool.run_list (Pool.global ())
-        (List.map
-           (fun (lo, hi) () ->
-             List.init (hi - lo) (fun i ->
-                 let r = reqs.(lo + i) in
-                 let args = Request.args r in
-                 let counters, exec_wall =
-                   time (fun () ->
-                       Gpu_sim.Interp.run_plan ~domains:1 plan ~args
-                         ~scalars:(Request.scalars r) ())
-                 in
-                 (r, args, counters, exec_wall)))
-           (Pool.block_ranges ~total:(Array.length reqs) ~chunks:cfg.shards))
-    in
-    let nreq = Array.length reqs in
+    let nreq = List.length batch.Admission.requests in
     let acc = bucket_acc batch.Admission.bucket in
     acc.b_requests <- acc.b_requests + nreq;
     acc.b_cells <- acc.b_cells + batch.Admission.cells;
@@ -213,15 +213,10 @@ let run ?config ?seed ?rate_rps requests =
     if plan_hit then acc.b_hits <- acc.b_hits + 1
     else acc.b_lowers <- acc.b_lowers + 1;
     List.iter2
-      (fun (r, args, counters, exec_wall)
-           (e : Gpu_sim.Perf_model.estimate) ->
-        digest := mix_int !digest r.Request.id;
-        List.iter
-          (fun (name, a) -> digest := mix_floats (mix_string !digest name) a)
-          args;
-        digest := mix_counters !digest counters;
-        completed_rev :=
-          { request = r
+      (fun request (e : Gpu_sim.Perf_model.estimate) ->
+        scheduled_rev :=
+          { request
+          ; plan
           ; admit_s
           ; start_s
           ; finish_s
@@ -230,12 +225,9 @@ let run ?config ?seed ?rate_rps requests =
           ; batch_id = id
           ; batch_bucket = batch.Admission.bucket
           ; batch_requests = nreq
-          ; counters
-          ; buffers = (if cfg.keep_buffers then args else [])
-          ; exec_wall_s = exec_wall
           }
-          :: !completed_rev)
-      (List.concat shard_results) ests
+          :: !scheduled_rev)
+      batch.Admission.requests ests
   in
   let rec tick k =
     let t = float_of_int k *. cfg.tick_s in
@@ -259,10 +251,83 @@ let run ?config ?seed ?rate_rps requests =
       in
       queue := rest;
       incr ticks;
-      List.iter (run_batch ~admit_s:t) batches;
+      List.iter (schedule_batch ~admit_s:t) batches;
       tick (k + 1)
   in
   tick 0;
+  let buckets =
+    List.rev_map
+      (fun key ->
+        let a = Hashtbl.find buckets key in
+        { Metrics.key
+        ; requests = a.b_requests
+        ; cells = a.b_cells
+        ; batches = a.b_batches
+        ; mean_batch_requests =
+            float_of_int a.b_requests /. float_of_int (max 1 a.b_batches)
+        ; occupancy =
+            float_of_int a.b_cells
+            /. float_of_int (max 1 a.b_batches)
+            /. float_of_int cfg.max_tick_cells
+        ; lowers = a.b_lowers
+        ; hits = a.b_hits
+        })
+      !bucket_order
+  in
+  { scheduled = List.rev !scheduled_rev
+  ; ticks = !ticks
+  ; batches = !batch_id
+  ; buckets
+  ; wall_lower_s = !wall_lower
+  }
+
+(* ----- the executor: the whole schedule, across the pool ----- *)
+
+let run ?config ?seed ?rate_rps requests =
+  let cfg = match config with Some c -> c | None -> default_config () in
+  let wall0 = Unix.gettimeofday () in
+  let sched = schedule ~config:cfg requests in
+  let entries = Array.of_list sched.scheduled in
+  let digest = ref 0x9E3779B97F4A7C15L in
+  let completed_rev = ref [] in
+  (* Requests claim domains one at a time regardless of batch; the fold
+     sees them in schedule order, so the digest and the completion list
+     match a sequential run at every shard count. Each request's grid
+     runs inline on its domain (bit-identical to a solo
+     [Interp.run ~domains:1]). *)
+  Pool.run_ordered (Pool.global ()) ~width:cfg.shards
+    ~n:(Array.length entries)
+    (fun i ->
+      let s = entries.(i) in
+      let args = Request.args s.request in
+      let counters, exec_wall_s =
+        time (fun () ->
+            Gpu_sim.Interp.run_plan ~domains:1 s.plan ~args
+              ~scalars:(Request.scalars s.request) ())
+      in
+      (args, counters, exec_wall_s))
+    ~fold:(fun i (args, counters, exec_wall_s) ->
+      let s = entries.(i) in
+      digest := mix_int !digest s.request.Request.id;
+      List.iter
+        (fun (name, a) -> digest := mix_floats (mix_string !digest name) a)
+        args;
+      digest := mix_counters !digest counters;
+      completed_rev :=
+        { request = s.request
+        ; admit_s = s.admit_s
+        ; start_s = s.start_s
+        ; finish_s = s.finish_s
+        ; service_s = s.service_s
+        ; plan_hit = s.plan_hit
+        ; batch_id = s.batch_id
+        ; batch_bucket = s.batch_bucket
+        ; batch_requests = s.batch_requests
+        ; counters
+        ; buffers = (if cfg.keep_buffers then args else [])
+        ; exec_wall_s
+        }
+        :: !completed_rev);
   let completed = List.rev !completed_rev in
   let wall_s = Unix.gettimeofday () -. wall0 in
   (* ----- summary ----- *)
@@ -295,32 +360,13 @@ let run ?config ?seed ?rate_rps requests =
       0.0 completed
   in
   let per f = List.map f completed in
-  let bucket_stats =
-    List.rev_map
-      (fun key ->
-        let a = Hashtbl.find buckets key in
-        { Metrics.key
-        ; requests = a.b_requests
-        ; cells = a.b_cells
-        ; batches = a.b_batches
-        ; mean_batch_requests =
-            float_of_int a.b_requests /. float_of_int (max 1 a.b_batches)
-        ; occupancy =
-            float_of_int a.b_cells
-            /. float_of_int (max 1 a.b_batches)
-            /. float_of_int cfg.max_tick_cells
-        ; lowers = a.b_lowers
-        ; hits = a.b_hits
-        })
-      !bucket_order
-  in
   let plan_lowers =
     List.fold_left (fun s (b : Metrics.bucket_stats) -> s + b.Metrics.lowers)
-      0 bucket_stats
+      0 sched.buckets
   in
   let plan_hits =
     List.fold_left (fun s (b : Metrics.bucket_stats) -> s + b.Metrics.hits)
-      0 bucket_stats
+      0 sched.buckets
   in
   let wall_exec_s =
     List.fold_left (fun s c -> s +. c.exec_wall_s) 0.0 completed
@@ -334,8 +380,8 @@ let run ?config ?seed ?rate_rps requests =
     ; max_batch_requests = cfg.max_batch_requests
     ; shards = cfg.shards
     ; exec_engine = "bytecode"
-    ; ticks = !ticks
-    ; batches = !batch_id
+    ; ticks = sched.ticks
+    ; batches = sched.batches
     ; cells
     ; makespan_s = makespan
     ; busy_s
@@ -349,11 +395,11 @@ let run ?config ?seed ?rate_rps requests =
     ; service = Metrics.dist_of (per (fun c -> c.service_s))
     ; plan_lowers
     ; plan_hits
-    ; buckets = bucket_stats
+    ; buckets = sched.buckets
     ; output_digest = Printf.sprintf "0x%016Lx" !digest
     ; wall_s
     ; wall_requests_per_sec = float_of_int n /. Float.max wall_s 1e-12
-    ; wall_lower_s = !wall_lower
+    ; wall_lower_s = sched.wall_lower_s
     ; wall_exec_s
     ; wall_exec_latency = Metrics.dist_of (per (fun c -> c.exec_wall_s))
     }

@@ -62,6 +62,8 @@ type candidate =
             library-default swizzle and vectorize) — the baseline the
             search must beat *)
   ; build : unit -> Spec.kernel
+  ; totals : unit -> Gpu_sim.Static_analysis.totals
+        (** [Static_analysis.of_kernel] of [build ()], memoized with it *)
   ; proxy : unit -> Spec.kernel
   }
 
@@ -75,9 +77,9 @@ type space =
 (* Build closures are called from tier 1 (possibly on a pool worker) and
    again from tiers 2/3; memoizing keeps each kernel IR built once, and
    the candidates that differ only in lowering knobs (vectorize, stages)
-   share one memo. The plain ref is safe under domain parallelism — the
-   payload is immutable and the build pure, so the worst a race costs is
-   a duplicate build. *)
+   share one memo, as they share the memo of its static totals. The
+   plain ref is safe under domain parallelism — the payload is immutable
+   and the build pure, so the worst a race costs is a duplicate build. *)
 let memo f =
   let cell = ref None in
   fun () ->
@@ -141,7 +143,7 @@ let score_candidate (machine : Gpu_sim.Machine.t) (cand : candidate) =
         Option.value ~default:4.0 widening.Lower.Plan.global_vec_width
       in
       let eff_stages = pipelining.Lower.Plan.pl_stages in
-      let totals = Gpu_sim.Static_analysis.of_kernel arch kernel () in
+      let totals = cand.totals () in
       let estimate =
         PM.of_totals ~vec_width
           ~pipeline:
@@ -639,6 +641,10 @@ let gemm_space ?(epilogue = Kernels.Epilogue.none) arch ~m ~n ~k () =
             let pn = cfg.Gemm.bn * min 2 (n / cfg.Gemm.bn) in
             let pk = cfg.Gemm.bk * min 4 (k / cfg.Gemm.bk) in
             let full = memo (fun () -> build ~m ~n ~k) in
+            let totals =
+              memo (fun () ->
+                  Gpu_sim.Static_analysis.of_kernel arch (full ()) ())
+            in
             let proxy = memo (fun () -> build ~m:pm ~n:pn ~k:pk) in
             List.concat_map
               (fun vec ->
@@ -660,6 +666,7 @@ let gemm_space ?(epilogue = Kernels.Epilogue.none) arch ~m ~n ~k () =
                     ; vectorize = Some vec
                     ; legacy = swizzle && vec
                     ; build = full
+                    ; totals
                     ; proxy
                     })
                   stages_space)
@@ -700,6 +707,10 @@ let fmha_space ?(batch = 1) ?(heads = 1) arch ~seq ~dh () =
                   in
                   let pseq = min seq (2 * chunk) in
                   let full = memo (fun () -> build ~batch ~heads ~seq) in
+                  let totals =
+                    memo (fun () ->
+                        Gpu_sim.Static_analysis.of_kernel arch (full ()) ())
+                  in
                   let proxy =
                     memo (fun () -> build ~batch:1 ~heads:1 ~seq:pseq)
                   in
@@ -720,6 +731,7 @@ let fmha_space ?(batch = 1) ?(heads = 1) arch ~seq ~dh () =
                           ; vectorize = Some vec
                           ; legacy = swizzle && vec && stages = 1
                           ; build = full
+                          ; totals
                           ; proxy
                           })
                         stages_space)

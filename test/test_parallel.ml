@@ -6,9 +6,11 @@
      including DRAM sectors, bank conflicts, and the instruction mix
      (broadcasts stay free, conflicts stay counted); [Counters.diff]
      names the first differing field of its set;
-   - [Domain_pool.block_ranges] is a contiguous ascending partition, and
+   - [Domain_pool.block_ranges] is a contiguous ascending partition,
      [Domain_pool.run_list] re-raises the lowest failing task's own
-     exception;
+     exception, and [Domain_pool.run_ordered] folds every index once, in
+     order, never more than [width] at work, and re-raises the lowest
+     failing index's exception;
    - a grid whose blocks fault raises the lowest failing block's fault
      on both executors at every domain count, also when several block
      ranges fail;
@@ -161,8 +163,8 @@ exception Task_b
 
 (* A failing batch re-raises its lowest-index task's own exception, as a
    one-task batch does, after every task has run: callers such as
-   [Search.fan_out] and [Serve.Engine.run] see the same exception at
-   every domain count. *)
+   [Search.fan_out] and grid runs see the same exception at every
+   domain count. *)
 let test_run_list_raises () =
   let pool = Domain_pool.global () in
   let ran = Stdlib.Atomic.make 0 in
@@ -185,6 +187,87 @@ let test_run_list_raises () =
   Alcotest.(check (list int))
     "the pool still runs batches" [ 0; 0 ]
     (Domain_pool.run_list pool [ task None; task None ])
+
+(* ----- Domain_pool.run_ordered ----- *)
+
+exception Slow_failure
+exception Fast_failure
+exception Fold_failure
+
+(* Every third index costs 4 ms and the rest 0.2 ms, so above width 1
+   later indices finish before earlier ones and wait for the fold. *)
+let test_run_ordered () =
+  let pool = Domain_pool.global () in
+  let n = 24 in
+  List.iter
+    (fun width ->
+      let running = Stdlib.Atomic.make 0 and peak = Stdlib.Atomic.make 0 in
+      let work i =
+        let now = Stdlib.Atomic.fetch_and_add running 1 + 1 in
+        let rec raise_peak () =
+          let p = Stdlib.Atomic.get peak in
+          if now > p && not (Stdlib.Atomic.compare_and_set peak p now) then
+            raise_peak ()
+        in
+        raise_peak ();
+        Unix.sleepf (if i mod 3 = 0 then 0.004 else 0.0002);
+        Stdlib.Atomic.decr running;
+        i * i
+      in
+      let folded = ref [] in
+      Domain_pool.run_ordered pool ~width ~n work ~fold:(fun i v ->
+          folded := (i, v) :: !folded);
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "width %d: each index once, ascending" width)
+        (List.init n (fun i -> (i, i * i)))
+        (List.rev !folded);
+      check_bool
+        (Printf.sprintf "width %d: at most %d tasks at once" width width)
+        true
+        (Stdlib.Atomic.get peak <= width))
+    [ 1; 2; 7 ]
+
+(* Index 3 fails after 20 ms and index 5 at once, so above width 1 the
+   higher index fails first; index 3's exception is still the one
+   raised, and the fold stops before it. A failing fold counts as its
+   index failing. *)
+let test_run_ordered_raises () =
+  let pool = Domain_pool.global () in
+  let outcome f =
+    match f () with
+    | () -> "no exception"
+    | exception Slow_failure -> "Slow_failure"
+    | exception Fast_failure -> "Fast_failure"
+    | exception Fold_failure -> "Fold_failure"
+    | exception e -> Printexc.to_string e
+  in
+  List.iter
+    (fun width ->
+      let folded = ref [] in
+      let work i =
+        if i = 3 then begin
+          Unix.sleepf 0.02;
+          raise Slow_failure
+        end
+        else if i = 5 then raise Fast_failure
+        else i
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "width %d: lowest failing index's exception" width)
+        "Slow_failure"
+        (outcome (fun () ->
+             Domain_pool.run_ordered pool ~width ~n:8 work ~fold:(fun i _ ->
+                 folded := i :: !folded)));
+      Alcotest.(check (list int))
+        (Printf.sprintf "width %d: fold stops before it" width)
+        [ 0; 1; 2 ] (List.rev !folded);
+      Alcotest.(check string)
+        (Printf.sprintf "width %d: a failing fold" width)
+        "Fold_failure"
+        (outcome (fun () ->
+             Domain_pool.run_ordered pool ~width ~n:8 work ~fold:(fun i _ ->
+                 if i = 1 then raise Fold_failure))))
+    [ 1; 2; 7 ]
 
 (* ----- faulting grids ----- *)
 
@@ -297,6 +380,10 @@ let () =
       , [ Alcotest.test_case "block_ranges" `Quick test_block_ranges
         ; Alcotest.test_case "run_list re-raises the task's exception" `Quick
             test_run_list_raises
+        ; Alcotest.test_case "run_ordered folds each index once, in order"
+            `Quick test_run_ordered
+        ; Alcotest.test_case "run_ordered re-raises the lowest failing index"
+            `Quick test_run_ordered_raises
         ] )
     ; ( "faults"
       , [ Alcotest.test_case "lowest failing block at every domain count"

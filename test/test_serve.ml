@@ -1,8 +1,9 @@
 (* The continuous-batching serving engine (lib/serve, docs/SERVING.md):
    seeded-traffic determinism, admission policy (bucketing, caps, FIFO),
-   plan-cache hit accounting, and — the load-bearing property — bitwise
-   identity of every batched request's outputs and counters with a direct
-   solo [Interp.run] of the same request. *)
+   plan-cache hit accounting, the scheduler against the run, the same
+   results and failures at every shard count, and — the load-bearing
+   property — bitwise identity of every batched request's outputs and
+   counters with a direct solo [Interp.run] of the same request. *)
 
 module Arch = Graphene.Arch
 module Spec = Graphene.Spec
@@ -239,6 +240,109 @@ let test_engine_fifo_within_bucket () =
       Hashtbl.replace by_bucket key c.Engine.request.Req.id)
     result.Engine.completed
 
+(* The scheduler's entries are the run's completions minus execution:
+   same requests, order, batches and simulated times. *)
+let test_schedule_matches_run () =
+  let reqs = Traffic.generate (small_traffic ~requests:24 ()) in
+  let config = engine_config ~keep_buffers:false () in
+  let sched = Engine.schedule ~config reqs in
+  let result = Engine.run ~config reqs in
+  check_int "one entry per completion"
+    (List.length result.Engine.completed)
+    (List.length sched.Engine.scheduled);
+  List.iter2
+    (fun (s : Engine.scheduled) (c : Engine.completed) ->
+      let id = c.Engine.request.Req.id in
+      check_int "same request, same order" id s.Engine.request.Req.id;
+      check_bool
+        (Printf.sprintf "#%d: admit, start, finish and service times" id)
+        true
+        (s.Engine.admit_s = c.Engine.admit_s
+        && s.Engine.start_s = c.Engine.start_s
+        && s.Engine.finish_s = c.Engine.finish_s
+        && s.Engine.service_s = c.Engine.service_s);
+      check_bool
+        (Printf.sprintf "#%d: batch and plan accounting" id)
+        true
+        (s.Engine.batch_id = c.Engine.batch_id
+        && s.Engine.batch_requests = c.Engine.batch_requests
+        && s.Engine.plan_hit = c.Engine.plan_hit))
+    sched.Engine.scheduled result.Engine.completed;
+  let summary = result.Engine.summary in
+  check_int "ticks" summary.Metrics.ticks sched.Engine.ticks;
+  check_int "batches" summary.Metrics.batches sched.Engine.batches
+
+(* Execution ignores batches, but the fold runs in schedule order: the
+   deterministic document and the output digest cannot depend on how
+   many requests run at once. [config.shards] echoes the setting, so it
+   is pinned before rendering. *)
+let test_shard_invariance () =
+  let p = small_traffic ~requests:24 () in
+  let reqs = Traffic.generate p in
+  let serve shards =
+    let s =
+      (Engine.run
+         ~config:{ (engine_config ~keep_buffers:false ()) with Engine.shards }
+         ~seed:p.Traffic.seed ~rate_rps:p.Traffic.rate_rps reqs)
+        .Engine.summary
+    in
+    ( Metrics.to_json ~wall:false { s with Metrics.shards = 1 }
+    , s.Metrics.output_digest )
+  in
+  let json1, digest1 = serve 1 in
+  List.iter
+    (fun shards ->
+      let json, digest = serve shards in
+      check_string
+        (Printf.sprintf "deterministic JSON at %d shards" shards)
+        json1 json;
+      check_string
+        (Printf.sprintf "output digest at %d shards" shards)
+        digest1 digest)
+    [ 2; 3; 7 ]
+
+(* Two FFN requests that schedule and lower fine but fail to execute:
+   a negative K asks [Request.args] for a negative-length array
+   (Invalid_argument "Array.init"), a K of 2^58 for one longer than any
+   array (Invalid_argument "Array.make"). Whichever is scheduled first
+   is the one raised, at every shard count. *)
+let test_earliest_failure () =
+  let ffn id k = mk ~id ~arrival:0.0 (Req.Ffn { m = 1; n = 1; k }) in
+  let att id = mk ~id ~arrival:0.0 (attention ()) in
+  let huge = 1 lsl 58 in
+  let raised shards reqs =
+    match
+      Engine.run
+        ~config:{ (engine_config ~keep_buffers:false ()) with Engine.shards }
+        reqs
+    with
+    | _ -> "no exception"
+    | exception Invalid_argument m -> m
+    | exception e -> Printexc.to_string e
+  in
+  List.iter
+    (fun (first, trace) ->
+      let order =
+        List.map
+          (fun (s : Engine.scheduled) -> s.Engine.request.Req.id)
+          (Engine.schedule trace).Engine.scheduled
+      in
+      List.iter
+        (fun shards ->
+          check_string
+            (Printf.sprintf "schedule %s, %d shards"
+               (String.concat " " (List.map string_of_int order))
+               shards)
+            first (raised shards trace))
+        [ 1; 2; 7 ])
+    [ (* The oversized request waits for the head of the line, so the
+         negative one is scheduled first: 0 2 1 3 4. *)
+      ( "Array.init"
+      , [ att 0; ffn 1 (-1); att 2; ffn 3 huge; att 4 ] )
+    ; (* It blocks the line instead: 0 1 2 4 3. *)
+      ("Array.make", [ att 0; ffn 1 huge; att 2; ffn 3 (-1); att 4 ])
+    ]
+
 (* ----- plan-cache accounting ----- *)
 
 let test_plan_cache_accounting () =
@@ -385,6 +489,12 @@ let () =
             test_plan_cache_accounting
         ; Alcotest.test_case "rejects out-of-range settings" `Quick
             test_rejects_bad_config
+        ; Alcotest.test_case "schedule times equal run times" `Quick
+            test_schedule_matches_run
+        ; Alcotest.test_case "same document and digest at 1, 2, 3, 7 shards"
+            `Quick test_shard_invariance
+        ; Alcotest.test_case "earliest-scheduled failure raised" `Quick
+            test_earliest_failure
         ] )
     ; ( "metrics"
       , [ Alcotest.test_case "percentiles" `Quick test_percentiles

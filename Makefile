@@ -8,10 +8,11 @@ build:
 test:
 	dune runtest
 
-# Every smoke rule (the `smoke` alias in bin/dune and bench/dune): the
-# profiler, simulate, lower, vectorize, pipelining, layout, search and
-# serve CLI runs, and the sim bench with its bit-identity checks. Each
-# fails on a non-zero exit. Determinism and executor identity are the
+# Every smoke rule (the `smoke` alias in bin/dune, bench/dune and
+# examples/dune): the profiler, simulate, lower, vectorize, pipelining,
+# layout, search and serve CLI runs, the sim bench with its
+# bit-identity checks, and the six examples. Each fails on a non-zero
+# exit. Determinism and executor identity are the
 # test suite's (`make test`).
 smoke:
 	dune build @smoke

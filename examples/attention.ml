@@ -1,7 +1,8 @@
 (* Fused multi-head attention (paper Figure 14): simulate a reduced
    instance for correctness, then estimate the MLPerf BERT configuration
    against the unfused baseline and the TensorRT kernels, and show the
-   Figure 15 end-to-end injection result.
+   Figure 15 end-to-end injection result. Exits 1 if the simulated
+   instance does not match the CPU reference.
 
    Run with: dune exec examples/attention.exe *)
 
@@ -32,12 +33,13 @@ let () =
   done;
   Format.printf "===== Fused MHA, simulated (%d heads, seq %d, d %d) =====@."
     heads seq dh;
-  Format.printf "matches CPU reference: %b@."
-    (Reference.Cpu_ref.allclose ~rtol:4e-2 ~atol:2e-2 o o_ref);
+  let ok = Reference.Cpu_ref.allclose ~rtol:4e-2 ~atol:2e-2 o o_ref in
+  Format.printf "matches CPU reference: %b@." ok;
 
   (* Figure 14: the MLPerf BERT configuration. *)
   Format.printf "\n";
   Experiments.Figures.print_fig14 Format.std_formatter;
 
   (* Figure 15: injecting the kernel into transformer inference. *)
-  Experiments.Figures.print_fig15 Format.std_formatter
+  Experiments.Figures.print_fig15 Format.std_formatter;
+  if not ok then exit 1

@@ -50,7 +50,14 @@ let () =
         (c.Gpu_sim.Perf_model.time_s *. 1e6)
         (c.Gpu_sim.Perf_model.time_s /. g.Gpu_sim.Perf_model.time_s))
     [ 1; 2; 4; 8; 12; 16; 20 ];
+  let smem =
+    (Gpu_sim.Static_analysis.of_kernel arch
+       (Kernels.Mlp.kernel arch ~m:4096 ~width:128 ~layers:1 ~bm:64 ~wm:32
+          ~wn:64 ())
+       ())
+      .Gpu_sim.Static_analysis.smem_bytes_per_block
+  in
   Format.printf
     "(the paper reports up to 2.39x at 20 layers; shared memory required \
      per block: %d bytes)@."
-    (Kernels.Mlp.smem_bytes ~width:128 ~bm:64)
+    smem

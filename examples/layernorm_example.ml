@@ -1,5 +1,6 @@
 (* Fused Layernorm (paper Figure 13): one kernel per row with in-register
-   and cross-warp reductions built from Reduction and Shfl specs.
+   and cross-warp reductions built from Reduction and Shfl specs. Exits 1
+   if the simulated kernel does not match the CPU reference.
 
    Run with: dune exec examples/layernorm_example.exe *)
 
@@ -22,9 +23,10 @@ let () =
   let y_ref = Array.copy x in
   Reference.Cpu_ref.layernorm ~rows ~cols ~gamma ~beta y_ref;
   Format.printf "===== Fused Layernorm, simulated (%d x %d) =====@." rows cols;
-  Format.printf "matches CPU reference: %b@."
-    (Reference.Cpu_ref.allclose ~rtol:3e-2 ~atol:2e-2 y y_ref);
+  let ok = Reference.Cpu_ref.allclose ~rtol:3e-2 ~atol:2e-2 y y_ref in
+  Format.printf "matches CPU reference: %b@." ok;
   Format.printf "%a@.@." Gpu_sim.Counters.pp counters;
 
   (* Figure 13: against the PyTorch implementations. *)
-  Experiments.Figures.print_fig13 Format.std_formatter
+  Experiments.Figures.print_fig13 Format.std_formatter;
+  if not ok then exit 1

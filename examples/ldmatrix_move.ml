@@ -1,6 +1,7 @@
 (* The paper's opening example (Figures 1 and 5): a tensorized data
    movement with ldmatrix, expressed as a warp-level Move spec decomposed
-   into the atomic ldmatrix spec over tiled data and thread tensors.
+   into the atomic ldmatrix spec over tiled data and thread tensors. It
+   exits 1 if the simulated mapping differs from the PTX-prescribed one.
 
    Run with: dune exec examples/ldmatrix_move.exe *)
 
@@ -62,4 +63,5 @@ let () =
       then ok := false
     done
   done;
-  Format.printf "mapping matches the PTX-prescribed fragment layout: %b@." !ok
+  Format.printf "mapping matches the PTX-prescribed fragment layout: %b@." !ok;
+  if not !ok then exit 1

@@ -2,7 +2,8 @@
 
    Build the simplest complete GEMM decomposition in Graphene IR, print the
    IR listing and the generated CUDA C++, then execute the same IR on the
-   simulated GPU and check it against the CPU reference.
+   simulated GPU and check it against the CPU reference (exit 1 on a
+   mismatch).
 
    Run with: dune exec examples/quickstart.exe *)
 
@@ -40,8 +41,8 @@ let () =
   let c_ref = Array.make (m * n) 0.0 in
   Reference.Cpu_ref.gemm ~m ~n ~k a b c_ref;
   Format.printf "\n===== Simulated execution (%dx%dx%d) =====@." m n k;
-  Format.printf "matches CPU reference: %b@."
-    (Reference.Cpu_ref.allclose c c_ref);
+  let ok = Reference.Cpu_ref.allclose c c_ref in
+  Format.printf "matches CPU reference: %b@." ok;
   Format.printf "%a@." Gpu_sim.Counters.pp counters;
 
   (* 6. Estimate performance of the optimized tensor-core version at the
@@ -61,4 +62,5 @@ let () =
   Format.printf "achieved %.1f TFLOP/s of %.1f peak@."
     (Gpu_sim.Perf_model.tflops est
        ~flops:(2.0 *. float_of_int m *. float_of_int n *. float_of_int k))
-    (Gpu_sim.Machine.tc_peak_flops machine /. 1e12)
+    (Gpu_sim.Machine.tc_peak_flops machine /. 1e12);
+  if not ok then exit 1

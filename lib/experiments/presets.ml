@@ -65,17 +65,8 @@ let build arch name =
     let biases = Ref.random_fp16 ~seed:3 (layers * width) in
     let y = Array.make (m * width) 0.0 in
     let verify () =
-      let cur = ref (Array.copy x) in
-      for l = 0 to layers - 1 do
-        let out = Array.make (m * width) 0.0 in
-        Ref.gemm ~m ~n:width ~k:width !cur
-          (Array.sub w (l * width * width) (width * width))
-          out;
-        Ref.bias_add ~rows:m ~cols:width out (Array.sub biases (l * width) width);
-        Ref.relu out;
-        cur := out
-      done;
-      Ref.allclose ~rtol:5e-2 ~atol:2e-2 y !cur
+      Ref.allclose ~rtol:5e-2 ~atol:2e-2 y
+        (Ref.mlp ~m ~width ~layers x w biases)
     in
     (kernel, [ ("X", x); ("W", w); ("biases", biases); ("Y", y) ], verify)
   | "lstm" ->
@@ -88,16 +79,7 @@ let build arch name =
     let w2 = Ref.random_fp16 ~seed:4 (k * n) in
     let bias = Ref.random_fp16 ~seed:5 n in
     let z = Array.make (m * n) 0.0 in
-    let verify () =
-      let r = Array.make (m * n) 0.0 in
-      let r2 = Array.make (m * n) 0.0 in
-      Ref.gemm ~m ~n ~k x1 w1 r;
-      Ref.gemm ~m ~n ~k x2 w2 r2;
-      Ref.add_into ~dst:r r2;
-      Ref.bias_add ~rows:m ~cols:n r bias;
-      Ref.relu r;
-      Ref.allclose z r
-    in
+    let verify () = Ref.allclose z (Ref.lstm ~m ~n ~k x1 w1 x2 w2 bias) in
     ( kernel,
       [ ("X1", x1); ("W1", w1); ("X2", x2); ("W2", w2); ("bias", bias); ("Z", z) ],
       verify )

@@ -179,14 +179,6 @@ let merge dst src =
         (v + Option.value ~default:0 (Hashtbl.find_opt dst.instr_mix k)))
     src.instr_mix
 
-(* Total merge: the counters of a whole run from its per-domain parts.
-   All fields are sums, so the fold order cannot matter — but we fold in
-   list order anyway, matching the ascending-block merge everywhere else. *)
-let merge_list parts =
-  let acc = create () in
-  List.iter (merge acc) parts;
-  acc
-
 (* Mean committed groups in flight at the wait points. Each wait samples
    the queue depth before draining; in a steady N-stage pipeline every
    sample is N, so [async_mean_inflight / stages] = 1.0. *)

@@ -90,12 +90,6 @@ val record_requests :
     per-instruction mix. *)
 val merge : t -> t -> unit
 
-(** [merge_list parts] — a fresh counter holding the sum of [parts]
-    (used to rebuild a whole run's totals from its per-domain pieces;
-    all fields are commutative sums, so any order gives the same
-    result). *)
-val merge_list : t list -> t
-
 (** Mean committed cp.async groups in flight at the wait points
     ([async_inflight_sum / async_waits]; 0 when no waits executed). *)
 val async_mean_inflight : t -> float

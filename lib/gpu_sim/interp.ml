@@ -400,13 +400,14 @@ let run_tree ~arch ?profiler ?domains (k : Spec.kernel) ~args ?(scalars = []) ()
    Active sets are per-warp 32-bit masks ([Warp_mask]) instead of thread
    id lists; a divergent branch splits them into a preallocated arena
    with one taken/not-taken pair per nesting depth
-   ([Plan.divergence_depth] sizes it). The plan's depcheck annotations
-   drive hoisting: a view enumeration or collective member grouping whose
-   dependence tier is below [Thread] is computed once and reused while
-   the slots it reads ([v_dep_slots] / [members_slots]) hold the values
-   they held when it was cached — equal inputs give equal results, so
-   stale-but-equal reuse is sound. Address batches read only the first
-   scalar offset, via the allocation-free [v_addr0] closure.
+   ([Plan.divergence_depth] sizes it). The plan's depcheck tiers decide
+   how often a view is enumerated: a [Thread]-tier view once per lane,
+   any other once per call, by its first lane. Only collective member
+   groupings are cached across calls, reused while the slots their
+   member function reads ([members_slots]) and the active mask are
+   unchanged — equal inputs give equal groups. Address batches read
+   only the first scalar offset, via the allocation-free [v_addr0]
+   closure.
 
    Dispatch allocates nothing: profiler hooks are direct matches on
    [ctx.prof], loops are [while] loops, and every scratch buffer lives
@@ -435,30 +436,6 @@ let plan_env_fun (a : P.atomic) (env : int array) name =
     else x
   | None -> error "unbound variable %s (missing scalar argument?)" name
 
-(* Cached value of one view's offset enumeration, reusable while the
-   slots in [v_dep_slots] hold the snapshot values. Thread-tier views
-   never land here. *)
-type vcache =
-  { mutable vc_valid : bool
-  ; vc_snap : int array
-  ; mutable vc_offs : int array
-  }
-
-(* Per-tid cache for Thread-tier views: one enumeration per thread,
-   valid while the non-thread dependence slots ([v_dep_slots], which
-   never include threadIdx.x) hold the snapshot values. A loop-invariant
-   register fragment view — the common operand shape of mma/ldmatrix
-   collectives — is then enumerated once per thread per launch instead
-   of once per member per group per iteration. The empty array is the
-   "not yet computed" sentinel: OCaml's zero-length arrays all share one
-   atom, so a legitimately empty enumeration just recomputes (cheap and
-   rare) rather than aliasing the sentinel incorrectly. *)
-type tcache =
-  { mutable tc_valid : bool
-  ; tc_snap : int array
-  ; tc_offs : int array array  (* by tid; [||] = not computed *)
-  }
-
 (* Cached collective grouping: valid for the same dependence-slot
    snapshot AND the same activity mask (the groups are a function of
    both). *)
@@ -471,9 +448,9 @@ type gcache =
 
 (* One block range's executor state, built once per range and reused
    for every block it runs: the slot env, one full-CTA mask, the
-   divergence-mask arena, reusable scratch buffers, the hoisting caches
-   (indexed by the plan's dense view/atomic ids) and the per-atomic
-   closures ([plan_env_fun] and the offsets oracle). *)
+   divergence-mask arena, reusable scratch buffers, the collective-group
+   caches and the per-atomic closures ([plan_env_fun] and the operands),
+   all indexed by the plan's dense atomic ids. *)
 type pctx =
   { c : ctx
   ; env : int array
@@ -483,13 +460,11 @@ type pctx =
   ; addrs : int array  (* address batch scratch: one slot per warp lane *)
   ; ld8 : int array  (* ldmatrix row-address scratch *)
   ; tids : int array  (* one warp's active tids, ascending *)
-  ; vcaches : vcache array  (* by v_id *)
-  ; tcaches : tcache array  (* by v_id; seated for Thread-tier views *)
-  ; gcaches : gcache array  (* by a_id; seated for collectives *)
+  ; gcaches : gcache array  (* seated for collectives *)
   ; seen : (int array, unit) Hashtbl.t  (* group-dedup scratch *)
-  ; mutable a_envf : (string -> int) array  (* by a_id *)
-  ; mutable a_ins : Semantics.operand array array  (* by a_id *)
-  ; mutable a_outs : Semantics.operand array array  (* by a_id *)
+  ; a_envf : (string -> int) array
+  ; a_ins : Semantics.operand array array
+  ; a_outs : Semantics.operand array array
   }
 
 let snap_matches snap slots (env : int array) =
@@ -507,88 +482,46 @@ let snap_update snap slots (env : int array) =
     Array.unsafe_set snap i (Array.unsafe_get env (Array.unsafe_get slots i))
   done
 
-let cached_offsets bx (pv : P.view) =
-  let vc = bx.vcaches.(pv.P.v_id) in
-  if vc.vc_valid && snap_matches vc.vc_snap pv.P.v_dep_slots bx.env then
-    vc.vc_offs
-  else begin
-    let offs = pv.P.v_offsets bx.env in
-    vc.vc_offs <- offs;
-    snap_update vc.vc_snap pv.P.v_dep_slots bx.env;
-    vc.vc_valid <- true;
-    offs
-  end
-
-(* A Thread-tier view's per-tid cache is checked once per call
-   ([validate_tcache]); each lane then only indexes it. *)
-let validate_tcache bx (pv : P.view) =
-  let tc = bx.tcaches.(pv.P.v_id) in
-  if not (tc.tc_valid && snap_matches tc.tc_snap pv.P.v_dep_slots bx.env)
-  then begin
-    Array.fill tc.tc_offs 0 (Array.length tc.tc_offs) [||];
-    snap_update tc.tc_snap pv.P.v_dep_slots bx.env;
-    tc.tc_valid <- true
-  end
-
-let thread_offsets bx (pv : P.view) tid =
-  let tc = bx.tcaches.(pv.P.v_id) in
-  let cached = tc.tc_offs.(tid) in
-  if Array.length cached > 0 then cached
-  else begin
-    bx.env.(Slots.tid_slot) <- tid;
-    let offs = pv.P.v_offsets bx.env in
-    tc.tc_offs.(tid) <- offs;
-    offs
-  end
-
-(* Seat one call's operands: a Thread-tier view reads the per-tid
-   cache, any other is fetched once, by the first lane that needs it —
-   its offsets cannot change while the call runs. *)
-let rec seat_operands bx views (ops : Semantics.operand array) i =
+(* Seat one call's operands: a Thread-tier view is enumerated per lane,
+   any other once, by the first lane that needs it — its offsets cannot
+   change while the call runs. *)
+let rec seat_operands views (ops : Semantics.operand array) i =
   match views with
   | [] -> ()
   | (pv : P.view) :: tl ->
-    let op = ops.(i) in
-    if pv.P.v_dep.Depcheck.d_tier = Depcheck.Thread then begin
-      validate_tcache bx pv;
-      op.Semantics.addressing <- Semantics.By_thread
-    end
-    else op.Semantics.addressing <- Semantics.Uniform_pending;
-    seat_operands bx tl ops (i + 1)
+    ops.(i).Semantics.addressing <-
+      (if pv.P.v_dep.Depcheck.d_tier = Depcheck.Thread then Semantics.By_thread
+       else Semantics.Uniform_pending);
+    seat_operands tl ops (i + 1)
 
-(* Build one range's executor state: walk the plan once to size and
-   seat the caches, then seat the per-atomic closures (they capture the
-   state record itself, hence the two-phase construction). *)
+(* Build one range's executor state. An operand's offsets closure reads
+   the slot env as it stands, after setting the tid slot for a
+   Thread-tier view. *)
 let make_pctx ctx (plan : P.t) (env : int array) =
-  let vcaches =
-    Array.make plan.P.n_views { vc_valid = false; vc_snap = [||]; vc_offs = [||] }
-  in
-  let tcaches =
-    Array.make plan.P.n_views { tc_valid = false; tc_snap = [||]; tc_offs = [||] }
-  in
   let nwords = WM.nwords ~cta_size:plan.P.cta_size in
+  let n = plan.P.n_atomics in
   let gcaches =
-    Array.make plan.P.n_atomics
+    Array.make n
       { gc_valid = false; gc_snap = [||]; gc_mask = [||]; gc_groups = [||] }
   in
+  let a_envf = Array.make n (fun _ -> 0) in
+  let a_ins = Array.make n [||] and a_outs = Array.make n [||] in
   P.iter_atomics
     (fun a ->
-      let seat (pv : P.view) =
-        if pv.P.v_dep.Depcheck.d_tier = Depcheck.Thread then
-          tcaches.(pv.P.v_id) <-
-            { tc_valid = false
-            ; tc_snap = Array.make (Array.length pv.P.v_dep_slots) Slots.unbound
-            ; tc_offs = Array.make plan.P.cta_size [||]
-            }
-        else
-          vcaches.(pv.P.v_id) <-
-            { vc_valid = false
-            ; vc_snap = Array.make (Array.length pv.P.v_dep_slots) Slots.unbound
-            ; vc_offs = [||]
-            }
+      let operand (pv : P.view) =
+        let by_tid =
+          if pv.P.v_dep.Depcheck.d_tier = Depcheck.Thread then (fun tid ->
+            env.(Slots.tid_slot) <- tid;
+            pv.P.v_offsets env)
+          else fun _ -> pv.P.v_offsets env
+        in
+        let op = Semantics.operand pv.P.v_ts ~by_tid in
+        if a.P.a_fastcopy then op.Semantics.bases <- Array.make 32 0;
+        op
       in
-      List.iter seat a.P.a_ins;
-      List.iter seat a.P.a_outs;
+      a_envf.(a.P.a_id) <- plan_env_fun a env;
+      a_ins.(a.P.a_id) <- Array.of_list (List.map operand a.P.a_ins);
+      a_outs.(a.P.a_id) <- Array.of_list (List.map operand a.P.a_outs);
       match a.P.a_threads with
       | P.Per_thread -> ()
       | P.Collective { members_slots; _ } ->
@@ -600,44 +533,20 @@ let make_pctx ctx (plan : P.t) (env : int array) =
           })
     plan.P.body;
   let depth = P.divergence_depth plan.P.body in
-  let bx =
-    { c = ctx
-    ; env
-    ; full = WM.full ~cta_size:plan.P.cta_size
-    ; taken = Array.init depth (fun _ -> Array.make nwords 0)
-    ; not_taken = Array.init depth (fun _ -> Array.make nwords 0)
-    ; addrs = Array.make 32 0
-    ; ld8 = Array.make 8 0
-    ; tids = Array.make 32 0
-    ; vcaches
-    ; tcaches
-    ; gcaches
-    ; seen = Hashtbl.create 32
-    ; a_envf = [||]
-    ; a_ins = [||]
-    ; a_outs = [||]
-    }
-  in
-  bx.a_envf <- Array.make plan.P.n_atomics (fun _ -> 0);
-  bx.a_ins <- Array.make plan.P.n_atomics [||];
-  bx.a_outs <- Array.make plan.P.n_atomics [||];
-  P.iter_atomics
-    (fun a ->
-      bx.a_envf.(a.P.a_id) <- plan_env_fun a env;
-      let operand (pv : P.view) =
-        let by_tid =
-          if pv.P.v_dep.Depcheck.d_tier = Depcheck.Thread then
-            thread_offsets bx pv
-          else fun _ -> cached_offsets bx pv
-        in
-        let op = Semantics.operand pv.P.v_ts ~by_tid in
-        if a.P.a_fastcopy then op.Semantics.bases <- Array.make 32 0;
-        op
-      in
-      bx.a_ins.(a.P.a_id) <- Array.of_list (List.map operand a.P.a_ins);
-      bx.a_outs.(a.P.a_id) <- Array.of_list (List.map operand a.P.a_outs))
-    plan.P.body;
-  bx
+  { c = ctx
+  ; env
+  ; full = WM.full ~cta_size:plan.P.cta_size
+  ; taken = Array.init depth (fun _ -> Array.make nwords 0)
+  ; not_taken = Array.init depth (fun _ -> Array.make nwords 0)
+  ; addrs = Array.make 32 0
+  ; ld8 = Array.make 8 0
+  ; tids = Array.make 32 0
+  ; gcaches
+  ; seen = Hashtbl.create 32
+  ; a_envf
+  ; a_ins
+  ; a_outs
+  }
 
 (* One warp's address batch for one view: first scalar byte address per
    active lane, ascending. A thread-independent view yields one address
@@ -725,8 +634,8 @@ let plan_exec_per_thread bx (a : P.atomic) (mask : WM.t) =
   let ctx = bx.c in
   let ins = bx.a_ins.(a.P.a_id) and outs = bx.a_outs.(a.P.a_id) in
   if not a.P.a_fastcopy then begin
-    seat_operands bx a.P.a_ins ins 0;
-    seat_operands bx a.P.a_outs outs 0
+    seat_operands a.P.a_ins ins 0;
+    seat_operands a.P.a_outs outs 0
   end;
   let envf = bx.a_envf.(a.P.a_id) in
   let trace = sem_trace ctx in
@@ -831,8 +740,8 @@ let plan_exec_collective bx (a : P.atomic) members_of members_slots
   let ctx = bx.c in
   let groups = plan_groups bx a members_of members_slots mask in
   let ins = bx.a_ins.(a.P.a_id) and outs = bx.a_outs.(a.P.a_id) in
-  seat_operands bx a.P.a_ins ins 0;
-  seat_operands bx a.P.a_outs outs 0;
+  seat_operands a.P.a_ins ins 0;
+  seat_operands a.P.a_outs outs 0;
   let envf = bx.a_envf.(a.P.a_id) in
   let trace = sem_trace ctx in
   for g = 0 to Array.length groups - 1 do
@@ -983,7 +892,7 @@ let run_plan ?profiler ?domains ?engine:(_ : engine option) (plan : P.t) ~args
   let domains = resolve_domains ?domains ~grid_size () in
   (* Each range's state gets its own block-local memory, its own copy of
      the scalar bindings (the slot env is mutated during execution) and
-     its own hoisting caches and scratch buffers, shared by nothing. *)
+     its own group caches and scratch buffers, shared by nothing. *)
   run_grid ~domains ~grid_size ~counters ~profiler
     ~make_state:(fun counters prof ->
       let mem = Memory.of_global arena in

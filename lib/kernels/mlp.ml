@@ -7,8 +7,6 @@ module Ms = Gpu_tensor.Memspace
 module B = Graphene.Builder
 module Op = Graphene.Op
 
-let smem_bytes ~width ~bm = 2 * ((2 * bm * width) + (width * width))
-
 let kernel ?(name = "mlp_fused") ?(act = Op.Relu) arch ~m ~width ~layers ~bm
     ~wm ~wn () =
   if m mod bm <> 0 then invalid_arg "Mlp: m must divide by bm";

@@ -22,8 +22,3 @@ val kernel :
   wn:int ->
   unit ->
   Graphene.Spec.kernel
-
-(** Shared memory needed per block (bytes): two activation buffers plus the
-    staged weight tile — the feasibility constraint of the fusion
-    ("problem sizes permitting", paper Section 6). *)
-val smem_bytes : width:int -> bm:int -> int

@@ -6,21 +6,20 @@
    are threadIdx.x (per lane), the loop counters (per iteration) and
    blockIdx.x (per block); scalar parameters bind once per launch. So the
    free variables of the source expression classify exactly how often the
-   compiled value can change, and therefore how far out of the execution
-   hot loop it can be hoisted:
+   compiled value can change:
 
-     Launch   scalars/constants only — evaluate once per launch
+     Launch   scalars/constants only — once per launch
      Block    reads blockIdx.x       — once per thread block
      Loop     reads a loop counter   — once per iteration of the
                                        innermost mentioned loop
-     Thread   reads threadIdx.x      — per lane, never hoistable
+     Thread   reads threadIdx.x      — per lane
 
-   The executor does not reason about program points: each hoistable value
-   carries the slots it reads ([d_vars], compiled to slot ids by the
-   compile pass), and a cached result is reused whenever those slots still
-   hold the values they held when it was computed. Equal inputs give equal
-   outputs, so reuse across repeated loop values (or across blocks for a
-   bid-independent view) is sound by construction. *)
+   The executor enumerates a Thread view per lane and any other view once
+   per call. Only collective member groups are reused across calls: the
+   compile pass turns a member function's [d_vars] into slot ids, and the
+   groups are reused while those slots (and the active mask) hold the
+   values they held when the groups were found. Equal inputs give equal
+   outputs, so that reuse is sound by construction. *)
 
 module E = Shape.Int_expr
 module L = Shape.Layout
@@ -34,8 +33,9 @@ type dep =
   { d_tier : tier
   ; d_vars : string list
       (* the dynamic, non-thread variables read (blockIdx.x first, then
-         enclosing loop binders innermost-first): the snapshot key the
-         executor compares before reusing a cached result *)
+         the enclosing loop binders in name order): for a member function,
+         the snapshot key the executor compares before reusing its
+         groups *)
   }
 
 let tid = "threadIdx.x"

@@ -13,7 +13,8 @@
                 listing near-miss candidates
      depcheck   slot-dependence footprint of every leaf quantity (view
                 offsets, member functions), classified launch / block /
-                loop / thread so the executor knows what to hoist
+                loop / thread: the executor enumerates thread-tier views
+                per lane and the rest once per call
      vectorize  unit-stride contiguity / alignment proof per view:
                 eligible per-thread moves widen to v2/v4 vector atomics,
                 near-misses carry the refusal reason; fully-static
@@ -321,16 +322,11 @@ let vectorize_pass ~enabled ~cta_size =
 
 (* ----- pass 7: compile ----- *)
 
-(* Dense id supply for the executor's per-plan cache arrays. *)
-type ids =
-  { mutable next_view : int
-  ; mutable next_atomic : int
-  }
-
-(* Slots of a dep's snapshot variables. Every d_vars name is either a
-   builtin (blockIdx.x, in the base scope) or an enclosing loop binder
+(* Slots of a member function's snapshot variables, the key of the
+   executor's group cache. Every d_vars name is either a builtin
+   (blockIdx.x, in the base scope) or an enclosing loop binder
    (prepended to the scope), so the innermost assoc hit is exactly the
-   slot the view closure was compiled against. *)
+   slot the member closure was compiled against. *)
 let dep_slots st scope (d : Depcheck.dep) =
   Array.of_list
     (List.map
@@ -346,7 +342,7 @@ let rec map3 f a b c =
   | x :: a, y :: b, z :: c -> f x y z :: map3 f a b c
   | _ -> invalid_arg "Pipeline.map3"
 
-let compile_atomic st ids scope (s : Spec.t) (instr : Atomic.instr)
+let compile_atomic st next_id scope (s : Spec.t) (instr : Atomic.instr)
     (dleaf : Depcheck.leaf) (vleaf : Vectorize.leaf) : Plan.atomic =
   let cost = instr.Atomic.cost s in
   let width =
@@ -355,17 +351,13 @@ let compile_atomic st ids scope (s : Spec.t) (instr : Atomic.instr)
     | Vectorize.Refused _ -> 1
   in
   let view (v : Ts.t) (d : Depcheck.dep) (vd : Vectorize.verdict) =
-    let id = ids.next_view in
-    ids.next_view <- id + 1;
-    { Plan.v_id = id
-    ; v_ts = v
+    { Plan.v_ts = v
     ; v_mem = v.Ts.mem
     ; v_elt_bytes = Dt.size_bytes (Ts.dtype v)
     ; v_batch_bytes = Plan.batch_bytes v
     ; v_offsets = Expr_comp.compile_view st scope v
     ; v_addr0 = Expr_comp.compile_addr0 st scope v
     ; v_dep = d
-    ; v_dep_slots = dep_slots st scope d
     ; v_vec = vd
     ; v_vec_width = width
     }
@@ -401,8 +393,8 @@ let compile_atomic st ids scope (s : Spec.t) (instr : Atomic.instr)
     | Some slot -> Some slot
     | None -> Slots.find_scalar st name
   in
-  let a_id = ids.next_atomic in
-  ids.next_atomic <- a_id + 1;
+  let a_id = !next_id in
+  incr next_id;
   { Plan.a_id
   ; a_spec = s
   ; a_instr = instr
@@ -421,12 +413,12 @@ let compile_atomic st ids scope (s : Spec.t) (instr : Atomic.instr)
   ; a_banks = vleaf.Vectorize.l_banks
   }
 
-let rec compile_ops st ids scope stmts =
-  List.map (compile_op st ids scope) stmts
+let rec compile_ops st next_id scope stmts =
+  List.map (compile_op st next_id scope) stmts
 
-and compile_op st ids scope = function
+and compile_op st next_id scope = function
   | F_leaf (s, instr, dleaf, vleaf) ->
-    Plan.Atomic_exec (compile_atomic st ids scope s instr dleaf vleaf)
+    Plan.Atomic_exec (compile_atomic st next_id scope s instr dleaf vleaf)
   | F_loop { var; lo; hi; step; body } ->
     let l_lo = Expr_comp.compile st scope lo
     and l_hi = Expr_comp.compile st scope hi
@@ -438,20 +430,20 @@ and compile_op st ids scope = function
       ; l_lo
       ; l_hi
       ; l_step
-      ; l_body = compile_ops st ids ((var, slot) :: scope) body
+      ; l_body = compile_ops st next_id ((var, slot) :: scope) body
       }
   | F_branch (p, then_, else_) ->
     Plan.Branch
       { b_tid_dep = Spec.pred_mentions "threadIdx.x" p
       ; b_cond = Expr_comp.compile_pred st scope p
-      ; b_then = compile_ops st ids scope then_
-      ; b_else = compile_ops st ids scope else_
+      ; b_then = compile_ops st next_id scope then_
+      ; b_else = compile_ops st next_id scope else_
       }
   | F_barrier -> Plan.Barrier
   | F_commit_group -> Plan.Commit_group
   | F_wait_group n -> Plan.Wait_group n
   | F_frame (label, body) ->
-    Plan.Frame { f_label = label; f_body = compile_ops st ids scope body }
+    Plan.Frame { f_label = label; f_body = compile_ops st next_id scope body }
   | F_fail msg -> Plan.Fail msg
 
 let compile_pass ~vec_enabled ~pipelining arch diagnostics =
@@ -465,8 +457,9 @@ let compile_pass ~vec_enabled ~pipelining arch diagnostics =
       List.iter
         (fun p -> ignore (Slots.scalar_slot st p))
         k.Spec.scalar_params;
-      let ids = { next_view = 0; next_atomic = 0 } in
-      let body = compile_ops st ids Slots.base_scope resolved in
+      (* Dense atomic ids, indexing the executor's per-atomic arrays. *)
+      let next_id = ref 0 in
+      let body = compile_ops st next_id Slots.base_scope resolved in
       let allocs =
         List.map
           (fun (t : Ts.t) ->
@@ -488,8 +481,7 @@ let compile_pass ~vec_enabled ~pipelining arch diagnostics =
       ; grid_size = Tt.size k.Spec.grid
       ; allocs
       ; body
-      ; n_views = ids.next_view
-      ; n_atomics = ids.next_atomic
+      ; n_atomics = !next_id
       ; diagnostics
       ; vec_enabled
       ; pipelining

@@ -8,8 +8,9 @@
     pass proves per-thread unit-stride contiguity and alignment from the
     static stride/offset structure, widening eligible moves to width-2/4
     vector atomics (see {!Vectorize}); the compile pass carries the
-    tiers, vector widths and bank-conflict lints onto the plan so the
-    executor can hoist, cache and batch accordingly.
+    tiers, vector widths and bank-conflict lints onto the plan, where
+    the executor reads them to enumerate a view per lane or once per
+    call and to account its transactions.
 
     The pipeline promises to call [Atomic.find] exactly once per leaf
     spec: resolution happens at lowering, never during execution. An
@@ -55,10 +56,6 @@ type analysis =
 val analyze :
   ?vectorize:bool -> ?stages:int -> Graphene.Arch.t -> Graphene.Spec.kernel ->
   analysis
-
-(** The unmatched-leaf diagnostic: the tree interpreter's message plus
-    up to six same-family registry candidates (exposed for tests). *)
-val unmatched_message : Graphene.Arch.t -> Graphene.Spec.t -> string
 
 (** {1 Plan cache}
 

@@ -9,7 +9,8 @@
    already compiled: loop bounds and predicates are closures, each leaf
    spec carries its matched instruction, precomputed cost, and compiled
    per-view offset enumerations — each annotated with its slot-dependence
-   tier (see [Depcheck]) so the executor knows what to hoist and cache. *)
+   tier (see [Depcheck]) so the executor knows which views to enumerate
+   per lane and which once per call. *)
 
 module Ts = Gpu_tensor.Tensor
 module Ms = Gpu_tensor.Memspace
@@ -17,8 +18,7 @@ module Spec = Graphene.Spec
 module Atomic = Graphene.Atomic
 
 type view =
-  { v_id : int  (** dense plan-wide id, indexes the executor's caches *)
-  ; v_ts : Ts.t  (** the source view (for semantics dispatch / fallback) *)
+  { v_ts : Ts.t  (** the source view (for semantics dispatch / fallback) *)
   ; v_mem : Ms.t
   ; v_elt_bytes : int
   ; v_batch_bytes : int  (** bytes per thread per access batch *)
@@ -27,8 +27,6 @@ type view =
         (** first scalar offset only ([Expr_comp.no_addr] when empty) —
             what address batching needs, without the full enumeration *)
   ; v_dep : Depcheck.dep  (** slot-dependence tier of [v_offsets] *)
-  ; v_dep_slots : int array
-        (** slots of [v_dep.d_vars]: the executor's cache-snapshot key *)
   ; v_vec : Vectorize.verdict
         (** this view's own widening capability (diagnostics) *)
   ; v_vec_width : int
@@ -50,7 +48,7 @@ type threads =
       }
 
 type atomic =
-  { a_id : int  (** dense plan-wide id, indexes the executor's group cache *)
+  { a_id : int  (** dense plan-wide id, indexes the executor's per-atomic state *)
   ; a_spec : Spec.t
   ; a_instr : Atomic.instr  (** resolved exactly once, at lowering *)
   ; a_cost : Atomic.cost
@@ -135,8 +133,7 @@ type t =
   ; grid_size : int
   ; allocs : alloc list
   ; body : op list
-  ; n_views : int  (** total view count = executor view-cache size *)
-  ; n_atomics : int  (** total atomic count = executor group-cache size *)
+  ; n_atomics : int  (** total atomic count = executor per-atomic array size *)
   ; diagnostics : string list  (** advisory validation findings *)
   ; vec_enabled : bool  (** whether the vectorize pass was allowed to widen *)
   ; pipelining : pipelining

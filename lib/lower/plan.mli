@@ -6,15 +6,15 @@
     costs and profiler attribution strings are precomputed, all symbolic
     index arithmetic is compiled to closures over one dense [int array]
     environment (see {!Slots}, {!Expr_comp}), and every compiled view and
-    member function carries its slot-dependence tier (see {!Depcheck}) so
-    the executor can hoist launch-, block- and loop-invariant values out
-    of the per-thread hot path. [Interp.run_plan] executes the [body]
+    member function carries its slot-dependence tier (see {!Depcheck}):
+    the executor enumerates a thread-dependent view per lane and any
+    other view once per call, and reuses a collective's member groups
+    while their inputs are unchanged. [Interp.run_plan] executes the [body]
     op tree directly. A plan is an immutable value, so domains share one
     plan through the plan cache. *)
 
 type view =
-  { v_id : int  (** dense plan-wide id, indexes the executor's caches *)
-  ; v_ts : Gpu_tensor.Tensor.t
+  { v_ts : Gpu_tensor.Tensor.t
   ; v_mem : Gpu_tensor.Memspace.t
   ; v_elt_bytes : int
   ; v_batch_bytes : int
@@ -24,9 +24,8 @@ type view =
             enumerates no scalars) — all the address-batch accounting
             needs, without materializing the full enumeration *)
   ; v_dep : Depcheck.dep
-  ; v_dep_slots : int array
-        (** slots of [v_dep.d_vars]; the executor snapshots these and
-            reuses cached offsets while the values are unchanged *)
+        (** slot-dependence tier of [v_offsets]: a [Thread]-tier view is
+            enumerated per lane, any other once per call *)
   ; v_vec : Vectorize.verdict
         (** this view's own widening capability (diagnostics) *)
   ; v_vec_width : int
@@ -47,7 +46,7 @@ type threads =
       }
 
 type atomic =
-  { a_id : int  (** dense plan-wide id, indexes the executor's group cache *)
+  { a_id : int  (** dense plan-wide id, indexes the executor's per-atomic state *)
   ; a_spec : Graphene.Spec.t
   ; a_instr : Graphene.Atomic.instr
         (** resolved once, at lowering; the executor branches on its
@@ -132,8 +131,7 @@ type t =
   ; grid_size : int
   ; allocs : alloc list
   ; body : op list
-  ; n_views : int  (** total views = size of the executor's view cache *)
-  ; n_atomics : int  (** total atomics = size of the executor's group cache *)
+  ; n_atomics : int  (** total atomics = size of the executor's per-atomic arrays *)
   ; diagnostics : string list
   ; vec_enabled : bool  (** whether the vectorize pass was allowed to widen *)
   ; pipelining : pipelining  (** software-pipelining outcome *)

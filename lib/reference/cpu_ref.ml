@@ -110,6 +110,29 @@ let attention_causal ~seq ~dh q k v out =
   softmax_rows ~rows:seq ~cols:seq scores;
   gemm ~m:seq ~n:dh ~k:seq scores v out
 
+let mlp ~m ~width ~layers x w biases =
+  let cur = ref (Array.copy x) in
+  for l = 0 to layers - 1 do
+    let out = Array.make (m * width) 0.0 in
+    gemm ~m ~n:width ~k:width !cur
+      (Array.sub w (l * width * width) (width * width))
+      out;
+    bias_add ~rows:m ~cols:width out (Array.sub biases (l * width) width);
+    relu out;
+    (* The kernel keeps intermediates in fp16 shared memory. *)
+    cur := Array.map (Dt.round Dt.FP16) out
+  done;
+  !cur
+
+let lstm ~m ~n ~k x1 w1 x2 w2 bias =
+  let z = Array.make (m * n) 0.0 and z2 = Array.make (m * n) 0.0 in
+  gemm ~m ~n ~k x1 w1 z;
+  gemm ~m ~n ~k x2 w2 z2;
+  add_into ~dst:z z2;
+  bias_add ~rows:m ~cols:n z bias;
+  relu z;
+  z
+
 let allclose ?(rtol = 2e-2) ?(atol = 1e-2) a b =
   Array.length a = Array.length b
   &&

@@ -42,6 +42,23 @@ val attention_causal :
   seq:int -> dh:int -> float array -> float array -> float array ->
   float array -> unit
 
+(** {1 Fused kernels} *)
+
+(** [mlp ~m ~width ~layers x w biases] — [layers] square layers of
+    [relu(x @ w_l + bias_l)], each output rounded to fp16 as the fused
+    kernel's shared-memory activations are; [w] is layer-major
+    ([layers * width] by [width]), [biases] has [layers * width]
+    entries. Returns the last layer's [m]-by-[width] output. *)
+val mlp :
+  m:int -> width:int -> layers:int -> float array -> float array ->
+  float array -> float array
+
+(** [lstm ~m ~n ~k x1 w1 x2 w2 bias] — the fused LSTM-cell gate:
+    [relu(x1 @ w1 + x2 @ w2 + bias)], [m]-by-[n]. *)
+val lstm :
+  m:int -> n:int -> k:int -> float array -> float array -> float array ->
+  float array -> float array -> float array
+
 (** {1 Comparison and data generation} *)
 
 (** [allclose ?rtol ?atol a b] with defaults suited to fp16 data. *)

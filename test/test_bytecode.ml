@@ -4,8 +4,9 @@
 
    - pinned results: both executors against the seeded digests in
      golden/sim_digests.txt (output bits and every counter);
-   - an allocation budget: minor words per cell of the tensor-core
-     GEMMs at one domain;
+   - an allocation budget: minor words per cell at one domain of the
+     tensor-core GEMMs, the FMHA presets and the serving engine's FFN
+     kernel;
    - the divergence mask arena's size, [Plan.divergence_depth], on
      hand-built op trees;
    - the [Lower.Bytecode] shim the benchmark harness reads: the
@@ -61,31 +62,63 @@ let test_sim_digests () =
 
 (* ----- allocation budget -----
 
-   Minor-heap words per simulated cell (m * n * k) of one launch at one
+   Minor-heap words per simulated cell (m * n * k of a GEMM; flops / 2
+   of an FMHA, as the serving engine counts them) of one launch at one
    domain, after a warm-up launch has grown the domain's scratch
    buffers. The count is deterministic, so a float boxed again on the
    hot path fails here without timing anything. Each ceiling is the
    value measured when it was set, plus 25%. *)
 
+(* One launch of a CLI preset: the gemm-tc presets are 64x64x128 on
+   sm86 and 32x32x128 on sm70; the fmha presets are one head of 32
+   queries, dh 16 on sm86 and dh 32 on sm70. *)
+let preset name arch () =
+  let kernel, args, _ = Experiments.Presets.build arch name in
+  (kernel, args, [])
+
+let fmha_cells ~dh = Kernels.Fmha.flop_count ~batch:1 ~heads:1 ~seq:32 ~dh / 2
+
+(* The serving engine's FFN kernel for a 29x48x24 request: the
+   parametric naive GEMM on its covering 32x64 launch grid. *)
+let ffn () =
+  let m, n, k = (29, 48, 24) in
+  ( Kernels.Gemm.naive_parametric ~launch_m:32 ~launch_n:64 ~bm:16 ~bn:16 ~tm:4
+      ~tn:4 ()
+  , [ ("A", Reference.Cpu_ref.random_fp16 ~seed:1 (m * k))
+    ; ("B", Reference.Cpu_ref.random_fp16 ~seed:2 (k * n))
+    ; ("C", Array.make (m * n) 0.0)
+    ]
+  , [ ("M", m); ("N", n); ("K", k) ] )
+
+(* [(label, arch, stages, launch inputs, cells, ceiling)] *)
 let alloc_budgets =
-  [ (Arch.SM86, 3, 64 * 64 * 128, 0.84) (* measured 0.670 *)
-  ; (Arch.SM70, 1, 32 * 32 * 128, 2.41) (* measured 1.924 *)
+  [ ("gemm-tc", Arch.SM86, 3, preset "gemm-tc" Arch.SM86, 64 * 64 * 128, 0.84)
+    (* measured 0.670 *)
+  ; ("gemm-tc", Arch.SM70, 1, preset "gemm-tc" Arch.SM70, 32 * 32 * 128, 2.41)
+    (* measured 1.924 *)
+  ; ("fmha", Arch.SM86, 1, preset "fmha" Arch.SM86, fmha_cells ~dh:16, 9.93)
+    (* measured 7.939 *)
+  ; ("fmha", Arch.SM70, 1, preset "fmha" Arch.SM70, fmha_cells ~dh:32, 5.99)
+    (* measured 4.789 *)
+  ; ("ffn 29x48x24", Arch.SM86, 1, ffn, 29 * 48 * 24, 38.86)
+    (* measured 31.082 *)
   ]
 
 let test_alloc_budget () =
   List.iter
-    (fun (arch, stages, cells, ceiling) ->
-      (* The gemm-tc preset: 64x64x128 on sm86, 32x32x128 on sm70. *)
-      let kernel, args, _ = Experiments.Presets.build arch "gemm-tc" in
+    (fun (label, arch, stages, inputs, cells, ceiling) ->
+      let kernel, args, scalars = inputs () in
       let plan = Pipeline.lower ~stages arch kernel in
-      let launch () = ignore (Interp.run_plan ~domains:1 plan ~args ()) in
+      let launch () =
+        ignore (Interp.run_plan ~domains:1 plan ~args ~scalars ())
+      in
       launch ();
       let w0 = Gc.minor_words () in
       launch ();
       let per_cell = (Gc.minor_words () -. w0) /. float_of_int cells in
       check_bool
-        (Printf.sprintf "gemm-tc %s, %d stage(s): %.3f minor words/cell <= %.2f"
-           (Arch.name arch) stages per_cell ceiling)
+        (Printf.sprintf "%s %s, %d stage(s): %.3f minor words/cell <= %.2f"
+           label (Arch.name arch) stages per_cell ceiling)
         true (per_cell <= ceiling))
     alloc_budgets
 

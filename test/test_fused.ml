@@ -16,19 +16,6 @@ let validated arch kernel =
 
 (* ----- MLP ----- *)
 
-let mlp_ref ~m ~width ~layers x w biases =
-  let cur = ref (Array.copy x) in
-  for l = 0 to layers - 1 do
-    let out = Array.make (m * width) 0.0 in
-    let wl = Array.sub w (l * width * width) (width * width) in
-    Ref.gemm ~m ~n:width ~k:width !cur wl out;
-    Ref.bias_add ~rows:m ~cols:width out (Array.sub biases (l * width) width);
-    Ref.relu out;
-    (* The kernel keeps intermediates in fp16 shared memory. *)
-    cur := Array.map (Gpu_tensor.Dtype.round Gpu_tensor.Dtype.FP16) out
-  done;
-  !cur
-
 let run_mlp ~arch ~m ~width ~layers ~bm ~wm ~wn () =
   let kernel =
     validated arch
@@ -45,7 +32,7 @@ let run_mlp ~arch ~m ~width ~layers ~bm ~wm ~wn () =
       ~args:[ ("X", x); ("W", w); ("biases", biases); ("Y", y) ]
       ()
   in
-  (y, mlp_ref ~m ~width ~layers x w biases)
+  (y, Ref.mlp ~m ~width ~layers x w biases)
 
 let test_mlp_single_layer () =
   let y, y_ref = run_mlp ~arch:Arch.SM86 ~m:64 ~width:64 ~layers:1 ~bm:64 ~wm:32 ~wn:32 () in
@@ -65,16 +52,6 @@ let test_mlp_sm70 () =
 
 (* ----- LSTM cell ----- *)
 
-let lstm_ref ~m ~n ~k x1 w1 x2 w2 bias =
-  let z = Array.make (m * n) 0.0 in
-  let z2 = Array.make (m * n) 0.0 in
-  Ref.gemm ~m ~n ~k x1 w1 z;
-  Ref.gemm ~m ~n ~k x2 w2 z2;
-  Ref.add_into ~dst:z z2;
-  Ref.bias_add ~rows:m ~cols:n z bias;
-  Ref.relu z;
-  z
-
 let run_lstm ~arch ~m ~n ~k () =
   let cfg = Kernels.Gemm.test_config arch in
   let kernel = validated arch (Kernels.Lstm.kernel arch cfg ~m ~n ~k ()) in
@@ -92,7 +69,7 @@ let run_lstm ~arch ~m ~n ~k () =
         ]
       ()
   in
-  (z, lstm_ref ~m ~n ~k x1 w1 x2 w2 bias)
+  (z, Ref.lstm ~m ~n ~k x1 w1 x2 w2 bias)
 
 let test_lstm_sm86 () =
   let z, z_ref = run_lstm ~arch:Arch.SM86 ~m:64 ~n:64 ~k:64 () in
@@ -314,17 +291,12 @@ let test_split_k () =
   let b = Ref.random_fp16 ~seed:72 (k * n) in
   let bias = Ref.random_fp16 ~seed:73 n in
   let c = Array.make (m * n) 0.0 in
-  let program =
-    Gpu_sim.Program.make
-      ~intermediates:[ ("Cp", splits * m * n) ]
-      [ partial; reduce ]
-  in
-  Alcotest.(check (list string)) "program validates" []
-    (Gpu_sim.Program.validate arch program);
+  (* The partial kernel writes each split's fp32 sums into Cp; the reduce
+     kernel sums them, adds the bias and applies relu into C. *)
+  let cp = Array.make (splits * m * n) 0.0 in
+  let _ = Interp.run ~arch partial ~args:[ ("A", a); ("B", b); ("Cp", cp) ] () in
   let _ =
-    Gpu_sim.Program.run ~arch program
-      ~args:[ ("A", a); ("B", b); ("C", c); ("bias", bias) ]
-      ()
+    Interp.run ~arch reduce ~args:[ ("Cp", cp); ("bias", bias); ("C", c) ] ()
   in
   let c_ref = Array.make (m * n) 0.0 in
   Ref.gemm ~m ~n ~k a b c_ref;

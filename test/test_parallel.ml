@@ -2,7 +2,7 @@
    across domain counts, for every kernel family, is the matrix of
    corpus.ml, run by test_equivalence):
 
-   - [Counters.merge] / [Counters.merge_list] sum every field,
+   - [Counters.merge] sums every field,
      including DRAM sectors, bank conflicts, and the instruction mix
      (broadcasts stay free, conflicts stay counted); [Counters.diff]
      names the first differing field of its set;
@@ -35,7 +35,7 @@ module Ref = Reference.Cpu_ref
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-(* ----- Counters.merge / merge_list ----- *)
+(* ----- Counters.merge ----- *)
 
 let test_counters_merge () =
   let a = C.create () in
@@ -86,11 +86,7 @@ let test_counters_merge () =
   Alcotest.(check (list (pair string int)))
     "merge: instr mix"
     [ ("ffma", 1); ("hmma", 1); ("lds", 4) ]
-    (C.instr_mix_alist dst);
-  (* merge_list must equal pairwise merging, in any grouping. *)
-  Corpus.check_counters C.All "merge_list [a; b]" dst (C.merge_list [ a; b ]);
-  Corpus.check_counters C.All "merge_list [b; a]" dst (C.merge_list [ b; a ]);
-  Corpus.check_counters C.All "merge_list []" (C.create ()) (C.merge_list [])
+    (C.instr_mix_alist dst)
 
 (* [Counters.diff] names the first differing field of its set, then the
    first differing instruction-mix entry. *)
@@ -373,7 +369,7 @@ let test_plan_cache () =
 let () =
   Alcotest.run "parallel"
     [ ( "counters"
-      , [ Alcotest.test_case "merge / merge_list" `Quick test_counters_merge
+      , [ Alcotest.test_case "merge" `Quick test_counters_merge
         ; Alcotest.test_case "diff" `Quick test_counters_diff
         ] )
     ; ( "domain_pool"

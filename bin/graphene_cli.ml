@@ -112,19 +112,14 @@ let lower_cmd =
         kernel
     in
     if plan_only then print_endline (Lower.Plan.to_string plan);
-    let launch, block, loop, thread =
-      Lower.Plan.tier_counts plan.Lower.Plan.body
-    in
     Format.printf
       "lowered %s for %s: %d op(s), %d atomic(s), %d env slot(s), %d \
-       alloc(s)@.view dependence tiers: %d launch, %d block, %d loop, %d \
-       thread@."
+       alloc(s)@."
       kernel.Graphene.Spec.name (Arch.name arch)
       (Lower.Plan.count_ops plan.Lower.Plan.body)
       (Lower.Plan.count_atomics plan.Lower.Plan.body)
       plan.Lower.Plan.nslots
-      (List.length plan.Lower.Plan.allocs)
-      launch block loop thread;
+      (List.length plan.Lower.Plan.allocs);
     let widened, moves = Lower.Plan.vec_counts plan.Lower.Plan.body in
     Format.printf "vectorize%s: %d of %d per-thread move(s) widened"
       (if plan.Lower.Plan.vec_enabled then "" else " (disabled)")
@@ -157,9 +152,9 @@ let lower_cmd =
     (Cmd.info "lower"
        ~doc:
          "Run the lowering pipeline (validate, swpipe, flatten, resolve, \
-          depcheck, vectorize, compile) on a kernel, printing the IR after \
-          every pass, the compiled execution plan — with each view's \
-          dependence tier, vector width and bank-conflict lint — its op \
+          vectorize, compile) on a kernel, printing the IR after every \
+          pass, the compiled execution plan — with each view's per-lane \
+          mark, vector width and bank-conflict lint — its op \
           and atomic counts, and the software-pipelining verdict (stages \
           chosen, shared bytes per stage, queue-depth bound, or the \
           per-loop refusal reasons). See docs/LOWERING.md.")

@@ -400,9 +400,9 @@ let run_tree ~arch ?profiler ?domains (k : Spec.kernel) ~args ?(scalars = []) ()
    Active sets are per-warp 32-bit masks ([Warp_mask]) instead of thread
    id lists; a divergent branch splits them into a preallocated arena
    with one taken/not-taken pair per nesting depth
-   ([Plan.divergence_depth] sizes it). The plan's depcheck tiers decide
-   how often a view is enumerated: a [Thread]-tier view once per lane,
-   any other once per call, by its first lane. Only collective member
+   ([Plan.divergence_depth] sizes it). The plan's per-lane marks decide
+   how often a view is enumerated: a per-lane view once per lane, any
+   other once per call, by its first lane. Only collective member
    groupings are cached across calls, reused while the slots their
    member function reads ([members_slots]) and the active mask are
    unchanged — equal inputs give equal groups. Address batches read
@@ -421,7 +421,6 @@ let run_tree ~arch ?profiler ?domains (k : Spec.kernel) ~args ?(scalars = []) ()
    per kernel family. *)
 
 module WM = Warp_mask
-module Depcheck = Lower.Depcheck
 
 let no_addr = Lower.Expr_comp.no_addr
 
@@ -436,9 +435,9 @@ let plan_env_fun (a : P.atomic) (env : int array) name =
     else x
   | None -> error "unbound variable %s (missing scalar argument?)" name
 
-(* Cached collective grouping: valid for the same dependence-slot
-   snapshot AND the same activity mask (the groups are a function of
-   both). *)
+(* Cached collective grouping: valid for the same snapshot of the
+   member function's block and loop slots AND the same activity mask
+   (the groups are a function of both). *)
 type gcache =
   { mutable gc_valid : bool
   ; gc_snap : int array
@@ -482,21 +481,21 @@ let snap_update snap slots (env : int array) =
     Array.unsafe_set snap i (Array.unsafe_get env (Array.unsafe_get slots i))
   done
 
-(* Seat one call's operands: a Thread-tier view is enumerated per lane,
-   any other once, by the first lane that needs it — its offsets cannot
+(* Seat one call's operands: a per-lane view is enumerated per lane, any
+   other once, by the first lane that needs it — its offsets cannot
    change while the call runs. *)
 let rec seat_operands views (ops : Semantics.operand array) i =
   match views with
   | [] -> ()
   | (pv : P.view) :: tl ->
     ops.(i).Semantics.addressing <-
-      (if pv.P.v_dep.Depcheck.d_tier = Depcheck.Thread then Semantics.By_thread
+      (if pv.P.v_per_lane then Semantics.By_thread
        else Semantics.Uniform_pending);
     seat_operands tl ops (i + 1)
 
 (* Build one range's executor state. An operand's offsets closure reads
-   the slot env as it stands, after setting the tid slot for a
-   Thread-tier view. *)
+   the slot env as it stands, after setting the tid slot for a per-lane
+   view. *)
 let make_pctx ctx (plan : P.t) (env : int array) =
   let nwords = WM.nwords ~cta_size:plan.P.cta_size in
   let n = plan.P.n_atomics in
@@ -510,7 +509,7 @@ let make_pctx ctx (plan : P.t) (env : int array) =
     (fun a ->
       let operand (pv : P.view) =
         let by_tid =
-          if pv.P.v_dep.Depcheck.d_tier = Depcheck.Thread then (fun tid ->
+          if pv.P.v_per_lane then (fun tid ->
             env.(Slots.tid_slot) <- tid;
             pv.P.v_offsets env)
           else fun _ -> pv.P.v_offsets env
@@ -559,7 +558,7 @@ let plan_record_batch bx w wmask ~store (pv : P.view) =
   | Ms.Global | Ms.Shared ->
     let env = bx.env and addrs = bx.addrs in
     let n = ref 0 in
-    if pv.P.v_dep.Depcheck.d_tier = Depcheck.Thread then begin
+    if pv.P.v_per_lane then begin
       let base = w * 32 in
       for l = 0 to 31 do
         if wmask land (1 lsl l) <> 0 then begin

@@ -32,7 +32,7 @@ type addressing =
 (** One view of the instruction, as the executor hands it to a body.
     The tree interpreter passes symbolic offsets by thread; the plan
     executor builds its operands once per domain and sets [addressing]
-    before each call from the view's dependence tier. *)
+    before each call from the view's per-lane mark. *)
 type operand =
   { view : Gpu_tensor.Tensor.t
   ; by_tid : int -> int array

@@ -1,4 +1,4 @@
-(* The lowering pipeline: Spec.kernel -> Plan.t, in seven named passes.
+(* The lowering pipeline: Spec.kernel -> Plan.t, in six named passes.
 
      validate   advisory structural diagnostics (shapes, allocations)
      swpipe     async staging loops rewritten to rotating-buffer
@@ -11,19 +11,17 @@
                 Atomic.find runs exactly once per leaf, never at
                 execution time; unmatched leaves become lazy failures
                 listing near-miss candidates
-     depcheck   slot-dependence footprint of every leaf quantity (view
-                offsets, member functions), classified launch / block /
-                loop / thread: the executor enumerates thread-tier views
-                per lane and the rest once per call
      vectorize  unit-stride contiguity / alignment proof per view:
                 eligible per-thread moves widen to v2/v4 vector atomics,
                 near-misses carry the refusal reason; fully-static
                 shared views get the bank-conflict lint
      compile    expressions, predicates, view offsets and thread
-                arrangements compiled to closures over the slot array,
-                carrying the depcheck tiers and vector widths as plan
-                annotations; the resulting op tree is what
-                Interp.run_plan executes
+                arrangements compiled to closures over the slot array;
+                each view is marked per-lane when it reads threadIdx.x,
+                each member function keys its group cache by the block
+                and loop slots it reads, and the vector widths ride
+                along; the resulting op tree is what Interp.run_plan
+                executes
 
    Atomic matching (Validate.check_atomics) is deliberately NOT part of
    the validate pass: the resolve pass subsumes it, and running it would
@@ -236,47 +234,7 @@ let resolve_pass arch =
              | None -> F_fail (unmatched_message arch s)))
         stmts)
 
-(* ----- pass 5: depcheck ----- *)
-
-(* Annotate every resolved leaf with the slot-dependence footprint of its
-   views and (for collectives) its member function. The recursion carries
-   the enclosing loop binders innermost-first; a shadowing binder simply
-   appears twice and the compile pass resolves each name to its innermost
-   slot, matching the closures it builds. *)
-let rec depcheck_stmts loops stmts = List.map (depcheck_stmt loops) stmts
-
-and depcheck_stmt loops = function
-  | F_leaf ((s : Spec.t), (instr : Atomic.instr)) ->
-    let per_thread = instr.Atomic.threads = 1 in
-    F_leaf (s, instr, Depcheck.of_leaf ~loops s ~per_thread)
-  | F_loop { var; lo; hi; step; body } ->
-    F_loop { var; lo; hi; step; body = depcheck_stmts (var :: loops) body }
-  | F_branch (p, then_, else_) ->
-    F_branch (p, depcheck_stmts loops then_, depcheck_stmts loops else_)
-  | F_barrier -> F_barrier
-  | F_commit_group -> F_commit_group
-  | F_wait_group n -> F_wait_group n
-  | F_frame (label, body) -> F_frame (label, depcheck_stmts loops body)
-  | F_fail msg -> F_fail msg
-
-let depcheck_pass =
-  Pass.make ~name:"depcheck"
-    ~doc:"slot-dependence tiers (launch/block/loop/thread) per leaf"
-    ~render:
-      (render_fstmts
-         (fun fmt ((_ : Spec.t), (i : Atomic.instr), (d : Depcheck.leaf)) ->
-           let deps ds =
-             String.concat ", " (List.map Depcheck.dep_to_string ds)
-           in
-           Format.fprintf fmt "%s: ins[%s] -> outs[%s]" i.Atomic.name
-             (deps d.Depcheck.ins) (deps d.Depcheck.outs);
-           match d.Depcheck.members with
-           | Some m ->
-             Format.fprintf fmt " members[%s]" (Depcheck.dep_to_string m)
-           | None -> ()))
-    (fun stmts -> List.map (depcheck_stmt []) stmts)
-
-(* ----- pass 6: vectorize ----- *)
+(* ----- pass 5: vectorize ----- *)
 
 (* Annotate every leaf with its widening verdict and bank lint. The
    recursion tracks whether the leaf sits under a thread-dependent branch
@@ -288,8 +246,8 @@ let rec vectorize_stmts ~enabled ~cta_size divergent stmts =
   List.map (vectorize_stmt ~enabled ~cta_size divergent) stmts
 
 and vectorize_stmt ~enabled ~cta_size divergent = function
-  | F_leaf ((s : Spec.t), (instr : Atomic.instr), (d : Depcheck.leaf)) ->
-    F_leaf (s, instr, d, Vectorize.of_leaf ~enabled ~divergent ~cta_size s instr)
+  | F_leaf ((s : Spec.t), (instr : Atomic.instr)) ->
+    F_leaf (s, instr, Vectorize.of_leaf ~enabled ~divergent ~cta_size s instr)
   | F_loop r ->
     F_loop
       { r with body = vectorize_stmts ~enabled ~cta_size divergent r.body }
@@ -311,66 +269,54 @@ let vectorize_pass ~enabled ~cta_size =
     ~doc:"unit-stride/alignment legality: widen moves to v2/v4, lint banks"
     ~render:
       (render_fstmts
-         (fun
-           fmt
-           ( (_ : Spec.t)
-           , (i : Atomic.instr)
-           , (_ : Depcheck.leaf)
-           , (v : Vectorize.leaf) )
-         -> Format.fprintf fmt "%s: %a" i.Atomic.name Vectorize.pp_leaf v))
+         (fun fmt ((_ : Spec.t), (i : Atomic.instr), (v : Vectorize.leaf)) ->
+           Format.fprintf fmt "%s: %a" i.Atomic.name Vectorize.pp_leaf v))
     (fun stmts -> vectorize_stmts ~enabled ~cta_size false stmts)
 
-(* ----- pass 7: compile ----- *)
+(* ----- pass 6: compile ----- *)
 
-(* Slots of a member function's snapshot variables, the key of the
-   executor's group cache. Every d_vars name is either a builtin
-   (blockIdx.x, in the base scope) or an enclosing loop binder
-   (prepended to the scope), so the innermost assoc hit is exactly the
-   slot the member closure was compiled against. *)
-let dep_slots st scope (d : Depcheck.dep) =
+(* The key of the executor's group cache: the slots of the blockIdx.x
+   and loop counters a member function reads — the only slots that
+   change during a launch besides threadIdx.x, which is the probe. Both
+   live in [scope] (blockIdx.x in the base scope, loop binders prepended
+   innermost first), so the assoc hit is exactly the slot the member
+   closure was compiled against; scalar parameters bind once per launch
+   and stay out. *)
+let members_slots scope (t : Tt.t) =
   Array.of_list
-    (List.map
+    (List.filter_map
        (fun v ->
          match List.assoc_opt v scope with
-         | Some slot -> slot
-         | None -> Slots.scalar_slot st v)
-       d.Depcheck.d_vars)
-
-let rec map3 f a b c =
-  match (a, b, c) with
-  | [], [], [] -> []
-  | x :: a, y :: b, z :: c -> f x y z :: map3 f a b c
-  | _ -> invalid_arg "Pipeline.map3"
+         | Some slot when slot <> Slots.tid_slot -> Some slot
+         | _ -> None)
+       (Tt.free_vars t))
 
 let compile_atomic st next_id scope (s : Spec.t) (instr : Atomic.instr)
-    (dleaf : Depcheck.leaf) (vleaf : Vectorize.leaf) : Plan.atomic =
+    (vleaf : Vectorize.leaf) : Plan.atomic =
   let cost = instr.Atomic.cost s in
   let width =
     match vleaf.Vectorize.l_verdict with
     | Vectorize.Widened w -> w
     | Vectorize.Refused _ -> 1
   in
-  let view (v : Ts.t) (d : Depcheck.dep) (vd : Vectorize.verdict) =
+  let view (v : Ts.t) (vd : Vectorize.verdict) =
     { Plan.v_ts = v
     ; v_mem = v.Ts.mem
     ; v_elt_bytes = Dt.size_bytes (Ts.dtype v)
     ; v_batch_bytes = Plan.batch_bytes v
     ; v_offsets = Expr_comp.compile_view st scope v
     ; v_addr0 = Expr_comp.compile_addr0 st scope v
-    ; v_dep = d
+    ; v_per_lane = List.mem "threadIdx.x" (Ts.free_vars v)
     ; v_vec = vd
     ; v_vec_width = width
     }
   in
-  (* Depcheck gives a collective, and only a collective, a members dep. *)
   let a_threads =
-    match dleaf.Depcheck.members with
-    | None -> Plan.Per_thread
-    | Some members_dep ->
+    if instr.Atomic.threads = 1 then Plan.Per_thread
+    else
       Plan.Collective
         { members = Expr_comp.compile_members st scope s.Spec.threads
-        ; members_dep
-        ; members_slots = dep_slots st scope members_dep
+        ; members_slots = members_slots scope s.Spec.threads
         }
   in
   let a_ld_rows =
@@ -403,8 +349,8 @@ let compile_atomic st next_id scope (s : Spec.t) (instr : Atomic.instr)
   ; a_label = s.Spec.label
   ; a_kind = Spec.kind_name s.Spec.kind
   ; a_threads
-  ; a_ins = map3 view s.Spec.ins dleaf.Depcheck.ins vleaf.Vectorize.l_ins
-  ; a_outs = map3 view s.Spec.outs dleaf.Depcheck.outs vleaf.Vectorize.l_outs
+  ; a_ins = List.map2 view s.Spec.ins vleaf.Vectorize.l_ins
+  ; a_outs = List.map2 view s.Spec.outs vleaf.Vectorize.l_outs
   ; a_ld_rows
   ; a_lookup
   ; a_vec = vleaf.Vectorize.l_verdict
@@ -417,8 +363,8 @@ let rec compile_ops st next_id scope stmts =
   List.map (compile_op st next_id scope) stmts
 
 and compile_op st next_id scope = function
-  | F_leaf (s, instr, dleaf, vleaf) ->
-    Plan.Atomic_exec (compile_atomic st next_id scope s instr dleaf vleaf)
+  | F_leaf (s, instr, vleaf) ->
+    Plan.Atomic_exec (compile_atomic st next_id scope s instr vleaf)
   | F_loop { var; lo; hi; step; body } ->
     let l_lo = Expr_comp.compile st scope lo
     and l_hi = Expr_comp.compile st scope hi
@@ -489,7 +435,7 @@ let compile_pass ~vec_enabled ~pipelining arch diagnostics =
 
 (* ----- driver ----- *)
 
-(* Passes 1-6, validate through vectorize: everything [lower] and
+(* Passes 1-5, validate through vectorize: everything [lower] and
    [analyze] share. Returns the kernel to compile (the swpipe-rewritten
    one when the pass pipelined), the validate diagnostics, the
    vectorized statements and the swpipe outcome. *)
@@ -504,10 +450,9 @@ let front_half ?log ~vectorize ~stages arch (k : Spec.kernel) =
   in
   let flat = Pass.apply ?log flatten_pass k in
   let resolved = Pass.apply ?log (resolve_pass arch) flat in
-  let annotated = Pass.apply ?log depcheck_pass resolved in
   let cta_size = Tt.size k.Spec.cta in
   let vectorized =
-    Pass.apply ?log (vectorize_pass ~enabled:vectorize ~cta_size) annotated
+    Pass.apply ?log (vectorize_pass ~enabled:vectorize ~cta_size) resolved
   in
   (k, diagnostics, vectorized, pipelining)
 
@@ -541,7 +486,7 @@ let analyze ?(vectorize = true) ?(stages = 1) arch (k : Spec.kernel) =
   ; widening =
       Plan.widening (fun visit ->
           iter_leaves
-            (fun (s, instr, _, (v : Vectorize.leaf)) ->
+            (fun (s, instr, (v : Vectorize.leaf)) ->
               visit instr s v.Vectorize.l_verdict)
             vectorized)
   }

@@ -1,16 +1,16 @@
-(** The lowering pipeline: [Spec.kernel] -> {!Plan.t} in seven named
-    passes (validate, swpipe, flatten, resolve, depcheck, vectorize,
-    compile). See docs/LOWERING.md.
+(** The lowering pipeline: [Spec.kernel] -> {!Plan.t} in six named
+    passes (validate, swpipe, flatten, resolve, vectorize, compile). See
+    docs/LOWERING.md.
 
-    The depcheck pass classifies every leaf quantity (view offset
-    enumerations, collective member functions) by slot-dependence tier
-    (launch / block / loop / thread — see {!Depcheck}); the vectorize
-    pass proves per-thread unit-stride contiguity and alignment from the
-    static stride/offset structure, widening eligible moves to width-2/4
-    vector atomics (see {!Vectorize}); the compile pass carries the
-    tiers, vector widths and bank-conflict lints onto the plan, where
-    the executor reads them to enumerate a view per lane or once per
-    call and to account its transactions.
+    The vectorize pass proves per-thread unit-stride contiguity and
+    alignment from the static stride/offset structure, widening eligible
+    moves to width-2/4 vector atomics (see {!Vectorize}); the compile
+    pass marks every view that reads [threadIdx.x] as per-lane, keys
+    every collective's member groups by the block and loop slots its
+    member function reads, and carries the vector widths and
+    bank-conflict lints onto the plan, where the executor reads them to
+    enumerate a view per lane or once per call and to account its
+    transactions.
 
     The pipeline promises to call [Atomic.find] exactly once per leaf
     spec: resolution happens at lowering, never during execution. An
@@ -37,7 +37,7 @@ val lower :
   Graphene.Spec.kernel ->
   Plan.t
 
-(** The verdicts of passes 1-6 that a schedule search scores from. *)
+(** The verdicts of passes 1-5 that a schedule search scores from. *)
 type analysis =
   { pipelining : Plan.pipelining
         (** the swpipe outcome, as {!lower}'s plan records it *)

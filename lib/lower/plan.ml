@@ -8,9 +8,9 @@
    keep the tree path's lazy error semantics). Every symbolic quantity is
    already compiled: loop bounds and predicates are closures, each leaf
    spec carries its matched instruction, precomputed cost, and compiled
-   per-view offset enumerations — each annotated with its slot-dependence
-   tier (see [Depcheck]) so the executor knows which views to enumerate
-   per lane and which once per call. *)
+   per-view offset enumerations — each marked per-lane when it reads
+   threadIdx.x, so the executor knows which views to enumerate per lane
+   and which once per call. *)
 
 module Ts = Gpu_tensor.Tensor
 module Ms = Gpu_tensor.Memspace
@@ -26,7 +26,9 @@ type view =
   ; v_addr0 : Expr_comp.cexpr
         (** first scalar offset only ([Expr_comp.no_addr] when empty) —
             what address batching needs, without the full enumeration *)
-  ; v_dep : Depcheck.dep  (** slot-dependence tier of [v_offsets] *)
+  ; v_per_lane : bool
+        (** [v_offsets] reads threadIdx.x: enumerated per lane, not once
+            per call *)
   ; v_vec : Vectorize.verdict
         (** this view's own widening capability (diagnostics) *)
   ; v_vec_width : int
@@ -42,9 +44,8 @@ type threads =
   | Collective of
       { members : int array -> int -> int array
             (** probing tid -> sorted member ids *)
-      ; members_dep : Depcheck.dep  (** slot-dependence tier of [members] *)
       ; members_slots : int array
-            (** slots of the member function's non-thread dynamic variables *)
+            (** slots of the blockIdx.x and loop counters [members] reads *)
       }
 
 type atomic =
@@ -195,23 +196,6 @@ let rec iter_atomics f ops =
       | Frame { f_body; _ } -> iter_atomics f f_body)
     ops
 
-(* Views per dependence tier: (launch, block, loop, thread). *)
-let tier_counts ops =
-  let launch = ref 0 and block = ref 0 and loop = ref 0 and thread = ref 0 in
-  let count (d : Depcheck.dep) =
-    match d.Depcheck.d_tier with
-    | Depcheck.Launch -> incr launch
-    | Depcheck.Block -> incr block
-    | Depcheck.Loop -> incr loop
-    | Depcheck.Thread -> incr thread
-  in
-  iter_atomics
-    (fun a ->
-      List.iter (fun v -> count v.v_dep) a.a_ins;
-      List.iter (fun v -> count v.v_dep) a.a_outs)
-    ops;
-  (!launch, !block, !loop, !thread)
-
 (* The atomics widening was conceivable for: moves one thread issues
    alone (a one-thread instruction is exactly a [Per_thread] atomic). *)
 let is_per_thread_move (instr : Atomic.instr) (s : Spec.t) =
@@ -306,9 +290,9 @@ let global_vec_width ops = (plan_widening ops).global_vec_width
 (* ----- pretty-printing ----- *)
 
 let pp_view fmt (v : view) =
-  Format.fprintf fmt "%%%s[%s,%dB/thread,%s%s]" v.v_ts.Ts.name
+  Format.fprintf fmt "%%%s[%s,%dB/thread%s%s]" v.v_ts.Ts.name
     (Ms.to_ir_string v.v_mem) v.v_batch_bytes
-    (Depcheck.tier_name v.v_dep.Depcheck.d_tier)
+    (if v.v_per_lane then ",per-lane" else "")
     (if v.v_vec_width > 1 then Printf.sprintf ",v%d" v.v_vec_width else "")
 
 let pp_atomic fmt (a : atomic) =
@@ -326,10 +310,6 @@ let pp_atomic fmt (a : atomic) =
        ~pp_sep:(fun f () -> Format.fprintf f ", ")
        pp_view)
     a.a_outs;
-  (match a.a_threads with
-  | Collective { members_dep = d; _ } ->
-    Format.fprintf fmt "  // members: %s" (Depcheck.tier_name d.Depcheck.d_tier)
-  | Per_thread -> ());
   (match a.a_vec with
   | Vectorize.Widened w ->
     Format.fprintf fmt "  // vec v%d%s" w
@@ -376,10 +356,6 @@ let pp fmt t =
     (Graphene.Arch.name t.arch);
   Format.fprintf fmt "// grid %d block(s) x cta %d thread(s), %d env slot(s)@,"
     t.grid_size t.cta_size t.nslots;
-  (let l, b, lp, th = tier_counts t.body in
-   Format.fprintf fmt
-     "// view dependence tiers: %d launch, %d block, %d loop, %d thread@," l b
-     lp th);
   (let widened, moves = vec_counts t.body in
    let flagged, cycles = bank_warning_counts t.body in
    Format.fprintf fmt "// vectorize%s: %d of %d per-thread move(s) widened"

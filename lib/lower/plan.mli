@@ -5,11 +5,11 @@
     already paired with its atomic instruction (resolved exactly once),
     costs and profiler attribution strings are precomputed, all symbolic
     index arithmetic is compiled to closures over one dense [int array]
-    environment (see {!Slots}, {!Expr_comp}), and every compiled view and
-    member function carries its slot-dependence tier (see {!Depcheck}):
-    the executor enumerates a thread-dependent view per lane and any
-    other view once per call, and reuses a collective's member groups
-    while their inputs are unchanged. [Interp.run_plan] executes the [body]
+    environment (see {!Slots}, {!Expr_comp}), every compiled view says
+    whether it reads [threadIdx.x], and every member function lists the
+    block and loop slots it reads: the executor enumerates a per-lane
+    view per lane and any other view once per call, and reuses a
+    collective's member groups while those slots are unchanged. [Interp.run_plan] executes the [body]
     op tree directly. A plan is an immutable value, so domains share one
     plan through the plan cache. *)
 
@@ -23,9 +23,9 @@ type view =
         (** first scalar offset ({!Expr_comp.no_addr} when the view
             enumerates no scalars) — all the address-batch accounting
             needs, without materializing the full enumeration *)
-  ; v_dep : Depcheck.dep
-        (** slot-dependence tier of [v_offsets]: a [Thread]-tier view is
-            enumerated per lane, any other once per call *)
+  ; v_per_lane : bool
+        (** [v_offsets] reads [threadIdx.x]: the view is enumerated per
+            lane, otherwise once per call *)
   ; v_vec : Vectorize.verdict
         (** this view's own widening capability (diagnostics) *)
   ; v_vec_width : int
@@ -40,9 +40,9 @@ type threads =
   | Collective of
       { members : int array -> int -> int array
             (** probing tid -> sorted member ids of its instance *)
-      ; members_dep : Depcheck.dep  (** dependence tier of [members] *)
       ; members_slots : int array
-            (** snapshot slots for the member-function group cache *)
+            (** the [blockIdx.x] and loop-counter slots [members] reads:
+                the key of the executor's group cache *)
       }
 
 type atomic =
@@ -148,9 +148,6 @@ val divergence_depth : op list -> int
 
 (** Apply [f] to every atomic in the op tree, in program order. *)
 val iter_atomics : (atomic -> unit) -> op list -> unit
-
-(** View counts per dependence tier: [(launch, block, loop, thread)]. *)
-val tier_counts : op list -> int * int * int * int
 
 (** [(widened, per-thread moves)] atomic counts. *)
 val vec_counts : op list -> int * int

@@ -4,7 +4,7 @@
    enumeration decomposes into aligned unit-stride groups of 2 or 4
    elements — the shape a 64/128-bit vector load/store (ld.global.v2/v4,
    ld.shared.v4, ...) needs. Everything is decided from the *static*
-   stride/offset structure the depcheck pass already relies on: the
+   stride/offset structure of the view: the
    flattened (dim, stride) leaves of the view's layout levels, the
    symbolic base offset, and the swizzle. No addresses are enumerated
    (except by the bank lint, which evaluates fully-static shared views).

@@ -77,38 +77,33 @@ let layernorm ~rows ~cols ?(eps = 1e-5) ~gamma ~beta x =
     done
   done
 
-let attention ~seq ~dh q k v out =
+let attention ?(causal = false) ~batch ~heads ~seq ~dh q k v =
+  let n = seq * dh in
+  let out = Array.make (batch * heads * n) 0.0 in
   let scores = Array.make (seq * seq) 0.0 in
   let scale = 1.0 /. Float.sqrt (float_of_int dh) in
-  for i = 0 to seq - 1 do
-    for j = 0 to seq - 1 do
-      let acc = ref 0.0 in
-      for d = 0 to dh - 1 do
-        acc := !acc +. (q.((i * dh) + d) *. k.((j * dh) + d))
-      done;
-      scores.((i * seq) + j) <- !acc *. scale
-    done
+  for bh = 0 to (batch * heads) - 1 do
+    let off = bh * n in
+    for i = 0 to seq - 1 do
+      for j = 0 to seq - 1 do
+        scores.((i * seq) + j) <-
+          (if causal && j > i then Float.neg_infinity
+           else begin
+             let acc = ref 0.0 in
+             for d = 0 to dh - 1 do
+               acc :=
+                 !acc +. (q.(off + (i * dh) + d) *. k.(off + (j * dh) + d))
+             done;
+             !acc *. scale
+           end)
+      done
+    done;
+    softmax_rows ~rows:seq ~cols:seq scores;
+    let o = Array.make n 0.0 in
+    gemm ~m:seq ~n:dh ~k:seq scores (Array.sub v off n) o;
+    Array.blit o 0 out off n
   done;
-  softmax_rows ~rows:seq ~cols:seq scores;
-  gemm ~m:seq ~n:dh ~k:seq scores v out
-
-let attention_causal ~seq ~dh q k v out =
-  let scores = Array.make (seq * seq) 0.0 in
-  let scale = 1.0 /. Float.sqrt (float_of_int dh) in
-  for i = 0 to seq - 1 do
-    for j = 0 to seq - 1 do
-      if j > i then scores.((i * seq) + j) <- Float.neg_infinity
-      else begin
-        let acc = ref 0.0 in
-        for d = 0 to dh - 1 do
-          acc := !acc +. (q.((i * dh) + d) *. k.((j * dh) + d))
-        done;
-        scores.((i * seq) + j) <- !acc *. scale
-      end
-    done
-  done;
-  softmax_rows ~rows:seq ~cols:seq scores;
-  gemm ~m:seq ~n:dh ~k:seq scores v out
+  out
 
 let mlp ~m ~width ~layers x w biases =
   let cur = ref (Array.copy x) in

@@ -29,18 +29,15 @@ val layernorm :
   rows:int -> cols:int -> ?eps:float -> gamma:float array ->
   beta:float array -> float array -> unit
 
-(** [attention ~seq ~dh q k v out] — single-head scaled-dot-product
-    attention: [out = softmax(q k^T / sqrt dh) v]; [q]/[k]/[v] are
-    seq-by-dh row-major ([k] is transposed internally). *)
+(** [attention ?causal ~batch ~heads ~seq ~dh q k v] — multi-head
+    scaled-dot-product attention, [softmax(q k^T / sqrt dh) v] per
+    (batch, head) slice; [q]/[k]/[v] and the returned output are
+    [batch * heads] consecutive seq-by-dh row-major slices ([k] is
+    transposed internally). [causal] (default [false]) masks out the key
+    positions after each query. *)
 val attention :
-  seq:int -> dh:int -> float array -> float array -> float array ->
-  float array -> unit
-
-(** Causal (autoregressive) variant of {!attention}: key positions after
-    the query are masked out. *)
-val attention_causal :
-  seq:int -> dh:int -> float array -> float array -> float array ->
-  float array -> unit
+  ?causal:bool -> batch:int -> heads:int -> seq:int -> dh:int ->
+  float array -> float array -> float array -> float array
 
 (** {1 Fused kernels} *)
 

@@ -36,6 +36,13 @@ let group_size t =
 
 let rank t = L.rank t.layout
 
+let free_vars t =
+  let of_layout l =
+    List.concat_map E.free_vars (T.flatten (L.dims l) @ T.flatten (L.strides l))
+  in
+  List.sort_uniq String.compare
+    (E.free_vars t.offset @ List.concat_map of_layout (levels t))
+
 let tile t tiler =
   let outer, inner = L.divide t.layout tiler in
   { t with layout = outer; elem = Group { layout = inner; elem = t.elem } }

@@ -47,6 +47,10 @@ val group_size : t -> int
 val rank : t -> int
 val levels : t -> Shape.Layout.t list
 
+(** Variables occurring in the arrangement (every level's layout and the
+    base offset), sorted and unique. *)
+val free_vars : t -> string list
+
 (** {1 Manipulation} *)
 
 (** [tile t tiler] — nest: outer arranges groups, element is the group. *)

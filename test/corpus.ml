@@ -108,9 +108,39 @@ let divergent_copy () =
     ((alloc :: round_trip)
     @ [ B.if_ (B.( <. ) tid (E.const 16)) round_trip ])
 
+(* One block of 64 threads loads In[tid] into a register; a 2-trip loop
+   w then broadcasts lane 5 with shfl.idx over warp (tid/32 + w) mod 2,
+   and each thread stores its register to Out[tid]. At w = 1 thread 0
+   probes warp 1 first, so the order of the shuffle's groups changes
+   with w while the active mask does not: a member-group cache keyed
+   without the loop slot would replay w = 0's order. (Selecting the warp
+   by w alone would make every thread probe one group, which
+   Static_analysis prices as two instances.) *)
+let rotating_shfl () =
+  let grid = Tt.grid "g" [ 1 ] in
+  let cta = Tt.linear "cta" 64 Tt.Thread in
+  let tid = B.thread_idx in
+  let thr = Tt.select cta [ tid ] in
+  let warps = Tt.tile cta [ L.tile_spec 32 ] in
+  let inp = Ts.create_rm "In" [ 64 ] Dt.FP32 Ms.Global in
+  let out = Ts.create_rm "Out" [ 64 ] Dt.FP32 Ms.Global in
+  let v, al_v = B.alloc_regs "v" (L.vector 1) Dt.FP32 in
+  B.kernel "rotating_shfl" ~grid ~cta ~params:[ inp; out ]
+    [ al_v
+    ; B.move ~threads:thr ~src:(Ts.select inp [ tid ]) ~dst:v ()
+    ; B.for_ "w" (E.const 2) (fun w ->
+          let warp = E.rem (E.add (E.div tid (E.const 32)) w) (E.const 2) in
+          [ B.shfl
+              ~threads:(Tt.select warps [ warp ])
+              (Spec.Idx (E.const 5)) ~src:v ~dst:v ()
+          ])
+    ; B.move ~threads:thr ~src:v ~dst:(Ts.select out [ tid ]) ()
+    ]
+
 (* The union of the families the executor suites compared. Each spans
-   at least two blocks, except divergent-copy (one block by
-   construction) and three pipelining families kept at one 64x64 block:
+   at least two blocks, except divergent-copy and rotating-shfl (one
+   block by construction) and three pipelining families kept at one
+   64x64 block:
    k=96, the transposed operands and GEMM+LayerNorm, whose every run
    repeats a tree walk per stage count and domain count. gemm-tc sm86 (2
    blocks of 4 k-tiles) and split-K's partial kernel (2 splits of 2
@@ -180,6 +210,7 @@ let families =
         Kernels.Gemm_layernorm.kernel sm86 ~m:64 ~k:128 ~width:64 ~bm:64
           ~wm:32 ~wn:32 ())
   ; family "divergent-copy" sm86 divergent_copy
+  ; family "rotating-shfl" sm86 rotating_shfl
   ]
 
 let find name = List.find (fun f -> f.name = name) families

@@ -36,9 +36,8 @@ let grid_blocks = 2
 (* One generated kernel: a CTA of 64 threads over 2 blocks, random
    nesting (depth <= 3) of tid-dependent branches and small loops, every
    leaf a per-thread store into the block's own slice of [A]. Loop
-   bodies sometimes store through a loop-dependent index, so the
-   executor's Loop-tier view caches are exercised alongside Thread-tier
-   ones. *)
+   bodies sometimes store through a loop-dependent index, so offsets
+   that change per iteration are exercised alongside per-lane ones. *)
 let gen_kernel rng idx =
   let grid = Tt.grid "g" [ grid_blocks ] in
   let cta = Tt.linear "cta" cta_size Tt.Thread in

@@ -81,18 +81,6 @@ let test_lstm_sm70 () =
 
 (* ----- FMHA ----- *)
 
-let fmha_ref ~batch ~heads ~seq ~dh q k v =
-  let rows = batch * heads * seq in
-  let out = Array.make (rows * dh) 0.0 in
-  for bh = 0 to (batch * heads) - 1 do
-    let off = bh * seq * dh in
-    let slice a = Array.sub a off (seq * dh) in
-    let o = Array.make (seq * dh) 0.0 in
-    Ref.attention ~seq ~dh (slice q) (slice k) (slice v) o;
-    Array.blit o 0 out off (seq * dh)
-  done;
-  out
-
 let run_fmha ~batch ~heads ~seq ~dh ~chunk ~nthreads ?(swizzle = true) () =
   let arch = Arch.SM86 in
   let kernel =
@@ -110,7 +98,7 @@ let run_fmha ~batch ~heads ~seq ~dh ~chunk ~nthreads ?(swizzle = true) () =
       ~args:[ ("Q", q); ("K", k); ("V", v); ("O", o) ]
       ()
   in
-  (o, fmha_ref ~batch ~heads ~seq ~dh q k v, counters)
+  (o, Ref.attention ~batch ~heads ~seq ~dh q k v, counters)
 
 let test_fmha_tiny () =
   let o, o_ref, _ = run_fmha ~batch:1 ~heads:1 ~seq:32 ~dh:16 ~chunk:16 ~nthreads:64 () in
@@ -141,7 +129,7 @@ let test_fmha_sm70 () =
   let _ =
     Interp.run ~arch kernel ~args:[ ("Q", q); ("K", k); ("V", v); ("O", o) ] ()
   in
-  let o_ref = fmha_ref ~batch ~heads ~seq ~dh q k v in
+  let o_ref = Ref.attention ~batch ~heads ~seq ~dh q k v in
   check_bool "matches reference" true
     (Ref.allclose ~rtol:4e-2 ~atol:2e-2 o o_ref)
 
@@ -161,8 +149,7 @@ let test_fmha_causal () =
       ~args:[ ("Q", q); ("K", k); ("V", v); ("O", o) ]
       ()
   in
-  let o_ref = Array.make (rows * dh) 0.0 in
-  Ref.attention_causal ~seq ~dh q k v o_ref;
+  let o_ref = Ref.attention ~causal:true ~batch ~heads ~seq ~dh q k v in
   check_bool "matches causal reference" true
     (Ref.allclose ~rtol:4e-2 ~atol:2e-2 o o_ref);
   (* Row 0 attends only to itself: O[0] must equal V[0] (up to fp16). *)

@@ -6,8 +6,8 @@
      never at execution time;
    - compiled view offsets match the symbolic enumeration;
    - lazy error semantics (unmatched leaves, unbound scalars);
-   - the seven passes run in order (validate, flatten, resolve,
-     depcheck, vectorize, swpipe, compile);
+   - the six passes run in order (validate, swpipe, flatten, resolve,
+     vectorize, compile);
    - Counters.add_instr_n, the registry's instruction classes and the
      class-driven issue accounting of Counters.book_issue. *)
 
@@ -179,7 +179,7 @@ let test_unbound_scalar_message () =
           false
         with Interp.Exec_error msg' -> String.equal msg msg'))
 
-(* The log sees the input listing, then each of the seven passes once,
+(* The log sees the input listing, then each of the six passes once,
    in order — with and without software pipelining. swpipe rewrites the
    kernel before flatten, so at 3 stages the flatten render is already
    the pipelined loop, waiting with two groups in flight. *)
@@ -196,8 +196,8 @@ let test_pass_order () =
       let plan = Pipeline.lower ~log ~stages Arch.SM86 kernel in
       Alcotest.(check (list string))
         (Printf.sprintf "passes at stages %d" stages)
-        [ "input"; "validate"; "swpipe"; "flatten"; "resolve"; "depcheck"
-        ; "vectorize"; "compile"
+        [ "input"; "validate"; "swpipe"; "flatten"; "resolve"; "vectorize"
+        ; "compile"
         ]
         (List.rev_map fst !seen);
       check_int
@@ -306,7 +306,7 @@ let () =
             test_unmatched_leaf_is_lazy
         ; Alcotest.test_case "unbound scalar message" `Quick
             test_unbound_scalar_message
-        ; Alcotest.test_case "seven passes in order" `Quick test_pass_order
+        ; Alcotest.test_case "six passes in order" `Quick test_pass_order
         ] )
     ; ( "satellites",
         [ Alcotest.test_case "add_instr_n" `Quick test_add_instr_n

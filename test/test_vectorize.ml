@@ -218,6 +218,7 @@ let pinned_verdicts =
   ; ("softmax", "14a3421dd02ea66a6aaeeab6a1e3a5d2", 37)
   ; ("gemm+layernorm", "81ac08d6ead477574f7f4c5f99e0512c", 34)
   ; ("divergent-copy", "e82c1ce22e64f87ef2ccb88ee234bbe5", 4)
+  ; ("rotating-shfl", "3e2f33f4c5c23a744b76f1ee82130c59", 3)
   ]
 
 let test_verdict_pin () =

@@ -39,7 +39,7 @@ let global_sectors ~bytes addresses ~len =
   let bound = ref 0 in
   for i = 0 to len - 1 do
     let a = addresses.(i) in
-    bound := !bound + max 0 (((a + bytes - 1) / 32) - (a / 32) + 1)
+    bound := !bound + Int.max 0 (((a + bytes - 1) / 32) - (a / 32) + 1)
   done;
   (* Keep the load factor at most 1/2. *)
   if 2 * !bound > Array.length set.keys then begin
@@ -100,10 +100,10 @@ let grow_banks t =
 let shared_conflicts ~bytes addresses ~len =
   let t = Domain.DLS.get bank_words in
   let counts = t.counts in
-  let per_phase = max 1 (128 / max 1 bytes) in
+  let per_phase = Int.max 1 (128 / Int.max 1 bytes) in
   let acc = ref 0 and i = ref 0 in
   while !i < len do
-    let stop = min len (!i + per_phase) in
+    let stop = Int.min len (!i + per_phase) in
     Array.fill counts 0 32 0;
     for j = !i to stop - 1 do
       let a = addresses.(j) in
@@ -127,7 +127,7 @@ let shared_conflicts ~bytes addresses ~len =
     done;
     let degree = ref 1 in
     for b = 0 to 31 do
-      degree := max !degree (Array.unsafe_get counts b)
+      degree := Int.max !degree (Array.unsafe_get counts b)
     done;
     acc := !acc + (!degree - 1);
     i := stop

@@ -15,8 +15,11 @@ type case =
   }
 
 (* The bf16 tensor-core GEMM is not a CLI preset; it is here for the
-   bf16 rounding path. *)
+   bf16 rounding path. The serving engine's FFN kernel is the one case
+   that takes scalars: a 29x48x24 request on its covering 32x64 launch
+   grid, whose partial tiles the guards against [M] and [N] cut. *)
 let bf16_gemm = "gemm-tc-bf16"
+let ffn = "ffn-29x48x24"
 
 let build arch name =
   if String.equal name bf16_gemm then begin
@@ -30,14 +33,25 @@ let build arch name =
     , [ ("A", Reference.Cpu_ref.random_fp16 ~seed:1 (m * k))
       ; ("B", Reference.Cpu_ref.random_fp16 ~seed:2 (k * n))
       ; ("C", Array.make (m * n) 0.0)
-      ] )
+      ]
+    , [] )
+  end
+  else if String.equal name ffn then begin
+    let m = 29 and n = 48 and k = 24 in
+    ( Kernels.Gemm.naive_parametric ~launch_m:32 ~launch_n:64 ~bm:16 ~bn:16
+        ~tm:4 ~tn:4 ()
+    , [ ("A", Reference.Cpu_ref.random_fp16 ~seed:1 (m * k))
+      ; ("B", Reference.Cpu_ref.random_fp16 ~seed:2 (k * n))
+      ; ("C", Array.make (m * n) 0.0)
+      ]
+    , [ ("M", m); ("N", n); ("K", k) ] )
   end
   else
     let kernel, args, _verify = Presets.build arch name in
-    (kernel, args)
+    (kernel, args, [])
 
 let pipelines arch name =
-  let kernel, _ = build arch name in
+  let kernel, _, _ = build arch name in
   (Lower.Pipeline.lower ~stages:3 arch kernel).Plan.pipelining.Plan.pl_stages
   > 1
 
@@ -55,7 +69,9 @@ let cases () =
           Presets.names)
       Arch.all
   in
-  presets @ [ { name = bf16_gemm; arch = Arch.SM86; stages = 1 } ]
+  presets
+  @ [ { name = bf16_gemm; arch = Arch.SM86; stages = 1 } ]
+  @ List.map (fun arch -> { name = ffn; arch; stages = 1 }) Arch.all
 
 let buffers_digest args =
   let b = Buffer.create 4096 in
@@ -68,14 +84,14 @@ let buffers_digest args =
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 let line ~engine c =
-  let kernel, args = build c.arch c.name in
+  let kernel, args, scalars = build c.arch c.name in
   let plan = Lower.Pipeline.lower ~stages:c.stages c.arch kernel in
   let run () =
     match engine with
-    | `Plan -> Gpu_sim.Interp.run_plan ~domains:1 plan ~args ()
+    | `Plan -> Gpu_sim.Interp.run_plan ~domains:1 plan ~args ~scalars ()
     | `Tree ->
       Gpu_sim.Interp.run_tree ~arch:plan.Plan.arch ~domains:1 plan.Plan.kernel
-        ~args ()
+        ~args ~scalars ()
   in
   let field (name, v) = Printf.sprintf "%s=%d" name v in
   let results =

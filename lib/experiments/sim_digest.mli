@@ -6,14 +6,17 @@
     against that file. *)
 
 type case =
-  { name : string  (** a {!Presets} name, or ["gemm-tc-bf16"] *)
+  { name : string
+        (** a {!Presets} name, ["gemm-tc-bf16"] or ["ffn-29x48x24"] *)
   ; arch : Graphene.Arch.t
   ; stages : int  (** the swpipe depth requested at lowering *)
   }
 
 (** Every {!Presets} kernel on both architectures at one stage, three
-    stages wherever the swpipe pass pipelines it, and a bf16
-    tensor-core GEMM on sm86. *)
+    stages wherever the swpipe pass pipelines it, a bf16 tensor-core
+    GEMM on sm86, and the serving engine's FFN kernel (the parametric
+    naive GEMM, a 29x48x24 request on its 32x64 launch grid, with its
+    scalars bound) on both architectures. *)
 val cases : unit -> case list
 
 (** [line ~engine c] — run case [c] on its seeded inputs and format

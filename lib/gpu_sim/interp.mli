@@ -8,7 +8,9 @@
       resolution, cost lookup and index arithmetic all happened once,
       at lowering, and the plan's op tree is run by a recursive match
       with preallocated scratch (a divergence-mask arena sized by
-      {!Lower.Plan.divergence_depth}) — no per-op allocation.
+      {!Lower.Plan.divergence_depth}) — no per-op allocation. The
+      thread-dependent parts of per-lane offsets and divergent guards
+      are tabulated once per launch ([Lower.Expr_comp.lanes]).
     - {!run_tree} walks a kernel's decomposition directly, re-resolving
       atomic specs and re-evaluating symbolic index arithmetic at every
       step. It is the executable reference semantics — the one oracle

@@ -294,7 +294,7 @@ let exec_binary mem ev op ~tids ~lanes ins outs =
     let vb = scratch s_vb lb in
     Memory.load b.view (Memory.lane_buf mem bb ~tid) bo vb ~pos:0;
     (* Size-1 operands broadcast. *)
-    let n = max la lb in
+    let n = Int.max la lb in
     let vd = scratch s_out n in
     for i = 0 to n - 1 do
       Array.unsafe_set vd i (Op.eval_binary op (elem va la i) (elem vb lb i))

@@ -7,7 +7,14 @@
    every loop iteration. Here each expression is compiled once: constants
    fold away, layout levels whose dims/strides are literal get their index
    tables precomputed, and only genuinely variable terms (a loop-dependent
-   view offset, say) survive as arithmetic on the slot array. *)
+   view offset, say) survive as arithmetic on the slot array.
+
+   An expression the executor evaluates per lane (a per-lane view's
+   offset, a side of a divergent guard's comparison) is also split into
+   a uniform part, which never reads threadIdx.x, and a lane part, which
+   reads only threadIdx.x and scalar parameters: the lane part is then
+   tabulated once per launch, and each call adds the uniform part, which
+   it evaluates once, to a table entry. *)
 
 module E = Shape.Int_expr
 module L = Shape.Layout
@@ -59,22 +66,33 @@ let rec compile st scope (e : E.t) : cexpr =
       fun env -> ca env mod cb env
     | E.Min (a, b) ->
       let ca = compile st scope a and cb = compile st scope b in
-      fun env -> min (ca env) (cb env)
+      fun env -> Int.min (ca env) (cb env)
     | E.Max (a, b) ->
       let ca = compile st scope a and cb = compile st scope b in
-      fun env -> max (ca env) (cb env))
+      fun env -> Int.max (ca env) (cb env))
+
+let holds (r : Spec.rel) (x : int) (y : int) =
+  match r with
+  | Spec.Lt -> x < y
+  | Spec.Le -> x <= y
+  | Spec.Eq -> x = y
+  | Spec.Ne -> x <> y
+  | Spec.Gt -> x > y
+  | Spec.Ge -> x >= y
+
+let cmp_closure (r : Spec.rel) (ca : cexpr) (cb : cexpr) : int array -> bool =
+  match r with
+  | Spec.Lt -> fun env -> ca env < cb env
+  | Spec.Le -> fun env -> ca env <= cb env
+  | Spec.Eq -> fun env -> ca env = cb env
+  | Spec.Ne -> fun env -> ca env <> cb env
+  | Spec.Gt -> fun env -> ca env > cb env
+  | Spec.Ge -> fun env -> ca env >= cb env
 
 let rec compile_pred st scope (p : Spec.pred) : int array -> bool =
   match p with
-  | Spec.Cmp (r, a, b) -> (
-    let ca = compile st scope a and cb = compile st scope b in
-    match r with
-    | Spec.Lt -> fun env -> ca env < cb env
-    | Spec.Le -> fun env -> ca env <= cb env
-    | Spec.Eq -> fun env -> ca env = cb env
-    | Spec.Ne -> fun env -> ca env <> cb env
-    | Spec.Gt -> fun env -> ca env > cb env
-    | Spec.Ge -> fun env -> ca env >= cb env)
+  | Spec.Cmp (r, a, b) ->
+    cmp_closure r (compile st scope a) (compile st scope b)
   | Spec.And (a, b) ->
     let pa = compile_pred st scope a and pb = compile_pred st scope b in
     fun env -> pa env && pb env
@@ -84,6 +102,70 @@ let rec compile_pred st scope (p : Spec.pred) : int array -> bool =
   | Spec.Not p ->
     let pp = compile_pred st scope p in
     fun env -> not (pp env)
+
+(* ----- lane splits -----
+
+   [split_expr scope e] is [Some (u, l)] with [e = u + l] for every
+   binding, where [u] never reads threadIdx.x and [l] reads only
+   threadIdx.x and scalar parameters (variables outside [scope]). The
+   split distributes only [+], [-] and products with a factor that
+   reads no threadIdx.x, loop counter or blockIdx.x; those are ring
+   operations, so the split is exact in machine integers, overflow
+   included. [/], [mod], [min] and [max] stay whole on one side, and a
+   term that mixes threadIdx.x with a loop counter or blockIdx.x inside
+   one of them does not split ([None]). Terms are built with the raw
+   constructors: the smart ones simplify on the assumption that every
+   value is non-negative, which a uniform or lane part need not be.
+
+   A faulting subterm of [e] (an unbound scalar, a division by zero)
+   lands verbatim in [u] or in [l], so the parts fault exactly when [e]
+   does, and [u] evaluates its faulting subterms in [e]'s order. *)
+let split_expr scope (e : E.t) =
+  let is_tid v = String.equal v "threadIdx.x" in
+  let scalar v = not (List.mem_assoc v scope) in
+  let zero = E.Const 0 in
+  let add a b =
+    match (a, b) with E.Const 0, x | x, E.Const 0 -> x | _ -> E.Add (a, b)
+  in
+  let sub a b = match b with E.Const 0 -> a | _ -> E.Sub (a, b) in
+  (* A zero part drops its product, but a zero factor keeps the other
+     part, whose faults the product must keep. *)
+  let mul part c =
+    match part with E.Const 0 -> zero | _ -> E.Mul (part, c)
+  in
+  let mul_left c part =
+    match part with E.Const 0 -> zero | _ -> E.Mul (c, part)
+  in
+  let both f a b =
+    match (a, b) with
+    | Some (ua, la), Some (ub, lb) -> Some (f ua ub, f la lb)
+    | _ -> None
+  in
+  let rec go e =
+    let vs = E.free_vars e in
+    if not (List.exists is_tid vs) then Some (e, zero)
+    else if List.for_all (fun v -> is_tid v || scalar v) vs then Some (zero, e)
+    else
+      match e with
+      | E.Add (a, b) -> both add (go a) (go b)
+      | E.Sub (a, b) -> both sub (go a) (go b)
+      | E.Mul (a, c) when List.for_all scalar (E.free_vars c) ->
+        Option.map (fun (u, l) -> (mul u c, mul l c)) (go a)
+      | E.Mul (c, a) when List.for_all scalar (E.free_vars c) ->
+        Option.map (fun (u, l) -> (mul_left c u, mul_left c l)) (go a)
+      | _ -> None
+  in
+  go e
+
+type lanes =
+  { uniform : cexpr
+  ; lane : cexpr
+  }
+
+let compile_lanes st scope e =
+  Option.map
+    (fun (u, l) -> { uniform = compile st scope u; lane = compile st scope l })
+    (split_expr scope e)
 
 (* ----- layout levels ----- *)
 
@@ -135,37 +217,53 @@ let eval_level env = function
       (Array.map (fun c -> c env) ds)
       (Array.map (fun c -> c env) ss)
 
-let compile_view st scope (v : Ts.t) : cview =
-  if Ts.free_vars v = [] then begin
-    (* Fully concrete: one symbolic evaluation at lowering time. *)
-    let offs = Ts.scalar_offsets ~env:(fun _ -> 0) v in
-    fun _ -> offs
-  end
+(* The relative offsets of a view whose levels are all literal. *)
+let static_rel levels =
+  if List.for_all (function Static _ -> true | Dyn _ -> false) levels then
+    Some
+      (combine_levels
+         (List.map (function Static a -> a | Dyn _ -> assert false) levels))
+  else None
+
+(* ----- views ----- *)
+
+let no_addr = min_int
+
+type view_lanes =
+  { base : lanes
+  ; rel : int array
+  ; swizzle : Shape.Swizzle.t
+  }
+
+(* The offsets of a literal-layout view at base offset [base]. *)
+let offsets_at sw rel base =
+  let n = Array.length rel in
+  if n = 1 then [| Shape.Swizzle.apply sw (base + Array.unsafe_get rel 0) |]
   else begin
-    let offset_c = compile st scope v.Ts.offset in
-    let levels = List.map (compile_level st scope) (Ts.levels v) in
-    let sw = v.Ts.swizzle in
-    if List.for_all (function Static _ -> true | Dyn _ -> false) levels then begin
-      (* Constant layouts under a variable base offset — the common case
-         (a tile view selected by loop counters / thread index). *)
-      let rel =
-        combine_levels
-          (List.map (function Static a -> a | Dyn _ -> assert false) levels)
-      in
-      let n = Array.length rel in
-      fun env ->
-        let base = offset_c env in
-        Array.init n (fun i ->
-            Shape.Swizzle.apply sw (base + Array.unsafe_get rel i))
-    end
-    else
-      fun env ->
-        let base = offset_c env in
-        let combined = combine_levels (List.map (eval_level env) levels) in
-        Array.map (fun r -> Shape.Swizzle.apply sw (base + r)) combined
+    let out = Array.make n 0 in
+    for i = 0 to n - 1 do
+      Array.unsafe_set out i
+        (Shape.Swizzle.apply sw (base + Array.unsafe_get rel i))
+    done;
+    out
   end
 
-(* ----- first-address compilation -----
+let view_offsets vl base = offsets_at vl.swizzle vl.rel base
+
+(* A lane-split view enumerates at least one scalar, and the first
+   relative offset of a literal layout is the one at all-zero
+   coordinates, 0. *)
+let view_addr0 vl base = Shape.Swizzle.apply vl.swizzle base
+
+type view_code =
+  { offsets : cview
+  ; addr0 : cexpr
+  ; per_lane : bool
+  ; lanes : view_lanes option
+  }
+
+(* One view, compiled once: its offsets and its first scalar offset
+   share one offset closure and one level table.
 
    The executor's address-batch accounting only ever reads the FIRST
    scalar offset of a view ([offs.(0) * elt_bytes]); materializing the
@@ -174,45 +272,124 @@ let compile_view st scope (v : Ts.t) : cview =
    all-zero coordinates, i.e. 0 — so the first scalar offset is just the
    swizzled base offset, and only emptiness (a zero-extent level) needs
    the level tables at all. *)
-
-let no_addr = min_int
-
-let compile_addr0 st scope (v : Ts.t) : cexpr =
-  if Ts.free_vars v = [] then begin
+let compile_view_code ~split st scope (v : Ts.t) =
+  match Ts.free_vars v with
+  | [] ->
+    (* Fully concrete: one symbolic evaluation at lowering time. *)
     let offs = Ts.scalar_offsets ~env:(fun _ -> 0) v in
-    if Array.length offs = 0 then fun _ -> no_addr
-    else
-      let a = offs.(0) in
-      fun _ -> a
-  end
-  else begin
+    let a0 = if Array.length offs = 0 then no_addr else offs.(0) in
+    { offsets = (fun _ -> offs)
+    ; addr0 = (fun _ -> a0)
+    ; per_lane = false
+    ; lanes = None
+    }
+  | fv -> (
     let offset_c = compile st scope v.Ts.offset in
     let levels = List.map (compile_level st scope) (Ts.levels v) in
     let sw = v.Ts.swizzle in
-    let static_empty =
-      List.exists
-        (function Static a -> Array.length a = 0 | Dyn _ -> false)
-        levels
+    let per_lane = List.mem "threadIdx.x" fv in
+    match static_rel levels with
+    | Some rel ->
+      (* Literal layouts under a variable base offset — the common case
+         (a tile view selected by loop counters / thread index). *)
+      let nonempty = Array.length rel > 0 in
+      { offsets = (fun env -> offsets_at sw rel (offset_c env))
+      ; addr0 =
+          (if nonempty then fun env -> Shape.Swizzle.apply sw (offset_c env)
+           else fun _ -> no_addr)
+      ; per_lane
+      ; lanes =
+          (if split && per_lane && nonempty then
+             Option.map
+               (fun base -> { base; rel; swizzle = sw })
+               (compile_lanes st scope v.Ts.offset)
+           else None)
+      }
+    | None ->
+      let static_empty =
+        List.exists
+          (function Static a -> Array.length a = 0 | Dyn _ -> false)
+          levels
+      in
+      let dyn_dims =
+        List.filter_map
+          (function Static _ -> None | Dyn (ds, _) -> Some ds)
+          levels
+      in
+      let empty env =
+        List.exists
+          (fun ds ->
+            let p = ref 1 in
+            Array.iter (fun c -> p := !p * c env) ds;
+            !p = 0)
+          dyn_dims
+      in
+      { offsets =
+          (fun env ->
+            let base = offset_c env in
+            let combined = combine_levels (List.map (eval_level env) levels) in
+            Array.map (fun r -> Shape.Swizzle.apply sw (base + r)) combined)
+      ; addr0 =
+          (if static_empty then fun _ -> no_addr
+           else fun env ->
+             if empty env then no_addr
+             else Shape.Swizzle.apply sw (offset_c env))
+      ; per_lane
+      ; lanes = None
+      })
+
+let compile_view st scope v = compile_view_code ~split:true st scope v
+let compile_addr0 st scope v = (compile_view_code ~split:false st scope v).addr0
+
+(* ----- divergent guards ----- *)
+
+type side =
+  { whole : cexpr
+  ; side_lanes : lanes option
+  }
+
+type guard =
+  | Cmp of Spec.rel * side * side
+  | And of guard * guard
+  | Or of guard * guard
+  | Not of guard
+
+(* Sides compile left to right, as in [compile_pred], so an undeclared
+   scalar gets the same slot either way. *)
+let rec compile_guard st scope (p : Spec.pred) =
+  match p with
+  | Spec.Cmp (r, a, b) ->
+    let side e =
+      let whole = compile st scope e in
+      { whole; side_lanes = compile_lanes st scope e }
     in
-    let dyn_dims =
-      List.filter_map
-        (function Static _ -> None | Dyn (ds, _) -> Some ds)
-        levels
-    in
-    if static_empty then fun _ -> no_addr
-    else if dyn_dims = [] then fun env -> Shape.Swizzle.apply sw (offset_c env)
-    else
-      fun env ->
-        let empty =
-          List.exists
-            (fun ds ->
-              let p = ref 1 in
-              Array.iter (fun c -> p := !p * c env) ds;
-              !p = 0)
-            dyn_dims
-        in
-        if empty then no_addr else Shape.Swizzle.apply sw (offset_c env)
-  end
+    let sa = side a in
+    Cmp (r, sa, side b)
+  | Spec.And (a, b) ->
+    let ga = compile_guard st scope a in
+    And (ga, compile_guard st scope b)
+  | Spec.Or (a, b) ->
+    let ga = compile_guard st scope a in
+    Or (ga, compile_guard st scope b)
+  | Spec.Not p -> Not (compile_guard st scope p)
+
+(* The guard's per-lane closure, built from the sides' whole closures. *)
+let rec guard_cond = function
+  | Cmp (r, a, b) -> cmp_closure r a.whole b.whole
+  | And (a, b) ->
+    let pa = guard_cond a and pb = guard_cond b in
+    fun env -> pa env && pb env
+  | Or (a, b) ->
+    let pa = guard_cond a and pb = guard_cond b in
+    fun env -> pa env || pb env
+  | Not p ->
+    let pp = guard_cond p in
+    fun env -> not (pp env)
+
+let rec guard_split = function
+  | Cmp (_, a, b) -> Option.is_some a.side_lanes && Option.is_some b.side_lanes
+  | And (a, b) | Or (a, b) -> guard_split a && guard_split b
+  | Not p -> guard_split p
 
 (* Member ids of a thread arrangement, compiled: the [Thread_tensor]
    cartesian enumeration plus the final sort. The closure binds

@@ -6,7 +6,13 @@
     Compiled closures are observationally equivalent to the interpreter's
     symbolic evaluation: same values, same flooring division, and the same
     lazy faults (an unbound scalar raises {!Slots.Unbound_var} only when
-    the closure actually runs). *)
+    the closure actually runs).
+
+    An expression the executor evaluates per lane — a per-lane view's
+    offset, each side of a divergent guard's comparisons — is also split
+    into two exact parts ({!lanes}): a uniform part that never reads
+    [threadIdx.x], and a lane part that reads only [threadIdx.x] and
+    scalar parameters, which the executor tabulates once per launch. *)
 
 type cexpr = int array -> int
 type cview = int array -> int array
@@ -19,23 +25,108 @@ val compile : Slots.t -> (string * int) list -> Shape.Int_expr.t -> cexpr
 val compile_pred :
   Slots.t -> (string * int) list -> Graphene.Spec.pred -> int array -> bool
 
-(** Compiled [Tensor.scalar_offsets]: physical element offsets of every
-    scalar of the view, innermost level fastest, swizzle applied. Fully
-    concrete views are enumerated once at compile time; constant layouts
-    under a variable base offset reduce to one addition per scalar. *)
-val compile_view : Slots.t -> (string * int) list -> Gpu_tensor.Tensor.t -> cview
+(** [holds r x y] — the comparison [r] on two integers. *)
+val holds : Graphene.Spec.rel -> int -> int -> bool
 
-(** Sentinel returned by a {!compile_addr0} closure when the view
-    enumerates no scalars (the executor skips such views in address
-    batches, exactly as the full enumeration path does). *)
+(** {1 Lane splits} *)
+
+(** [e env = uniform env + lane env] for every environment, exactly in
+    machine integers, overflow included: the split distributes only
+    [+], [-] and products with a factor that reads only constants and
+    scalar parameters; [/], [mod], [min] and [max] stay whole on one
+    side. [uniform] never reads [threadIdx.x]; [lane] reads only
+    [threadIdx.x] and scalar parameters. Every faulting subterm of [e]
+    lands whole in one part, so the parts fault exactly when [e] does,
+    and [uniform] meets its faulting subterms in [e]'s order. *)
+type lanes =
+  { uniform : cexpr
+  ; lane : cexpr
+  }
+
+(** [None] when [e] mixes [threadIdx.x] with a loop counter or
+    [blockIdx.x] under [/], [mod], [min], [max] or a product of two
+    such terms. *)
+val compile_lanes :
+  Slots.t -> (string * int) list -> Shape.Int_expr.t -> lanes option
+
+(** {1 Views} *)
+
+(** Sentinel first offset of a view that enumerates no scalars (the
+    executor skips such views in address batches, exactly as the full
+    enumeration path does). *)
 val no_addr : int
 
-(** Compiled first scalar offset of a view — the value
-    [(compile_view ... v) env .(0)] would produce, or {!no_addr} when the
-    enumeration is empty — without materializing the enumeration. The
-    address-batch accounting only ever reads element 0. *)
+(** A per-lane view with literal layout levels whose offset splits: its
+    offsets at base offset [b] are {!view_offsets} [b], where [b] is the
+    split offset's [uniform + lane]. *)
+type view_lanes =
+  { base : lanes
+  ; rel : int array  (** relative offsets, innermost level fastest *)
+  ; swizzle : Shape.Swizzle.t
+  }
+
+(** Offsets of a lane-split view at a base offset: a one-scalar view
+    allocates one [[| x |]]. *)
+val view_offsets : view_lanes -> int -> int array
+
+(** First offset of a lane-split view at a base offset (a lane-split view
+    enumerates at least one scalar). *)
+val view_addr0 : view_lanes -> int -> int
+
+(** One view, compiled once: one free-variable scan, one level table and
+    one offset closure shared by [offsets] and [addr0]. *)
+type view_code =
+  { offsets : cview
+        (** compiled [Tensor.scalar_offsets]: physical element offsets of
+            every scalar, innermost level fastest, swizzle applied. Fully
+            concrete views are enumerated once at compile time;
+            literal layouts under a variable base offset reduce to one
+            addition per scalar. *)
+  ; addr0 : cexpr
+        (** the first scalar offset, [offsets env .(0)], or {!no_addr}
+            when the enumeration is empty — without materializing the
+            enumeration. The address-batch accounting only reads
+            element 0. *)
+  ; per_lane : bool  (** the view reads [threadIdx.x] *)
+  ; lanes : view_lanes option
+        (** for a per-lane view whose levels are literal, enumerating at
+            least one scalar, when its offset splits *)
+  }
+
+val compile_view :
+  Slots.t -> (string * int) list -> Gpu_tensor.Tensor.t -> view_code
+
+(** [(compile_view ... v).addr0], without trying the lane split. *)
 val compile_addr0 :
   Slots.t -> (string * int) list -> Gpu_tensor.Tensor.t -> cexpr
+
+(** {1 Divergent guards} *)
+
+(** One side of a comparison: its per-lane closure, and its lane split
+    when it has one. *)
+type side =
+  { whole : cexpr
+  ; side_lanes : lanes option
+  }
+
+(** A thread-dependent predicate with its comparison sides compiled. *)
+type guard =
+  | Cmp of Graphene.Spec.rel * side * side
+  | And of guard * guard
+  | Or of guard * guard
+  | Not of guard
+
+val compile_guard :
+  Slots.t -> (string * int) list -> Graphene.Spec.pred -> guard
+
+(** The guard's per-lane closure, as {!compile_pred} builds it, from the
+    sides' [whole] closures. *)
+val guard_cond : guard -> int array -> bool
+
+(** Every side of every comparison has a lane split. *)
+val guard_split : guard -> bool
+
+(** {1 Thread arrangements} *)
 
 (** Compiled [Thread_tensor.member_ids]: [f env tid] binds the probing
     thread's id to the threadIdx slot and returns the sorted member ids

@@ -16,8 +16,10 @@
                 near-misses carry the refusal reason; fully-static
                 shared views get the bank-conflict lint
      compile    expressions, predicates, view offsets and thread
-                arrangements compiled to closures over the slot array;
-                each view is marked per-lane when it reads threadIdx.x,
+                arrangements compiled to closures over the slot array,
+                each view once; each view is marked per-lane when it
+                reads threadIdx.x, per-lane offsets and divergent
+                guards are also split into a uniform and a lane part,
                 each member function keys its group cache by the block
                 and loop slots it reads, and the vector widths ride
                 along; the resulting op tree is what Interp.run_plan
@@ -291,7 +293,14 @@ let members_slots scope (t : Tt.t) =
          | _ -> None)
        (Tt.free_vars t))
 
-let compile_atomic st next_id scope (s : Spec.t) (instr : Atomic.instr)
+(* Dense plan-wide ids: atomics and divergent guards each index their
+   own per-range executor arrays. *)
+type ids =
+  { mutable atomics : int
+  ; mutable guards : int
+  }
+
+let compile_atomic st ids scope (s : Spec.t) (instr : Atomic.instr)
     (vleaf : Vectorize.leaf) : Plan.atomic =
   let cost = instr.Atomic.cost s in
   let width =
@@ -300,13 +309,15 @@ let compile_atomic st next_id scope (s : Spec.t) (instr : Atomic.instr)
     | Vectorize.Refused _ -> 1
   in
   let view (v : Ts.t) (vd : Vectorize.verdict) =
+    let code = Expr_comp.compile_view st scope v in
     { Plan.v_ts = v
     ; v_mem = v.Ts.mem
     ; v_elt_bytes = Dt.size_bytes (Ts.dtype v)
     ; v_batch_bytes = Plan.batch_bytes v
-    ; v_offsets = Expr_comp.compile_view st scope v
-    ; v_addr0 = Expr_comp.compile_addr0 st scope v
-    ; v_per_lane = List.mem "threadIdx.x" (Ts.free_vars v)
+    ; v_offsets = code.Expr_comp.offsets
+    ; v_addr0 = code.Expr_comp.addr0
+    ; v_per_lane = code.Expr_comp.per_lane
+    ; v_lanes = code.Expr_comp.lanes
     ; v_vec = vd
     ; v_vec_width = width
     }
@@ -339,8 +350,8 @@ let compile_atomic st next_id scope (s : Spec.t) (instr : Atomic.instr)
     | Some slot -> Some slot
     | None -> Slots.find_scalar st name
   in
-  let a_id = !next_id in
-  incr next_id;
+  let a_id = ids.atomics in
+  ids.atomics <- a_id + 1;
   { Plan.a_id
   ; a_spec = s
   ; a_instr = instr
@@ -359,12 +370,12 @@ let compile_atomic st next_id scope (s : Spec.t) (instr : Atomic.instr)
   ; a_banks = vleaf.Vectorize.l_banks
   }
 
-let rec compile_ops st next_id scope stmts =
-  List.map (compile_op st next_id scope) stmts
+let rec compile_ops st ids scope stmts =
+  List.map (compile_op st ids scope) stmts
 
-and compile_op st next_id scope = function
+and compile_op st ids scope = function
   | F_leaf (s, instr, vleaf) ->
-    Plan.Atomic_exec (compile_atomic st next_id scope s instr vleaf)
+    Plan.Atomic_exec (compile_atomic st ids scope s instr vleaf)
   | F_loop { var; lo; hi; step; body } ->
     let l_lo = Expr_comp.compile st scope lo
     and l_hi = Expr_comp.compile st scope hi
@@ -376,20 +387,31 @@ and compile_op st next_id scope = function
       ; l_lo
       ; l_hi
       ; l_step
-      ; l_body = compile_ops st next_id ((var, slot) :: scope) body
+      ; l_body = compile_ops st ids ((var, slot) :: scope) body
       }
   | F_branch (p, then_, else_) ->
+    let b_tid_dep = Spec.pred_mentions "threadIdx.x" p in
+    let b_cond, b_guard =
+      if b_tid_dep then begin
+        let g_tree = Expr_comp.compile_guard st scope p in
+        let g_id = ids.guards in
+        ids.guards <- g_id + 1;
+        (Expr_comp.guard_cond g_tree, Some { Plan.g_id; g_tree })
+      end
+      else (Expr_comp.compile_pred st scope p, None)
+    in
     Plan.Branch
-      { b_tid_dep = Spec.pred_mentions "threadIdx.x" p
-      ; b_cond = Expr_comp.compile_pred st scope p
-      ; b_then = compile_ops st next_id scope then_
-      ; b_else = compile_ops st next_id scope else_
+      { b_tid_dep
+      ; b_cond
+      ; b_guard
+      ; b_then = compile_ops st ids scope then_
+      ; b_else = compile_ops st ids scope else_
       }
   | F_barrier -> Plan.Barrier
   | F_commit_group -> Plan.Commit_group
   | F_wait_group n -> Plan.Wait_group n
   | F_frame (label, body) ->
-    Plan.Frame { f_label = label; f_body = compile_ops st next_id scope body }
+    Plan.Frame { f_label = label; f_body = compile_ops st ids scope body }
   | F_fail msg -> Plan.Fail msg
 
 let compile_pass ~vec_enabled ~pipelining arch diagnostics =
@@ -403,9 +425,8 @@ let compile_pass ~vec_enabled ~pipelining arch diagnostics =
       List.iter
         (fun p -> ignore (Slots.scalar_slot st p))
         k.Spec.scalar_params;
-      (* Dense atomic ids, indexing the executor's per-atomic arrays. *)
-      let next_id = ref 0 in
-      let body = compile_ops st next_id Slots.base_scope resolved in
+      let ids = { atomics = 0; guards = 0 } in
+      let body = compile_ops st ids Slots.base_scope resolved in
       let allocs =
         List.map
           (fun (t : Ts.t) ->
@@ -427,7 +448,8 @@ let compile_pass ~vec_enabled ~pipelining arch diagnostics =
       ; grid_size = Tt.size k.Spec.grid
       ; allocs
       ; body
-      ; n_atomics = !next_id
+      ; n_atomics = ids.atomics
+      ; n_guards = ids.guards
       ; diagnostics
       ; vec_enabled
       ; pipelining

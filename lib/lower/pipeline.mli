@@ -5,11 +5,13 @@
     The vectorize pass proves per-thread unit-stride contiguity and
     alignment from the static stride/offset structure, widening eligible
     moves to width-2/4 vector atomics (see {!Vectorize}); the compile
-    pass marks every view that reads [threadIdx.x] as per-lane, keys
-    every collective's member groups by the block and loop slots its
-    member function reads, and carries the vector widths and
-    bank-conflict lints onto the plan, where the executor reads them to
-    enumerate a view per lane or once per call and to account its
+    pass marks every view that reads [threadIdx.x] as per-lane, splits
+    per-lane offsets and divergent guards into a uniform and a lane part
+    (see {!Expr_comp.lanes}), keys every collective's member groups by
+    the block and loop slots its member function reads, and carries the
+    vector widths and bank-conflict lints onto the plan, where the
+    executor reads them to enumerate a view per lane or once per call,
+    to tabulate lane parts once per launch and to account its
     transactions.
 
     The pipeline promises to call [Atomic.find] exactly once per leaf

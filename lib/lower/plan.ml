@@ -10,7 +10,8 @@
    spec carries its matched instruction, precomputed cost, and compiled
    per-view offset enumerations — each marked per-lane when it reads
    threadIdx.x, so the executor knows which views to enumerate per lane
-   and which once per call. *)
+   and which once per call, and lane-split where its thread-dependent
+   part can be tabulated once per launch. *)
 
 module Ts = Gpu_tensor.Tensor
 module Ms = Gpu_tensor.Memspace
@@ -29,6 +30,8 @@ type view =
   ; v_per_lane : bool
         (** [v_offsets] reads threadIdx.x: enumerated per lane, not once
             per call *)
+  ; v_lanes : Expr_comp.view_lanes option
+        (** the per-lane offset split into a uniform and a lane part *)
   ; v_vec : Vectorize.verdict
         (** this view's own widening capability (diagnostics) *)
   ; v_vec_width : int
@@ -75,6 +78,11 @@ type atomic =
             conflict cycles per CTA-wide batch) *)
   }
 
+(* A divergent branch's guard with its comparison sides lane-split where
+   they split; [g_id] is dense plan-wide and indexes the executor's
+   per-guard state. *)
+type guard = { g_id : int; g_tree : Expr_comp.guard }
+
 type op =
   | Atomic_exec of atomic
   | Loop of
@@ -88,6 +96,7 @@ type op =
   | Branch of
       { b_tid_dep : bool
       ; b_cond : int array -> bool
+      ; b_guard : guard option
       ; b_then : op list
       ; b_else : op list
       }
@@ -135,6 +144,8 @@ type t =
   ; allocs : alloc list
   ; body : op list
   ; n_atomics : int  (** total atomic count = executor per-atomic array size *)
+  ; n_guards : int
+        (** divergent guards = size of the executor's per-guard array *)
   ; diagnostics : string list  (** advisory validation findings *)
   ; vec_enabled : bool  (** whether the vectorize pass was allowed to widen *)
   ; pipelining : pipelining
@@ -182,6 +193,19 @@ let rec divergence_depth ops =
           + max (divergence_depth b_then) (divergence_depth b_else)
         | Frame { f_body; _ } -> divergence_depth f_body))
     0 ops
+
+let rec iter_guards f ops =
+  List.iter
+    (fun op ->
+      match op with
+      | Atomic_exec _ | Barrier | Commit_group | Wait_group _ | Fail _ -> ()
+      | Loop { l_body; _ } -> iter_guards f l_body
+      | Branch { b_guard; b_then; b_else; _ } ->
+        Option.iter f b_guard;
+        iter_guards f b_then;
+        iter_guards f b_else
+      | Frame { f_body; _ } -> iter_guards f f_body)
+    ops
 
 let rec iter_atomics f ops =
   List.iter
@@ -290,9 +314,10 @@ let global_vec_width ops = (plan_widening ops).global_vec_width
 (* ----- pretty-printing ----- *)
 
 let pp_view fmt (v : view) =
-  Format.fprintf fmt "%%%s[%s,%dB/thread%s%s]" v.v_ts.Ts.name
+  Format.fprintf fmt "%%%s[%s,%dB/thread%s%s%s]" v.v_ts.Ts.name
     (Ms.to_ir_string v.v_mem) v.v_batch_bytes
     (if v.v_per_lane then ",per-lane" else "")
+    (if Option.is_some v.v_lanes then ",lane-table" else "")
     (if v.v_vec_width > 1 then Printf.sprintf ",v%d" v.v_vec_width else "")
 
 let pp_atomic fmt (a : atomic) =
@@ -325,18 +350,25 @@ let pp_atomic fmt (a : atomic) =
     a.a_banks;
   if String.length a.a_label > 0 then Format.fprintf fmt "  // %s" a.a_label
 
+let branch_tag tid_dep guard =
+  if not tid_dep then ""
+  else
+    match guard with
+    | Some g when Expr_comp.guard_split g.g_tree -> " #divergent,lane-table"
+    | _ -> " #divergent"
+
 let rec pp_op fmt = function
   | Atomic_exec a -> pp_atomic fmt a
   | Loop { l_var; l_slot; l_body; _ } ->
     Format.fprintf fmt "@[<v 2>loop %s (slot %d) {@,%a@]@,}" l_var l_slot
       pp_ops l_body
-  | Branch { b_tid_dep; b_then; b_else = []; _ } ->
+  | Branch { b_tid_dep; b_guard; b_then; b_else = []; _ } ->
     Format.fprintf fmt "@[<v 2>branch%s {@,%a@]@,}"
-      (if b_tid_dep then " #divergent" else "")
+      (branch_tag b_tid_dep b_guard)
       pp_ops b_then
-  | Branch { b_tid_dep; b_then; b_else; _ } ->
+  | Branch { b_tid_dep; b_guard; b_then; b_else; _ } ->
     Format.fprintf fmt "@[<v 2>branch%s {@,%a@]@,} else {@,%a@,}"
-      (if b_tid_dep then " #divergent" else "")
+      (branch_tag b_tid_dep b_guard)
       pp_ops b_then pp_ops b_else
   | Barrier -> Format.fprintf fmt "barrier"
   | Commit_group -> Format.fprintf fmt "cp.async.commit_group"

@@ -9,9 +9,13 @@
     whether it reads [threadIdx.x], and every member function lists the
     block and loop slots it reads: the executor enumerates a per-lane
     view per lane and any other view once per call, and reuses a
-    collective's member groups while those slots are unchanged. [Interp.run_plan] executes the [body]
-    op tree directly. A plan is an immutable value, so domains share one
-    plan through the plan cache. *)
+    collective's member groups while those slots are unchanged. A
+    per-lane view's offset and each side of a divergent guard's
+    comparisons also carry their lane split ({!Expr_comp.lanes}), whose
+    lane part the executor tabulates once per launch in its own
+    per-range state. [Interp.run_plan] executes the [body] op tree
+    directly. A plan is an immutable value, so domains share one plan
+    through the plan cache. *)
 
 type view =
   { v_ts : Gpu_tensor.Tensor.t
@@ -26,6 +30,10 @@ type view =
   ; v_per_lane : bool
         (** [v_offsets] reads [threadIdx.x]: the view is enumerated per
             lane, otherwise once per call *)
+  ; v_lanes : Expr_comp.view_lanes option
+        (** a per-lane view's offset split into a uniform part and a
+            lane part (see {!Expr_comp.view_lanes}): the executor
+            tabulates the lane part once per launch *)
   ; v_vec : Vectorize.verdict
         (** this view's own widening capability (diagnostics) *)
   ; v_vec_width : int
@@ -73,6 +81,14 @@ type atomic =
             conflict cycles per CTA-wide batch) *)
   }
 
+(** A divergent branch's guard: its comparison sides, lane-split where
+    they split ({!Expr_comp.guard}). *)
+type guard =
+  { g_id : int
+        (** dense plan-wide id, indexes the executor's per-guard state *)
+  ; g_tree : Expr_comp.guard
+  }
+
 type op =
   | Atomic_exec of atomic
   | Loop of
@@ -85,7 +101,10 @@ type op =
       }
   | Branch of
       { b_tid_dep : bool
-      ; b_cond : int array -> bool
+      ; b_cond : int array -> bool  (** the per-lane closure *)
+      ; b_guard : guard option
+            (** a divergent branch's compiled guard (none on a uniform
+                branch) *)
       ; b_then : op list
       ; b_else : op list
       }
@@ -132,6 +151,8 @@ type t =
   ; allocs : alloc list
   ; body : op list
   ; n_atomics : int  (** total atomics = size of the executor's per-atomic arrays *)
+  ; n_guards : int
+        (** divergent guards = size of the executor's per-guard array *)
   ; diagnostics : string list
   ; vec_enabled : bool  (** whether the vectorize pass was allowed to widen *)
   ; pipelining : pipelining  (** software-pipelining outcome *)
@@ -145,6 +166,9 @@ val count_atomics : op list -> int
 (** Deepest nesting of thread-dependent branches: the number of
     taken/not-taken mask pairs the executor preallocates. *)
 val divergence_depth : op list -> int
+
+(** Apply [f] to every divergent guard in the op tree, in program order. *)
+val iter_guards : (guard -> unit) -> op list -> unit
 
 (** Apply [f] to every atomic in the op tree, in program order. *)
 val iter_atomics : (atomic -> unit) -> op list -> unit

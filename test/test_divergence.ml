@@ -6,7 +6,10 @@
      the equivalence matrix of corpus.ml — counters, instruction mix,
      profiler report JSON, Chrome trace and output buffers of both
      executors at every domain count, and the static-analysis totals —
-     and reach divergent nesting depth 3;
+     and reach divergent nesting depth 3. The branch guards and the
+     plain stores split into lane tables; the [(tid + k) mod 64] stores
+     mix threadIdx.x with a loop counter under [mod], so they do not
+     split and keep the per-lane fallback closure covered;
    - collective atomics: a warp shuffle lowers to the plan's one
      [Collective] atomic, groups each warp through its compiled member
      function, and raises on both engines when a branch splits a

@@ -6,6 +6,10 @@
      never at execution time;
    - compiled view offsets match the symbolic enumeration;
    - lazy error semantics (unmatched leaves, unbound scalars);
+   - lane splits: the split is exact in machine integers, the serving
+     FFN kernel's views and divergent guard split, and a lane part or
+     uniform part that faults faults where the tree path does, or
+     never;
    - the six passes run in order (validate, swpipe, flatten, resolve,
      vectorize, compile);
    - Counters.add_instr_n, the registry's instruction classes and the
@@ -36,6 +40,16 @@ let contains s sub =
     && (String.equal (String.sub s i n) sub || go (i + 1))
   in
   go 0
+
+let occurrences s sub =
+  let n = String.length sub in
+  let rec go i acc =
+    if i + n > String.length s then acc
+    else
+      go (i + 1)
+        (if String.equal (String.sub s i n) sub then acc + 1 else acc)
+  in
+  go 0 0
 
 (* ----- Atomic.find call counting ----- *)
 
@@ -99,7 +113,7 @@ let test_compiled_offsets_match () =
         Lower.Slots.base_scope @ List.mapi (fun i n -> (n, 2 + i)) extra
       in
       let st = Lower.Slots.create () in
-      let cview = Lower.Expr_comp.compile_view st scope v in
+      let cview = (Lower.Expr_comp.compile_view st scope v).offsets in
       List.iter
         (fun tid ->
           let bs =
@@ -178,6 +192,250 @@ let test_unbound_scalar_message () =
           ignore (Interp.run_tree ~arch:Arch.SM86 kernel ~args ());
           false
         with Interp.Exec_error msg' -> String.equal msg msg'))
+
+(* ----- lane splits ----- *)
+
+(* Index expressions over threadIdx.x, blockIdx.x, a loop counter [k]
+   and a scalar [S], with constants large enough to overflow: one per
+   split rule and refusal, then random ones combining terms over the
+   lane variables, the uniform ones and [S] alone by every operator.
+   Where an expression splits, [uniform + lane] equals it at every
+   binding, the uniform part ignores threadIdx.x, the lane part reads
+   nothing but threadIdx.x and [S], and the parts fault exactly when the
+   expression does. *)
+let test_split_exact () =
+  let rng = Random.State.make [| 28 |] in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let huge = E.Const (max_int / 3) in
+  let const () =
+    if Random.State.bool rng then E.Const (Random.State.int rng 9 - 2)
+    else E.Const (max_int / (1 + Random.State.int rng 5))
+  in
+  let op a b =
+    match Random.State.int rng 10 with
+    | 0 | 1 | 2 -> E.Add (a, b)
+    | 3 -> E.Sub (a, b)
+    | 4 | 5 | 6 -> E.Mul (a, b)
+    | 7 -> E.Div (a, b)
+    | 8 -> E.Mod (a, b)
+    | _ -> if Random.State.bool rng then E.Min (a, b) else E.Max (a, b)
+  in
+  let rec term vars depth =
+    if depth = 0 then
+      if Random.State.int rng 5 = 0 then const () else E.Var (pick vars)
+    else op (term vars (depth - 1)) (term vars (depth - 1))
+  in
+  let rec gen depth =
+    if depth = 0 then
+      term
+        (pick
+           [ [ "threadIdx.x" ]; [ "threadIdx.x"; "S" ]; [ "blockIdx.x"; "k" ]
+           ; [ "S" ]
+           ])
+        (Random.State.int rng 2)
+    else op (gen (depth - 1)) (gen (depth - 1))
+  in
+  let tid = E.Var "threadIdx.x" and bid = E.Var "blockIdx.x" in
+  let k = E.Var "k" and sv = E.Var "S" in
+  let tk = E.Add (tid, k) in
+  let fixed =
+    [ E.Add (E.Mul (E.Add (E.Mul (bid, E.Const 16), E.Add (tid, k)), sv), k)
+    ; E.Sub (E.Mul (E.Const 3, E.Sub (tid, k)), bid)
+    ; E.Mul (E.Add (tk, sv), huge)
+    ; E.Mul (huge, E.Sub (k, E.Mul (tid, sv)))
+    ; E.Sub (E.Const 0, tk)
+    ; E.Div (tk, E.Const 3)
+    ; E.Div (tk, sv)
+    ; E.Mod (tk, E.Const 64)
+    ; E.Min (tid, k)
+    ; E.Max (tk, bid)
+    ; E.Mul (tk, E.Add (k, E.Const 1))
+    ; E.Mul (tk, tid)
+    ; E.Add (E.Div (k, sv), tid)
+    ; E.Add (E.Div (tid, sv), k)
+    ; E.Mul (E.Const 0, E.Add (E.Div (k, sv), tid))
+    ]
+  in
+  let exprs =
+    fixed @ List.init 600 (fun _ -> gen (1 + Random.State.int rng 3))
+  in
+  let eval c env = match c env with v -> Ok v | exception e -> Error e in
+  let module Sl = Lower.Slots in
+  let split = ref 0 in
+  List.iter (fun e ->
+    let label = E.to_string e in
+    let st = Sl.create () in
+    let k = Sl.fresh_loop st in
+    let scope = Sl.base_scope @ [ ("k", k) ] in
+    let whole = Lower.Expr_comp.compile st scope e in
+    match Lower.Expr_comp.compile_lanes st scope e with
+    | None -> ()
+    | Some { Lower.Expr_comp.uniform; lane } ->
+      incr split;
+      let env = Array.make (Sl.count st) Sl.unbound in
+      let bind ~tid ~bid ~kv =
+        env.(Sl.tid_slot) <- tid;
+        env.(Sl.bid_slot) <- bid;
+        env.(k) <- kv
+      in
+      for _ = 1 to 8 do
+        Option.iter
+          (fun slot -> env.(slot) <- Random.State.int rng 7 - 1)
+          (Sl.find_scalar st "S");
+        let tid = Random.State.int rng 128 in
+        bind ~tid ~bid:(Random.State.int rng 5) ~kv:(Random.State.int rng 5);
+        let w = eval whole env and u = eval uniform env in
+        let l = eval lane env in
+        (match (w, u, l) with
+        | Ok w, Ok u, Ok l when w <> u + l ->
+          Alcotest.failf "%s: %d <> %d + %d" label w u l
+        | Ok _, Ok _, Ok _ | Error _, Error _, _ | Error _, _, Error _ -> ()
+        | _ -> Alcotest.failf "%s: the parts fault apart from the whole" label);
+        (* The lane part reads no block or loop slot, the uniform part
+           no tid slot. *)
+        bind ~tid ~bid:Sl.unbound ~kv:Sl.unbound;
+        if eval lane env <> l then Alcotest.failf "%s: lane part" label;
+        bind ~tid:(tid + 1) ~bid:3 ~kv:1;
+        let u1 = eval uniform env in
+        env.(Sl.tid_slot) <- Sl.unbound;
+        if eval uniform env <> u1 then Alcotest.failf "%s: uniform part" label
+      done)
+    exprs;
+  check_bool "some expressions split" true (!split > 100)
+
+(* The serving engine's FFN kernel (the parametric naive GEMM on its
+   32x64 launch grid): its three views and its divergent guard against
+   [M] and [N] are lane-split on both architectures, and the listing
+   marks them, so a silent fallback to per-lane closures fails here. *)
+let test_ffn_lane_split () =
+  let kernel =
+    Kernels.Gemm.naive_parametric ~launch_m:32 ~launch_n:64 ~bm:16 ~bn:16
+      ~tm:4 ~tn:4 ()
+  in
+  List.iter
+    (fun arch ->
+      let plan = Pipeline.lower arch kernel in
+      let views = ref [] and guards = ref [] in
+      Plan.iter_atomics
+        (fun a -> views := !views @ a.Plan.a_ins @ a.Plan.a_outs)
+        plan.Plan.body;
+      Plan.iter_guards (fun g -> guards := g :: !guards) plan.Plan.body;
+      let tag = Arch.name arch in
+      check_int (tag ^ ": three views") 3 (List.length !views);
+      List.iter
+        (fun (v : Plan.view) ->
+          check_bool
+            (Printf.sprintf "%s: %%%s lane-split" tag v.Plan.v_ts.Ts.name)
+            true
+            (Option.is_some v.Plan.v_lanes))
+        !views;
+      check_int (tag ^ ": one divergent guard") 1 (List.length !guards);
+      List.iter
+        (fun (g : Plan.guard) ->
+          check_bool (tag ^ ": guard lane-split") true
+            (Lower.Expr_comp.guard_split g.Plan.g_tree))
+        !guards;
+      let listing = Plan.to_string plan in
+      check_bool (tag ^ ": listing marks the guard") true
+        (contains listing "branch #divergent,lane-table {");
+      check_int (tag ^ ": listing marks the views") 3
+        (occurrences listing "per-lane,lane-table]"))
+    Arch.all
+
+(* A lane part or a uniform part that faults must fault where the tree
+   path does, or never. One block of 64 threads runs a 2-trip loop [k];
+   under [guard], every thread stores 1.0 to A[cell]. [Z] is bound to
+   0. *)
+let lane_fault_kernel guard cell =
+  let grid = Tt.grid "g" [ 1 ] in
+  let cta = Tt.linear "cta" 64 Tt.Thread in
+  let tid = B.thread_idx and z = E.var "Z" in
+  let thr = Tt.select cta [ tid ] in
+  let a = Ts.create_rm "A" [ 128 ] Dt.FP32 Ms.Global in
+  B.kernel "lane_faults" ~scalar_params:[ "Z" ] ~grid ~cta ~params:[ a ]
+    [ B.for_ "k" (E.const 2) (fun k ->
+          [ B.if_ (guard tid k z)
+              [ B.init ~threads:thr 1.0 ~dst:(Ts.select a [ cell tid k z ]) ()
+              ]
+          ])
+    ]
+
+(* Each case runs on the tree and on the plan at 1 and 2 domains, with
+   the same outcome: the same output or the same exception. The one
+   exception is a view offset dividing by zero once reached: the tree
+   evaluates view offsets by substitution and simplification and raises
+   [Invalid_argument] from [Int_expr.to_int_exn] at lane 1 (0 / 0
+   simplifies to 0), while the plan's per-lane closure raises
+   [Division_by_zero] at lane 0; that case checks that both fault and
+   that the plan still raises what its per-lane closure raises. *)
+let test_lane_faults () =
+  let own tid k _ = E.add (E.mul k (E.const 64)) tid in
+  (* The lane part [tid / Z] cannot be tabulated, so the view keeps its
+     per-lane closure. *)
+  let lane_div tid k z = E.add (E.mul k (E.const 64)) (E.div tid z) in
+  let lt a b = Spec.Cmp (Spec.Lt, a, b) in
+  let none tid _ _ = lt tid E.zero and some tid _ _ = lt tid (E.const 3) in
+  let uniform_div tid k z = lt (E.add (E.div k z) tid) (E.const 5) in
+  let cases =
+    [ ("view lane part / 0, no lane passes", none, lane_div, `Same)
+    ; ( "view lane part / 0, some lanes pass"
+      , some
+      , lane_div
+      , `Both_fault "Division_by_zero" )
+    ; ( "&&: lane part / 0 on the right, no lane reaches it"
+      , (fun tid k z -> Spec.And (none tid k z, lt (E.div tid z) (E.const 5)))
+      , own
+      , `Same )
+    ; ( "&&: uniform part / 0 on the right, no lane reaches it"
+      , (fun tid k z -> Spec.And (none tid k z, uniform_div tid k z))
+      , own
+      , `Same )
+    ; ( "&&: uniform part / 0 on the right, some lanes reach it"
+      , (fun tid k z -> Spec.And (some tid k z, uniform_div tid k z))
+      , own
+      , `Same )
+    ; ( "||: lane part / 0 on the right, no lane reaches it"
+      , (fun tid _ z ->
+          Spec.Or (lt tid (E.const 64), lt (E.div tid z) (E.const 5)))
+      , own
+      , `Same )
+    ]
+  in
+  let show = function Ok _ -> "no fault" | Error e -> e in
+  List.iter
+    (fun (label, guard, cell, expect) ->
+      let kernel = lane_fault_kernel guard cell in
+      let plan = Pipeline.lower Arch.SM86 kernel in
+      check_bool (label ^ ": guard has lane tables") true
+        (contains (Plan.to_string plan) "#divergent,lane-table");
+      let outcome run =
+        let a = Array.make 128 0.0 in
+        match run a with
+        | _ -> Ok a
+        | exception e -> Error (Printexc.to_string e)
+      in
+      let scalars = [ ("Z", 0) ] in
+      let tree =
+        outcome (fun a ->
+            Interp.run_tree ~arch:Arch.SM86 ~domains:1 kernel
+              ~args:[ ("A", a) ] ~scalars ())
+      in
+      List.iter
+        (fun domains ->
+          let tag = Printf.sprintf "%s, plan at %d domain(s)" label domains in
+          let got =
+            outcome (fun a ->
+                Interp.run_plan ~domains plan ~args:[ ("A", a) ] ~scalars ())
+          in
+          match expect with
+          | `Same ->
+            Alcotest.(check string) tag (show tree) (show got);
+            check_bool (tag ^ ": outputs") true (got = tree)
+          | `Both_fault exn ->
+            check_bool (tag ^ ": the tree faults") true (Result.is_error tree);
+            Alcotest.(check string) tag exn (show got))
+        [ 1; 2 ])
+    cases
 
 (* The log sees the input listing, then each of the six passes once,
    in order — with and without software pipelining. swpipe rewrites the
@@ -307,6 +565,13 @@ let () =
         ; Alcotest.test_case "unbound scalar message" `Quick
             test_unbound_scalar_message
         ; Alcotest.test_case "six passes in order" `Quick test_pass_order
+        ] )
+    ; ( "lane tables",
+        [ Alcotest.test_case "split is exact" `Quick test_split_exact
+        ; Alcotest.test_case "FFN views and guard split" `Quick
+            test_ffn_lane_split
+        ; Alcotest.test_case "faults stay where the tree raises" `Quick
+            test_lane_faults
         ] )
     ; ( "satellites",
         [ Alcotest.test_case "add_instr_n" `Quick test_add_instr_n

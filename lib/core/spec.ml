@@ -110,16 +110,19 @@ let rec pred_mentions var = function
   | And (a, b) | Or (a, b) -> pred_mentions var a || pred_mentions var b
   | Not p -> pred_mentions var p
 
+let holds r (x : int) (y : int) =
+  match r with
+  | Lt -> x < y
+  | Le -> x <= y
+  | Eq -> x = y
+  | Ne -> x <> y
+  | Gt -> x > y
+  | Ge -> x >= y
+
 let rec eval_pred env = function
   | Cmp (r, a, b) ->
     let x = E.eval ~env a and y = E.eval ~env b in
-    (match r with
-    | Lt -> x < y
-    | Le -> x <= y
-    | Eq -> x = y
-    | Ne -> x <> y
-    | Gt -> x > y
-    | Ge -> x >= y)
+    holds r x y
   | And (a, b) -> eval_pred env a && eval_pred env b
   | Or (a, b) -> eval_pred env a || eval_pred env b
   | Not p -> not (eval_pred env p)

@@ -106,6 +106,9 @@ val kind_name : kind -> string
     ["threadIdx.x"], whether the branch may diverge within a warp. *)
 val pred_mentions : string -> pred -> bool
 
+(** [holds r x y] — the comparison [r] on two integers. *)
+val holds : rel -> int -> int -> bool
+
 (** [eval_pred env p] — [p] under the integer bindings [env]. *)
 val eval_pred : (string -> int) -> pred -> bool
 

@@ -410,16 +410,17 @@ let run_tree ~arch ?profiler ?domains (k : Spec.kernel) ~args ?(scalars = []) ()
    closure.
 
    Lane tables: where the compile pass split a per-lane view's offset
-   or a divergent guard's comparison side into a uniform and a lane
-   part, the range's state tabulates the lane part for every tid of the
-   CTA when it is built, and each call evaluates the uniform part once,
-   at the first lane that needs it; a lane then reads [u + table.(tid)]
-   in address batches, operand offsets, the fast path's bases and the
-   guard's taken masks. The tables are a function of the scalar
-   bindings alone, so nothing invalidates them during a launch. A lane
-   part that faults while it is tabulated keeps its expression's
-   per-lane closure for the launch, so the fault fires where the tree
-   path raises it, or never.
+   or a divergent guard's comparison sides into a uniform and a lane
+   part ([Plan.t.lanes]), the range's state tabulates each lane part
+   for every tid of the CTA when it is built, and each call evaluates
+   the uniform part once, at the first lane that needs it; a lane then
+   reads [u + table.(tid)] in address batches, operand offsets, the
+   fast path's bases and the guard's taken masks. The tables are a
+   function of the scalar bindings alone, so nothing invalidates them
+   during a launch. A view whose lane part faults while it is
+   tabulated keeps its per-lane closure for the launch, and a guard
+   with a side that has no table runs its per-lane closure, so the
+   fault fires where the tree path raises it, or never.
 
    Dispatch allocates nothing: profiler hooks are direct matches on
    [ctx.prof], loops are [while] loops, and every scratch buffer lives
@@ -457,13 +458,13 @@ type gcache =
   ; mutable gc_groups : int array array
   }
 
-(* A lane-split expression's per-range state: its lane part, tabulated
-   by tid when the state is built, and its uniform part's value for the
-   current call, evaluated at the first lane that needs it. *)
+(* A lane split's per-range state: its lane part, tabulated by tid when
+   the state is built, and its uniform part's value [u], evaluated at
+   the first lane that needs it in the call numbered [stamp]. *)
 type lane_state =
   { uniform : Lower.Expr_comp.cexpr
   ; tab : int array
-  ; mutable ready : bool
+  ; mutable stamp : int
   ; mutable u : int
   }
 
@@ -477,62 +478,25 @@ let tabulate env ~cta_size (l : Lower.Expr_comp.lanes) =
         env.(Slots.tid_slot) <- tid;
         l.Lower.Expr_comp.lane env)
   with
-  | tab ->
-    Some { uniform = l.Lower.Expr_comp.uniform; tab; ready = false; u = 0 }
+  | tab -> Some { uniform = l.Lower.Expr_comp.uniform; tab; stamp = -1; u = 0 }
   | exception (Division_by_zero | Slots.Unbound_var _) -> None
 
-let lane_value env ls tid =
-  if not ls.ready then begin
+(* The split expression's value at lane [tid] during call [call]. *)
+let lane_value env call ls tid =
+  if ls.stamp <> call then begin
     ls.u <- ls.uniform env;
-    ls.ready <- true
+    ls.stamp <- call
   end;
   ls.u + Array.unsafe_get ls.tab tid
-
-(* One view of an atomic in a range's state, with its offset's split and
-   lane table when it has both. *)
-type vstate =
-  { pv : P.view
-  ; lanes : (Lower.Expr_comp.view_lanes * lane_state) option
-  }
-
-(* First scalar offset of a view for lane [tid]. *)
-let view_addr0 env vs tid =
-  match vs.lanes with
-  | Some (vl, ls) -> Lower.Expr_comp.view_addr0 vl (lane_value env ls tid)
-  | None ->
-    env.(Slots.tid_slot) <- tid;
-    vs.pv.P.v_addr0 env
-
-(* A divergent guard's per-range state: each comparison side reads its
-   lane table, or runs its per-lane closure where it has none. *)
-type gside = Table of lane_state | Closure of Lower.Expr_comp.cexpr
-
-type gstate =
-  | G_cmp of Spec.rel * gside * gside
-  | G_and of gstate * gstate
-  | G_or of gstate * gstate
-  | G_not of gstate
-
-let rec guard_state env ~cta_size (g : Lower.Expr_comp.guard) =
-  let side (s : Lower.Expr_comp.side) =
-    match Option.bind s.Lower.Expr_comp.side_lanes (tabulate env ~cta_size) with
-    | Some ls -> Table ls
-    | None -> Closure s.Lower.Expr_comp.whole
-  in
-  match g with
-  | Lower.Expr_comp.Cmp (r, a, b) -> G_cmp (r, side a, side b)
-  | Lower.Expr_comp.And (p, q) ->
-    G_and (guard_state env ~cta_size p, guard_state env ~cta_size q)
-  | Lower.Expr_comp.Or (p, q) ->
-    G_or (guard_state env ~cta_size p, guard_state env ~cta_size q)
-  | Lower.Expr_comp.Not p -> G_not (guard_state env ~cta_size p)
 
 (* One block range's executor state, built once per range and reused
    for every block it runs: the slot env, one full-CTA mask, the
    divergence-mask arena, reusable scratch buffers, the collective-group
-   caches, the per-atomic closures ([plan_env_fun] and the operands) and
-   views, all indexed by the plan's dense atomic ids, and the divergent
-   guards, indexed by guard id. *)
+   caches and the per-atomic closures ([plan_env_fun] and the operands),
+   all indexed by the plan's dense atomic ids, and the lane tables,
+   indexed by lane-split id, with the number of the current call: each
+   atomic call and each divergent guard evaluation takes the next one,
+   so a uniform part is evaluated once per call. *)
 type pctx =
   { c : ctx
   ; env : int array
@@ -547,9 +511,8 @@ type pctx =
   ; a_envf : (string -> int) array
   ; a_ins : Semantics.operand array array
   ; a_outs : Semantics.operand array array
-  ; a_vins : vstate array array  (* the views of [a_ins], in order *)
-  ; a_vouts : vstate array array
-  ; guards : gstate array
+  ; tables : lane_state option array
+  ; call : int ref
   }
 
 let snap_matches snap slots (env : int array) =
@@ -567,23 +530,39 @@ let snap_update snap slots (env : int array) =
     Array.unsafe_set snap i (Array.unsafe_get env (Array.unsafe_get slots i))
   done
 
-(* Seat one call's views: every uniform part is due again, and, unless
-   the fast path addresses the operands, a per-lane view is enumerated
-   per lane and any other once, by the first lane that needs it — its
-   offsets cannot change while the call runs. *)
-let seat_views (vs : vstate array) (ops : Semantics.operand array) ~offsets =
-  for i = 0 to Array.length vs - 1 do
-    let v = Array.unsafe_get vs i in
-    (match v.lanes with Some (_, ls) -> ls.ready <- false | None -> ());
-    if offsets then
-      (Array.unsafe_get ops i).Semantics.addressing <-
-        (if v.pv.P.v_per_lane then Semantics.By_thread
-         else Semantics.Uniform_pending)
-  done
+(* The lane table of a split view or guard side, where this range has
+   one. *)
+let table tables (l : Lower.Expr_comp.lanes) = tables.(l.Lower.Expr_comp.id)
+
+let closure_addr0 bx (pv : P.view) tid =
+  bx.env.(Slots.tid_slot) <- tid;
+  pv.P.v_addr0 bx.env
+
+(* First scalar offset of a per-lane view for lane [tid]. *)
+let view_addr0 bx (pv : P.view) tid =
+  match pv.P.v_lanes with
+  | Some vl -> (
+    match table bx.tables vl.Lower.Expr_comp.base with
+    | Some ls ->
+      Lower.Expr_comp.view_addr0 vl (lane_value bx.env !(bx.call) ls tid)
+    | None -> closure_addr0 bx pv tid)
+  | None -> closure_addr0 bx pv tid
+
+(* Seat one call's operands: a per-lane view is enumerated per lane, any
+   other once, by the first lane that needs it — its offsets cannot
+   change while the call runs. *)
+let rec seat_operands views (ops : Semantics.operand array) i =
+  match views with
+  | [] -> ()
+  | (pv : P.view) :: tl ->
+    ops.(i).Semantics.addressing <-
+      (if pv.P.v_per_lane then Semantics.By_thread
+       else Semantics.Uniform_pending);
+    seat_operands tl ops (i + 1)
 
 (* Build one range's executor state. An operand's offsets closure reads
-   the slot env as it stands, after setting the tid slot for a per-lane
-   view, or its lane table. *)
+   its lane table, or the slot env as it stands, after setting the tid
+   slot for a per-lane view. *)
 let make_pctx ctx (plan : P.t) (env : int array) =
   let cta_size = plan.P.cta_size in
   let nwords = WM.nwords ~cta_size in
@@ -594,22 +573,21 @@ let make_pctx ctx (plan : P.t) (env : int array) =
   in
   let a_envf = Array.make n (fun _ -> 0) in
   let a_ins = Array.make n [||] and a_outs = Array.make n [||] in
-  let a_vins = Array.make n [||] and a_vouts = Array.make n [||] in
+  let tables = Array.map (tabulate env ~cta_size) plan.P.lanes in
+  let call = ref 0 in
   P.iter_atomics
     (fun a ->
       let operand (pv : P.view) =
-        let lanes =
+        let split =
           match pv.P.v_lanes with
-          | Some vl ->
-            Option.map
-              (fun ls -> (vl, ls))
-              (tabulate env ~cta_size vl.Lower.Expr_comp.base)
+          | Some vl -> Option.map (fun ls -> (vl, ls)) (table tables vl.base)
           | None -> None
         in
         let by_tid =
-          match lanes with
+          match split with
           | Some (vl, ls) ->
-            fun tid -> Lower.Expr_comp.view_offsets vl (lane_value env ls tid)
+            fun tid ->
+              Lower.Expr_comp.view_offsets vl (lane_value env !call ls tid)
           | None ->
             if pv.P.v_per_lane then (fun tid ->
               env.(Slots.tid_slot) <- tid;
@@ -618,15 +596,11 @@ let make_pctx ctx (plan : P.t) (env : int array) =
         in
         let op = Semantics.operand pv.P.v_ts ~by_tid in
         if a.P.a_fastcopy then op.Semantics.bases <- Array.make 32 0;
-        ({ pv; lanes }, op)
+        op
       in
-      let ins = Array.of_list (List.map operand a.P.a_ins)
-      and outs = Array.of_list (List.map operand a.P.a_outs) in
       a_envf.(a.P.a_id) <- plan_env_fun a env;
-      a_ins.(a.P.a_id) <- Array.map snd ins;
-      a_outs.(a.P.a_id) <- Array.map snd outs;
-      a_vins.(a.P.a_id) <- Array.map fst ins;
-      a_vouts.(a.P.a_id) <- Array.map fst outs;
+      a_ins.(a.P.a_id) <- Array.of_list (List.map operand a.P.a_ins);
+      a_outs.(a.P.a_id) <- Array.of_list (List.map operand a.P.a_outs);
       match a.P.a_threads with
       | P.Per_thread -> ()
       | P.Collective { members_slots; _ } ->
@@ -637,12 +611,6 @@ let make_pctx ctx (plan : P.t) (env : int array) =
           ; gc_groups = [||]
           })
     plan.P.body;
-  let guards = ref [] in
-  P.iter_guards
-    (fun g ->
-      guards := (g.P.g_id, guard_state env ~cta_size g.P.g_tree) :: !guards)
-    plan.P.body;
-  let guards = Array.init plan.P.n_guards (fun id -> List.assoc id !guards) in
   let depth = P.divergence_depth plan.P.body in
   { c = ctx
   ; env
@@ -657,9 +625,8 @@ let make_pctx ctx (plan : P.t) (env : int array) =
   ; a_envf
   ; a_ins
   ; a_outs
-  ; a_vins
-  ; a_vouts
-  ; guards
+  ; tables
+  ; call
   }
 
 (* One warp's address batch for one view: first scalar byte address per
@@ -667,8 +634,7 @@ let make_pctx ctx (plan : P.t) (env : int array) =
    computed once and duplicated per lane — the byte totals and the
    conflict phase structure depend on the lane count, so the duplicates
    are semantically load-bearing, not waste. *)
-let plan_record_batch bx w wmask ~store vs =
-  let pv = vs.pv in
+let plan_record_batch bx w wmask ~store (pv : P.view) =
   match pv.P.v_mem with
   | Ms.Register -> ()
   | Ms.Global | Ms.Shared ->
@@ -678,7 +644,7 @@ let plan_record_batch bx w wmask ~store vs =
       let base = w * 32 in
       for l = 0 to 31 do
         if wmask land (1 lsl l) <> 0 then begin
-          let a = view_addr0 env vs (base + l) in
+          let a = view_addr0 bx pv (base + l) in
           if a <> no_addr then begin
             Array.unsafe_set addrs !n (a * pv.P.v_elt_bytes);
             incr n
@@ -711,29 +677,29 @@ let plan_record_batch bx w wmask ~store vs =
       record_batch ctx ~global ~store ~bytes ~warp:w addrs ~len:!n
     end
 
-let plan_record_batches bx w wmask ~store (vs : vstate array) =
-  for i = 0 to Array.length vs - 1 do
-    plan_record_batch bx w wmask ~store (Array.unsafe_get vs i)
-  done
+let rec plan_record_batches bx w wmask ~store = function
+  | [] -> ()
+  | pv :: tl ->
+    plan_record_batch bx w wmask ~store pv;
+    plan_record_batches bx w wmask ~store tl
 
 (* The wide-transaction fast path: a vector-widened, full-span
    contiguous move, whose every active lane covers exactly
    [addr0, addr0 + n) on both sides, hands its body each lane's two
    bases instead of offset enumerations. *)
 let seat_contiguous bx (a : P.atomic) ~lanes =
-  match (bx.a_vins.(a.P.a_id), bx.a_vouts.(a.P.a_id)) with
-  | [| src |], [| dst |] ->
+  match (a.P.a_ins, a.P.a_outs) with
+  | [ src ], [ dst ] ->
     let si = bx.a_ins.(a.P.a_id).(0) and so = bx.a_outs.(a.P.a_id).(0) in
-    let n = src.pv.P.v_batch_bytes / src.pv.P.v_elt_bytes in
+    let n = src.P.v_batch_bytes / src.P.v_elt_bytes in
     si.Semantics.addressing <- Semantics.Contiguous;
     si.Semantics.span <- n;
     so.Semantics.addressing <- Semantics.Contiguous;
     so.Semantics.span <- n;
-    let env = bx.env in
     for l = 0 to lanes - 1 do
       let tid = bx.tids.(l) in
-      si.Semantics.bases.(l) <- view_addr0 env src tid;
-      so.Semantics.bases.(l) <- view_addr0 env dst tid
+      si.Semantics.bases.(l) <- view_addr0 bx src tid;
+      so.Semantics.bases.(l) <- view_addr0 bx dst tid
     done
   | _ ->
     error "fast-path move %s is not one source to one destination (plan \
@@ -746,18 +712,19 @@ let seat_contiguous bx (a : P.atomic) ~lanes =
 let plan_exec_per_thread bx (a : P.atomic) (mask : WM.t) =
   let ctx = bx.c in
   let ins = bx.a_ins.(a.P.a_id) and outs = bx.a_outs.(a.P.a_id) in
-  let vins = bx.a_vins.(a.P.a_id) and vouts = bx.a_vouts.(a.P.a_id) in
-  let offsets = not a.P.a_fastcopy in
-  seat_views vins ins ~offsets;
-  seat_views vouts outs ~offsets;
+  incr bx.call;
+  if not a.P.a_fastcopy then begin
+    seat_operands a.P.a_ins ins 0;
+    seat_operands a.P.a_outs outs 0
+  end;
   let envf = bx.a_envf.(a.P.a_id) in
   let trace = sem_trace ctx in
   let total = ref 0 in
   for w = 0 to Array.length mask - 1 do
     let m = Array.unsafe_get mask w in
     if m <> 0 then begin
-      plan_record_batches bx w m ~store:false vins;
-      plan_record_batches bx w m ~store:true vouts;
+      plan_record_batches bx w m ~store:false a.P.a_ins;
+      plan_record_batches bx w m ~store:true a.P.a_outs;
       let base = w * 32 in
       let lanes = ref 0 in
       for l = 0 to 31 do
@@ -853,8 +820,9 @@ let plan_exec_collective bx (a : P.atomic) members_of members_slots
   let ctx = bx.c in
   let groups = plan_groups bx a members_of members_slots mask in
   let ins = bx.a_ins.(a.P.a_id) and outs = bx.a_outs.(a.P.a_id) in
-  seat_views bx.a_vins.(a.P.a_id) ins ~offsets:true;
-  seat_views bx.a_vouts.(a.P.a_id) outs ~offsets:true;
+  incr bx.call;
+  seat_operands a.P.a_ins ins 0;
+  seat_operands a.P.a_outs outs 0;
   let envf = bx.a_envf.(a.P.a_id) in
   let trace = sem_trace ctx in
   for g = 0 to Array.length groups - 1 do
@@ -891,61 +859,55 @@ let closure_taken env cond (mask : WM.t) (taken : WM.t) =
     Array.unsafe_set taken w !t
   done
 
-let side_value env side tid =
-  match side with
-  | Table ls -> lane_value env ls tid
-  | Closure c ->
-    env.(Slots.tid_slot) <- tid;
-    c env
-
-let rec reset_guard = function
-  | G_cmp (_, a, b) ->
-    (match a with Table ls -> ls.ready <- false | Closure _ -> ());
-    (match b with Table ls -> ls.ready <- false | Closure _ -> ())
-  | G_and (p, q) | G_or (p, q) ->
-    reset_guard p;
-    reset_guard q
-  | G_not p -> reset_guard p
+(* A guard side without a lane table in this range. *)
+exception Untabled
 
 (* The taken bits among the non-empty lane set [m] of the warp word at
-   [base]. [&&] and [||] short-circuit on lane sets, so a lane evaluates
-   a comparison only where the per-lane closure would reach it. *)
-let rec guard_word env g base m =
-  match g with
-  | G_cmp (r, a, b) ->
-    let t = ref 0 in
-    for l = 0 to 31 do
-      if m land (1 lsl l) <> 0 then begin
-        let tid = base + l in
-        let x = side_value env a tid in
-        if Lower.Expr_comp.holds r x (side_value env b tid) then
-          t := !t lor (1 lsl l)
-      end
-    done;
-    !t
-  | G_and (p, q) ->
-    let t = guard_word env p base m in
-    if t = 0 then 0 else guard_word env q base t
-  | G_or (p, q) ->
-    let t = guard_word env p base m in
+   [base], through the guard's lane tables. [&&] and [||] short-circuit
+   on lane sets, so a lane evaluates a comparison only where the
+   per-lane closure would reach it. *)
+let rec guard_word bx g base m =
+  match (g : Lower.Expr_comp.guard) with
+  | Cmp (r, Some a, Some b) -> (
+    match (table bx.tables a, table bx.tables b) with
+    | Some ta, Some tb ->
+      let env = bx.env and call = !(bx.call) in
+      let t = ref 0 in
+      for l = 0 to 31 do
+        if m land (1 lsl l) <> 0 then begin
+          let x = lane_value env call ta (base + l) in
+          if Spec.holds r x (lane_value env call tb (base + l)) then
+            t := !t lor (1 lsl l)
+        end
+      done;
+      !t
+    | _ -> raise Untabled)
+  | Cmp _ -> raise Untabled
+  | And (p, q) ->
+    let t = guard_word bx p base m in
+    if t = 0 then 0 else guard_word bx q base t
+  | Or (p, q) ->
+    let t = guard_word bx p base m in
     let rest = m land lnot t in
-    if rest = 0 then t else t lor guard_word env q base rest
-  | G_not p -> m land lnot (guard_word env p base m)
+    if rest = 0 then t else t lor guard_word bx q base rest
+  | Not p -> m land lnot (guard_word bx p base m)
 
-(* The taken mask through the guard's lane tables. On a fault, replay
-   the per-lane closure lane by lane: comparisons are pure, and the
-   replay raises the fault of the lane that reaches one first, as the
-   tree path does. *)
-let guard_taken env g cond (mask : WM.t) (taken : WM.t) =
-  reset_guard g;
+(* The taken mask through the guard's lane tables; through the per-lane
+   closure when a side has none. On a fault, replay the per-lane closure
+   lane by lane: comparisons are pure, and the replay raises the fault
+   of the lane that reaches one first, as the tree path does. *)
+let guard_taken bx g cond (mask : WM.t) (taken : WM.t) =
+  incr bx.call;
   try
     for w = 0 to Array.length mask - 1 do
       let m = Array.unsafe_get mask w in
       Array.unsafe_set taken w
-        (if m = 0 then 0 else guard_word env g (w * 32) m)
+        (if m = 0 then 0 else guard_word bx g (w * 32) m)
     done
-  with (Division_by_zero | Slots.Unbound_var _) as e ->
-    closure_taken env cond mask taken;
+  with
+  | Untabled -> closure_taken bx.env cond mask taken
+  | (Division_by_zero | Slots.Unbound_var _) as e ->
+    closure_taken bx.env cond mask taken;
     raise e
 
 (* The dispatch: execute [ops] in order under [mask]. [depth] is the
@@ -988,18 +950,16 @@ and exec_op bx (mask : WM.t) depth = function
       v := !v + step
     done;
     (match ctx.prof with Some p -> Profiler.exit_frame p | None -> ())
-  | P.Branch { b_tid_dep = false; b_cond; b_then; b_else; _ } ->
+  | P.Branch { b_guard = None; b_cond; b_then; b_else } ->
     if b_cond bx.env then exec_ops bx mask depth b_then
     else exec_ops bx mask depth b_else
-  | P.Branch { b_tid_dep = true; b_cond; b_guard; b_then; b_else } -> (
+  | P.Branch { b_guard = Some g; b_cond; b_then; b_else } -> (
     (* The words are rewritten wholesale — including zeroing where the
        incoming mask word is 0, since a previous branch at this depth
        may have left stale bits there. *)
     let taken = Array.unsafe_get bx.taken depth in
     let not_taken = Array.unsafe_get bx.not_taken depth in
-    (match b_guard with
-    | Some g -> guard_taken bx.env bx.guards.(g.P.g_id) b_cond mask taken
-    | None -> closure_taken bx.env b_cond mask taken);
+    guard_taken bx g b_cond mask taken;
     for w = 0 to Array.length mask - 1 do
       Array.unsafe_set not_taken w
         (Array.unsafe_get mask w land lnot (Array.unsafe_get taken w))

@@ -71,28 +71,17 @@ let rec compile st scope (e : E.t) : cexpr =
       let ca = compile st scope a and cb = compile st scope b in
       fun env -> Int.max (ca env) (cb env))
 
-let holds (r : Spec.rel) (x : int) (y : int) =
-  match r with
-  | Spec.Lt -> x < y
-  | Spec.Le -> x <= y
-  | Spec.Eq -> x = y
-  | Spec.Ne -> x <> y
-  | Spec.Gt -> x > y
-  | Spec.Ge -> x >= y
-
-let cmp_closure (r : Spec.rel) (ca : cexpr) (cb : cexpr) : int array -> bool =
-  match r with
-  | Spec.Lt -> fun env -> ca env < cb env
-  | Spec.Le -> fun env -> ca env <= cb env
-  | Spec.Eq -> fun env -> ca env = cb env
-  | Spec.Ne -> fun env -> ca env <> cb env
-  | Spec.Gt -> fun env -> ca env > cb env
-  | Spec.Ge -> fun env -> ca env >= cb env
-
 let rec compile_pred st scope (p : Spec.pred) : int array -> bool =
   match p with
-  | Spec.Cmp (r, a, b) ->
-    cmp_closure r (compile st scope a) (compile st scope b)
+  | Spec.Cmp (r, a, b) -> (
+    let ca = compile st scope a and cb = compile st scope b in
+    match r with
+    | Spec.Lt -> fun env -> ca env < cb env
+    | Spec.Le -> fun env -> ca env <= cb env
+    | Spec.Eq -> fun env -> ca env = cb env
+    | Spec.Ne -> fun env -> ca env <> cb env
+    | Spec.Gt -> fun env -> ca env > cb env
+    | Spec.Ge -> fun env -> ca env >= cb env)
   | Spec.And (a, b) ->
     let pa = compile_pred st scope a and pb = compile_pred st scope b in
     fun env -> pa env && pb env
@@ -158,13 +147,30 @@ let split_expr scope (e : E.t) =
   go e
 
 type lanes =
-  { uniform : cexpr
+  { id : int
+  ; uniform : cexpr
   ; lane : cexpr
   }
 
-let compile_lanes st scope e =
+(* A plan's lane splits, numbered densely as they are made; the executor
+   tabulates every one of them per block range. *)
+type registry =
+  { mutable parts : lanes list  (* newest first *)
+  ; mutable count : int
+  }
+
+let registry () = { parts = []; count = 0 }
+let registered r = Array.of_list (List.rev r.parts)
+
+let compile_lanes reg st scope e =
   Option.map
-    (fun (u, l) -> { uniform = compile st scope u; lane = compile st scope l })
+    (fun (u, l) ->
+      let p =
+        { id = reg.count; uniform = compile st scope u; lane = compile st scope l }
+      in
+      reg.parts <- p :: reg.parts;
+      reg.count <- reg.count + 1;
+      p)
     (split_expr scope e)
 
 (* ----- layout levels ----- *)
@@ -272,7 +278,7 @@ type view_code =
    all-zero coordinates, i.e. 0 — so the first scalar offset is just the
    swizzled base offset, and only emptiness (a zero-extent level) needs
    the level tables at all. *)
-let compile_view_code ~split st scope (v : Ts.t) =
+let compile_view ?splits st scope (v : Ts.t) =
   match Ts.free_vars v with
   | [] ->
     (* Fully concrete: one symbolic evaluation at lowering time. *)
@@ -299,11 +305,12 @@ let compile_view_code ~split st scope (v : Ts.t) =
            else fun _ -> no_addr)
       ; per_lane
       ; lanes =
-          (if split && per_lane && nonempty then
-             Option.map
-               (fun base -> { base; rel; swizzle = sw })
-               (compile_lanes st scope v.Ts.offset)
-           else None)
+          (match splits with
+          | Some reg when per_lane && nonempty ->
+            Option.map
+              (fun base -> { base; rel; swizzle = sw })
+              (compile_lanes reg st scope v.Ts.offset)
+          | _ -> None)
       }
     | None ->
       let static_empty =
@@ -338,57 +345,42 @@ let compile_view_code ~split st scope (v : Ts.t) =
       ; lanes = None
       })
 
-let compile_view st scope v = compile_view_code ~split:true st scope v
-let compile_addr0 st scope v = (compile_view_code ~split:false st scope v).addr0
-
 (* ----- divergent guards ----- *)
 
-type side =
-  { whole : cexpr
-  ; side_lanes : lanes option
-  }
-
 type guard =
-  | Cmp of Spec.rel * side * side
+  | Cmp of Spec.rel * lanes option * lanes option
   | And of guard * guard
   | Or of guard * guard
   | Not of guard
 
-(* Sides compile left to right, as in [compile_pred], so an undeclared
-   scalar gets the same slot either way. *)
-let rec compile_guard st scope (p : Spec.pred) =
-  match p with
-  | Spec.Cmp (r, a, b) ->
-    let side e =
-      let whole = compile st scope e in
-      { whole; side_lanes = compile_lanes st scope e }
-    in
-    let sa = side a in
-    Cmp (r, sa, side b)
-  | Spec.And (a, b) ->
-    let ga = compile_guard st scope a in
-    And (ga, compile_guard st scope b)
-  | Spec.Or (a, b) ->
-    let ga = compile_guard st scope a in
-    Or (ga, compile_guard st scope b)
-  | Spec.Not p -> Not (compile_guard st scope p)
-
-(* The guard's per-lane closure, built from the sides' whole closures. *)
-let rec guard_cond = function
-  | Cmp (r, a, b) -> cmp_closure r a.whole b.whole
-  | And (a, b) ->
-    let pa = guard_cond a and pb = guard_cond b in
-    fun env -> pa env && pb env
-  | Or (a, b) ->
-    let pa = guard_cond a and pb = guard_cond b in
-    fun env -> pa env || pb env
-  | Not p ->
-    let pp = guard_cond p in
-    fun env -> not (pp env)
+(* The executor reads a guard's tables only when every side has one, so
+   the sides are numbered only when every side splits. *)
+let compile_guard reg st scope (p : Spec.pred) =
+  let rec splits = function
+    | Spec.Cmp (_, a, b) ->
+      Option.is_some (split_expr scope a) && Option.is_some (split_expr scope b)
+    | Spec.And (p, q) | Spec.Or (p, q) -> splits p && splits q
+    | Spec.Not p -> splits p
+  in
+  let all = splits p in
+  let side e = if all then compile_lanes reg st scope e else None in
+  let rec go = function
+    | Spec.Cmp (r, a, b) ->
+      let sa = side a in
+      Cmp (r, sa, side b)
+    | Spec.And (p, q) ->
+      let gp = go p in
+      And (gp, go q)
+    | Spec.Or (p, q) ->
+      let gp = go p in
+      Or (gp, go q)
+    | Spec.Not p -> Not (go p)
+  in
+  go p
 
 let rec guard_split = function
-  | Cmp (_, a, b) -> Option.is_some a.side_lanes && Option.is_some b.side_lanes
-  | And (a, b) | Or (a, b) -> guard_split a && guard_split b
+  | Cmp (_, a, b) -> Option.is_some a && Option.is_some b
+  | And (p, q) | Or (p, q) -> guard_split p && guard_split q
   | Not p -> guard_split p
 
 (* Member ids of a thread arrangement, compiled: the [Thread_tensor]

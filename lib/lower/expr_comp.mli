@@ -12,7 +12,8 @@
     offset, each side of a divergent guard's comparisons — is also split
     into two exact parts ({!lanes}): a uniform part that never reads
     [threadIdx.x], and a lane part that reads only [threadIdx.x] and
-    scalar parameters, which the executor tabulates once per launch. *)
+    scalar parameters, which the executor tabulates once per launch.
+    Each split gets a dense plan-wide id from the plan's {!registry}. *)
 
 type cexpr = int array -> int
 type cview = int array -> int array
@@ -25,9 +26,6 @@ val compile : Slots.t -> (string * int) list -> Shape.Int_expr.t -> cexpr
 val compile_pred :
   Slots.t -> (string * int) list -> Graphene.Spec.pred -> int array -> bool
 
-(** [holds r x y] — the comparison [r] on two integers. *)
-val holds : Graphene.Spec.rel -> int -> int -> bool
-
 (** {1 Lane splits} *)
 
 (** [e env = uniform env + lane env] for every environment, exactly in
@@ -39,15 +37,24 @@ val holds : Graphene.Spec.rel -> int -> int -> bool
     lands whole in one part, so the parts fault exactly when [e] does,
     and [uniform] meets its faulting subterms in [e]'s order. *)
 type lanes =
-  { uniform : cexpr
+  { id : int  (** dense plan-wide: indexes the executor's lane tables *)
+  ; uniform : cexpr
   ; lane : cexpr
   }
 
+(** The lane splits made for one plan, numbered densely from 0. *)
+type registry
+
+val registry : unit -> registry
+
+(** Every split made so far, indexed by id. *)
+val registered : registry -> lanes array
+
 (** [None] when [e] mixes [threadIdx.x] with a loop counter or
     [blockIdx.x] under [/], [mod], [min], [max] or a product of two
-    such terms. *)
+    such terms; otherwise the split, numbered in the registry. *)
 val compile_lanes :
-  Slots.t -> (string * int) list -> Shape.Int_expr.t -> lanes option
+  registry -> Slots.t -> (string * int) list -> Shape.Int_expr.t -> lanes option
 
 (** {1 Views} *)
 
@@ -90,38 +97,32 @@ type view_code =
   ; per_lane : bool  (** the view reads [threadIdx.x] *)
   ; lanes : view_lanes option
         (** for a per-lane view whose levels are literal, enumerating at
-            least one scalar, when its offset splits *)
+            least one scalar, when its offset splits and [splits] is
+            given *)
   }
 
+(** [splits] numbers the view's lane split; without it the view is not
+    split (a view read only through its first address needs no table). *)
 val compile_view :
-  Slots.t -> (string * int) list -> Gpu_tensor.Tensor.t -> view_code
-
-(** [(compile_view ... v).addr0], without trying the lane split. *)
-val compile_addr0 :
-  Slots.t -> (string * int) list -> Gpu_tensor.Tensor.t -> cexpr
+  ?splits:registry ->
+  Slots.t ->
+  (string * int) list ->
+  Gpu_tensor.Tensor.t ->
+  view_code
 
 (** {1 Divergent guards} *)
 
-(** One side of a comparison: its per-lane closure, and its lane split
-    when it has one. *)
-type side =
-  { whole : cexpr
-  ; side_lanes : lanes option
-  }
-
-(** A thread-dependent predicate with its comparison sides compiled. *)
+(** A thread-dependent predicate with the lane split of each comparison
+    side: every side has one, or none has (the executor reads a guard's
+    tables only when every side has one). *)
 type guard =
-  | Cmp of Graphene.Spec.rel * side * side
+  | Cmp of Graphene.Spec.rel * lanes option * lanes option
   | And of guard * guard
   | Or of guard * guard
   | Not of guard
 
 val compile_guard :
-  Slots.t -> (string * int) list -> Graphene.Spec.pred -> guard
-
-(** The guard's per-lane closure, as {!compile_pred} builds it, from the
-    sides' [whole] closures. *)
-val guard_cond : guard -> int array -> bool
+  registry -> Slots.t -> (string * int) list -> Graphene.Spec.pred -> guard
 
 (** Every side of every comparison has a lane split. *)
 val guard_split : guard -> bool

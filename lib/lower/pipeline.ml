@@ -293,11 +293,11 @@ let members_slots scope (t : Tt.t) =
          | _ -> None)
        (Tt.free_vars t))
 
-(* Dense plan-wide ids: atomics and divergent guards each index their
-   own per-range executor arrays. *)
+(* Dense plan-wide ids: atomics index the executor's per-atomic arrays,
+   lane splits its lane tables. *)
 type ids =
   { mutable atomics : int
-  ; mutable guards : int
+  ; splits : Expr_comp.registry
   }
 
 let compile_atomic st ids scope (s : Spec.t) (instr : Atomic.instr)
@@ -309,7 +309,7 @@ let compile_atomic st ids scope (s : Spec.t) (instr : Atomic.instr)
     | Vectorize.Refused _ -> 1
   in
   let view (v : Ts.t) (vd : Vectorize.verdict) =
-    let code = Expr_comp.compile_view st scope v in
+    let code = Expr_comp.compile_view ~splits:ids.splits st scope v in
     { Plan.v_ts = v
     ; v_mem = v.Ts.mem
     ; v_elt_bytes = Dt.size_bytes (Ts.dtype v)
@@ -338,7 +338,7 @@ let compile_atomic st ids scope (s : Spec.t) (instr : Atomic.instr)
          same error the tree path would — and only on execution. *)
       match
         Array.map
-          (Array.map (Expr_comp.compile_addr0 st scope))
+          (Array.map (fun v -> (Expr_comp.compile_view st scope v).addr0))
           (Atomic.ldmatrix_rows ~trans x src)
       with
       | rows -> Some (rows, Dt.size_bytes (Ts.dtype src))
@@ -390,19 +390,14 @@ and compile_op st ids scope = function
       ; l_body = compile_ops st ids ((var, slot) :: scope) body
       }
   | F_branch (p, then_, else_) ->
-    let b_tid_dep = Spec.pred_mentions "threadIdx.x" p in
-    let b_cond, b_guard =
-      if b_tid_dep then begin
-        let g_tree = Expr_comp.compile_guard st scope p in
-        let g_id = ids.guards in
-        ids.guards <- g_id + 1;
-        (Expr_comp.guard_cond g_tree, Some { Plan.g_id; g_tree })
-      end
-      else (Expr_comp.compile_pred st scope p, None)
+    let b_cond = Expr_comp.compile_pred st scope p in
+    let b_guard =
+      if Spec.pred_mentions "threadIdx.x" p then
+        Some (Expr_comp.compile_guard ids.splits st scope p)
+      else None
     in
     Plan.Branch
-      { b_tid_dep
-      ; b_cond
+      { b_cond
       ; b_guard
       ; b_then = compile_ops st ids scope then_
       ; b_else = compile_ops st ids scope else_
@@ -425,7 +420,7 @@ let compile_pass ~vec_enabled ~pipelining arch diagnostics =
       List.iter
         (fun p -> ignore (Slots.scalar_slot st p))
         k.Spec.scalar_params;
-      let ids = { atomics = 0; guards = 0 } in
+      let ids = { atomics = 0; splits = Expr_comp.registry () } in
       let body = compile_ops st ids Slots.base_scope resolved in
       let allocs =
         List.map
@@ -449,7 +444,7 @@ let compile_pass ~vec_enabled ~pipelining arch diagnostics =
       ; allocs
       ; body
       ; n_atomics = ids.atomics
-      ; n_guards = ids.guards
+      ; lanes = Expr_comp.registered ids.splits
       ; diagnostics
       ; vec_enabled
       ; pipelining

@@ -78,11 +78,6 @@ type atomic =
             conflict cycles per CTA-wide batch) *)
   }
 
-(* A divergent branch's guard with its comparison sides lane-split where
-   they split; [g_id] is dense plan-wide and indexes the executor's
-   per-guard state. *)
-type guard = { g_id : int; g_tree : Expr_comp.guard }
-
 type op =
   | Atomic_exec of atomic
   | Loop of
@@ -94,9 +89,9 @@ type op =
       ; l_body : op list
       }
   | Branch of
-      { b_tid_dep : bool
-      ; b_cond : int array -> bool
-      ; b_guard : guard option
+      { b_cond : int array -> bool
+      ; b_guard : Expr_comp.guard option
+            (** a divergent branch's guard (none on a uniform branch) *)
       ; b_then : op list
       ; b_else : op list
       }
@@ -144,8 +139,8 @@ type t =
   ; allocs : alloc list
   ; body : op list
   ; n_atomics : int  (** total atomic count = executor per-atomic array size *)
-  ; n_guards : int
-        (** divergent guards = size of the executor's per-guard array *)
+  ; lanes : Expr_comp.lanes array
+        (** every lane split, by id = the executor's lane tables *)
   ; diagnostics : string list  (** advisory validation findings *)
   ; vec_enabled : bool  (** whether the vectorize pass was allowed to widen *)
   ; pipelining : pipelining
@@ -188,24 +183,11 @@ let rec divergence_depth ops =
         (match op with
         | Atomic_exec _ | Barrier | Commit_group | Wait_group _ | Fail _ -> 0
         | Loop { l_body; _ } -> divergence_depth l_body
-        | Branch { b_tid_dep; b_then; b_else; _ } ->
-          Bool.to_int b_tid_dep
+        | Branch { b_guard; b_then; b_else; _ } ->
+          Bool.to_int (Option.is_some b_guard)
           + max (divergence_depth b_then) (divergence_depth b_else)
         | Frame { f_body; _ } -> divergence_depth f_body))
     0 ops
-
-let rec iter_guards f ops =
-  List.iter
-    (fun op ->
-      match op with
-      | Atomic_exec _ | Barrier | Commit_group | Wait_group _ | Fail _ -> ()
-      | Loop { l_body; _ } -> iter_guards f l_body
-      | Branch { b_guard; b_then; b_else; _ } ->
-        Option.iter f b_guard;
-        iter_guards f b_then;
-        iter_guards f b_else
-      | Frame { f_body; _ } -> iter_guards f f_body)
-    ops
 
 let rec iter_atomics f ops =
   List.iter
@@ -350,26 +332,22 @@ let pp_atomic fmt (a : atomic) =
     a.a_banks;
   if String.length a.a_label > 0 then Format.fprintf fmt "  // %s" a.a_label
 
-let branch_tag tid_dep guard =
-  if not tid_dep then ""
-  else
-    match guard with
-    | Some g when Expr_comp.guard_split g.g_tree -> " #divergent,lane-table"
-    | _ -> " #divergent"
+let branch_tag = function
+  | None -> ""
+  | Some g when Expr_comp.guard_split g -> " #divergent,lane-table"
+  | Some _ -> " #divergent"
 
 let rec pp_op fmt = function
   | Atomic_exec a -> pp_atomic fmt a
   | Loop { l_var; l_slot; l_body; _ } ->
     Format.fprintf fmt "@[<v 2>loop %s (slot %d) {@,%a@]@,}" l_var l_slot
       pp_ops l_body
-  | Branch { b_tid_dep; b_guard; b_then; b_else = []; _ } ->
-    Format.fprintf fmt "@[<v 2>branch%s {@,%a@]@,}"
-      (branch_tag b_tid_dep b_guard)
+  | Branch { b_guard; b_then; b_else = []; _ } ->
+    Format.fprintf fmt "@[<v 2>branch%s {@,%a@]@,}" (branch_tag b_guard)
       pp_ops b_then
-  | Branch { b_tid_dep; b_guard; b_then; b_else; _ } ->
+  | Branch { b_guard; b_then; b_else; _ } ->
     Format.fprintf fmt "@[<v 2>branch%s {@,%a@]@,} else {@,%a@,}"
-      (branch_tag b_tid_dep b_guard)
-      pp_ops b_then pp_ops b_else
+      (branch_tag b_guard) pp_ops b_then pp_ops b_else
   | Barrier -> Format.fprintf fmt "barrier"
   | Commit_group -> Format.fprintf fmt "cp.async.commit_group"
   | Wait_group n -> Format.fprintf fmt "cp.async.wait_group %d" n

@@ -11,9 +11,9 @@
     view per lane and any other view once per call, and reuses a
     collective's member groups while those slots are unchanged. A
     per-lane view's offset and each side of a divergent guard's
-    comparisons also carry their lane split ({!Expr_comp.lanes}), whose
-    lane part the executor tabulates once per launch in its own
-    per-range state. [Interp.run_plan] executes the [body] op tree
+    comparisons also carry their lane split ({!Expr_comp.lanes}),
+    numbered densely plan-wide and listed in [lanes], whose lane part
+    the executor tabulates once per launch in its own per-range state. [Interp.run_plan] executes the [body] op tree
     directly. A plan is an immutable value, so domains share one plan
     through the plan cache. *)
 
@@ -81,14 +81,6 @@ type atomic =
             conflict cycles per CTA-wide batch) *)
   }
 
-(** A divergent branch's guard: its comparison sides, lane-split where
-    they split ({!Expr_comp.guard}). *)
-type guard =
-  { g_id : int
-        (** dense plan-wide id, indexes the executor's per-guard state *)
-  ; g_tree : Expr_comp.guard
-  }
-
 type op =
   | Atomic_exec of atomic
   | Loop of
@@ -100,11 +92,11 @@ type op =
       ; l_body : op list
       }
   | Branch of
-      { b_tid_dep : bool
-      ; b_cond : int array -> bool  (** the per-lane closure *)
-      ; b_guard : guard option
-            (** a divergent branch's compiled guard (none on a uniform
-                branch) *)
+      { b_cond : int array -> bool
+      ; b_guard : Expr_comp.guard option
+            (** a divergent branch's guard, its comparison sides
+                lane-split when they all split (none on a uniform
+                branch, whose [b_cond] is evaluated once per call) *)
       ; b_then : op list
       ; b_else : op list
       }
@@ -151,8 +143,9 @@ type t =
   ; allocs : alloc list
   ; body : op list
   ; n_atomics : int  (** total atomics = size of the executor's per-atomic arrays *)
-  ; n_guards : int
-        (** divergent guards = size of the executor's per-guard array *)
+  ; lanes : Expr_comp.lanes array
+        (** every lane split of the plan, by id: the executor tabulates
+            each once per block range *)
   ; diagnostics : string list
   ; vec_enabled : bool  (** whether the vectorize pass was allowed to widen *)
   ; pipelining : pipelining  (** software-pipelining outcome *)
@@ -166,9 +159,6 @@ val count_atomics : op list -> int
 (** Deepest nesting of thread-dependent branches: the number of
     taken/not-taken mask pairs the executor preallocates. *)
 val divergence_depth : op list -> int
-
-(** Apply [f] to every divergent guard in the op tree, in program order. *)
-val iter_guards : (guard -> unit) -> op list -> unit
 
 (** Apply [f] to every atomic in the op tree, in program order. *)
 val iter_atomics : (atomic -> unit) -> op list -> unit

@@ -268,9 +268,11 @@ let test_split_exact () =
     let k = Sl.fresh_loop st in
     let scope = Sl.base_scope @ [ ("k", k) ] in
     let whole = Lower.Expr_comp.compile st scope e in
-    match Lower.Expr_comp.compile_lanes st scope e with
+    match
+      Lower.Expr_comp.compile_lanes (Lower.Expr_comp.registry ()) st scope e
+    with
     | None -> ()
-    | Some { Lower.Expr_comp.uniform; lane } ->
+    | Some { Lower.Expr_comp.uniform; lane; _ } ->
       incr split;
       let env = Array.make (Sl.count st) Sl.unbound in
       let bind ~tid ~bid ~kv =
@@ -315,11 +317,10 @@ let test_ffn_lane_split () =
   List.iter
     (fun arch ->
       let plan = Pipeline.lower arch kernel in
-      let views = ref [] and guards = ref [] in
+      let views = ref [] in
       Plan.iter_atomics
         (fun a -> views := !views @ a.Plan.a_ins @ a.Plan.a_outs)
         plan.Plan.body;
-      Plan.iter_guards (fun g -> guards := g :: !guards) plan.Plan.body;
       let tag = Arch.name arch in
       check_int (tag ^ ": three views") 3 (List.length !views);
       List.iter
@@ -329,17 +330,21 @@ let test_ffn_lane_split () =
             true
             (Option.is_some v.Plan.v_lanes))
         !views;
-      check_int (tag ^ ": one divergent guard") 1 (List.length !guards);
-      List.iter
-        (fun (g : Plan.guard) ->
-          check_bool (tag ^ ": guard lane-split") true
-            (Lower.Expr_comp.guard_split g.Plan.g_tree))
-        !guards;
       let listing = Plan.to_string plan in
-      check_bool (tag ^ ": listing marks the guard") true
+      check_int (tag ^ ": one divergent guard") 1
+        (occurrences listing "#divergent");
+      check_bool (tag ^ ": the guard is lane-split") true
         (contains listing "branch #divergent,lane-table {");
       check_int (tag ^ ": listing marks the views") 3
-        (occurrences listing "per-lane,lane-table]"))
+        (occurrences listing "per-lane,lane-table]");
+      (* The lane splits are numbered densely: the views' offsets and the
+         guard's four comparison sides. *)
+      Array.iteri
+        (fun i (l : Lower.Expr_comp.lanes) ->
+          check_int (Printf.sprintf "%s: lane split %d" tag i) i
+            l.Lower.Expr_comp.id)
+        plan.Plan.lanes;
+      check_int (tag ^ ": lane splits") 7 (Array.length plan.Plan.lanes))
     Arch.all
 
 (* A lane part or a uniform part that faults must fault where the tree
@@ -367,7 +372,8 @@ let lane_fault_kernel guard cell =
    [Invalid_argument] from [Int_expr.to_int_exn] at lane 1 (0 / 0
    simplifies to 0), while the plan's per-lane closure raises
    [Division_by_zero] at lane 0; that case checks that both fault and
-   that the plan still raises what its per-lane closure raises. *)
+   that the plan still raises what its per-lane closure raises. The last
+   field of a case says whether its guard runs on lane tables. *)
 let test_lane_faults () =
   let own tid k _ = E.add (E.mul k (E.const 64)) tid in
   (* The lane part [tid / Z] cannot be tabulated, so the view keeps its
@@ -377,37 +383,54 @@ let test_lane_faults () =
   let none tid _ _ = lt tid E.zero and some tid _ _ = lt tid (E.const 3) in
   let uniform_div tid k z = lt (E.add (E.div k z) tid) (E.const 5) in
   let cases =
-    [ ("view lane part / 0, no lane passes", none, lane_div, `Same)
+    [ ("view lane part / 0, no lane passes", none, lane_div, `Same, true)
     ; ( "view lane part / 0, some lanes pass"
       , some
       , lane_div
-      , `Both_fault "Division_by_zero" )
+      , `Both_fault "Division_by_zero", true )
     ; ( "&&: lane part / 0 on the right, no lane reaches it"
       , (fun tid k z -> Spec.And (none tid k z, lt (E.div tid z) (E.const 5)))
       , own
-      , `Same )
+      , `Same, true )
     ; ( "&&: uniform part / 0 on the right, no lane reaches it"
       , (fun tid k z -> Spec.And (none tid k z, uniform_div tid k z))
       , own
-      , `Same )
+      , `Same, true )
     ; ( "&&: uniform part / 0 on the right, some lanes reach it"
       , (fun tid k z -> Spec.And (some tid k z, uniform_div tid k z))
       , own
-      , `Same )
+      , `Same, true )
     ; ( "||: lane part / 0 on the right, no lane reaches it"
       , (fun tid _ z ->
           Spec.Or (lt tid (E.const 64), lt (E.div tid z) (E.const 5)))
       , own
-      , `Same )
+      , `Same, true )
+    ; ( "&&: lane part / 0 on the right, some lanes reach it"
+      , (fun tid k z -> Spec.And (some tid k z, lt (E.div tid z) (E.const 5)))
+      , own
+      , `Same, true )
+      (* [(tid + k) mod 3] does not split, so neither side of the [&&]
+         gets a table and the guard runs its per-lane closure. *)
+    ; ( "unsplit guard"
+      , (fun tid k _ ->
+          Spec.And
+            ( some tid k E.zero
+            , Spec.Cmp (Spec.Eq, E.rem (E.add tid k) (E.const 3), E.zero) ))
+      , own
+      , `Same, false )
     ]
   in
   let show = function Ok _ -> "no fault" | Error e -> e in
   List.iter
-    (fun (label, guard, cell, expect) ->
+    (fun (label, guard, cell, expect, tables) ->
       let kernel = lane_fault_kernel guard cell in
       let plan = Pipeline.lower Arch.SM86 kernel in
-      check_bool (label ^ ": guard has lane tables") true
+      check_bool (label ^ ": guard has lane tables") tables
         (contains (Plan.to_string plan) "#divergent,lane-table");
+      (* A guard's sides are numbered only when all of them split. *)
+      if not tables then
+        check_int (label ^ ": only the view is split") 1
+          (Array.length plan.Plan.lanes);
       let outcome run =
         let a = Array.make 128 0.0 in
         match run a with
